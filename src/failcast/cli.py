@@ -19,7 +19,7 @@ from . import adapter as adapter_mod
 from . import features as features_mod
 from . import forest as forest_mod
 from . import ingestion, labeling, metrics, pipeline, store, synth
-from .errors import FailcastError
+from .errors import FailcastError, ParseError
 from .features import DatasetConfig, FeatureConfig, Instance
 from .forest import ForestParams
 from .ocsvm import OcsvmParams
@@ -322,14 +322,16 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 def _cmd_predict(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     model = pipeline.load_bundle(_require_file(ns.model))
     if ns.stream:
-        for line in sys.stdin:
+        for line_no, line in enumerate(sys.stdin, 1):
             line = line.strip()
             if not line:
                 continue
-            x = np.array([float(v) for v in line.split(",")])
-            y = pipeline.predict(model, x)
-            s = pipeline.score(model, x)
-            sys.stdout.write(f"{int(y)},{float(s)!r}\n")
+            try:
+                x = np.array([[float(v) for v in line.split(",")]])
+                preds, scores = pipeline.predict_batch(model, x)
+            except (ValueError, FailcastError) as exc:
+                raise ParseError(line_no, str(exc)) from None
+            sys.stdout.write(f"{int(preds[0])},{float(scores[0])!r}\n")
             sys.stdout.flush()
         return 0
     if not ns.data or not ns.out:
@@ -388,7 +390,7 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         model = pipeline.load_bundle(_require_file(ns.model))
         X, _ = features_mod.to_arrays(instances)
         latency = metrics.measure_latency(
-            lambda x: pipeline.predict(model, x), list(X), reps
+            lambda x: pipeline.predict_batch(model, x[None, :]), list(X), reps
         )
     report = metrics.build_report(preds, actuals, scores, latency=latency)
     out_dir = Path(ns.out)

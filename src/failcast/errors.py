@@ -41,5 +41,9 @@ class StratificationError(FailcastError):
     """Requested fold count cannot give every fold a failure instance."""
 
 
+class ModelFormatError(FailcastError):
+    """A saved model file is malformed, truncated or of an unknown format."""
+
+
 class GenerationError(FailcastError):
     """Synthetic trace configuration is infeasible."""

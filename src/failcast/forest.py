@@ -4,16 +4,26 @@ Trees are grown on bootstrap resamples with Gini splits over a random
 feature subset per node; prediction is a majority vote over the ensemble.
 Each tree draws from its own rng stream seeded by (rng_seed, tree index),
 so growth order and thread scheduling never change the model.
+
+A forest is flat node arrays, after scikit-learn's ``Tree``: node i has
+``feature[i]`` (-1 at a leaf), ``threshold[i]`` (x[feature] <= threshold
+goes left), child ids ``left[i]`` (always i + 1) and ``right[i]`` (-1 at
+a leaf), and ``counts[i]``, the training class counts at a leaf (zeros at
+a split). Each tree's nodes are in pre-order, the trees one after
+another, and ``roots[k]`` is tree k's root. Pre-order is the order
+grow_tree visits nodes in and the ``forest-model v1`` file lists them,
+so saving and loading are single passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TextIO
+import itertools
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
-from .trace_model import FailureType
+from .errors import ModelFormatError
 
 N_CLASSES = 4
 MODEL_FORMAT = "forest-model v1"
@@ -36,47 +46,31 @@ class ForestParams:
             raise ValueError("min_leaf must be >= 1")
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (klass, counts)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    klass: int = -1
-    counts: tuple[int, ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
+@dataclass(eq=False)
 class ForestModel:
-    trees: list[TreeNode]
+    """Flat node arrays of every tree; see the module docstring for the layout."""
+
     params: ForestParams
     dim: int
-    feature_split_counts: np.ndarray = field(default=None)  # type: ignore[assignment]
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+    leaf_class: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.feature_split_counts is None:
-            counts = np.zeros(self.dim, dtype=np.int64)
-            for root in self.trees:
-                _accumulate_splits(root, counts)
-            self.feature_split_counts = counts
+        # fixed once here, so descent only looks a leaf's class up
+        self.leaf_class = np.where(self.feature < 0, np.argmax(self.counts, axis=1), -1)
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.roots)
 
-
-def gini(counts: Sequence[int]) -> float:
-    """Gini impurity 1 - sum_c p_c^2 of a class-count vector."""
-    total = float(sum(counts))
-    if total <= 0:
-        raise ValueError("gini of an empty count vector is undefined")
-    return 1.0 - sum((c / total) ** 2 for c in counts)
+    @property
+    def feature_split_counts(self) -> np.ndarray:
+        return np.bincount(self.feature[self.feature >= 0], minlength=self.dim)
 
 
 @dataclass(frozen=True)
@@ -147,42 +141,64 @@ def grow_tree(
     y: np.ndarray,
     params: ForestParams,
     rng: np.random.Generator,
-) -> TreeNode:
-    """Grow one tree; iterative so deep chains never hit the recursion limit.
+) -> ForestModel:
+    """Grow one tree, as a one-tree forest; iterative so deep chains never
+    hit the recursion limit.
 
-    Nodes are processed left-first in depth order, and the feature subset
-    for each node is drawn in that order, so a fixed rng yields a
-    bit-identical tree.
+    Nodes are visited in pre-order, and the feature subset for each node
+    is drawn in that order, so a fixed rng yields a bit-identical tree.
     """
     if len(y) == 0:
         raise ValueError("cannot grow a tree on an empty batch")
     d = X.shape[1]
     mtry = min(params.mtry, d)
-    root = TreeNode()
-    stack = [(root, np.arange(len(y)), 0)]
+    feature, threshold, right, counts = [], [], [], []
+    no_counts = np.zeros(N_CLASSES, dtype=np.int64)
+    # (rows, depth, id of the split whose right child this is, or -1)
+    stack = [(np.arange(len(y)), 0, -1)]
     while stack:
-        node, idx, depth = stack.pop()
+        idx, depth, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
         sub_y = y[idx]
-        counts = np.bincount(sub_y, minlength=N_CLASSES)
-        pure = np.count_nonzero(counts) <= 1
+        node_counts = np.bincount(sub_y, minlength=N_CLASSES)
+        pure = np.count_nonzero(node_counts) <= 1
         depth_stop = params.max_depth is not None and depth >= params.max_depth
         split = None
         if not pure and not depth_stop and len(idx) >= 2 * params.min_leaf:
             feats = rng.choice(d, size=mtry, replace=False)
             split = best_split(X[idx], sub_y, feats, params.min_leaf)
+        right.append(-1)
         if split is None:
-            node.klass = int(np.argmax(counts))
-            node.counts = tuple(int(c) for c in counts)
+            feature.append(-1)
+            threshold.append(0.0)
+            counts.append(node_counts)
             continue
-        node.feature = split.feature
-        node.threshold = split.threshold
-        node.left = TreeNode()
-        node.right = TreeNode()
+        feature.append(split.feature)
+        threshold.append(split.threshold)
+        counts.append(no_counts)
         goes_left = X[idx, split.feature] <= split.threshold
-        # push right first so the left child is processed (and draws rng) first
-        stack.append((node.right, idx[~goes_left], depth + 1))
-        stack.append((node.left, idx[goes_left], depth + 1))
-    return root
+        # push right first so the left child is visited (and draws rng) first
+        stack.append((idx[~goes_left], depth + 1, node))
+        stack.append((idx[goes_left], depth + 1, -1))
+    return _arrays_model(replace(params, n_trees=1), d, [0], feature, threshold, right, counts)
+
+
+def _arrays_model(params, dim, roots, feature, threshold, right, counts) -> ForestModel:
+    """A forest from pre-order node lists; left children follow their parent."""
+    feature = np.array(feature, dtype=np.intp)
+    ids = np.arange(len(feature))
+    return ForestModel(
+        params=params,
+        dim=dim,
+        roots=np.array(roots, dtype=np.intp),
+        feature=feature,
+        threshold=np.array(threshold, dtype=float),
+        left=np.where(feature >= 0, ids + 1, -1),
+        right=np.array(right, dtype=np.intp),
+        counts=np.array(counts, dtype=np.int64).reshape(-1, N_CLASSES),
+    )
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -217,62 +233,56 @@ def train(
             trees.append(grow_tree(X[idx], y[idx], params, rng))
         else:
             trees.append(grow_tree(X, y, params, rng))
-    return ForestModel(trees=trees, params=params, dim=X.shape[1])
+    roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
+    return _arrays_model(
+        params,
+        X.shape[1],
+        roots,
+        np.concatenate([t.feature for t in trees]),
+        np.concatenate([t.threshold for t in trees]),
+        np.concatenate([np.where(t.right >= 0, t.right + r, -1) for t, r in zip(trees, roots)]),
+        np.concatenate([t.counts for t in trees]),
+    )
 
 
-def _accumulate_splits(root: TreeNode, counts: np.ndarray) -> None:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            counts[node.feature] += 1
-            stack.append(node.left)
-            stack.append(node.right)
-
-
-def _descend(root: TreeNode, x: np.ndarray) -> int:
-    node = root
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.klass
-
-
-def predict_votes(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    """Per-class vote counts; always sums to the ensemble size."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValueError(f"expected a ({model.dim},) vector, got {x.shape}")
-    votes = np.zeros(N_CLASSES, dtype=np.int64)
-    for root in model.trees:
-        votes[_descend(root, x)] += 1
-    return votes
-
-
-def predict(model: ForestModel, x: np.ndarray) -> FailureType:
-    """Majority-vote class; ties break toward the lowest label."""
-    return FailureType(int(np.argmax(predict_votes(model, x))))
+# (row, tree) pairs that descend together; bounds the working arrays
+_BLOCK_PAIRS = 1 << 16
 
 
 def predict_votes_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """(n, 4) vote counts for a batch, routing index sets tree by tree."""
+    """(n, 4) vote counts; each row sums to the ensemble size.
+
+    All trees descend at once, level by level: each step moves every
+    (row, tree) pair still at a split one level down. Rows go in blocks
+    of a fixed number of pairs, so memory does not grow with the batch.
+    """
     X = np.asarray(X, dtype=float)
-    votes = np.zeros((len(X), N_CLASSES), dtype=np.int64)
-    for root in model.trees:
-        stack = [(root, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            if node.is_leaf:
-                votes[idx, node.klass] += 1
-                continue
-            goes_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[goes_left]))
-            stack.append((node.right, idx[~goes_left]))
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise ValueError(f"expected an (n, {model.dim}) batch, got shape {X.shape}")
+    n_trees = model.n_trees
+    step = max(1, _BLOCK_PAIRS // n_trees)
+    votes = np.empty((len(X), N_CLASSES), dtype=np.int64)
+    for lo in range(0, len(X), step):
+        block = X[lo : lo + step]
+        rows = np.repeat(np.arange(len(block)), n_trees)
+        node = np.tile(model.roots, len(block))
+        live = np.arange(len(node))
+        while len(live):
+            at = node[live]
+            f = model.feature[at]
+            inner = f >= 0
+            live, at, f = live[inner], at[inner], f[inner]
+            goes_left = block[rows[live], f] <= model.threshold[at]
+            node[live] = np.where(goes_left, model.left[at], model.right[at])
+        slots = rows * N_CLASSES + model.leaf_class[node]
+        votes[lo : lo + len(block)] = np.bincount(
+            slots, minlength=len(block) * N_CLASSES
+        ).reshape(-1, N_CLASSES)
     return votes
 
 
 def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Majority-vote class per row; ties break toward the lowest label."""
     return np.argmax(predict_votes_batch(model, X), axis=1)
 
 
@@ -293,19 +303,6 @@ def split_count_report(model: ForestModel, feature_config) -> list[dict]:
     return rows
 
 
-def _write_node(node: TreeNode, out: TextIO) -> None:
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur.is_leaf:
-            counts = " ".join(str(c) for c in cur.counts)
-            out.write(f"L {cur.klass} {counts}\n")
-        else:
-            out.write(f"N {cur.feature} {cur.threshold!r}\n")
-            stack.append(cur.right)
-            stack.append(cur.left)
-
-
 def save(model: ForestModel, out: TextIO) -> None:
     """Pre-order node listing per tree; thresholds keep full precision."""
     p = model.params
@@ -316,61 +313,85 @@ def save(model: ForestModel, out: TextIO) -> None:
     out.write(
         f"params mtry={p.mtry} min_leaf={p.min_leaf} max_depth={depth} seed={p.rng_seed}\n"
     )
-    for k, root in enumerate(model.trees):
+    feature = model.feature.tolist()
+    threshold = model.threshold.tolist()
+    klass = model.leaf_class.tolist()
+    counts = model.counts.tolist()
+    bounds = model.roots.tolist() + [len(feature)]
+    for k in range(model.n_trees):
         out.write(f"tree {k}\n")
-        _write_node(root, out)
+        for i in range(bounds[k], bounds[k + 1]):
+            if feature[i] < 0:
+                out.write(f"L {klass[i]} {' '.join(map(str, counts[i]))}\n")
+            else:
+                out.write(f"N {feature[i]} {threshold[i]!r}\n")
 
 
 def load(source: Iterable[str]) -> ForestModel:
-    lines = [ln.rstrip("\n") for ln in source if ln.strip()]
-    if lines[0] != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format: {lines[0]!r}")
-    n_trees = int(lines[1].split()[1])
-    dim = int(lines[2].split()[1])
-    kv = dict(part.split("=") for part in lines[3].split()[1:])
-    params = ForestParams(
-        n_trees=n_trees,
-        mtry=int(kv["mtry"]),
-        min_leaf=int(kv["min_leaf"]),
-        max_depth=None if kv["max_depth"] == "none" else int(kv["max_depth"]),
-        rng_seed=int(kv["seed"]),
-    )
-    pos = 4
-    trees = []
-    for _ in range(n_trees):
-        if not lines[pos].startswith("tree "):
-            raise ValueError(f"expected tree marker, got {lines[pos]!r}")
-        pos += 1
-        root, pos = _read_tree(lines, pos)
-        trees.append(root)
-    return ForestModel(trees=trees, params=params, dim=dim)
+    """Read a ``forest-model v1`` listing; anything else raises ModelFormatError.
 
+    The header's tree count must match the body, and every tree must be a
+    complete pre-order listing.
+    """
+    # streamed: holding the field lists of every line of a large forest
+    # at once made loading it about three times slower
+    rows = ((no, parts) for no, parts in enumerate(map(str.split, source), 1) if parts)
+    no, parts = next(rows, (0, []))
+    if " ".join(parts) != MODEL_FORMAT:
+        raise ModelFormatError(f"not a {MODEL_FORMAT!r} file")
+    header = [parts for _, parts in itertools.islice(rows, 3)]
+    if [(p[0], len(p)) for p in header] != [("trees", 2), ("dim", 2), ("params", 5)]:
+        raise ModelFormatError("the header needs a trees, a dim and a params line")
+    try:
+        n_trees, dim = int(header[0][1]), int(header[1][1])
+        kv = dict(part.split("=", 1) for part in header[2][1:])
+        params = ForestParams(
+            n_trees=n_trees,
+            mtry=int(kv["mtry"]),
+            min_leaf=int(kv["min_leaf"]),
+            max_depth=None if kv["max_depth"] == "none" else int(kv["max_depth"]),
+            rng_seed=int(kv["seed"]),
+        )
+    except (KeyError, ValueError) as exc:
+        raise ModelFormatError(f"bad header value ({exc})") from None
 
-def _parse_node_line(line: str) -> tuple[TreeNode, bool]:
-    parts = line.split()
-    if parts[0] == "L":
-        node = TreeNode(klass=int(parts[1]), counts=tuple(int(c) for c in parts[2:]))
-        return node, True
-    return TreeNode(feature=int(parts[1]), threshold=float(parts[2])), False
-
-
-def _read_tree(lines: list[str], pos: int) -> tuple[TreeNode, int]:
-    root, is_leaf = _parse_node_line(lines[pos])
-    pos += 1
-    if is_leaf:
-        return root, pos
-    # pre-order reconstruction: the stack holds internal nodes still
-    # missing at least one child
-    stack = [root]
-    while stack:
-        node, is_leaf = _parse_node_line(lines[pos])
-        pos += 1
-        parent = stack[-1]
-        if parent.left is None:
-            parent.left = node
-        else:
-            parent.right = node
-            stack.pop()
-        if not is_leaf:
-            stack.append(node)
-    return root, pos
+    roots, feature, threshold, right, counts = [], [], [], [], []
+    open_splits = None  # between trees; else the splits still owed a right child
+    try:
+        for no, parts in rows:
+            if open_splits is None:
+                if parts != ["tree", str(len(roots))] or len(roots) == n_trees:
+                    raise ModelFormatError(f"line {no}: expected tree {len(roots)}")
+                roots.append(len(feature))
+                open_splits = []
+                continue
+            node = len(feature)
+            if node > roots[-1] and feature[-1] < 0:
+                # a leaf ended the left subtree, so this is a right child
+                right[open_splits.pop()] = node
+            right.append(-1)
+            if parts[0] == "N" and len(parts) == 3:
+                feature.append(int(parts[1]))
+                if not 0 <= feature[-1] < dim:
+                    raise ModelFormatError(f"line {no}: split feature out of range")
+                threshold.append(float(parts[2]))
+                counts.extend([0] * N_CLASSES)
+                open_splits.append(node)
+            elif parts[0] == "L" and len(parts) == 2 + N_CLASSES:
+                leaf = [int(c) for c in parts[2:]]
+                if int(parts[1]) != leaf.index(max(leaf)):
+                    raise ModelFormatError(f"line {no}: leaf class disagrees with its counts")
+                feature.append(-1)
+                threshold.append(0.0)
+                counts.extend(leaf)
+                if not open_splits:
+                    open_splits = None
+            else:
+                raise ModelFormatError(f"line {no}: unexpected {' '.join(parts)!r}")
+    except ValueError as exc:
+        raise ModelFormatError(f"line {no}: bad value ({exc})") from None
+    if open_splits is not None:
+        raise ModelFormatError(f"tree {len(roots) - 1} is unfinished at the end of the file")
+    if len(roots) != n_trees:
+        raise ModelFormatError(f"the header lists {n_trees} trees, the file has {len(roots)}")
+    return _arrays_model(params, dim, roots, feature, threshold, right, counts)

@@ -53,10 +53,6 @@ class ClampStats:
     values_clamped: int = 0
     rows_affected: int = 0
 
-    def merge(self, other: "ClampStats") -> None:
-        self.values_clamped += other.values_clamped
-        self.rows_affected += other.rows_affected
-
 
 @dataclass
 class MachineSeries:

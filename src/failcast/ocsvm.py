@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, TextIO, Union
+from typing import Iterable, TextIO
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleNuError
+from .errors import ConvergenceError, InfeasibleNuError, ModelFormatError
 
 MODEL_FORMAT = "ocsvm-model v1"
+_HEADER_KEYS = ("gamma", "rho", "dim", "support_vectors")
 
 
 @dataclass(frozen=True)
@@ -53,19 +54,6 @@ class OcsvmModel:
     @property
     def n_support(self) -> int:
         return len(self.alphas)
-
-    def decision(self, x: np.ndarray) -> Union[float, np.ndarray]:
-        return decision(self, x)
-
-
-def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||a - b||^2), in (0, 1]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.exp(-gamma * np.dot(d, d)))
 
 
 def _kernel_block(X: np.ndarray, sq: np.ndarray, idx: np.ndarray, gamma: float) -> np.ndarray:
@@ -203,55 +191,22 @@ def _estimate_rho(grad: np.ndarray, alpha: np.ndarray, C: float) -> float:
     return float(lo if lo is not None else hi)
 
 
-def decision(model: OcsvmModel, x: np.ndarray) -> Union[float, np.ndarray]:
-    """g(x) = sum_i alpha_i k(sv_i, x) - rho for one vector or an (m, d) batch."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+def decision(model: OcsvmModel, x: np.ndarray) -> np.ndarray:
+    """g(x) = sum_i alpha_i k(sv_i, x) - rho for each row of an (m, d) batch."""
+    X = np.asarray(x, dtype=float)
     d = model.support_vectors.shape[1]
-    if X.shape[1] != d:
-        raise ValueError(f"dimension mismatch: model expects {d}, got {X.shape[1]}")
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"expected an (m, {d}) batch, got shape {X.shape}")
     sv_sq = np.einsum("ij,ij->i", model.support_vectors, model.support_vectors)
     x_sq = np.einsum("ij,ij->i", X, X)
     d2 = x_sq[:, None] + sv_sq[None, :] - 2.0 * (X @ model.support_vectors.T)
     np.maximum(d2, 0.0, out=d2)
-    g = np.exp(-model.gamma * d2) @ model.alphas - model.rho
-    return float(g[0]) if single else g
+    return np.exp(-model.gamma * d2) @ model.alphas - model.rho
 
 
-def classify(model: OcsvmModel, x: np.ndarray) -> Union[int, np.ndarray]:
-    """1 when the point is an anomaly (decision < 0), else 0. Boundary counts as normal."""
-    g = decision(model, x)
-    if isinstance(g, float):
-        return 1 if g < 0.0 else 0
-    return (g < 0.0).astype(np.int64)
-
-
-def kkt_violation(model: OcsvmModel, X: np.ndarray, nu: float) -> float:
-    """Max per-point KKT violation of the model's duals on its training set."""
-    n = len(X)
-    C = 1.0 / (nu * n)
-    grad = decision(model, X) + model.rho
-    # support vectors are exact copies of training rows; hand each dual
-    # back to one matching row (duplicates consume entries in order)
-    pool: dict[tuple, list[float]] = {}
-    for sv, a in zip(model.support_vectors, model.alphas):
-        pool.setdefault(tuple(sv), []).append(float(a))
-    alpha = np.zeros(n)
-    for i, row in enumerate(X):
-        stack = pool.get(tuple(row))
-        if stack:
-            alpha[i] = stack.pop()
-    viol = np.where(
-        alpha <= 0.0,
-        np.maximum(0.0, model.rho - grad),
-        np.where(
-            alpha >= C,
-            np.maximum(0.0, grad - model.rho),
-            np.abs(grad - model.rho),
-        ),
-    )
-    return float(viol.max())
+def classify(model: OcsvmModel, x: np.ndarray) -> np.ndarray:
+    """1 per row that is an anomaly (decision < 0), else 0. Boundary counts as normal."""
+    return (decision(model, x) < 0.0).astype(np.int64)
 
 
 def save(model: OcsvmModel, out: TextIO) -> None:
@@ -268,25 +223,34 @@ def save(model: OcsvmModel, out: TextIO) -> None:
 
 
 def load(source: Iterable[str]) -> OcsvmModel:
-    lines = [ln.rstrip("\n") for ln in source]
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    if body[0] != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format: {body[0]!r}")
-    header = {}
-    for ln in body[1:5]:
-        key, value = ln.split(" ", 1)
-        header[key] = value
-    n_sv = int(header["support_vectors"])
-    dim = int(header["dim"])
-    alphas = np.empty(n_sv)
-    svs = np.empty((n_sv, dim))
-    for i, ln in enumerate(body[5 : 5 + n_sv]):
-        parts = ln.split(" ")
-        alphas[i] = float(parts[0])
-        svs[i] = [float(p) for p in parts[1:]]
+    """Read an ``ocsvm-model v1`` file; anything else raises ModelFormatError.
+
+    The header's support-vector count must match the body, and every row
+    must hold an alpha and dim coordinates.
+    """
+    rows = [(no, ln.split()) for no, ln in enumerate(source, 1) if not ln.startswith("#")]
+    rows = [(no, parts) for no, parts in rows if parts]
+    if not rows or " ".join(rows[0][1]) != MODEL_FORMAT:
+        raise ModelFormatError(f"not an {MODEL_FORMAT!r} file")
+    header = [parts for _, parts in rows[1:5]]
+    if [(p[0], len(p)) for p in header] != [(k, 2) for k in _HEADER_KEYS]:
+        raise ModelFormatError(f"the header needs {', '.join(_HEADER_KEYS)} lines")
+    try:
+        gamma, rho = float(header[0][1]), float(header[1][1])
+        dim, n_sv = int(header[2][1]), int(header[3][1])
+    except ValueError as exc:
+        raise ModelFormatError(f"bad header value ({exc})") from None
+    if len(rows) - 5 != n_sv:
+        raise ModelFormatError(f"header lists {n_sv} support vectors, file has {len(rows) - 5}")
+    no = rows[4][0]
+    try:
+        table = np.empty((n_sv, dim + 1))
+        for i, (no, parts) in enumerate(rows[5:]):
+            if len(parts) != dim + 1:
+                raise ModelFormatError(f"line {no}: expected {dim + 1} fields, got {len(parts)}")
+            table[i] = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ModelFormatError(f"line {no}: bad value ({exc})") from None
     return OcsvmModel(
-        support_vectors=svs,
-        alphas=alphas,
-        rho=float(header["rho"]),
-        gamma=float(header["gamma"]),
+        support_vectors=table[:, 1:].copy(), alphas=table[:, 0].copy(), rho=rho, gamma=gamma
     )

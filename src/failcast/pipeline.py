@@ -25,13 +25,14 @@ from . import metrics as metrics_mod
 from . import ocsvm as ocsvm_mod
 from .errors import (
     DegenerateTrainingError,
+    FailcastError,
     InfeasibleNuError,
+    ModelFormatError,
     StratificationError,
 )
 from .features import FeatureConfig, Instance, to_arrays
 from .forest import ForestModel, ForestParams
 from .ocsvm import OcsvmModel, OcsvmParams
-from .trace_model import FailureType
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +54,7 @@ class CascadeModel:
 
     def __post_init__(self):
         if self.ocsvm.support_vectors.shape[1] != self.forest.dim:
-            raise ValueError("stage dimensions disagree")
+            raise ModelFormatError("stage dimensions disagree")
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,15 @@ class GridSpec:
 
     def __post_init__(self):
         if not (self.gammas and self.nus and self.tree_counts):
-            raise ValueError("every grid axis must be non-empty")
+            raise FailcastError("every grid axis must be non-empty")
         if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+            raise FailcastError("folds must be >= 2")
+        if not all(0.0 < nu <= 1.0 for nu in self.nus):
+            raise FailcastError(f"every nu must be in (0, 1], got {self.nus}")
+        if not all(gamma > 0.0 for gamma in self.gammas):
+            raise FailcastError(f"every gamma must be positive, got {self.gammas}")
+        if not all(b >= 1 for b in self.tree_counts):
+            raise FailcastError(f"every tree count must be >= 1, got {self.tree_counts}")
 
     def cells(self) -> list[tuple[float, float, int]]:
         return list(itertools.product(self.gammas, self.nus, self.tree_counts))
@@ -138,48 +145,31 @@ def train(
     )
 
 
-def predict(model: CascadeModel, x: np.ndarray) -> FailureType:
-    """Normal when stage 1 clears the point; otherwise the forest's class.
-
-    The forest is never evaluated for stage-1 normals, which is both the
-    cascade's definition and its latency story.
-    """
-    if ocsvm_mod.classify(model.ocsvm, x) == 0:
-        return FailureType.NORMAL
-    return forest_mod.predict(model.forest, x)
-
-
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(np.asarray(z, dtype=float) / 2.0))
-
-
-def score(model: CascadeModel, x: np.ndarray) -> float:
-    """Anomaly evidence in [0, 1]; stage-2-routed points always score >= 0.5.
-
-    Cleared points score 0.5*sigmoid(-g(x)) from the stage-1 margin;
-    routed points score from the forest's non-Normal vote share. This
-    composite is a local definition for ranking, not a calibrated
-    probability.
-    """
-    g = ocsvm_mod.decision(model.ocsvm, x)
-    if g >= 0.0:
-        return float(0.5 * _sigmoid(-g))
-    votes = forest_mod.predict_votes(model.forest, x)
-    v0 = int(votes[0])
-    B = int(votes.sum())
-    return 0.5 + 0.5 * (1.0 - v0 / B)
-
-
 def predict_batch(
     model: CascadeModel, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(predictions, scores) for a batch; the forest only sees flagged rows."""
+    """(predictions, scores) for an (n, d) batch; one row is a batch of one.
+
+    Rows stage 1 clears (g(x) >= 0) are Normal and never reach the forest,
+    which is both the cascade's definition and its latency story; they
+    score 0.5*sigmoid(-g(x)) from the stage-1 margin, below 0.5. Routed
+    rows take the forest's majority class and score 0.5 plus half the
+    non-Normal vote share, so at least 0.5. The score is a local
+    definition for ranking, not a calibrated probability. A batch of the
+    wrong width or with a non-finite feature raises FailcastError.
+    """
     X = np.asarray(X, dtype=float)
+    dim = model.forest.dim
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise FailcastError(f"expected rows of {dim} features, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        bad = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise FailcastError(f"row {bad} has a non-finite feature")
     g = ocsvm_mod.decision(model.ocsvm, X)
     flagged = g < 0.0
     preds = np.zeros(len(X), dtype=np.int64)
     scores = np.empty(len(X))
-    scores[~flagged] = 0.5 * _sigmoid(-g[~flagged])
+    scores[~flagged] = 0.25 * (1.0 + np.tanh(-g[~flagged] / 2.0))  # 0.5*sigmoid(-g)
     if np.any(flagged):
         votes = forest_mod.predict_votes_batch(model.forest, X[flagged])
         preds[flagged] = np.argmax(votes, axis=1)
@@ -263,8 +253,8 @@ def grid_search_cv(
                         rng_seed=base_forest.rng_seed,
                     ),
                 )
-            except (DegenerateTrainingError, InfeasibleNuError, ValueError) as exc:
-                # unusable cell (filter ate all failures, infeasible nu, ...)
+            except (DegenerateTrainingError, InfeasibleNuError) as exc:
+                # unusable cell: the filter ate all failures, or nu*n < 1
                 logger.warning(
                     "grid cell gamma=%g nu=%g B=%d fold %d unusable: %s",
                     gamma, nu, n_trees, f, exc,
@@ -304,14 +294,25 @@ def save_bundle(model: CascadeModel, out_dir: Path) -> None:
     )
 
 
+def _load_part(path: Path, loader):
+    with open(path) as f:
+        try:
+            return loader(f)
+        # ValueError: bad JSON, or bytes that are not text
+        except (ModelFormatError, ValueError) as exc:
+            raise ModelFormatError(f"{path}: {exc}") from None
+
+
 def load_bundle(bundle_dir: Path) -> CascadeModel:
+    """Read a bundle directory; a malformed file raises ModelFormatError."""
     bundle_dir = Path(bundle_dir)
-    with open(bundle_dir / BUNDLE_OCSVM) as f:
-        stage1 = ocsvm_mod.load(f)
-    with open(bundle_dir / BUNDLE_FOREST) as f:
-        stage2 = forest_mod.load(f)
-    manifest = json.loads((bundle_dir / BUNDLE_MANIFEST).read_text())
-    fcfg = FeatureConfig(lags=manifest["feature"]["lags"])
+    stage1 = _load_part(bundle_dir / BUNDLE_OCSVM, ocsvm_mod.load)
+    stage2 = _load_part(bundle_dir / BUNDLE_FOREST, forest_mod.load)
+    manifest = _load_part(bundle_dir / BUNDLE_MANIFEST, json.load)
+    try:
+        fcfg = FeatureConfig(lags=manifest["feature"]["lags"])
+    except (KeyError, TypeError):
+        raise ModelFormatError(f"{bundle_dir / BUNDLE_MANIFEST}: no feature.lags") from None
     return CascadeModel(
         ocsvm=stage1, forest=stage2, feature_config=fcfg, manifest=manifest
     )

@@ -2,8 +2,8 @@
 
 Each oracle takes the slow, obvious route: explicit least squares for
 partial autocorrelations, accelerated projected gradient for the
-one-class dual, exhaustive enumeration for tree splits, and literal
-pair counting for AUC. None of them share code with the package paths
+one-class dual, exhaustive enumeration for tree splits, a row-by-row,
+tree-by-tree walk for forest votes, and literal pair counting for AUC. None of them share code with the package paths
 they verify.
 """
 
@@ -68,11 +68,38 @@ def qp_reference_objective(K: np.ndarray, cap: float, max_iter: int = 200_000) -
     return 0.5 * float(a @ K @ a)
 
 
+def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
+    """exp(-gamma * ||a - b||^2), in (0, 1]."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    d = a - b
+    return float(np.exp(-gamma * np.dot(d, d)))
+
+
 def rbf_matrix(X: np.ndarray, gamma: float) -> np.ndarray:
     sq = np.einsum("ij,ij->i", X, X)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.maximum(d2, 0.0, out=d2)
     return np.exp(-gamma * d2)
+
+
+def training_alphas(model, X: np.ndarray) -> np.ndarray:
+    """The trained duals laid out over the training rows, zero off the support.
+
+    Support vectors are exact copies of training rows; each dual goes back
+    to one matching row, and duplicate rows consume entries in order.
+    """
+    pool: dict[tuple, list[float]] = {}
+    for sv, a in zip(model.support_vectors, model.alphas):
+        pool.setdefault(tuple(sv), []).append(float(a))
+    alpha = np.zeros(len(X))
+    for i, row in enumerate(X):
+        stack = pool.get(tuple(row))
+        if stack:
+            alpha[i] = stack.pop()
+    return alpha
 
 
 def dual_objective(K: np.ndarray, alpha: np.ndarray) -> float:
@@ -95,14 +122,17 @@ def kkt_max_violation(
     return worst
 
 
+def gini(counts) -> float:
+    """Gini impurity 1 - sum_c p_c^2 of a class-count vector."""
+    total = float(sum(counts))
+    if total <= 0:
+        raise ValueError("gini of an empty count vector is undefined")
+    return 1.0 - sum((c / total) ** 2 for c in counts)
+
+
 def gini_impurity(labels) -> float:
     labels = list(labels)
-    total = len(labels)
-    out = 1.0
-    for c in set(labels):
-        p = labels.count(c) / total
-        out -= p * p
-    return out
+    return gini([labels.count(c) for c in set(labels)])
 
 
 def brute_force_best_split(X, y, features, min_leaf=1):
@@ -127,6 +157,25 @@ def brute_force_best_split(X, y, features, min_leaf=1):
             if decrease > 0.0 and (best is None or decrease > best[2] + 1e-15):
                 best = (f, thr, decrease)
     return best
+
+
+def reference_votes(model, X) -> np.ndarray:
+    """(n, 4) votes from walking each row down each tree, one node at a time.
+
+    Follows the flat arrays' child links from every root and takes a
+    leaf's class from its own counts.
+    """
+    votes = np.zeros((len(X), 4), dtype=np.int64)
+    for i, x in enumerate(X):
+        for root in model.roots:
+            node = int(root)
+            while model.feature[node] >= 0:
+                if x[model.feature[node]] <= model.threshold[node]:
+                    node = int(model.left[node])
+                else:
+                    node = int(model.right[node])
+            votes[i, int(np.argmax(model.counts[node]))] += 1
+    return votes
 
 
 def auc_pair_counting(scores, labels) -> float:

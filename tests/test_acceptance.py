@@ -144,10 +144,8 @@ def test_criterion_3_forest_correctness():
     zero_error = bool(np.array_equal(forest_mod.predict_batch(single, X), y))
 
     model = forest_mod.train(X, y, ForestParams(n_trees=17, mtry=3, rng_seed=2))
-    votes_ok = all(
-        int(forest_mod.predict_votes(model, q).sum()) == 17
-        for q in rng.random((1000, 8))
-    )
+    votes = forest_mod.predict_votes_batch(model, rng.random((1000, 8)))
+    votes_ok = bool(np.all(votes.sum(axis=1) == 17))
 
     elapsed = time.perf_counter() - t0
     _report(
@@ -239,7 +237,7 @@ def test_criterion_5_end_to_end_synthetic_targets(tmp_path):
 
 
 def test_criterion_6_prediction_latency():
-    """Amortized predict < 9 ms with a 5000-support-vector filter and 100 trees."""
+    """Amortized single-row predict_batch < 9 ms with 5000 SVs and 100 trees."""
     rng = np.random.default_rng(606)
     svs = rng.random((5000, 72))
     alphas = rng.random(5000)
@@ -255,7 +253,7 @@ def test_criterion_6_prediction_latency():
     )
     queries = list(rng.random((256, 72)))
     stats = metrics.measure_latency(
-        lambda x: pipeline.predict(model, x), queries, repetitions=10_000
+        lambda x: pipeline.predict_batch(model, x[None, :]), queries, repetitions=10_000
     )
     _report(
         6,

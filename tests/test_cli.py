@@ -1,5 +1,6 @@
 import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,76 @@ class TestStreamPredict:
             y, score = line.split(",")
             assert int(y) in (0, 1, 2, 3)
             assert 0.0 < float(score) <= 1.0
+
+
+    def _stream(self, chain, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        return main(["predict", "--model", str(chain / "model"), "--stream"])
+
+    def test_stream_matches_batch_predictions(self, chain, monkeypatch, capsys):
+        test_csv = (chain / "data" / "test.csv").read_text().splitlines()
+        rows = [line.split(",", 1)[1] for line in test_csv[1:41]]
+        assert self._stream(chain, monkeypatch, "\n".join(rows) + "\n") == 0
+        got = capsys.readouterr().out.splitlines()
+        batch = (chain / "predictions.csv").read_text().splitlines()[1:41]
+        for line, pred in zip(got, batch):
+            y, score = line.split(",")
+            _, _, want_y, want_score = pred.split(",")
+            assert int(y) == int(want_y)
+            assert float(score) == pytest.approx(float(want_score), abs=1e-12)
+
+    def test_wrong_arity_line_exits_2(self, chain, monkeypatch, capsys):
+        test_csv = (chain / "data" / "test.csv").read_text().splitlines()
+        good = test_csv[1].split(",", 1)[1]
+        rc = self._stream(chain, monkeypatch, f"{good}\n0.1,0.2,0.3\n")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1  # the good line was answered
+        assert captured.err.startswith("error: line 2:")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "abc"])
+    def test_bad_value_line_exits_2(self, chain, monkeypatch, capsys, bad):
+        test_csv = (chain / "data" / "test.csv").read_text().splitlines()
+        fields = test_csv[1].split(",")[1:]
+        fields[3] = bad
+        assert self._stream(chain, monkeypatch, ",".join(fields) + "\n") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 1:")
+
+
+class TestBrokenInputs:
+    def test_predict_on_truncated_bundle_exits_2(self, chain, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(chain / "model", model)
+        forest = model / "forest.txt"
+        forest.write_text("".join(forest.read_text().splitlines(keepends=True)[:-2]))
+        rc = main([
+            "predict", "--model", str(model), "--data", str(chain / "data"),
+            "--out", str(tmp_path / "p.csv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "forest.txt" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_predict_on_unknown_bundle_format_exits_2(self, chain, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(chain / "model", model)
+        ocsvm = model / "ocsvm.txt"
+        ocsvm.write_text(ocsvm.read_text().replace("ocsvm-model v1", "ocsvm-model v2", 1))
+        rc = main(["predict", "--model", str(model), "--stream"])
+        assert rc == 2
+        assert "ocsvm.txt" in capsys.readouterr().err
+
+    def test_train_with_nu_above_one_exits_2(self, chain, tmp_path, capsys):
+        rc = main([
+            "train", "--data", str(chain / "data"), "--out", str(tmp_path / "m"),
+            "--gamma", "0.125", "--nus", "0.1,1.5", "--trees", "5", "--folds", "3",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "m").exists()
 
 
 class TestEvaluatePerfectPredictions:

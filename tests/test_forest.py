@@ -1,20 +1,19 @@
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from failcast import forest as forest_mod
+from failcast.errors import ModelFormatError
 from failcast.forest import (
-    ForestModel,
     ForestParams,
     best_split,
     bootstrap_indices,
-    gini,
     grow_tree,
     load,
-    predict,
     predict_batch,
-    predict_votes,
     predict_votes_batch,
     save,
     split_count_report,
@@ -24,7 +23,25 @@ from failcast.forest import (
 from failcast.features import FeatureConfig
 from failcast.trace_model import FailureType
 
-from oracles import brute_force_best_split
+from oracles import brute_force_best_split, gini, reference_votes
+
+
+def saved(model) -> str:
+    buf = io.StringIO()
+    save(model, buf)
+    return buf.getvalue()
+
+
+def internal_nodes(model) -> int:
+    """Splits reachable from the roots, counted by walking the child links."""
+    count = 0
+    stack = list(model.roots)
+    while stack:
+        node = stack.pop()
+        if model.feature[node] >= 0:
+            count += 1
+            stack.extend([model.left[node], model.right[node]])
+    return count
 
 
 class TestGini:
@@ -102,17 +119,17 @@ class TestGrowTree:
     def test_pure_batch_is_single_leaf(self):
         X = np.random.default_rng(0).random((10, 3))
         y = np.full(10, 2)
-        root = grow_tree(X, y, ForestParams(mtry=3), _tree_rng(0, 0))
-        assert root.is_leaf
-        assert root.klass == 2
+        tree = grow_tree(X, y, ForestParams(mtry=3), _tree_rng(0, 0))
+        assert tree.feature.tolist() == [-1]
+        assert tree.counts.tolist() == [[0, 0, 10, 0]]
+        assert tree.leaf_class.tolist() == [2]
 
     def test_separable_data_reaches_zero_training_error(self):
         rng = np.random.default_rng(1)
         X = rng.random((60, 4))
         y = (X[:, 1] > 0.5).astype(int) + 2 * (X[:, 3] > 0.5).astype(int)
-        root = grow_tree(X, y, ForestParams(mtry=4), _tree_rng(0, 0))
-        model = ForestModel(trees=[root], params=ForestParams(n_trees=1), dim=4)
-        assert np.array_equal(predict_batch(model, X), y)
+        tree = grow_tree(X, y, ForestParams(mtry=4), _tree_rng(0, 0))
+        assert np.array_equal(predict_batch(tree, X), y)
 
     def test_fixed_seed_grows_identical_tree(self):
         rng = np.random.default_rng(2)
@@ -121,30 +138,26 @@ class TestGrowTree:
         params = ForestParams(mtry=2)
         a = grow_tree(X, y, params, _tree_rng(9, 0))
         b = grow_tree(X, y, params, _tree_rng(9, 0))
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        save(ForestModel(trees=[a], params=params, dim=5), buf_a)
-        save(ForestModel(trees=[b], params=params, dim=5), buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
+        assert saved(a) == saved(b)
 
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(3)
         X = rng.random((100, 3))
         y = rng.integers(0, 4, 100)
-        root = grow_tree(X, y, ForestParams(max_depth=1, mtry=3), _tree_rng(0, 0))
-        assert root.left is None or (root.left.is_leaf and root.right.is_leaf)
+        tree = grow_tree(X, y, ForestParams(max_depth=1, mtry=3), _tree_rng(0, 0))
+        # a lone leaf, or a root split whose two children are leaves
+        assert len(tree.feature) in (1, 3)
+        assert np.all(tree.feature[1:] == -1)
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(4)
         X = rng.random((50, 3))
         y = rng.integers(0, 2, 50)
-        root = grow_tree(X, y, ForestParams(min_leaf=5, mtry=3), _tree_rng(0, 0))
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                assert sum(node.counts) >= 5
-            else:
-                stack.extend([node.left, node.right])
+        tree = grow_tree(X, y, ForestParams(min_leaf=5, mtry=3), _tree_rng(0, 0))
+        leaves = tree.feature < 0
+        assert leaves.sum() > 1
+        assert np.all(tree.counts[leaves].sum(axis=1) >= 5)
+        assert np.all(tree.counts[~leaves] == 0)
 
 
 class TestTrain:
@@ -155,21 +168,14 @@ class TestTrain:
         params = ForestParams(n_trees=1, mtry=2, rng_seed=13)
         model = train(X, y, params, bootstrap=False)
         direct = grow_tree(X, y, params, _tree_rng(13, 0))
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        save(model, buf_a)
-        save(ForestModel(trees=[direct], params=params, dim=4), buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
+        assert saved(model) == saved(direct)
 
     def test_fixed_seed_is_deterministic(self):
         rng = np.random.default_rng(6)
         X = rng.random((80, 6))
         y = rng.integers(0, 4, 80)
         params = ForestParams(n_trees=5, rng_seed=3, mtry=3)
-        a, b = train(X, y, params), train(X, y, params)
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        save(a, buf_a)
-        save(b, buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
+        assert saved(train(X, y, params)) == saved(train(X, y, params))
 
     def test_bootstrap_unique_fraction_matches_simulation(self):
         n = 1000
@@ -189,57 +195,89 @@ class TestPredict:
 
     def test_single_tree_votes_one_hot(self):
         model, X = self._model(B=1)
-        votes = predict_votes(model, X[0])
+        votes = predict_votes_batch(model, X[:1])
         assert votes.sum() == 1
         assert votes.max() == 1
 
     def test_identical_trees_vote_together(self):
+        # every feature is a candidate and there is no bootstrap, so the
+        # per-tree rng cannot make the trees differ
         rng = np.random.default_rng(1)
         X = rng.random((30, 4))
         y = rng.integers(0, 3, 30)
-        params = ForestParams(n_trees=1, mtry=4, rng_seed=5)
-        single = train(X, y, params)
-        cloned = ForestModel(trees=single.trees * 4, params=params, dim=4)
-        votes = predict_votes(cloned, X[3])
+        params = ForestParams(n_trees=4, mtry=4, rng_seed=5)
+        model = train(X, y, params, bootstrap=False)
+        votes = predict_votes_batch(model, X[3:4])
         assert votes.max() == 4 and votes.sum() == 4
 
     def test_vote_conservation(self):
         model, _ = self._model(B=9)
         rng = np.random.default_rng(2)
-        for x in rng.random((200, 5)):
-            assert predict_votes(model, x).sum() == 9
+        assert np.all(predict_votes_batch(model, rng.random((200, 5))).sum(axis=1) == 9)
 
     def test_votes_match_per_tree_descent_oracle(self):
         model, X = self._model(B=5, seed=3)
         rng = np.random.default_rng(4)
-        for x in rng.random((50, 5)):
-            expected = np.zeros(4, dtype=int)
-            for root in model.trees:
-                node = root
-                while not node.is_leaf:
-                    node = node.left if x[node.feature] <= node.threshold else node.right
-                expected[node.klass] += 1
-            assert np.array_equal(predict_votes(model, x), expected)
+        Q = rng.random((50, 5))
+        assert np.array_equal(predict_votes_batch(model, Q), reference_votes(model, Q))
 
     def test_batch_votes_match_single(self):
         model, _ = self._model(B=6, seed=7)
         rng = np.random.default_rng(8)
         X = rng.random((40, 5))
         batch = predict_votes_batch(model, X)
-        for i, x in enumerate(X):
-            assert np.array_equal(batch[i], predict_votes(model, x))
+        for i in range(len(X)):
+            assert np.array_equal(batch[i], predict_votes_batch(model, X[i : i + 1])[0])
 
     def test_argmax_tie_breaks_toward_lowest_label(self):
         # votes [40, 40, 15, 5] -> Normal; [0,0,0,B] -> ForcibleDecommission
         assert int(np.argmax(np.array([40, 40, 15, 5]))) == 0
         assert int(np.argmax(np.array([10, 50, 30, 10]))) == 1
         model, _ = self._model(B=1)
-        assert predict(model, np.zeros(5)) in set(FailureType)
+        assert predict_batch(model, np.zeros((1, 5)))[0] in set(FailureType)
 
     def test_dimension_mismatch_rejected(self):
         model, _ = self._model()
         with pytest.raises(ValueError):
-            predict_votes(model, np.zeros(9))
+            predict_votes_batch(model, np.zeros((1, 9)))
+        with pytest.raises(ValueError):
+            predict_votes_batch(model, np.zeros(5))
+
+    def test_row_blocks_do_not_change_votes(self, monkeypatch):
+        model, _ = self._model(B=7, seed=12)
+        Q = np.random.default_rng(13).random((45, 5))
+        whole = predict_votes_batch(model, Q)
+        # 20 pairs per block: two rows of 7 trees at a time
+        monkeypatch.setattr(forest_mod, "_BLOCK_PAIRS", 20)
+        assert np.array_equal(predict_votes_batch(model, Q), whole)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        min_leaf=st.integers(1, 4),
+        max_depth=st.one_of(st.none(), st.integers(0, 5)),
+        n_queries=st.sampled_from([0, 1, 37]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_batch_equals_reference_walk(
+        self, seed, min_leaf, max_depth, n_queries
+    ):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+        # few distinct values, so duplicates and ties are common
+        X = rng.integers(0, 4, (n, d)) / 4.0
+        y = rng.integers(0, 4, n)
+        params = ForestParams(
+            n_trees=int(rng.integers(1, 6)),
+            mtry=int(rng.integers(1, d + 1)),
+            min_leaf=min_leaf,
+            max_depth=max_depth,
+            rng_seed=seed % 1000,
+        )
+        model = train(X, y, params)
+        Q = np.concatenate([X, rng.integers(-1, 6, (n, d)) / 4.0])[:n_queries]
+        votes = predict_votes_batch(model, Q)
+        assert votes.shape == (len(Q), 4)
+        assert np.array_equal(votes, reference_votes(model, Q))
 
 
 class TestSplitCounts:
@@ -260,15 +298,7 @@ class TestSplitCounts:
         X = rng.random((70, 4))
         y = rng.integers(0, 4, 70)
         model = train(X, y, ForestParams(n_trees=6, mtry=2, rng_seed=2))
-        internal = 0
-        for root in model.trees:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if not node.is_leaf:
-                    internal += 1
-                    stack.extend([node.left, node.right])
-        assert model.feature_split_counts.sum() == internal
+        assert model.feature_split_counts.sum() == internal_nodes(model)
 
     def test_report_uses_feature_layout(self):
         rng = np.random.default_rng(10)
@@ -288,17 +318,59 @@ class TestSerialization:
         X = rng.random((90, 6))
         y = rng.integers(0, 4, 90)
         model = train(X, y, ForestParams(n_trees=8, mtry=3, rng_seed=4))
-        buf = io.StringIO()
-        save(model, buf)
-        restored = load(io.StringIO(buf.getvalue()))
+        text = saved(model)
+        restored = load(io.StringIO(text))
         queries = rng.random((100, 6))
         assert np.array_equal(
-            predict_batch(model, queries), predict_batch(restored, queries)
+            predict_votes_batch(model, queries), predict_votes_batch(restored, queries)
         )
-        buf2 = io.StringIO()
-        save(restored, buf2)
-        assert buf.getvalue() == buf2.getvalue()
+        for name in ("roots", "feature", "threshold", "left", "right", "counts"):
+            assert np.array_equal(getattr(model, name), getattr(restored, name))
+        assert saved(restored) == text
 
     def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelFormatError):
             load(io.StringIO("something-else v1\ntrees 0\n"))
+        with pytest.raises(ModelFormatError):
+            load(io.StringIO(""))
+
+    def test_every_truncation_raises(self):
+        rng = np.random.default_rng(14)
+        X = rng.random((40, 3))
+        model = train(X, rng.integers(0, 4, 40), ForestParams(n_trees=3, mtry=2))
+        lines = saved(model).splitlines(keepends=True)
+        for k in range(len(lines)):
+            with pytest.raises(ModelFormatError):
+                load(io.StringIO("".join(lines[:k])))
+        assert saved(load(io.StringIO("".join(lines)))) == "".join(lines)
+
+    @pytest.mark.parametrize(
+        "pattern, replacement",
+        [
+            (r"trees 3\n", "trees 2\n"),  # body has more trees than the header
+            (r"trees 3\n", "trees 4\n"),  # body has fewer trees than the header
+            (r"tree 1\n", "tree 7\n"),  # tree out of order
+            (r"\nL ", "\nL 0 "),  # leaf line with an extra field
+            (r"\nN \d+ ", "\nN "),  # split line missing a field
+            (r"\nN \d+ ", "\nN 99 "),  # split feature out of range
+            (r"dim 3\n", "dim three\n"),  # not a number
+        ],
+    )
+    def test_malformed_listing_rejected(self, pattern, replacement):
+        rng = np.random.default_rng(14)
+        X = rng.random((40, 3))
+        model = train(X, rng.integers(0, 4, 40), ForestParams(n_trees=3, mtry=2))
+        text = saved(model)
+        broken = re.sub(pattern, replacement, text, count=1)
+        assert broken != text
+        with pytest.raises(ModelFormatError):
+            load(io.StringIO(broken))
+
+    def test_leaf_class_must_match_counts(self):
+        text = (
+            "forest-model v1\ntrees 1\ndim 1\n"
+            "params mtry=1 min_leaf=1 max_depth=none seed=0\ntree 0\nL 2 5 0 1 0\n"
+        )
+        with pytest.raises(ModelFormatError):
+            load(io.StringIO(text))
+        assert load(io.StringIO(text.replace("L 2", "L 0"))).leaf_class.tolist() == [0]

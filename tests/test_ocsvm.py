@@ -3,15 +3,13 @@ import io
 import numpy as np
 import pytest
 
-from failcast.errors import ConvergenceError, InfeasibleNuError
+from failcast.errors import ConvergenceError, InfeasibleNuError, ModelFormatError
 from failcast.ocsvm import (
     OcsvmModel,
     OcsvmParams,
     classify,
     decision,
-    kkt_violation,
     load,
-    rbf_kernel,
     save,
     train,
 )
@@ -20,7 +18,9 @@ from oracles import (
     dual_objective,
     kkt_max_violation,
     qp_reference_objective,
+    rbf_kernel,
     rbf_matrix,
+    training_alphas,
 )
 
 
@@ -50,7 +50,7 @@ class TestTrain:
         X = np.array([[0.3, 0.4], [0.3, 0.4]])
         model = train(X, OcsvmParams(nu=1.0, gamma=0.5))
         assert model.alphas.tolist() == [0.5, 0.5]
-        assert decision(model, X[0]) == pytest.approx(0.0, abs=1e-3)
+        assert decision(model, X[:1])[0] == pytest.approx(0.0, abs=1e-3)
 
     def test_nu_property_on_gaussian_cloud(self):
         rng = np.random.default_rng(11)
@@ -76,15 +76,7 @@ class TestTrain:
             K = rbf_matrix(X, gamma)
             cap = 1.0 / (nu * n)
             ref = qp_reference_objective(K, cap)
-            alpha = np.zeros(n)
-            pool = {}
-            for sv, a in zip(model.support_vectors, model.alphas):
-                pool.setdefault(tuple(sv), []).append(a)
-            for i, row in enumerate(X):
-                vals = pool.get(tuple(row))
-                if vals:
-                    alpha[i] = vals.pop()
-            got = dual_objective(K, alpha)
+            got = dual_objective(K, training_alphas(model, X))
             assert got == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
     def test_kkt_certificate_within_tolerance(self):
@@ -92,7 +84,10 @@ class TestTrain:
         X = rng.random((300, 6))
         params = OcsvmParams(nu=0.2, gamma=0.5, tol=1e-5)
         model = train(X, params)
-        assert kkt_violation(model, X, params.nu) <= 10 * params.tol
+        K = rbf_matrix(X, params.gamma)
+        cap = 1.0 / (params.nu * len(X))
+        alpha = training_alphas(model, X)
+        assert kkt_max_violation(K, alpha, model.rho, cap) <= 10 * params.tol
 
     def test_kkt_certificate_against_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
@@ -101,14 +96,7 @@ class TestTrain:
         model = train(X, params)
         K = rbf_matrix(X, params.gamma)
         cap = 1.0 / (params.nu * len(X))
-        alpha = np.zeros(len(X))
-        pool = {}
-        for sv, a in zip(model.support_vectors, model.alphas):
-            pool.setdefault(tuple(sv), []).append(a)
-        for i, row in enumerate(X):
-            vals = pool.get(tuple(row))
-            if vals:
-                alpha[i] = vals.pop()
+        alpha = training_alphas(model, X)
         assert kkt_max_violation(K, alpha, model.rho, cap) <= 10 * params.tol
 
     def test_dual_sums_to_one_with_box_bounds(self):
@@ -153,25 +141,26 @@ class TestDecision:
 
     def test_far_query_approaches_minus_rho(self):
         model = self._toy_model()
-        far = np.array([1e4, -1e4])
-        assert decision(model, far) == pytest.approx(-model.rho, abs=1e-12)
+        far = np.array([[1e4, -1e4]])
+        assert decision(model, far)[0] == pytest.approx(-model.rho, abs=1e-12)
 
     def test_upper_bound_one_minus_rho(self):
         model = self._toy_model()
         rng = np.random.default_rng(1)
-        for x in rng.random((100, 2)):
-            assert decision(model, x) <= 1.0 - model.rho + 1e-12
+        assert np.all(decision(model, rng.random((100, 2))) <= 1.0 - model.rho + 1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            decision(self._toy_model(), np.zeros(5))
+            decision(self._toy_model(), np.zeros((1, 5)))
+        with pytest.raises(ValueError):
+            decision(self._toy_model(), np.zeros(2))  # batches only
 
     def test_batch_matches_single(self):
         model = self._toy_model()
         rng = np.random.default_rng(2)
         X = rng.random((20, 2))
         batch = decision(model, X)
-        singles = np.array([decision(model, x) for x in X])
+        singles = np.array([decision(model, X[i : i + 1])[0] for i in range(len(X))])
         assert np.allclose(batch, singles, atol=1e-15)
 
 
@@ -186,8 +175,9 @@ class TestClassify:
         model = OcsvmModel(
             support_vectors=sv, alphas=np.array([1.0]), rho=rho_mid, gamma=gamma
         )
-        assert decision(model, x_in) > 0 and classify(model, x_in) == 0
-        assert decision(model, x_out) < 0 and classify(model, x_out) == 1
+        X = np.stack([x_in, x_out])
+        assert decision(model, X)[0] > 0 and decision(model, X)[1] < 0
+        assert classify(model, X).tolist() == [0, 1]
 
     def test_boundary_counts_as_normal(self):
         sv = np.array([[0.0, 0.0]])
@@ -197,8 +187,8 @@ class TestClassify:
         model = OcsvmModel(
             support_vectors=sv, alphas=np.array([1.0]), rho=rho, gamma=gamma
         )
-        assert decision(model, x) == 0.0
-        assert classify(model, x) == 0
+        assert decision(model, x[None, :])[0] == 0.0
+        assert classify(model, x[None, :]).tolist() == [0]
 
 
 class TestSerialization:
@@ -217,5 +207,40 @@ class TestSerialization:
         assert np.array_equal(a, b)
 
     def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelFormatError):
             load(io.StringIO("not-a-model v9\n"))
+        with pytest.raises(ModelFormatError):
+            load(io.StringIO(""))
+
+    def test_every_truncation_raises(self):
+        rng = np.random.default_rng(9)
+        model = train(rng.random((30, 3)), OcsvmParams(nu=0.3, gamma=0.5))
+        buf = io.StringIO()
+        save(model, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        queries = rng.random((20, 3))
+        for k in range(len(lines)):
+            with pytest.raises(ModelFormatError):
+                load(io.StringIO("".join(lines[:k])))
+        restored = load(io.StringIO("".join(lines)))
+        assert np.array_equal(decision(restored, queries), decision(model, queries))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("support_vectors ", "support_vectors 1"),  # header above the body
+            ("\ndim 3\n", "\ndim 4\n"),  # rows one field short
+            ("\ndim 3\n", "\ndim 2\n"),  # rows one field long
+            ("\nrho ", "\nrho x"),  # not a number
+            ("\ngamma ", "\ngama "),  # unknown header key
+        ],
+    )
+    def test_malformed_file_rejected(self, old, new):
+        rng = np.random.default_rng(9)
+        model = train(rng.random((30, 3)), OcsvmParams(nu=0.3, gamma=0.5))
+        buf = io.StringIO()
+        save(model, buf)
+        text = buf.getvalue()
+        assert old in text
+        with pytest.raises(ModelFormatError):
+            load(io.StringIO(text.replace(old, new, 1)))

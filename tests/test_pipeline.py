@@ -4,7 +4,12 @@ import pytest
 from failcast import forest as forest_mod
 from failcast import ocsvm as ocsvm_mod
 from failcast import pipeline
-from failcast.errors import DegenerateTrainingError, StratificationError
+from failcast.errors import (
+    DegenerateTrainingError,
+    FailcastError,
+    ModelFormatError,
+    StratificationError,
+)
 from failcast.features import FeatureConfig, Instance
 from failcast.forest import ForestParams
 from failcast.ocsvm import OcsvmModel, OcsvmParams
@@ -27,6 +32,12 @@ def make_instances(n_normal=300, n_fail=60, seed=0, separation=0.5):
         cls = FailureType(1 + i % 3)
         instances.append(Instance(cls, x, machine_id=1, interval=i))
     return instances
+
+
+def one(model, x):
+    """(prediction, score) for a single row, as a batch of one."""
+    preds, scores = pipeline.predict_batch(model, np.asarray(x)[None, :])
+    return int(preds[0]), float(scores[0])
 
 
 def cascade(instances, nu=0.1, gamma=1.0, trees=20, seed=0):
@@ -107,35 +118,34 @@ class TestPredict:
     def test_cleared_points_are_normal_without_forest(self, monkeypatch):
         instances = make_instances()
         model = cascade(instances)
-        normal_x = np.full(DIM, 0.3)
-        assert ocsvm_mod.classify(model.ocsvm, normal_x) == 0
+        normal_x = np.full((1, DIM), 0.3)
+        assert ocsvm_mod.classify(model.ocsvm, normal_x).tolist() == [0]
 
         def boom(*args, **kwargs):
             raise AssertionError("forest must not run for cleared points")
 
-        monkeypatch.setattr(pipeline.forest_mod, "predict", boom)
-        assert pipeline.predict(model, normal_x) == FailureType.NORMAL
+        monkeypatch.setattr(pipeline.forest_mod, "predict_votes_batch", boom)
+        preds, scores = pipeline.predict_batch(model, normal_x)
+        assert preds.tolist() == [FailureType.NORMAL]
+        assert scores[0] < 0.5
 
     def test_flagged_points_take_forest_class(self):
         instances = make_instances()
         model = cascade(instances)
-        far = np.full(DIM, 0.8)
-        assert ocsvm_mod.classify(model.ocsvm, far) == 1
-        assert pipeline.predict(model, far) == forest_mod.predict(model.forest, far)
+        far = np.full((1, DIM), 0.8)
+        assert ocsvm_mod.classify(model.ocsvm, far).tolist() == [1]
+        preds, _ = pipeline.predict_batch(model, far)
+        assert preds.tolist() == forest_mod.predict_batch(model.forest, far).tolist()
 
     def test_forest_may_return_normal(self):
         # stage 2 trained on leaked normals only votes Normal for them
         instances = make_instances()
         model = cascade(instances, nu=0.3)
-        flagged_normals = [
-            i.x
-            for i in instances
-            if i.y == FailureType.NORMAL
-            and ocsvm_mod.classify(model.ocsvm, i.x) == 1
-        ]
-        assert flagged_normals, "nu=0.3 must leak some normals"
-        got = {int(pipeline.predict(model, x)) for x in flagged_normals}
-        assert 0 in got
+        normals = np.stack([i.x for i in instances if i.y == FailureType.NORMAL])
+        flagged_normals = normals[ocsvm_mod.classify(model.ocsvm, normals) == 1]
+        assert len(flagged_normals), "nu=0.3 must leak some normals"
+        preds, _ = pipeline.predict_batch(model, flagged_normals)
+        assert 0 in set(preds.tolist())
 
     def test_batch_matches_single_calls(self):
         instances = make_instances(n_normal=100, n_fail=30, seed=4)
@@ -143,8 +153,30 @@ class TestPredict:
         X = np.stack([i.x for i in instances[::5]])
         preds, scores = pipeline.predict_batch(model, X)
         for x, p, s in zip(X, preds, scores):
-            assert pipeline.predict(model, x) == p
-            assert pipeline.score(model, x) == pytest.approx(s, abs=1e-12)
+            got_p, got_s = one(model, x)
+            assert got_p == p
+            assert got_s == pytest.approx(s, abs=1e-12)
+
+    def test_empty_batch(self):
+        model = cascade(make_instances(n_normal=100, n_fail=30))
+        preds, scores = pipeline.predict_batch(model, np.zeros((0, DIM)))
+        assert preds.shape == (0,) and scores.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        # a NaN row used to get Normal from one path, 1.0 from another and
+        # a NaN score from a third
+        model = cascade(make_instances(n_normal=100, n_fail=30))
+        X = np.full((3, DIM), 0.3)
+        X[1, 4] = bad
+        with pytest.raises(FailcastError, match="row 1"):
+            pipeline.predict_batch(model, X)
+
+    @pytest.mark.parametrize("shape", [(DIM,), (1, DIM - 1), (1, DIM + 1), (1, 1, DIM)])
+    def test_wrong_shape_rejected(self, shape):
+        model = cascade(make_instances(n_normal=100, n_fail=30))
+        with pytest.raises(FailcastError):
+            pipeline.predict_batch(model, np.full(shape, 0.3))
 
 
 class TestScore:
@@ -163,32 +195,30 @@ class TestScore:
         sv = np.zeros((1, DIM))
         rho = float(np.exp(-1.0 * np.sum((sv[0] - x) ** 2)))
         model = self._toy(rho=rho, forest_class=1)
-        assert ocsvm_mod.decision(model.ocsvm, x) == 0.0
-        assert pipeline.score(model, x) == 0.25
+        assert ocsvm_mod.decision(model.ocsvm, x[None, :])[0] == 0.0
+        assert one(model, x) == (0, 0.25)
 
     def test_unanimous_failure_votes_score_one(self):
         model = self._toy(rho=1.5, forest_class=2)  # everything flagged
         x = np.full(DIM, 0.5)
-        assert pipeline.score(model, x) == 1.0
+        assert one(model, x) == (2, 1.0)
 
     def test_unanimous_normal_votes_score_half(self):
         model = self._toy(rho=1.5, forest_class=0)
         x = np.full(DIM, 0.5)
-        assert pipeline.score(model, x) == 0.5
+        assert one(model, x) == (0, 0.5)
 
     def test_score_prediction_consistency(self):
         instances = make_instances(seed=9)
         model = cascade(instances)
         rng = np.random.default_rng(10)
-        for x in rng.random((100, DIM)):
-            s = pipeline.score(model, x)
-            if pipeline.predict(model, x) == FailureType.NORMAL and (
-                ocsvm_mod.classify(model.ocsvm, x) == 0
-            ):
-                assert s < 0.5
-            else:
-                assert s >= 0.5
-            assert 0.0 < s <= 1.0
+        X = rng.random((100, DIM))
+        preds, scores = pipeline.predict_batch(model, X)
+        cleared = ocsvm_mod.classify(model.ocsvm, X) == 0
+        assert np.all(preds[cleared] == FailureType.NORMAL)
+        assert np.all(scores[cleared] < 0.5)
+        assert np.all(scores[~cleared] >= 0.5)
+        assert np.all((scores > 0.0) & (scores <= 1.0))
 
 
 class TestGridSearch:
@@ -236,6 +266,23 @@ class TestGridSearch:
         _, table_b = pipeline.grid_search_cv(instances, grid, rng_seed=3, threads=4)
         assert [c.fold_f3 for c in table_a] == [c.fold_f3 for c in table_b]
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            dict(nus=(0.1, 1.5)),
+            dict(nus=(0.0,)),
+            dict(gammas=(-1.0,)),
+            dict(gammas=(0.0, 1.0)),
+            dict(tree_counts=(0,)),
+            dict(folds=1),
+            dict(nus=()),
+        ],
+    )
+    def test_invalid_grid_rejected(self, axes):
+        # an impossible value is a usage error, not a cell that scores 0.0
+        with pytest.raises(FailcastError):
+            GridSpec(**axes)
+
     def test_too_few_failures_for_folds_rejected(self):
         instances = make_instances(n_normal=100, n_fail=3)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(5,), folds=5)
@@ -275,4 +322,34 @@ class TestBundles:
         assert (tmp_path / "m1.zip").read_bytes() == (tmp_path / "m2.zip").read_bytes()
         restored = pipeline.load_archive(tmp_path / "m1.zip")
         x = np.full(DIM, 0.8)
-        assert pipeline.predict(restored, x) == pipeline.predict(model, x)
+        assert one(restored, x) == one(model, x)
+
+    @pytest.mark.parametrize("name", [pipeline.BUNDLE_OCSVM, pipeline.BUNDLE_FOREST])
+    def test_truncated_bundle_file_rejected(self, tmp_path, name):
+        model = cascade(make_instances(n_normal=120, n_fail=30))
+        pipeline.save_bundle(model, tmp_path)
+        lines = (tmp_path / name).read_text().splitlines(keepends=True)
+        (tmp_path / name).write_text("".join(lines[:-3]))
+        with pytest.raises(ModelFormatError, match=name):
+            pipeline.load_bundle(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name", [pipeline.BUNDLE_OCSVM, pipeline.BUNDLE_FOREST, pipeline.BUNDLE_MANIFEST]
+    )
+    def test_binary_bundle_file_rejected(self, tmp_path, name):
+        model = cascade(make_instances(n_normal=120, n_fail=30))
+        pipeline.save_bundle(model, tmp_path)
+        (tmp_path / name).write_bytes(b"\xff\xfe\x00garbage\n")
+        with pytest.raises(ModelFormatError, match=name):
+            pipeline.load_bundle(tmp_path)
+
+    def test_broken_manifest_rejected(self, tmp_path):
+        model = cascade(make_instances(n_normal=120, n_fail=30))
+        pipeline.save_bundle(model, tmp_path)
+        manifest = tmp_path / pipeline.BUNDLE_MANIFEST
+        manifest.write_text(manifest.read_text()[:-20])
+        with pytest.raises(ModelFormatError):
+            pipeline.load_bundle(tmp_path)
+        manifest.write_text("{}")
+        with pytest.raises(ModelFormatError):
+            pipeline.load_bundle(tmp_path)
