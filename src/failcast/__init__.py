@@ -7,7 +7,7 @@ filter feeding a random-forest classifier, and an evaluation harness.
 
 from .features import DatasetConfig, FeatureConfig, Instance, pacf
 from .forest import ForestModel, ForestParams
-from .ingestion import MachineSeries, UsageRecord
+from .ingestion import MachineSeries
 from .labeling import LabelingConfig, LabelTrack
 from .ocsvm import OcsvmModel, OcsvmParams
 from .pipeline import CascadeModel, GridSpec
@@ -16,7 +16,6 @@ from .trace_model import (
     INTERVAL_US,
     FailureEvent,
     FailureType,
-    IntervalUsage,
     MachineEvent,
     MachineEventKind,
     ResourceKind,
@@ -35,7 +34,6 @@ __all__ = [
     "GridSpec",
     "INTERVAL_US",
     "Instance",
-    "IntervalUsage",
     "LabelTrack",
     "LabelingConfig",
     "MachineEvent",
@@ -45,7 +43,6 @@ __all__ = [
     "OcsvmParams",
     "ResourceKind",
     "SynthConfig",
-    "UsageRecord",
     "pacf",
     "__version__",
 ]

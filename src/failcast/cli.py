@@ -58,11 +58,14 @@ class _Resolver:
             return value
         if name in self.cfg:
             raw = self.cfg[name]
-            if cast is not None:
+            if cast is None:
+                cast = str if default is None else type(default)
+            try:
                 return cast(raw)
-            if default is not None:
-                return type(default)(raw)
-            return raw
+            except ValueError:
+                raise FailcastError(
+                    f"config key {name!r}: {raw!r} is not a valid {cast.__name__}"
+                ) from None
         return default
 
 
@@ -107,14 +110,14 @@ def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     with open(events_path) as f:
         events = ingestion.parse_machine_events(f)
     with open(usage_path) as f:
-        records, clamps = ingestion.parse_usage_records(f)
+        table, clamps = ingestion.parse_usage_records(f)
     interval_us = r.get("interval_us", INTERVAL_US)
     horizon = r.get("horizon_us", 0, int)
     if not horizon:
-        max_end = max((rec.end_us for rec in records), default=0)
+        max_end = int(table.end_us.max(initial=0))
         max_event = max((e.time_us + 1 for e in events), default=0)
         horizon = -(-max(max_end, max_event) // interval_us) * interval_us
-    series = ingestion.aggregate_intervals(records, horizon, interval_us)
+    series = ingestion.aggregate_intervals(table, horizon, interval_us)
     store.save_interval_store(
         series,
         Path(ns.out),
@@ -122,13 +125,13 @@ def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         horizon,
         extra_meta={
             "events": len(events),
-            "usage_records": len(records),
+            "usage_records": len(table),
             "values_clamped": clamps.values_clamped,
             "rows_with_clamps": clamps.rows_affected,
         },
     )
     print(
-        f"ingested {len(records)} usage records for {len(series)} machines "
+        f"ingested {len(table)} usage records for {len(series)} machines "
         f"({clamps.values_clamped} values clamped); store at {ns.out}"
     )
     return 0
@@ -355,15 +358,20 @@ def _cmd_predict(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 def _read_predictions(path: Path) -> dict[tuple[int, int], tuple[int, float]]:
     out = {}
-    for i, line in enumerate(path.read_text().splitlines()):
-        if i == 0:
+    for line_no, line in enumerate(path.read_text().splitlines(), 1):
+        if line_no == 1:
             if line != PREDICTIONS_HEADER:
                 raise FailcastError(f"unexpected predictions header in {path}")
             continue
         if not line:
             continue
-        m, tau, y, s = line.split(",")
-        out[(int(m), int(tau))] = (int(y), float(s))
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ParseError(line_no, f"expected 4 fields, got {len(parts)}")
+        try:
+            out[(int(parts[0]), int(parts[1]))] = (int(parts[2]), float(parts[3]))
+        except ValueError as exc:
+            raise ParseError(line_no, f"non-numeric field: {exc}") from None
     return out
 
 

@@ -2,9 +2,9 @@
 
 The partial autocorrelation at lag k is defined here as the last
 coefficient of the order-k least-squares autoregression (with intercept)
-fitted to the series. The recursion solves the normal equations order by
-order from shared lag cross-moments, so the whole lag range costs one
-pass over the series plus tiny dense solves.
+fitted to the series. Each order is fitted on its own: its centred
+design matrix of lagged values is built afresh and its k-by-k normal
+equations solved, so lags 1..K cost K passes over the series.
 """
 
 from __future__ import annotations

@@ -19,13 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ParseError
-from .trace_model import (
-    INTERVAL_US,
-    N_RESOURCES,
-    IntervalUsage,
-    MachineEvent,
-    MachineEventKind,
-)
+from .trace_model import INTERVAL_US, N_RESOURCES, MachineEvent, MachineEventKind
 
 MACHINE_EVENTS_HEADER = "time_us,machine_id,event"
 USAGE_HEADER = (
@@ -33,17 +27,30 @@ USAGE_HEADER = (
     "mean_cpu,mean_diskio,mean_disk,mean_mem,mean_cache,mean_mai,"
     "max_cpu,max_diskio,max_disk,max_mem,max_cache,max_mai"
 )
+_USAGE_VALUE_FIELDS = tuple(USAGE_HEADER.split(",")[3:])
+_USAGE_DTYPE = np.dtype(
+    [(name, np.int64) for name in USAGE_HEADER.split(",")[:3]]
+    + [(name, np.float64) for name in _USAGE_VALUE_FIELDS]
+)
 
 
 @dataclass(frozen=True)
-class UsageRecord:
-    """One raw usage row: per-resource mean and max over [start_us, end_us)."""
+class UsageTable:
+    """Raw usage rows as columns; row i is one machine's usage over [start, end).
 
-    machine_id: int
-    start_us: int
-    end_us: int
-    mean: tuple[float, ...]
-    peak: tuple[float, ...]
+    ``machine_id``, ``start_us`` and ``end_us`` are (n,) int64 arrays;
+    ``mean`` and ``peak`` are (n, 6) float64 arrays of per-resource mean
+    and max over the row's time span.
+    """
+
+    machine_id: np.ndarray
+    start_us: np.ndarray
+    end_us: np.ndarray
+    mean: np.ndarray
+    peak: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.machine_id)
 
 
 @dataclass
@@ -71,18 +78,9 @@ class MachineSeries:
     def n_intervals(self) -> int:
         return self.avg.shape[0]
 
-    def interval(self, t: int) -> IntervalUsage:
-        """Materialize interval ``t`` as a validated value object."""
-        return IntervalUsage(
-            machine_id=self.machine_id,
-            interval=t,
-            avg=tuple(float(v) for v in self.avg[t]),
-            peak=tuple(float(v) for v in self.peak[t]),
-        )
 
-
-def _lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
-    for line_no, raw in enumerate(source, start=1):
+def _lines(source: Iterable[str], first_line_no: int = 1) -> Iterator[tuple[int, str]]:
+    for line_no, raw in enumerate(source, start=first_line_no):
         line = raw.rstrip("\n").rstrip("\r")
         if line:
             yield line_no, line
@@ -119,134 +117,165 @@ def parse_machine_events(source: Iterable[str]) -> list[MachineEvent]:
     return events
 
 
-def parse_usage_records(source: Iterable[str]) -> tuple[list[UsageRecord], ClampStats]:
-    """Parse usage rows, clamping out-of-range values into [0, 1].
+def parse_usage_records(source: Iterable[str]) -> tuple[UsageTable, ClampStats]:
+    """Parse usage rows into a table, clamping out-of-range values into [0, 1].
 
     Clamps are counted, never silent. After range clamping, a mean still
-    above its max is capped at the max (also counted) so the record
-    invariant mean <= max holds. Rows with start >= end are rejected.
+    above its max is capped at the max (also counted) so the row
+    invariant mean <= max holds. A row with the wrong field count, a
+    non-numeric or non-finite value, a negative start or start >= end
+    raises ParseError naming its line.
     """
-    records: list[UsageRecord] = []
-    stats = ClampStats()
-    saw_header = False
-    for line_no, line in _lines(source):
-        if not saw_header:
-            if line != USAGE_HEADER:
-                raise ParseError(line_no, "unexpected resource_usage header")
-            saw_header = True
-            continue
+    lines = list(source)
+    numbered = _lines(lines)
+    # an input without a single non-empty line is an empty table
+    header_no, header = next(numbered, (0, USAGE_HEADER))
+    if header != USAGE_HEADER:
+        raise ParseError(header_no, "unexpected resource_usage header")
+    n_rows = sum(1 for _ in numbered)
+    body = lines[header_no:]
+    try:
+        rows = _load_usage_rows(body) if n_rows else np.empty(0, _USAGE_DTYPE)
+    except ValueError:
+        raise _first_bad_usage_line(body, header_no + 1) from None
+    values = np.stack([rows[name] for name in _USAGE_VALUE_FIELDS], axis=1)
+    if (
+        len(rows) != n_rows
+        or not np.isfinite(values).all()
+        or np.any(rows["start_us"] < 0)
+        or np.any(rows["start_us"] >= rows["end_us"])
+    ):
+        raise _first_bad_usage_line(body, header_no + 1)
+
+    clamped = (values < 0.0) | (values > 1.0)
+    np.clip(values, 0.0, 1.0, out=values)
+    mean, peak = values[:, :N_RESOURCES], values[:, N_RESOURCES:]
+    capped = mean > peak
+    np.minimum(mean, peak, out=mean)
+    per_row = clamped.sum(axis=1) + capped.sum(axis=1)
+    stats = ClampStats(
+        values_clamped=int(per_row.sum()), rows_affected=int(np.count_nonzero(per_row))
+    )
+    table = UsageTable(
+        machine_id=rows["machine_id"].copy(),
+        start_us=rows["start_us"].copy(),
+        end_us=rows["end_us"].copy(),
+        mean=mean,
+        peak=peak,
+    )
+    return table, stats
+
+
+def _load_usage_rows(lines: Iterable[str]) -> np.ndarray:
+    return np.loadtxt(lines, dtype=_USAGE_DTYPE, delimiter=",", comments=None, ndmin=1)
+
+
+def _first_bad_usage_line(body: list[str], first_line_no: int) -> ParseError:
+    """The ParseError for the first body line that is not one valid usage row."""
+    for line_no, line in _lines(body, first_line_no):
         parts = line.split(",")
-        if len(parts) != 3 + 2 * N_RESOURCES:
-            raise ParseError(line_no, f"expected 15 fields, got {len(parts)}")
+        if len(parts) != len(_USAGE_DTYPE.names):
+            return ParseError(line_no, f"expected 15 fields, got {len(parts)}")
         try:
-            start_us = int(parts[0])
-            end_us = int(parts[1])
-            machine_id = int(parts[2])
-            values = [float(p) for p in parts[3:]]
+            (row,) = _load_usage_rows([line])
         except ValueError as exc:
-            raise ParseError(line_no, f"non-numeric field: {exc}") from None
-        if start_us >= end_us:
-            raise ParseError(line_no, f"start {start_us} >= end {end_us}")
-        clamped = 0
-        mean = values[:N_RESOURCES]
-        peak = values[N_RESOURCES:]
-        for r in range(N_RESOURCES):
-            m, p = mean[r], peak[r]
-            if not 0.0 <= m <= 1.0:
-                mean[r] = min(max(m, 0.0), 1.0)
-                clamped += 1
-            if not 0.0 <= p <= 1.0:
-                peak[r] = min(max(p, 0.0), 1.0)
-                clamped += 1
-            if mean[r] > peak[r]:
-                mean[r] = peak[r]
-                clamped += 1
-        if clamped:
-            stats.values_clamped += clamped
-            stats.rows_affected += 1
-        records.append(
-            UsageRecord(machine_id, start_us, end_us, tuple(mean), tuple(peak))
-        )
-    return records, stats
+            message = str(exc).partition(" at row")[0]
+            return ParseError(line_no, f"non-numeric field: {message}")
+        for name in _USAGE_VALUE_FIELDS:
+            if not np.isfinite(row[name]):
+                return ParseError(line_no, f"non-finite {name} {row[name]!r}")
+        if row["start_us"] < 0:
+            return ParseError(line_no, f"negative start {row['start_us']}")
+        if row["start_us"] >= row["end_us"]:
+            return ParseError(line_no, f"start {row['start_us']} >= end {row['end_us']}")
+    # np.loadtxt reads each line on its own, so a body it rejects has a line it rejects alone
+    raise AssertionError("no bad line in a rejected resource_usage body")
 
 
 def aggregate_intervals(
-    records: Iterable[UsageRecord],
+    table: UsageTable,
     horizon_us: int,
     interval_us: int = INTERVAL_US,
 ) -> dict[int, MachineSeries]:
-    """Aggregate raw records into dense per-machine interval series.
+    """Aggregate usage rows into dense per-machine interval series.
 
-    Per bin, avg is the overlap-duration-weighted mean of record means and
-    peak is the max of record maxima over every bin the record touches.
-    Records are sorted on all fields before accumulation so the result is
-    bit-identical under any permutation of the input.
+    Per bin, avg is the overlap-duration-weighted mean of row means and
+    peak is the max of row maxima over every bin the row touches. Rows
+    are ordered on all fields before accumulation, and each bin adds its
+    single-bin rows before the pieces of rows spanning several bins, so
+    the result is bit-identical under any permutation of the rows.
     """
-    records = list(records)
-    if not records:
+    if not len(table):
         return {}
-    max_end = max(r.end_us for r in records)
+    max_end = int(table.end_us.max())
     if horizon_us < max_end:
         raise ValueError(f"horizon {horizon_us} < max record end {max_end}")
     n_bins = -(-horizon_us // interval_us)
 
-    records.sort(key=lambda r: (r.machine_id, r.start_us, r.end_us, r.mean, r.peak))
+    order = _row_order(table)
+    sorted_ids = table.machine_id[order]
+    new_machine = np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]
+    machine_ids = sorted_ids[new_machine]
+    machine_index = np.empty(len(table), dtype=np.int64)
+    machine_index[order] = np.cumsum(new_machine) - 1
 
-    out: dict[int, MachineSeries] = {}
-    i = 0
-    n = len(records)
-    while i < n:
-        machine_id = records[i].machine_id
-        j = i
-        while j < n and records[j].machine_id == machine_id:
-            j += 1
-        out[machine_id] = _aggregate_machine(
-            records[i:j], machine_id, n_bins, interval_us
-        )
-        i = j
-    return out
+    first_bin = table.start_us // interval_us
+    last_bin = (table.end_us - 1) // interval_us
+    is_single = first_bin[order] == last_bin[order]
+    single, spanning = order[is_single], order[~is_single]
+    # one piece per (spanning row, bin it touches), in row order then bin order
+    n_pieces = last_bin[spanning] - first_bin[spanning] + 1
+    pieces = np.repeat(spanning, n_pieces)
+    piece_bin = first_bin[pieces] + (
+        np.arange(len(pieces)) - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
+    )
+    piece_lo = np.maximum(table.start_us[pieces], piece_bin * interval_us)
+    piece_hi = np.minimum(table.end_us[pieces], (piece_bin + 1) * interval_us)
 
+    rows = np.concatenate([single, pieces])
+    cell = machine_index[rows] * n_bins + np.concatenate([first_bin[single], piece_bin])
+    weight = np.concatenate(
+        [table.end_us[single] - table.start_us[single], piece_hi - piece_lo]
+    ).astype(float)
 
-def _aggregate_machine(
-    recs: list[UsageRecord], machine_id: int, n_bins: int, interval_us: int
-) -> MachineSeries:
-    acc = np.zeros((n_bins, N_RESOURCES))
-    wsum = np.zeros(n_bins)
-    peak = np.zeros((n_bins, N_RESOURCES))
-
-    starts = np.array([r.start_us for r in recs], dtype=np.int64)
-    ends = np.array([r.end_us for r in recs], dtype=np.int64)
-    means = np.array([r.mean for r in recs])
-    peaks = np.array([r.peak for r in recs])
-
-    first_bin = starts // interval_us
-    last_bin = (ends - 1) // interval_us
-    single = first_bin == last_bin
-
-    if np.any(single):
-        b = first_bin[single]
-        w = (ends[single] - starts[single]).astype(float)
-        np.add.at(wsum, b, w)
-        np.add.at(acc, b, w[:, None] * means[single])
-        np.maximum.at(peak, b, peaks[single])
-
-    # spanning records: rare in practice, handled per bin
-    for k in np.nonzero(~single)[0]:
-        for b in range(first_bin[k], last_bin[k] + 1):
-            lo = max(starts[k], b * interval_us)
-            hi = min(ends[k], (b + 1) * interval_us)
-            w = float(hi - lo)
-            wsum[b] += w
-            acc[b] += w * means[k]
-            peak[b] = np.maximum(peak[b], peaks[k])
+    n_cells = len(machine_ids) * n_bins
+    wsum = np.zeros(n_cells)
+    avg = np.zeros((n_cells, N_RESOURCES))
+    peak = np.zeros((n_cells, N_RESOURCES))
+    np.add.at(wsum, cell, weight)
+    np.add.at(avg, cell, weight[:, None] * table.mean[rows])
+    np.maximum.at(peak, cell, table.peak[rows])
 
     present = wsum > 0
-    avg = np.zeros_like(acc)
-    np.divide(acc, wsum[:, None], out=avg, where=present[:, None])
+    np.divide(avg, wsum[:, None], out=avg, where=present[:, None])
     # weighted mean of values each <= the bin peak can only round past it
     # at the last ulp; clip so the interval invariant avg <= peak holds
     np.minimum(avg, peak, out=avg)
-    avg.setflags(write=False)
-    peak.setflags(write=False)
-    present.setflags(write=False)
-    return MachineSeries(machine_id=machine_id, avg=avg, peak=peak, present=present)
+    shape = (len(machine_ids), n_bins)
+    avg = avg.reshape(shape + (N_RESOURCES,))
+    peak = peak.reshape(shape + (N_RESOURCES,))
+    present = present.reshape(shape)
+    for a in (avg, peak, present):
+        a.setflags(write=False)
+    return {
+        int(m): MachineSeries(machine_id=int(m), avg=avg[i], peak=peak[i], present=present[i])
+        for i, m in enumerate(machine_ids)
+    }
+
+
+def _row_order(table: UsageTable) -> np.ndarray:
+    """Row indices sorted by (machine, start, end, mean, peak)."""
+    keys = (table.machine_id, table.start_us, table.end_us)
+    order = np.lexsort(keys[::-1])
+    tied = np.ones(len(order) - 1, dtype=bool)
+    for key in keys:
+        k = key[order]
+        tied &= k[1:] == k[:-1]
+    if tied.any():
+        # only rows tying on the three integer keys need their values compared
+        at = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
+        sub = order[at]
+        value_keys = np.hstack([table.mean[sub], table.peak[sub]]).T[::-1]
+        order[at] = sub[np.lexsort((*value_keys, *(key[sub] for key in keys[::-1])))]
+    return order
+

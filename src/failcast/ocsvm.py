@@ -11,7 +11,6 @@ anomaly when g(x) < 0, i.e. outside the learned support of normal data.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -29,7 +28,6 @@ class OcsvmParams:
     gamma: float = 1.0 / 72.0
     tol: float = 1e-4
     max_iter: int = 1_000_000
-    cache_rows: int = 256
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
@@ -63,28 +61,6 @@ def _kernel_block(X: np.ndarray, sq: np.ndarray, idx: np.ndarray, gamma: float) 
     return np.exp(-gamma * d2)
 
 
-class _KernelCache:
-    """Fixed-capacity LRU of kernel rows; correctness never depends on hits."""
-
-    def __init__(self, X: np.ndarray, gamma: float, capacity: int):
-        self._X = X
-        self._sq = np.einsum("ij,ij->i", X, X)
-        self._gamma = gamma
-        self._capacity = max(capacity, 2)
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def row(self, i: int) -> np.ndarray:
-        cached = self._rows.get(i)
-        if cached is not None:
-            self._rows.move_to_end(i)
-            return cached
-        row = _kernel_block(self._X, self._sq, np.array([i]), self._gamma)[0]
-        self._rows[i] = row
-        if len(self._rows) > self._capacity:
-            self._rows.popitem(last=False)
-        return row
-
-
 def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
     """Fit the one-class boundary to normal-labeled feature vectors.
 
@@ -107,8 +83,7 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
     if k < n:
         alpha[k] = 1.0 - k * C
 
-    cache = _KernelCache(X, params.gamma, params.cache_rows)
-    sq = cache._sq
+    sq = np.einsum("ij,ij->i", X, X)
 
     # grad = K @ alpha, built from the initially nonzero coordinates
     grad = np.zeros(n)
@@ -132,8 +107,9 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
         if violation <= params.tol:
             break
 
-        row_i = cache.row(i)
-        row_j = cache.row(j)
+        # two one-row blocks, not one two-row block, whose BLAS product may round differently
+        row_i = _kernel_block(X, sq, np.array([i]), params.gamma)[0]
+        row_j = _kernel_block(X, sq, np.array([j]), params.gamma)[0]
         eta = 2.0 - 2.0 * row_i[j]
         limit = min(C - alpha[i], alpha[j])
         if eta > 1e-12:

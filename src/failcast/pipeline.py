@@ -243,7 +243,6 @@ def grid_search_cv(
                         gamma=gamma,
                         tol=base_ocsvm.tol,
                         max_iter=base_ocsvm.max_iter,
-                        cache_rows=base_ocsvm.cache_rows,
                     ),
                     ForestParams(
                         n_trees=n_trees,

@@ -55,32 +55,6 @@ class MachineEvent:
 
 
 @dataclass(frozen=True)
-class IntervalUsage:
-    """Average and peak usage per resource over one reporting interval.
-
-    Rejects values outside [0, 1] and any avg above its peak. Upstream
-    clamping happens in ingestion; this type only validates.
-    """
-
-    machine_id: int
-    interval: int
-    avg: tuple[float, ...]
-    peak: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.avg) != N_RESOURCES or len(self.peak) != N_RESOURCES:
-            raise ValueError(
-                f"expected {N_RESOURCES} resources, got avg={len(self.avg)} peak={len(self.peak)}"
-            )
-        for r in range(N_RESOURCES):
-            a, p = self.avg[r], self.peak[r]
-            if not (0.0 <= a <= p <= 1.0):
-                raise ValueError(
-                    f"resource {r}: need 0 <= avg <= peak <= 1, got avg={a} peak={p}"
-                )
-
-
-@dataclass(frozen=True)
 class FailureEvent:
     """A REMOVE paired with the next ADD of the same machine, categorized by downtime.
 

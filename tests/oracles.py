@@ -3,8 +3,9 @@
 Each oracle takes the slow, obvious route: explicit least squares for
 partial autocorrelations, accelerated projected gradient for the
 one-class dual, exhaustive enumeration for tree splits, a row-by-row,
-tree-by-tree walk for forest votes, and literal pair counting for AUC. None of them share code with the package paths
-they verify.
+tree-by-tree walk for forest votes, record-by-record and bin-by-bin
+accumulation for interval aggregation, and literal pair counting for
+AUC. None of them share code with the package paths they verify.
 """
 
 from __future__ import annotations
@@ -176,6 +177,61 @@ def reference_votes(model, X) -> np.ndarray:
                     node = int(model.right[node])
             votes[i, int(np.argmax(model.counts[node]))] += 1
     return votes
+
+
+def reference_aggregate(table, horizon_us: int, interval_us: int) -> dict:
+    """Per-machine (avg, peak, present) arrays, accumulated one record at a time.
+
+    Records are sorted as Python tuples (machine, start, end, mean, peak);
+    per machine, single-bin records are added first, then each record that
+    spans bins is added to each bin it touches in turn.
+    """
+    records = sorted(
+        (
+            int(table.machine_id[i]),
+            int(table.start_us[i]),
+            int(table.end_us[i]),
+            tuple(float(v) for v in table.mean[i]),
+            tuple(float(v) for v in table.peak[i]),
+        )
+        for i in range(len(table))
+    )
+    n_bins = -(-horizon_us // interval_us)
+    by_machine: dict[int, list] = {}
+    for rec in records:
+        by_machine.setdefault(rec[0], []).append(rec)
+    out = {}
+    for machine_id, recs in by_machine.items():
+        acc = np.zeros((n_bins, 6))
+        wsum = np.zeros(n_bins)
+        peak = np.zeros((n_bins, 6))
+        starts = np.array([r[1] for r in recs], dtype=np.int64)
+        ends = np.array([r[2] for r in recs], dtype=np.int64)
+        means = np.array([r[3] for r in recs])
+        peaks = np.array([r[4] for r in recs])
+        first_bin = starts // interval_us
+        last_bin = (ends - 1) // interval_us
+        single = first_bin == last_bin
+        if np.any(single):
+            b = first_bin[single]
+            w = (ends[single] - starts[single]).astype(float)
+            np.add.at(wsum, b, w)
+            np.add.at(acc, b, w[:, None] * means[single])
+            np.maximum.at(peak, b, peaks[single])
+        for k in np.nonzero(~single)[0]:
+            for b in range(first_bin[k], last_bin[k] + 1):
+                lo = max(starts[k], b * interval_us)
+                hi = min(ends[k], (b + 1) * interval_us)
+                w = float(hi - lo)
+                wsum[b] += w
+                acc[b] += w * means[k]
+                peak[b] = np.maximum(peak[b], peaks[k])
+        present = wsum > 0
+        avg = np.zeros_like(acc)
+        np.divide(acc, wsum[:, None], out=avg, where=present[:, None])
+        np.minimum(avg, peak, out=avg)
+        out[machine_id] = (avg, peak, present)
+    return out
 
 
 def auc_pair_counting(scores, labels) -> float:

@@ -186,8 +186,8 @@ def _run_pipeline(signature: float, tmp: Path):
     with open(paths.events) as f:
         events = ingestion.parse_machine_events(f)
     with open(paths.usage) as f:
-        records, _ = ingestion.parse_usage_records(f)
-    series = ingestion.aggregate_intervals(records, cfg.horizon_us)
+        table, _ = ingestion.parse_usage_records(f)
+    series = ingestion.aggregate_intervals(table, cfg.horizon_us)
     lcfg = LabelingConfig(trace_end_us=cfg.horizon_us)
     pairing = labeling.pair_failures(events, lcfg)
     excluded = labeling.detect_degenerate_machines(series, pairing.failures, lcfg)
@@ -319,12 +319,10 @@ def test_criterion_8_real_trace_structural_checks(tmp_path):
     with open(native / "machine_events.csv") as f:
         events = ingestion.parse_machine_events(f)
     with open(native / "resource_usage.csv") as f:
-        records, _ = ingestion.parse_usage_records(f)
-    horizon = max(
-        max(r.end_us for r in records), max(e.time_us + 1 for e in events)
-    )
+        table, _ = ingestion.parse_usage_records(f)
+    horizon = max(int(table.end_us.max()), max(e.time_us + 1 for e in events))
     horizon = -(-horizon // 300_000_000) * 300_000_000
-    series = ingestion.aggregate_intervals(records, horizon)
+    series = ingestion.aggregate_intervals(table, horizon)
     lcfg = LabelingConfig(trace_end_us=horizon)
     pairing = labeling.pair_failures(events, lcfg)
     excluded = labeling.detect_degenerate_machines(series, pairing.failures, lcfg)

@@ -235,6 +235,31 @@ class TestBrokenInputs:
         assert not (tmp_path / "m").exists()
 
 
+    @pytest.mark.parametrize("bad", ["1,2,3", "1,2,x,0.5"])
+    def test_evaluate_on_malformed_predictions_exits_2(self, chain, tmp_path, capsys, bad):
+        preds = tmp_path / "p.csv"
+        lines = (chain / "predictions.csv").read_text().splitlines()
+        preds.write_text("\n".join(lines + [bad]) + "\n")
+        rc = main([
+            "evaluate", "--predictions", str(preds), "--data", str(chain / "data"),
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: line {len(lines) + 1}:")
+
+    def test_ingest_non_finite_usage_exits_2(self, chain, tmp_path, capsys):
+        usage = tmp_path / "resource_usage.csv"
+        header = (chain / "trace" / "resource_usage.csv").read_text().splitlines()[0]
+        usage.write_text(header + "\n0,100,7,nan,0,0,0,0,0,0.5,0,0,0,0,0\n")
+        rc = main([
+            "ingest", "--events", str(chain / "trace" / "machine_events.csv"),
+            "--usage", str(usage), "--out", str(tmp_path / "s"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: line 2:")
+        assert not (tmp_path / "s").exists()
+
+
 class TestEvaluatePerfectPredictions:
     def test_ideal_value_reported(self, tmp_path, chain):
         # predictions copied from ground truth labels
@@ -295,6 +320,18 @@ class TestConfigFile:
         assert rc != 0
 
 
+    def test_bad_config_value_exits_2(self, chain, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("trees=abc\n")
+        rc = main([
+            "train", "--data", str(chain / "data"), "--out", str(tmp_path / "m"),
+            "--config", str(cfg),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trees" in err and "abc" in err
+
+
 class TestAdaptGoogle:
     def _write_google_tables(self, tmp_path):
         me = tmp_path / "part-00000-of-00001.csv"
@@ -341,11 +378,11 @@ class TestAdaptGoogle:
             events = ingestion.parse_machine_events(f)
         assert len(events) == 5  # unknown code dropped
         with open(out / "resource_usage.csv") as f:
-            records, stats = ingestion.parse_usage_records(f)
-        (rec,) = records
-        assert rec.machine_id == 5
-        assert rec.mean[0] == pytest.approx(1.0)   # 0.25 + 0.90 summed, clamped
-        assert rec.peak[0] == pytest.approx(1.0)   # 0.40 + 0.95 summed, clamped
-        assert rec.mean[3] == pytest.approx(0.4)   # memory summed, in range
-        assert rec.peak[3] == pytest.approx(0.6)
-        assert rec.mean[2] == pytest.approx(0.3)
+            table, stats = ingestion.parse_usage_records(f)
+        assert len(table) == 1
+        assert table.machine_id[0] == 5
+        assert table.mean[0, 0] == pytest.approx(1.0)   # 0.25 + 0.90 summed, clamped
+        assert table.peak[0, 0] == pytest.approx(1.0)   # 0.40 + 0.95 summed, clamped
+        assert table.mean[0, 3] == pytest.approx(0.4)   # memory summed, in range
+        assert table.peak[0, 3] == pytest.approx(0.6)
+        assert table.mean[0, 2] == pytest.approx(0.3)

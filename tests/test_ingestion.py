@@ -6,12 +6,13 @@ from failcast.errors import ParseError
 from failcast.ingestion import (
     MACHINE_EVENTS_HEADER,
     USAGE_HEADER,
-    UsageRecord,
+    UsageTable,
     aggregate_intervals,
     parse_machine_events,
     parse_usage_records,
 )
 from failcast.trace_model import INTERVAL_US, MachineEventKind
+from oracles import reference_aggregate
 
 SEC = 1_000_000
 
@@ -73,29 +74,38 @@ class TestParseMachineEvents:
 class TestParseUsageRecords:
     def test_direct_field_mapping(self):
         rows = [USAGE_HEADER, _usage_row(0, 100, 7, mean_cpu=0.3, max_cpu=0.5)]
-        records, stats = parse_usage_records(rows)
-        assert len(records) == 1
-        assert records[0].mean[0] == 0.3
-        assert records[0].peak[0] == 0.5
+        table, stats = parse_usage_records(rows)
+        assert len(table) == 1
+        assert table.machine_id.tolist() == [7]
+        assert table.start_us.tolist() == [0]
+        assert table.end_us.tolist() == [100]
+        assert table.mean[0, 0] == 0.3
+        assert table.peak[0, 0] == 0.5
         assert stats.values_clamped == 0
 
     def test_out_of_range_value_clamped_and_counted(self):
         rows = [USAGE_HEADER, _usage_row(0, 100, 7, mean_cpu=1.2, max_cpu=1.5)]
-        records, stats = parse_usage_records(rows)
-        assert records[0].mean[0] == 1.0
-        assert records[0].peak[0] == 1.0
+        table, stats = parse_usage_records(rows)
+        assert table.mean[0, 0] == 1.0
+        assert table.peak[0, 0] == 1.0
         assert stats.values_clamped == 2
         assert stats.rows_affected == 1
 
     def test_mean_capped_at_peak_after_clamp(self):
         rows = [USAGE_HEADER, _usage_row(0, 100, 7, mean_cpu=0.8, max_cpu=0.5)]
-        records, stats = parse_usage_records(rows)
-        assert records[0].mean[0] == 0.5
+        table, stats = parse_usage_records(rows)
+        assert table.mean[0, 0] == 0.5
         assert stats.values_clamped == 1
 
     def test_start_equal_end_rejected(self):
         with pytest.raises(ParseError):
             parse_usage_records([USAGE_HEADER, _usage_row(100, 100, 7)])
+
+    def test_negative_start_rejected(self):
+        # binned naively, a start before 0 would land in another bin's cell
+        with pytest.raises(ParseError) as err:
+            parse_usage_records([USAGE_HEADER, _usage_row(-100, 100, 7)])
+        assert err.value.line_no == 2
 
     def test_non_numeric_field_reports_line(self):
         bad = _usage_row(0, 100, 7).replace("0.0", "zebra", 1)
@@ -103,45 +113,118 @@ class TestParseUsageRecords:
             parse_usage_records([USAGE_HEADER, bad])
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [3, 9, 14], ids=["mean_cpu", "max_cpu", "max_mai"])
+    def test_non_finite_value_reports_line(self, value, column):
+        fields = _usage_row(0, 100, 7, mean_cpu=0.1, max_cpu=0.5).split(",")
+        fields[column] = value
+        rows = [USAGE_HEADER, _usage_row(0, 100, 6), ",".join(fields)]
+        with pytest.raises(ParseError) as err:
+            parse_usage_records(rows)
+        assert err.value.line_no == 3
+        assert USAGE_HEADER.split(",")[column] in str(err.value)
+
+    def test_blank_lines_and_no_body(self):
+        table, stats = parse_usage_records(["", USAGE_HEADER, ""])
+        assert len(table) == 0 and stats.values_clamped == 0
+        assert len(parse_usage_records([])[0]) == 0
+        table, _ = parse_usage_records(
+            ["\n", USAGE_HEADER + "\n", "\n", _usage_row(0, 100, 7) + "\r\n", "\n"]
+        )
+        assert table.machine_id.tolist() == [7]
+        with pytest.raises(ParseError) as err:
+            parse_usage_records(["", "start_us,end_us"])
+        assert err.value.line_no == 2
+
+    @given(
+        st.lists(st.integers(0, 2), min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_corrupt_line_reports_its_number(self, blanks_before, data):
+        """One corrupted row among valid ones is named by its line number."""
+        n = len(blanks_before)
+        lines = [USAGE_HEADER]
+        line_nos = []
+        for i, blanks in enumerate(blanks_before):
+            lines.extend([""] * blanks)
+            lines.append(_usage_row(i * 300, i * 300 + 300, i % 3, mean_cpu=0.25, max_cpu=0.5))
+            line_nos.append(len(lines))
+        k = data.draw(st.integers(0, n - 1))
+        fields = lines[line_nos[k] - 1].split(",")
+        kind = data.draw(
+            st.sampled_from(
+                ["drop", "extra", "word", "float_int", "huge_int", "negative", "nan", "inf"]
+            )
+        )
+        int_col = data.draw(st.integers(0, 2))
+        value_col = data.draw(st.integers(3, 14))
+        if kind == "drop":
+            fields.pop(value_col)
+        elif kind == "extra":
+            fields.append("0.5")
+        elif kind == "word":
+            fields[data.draw(st.integers(0, 14))] = "zebra"
+        elif kind == "float_int":
+            fields[int_col] = "1.5"
+        elif kind == "huge_int":
+            fields[int_col] = str(2**63)
+        elif kind == "negative":
+            fields[0] = "-1"
+        else:
+            fields[value_col] = kind
+        lines[line_nos[k] - 1] = ",".join(fields)
+        with pytest.raises(ParseError) as err:
+            parse_usage_records(lines)
+        assert err.value.line_no == line_nos[k]
+
+
+def _table(*recs):
+    """A UsageTable from (machine, start_us, end_us, means, peaks) tuples."""
+    return UsageTable(
+        machine_id=np.array([r[0] for r in recs], dtype=np.int64),
+        start_us=np.array([r[1] for r in recs], dtype=np.int64),
+        end_us=np.array([r[2] for r in recs], dtype=np.int64),
+        mean=np.array([r[3] for r in recs], dtype=float).reshape(-1, 6),
+        peak=np.array([r[4] for r in recs], dtype=float).reshape(-1, 6),
+    )
+
 
 def _rec(machine, start_s, end_s, means=None, peaks=None):
     means = means or [0.0] * 6
     peaks = peaks if peaks is not None else list(means)
-    return UsageRecord(
-        machine_id=machine,
-        start_us=start_s * SEC,
-        end_us=end_s * SEC,
-        mean=tuple(means),
-        peak=tuple(max(m, p) for m, p in zip(means, peaks)),
+    return (
+        machine,
+        start_s * SEC,
+        end_s * SEC,
+        tuple(means),
+        tuple(max(m, p) for m, p in zip(means, peaks)),
     )
+
+
+def _horizon(table):
+    return -(-int(table.end_us.max()) // INTERVAL_US) * INTERVAL_US
 
 
 class TestAggregateIntervals:
     def test_single_record_covering_one_bin(self):
         rec = _rec(1, 900, 1200, means=[0.4, 0, 0, 0, 0, 0])
-        out = aggregate_intervals([rec], horizon_us=4 * INTERVAL_US)
+        out = aggregate_intervals(_table(rec), horizon_us=4 * INTERVAL_US)
         s = out[1]
         assert s.present.tolist() == [False, False, False, True]
         assert s.avg[3, 0] == pytest.approx(0.4)
         assert not s.avg[:3].any()
 
     def test_two_half_bin_records_weighted_equally(self):
-        recs = [
+        recs = _table(
             _rec(1, 0, 150, means=[0.2, 0, 0, 0, 0, 0]),
             _rec(1, 150, 300, means=[0.6, 0, 0, 0, 0, 0]),
-        ]
+        )
         out = aggregate_intervals(recs, horizon_us=INTERVAL_US)
         assert out[1].avg[0, 0] == pytest.approx(0.4, abs=1e-12)
 
     def test_spanning_record_peak_lands_in_both_bins(self):
-        rec = UsageRecord(
-            machine_id=1,
-            start_us=1 * INTERVAL_US + 10,
-            end_us=3 * INTERVAL_US - 10,
-            mean=(0.0,) * 6,
-            peak=(0, 0, 0, 0.9, 0, 0),
-        )
-        out = aggregate_intervals([rec], horizon_us=3 * INTERVAL_US)
+        rec = (1, 1 * INTERVAL_US + 10, 3 * INTERVAL_US - 10, (0.0,) * 6, (0, 0, 0, 0.9, 0, 0))
+        out = aggregate_intervals(_table(rec), horizon_us=3 * INTERVAL_US)
         s = out[1]
         assert s.peak[1, 3] == 0.9
         assert s.peak[2, 3] == 0.9
@@ -149,7 +232,7 @@ class TestAggregateIntervals:
 
     def test_horizon_shorter_than_data_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_intervals([_rec(1, 0, 600)], horizon_us=INTERVAL_US)
+            aggregate_intervals(_table(_rec(1, 0, 600)), horizon_us=INTERVAL_US)
 
     def test_avg_never_exceeds_peak(self):
         rng = np.random.default_rng(0)
@@ -158,18 +241,10 @@ class TestAggregateIntervals:
             start = int(rng.integers(0, 50)) * SEC
             means = rng.random(6) * 0.8
             peaks = means + rng.random(6) * 0.2
-            recs.append(
-                UsageRecord(
-                    machine_id=int(rng.integers(0, 3)),
-                    start_us=start,
-                    end_us=start + int(rng.integers(1, 2000)) * SEC,
-                    mean=tuple(means),
-                    peak=tuple(peaks),
-                )
-            )
-        horizon = max(r.end_us for r in recs)
-        horizon = -(-horizon // INTERVAL_US) * INTERVAL_US
-        for s in aggregate_intervals(recs, horizon).values():
+            end = start + int(rng.integers(1, 2000)) * SEC
+            recs.append((int(rng.integers(0, 3)), start, end, means, peaks))
+        table = _table(*recs)
+        for s in aggregate_intervals(table, _horizon(table)).values():
             assert np.all(s.avg <= s.peak + 1e-15)
             assert np.all(s.avg[~s.present] == 0.0)
 
@@ -180,18 +255,11 @@ class TestAggregateIntervals:
         for _ in range(8):
             start = int(rng.integers(0, 1200)) * SEC
             means = rng.random(6) * 0.5
-            recs.append(
-                UsageRecord(
-                    machine_id=int(rng.integers(0, 2)),
-                    start_us=start,
-                    end_us=start + int(rng.integers(1, 900)) * SEC,
-                    mean=tuple(means),
-                    peak=tuple(means + 0.1),
-                )
-            )
-        horizon = -(-max(r.end_us for r in recs) // INTERVAL_US) * INTERVAL_US
-        base = aggregate_intervals(recs, horizon)
-        shuffled = aggregate_intervals([recs[i] for i in order], horizon)
+            end = start + int(rng.integers(1, 900)) * SEC
+            recs.append((int(rng.integers(0, 2)), start, end, means, means + 0.1))
+        table = _table(*recs)
+        base = aggregate_intervals(table, _horizon(table))
+        shuffled = aggregate_intervals(_table(*(recs[i] for i in order)), _horizon(table))
         assert base.keys() == shuffled.keys()
         for m in base:
             assert np.array_equal(base[m].avg, shuffled[m].avg)
@@ -204,14 +272,53 @@ class TestAggregateIntervals:
         for _ in range(50):
             start = int(rng.integers(0, 3000)) * SEC
             recs.append(_rec(int(rng.integers(0, 4)), start // SEC, start // SEC + int(rng.integers(1, 700))))
-        horizon = -(-max(r.end_us for r in recs) // INTERVAL_US) * INTERVAL_US
-        out = aggregate_intervals(recs, horizon)
+        table = _table(*recs)
+        out = aggregate_intervals(table, _horizon(table))
         present_time = sum(int(s.present.sum()) * INTERVAL_US for s in out.values())
-        covered = sum(r.end_us - r.start_us for r in recs)
+        covered = int((table.end_us - table.start_us).sum())
         assert present_time <= covered + len(recs) * INTERVAL_US
 
-    def test_interval_view_is_valid_value_object(self):
-        rec = _rec(1, 0, 300, means=[0.2, 0.1, 0, 0.4, 0, 0])
-        out = aggregate_intervals([rec], horizon_us=INTERVAL_US)
-        view = out[1].interval(0)
-        assert view.avg[0] == pytest.approx(0.2)
+    def test_empty_table_gives_no_series(self):
+        assert aggregate_intervals(_table(), horizon_us=INTERVAL_US) == {}
+
+    @given(st.data())
+    def test_matches_record_by_record_oracle(self, data):
+        """Bit-identical to the per-record oracle for any row order.
+
+        Rows come from parsed CSV text, so out-of-range values arrive
+        clamped. Each row takes its (machine, start, length) from a few
+        shared slots, so rows spanning bins, rows sharing a bin and rows
+        tying on (machine, start, end) are common.
+        """
+        values = st.one_of(
+            st.sampled_from([-0.5, 0.0, 0.25, 1.0, 1.5]),
+            st.floats(-0.2, 1.2, allow_nan=False, allow_infinity=False),
+        )
+        slot = st.tuples(
+            st.integers(0, 1),
+            st.integers(0, 6).map(lambda k: k * 100 * SEC),
+            st.sampled_from([1, 100, 300, 450, 700]).map(lambda s: s * SEC),
+        )
+        slots = data.draw(st.lists(slot, min_size=1, max_size=4))
+        rows = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(slots), st.lists(values, min_size=12, max_size=12)),
+                min_size=1,
+                max_size=25,
+            )
+        )
+        lines = [
+            f"{start},{start + length},{m}," + ",".join(repr(v) for v in vals)
+            for (m, start, length), vals in rows
+        ]
+        order = data.draw(st.permutations(range(len(lines))))
+        table, _ = parse_usage_records([USAGE_HEADER] + lines)
+        shuffled, _ = parse_usage_records([USAGE_HEADER] + [lines[i] for i in order])
+        horizon = _horizon(table) + data.draw(st.integers(0, 2)) * INTERVAL_US
+        got = aggregate_intervals(shuffled, horizon)
+        want = reference_aggregate(table, horizon, INTERVAL_US)
+        assert list(got) == sorted(want)
+        for m, (avg, peak, present) in want.items():
+            assert got[m].avg.tobytes() == avg.tobytes()
+            assert got[m].peak.tobytes() == peak.tobytes()
+            assert got[m].present.tobytes() == present.tobytes()

@@ -24,9 +24,9 @@ def ingested(small_trace):
     with open(small_trace.events) as f:
         events = ingestion.parse_machine_events(f)
     with open(small_trace.usage) as f:
-        records, stats = ingestion.parse_usage_records(f)
-    series = ingestion.aggregate_intervals(records, SMALL.horizon_us)
-    return events, records, stats, series
+        table, stats = ingestion.parse_usage_records(f)
+    series = ingestion.aggregate_intervals(table, SMALL.horizon_us)
+    return events, table, stats, series
 
 
 def test_deterministic_byte_identical_output(tmp_path):
@@ -44,8 +44,10 @@ def test_different_seed_changes_output(tmp_path):
 
 
 def test_round_trip_through_ingestion_without_clamps(ingested):
-    events, records, stats, series = ingested
+    events, table, stats, series = ingested
     assert stats.values_clamped == 0
+    assert stats.rows_affected == 0
+    assert len(table) == sum(int(s.present.sum()) for s in series.values())
     assert len(series) == SMALL.machines
     assert len(events) > 0
 

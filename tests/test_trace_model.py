@@ -3,7 +3,6 @@ import pytest
 from failcast.trace_model import (
     FailureEvent,
     FailureType,
-    IntervalUsage,
     MachineEventKind,
     ResourceKind,
 )
@@ -25,32 +24,6 @@ def test_failure_type_round_trips_through_integer_labels():
     assert int(FailureType.IMMEDIATE_REBOOT) == 1
     assert int(FailureType.SLOW_REBOOT) == 2
     assert int(FailureType.FORCIBLE_DECOMMISSION) == 3
-
-
-def _usage(avg, peak):
-    return IntervalUsage(machine_id=1, interval=0, avg=tuple(avg), peak=tuple(peak))
-
-
-def test_interval_usage_accepts_valid_values():
-    u = _usage([0.1] * 6, [0.2] * 6)
-    assert u.avg[0] == 0.1
-
-
-def test_interval_usage_rejects_avg_above_peak():
-    with pytest.raises(ValueError):
-        _usage([0.5] * 6, [0.4] * 6)
-
-
-def test_interval_usage_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        _usage([-0.1] + [0.0] * 5, [0.5] * 6)
-    with pytest.raises(ValueError):
-        _usage([0.5] * 6, [1.1] + [0.9] * 5)
-
-
-def test_interval_usage_rejects_wrong_arity():
-    with pytest.raises(ValueError):
-        IntervalUsage(machine_id=1, interval=0, avg=(0.1,), peak=(0.2,))
 
 
 def test_failure_event_duration_is_derived():
