@@ -7,8 +7,8 @@ filter feeding a random-forest classifier, and an evaluation harness.
 
 from .features import DatasetConfig, FeatureConfig, Instance, pacf
 from .forest import ForestModel, ForestParams
-from .ingestion import MachineSeries
-from .labeling import LabelingConfig, LabelTrack
+from .ingestion import IntervalSeries
+from .labeling import LabelingConfig, LabelTracks
 from .ocsvm import OcsvmModel, OcsvmParams
 from .pipeline import CascadeModel, GridSpec
 from .synth import SynthConfig
@@ -34,11 +34,11 @@ __all__ = [
     "GridSpec",
     "INTERVAL_US",
     "Instance",
-    "LabelTrack",
+    "IntervalSeries",
+    "LabelTracks",
     "LabelingConfig",
     "MachineEvent",
     "MachineEventKind",
-    "MachineSeries",
     "OcsvmModel",
     "OcsvmParams",
     "ResourceKind",

@@ -19,7 +19,7 @@ from . import adapter as adapter_mod
 from . import features as features_mod
 from . import forest as forest_mod
 from . import ingestion, labeling, metrics, pipeline, store, synth
-from .errors import FailcastError, ParseError
+from .errors import ConfigError, FailcastError, ParseError
 from .features import DatasetConfig, FeatureConfig, Instance
 from .forest import ForestParams
 from .ocsvm import OcsvmParams
@@ -112,6 +112,8 @@ def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     with open(usage_path) as f:
         table, clamps = ingestion.parse_usage_records(f)
     interval_us = r.get("interval_us", INTERVAL_US)
+    if interval_us < 1:
+        raise ConfigError(f"interval_us must be >= 1, got {interval_us}")
     horizon = r.get("horizon_us", 0, int)
     if not horizon:
         max_end = int(table.end_us.max(initial=0))
@@ -152,11 +154,9 @@ def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     )
     pairing = labeling.pair_failures(events, lcfg)
     excluded = labeling.detect_degenerate_machines(series, pairing.failures, lcfg)
-    kept_series = {m: s for m, s in series.items() if m not in excluded}
     kept_failures = [f for f in pairing.failures if f.machine_id not in excluded]
-    tracks = labeling.build_label_tracks(
-        kept_failures, kept_series, lcfg, meta["interval_us"]
-    )
+    tracks = labeling.build_label_tracks(kept_failures, series, lcfg, meta["interval_us"])
+    tracks = tracks.select(~np.isin(tracks.machine_ids, sorted(excluded)))
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     store.save_label_store(
@@ -222,8 +222,7 @@ def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         rng_seed=r.get("seed", 0),
         train_fraction=r.get("train_fraction", 0.8),
     )
-    kept = {m: s for m, s in series.items() if m in tracks}
-    train_set, test_set = features_mod.build_dataset(kept, tracks, fcfg, dcfg)
+    train_set, test_set = features_mod.build_dataset(series, tracks, fcfg, dcfg)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, instances in (("train", train_set), ("test", test_set)):
@@ -242,31 +241,40 @@ def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 # ---------------------------------------------------------------- train
 
 
+def _read(path: Path, reader):
+    """``reader`` over the lines of ``path``; a ParseError names the file."""
+    try:
+        with open(path) as f:
+            return reader(f)
+    except ParseError as exc:
+        raise FailcastError(f"{path}: {exc}") from None
+
+
 def _load_instances(data_dir: Path, name: str) -> list[Instance]:
-    with open(data_dir / f"{name}.csv") as f:
-        X, y = features_mod.read_dataset_csv(f)
+    path = data_dir / f"{name}.csv"
+    X, y = _read(path, features_mod.read_dataset_csv)
     ids_path = data_dir / f"{name}_ids.csv"
-    pairs = []
     if ids_path.exists():
-        for i, line in enumerate(ids_path.read_text().splitlines()):
-            if i == 0 or not line:
-                continue
-            m, tau = line.split(",")
-            pairs.append((int(m), int(tau)))
+        ids = _read(ids_path, features_mod.read_ids_csv)
+        if len(ids) != len(y):
+            raise FailcastError(f"{ids_path} has {len(ids)} rows but {path} has {len(y)}")
     else:
-        pairs = [(0, i) for i in range(len(y))]
+        ids = [(0, i) for i in range(len(y))]
     return [
         Instance(y=FailureType(int(yi)), x=xi, machine_id=m, interval=tau)
-        for xi, yi, (m, tau) in zip(X, y, pairs)
+        for xi, yi, (m, tau) in zip(X, y, ids)
     ]
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(",") if v)
-
-
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split(",") if v)
+def _grid_axis(r: _Resolver, name: str, scalar: str, default, cast) -> tuple:
+    """The comma list ``name``, else the one value ``scalar``, cast to ``cast``."""
+    raw = r.get(name, "", str) or str(r.get(scalar, default))
+    try:
+        return tuple(cast(v) for v in raw.split(",") if v)
+    except ValueError:
+        raise FailcastError(
+            f"{name}: {raw!r} is not a comma list of {cast.__name__} values"
+        ) from None
 
 
 def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
@@ -276,9 +284,9 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     seed = r.get("seed", 0)
     threads = r.get("threads", 1)
 
-    gammas = _parse_float_list(r.get("gammas", "", str) or str(r.get("gamma", 1.0 / 72.0)))
-    nus = _parse_float_list(r.get("nus", "", str) or str(r.get("nu", 0.05)))
-    trees = _parse_int_list(r.get("trees_grid", "", str) or str(r.get("trees", 100)))
+    gammas = _grid_axis(r, "gammas", "gamma", 1.0 / 72.0, float)
+    nus = _grid_axis(r, "nus", "nu", 0.05, float)
+    trees = _grid_axis(r, "trees_grid", "trees", 100, int)
     grid = pipeline.GridSpec(
         gammas=gammas, nus=nus, tree_counts=trees, folds=r.get("folds", 5)
     )

@@ -5,6 +5,10 @@ class FailcastError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(FailcastError, ValueError):
+    """A configuration value is out of its valid range."""
+
+
 class ParseError(FailcastError):
     """A malformed input row; carries the 1-based line number."""
 

@@ -12,13 +12,19 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InsufficientDataError, ZeroVarianceError
-from .ingestion import MachineSeries
-from .labeling import LabelTrack
+from .errors import (
+    ConfigError,
+    FailcastError,
+    InsufficientDataError,
+    ParseError,
+    ZeroVarianceError,
+)
+from .ingestion import IntervalSeries, _lines
+from .labeling import LabelTracks
 from .trace_model import N_RESOURCES, FailureType, ResourceKind
 
 logger = logging.getLogger(__name__)
@@ -99,7 +105,7 @@ def _longest_present_run(present: np.ndarray) -> tuple[int, int]:
 
 
 def pacf_by_machine(
-    series: Mapping[int, MachineSeries],
+    series: IntervalSeries,
     max_lag: int = 10,
     min_length: int = 50,
 ) -> list[PacfResult]:
@@ -109,13 +115,16 @@ def pacf_by_machine(
     holes cannot fake correlation structure. Machines whose run is too
     short or constant are skipped.
     """
+    if max_lag < 1:
+        raise ConfigError("max_lag must be >= 1")
     results: list[PacfResult] = []
-    for machine_id in sorted(series):
-        s = series[machine_id]
-        start, length = _longest_present_run(s.present)
+    for machine_id, avg, present in zip(
+        series.machine_ids.tolist(), series.avg, series.present
+    ):
+        start, length = _longest_present_run(present)
         if length < max(min_length, max_lag + 2):
             continue
-        window = s.avg[start : start + length]
+        window = avg[start : start + length]
         for r in range(N_RESOURCES):
             col = window[:, r]
             if np.ptp(col) == 0.0:
@@ -149,6 +158,10 @@ class FeatureConfig:
     """
 
     lags: int = 6
+
+    def __post_init__(self):
+        if self.lags < 1:
+            raise ConfigError("lags must be >= 1")
 
     @property
     def dim(self) -> int:
@@ -205,118 +218,74 @@ class DatasetConfig:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-
-
-def buildable_mask(
-    series: MachineSeries, track: LabelTrack, lags: int
-) -> np.ndarray:
-    """Boolean per interval: the L preceding intervals are all present and not downtime."""
-    good = series.present & ~track.downtime
-    csum = np.concatenate([[0], np.cumsum(good)])
-    ok = np.zeros(series.n_intervals, dtype=bool)
-    ok[lags:] = (csum[lags:-1] - csum[:-lags-1]) == lags
-    return ok
-
-
-def build_instance(
-    series: MachineSeries,
-    track: LabelTrack,
-    tau: int,
-    cfg: FeatureConfig,
-) -> Optional[Instance]:
-    """Pack the feature window ending at tau-1, or None if the window is unusable."""
-    L = cfg.lags
-    if tau < L or tau >= series.n_intervals:
-        return None
-    window = slice(tau - L, tau)
-    if not series.present[window].all() or track.downtime[window].any():
-        return None
-    x = np.empty(cfg.dim)
-    half = N_RESOURCES * L
-    for lag in range(1, L + 1):
-        t = tau - lag
-        for r in range(N_RESOURCES):
-            x[r * L + (lag - 1)] = series.avg[t, r]
-            x[half + r * L + (lag - 1)] = series.peak[t, r]
-    return Instance(
-        y=FailureType(int(track.y[tau])), x=x, machine_id=series.machine_id, interval=tau
-    )
-
-
-def _windows_for(series: MachineSeries, taus: np.ndarray, lags: int) -> np.ndarray:
-    """Vectorized feature packing for many target intervals of one machine."""
-    idx = taus[:, None] - np.arange(1, lags + 1)[None, :]
-    avg = series.avg[idx]    # (n, L, 6)
-    peak = series.peak[idx]
-    n = len(taus)
-    half = np.transpose(avg, (0, 2, 1)).reshape(n, N_RESOURCES * lags)
-    other = np.transpose(peak, (0, 2, 1)).reshape(n, N_RESOURCES * lags)
-    return np.concatenate([half, other], axis=1)
+            raise ConfigError("train_fraction must be in (0, 1)")
+        if self.normal_sample_count < 0:
+            raise ConfigError("normal_sample_count must be >= 0")
 
 
 def build_dataset(
-    series: Mapping[int, MachineSeries],
-    tracks: Mapping[int, LabelTrack],
+    series: IntervalSeries,
+    tracks: LabelTracks,
     cfg: FeatureConfig,
     dcfg: DatasetConfig,
 ) -> tuple[list[Instance], list[Instance]]:
-    """Assemble the labeled dataset and split it into train and test.
+    """Assemble the labeled dataset of the machines in ``tracks`` and split it.
 
-    Every buildable failure instance is kept; normal instances are a
-    seeded uniform sample of the requested size. The split is stratified
-    per class and fully determined by the seed. Candidate enumeration is
-    ordered by (machine_id, interval) so parallel callers converge on the
-    same dataset.
+    ``series`` may hold more machines than ``tracks``; only the tracked
+    ones are used. A cell (machine, tau) is buildable when its L
+    preceding intervals are all present and not downtime. Every buildable
+    failure instance is kept; normal instances are a seeded uniform
+    sample of the requested size. The split is stratified per class and
+    fully determined by the seed. Candidates are enumerated in
+    (machine_id, interval) order so parallel callers converge on the same
+    dataset.
     """
+    if tracks.y.shape[1:] != series.present.shape[1:] or not np.isin(
+        tracks.machine_ids, series.machine_ids
+    ).all():
+        raise FailcastError("label tracks name machines or intervals the series lacks")
+    series_row = np.searchsorted(series.machine_ids, tracks.machine_ids)
     rng = np.random.default_rng(dcfg.rng_seed)
-    machine_ids = sorted(m for m in series if m in tracks)
+    L = cfg.lags
+    good = series.present[series_row] & ~tracks.downtime
+    csum = np.zeros((good.shape[0], good.shape[1] + 1), dtype=np.int32)
+    np.cumsum(good, axis=1, out=csum[:, 1:])
+    buildable = np.zeros_like(good)
+    buildable[:, L:] = (csum[:, L:-1] - csum[:, : -L - 1]) == L
 
-    instances: list[Instance] = []
-    normal_machines: list[np.ndarray] = []   # per machine: candidate taus
-    normal_counts: list[int] = []
-    for m in machine_ids:
-        s, track = series[m], tracks[m]
-        ok = buildable_mask(s, track, cfg.lags)
-        failure_taus = np.nonzero(ok & (track.y != 0))[0]
-        if len(failure_taus):
-            xs = _windows_for(s, failure_taus, cfg.lags)
-            for tau, x in zip(failure_taus, xs):
-                instances.append(
-                    Instance(FailureType(int(track.y[tau])), x, m, int(tau))
-                )
-        normal_taus = np.nonzero(ok & (track.y == 0))[0]
-        normal_machines.append(normal_taus)
-        normal_counts.append(len(normal_taus))
-
-    total_normals = int(np.sum(normal_counts))
+    # flat indices run in row-major, that is (machine, interval), order
+    normals = np.flatnonzero(buildable & (tracks.y == 0))
     take = dcfg.normal_sample_count
-    if total_normals < take:
+    if len(normals) < take:
         logger.warning(
             "only %d buildable normal instances available, requested %d; using all",
-            total_normals,
+            len(normals),
             take,
         )
-        take = total_normals
-    chosen = rng.choice(total_normals, size=take, replace=False)
-    chosen.sort()
-
-    offsets = np.concatenate([[0], np.cumsum(normal_counts)])
-    for mi, m in enumerate(machine_ids):
-        lo, hi = offsets[mi], offsets[mi + 1]
-        local = chosen[(chosen >= lo) & (chosen < hi)] - lo
-        if len(local) == 0:
-            continue
-        taus = normal_machines[mi][local]
-        s, track = series[m], tracks[m]
-        xs = _windows_for(s, taus, cfg.lags)
-        for tau, x in zip(taus, xs):
-            instances.append(Instance(FailureType.NORMAL, x, m, int(tau)))
-
-    if not any(inst.y != FailureType.NORMAL for inst in instances):
+        take = len(normals)
+    chosen = rng.choice(len(normals), size=take, replace=False)
+    keep = buildable & (tracks.y != 0)
+    if not keep.any():
         logger.warning("dataset contains no failure instances")
+    keep.flat[normals[chosen]] = True
 
-    instances.sort(key=lambda i: (i.machine_id, i.interval))
+    rows, taus = np.nonzero(keep)
+    src = series_row[rows]
+    # x is the averages then the peaks, each resource-major with lags 1..L
+    X = np.empty((len(rows), 2, N_RESOURCES, L))
+    for lag in range(1, L + 1):
+        X[:, 0, :, lag - 1] = series.avg[src, taus - lag]
+        X[:, 1, :, lag - 1] = series.peak[src, taus - lag]
+    X = X.reshape(len(rows), cfg.dim)
+    instances = [
+        Instance(FailureType(y), x, m, tau)
+        for y, x, m, tau in zip(
+            tracks.y[rows, taus].tolist(),
+            X,
+            tracks.machine_ids[rows].tolist(),
+            taus.tolist(),
+        )
+    ]
     return _stratified_split(instances, dcfg.train_fraction, rng)
 
 
@@ -348,32 +317,63 @@ def to_arrays(instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-DATASET_HEADER_PREFIX = "y,f0"
+IDS_HEADER = "machine_id,interval"
+
+
+def _dataset_header(dim: int) -> str:
+    return "y," + ",".join(f"f{i}" for i in range(dim))
 
 
 def write_dataset_csv(instances: Sequence[Instance], out: TextIO, dim: int) -> None:
-    out.write("y," + ",".join(f"f{i}" for i in range(dim)) + "\n")
+    out.write(_dataset_header(dim) + "\n")
     for inst in instances:
         out.write(str(int(inst.y)) + "," + ",".join(repr(float(v)) for v in inst.x) + "\n")
 
 
 def read_dataset_csv(source: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Read a dataset file into an (n, dim) feature matrix and (n,) labels.
+
+    The header must be ``y,f0,...,f{dim-1}``. A row with the wrong field
+    count, a non-numeric value or an unknown class raises ParseError.
+    """
+    lines = _lines(source)
+    header_no, header = next(lines, (1, ""))
+    n_fields = header.count(",") + 1
+    if header != _dataset_header(n_fields - 1):
+        raise ParseError(header_no, "expected dataset header 'y,f0,...'")
     X_rows, y_rows = [], []
-    for i, raw in enumerate(source):
-        line = raw.strip()
-        if not line:
-            continue
-        if i == 0:
-            if not line.startswith(DATASET_HEADER_PREFIX):
-                raise ValueError("unexpected dataset header")
-            continue
+    for line_no, line in lines:
         parts = line.split(",")
-        y_rows.append(int(parts[0]))
-        X_rows.append([float(p) for p in parts[1:]])
-    return np.array(X_rows), np.array(y_rows, dtype=np.int64)
+        if len(parts) != n_fields:
+            raise ParseError(line_no, f"expected {n_fields} fields, got {len(parts)}")
+        try:
+            y_rows.append(FailureType(int(parts[0])))
+            X_rows.append([float(p) for p in parts[1:]])
+        except ValueError as exc:
+            raise ParseError(line_no, f"bad field: {exc}") from None
+    X = np.array(X_rows, dtype=float).reshape(len(y_rows), n_fields - 1)
+    return X, np.array(y_rows, dtype=np.int64)
 
 
 def write_ids_csv(instances: Sequence[Instance], out: TextIO) -> None:
-    out.write("machine_id,interval\n")
+    out.write(IDS_HEADER + "\n")
     for inst in instances:
         out.write(f"{inst.machine_id},{inst.interval}\n")
+
+
+def read_ids_csv(source: Iterable[str]) -> list[tuple[int, int]]:
+    """Read an ids file into (machine_id, interval) pairs, one per dataset row."""
+    lines = _lines(source)
+    header_no, header = next(lines, (1, ""))
+    if header != IDS_HEADER:
+        raise ParseError(header_no, f"expected ids header '{IDS_HEADER}'")
+    ids = []
+    for line_no, line in lines:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(line_no, f"expected 2 fields, got {len(parts)}")
+        try:
+            ids.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ParseError(line_no, f"non-integer field: {exc}") from None
+    return ids

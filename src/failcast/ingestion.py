@@ -18,8 +18,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParseError
-from .trace_model import INTERVAL_US, N_RESOURCES, MachineEvent, MachineEventKind
+from .errors import FailcastError, ParseError
+from .trace_model import (
+    INTERVAL_US,
+    N_RESOURCES,
+    FleetArrays,
+    MachineEvent,
+    MachineEventKind,
+)
 
 MACHINE_EVENTS_HEADER = "time_us,machine_id,event"
 USAGE_HEADER = (
@@ -61,22 +67,20 @@ class ClampStats:
     rows_affected: int = 0
 
 
-@dataclass
-class MachineSeries:
-    """Dense per-interval usage for one machine over the whole trace horizon.
+@dataclass(frozen=True)
+class IntervalSeries(FleetArrays):
+    """Dense per-interval usage for every machine over the whole trace horizon.
 
-    ``avg`` and ``peak`` are (T, 6) arrays; ``present[t]`` is False for
-    intervals with no contributing record, which then carry all zeros.
+    ``machine_ids`` is a sorted (M,) int64 array, and row i of every other
+    array belongs to machine ``machine_ids[i]``: ``avg`` and ``peak`` are
+    (M, T, 6) arrays, and ``present[i, t]`` is False for intervals with no
+    contributing row, which then carry all zeros.
     """
 
-    machine_id: int
+    machine_ids: np.ndarray
     avg: np.ndarray
     peak: np.ndarray
     present: np.ndarray
-
-    @property
-    def n_intervals(self) -> int:
-        return self.avg.shape[0]
 
 
 def _lines(source: Iterable[str], first_line_no: int = 1) -> Iterator[tuple[int, str]]:
@@ -196,8 +200,8 @@ def aggregate_intervals(
     table: UsageTable,
     horizon_us: int,
     interval_us: int = INTERVAL_US,
-) -> dict[int, MachineSeries]:
-    """Aggregate usage rows into dense per-machine interval series.
+) -> IntervalSeries:
+    """Aggregate usage rows into dense interval series for every machine.
 
     Per bin, avg is the overlap-duration-weighted mean of row means and
     peak is the max of row maxima over every bin the row touches. Rows
@@ -205,16 +209,15 @@ def aggregate_intervals(
     single-bin rows before the pieces of rows spanning several bins, so
     the result is bit-identical under any permutation of the rows.
     """
-    if not len(table):
-        return {}
-    max_end = int(table.end_us.max())
+    max_end = int(table.end_us.max(initial=0))
     if horizon_us < max_end:
-        raise ValueError(f"horizon {horizon_us} < max record end {max_end}")
+        raise FailcastError(f"horizon {horizon_us} < max record end {max_end}")
     n_bins = -(-horizon_us // interval_us)
 
     order = _row_order(table)
     sorted_ids = table.machine_id[order]
-    new_machine = np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]
+    new_machine = np.ones(len(table), dtype=bool)
+    new_machine[1:] = sorted_ids[1:] != sorted_ids[:-1]
     machine_ids = sorted_ids[new_machine]
     machine_index = np.empty(len(table), dtype=np.int64)
     machine_index[order] = np.cumsum(new_machine) - 1
@@ -255,19 +258,14 @@ def aggregate_intervals(
     avg = avg.reshape(shape + (N_RESOURCES,))
     peak = peak.reshape(shape + (N_RESOURCES,))
     present = present.reshape(shape)
-    for a in (avg, peak, present):
-        a.setflags(write=False)
-    return {
-        int(m): MachineSeries(machine_id=int(m), avg=avg[i], peak=peak[i], present=present[i])
-        for i, m in enumerate(machine_ids)
-    }
+    return IntervalSeries(machine_ids, avg, peak, present)
 
 
 def _row_order(table: UsageTable) -> np.ndarray:
     """Row indices sorted by (machine, start, end, mean, peak)."""
     keys = (table.machine_id, table.start_us, table.end_us)
     order = np.lexsort(keys[::-1])
-    tied = np.ones(len(order) - 1, dtype=bool)
+    tied = np.ones(len(order), dtype=bool)[1:]
     for key in keys:
         k = key[order]
         tied &= k[1:] == k[:-1]

@@ -9,17 +9,20 @@ trace is a forcible decommission.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .ingestion import MachineSeries
+from .errors import ConfigError
+from .ingestion import IntervalSeries
 from .trace_model import (
     INTERVAL_US,
     MICROS_PER_MINUTE,
     FailureEvent,
     FailureType,
+    FleetArrays,
     MachineEvent,
     MachineEventKind,
 )
@@ -37,7 +40,7 @@ class LabelingConfig:
 
     def __post_init__(self):
         if self.ir_max_downtime_us <= 0:
-            raise ValueError("ir_max_downtime_us must be positive")
+            raise ConfigError("ir_max_downtime_us must be positive")
 
 
 @dataclass
@@ -46,16 +49,18 @@ class PairingResult:
     dropped_removes: int
 
 
-@dataclass
-class LabelTrack:
-    """Per-interval class labels and downtime flags for one machine.
+@dataclass(frozen=True)
+class LabelTracks(FleetArrays):
+    """Per-interval class labels and downtime flags for every machine.
 
-    ``y[t]`` is non-normal only at the interval containing a REMOVE.
-    ``downtime[t]`` marks intervals lying entirely inside a failure's
-    remove-to-add window, strictly after the removal interval.
+    Row i of ``y`` and ``downtime`` ((M, T) int8 and bool) belongs to
+    machine ``machine_ids[i]``. ``y[i, t]`` is non-normal only at the
+    interval containing a REMOVE. ``downtime[i, t]`` marks intervals
+    lying entirely inside a failure's remove-to-add window, strictly
+    after the removal interval.
     """
 
-    machine_id: int
+    machine_ids: np.ndarray
     y: np.ndarray
     downtime: np.ndarray
 
@@ -129,7 +134,7 @@ def pair_failures(
 
 
 def detect_degenerate_machines(
-    series: Mapping[int, MachineSeries],
+    series: IntervalSeries,
     failures: Iterable[FailureEvent],
     cfg: LabelingConfig,
 ) -> set[int]:
@@ -139,61 +144,49 @@ def detect_degenerate_machines(
     like bookkeeping artifacts rather than real hosts and are excluded
     from every later stage.
     """
-    counts: dict[int, int] = {}
-    for f in failures:
-        counts[f.machine_id] = counts.get(f.machine_id, 0) + 1
-    degenerate = set()
-    for machine_id, count in counts.items():
-        if count <= cfg.degenerate_min_failures:
-            continue
-        s = series.get(machine_id)
-        if s is None:
-            degenerate.add(machine_id)
-            continue
-        if not np.any(s.avg[s.present]) and not np.any(s.peak[s.present]):
-            degenerate.add(machine_id)
-    return degenerate
+    counts = Counter(f.machine_id for f in failures)
+    # 0 <= avg <= peak, and absent intervals are all zero: usage shows in peak
+    used_ids = set(series.machine_ids[series.peak.any(axis=(1, 2))].tolist())
+    return {
+        m
+        for m, count in counts.items()
+        if count > cfg.degenerate_min_failures and m not in used_ids
+    }
 
 
 def build_label_tracks(
     failures: Iterable[FailureEvent],
-    series: Mapping[int, MachineSeries],
+    series: IntervalSeries,
     cfg: LabelingConfig,
     interval_us: int = INTERVAL_US,
-) -> dict[int, LabelTrack]:
+) -> LabelTracks:
     """Assign the per-interval label and downtime flags for every machine.
 
     The label lands on the interval containing the remove time. Downtime
     flags cover intervals fully inside [remove, add], after the removal
     interval; for permanent failures they extend to the end of the trace.
+    Failures of machines without a series are ignored.
     """
-    tracks = {
-        m: LabelTrack(
-            machine_id=m,
-            y=np.zeros(s.n_intervals, dtype=np.int8),
-            downtime=np.zeros(s.n_intervals, dtype=bool),
-        )
-        for m, s in series.items()
-    }
+    y = np.zeros(series.present.shape, dtype=np.int8)
+    downtime = np.zeros(series.present.shape, dtype=bool)
+    n = y.shape[1]
+    row_of = {m: i for i, m in enumerate(series.machine_ids.tolist())}
     for f in sorted(failures, key=lambda f: (f.machine_id, f.remove_us)):
-        track = tracks.get(f.machine_id)
-        if track is None:
-            continue
-        n = len(track.y)
+        i = row_of.get(f.machine_id)
         t_remove = f.remove_us // interval_us
-        if t_remove >= n:
+        if i is None or t_remove >= n:
             continue
-        track.y[t_remove] = int(f.ftype)
+        y[i, t_remove] = int(f.ftype)
         if f.add_us is None:
-            track.downtime[t_remove + 1 :] = True
+            downtime[i, t_remove + 1 :] = True
         else:
             # flag bins whose whole span fits inside the downtime window
             last_full = f.add_us // interval_us - 1
             lo = t_remove + 1
             hi = min(last_full, n - 1)
             if hi >= lo:
-                track.downtime[lo : hi + 1] = True
-    return tracks
+                downtime[i, lo : hi + 1] = True
+    return LabelTracks(series.machine_ids, y, downtime)
 
 
 def write_failures_csv(failures: Iterable[FailureEvent], out: TextIO) -> None:

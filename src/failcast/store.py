@@ -1,95 +1,66 @@
 """On-disk artifact stores passed between CLI stages.
 
 Plain .npy files plus a JSON sidecar: deterministic bytes (no archive
-timestamps), loadable with bare numpy.
+timestamps), loadable with bare numpy. Each array of an interval series
+or a label track set is one ``<field>.npy`` file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .ingestion import MachineSeries
-from .labeling import LabelTrack
+from .ingestion import IntervalSeries
+from .labeling import LabelTracks
+from .trace_model import FleetArrays
+
+
+def _save(arrays: FleetArrays, out_dir: Path, meta: dict) -> None:
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for field in dataclasses.fields(arrays):
+        np.save(out_dir / f"{field.name}.npy", getattr(arrays, field.name))
+    (out_dir / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+
+
+def _load(cls, store_dir: Path):
+    store_dir = Path(store_dir)
+    arrays = cls(*(np.load(store_dir / f"{f.name}.npy") for f in dataclasses.fields(cls)))
+    return arrays, json.loads((store_dir / "meta.json").read_text())
 
 
 def save_interval_store(
-    series: Mapping[int, MachineSeries],
+    series: IntervalSeries,
     out_dir: Path,
     interval_us: int,
     horizon_us: int,
     extra_meta: dict | None = None,
 ) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids = np.array(sorted(series), dtype=np.int64)
-    avg = np.stack([series[m].avg for m in ids])
-    peak = np.stack([series[m].peak for m in ids])
-    present = np.stack([series[m].present for m in ids])
-    np.save(out_dir / "machine_ids.npy", ids)
-    np.save(out_dir / "avg.npy", avg)
-    np.save(out_dir / "peak.npy", peak)
-    np.save(out_dir / "present.npy", present)
     meta = {
         "interval_us": interval_us,
         "horizon_us": horizon_us,
-        "n_machines": int(len(ids)),
-        "n_intervals": int(avg.shape[1]) if len(ids) else 0,
+        "n_machines": len(series),
+        "n_intervals": series.present.shape[1],
     }
-    meta.update(extra_meta or {})
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+    _save(series, out_dir, {**meta, **(extra_meta or {})})
 
 
-def load_interval_store(store_dir: Path) -> tuple[dict[int, MachineSeries], dict]:
-    store_dir = Path(store_dir)
-    ids = np.load(store_dir / "machine_ids.npy")
-    avg = np.load(store_dir / "avg.npy")
-    peak = np.load(store_dir / "peak.npy")
-    present = np.load(store_dir / "present.npy")
-    meta = json.loads((store_dir / "meta.json").read_text())
-    series = {
-        int(m): MachineSeries(
-            machine_id=int(m), avg=avg[i], peak=peak[i], present=present[i]
-        )
-        for i, m in enumerate(ids)
-    }
-    return series, meta
+def load_interval_store(store_dir: Path) -> tuple[IntervalSeries, dict]:
+    return _load(IntervalSeries, store_dir)
 
 
 def save_label_store(
-    tracks: Mapping[int, LabelTrack],
+    tracks: LabelTracks,
     out_dir: Path,
     excluded: set[int],
     extra_meta: dict | None = None,
 ) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids = np.array(sorted(tracks), dtype=np.int64)
-    y = np.stack([tracks[m].y for m in ids]) if len(ids) else np.zeros((0, 0), np.int8)
-    downtime = (
-        np.stack([tracks[m].downtime for m in ids])
-        if len(ids)
-        else np.zeros((0, 0), bool)
-    )
-    np.save(out_dir / "machine_ids.npy", ids)
-    np.save(out_dir / "y.npy", y)
-    np.save(out_dir / "downtime.npy", downtime)
     meta = {"excluded_machines": sorted(int(m) for m in excluded)}
-    meta.update(extra_meta or {})
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+    _save(tracks, out_dir, {**meta, **(extra_meta or {})})
 
 
-def load_label_store(store_dir: Path) -> tuple[dict[int, LabelTrack], dict]:
-    store_dir = Path(store_dir)
-    ids = np.load(store_dir / "machine_ids.npy")
-    y = np.load(store_dir / "y.npy")
-    downtime = np.load(store_dir / "downtime.npy")
-    meta = json.loads((store_dir / "meta.json").read_text())
-    tracks = {
-        int(m): LabelTrack(machine_id=int(m), y=y[i], downtime=downtime[i])
-        for i, m in enumerate(ids)
-    }
-    return tracks, meta
+def load_label_store(store_dir: Path) -> tuple[LabelTracks, dict]:
+    return _load(LabelTracks, store_dir)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import ConfigError, GenerationError
 from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from .trace_model import INTERVAL_US, MICROS_PER_SECOND, N_RESOURCES
 
@@ -57,15 +57,15 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.machines < 1:
-            raise ValueError("need at least one machine")
+            raise ConfigError("need at least one machine")
         if min(self.duration_weights) < 0 or sum(self.duration_weights) <= 0:
-            raise ValueError("duration weights must be non-negative and sum > 0")
+            raise ConfigError("duration weights must be non-negative and sum > 0")
         if not 0.0 <= self.signature_strength <= 1.0:
-            raise ValueError("signature_strength must be in [0, 1]")
+            raise ConfigError("signature_strength must be in [0, 1]")
         if len(self.ar_coefficients) != N_RESOURCES:
-            raise ValueError("one AR coefficient per resource")
+            raise ConfigError("one AR coefficient per resource")
         if len(self.baselines) != N_RESOURCES:
-            raise ValueError("one baseline per resource")
+            raise ConfigError("one baseline per resource")
 
     @property
     def horizon_us(self) -> int:

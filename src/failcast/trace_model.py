@@ -6,6 +6,7 @@ fractions of each resource's maximum, so everything lives in [0, 1].
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Optional
@@ -17,6 +18,21 @@ MICROS_PER_MINUTE = 60 * MICROS_PER_SECOND
 INTERVAL_US = 5 * MICROS_PER_MINUTE
 
 N_RESOURCES = 6
+
+
+class FleetArrays:
+    """A dataclass of arrays whose first axis is the machine.
+
+    Row i of every field belongs to machine ``machine_ids[i]``, and
+    ``machine_ids`` is sorted. Each field is one file of a store.
+    """
+
+    def __len__(self) -> int:
+        return len(self.machine_ids)
+
+    def select(self, keep):
+        """The machines whose entry in the (M,) boolean ``keep`` is True."""
+        return type(self)(*(getattr(self, f.name)[keep] for f in dataclasses.fields(self)))
 
 
 class ResourceKind(enum.IntEnum):

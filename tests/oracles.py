@@ -4,13 +4,16 @@ Each oracle takes the slow, obvious route: explicit least squares for
 partial autocorrelations, accelerated projected gradient for the
 one-class dual, exhaustive enumeration for tree splits, a row-by-row,
 tree-by-tree walk for forest votes, record-by-record and bin-by-bin
-accumulation for interval aggregation, and literal pair counting for
-AUC. None of them share code with the package paths they verify.
+accumulation for interval aggregation, value-by-value packing of one
+feature window, and literal pair counting for AUC. None of them share code with the package paths they verify.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from failcast.features import Instance
+from failcast.trace_model import N_RESOURCES, FailureType
 
 
 def ols_last_coefficient(x: np.ndarray, k: int) -> float:
@@ -232,6 +235,34 @@ def reference_aggregate(table, horizon_us: int, interval_us: int) -> dict:
         np.minimum(avg, peak, out=avg)
         out[machine_id] = (avg, peak, present)
     return out
+
+
+def build_instance(series, tracks, row: int, tau: int, cfg):
+    """The instance whose feature window of machine row ``row`` ends at tau-1.
+
+    None when tau has fewer than L preceding intervals or one of them is
+    absent or downtime. Values are packed one at a time by the layout:
+    averages then peaks, each resource-major with lags 1..L.
+    """
+    L = cfg.lags
+    if tau < L or tau >= series.present.shape[1]:
+        return None
+    window = slice(tau - L, tau)
+    if not series.present[row, window].all() or tracks.downtime[row, window].any():
+        return None
+    x = np.empty(cfg.dim)
+    half = N_RESOURCES * L
+    for lag in range(1, L + 1):
+        t = tau - lag
+        for r in range(N_RESOURCES):
+            x[r * L + (lag - 1)] = series.avg[row, t, r]
+            x[half + r * L + (lag - 1)] = series.peak[row, t, r]
+    return Instance(
+        y=FailureType(int(tracks.y[row, tau])),
+        x=x,
+        machine_id=int(series.machine_ids[row]),
+        interval=tau,
+    )
 
 
 def auc_pair_counting(scores, labels) -> float:

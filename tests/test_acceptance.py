@@ -191,11 +191,11 @@ def _run_pipeline(signature: float, tmp: Path):
     lcfg = LabelingConfig(trace_end_us=cfg.horizon_us)
     pairing = labeling.pair_failures(events, lcfg)
     excluded = labeling.detect_degenerate_machines(series, pairing.failures, lcfg)
-    kept_series = {m: s for m, s in series.items() if m not in excluded}
     kept_failures = [f for f in pairing.failures if f.machine_id not in excluded]
-    tracks = labeling.build_label_tracks(kept_failures, kept_series, lcfg)
+    tracks = labeling.build_label_tracks(kept_failures, series, lcfg)
+    tracks = tracks.select(~np.isin(tracks.machine_ids, sorted(excluded)))
     train_set, test_set = features.build_dataset(
-        kept_series, tracks, FeatureConfig(), DatasetConfig(rng_seed=3)
+        series, tracks, FeatureConfig(), DatasetConfig(rng_seed=3)
     )
     model = pipeline.train(
         train_set,
@@ -332,7 +332,7 @@ def test_criterion_8_real_trace_structural_checks(tmp_path):
     counts_ok = np.all(np.abs(counts - expected) <= 0.01 * expected)
 
     results = features.pacf_by_machine(
-        {m: s for m, s in series.items() if m not in excluded}, max_lag=10
+        series.select(~np.isin(series.machine_ids, sorted(excluded))), max_lag=10
     )
     hist = features.significant_lag_histogram(results)
     total = sum(hist.values())

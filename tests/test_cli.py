@@ -260,6 +260,136 @@ class TestBrokenInputs:
         assert not (tmp_path / "s").exists()
 
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "key, value", [("gammas", "abc"), ("nus", "0.1,x"), ("trees_grid", "5,1.5")]
+    )
+    def test_train_non_numeric_grid_list_exits_2(
+        self, chain, tmp_path, capsys, where, key, value
+    ):
+        args = ["train", "--data", str(chain / "data"), "--out", str(tmp_path / "m")]
+        if where == "flag":
+            args += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and value in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize(
+        "stage, flags",
+        [
+            ("synth", ["--machines", "0"]),
+            ("ingest", ["--interval-us", "0"]),
+            ("label", ["--ir-max-minutes", "0"]),
+            ("pacf-report", ["--max-lag", "0"]),
+            ("featurize", ["--train-fraction", "1.5"]),
+            ("featurize", ["--lags", "0"]),
+            ("featurize", ["--normal-samples", "-1"]),
+        ],
+        ids=lambda v: "_".join(v) if isinstance(v, list) else v,
+    )
+    def test_out_of_range_value_exits_2(self, chain, tmp_path, capsys, stage, flags):
+        events = str(chain / "trace" / "machine_events.csv")
+        store = str(chain / "store")
+        inputs = {
+            "synth": [],
+            "ingest": ["--events", events, "--usage", str(chain / "trace" / "resource_usage.csv")],
+            "label": ["--store", store, "--events", events],
+            "pacf-report": ["--store", store],
+            "featurize": ["--store", store, "--labels", str(chain / "labels")],
+        }[stage]
+        out = tmp_path / "out"
+        assert main([stage, *inputs, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_ingest_horizon_below_data_exits_2(self, chain, tmp_path, capsys):
+        rc = main([
+            "ingest", "--events", str(chain / "trace" / "machine_events.csv"),
+            "--usage", str(chain / "trace" / "resource_usage.csv"),
+            "--out", str(tmp_path / "s"), "--horizon-us", "1000",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: horizon 1000 ")
+        assert not (tmp_path / "s").exists()
+
+    def test_ingest_usage_without_rows_gives_empty_store(self, chain, tmp_path):
+        events = str(chain / "trace" / "machine_events.csv")
+        usage = tmp_path / "resource_usage.csv"
+        usage.write_text(
+            (chain / "trace" / "resource_usage.csv").read_text().splitlines()[0] + "\n"
+        )
+        store, labels = tmp_path / "store", tmp_path / "labels"
+        assert main(["ingest", "--events", events, "--usage", str(usage), "--out", str(store)]) == 0
+        assert json.loads((store / "meta.json").read_text())["n_machines"] == 0
+        assert main(["label", "--store", str(store), "--events", events, "--out", str(labels)]) == 0
+        assert np.load(labels / "machine_ids.npy").shape == (0,)
+        assert np.load(labels / "y.npy").shape[0] == 0
+
+
+def _break_header(lines):
+    lines[0] = lines[0].replace("f0", "g0")
+
+
+def _short_row(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0]
+
+
+def _word_value(lines):
+    fields = lines[2].split(",")
+    fields[5] = "abc"
+    lines[2] = ",".join(fields)
+
+
+def _keep_49_rows(lines):
+    del lines[50:]
+
+
+class TestBrokenDataset:
+    """train, predict and evaluate reject a malformed dataset split with exit 2."""
+
+    @pytest.mark.parametrize("stage", ["train", "predict", "evaluate"])
+    @pytest.mark.parametrize(
+        "suffix, damage, line_no",
+        [
+            ("", _break_header, 1),
+            ("", _short_row, 4),
+            ("", _word_value, 3),
+            ("_ids", _keep_49_rows, None),
+        ],
+    )
+    def test_malformed_split_exits_2(
+        self, chain, tmp_path, capsys, stage, suffix, damage, line_no
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(chain / "data", data)
+        split = "train" if stage == "train" else "test"
+        path = data / f"{split}{suffix}.csv"
+        lines = path.read_text().splitlines()
+        damage(lines)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        args = {
+            "train": ["train", "--data", str(data), "--out", str(out), "--trees", "5"],
+            "predict": ["predict", "--model", str(chain / "model"), "--data", str(data),
+                        "--out", str(out)],
+            "evaluate": ["evaluate", "--predictions", str(chain / "predictions.csv"),
+                         "--data", str(data), "--out", str(out)],
+        }[stage]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}")
+        if line_no is None:
+            assert "has 49 rows" in err
+        else:
+            assert f"line {line_no}:" in err
+        assert not out.exists()
+
+
 class TestEvaluatePerfectPredictions:
     def test_ideal_value_reported(self, tmp_path, chain):
         # predictions copied from ground truth labels

@@ -1,27 +1,29 @@
+import io
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from failcast.errors import InsufficientDataError, ZeroVarianceError
+from failcast.errors import FailcastError, InsufficientDataError, ParseError, ZeroVarianceError
 from failcast.features import (
     DatasetConfig,
     FeatureConfig,
     PacfResult,
     build_dataset,
-    build_instance,
-    buildable_mask,
     pacf,
+    read_dataset_csv,
+    read_ids_csv,
     significant_lag_histogram,
     to_arrays,
     write_dataset_csv,
-    read_dataset_csv,
+    write_ids_csv,
 )
-from failcast.ingestion import MachineSeries
-from failcast.labeling import LabelTrack
+from failcast.ingestion import IntervalSeries
+from failcast.labeling import LabelTracks
 from failcast.trace_model import FailureType, ResourceKind
 
-from oracles import ols_last_coefficient
+from oracles import build_instance, ols_last_coefficient
 
 
 def ar1(n, phi, seed, scale=1.0):
@@ -126,71 +128,67 @@ class TestFeatureLayout:
             cfg.describe(72)
 
 
-def _series_and_track(T=30, machine=1, seed=0):
+def _fleet(T=30, machines=1, seed=0):
+    """An IntervalSeries of fully present machines 0..machines-1, and empty tracks."""
     rng = np.random.default_rng(seed)
-    avg = rng.random((T, 6)) * 0.5
-    peak = avg + rng.random((T, 6)) * 0.3
-    series = MachineSeries(
-        machine_id=machine, avg=avg, peak=peak, present=np.ones(T, dtype=bool)
+    avg = rng.random((machines, T, 6)) * 0.5
+    peak = avg + rng.random((machines, T, 6)) * 0.3
+    ids = np.arange(machines, dtype=np.int64)
+    series = IntervalSeries(ids, avg, peak, np.ones((machines, T), dtype=bool))
+    tracks = LabelTracks(
+        ids, np.zeros((machines, T), dtype=np.int8), np.zeros((machines, T), dtype=bool)
     )
-    track = LabelTrack(
-        machine_id=machine,
-        y=np.zeros(T, dtype=np.int8),
-        downtime=np.zeros(T, dtype=bool),
-    )
-    return series, track
+    return series, tracks
 
 
 class TestBuildInstance:
+    """The one-window oracle that build_dataset is checked against."""
+
     def test_full_window_packs_by_layout(self):
-        series, track = _series_and_track()
-        track.y[10] = 1
+        series, tracks = _fleet()
+        tracks.y[0, 10] = 1
         cfg = FeatureConfig()
-        inst = build_instance(series, track, 10, cfg)
+        inst = build_instance(series, tracks, 0, 10, cfg)
         assert inst is not None
         assert inst.y == FailureType.IMMEDIATE_REBOOT
         assert inst.x.shape == (72,)
         for lag in range(1, 7):
             for r in range(6):
-                assert inst.x[cfg.index("avg", r, lag)] == series.avg[10 - lag, r]
-                assert inst.x[cfg.index("peak", r, lag)] == series.peak[10 - lag, r]
+                assert inst.x[cfg.index("avg", r, lag)] == series.avg[0, 10 - lag, r]
+                assert inst.x[cfg.index("peak", r, lag)] == series.peak[0, 10 - lag, r]
 
     def test_downtime_in_window_blocks_instance(self):
-        series, track = _series_and_track()
-        track.downtime[7] = True
-        assert build_instance(series, track, 10, FeatureConfig()) is None
+        series, tracks = _fleet()
+        tracks.downtime[0, 7] = True
+        assert build_instance(series, tracks, 0, 10, FeatureConfig()) is None
 
     def test_absent_interval_blocks_instance(self):
-        series, track = _series_and_track()
-        present = series.present.copy()
-        present[9] = False
-        series = MachineSeries(series.machine_id, series.avg, series.peak, present)
-        assert build_instance(series, track, 10, FeatureConfig()) is None
+        series, tracks = _fleet()
+        series.present[0, 9] = False
+        assert build_instance(series, tracks, 0, 10, FeatureConfig()) is None
 
     def test_window_underflow_returns_none(self):
-        series, track = _series_and_track()
-        assert build_instance(series, track, 5, FeatureConfig()) is None
+        series, tracks = _fleet()
+        assert build_instance(series, tracks, 0, 5, FeatureConfig()) is None
 
     def test_buildable_mask_matches_instance_construction(self):
-        series, track = _series_and_track(T=40, seed=3)
-        track.downtime[12] = True
-        present = series.present.copy()
-        present[25] = False
-        series = MachineSeries(series.machine_id, series.avg, series.peak, present)
-        mask = buildable_mask(series, track, 6)
+        series, tracks = _fleet(T=40, seed=3)
+        tracks.downtime[0, 12] = True
+        series.present[0, 25] = False
+        dcfg = DatasetConfig(normal_sample_count=40, train_fraction=0.5)
+        train, test = build_dataset(series, tracks, FeatureConfig(), dcfg)
+        built = {inst.interval for inst in train + test}
         for tau in range(40):
-            assert mask[tau] == (build_instance(series, track, tau, FeatureConfig()) is not None)
+            assert (tau in built) == (
+                build_instance(series, tracks, 0, tau, FeatureConfig()) is not None
+            )
 
 
 class TestBuildDataset:
     def _population(self, n_machines=5, T=120, failures_per_machine=2, seed=0):
-        series, tracks = {}, {}
-        for m in range(n_machines):
-            s, t = _series_and_track(T=T, machine=m, seed=seed + m)
-            for j in range(failures_per_machine):
-                t.y[20 + 30 * j] = 1 + (j % 2)
-            series[m] = s
-            tracks[m] = t
+        series, tracks = _fleet(T=T, machines=n_machines, seed=seed)
+        for j in range(failures_per_machine):
+            tracks.y[:, 20 + 30 * j] = 1 + (j % 2)
         return series, tracks
 
     def test_stratified_split_counts(self):
@@ -231,9 +229,7 @@ class TestBuildDataset:
         assert 0 < len(normals) < 10_000
 
     def test_zero_failures_warns_and_yields_normals_only(self, caplog):
-        series, tracks = {}, {}
-        s, t = _series_and_track(T=60)
-        series[1], tracks[1] = s, t
+        series, tracks = _fleet(T=60)
         with caplog.at_level(logging.WARNING):
             train, test = build_dataset(
                 series, tracks, FeatureConfig(), DatasetConfig(normal_sample_count=20)
@@ -243,21 +239,86 @@ class TestBuildDataset:
 
     def test_no_instance_draws_from_downtime_or_absent(self):
         series, tracks = self._population(n_machines=3, T=80, seed=5)
-        for m in series:
-            tracks[m].downtime[40:46] = True
+        tracks.downtime[:, 40:46] = True
+        series.present[1, 60] = False
         dcfg = DatasetConfig(normal_sample_count=30, rng_seed=2)
         train, test = build_dataset(series, tracks, FeatureConfig(), dcfg)
         for inst in train + test:
-            window = range(inst.interval - 6, inst.interval)
-            assert all(not tracks[inst.machine_id].downtime[t] for t in window)
-            assert all(series[inst.machine_id].present[t] for t in window)
+            window = slice(inst.interval - 6, inst.interval)
+            assert not tracks.downtime[inst.machine_id, window].any()
+            assert series.present[inst.machine_id, window].all()
+
+    def test_tracks_must_name_series_machines_and_intervals(self):
+        series, tracks = _fleet(machines=2)
+        for s, t in (
+            (series.select(np.array([True, False])), tracks),
+            (series, LabelTracks(tracks.machine_ids, tracks.y[:, 1:], tracks.downtime[:, 1:])),
+        ):
+            with pytest.raises(FailcastError):
+                build_dataset(s, t, FeatureConfig(), DatasetConfig())
+
+    @given(st.data())
+    def test_every_instance_is_the_oracle_window(self, data):
+        """Every returned instance equals the one-window oracle's.
+
+        Fleets have gaps, downtime, labels, and machines excluded from
+        the label tracks but kept in the series, as the CLI stores them.
+        Every failure the oracle accepts is returned, and when the normal
+        sample asks for more than there are, so is every normal it
+        accepts.
+        """
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        M, T = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 30))
+        cfg = FeatureConfig(lags=data.draw(st.integers(1, 4)))
+        ids = np.sort(rng.choice(1000, M, replace=False)).astype(np.int64)
+        present = rng.random((M, T)) >= data.draw(st.sampled_from([0.0, 0.05, 0.3]))
+        avg = np.where(present[..., None], rng.random((M, T, 6)), 0.0)
+        peak = np.where(present[..., None], avg + rng.random((M, T, 6)) * 0.1, 0.0)
+        series = IntervalSeries(ids, avg, peak, present)
+        kept = series.select(rng.random(M) >= 0.3)
+        y = rng.choice(4, size=present.shape, p=[0.85, 0.05, 0.05, 0.05])
+        downtime = rng.random(present.shape) < 0.1
+        in_kept = np.isin(ids, kept.machine_ids)
+        tracks = LabelTracks(kept.machine_ids, y[in_kept].astype(np.int8), downtime[in_kept])
+        take_all = data.draw(st.booleans())
+        dcfg = DatasetConfig(
+            normal_sample_count=10**6 if take_all else data.draw(st.integers(0, 20)),
+            rng_seed=data.draw(st.integers(0, 99)),
+            train_fraction=0.5,
+        )
+
+        train, test = build_dataset(series, tracks, cfg, dcfg)
+
+        row_of = {m: i for i, m in enumerate(kept.machine_ids.tolist())}
+        got = set()
+        for inst in train + test:
+            want = build_instance(kept, tracks, row_of[inst.machine_id], inst.interval, cfg)
+            assert want is not None
+            assert (inst.y, inst.machine_id, inst.interval) == (
+                want.y, want.machine_id, want.interval
+            )
+            assert inst.x.tobytes() == want.x.tobytes()
+            got.add((inst.machine_id, inst.interval))
+        assert len(got) == len(train) + len(test)
+        accepted = {
+            (m, tau): inst.y
+            for row, m in enumerate(kept.machine_ids.tolist())
+            for tau in range(T)
+            if (inst := build_instance(kept, tracks, row, tau, cfg)) is not None
+        }
+        failures = {cell for cell, cls in accepted.items() if cls != FailureType.NORMAL}
+        assert failures <= got
+        n_normals = len(accepted) - len(failures)
+        assert len(got) == len(failures) + min(n_normals, dcfg.normal_sample_count)
+        if take_all:
+            assert got == accepted.keys()
 
 
 def test_dataset_csv_round_trip(tmp_path):
-    series, track = _series_and_track()
-    track.y[10] = 2
+    series, tracks = _fleet()
+    tracks.y[0, 10] = 2
     cfg = FeatureConfig()
-    instances = [build_instance(series, track, tau, cfg) for tau in (8, 10, 12)]
+    instances = [build_instance(series, tracks, 0, tau, cfg) for tau in (8, 10, 12)]
     path = tmp_path / "dataset.csv"
     with open(path, "w") as f:
         write_dataset_csv(instances, f, cfg.dim)
@@ -266,3 +327,38 @@ def test_dataset_csv_round_trip(tmp_path):
     assert y.tolist() == [0, 2, 0]
     for inst, row in zip(instances, X):
         assert np.array_equal(inst.x, row)  # repr round-trips exactly
+
+
+@pytest.mark.parametrize(
+    "lines, line_no",
+    [
+        (["y,f1,f0", "0,1.0,2.0"], 1),
+        (["", "x,f0"], 2),
+        ([], 1),
+        (["y,f0,f1", "0,1.0,2.0", "1,1.0"], 3),
+        (["y,f0,f1", "0,1.0,2.0,3.0"], 2),
+        (["y,f0,f1", "0,1.0,abc"], 2),
+        (["y,f0,f1", "", "1.5,1.0,2.0"], 3),
+        (["y,f0,f1", "7,1.0,2.0"], 2),
+    ],
+)
+def test_malformed_dataset_reports_line(lines, line_no):
+    with pytest.raises(ParseError) as err:
+        read_dataset_csv(lines)
+    assert err.value.line_no == line_no
+
+
+def test_ids_csv_round_trip_and_malformed_lines():
+    series, tracks = _fleet(machines=2)
+    instances = [build_instance(series, tracks, row, 9, FeatureConfig()) for row in (0, 1)]
+    buf = io.StringIO()
+    write_ids_csv(instances, buf)
+    assert read_ids_csv(buf.getvalue().splitlines()) == [(0, 9), (1, 9)]
+    for lines, line_no in (
+        (["machine,interval"], 1),
+        (["machine_id,interval", "1,2,3"], 2),
+        (["machine_id,interval", "1,x"], 2),
+    ):
+        with pytest.raises(ParseError) as err:
+            read_ids_csv(lines)
+        assert err.value.line_no == line_no

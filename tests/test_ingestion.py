@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from failcast.errors import ParseError
+from failcast.errors import FailcastError, ParseError
 from failcast.ingestion import (
     MACHINE_EVENTS_HEADER,
     USAGE_HEADER,
@@ -208,11 +208,11 @@ def _horizon(table):
 class TestAggregateIntervals:
     def test_single_record_covering_one_bin(self):
         rec = _rec(1, 900, 1200, means=[0.4, 0, 0, 0, 0, 0])
-        out = aggregate_intervals(_table(rec), horizon_us=4 * INTERVAL_US)
-        s = out[1]
-        assert s.present.tolist() == [False, False, False, True]
-        assert s.avg[3, 0] == pytest.approx(0.4)
-        assert not s.avg[:3].any()
+        s = aggregate_intervals(_table(rec), horizon_us=4 * INTERVAL_US)
+        assert s.machine_ids.tolist() == [1]
+        assert s.present.tolist() == [[False, False, False, True]]
+        assert s.avg[0, 3, 0] == pytest.approx(0.4)
+        assert not s.avg[0, :3].any()
 
     def test_two_half_bin_records_weighted_equally(self):
         recs = _table(
@@ -220,18 +220,17 @@ class TestAggregateIntervals:
             _rec(1, 150, 300, means=[0.6, 0, 0, 0, 0, 0]),
         )
         out = aggregate_intervals(recs, horizon_us=INTERVAL_US)
-        assert out[1].avg[0, 0] == pytest.approx(0.4, abs=1e-12)
+        assert out.avg[0, 0, 0] == pytest.approx(0.4, abs=1e-12)
 
     def test_spanning_record_peak_lands_in_both_bins(self):
         rec = (1, 1 * INTERVAL_US + 10, 3 * INTERVAL_US - 10, (0.0,) * 6, (0, 0, 0, 0.9, 0, 0))
-        out = aggregate_intervals(_table(rec), horizon_us=3 * INTERVAL_US)
-        s = out[1]
-        assert s.peak[1, 3] == 0.9
-        assert s.peak[2, 3] == 0.9
-        assert not s.present[0]
+        s = aggregate_intervals(_table(rec), horizon_us=3 * INTERVAL_US)
+        assert s.peak[0, 1, 3] == 0.9
+        assert s.peak[0, 2, 3] == 0.9
+        assert not s.present[0, 0]
 
     def test_horizon_shorter_than_data_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FailcastError):
             aggregate_intervals(_table(_rec(1, 0, 600)), horizon_us=INTERVAL_US)
 
     def test_avg_never_exceeds_peak(self):
@@ -244,9 +243,9 @@ class TestAggregateIntervals:
             end = start + int(rng.integers(1, 2000)) * SEC
             recs.append((int(rng.integers(0, 3)), start, end, means, peaks))
         table = _table(*recs)
-        for s in aggregate_intervals(table, _horizon(table)).values():
-            assert np.all(s.avg <= s.peak + 1e-15)
-            assert np.all(s.avg[~s.present] == 0.0)
+        s = aggregate_intervals(table, _horizon(table))
+        assert np.all(s.avg <= s.peak + 1e-15)
+        assert np.all(s.avg[~s.present] == 0.0)
 
     @given(st.permutations(list(range(8))))
     def test_order_independent_bit_identical(self, order):
@@ -260,11 +259,8 @@ class TestAggregateIntervals:
         table = _table(*recs)
         base = aggregate_intervals(table, _horizon(table))
         shuffled = aggregate_intervals(_table(*(recs[i] for i in order)), _horizon(table))
-        assert base.keys() == shuffled.keys()
-        for m in base:
-            assert np.array_equal(base[m].avg, shuffled[m].avg)
-            assert np.array_equal(base[m].peak, shuffled[m].peak)
-            assert np.array_equal(base[m].present, shuffled[m].present)
+        for name in ("machine_ids", "avg", "peak", "present"):
+            assert np.array_equal(getattr(base, name), getattr(shuffled, name))
 
     def test_presence_time_bounded_by_record_coverage(self):
         rng = np.random.default_rng(3)
@@ -274,12 +270,15 @@ class TestAggregateIntervals:
             recs.append(_rec(int(rng.integers(0, 4)), start // SEC, start // SEC + int(rng.integers(1, 700))))
         table = _table(*recs)
         out = aggregate_intervals(table, _horizon(table))
-        present_time = sum(int(s.present.sum()) * INTERVAL_US for s in out.values())
+        present_time = int(out.present.sum()) * INTERVAL_US
         covered = int((table.end_us - table.start_us).sum())
         assert present_time <= covered + len(recs) * INTERVAL_US
 
     def test_empty_table_gives_no_series(self):
-        assert aggregate_intervals(_table(), horizon_us=INTERVAL_US) == {}
+        s = aggregate_intervals(_table(), horizon_us=2 * INTERVAL_US)
+        assert len(s) == 0
+        assert s.avg.shape == s.peak.shape == (0, 2, 6)
+        assert s.present.shape == (0, 2)
 
     @given(st.data())
     def test_matches_record_by_record_oracle(self, data):
@@ -317,8 +316,9 @@ class TestAggregateIntervals:
         horizon = _horizon(table) + data.draw(st.integers(0, 2)) * INTERVAL_US
         got = aggregate_intervals(shuffled, horizon)
         want = reference_aggregate(table, horizon, INTERVAL_US)
-        assert list(got) == sorted(want)
-        for m, (avg, peak, present) in want.items():
-            assert got[m].avg.tobytes() == avg.tobytes()
-            assert got[m].peak.tobytes() == peak.tobytes()
-            assert got[m].present.tobytes() == present.tobytes()
+        assert got.machine_ids.tolist() == sorted(want)
+        for i, m in enumerate(got.machine_ids.tolist()):
+            avg, peak, present = want[m]
+            assert got.avg[i].tobytes() == avg.tobytes()
+            assert got.peak[i].tobytes() == peak.tobytes()
+            assert got.present[i].tobytes() == present.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from failcast.ingestion import MachineSeries
+from failcast.ingestion import IntervalSeries
 from failcast.labeling import (
     LabelingConfig,
     build_label_tracks,
@@ -133,13 +133,11 @@ class TestPairFailures:
             assert f.ftype != FailureType.NORMAL
 
 
-def _series(machine_id, avg, peak=None, present=None):
-    avg = np.asarray(avg, dtype=float)
-    peak = avg if peak is None else np.asarray(peak, dtype=float)
-    present = (
-        np.ones(len(avg), dtype=bool) if present is None else np.asarray(present)
-    )
-    return MachineSeries(machine_id=machine_id, avg=avg, peak=peak, present=present)
+def _series(machine_id, avg):
+    """A one-machine IntervalSeries, present everywhere, with peak equal to avg."""
+    avg = np.asarray(avg, dtype=float)[None]
+    present = np.ones(avg.shape[:2], dtype=bool)
+    return IntervalSeries(np.array([machine_id], dtype=np.int64), avg, avg, present)
 
 
 def _zero_series(machine_id, n=20):
@@ -162,22 +160,22 @@ def _failures(machine_id, count):
 
 class TestDetectDegenerate:
     def test_all_zero_high_failure_machine_excluded(self):
-        series = {9: _zero_series(9, 400)}
+        series = _zero_series(9, 400)
         flagged = detect_degenerate_machines(series, _failures(9, 165), CFG)
         assert flagged == {9}
 
     def test_nonzero_usage_retains_machine(self):
         avg = np.zeros((400, 6))
         avg[3, 0] = 0.2
-        series = {9: _series(9, avg)}
+        series = _series(9, avg)
         assert detect_degenerate_machines(series, _failures(9, 165), CFG) == set()
 
     def test_low_failure_count_retains_machine(self):
-        series = {9: _zero_series(9)}
+        series = _zero_series(9)
         assert detect_degenerate_machines(series, _failures(9, 2), CFG) == set()
 
     def test_exactly_threshold_not_excluded(self):
-        series = {9: _zero_series(9, 300)}
+        series = _zero_series(9, 300)
         assert detect_degenerate_machines(series, _failures(9, 100), CFG) == set()
 
 
@@ -187,43 +185,58 @@ class TestBuildLabelTracks:
         failures = pair_failures(
             [ev(1, 16 * MIN, REMOVE), ev(1, 26 * MIN, ADD)], CFG
         ).failures
-        series = {1: _zero_series(1, 10)}
-        track = build_label_tracks(failures, series, CFG)[1]
-        assert track.y[3] == int(FailureType.IMMEDIATE_REBOOT)
-        assert track.downtime.tolist() == [False] * 4 + [True] + [False] * 5
+        series = _zero_series(1, 10)
+        tracks = build_label_tracks(failures, series, CFG)
+        assert tracks.y[0, 3] == int(FailureType.IMMEDIATE_REBOOT)
+        assert tracks.downtime[0].tolist() == [False] * 4 + [True] + [False] * 5
 
     def test_no_failures_all_normal(self):
-        series = {1: _zero_series(1, 10)}
-        track = build_label_tracks([], series, CFG)[1]
-        assert not track.y.any()
-        assert not track.downtime.any()
+        series = _zero_series(1, 10)
+        tracks = build_label_tracks([], series, CFG)
+        assert not tracks.y.any()
+        assert not tracks.downtime.any()
 
     def test_permanent_failure_flags_rest_of_trace(self):
         failures = pair_failures([ev(1, 10 * INTERVAL_US + 7, REMOVE)], CFG).failures
-        series = {1: _zero_series(1, 20)}
-        track = build_label_tracks(failures, series, CFG)[1]
-        assert track.y[10] == int(FailureType.FORCIBLE_DECOMMISSION)
-        assert track.downtime[:11].sum() == 0
-        assert track.downtime[11:].all()
+        series = _zero_series(1, 20)
+        tracks = build_label_tracks(failures, series, CFG)
+        assert tracks.y[0, 10] == int(FailureType.FORCIBLE_DECOMMISSION)
+        assert tracks.downtime[0, :11].sum() == 0
+        assert tracks.downtime[0, 11:].all()
 
     def test_partial_trailing_interval_not_flagged(self):
         # add at 26 min: interval 5 spans 25..30 min, not fully inside downtime
         failures = pair_failures(
             [ev(1, 16 * MIN, REMOVE), ev(1, 26 * MIN, ADD)], CFG
         ).failures
-        series = {1: _zero_series(1, 10)}
-        track = build_label_tracks(failures, series, CFG)[1]
-        assert not track.downtime[5]
+        series = _zero_series(1, 10)
+        tracks = build_label_tracks(failures, series, CFG)
+        assert not tracks.downtime[0, 5]
 
     def test_no_interval_is_both_normal_and_labeled(self):
         failures = pair_failures(
             [ev(1, 16 * MIN, REMOVE), ev(1, 120 * MIN, ADD)], CFG
         ).failures
-        series = {1: _zero_series(1, 40)}
-        track = build_label_tracks(failures, series, CFG)[1]
-        labeled = np.nonzero(track.y)[0]
+        series = _zero_series(1, 40)
+        tracks = build_label_tracks(failures, series, CFG)
+        labeled = np.nonzero(tracks.y[0])[0]
         assert len(labeled) == 1
-        assert not track.downtime[labeled[0]]
+        assert not tracks.downtime[0, labeled[0]]
+
+
+def test_rows_follow_machine_ids_in_a_fleet():
+    # machine 5 fails often but has no series; machine 9 is row 1 of the fleet
+    avg = np.zeros((2, 40, 6))
+    avg[0, :, 0] = 0.3
+    series = IntervalSeries(
+        np.array([3, 9], dtype=np.int64), avg, avg, np.ones((2, 40), dtype=bool)
+    )
+    failures = _failures(5, 101) + _failures(9, 1)
+    assert detect_degenerate_machines(series, failures, CFG) == {5}
+    tracks = build_label_tracks(failures, series, CFG)
+    assert tracks.machine_ids.tolist() == [3, 9]
+    assert not tracks.y[0].any() and not tracks.downtime.any()
+    assert np.nonzero(tracks.y[1])[0].tolist() == [7]
 
 
 def test_failures_csv_round_trip():

@@ -7,6 +7,8 @@ from failcast.labeling import LabelingConfig
 from failcast.synth import SynthConfig, _draw_duration, generate
 from failcast.trace_model import INTERVAL_US, FailureType
 
+from oracles import build_instance
+
 SMALL = SynthConfig(
     machines=60, horizon_days=2.0, degenerate_machines=2, rng_seed=5
 )
@@ -47,7 +49,7 @@ def test_round_trip_through_ingestion_without_clamps(ingested):
     events, table, stats, series = ingested
     assert stats.values_clamped == 0
     assert stats.rows_affected == 0
-    assert len(table) == sum(int(s.present.sum()) for s in series.values())
+    assert len(table) == int(series.present.sum())
     assert len(series) == SMALL.machines
     assert len(events) > 0
 
@@ -74,11 +76,11 @@ def test_truth_labels_match_labeling_pipeline(small_trace, ingested):
         m, tau, y = (int(v) for v in line.split(","))
         truth[(m, tau)] = y
     assert truth, "truth file must list failures"
-    for (m, tau), y in truth.items():
-        assert tracks[m].y[tau] == y
-    for m, track in tracks.items():
-        for tau in np.nonzero(track.y)[0]:
-            assert (m, int(tau)) in truth
+    labeled = {
+        (int(tracks.machine_ids[row]), int(tau)): int(tracks.y[row, tau])
+        for row, tau in zip(*np.nonzero(tracks.y))
+    }
+    assert labeled == truth
 
 
 def test_failure_duration_mixture_has_expected_modes():
@@ -113,8 +115,7 @@ def test_fd_mass_present_over_many_draws():
 
 def test_pacf_significant_lags_concentrate_in_window(ingested):
     _, _, _, series = ingested
-    kept = {m: s for m, s in series.items() if m < 58}
-    results = features.pacf_by_machine(kept, max_lag=10)
+    results = features.pacf_by_machine(series.select(series.machine_ids < 58), max_lag=10)
     hist = features.significant_lag_histogram(results)
     total = sum(hist.values())
     within = sum(c for lag, c in hist.items() if lag <= 6)
@@ -126,15 +127,14 @@ def test_failures_leave_clean_feature_windows(ingested):
     events, _, _, series = ingested
     cfg = LabelingConfig(trace_end_us=SMALL.horizon_us)
     pairing = labeling.pair_failures(events, cfg)
-    kept = {m: s for m, s in series.items() if m < 58}
+    kept = series.select(series.machine_ids < 58)
     failures = [f for f in pairing.failures if f.machine_id < 58]
     tracks = labeling.build_label_tracks(failures, kept, cfg)
     built = missing = 0
     for f in failures:
         tau = f.remove_us // INTERVAL_US
-        inst = features.build_instance(
-            kept[f.machine_id], tracks[f.machine_id], tau, features.FeatureConfig()
-        )
+        row = int(np.searchsorted(kept.machine_ids, f.machine_id))
+        inst = build_instance(kept, tracks, row, tau, features.FeatureConfig())
         if inst is None:
             missing += 1
         else:
