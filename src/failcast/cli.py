@@ -11,7 +11,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -250,20 +250,17 @@ def _read(path: Path, reader):
         raise FailcastError(f"{path}: {exc}") from None
 
 
-def _load_instances(data_dir: Path, name: str) -> list[Instance]:
+def _load_split(data_dir: Path, name: str) -> tuple[np.ndarray, ...]:
+    """(X, y, machine_id, interval) of one dataset split; ids default to (0, row)."""
     path = data_dir / f"{name}.csv"
     X, y = _read(path, features_mod.read_dataset_csv)
     ids_path = data_dir / f"{name}_ids.csv"
-    if ids_path.exists():
-        ids = _read(ids_path, features_mod.read_ids_csv)
-        if len(ids) != len(y):
-            raise FailcastError(f"{ids_path} has {len(ids)} rows but {path} has {len(y)}")
-    else:
-        ids = [(0, i) for i in range(len(y))]
-    return [
-        Instance(y=FailureType(int(yi)), x=xi, machine_id=m, interval=tau)
-        for xi, yi, (m, tau) in zip(X, y, ids)
-    ]
+    if not ids_path.exists():
+        return X, y, np.zeros(len(y), dtype=np.int64), np.arange(len(y))
+    machine_id, interval = _read(ids_path, features_mod.read_ids_csv)
+    if len(machine_id) != len(y):
+        raise FailcastError(f"{ids_path} has {len(machine_id)} rows but {path} has {len(y)}")
+    return X, y, machine_id, interval
 
 
 def _grid_axis(r: _Resolver, name: str, scalar: str, default, cast) -> tuple:
@@ -280,9 +277,12 @@ def _grid_axis(r: _Resolver, name: str, scalar: str, default, cast) -> tuple:
 def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     r = _Resolver(ns, cfg)
     data_dir = _require_file(ns.data)
-    train_set = _load_instances(Path(data_dir), "train")
+    X, y, machine_id, interval = _load_split(Path(data_dir), "train")
+    train_set = [
+        Instance(FailureType(yi), xi, m, tau)
+        for xi, yi, m, tau in zip(X, y.tolist(), machine_id.tolist(), interval.tolist())
+    ]
     seed = r.get("seed", 0)
-    threads = r.get("threads", 1)
 
     gammas = _grid_axis(r, "gammas", "gamma", 1.0 / 72.0, float)
     nus = _grid_axis(r, "nus", "nu", 0.05, float)
@@ -294,7 +294,7 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     base_forest = ForestParams(rng_seed=seed)
 
     (best_gamma, best_nu, best_trees), table = pipeline.grid_search_cv(
-        train_set, grid, seed, base_ocsvm, base_forest, threads=threads
+        train_set, grid, seed, base_ocsvm, base_forest
     )
     model = pipeline.train(
         train_set,
@@ -348,55 +348,57 @@ def _cmd_predict(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     if not ns.data or not ns.out:
         raise FailcastError("predict needs --data and --out unless --stream is set")
     data_dir = Path(_require_file(ns.data))
-    instances = _load_instances(data_dir, ns.split)
-    X, _ = features_mod.to_arrays(instances)
+    X, _, machine_id, interval = _load_split(data_dir, ns.split)
     preds, scores = pipeline.predict_batch(model, X)
     out = Path(ns.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n") as f:
         f.write(PREDICTIONS_HEADER + "\n")
-        for inst, p, s in zip(instances, preds, scores):
-            f.write(f"{inst.machine_id},{inst.interval},{int(p)},{float(s)!r}\n")
-    print(f"wrote {len(instances)} predictions to {out}")
+        for m, tau, p, s in zip(
+            machine_id.tolist(), interval.tolist(), preds.tolist(), scores.tolist()
+        ):
+            f.write(f"{m},{tau},{p},{s!r}\n")
+    print(f"wrote {len(preds)} predictions to {out}")
     return 0
 
 
 # ---------------------------------------------------------------- evaluate
 
 
-def _read_predictions(path: Path) -> dict[tuple[int, int], tuple[int, float]]:
-    out = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), 1):
-        if line_no == 1:
-            if line != PREDICTIONS_HEADER:
-                raise FailcastError(f"unexpected predictions header in {path}")
-            continue
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(line_no, f"expected 4 fields, got {len(parts)}")
-        try:
-            out[(int(parts[0]), int(parts[1]))] = (int(parts[2]), float(parts[3]))
-        except ValueError as exc:
-            raise ParseError(line_no, f"non-numeric field: {exc}") from None
-    return out
+_PREDICTIONS_DTYPE = np.dtype(
+    [(name, np.int64) for name in PREDICTIONS_HEADER.split(",")[:3]] + [("score", np.float64)]
+)
+
+
+def _read_predictions(source: Iterable[str]) -> np.ndarray:
+    """The rows of a predictions file as a structured array."""
+    return ingestion._read_table(
+        source, PREDICTIONS_HEADER, _PREDICTIONS_DTYPE, _prediction_rules
+    )
+
+
+def _prediction_rules(rows: np.ndarray) -> list[ingestion.Rule]:
+    y, score = rows["predicted_y"], rows["score"]
+    return [
+        ((y < 0) | (y >= len(FailureType)), lambda i: f"unknown class {y[i]}"),
+        (~np.isfinite(score), lambda i: f"non-finite score {score[i]}"),
+    ]
 
 
 def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     r = _Resolver(ns, cfg)
-    preds_by_id = _read_predictions(_require_file(ns.predictions))
-    data_dir = Path(_require_file(ns.data))
-    instances = _load_instances(data_dir, ns.split)
-    actuals, preds, scores = [], [], []
-    for inst in instances:
-        key = (inst.machine_id, inst.interval)
-        if key not in preds_by_id:
-            raise FailcastError(f"missing prediction for instance {key}")
-        y, s = preds_by_id[key]
-        actuals.append(int(inst.y))
-        preds.append(y)
-        scores.append(s)
+    with open(_require_file(ns.predictions)) as f:
+        rows = _read_predictions(f)
+    row_of = {
+        key: i for i, key in enumerate(zip(rows["machine_id"].tolist(), rows["interval"].tolist()))
+    }
+    X, y, machine_id, interval = _load_split(Path(_require_file(ns.data)), ns.split)
+    try:
+        at = [row_of[key] for key in zip(machine_id.tolist(), interval.tolist())]
+    except KeyError as exc:
+        raise FailcastError(f"missing prediction for instance {exc.args[0]}") from None
+    preds, scores = rows["predicted_y"][at].tolist(), rows["score"][at].tolist()
+    actuals = y.tolist()
 
     latency = None
     reps = r.get("latency", 0)
@@ -404,7 +406,6 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         if not ns.model:
             raise FailcastError("--latency needs --model to time predictions")
         model = pipeline.load_bundle(_require_file(ns.model))
-        X, _ = features_mod.to_arrays(instances)
         latency = metrics.measure_latency(
             lambda x: pipeline.predict_batch(model, x[None, :]), list(X), reps
         )
@@ -447,7 +448,6 @@ def _cmd_adapt_google(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master rng seed")
-    common.add_argument("--threads", type=int, default=None, help="worker bound")
     common.add_argument("--config", default=None, help="key=value fallback file")
 
     p = argparse.ArgumentParser(

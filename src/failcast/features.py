@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     ZeroVarianceError,
 )
-from .ingestion import IntervalSeries, _lines
+from .ingestion import IntervalSeries, Rule, _lines, _read_table
 from .labeling import LabelTracks
 from .trace_model import N_RESOURCES, FailureType, ResourceKind
 
@@ -318,6 +318,7 @@ def to_arrays(instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
 
 
 IDS_HEADER = "machine_id,interval"
+_IDS_DTYPE = np.dtype([(name, np.int64) for name in IDS_HEADER.split(",")])
 
 
 def _dataset_header(dim: int) -> str:
@@ -333,26 +334,27 @@ def write_dataset_csv(instances: Sequence[Instance], out: TextIO, dim: int) -> N
 def read_dataset_csv(source: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
     """Read a dataset file into an (n, dim) feature matrix and (n,) labels.
 
-    The header must be ``y,f0,...,f{dim-1}``. A row with the wrong field
-    count, a non-numeric value or an unknown class raises ParseError.
+    The header must be ``y,f0,...,f{dim-1}`` with dim >= 1. A row with the
+    wrong field count, a non-numeric or non-finite value or an unknown
+    class raises ParseError.
     """
-    lines = _lines(source)
-    header_no, header = next(lines, (1, ""))
-    n_fields = header.count(",") + 1
-    if header != _dataset_header(n_fields - 1):
+    lines = list(source)
+    header_no, header = next(_lines(lines), (1, ""))
+    dim = header.count(",")
+    if not dim or header != _dataset_header(dim):
         raise ParseError(header_no, "expected dataset header 'y,f0,...'")
-    X_rows, y_rows = [], []
-    for line_no, line in lines:
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise ParseError(line_no, f"expected {n_fields} fields, got {len(parts)}")
-        try:
-            y_rows.append(FailureType(int(parts[0])))
-            X_rows.append([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            raise ParseError(line_no, f"bad field: {exc}") from None
-    X = np.array(X_rows, dtype=float).reshape(len(y_rows), n_fields - 1)
-    return X, np.array(y_rows, dtype=np.int64)
+    dtype = np.dtype([("y", np.int64), ("x", np.float64, (dim,))])
+    rows = _read_table(lines, header, dtype, _dataset_rules)
+    return np.ascontiguousarray(rows["x"]), rows["y"].copy()
+
+
+def _dataset_rules(rows: np.ndarray) -> list[Rule]:
+    y, x = rows["y"], rows["x"]
+    finite = np.isfinite(x)
+    return [
+        ((y < 0) | (y >= len(FailureType)), lambda i: f"unknown class {y[i]}"),
+        (~finite.all(axis=1), lambda i: f"non-finite f{np.argmin(finite[i])}"),
+    ]
 
 
 def write_ids_csv(instances: Sequence[Instance], out: TextIO) -> None:
@@ -361,19 +363,7 @@ def write_ids_csv(instances: Sequence[Instance], out: TextIO) -> None:
         out.write(f"{inst.machine_id},{inst.interval}\n")
 
 
-def read_ids_csv(source: Iterable[str]) -> list[tuple[int, int]]:
-    """Read an ids file into (machine_id, interval) pairs, one per dataset row."""
-    lines = _lines(source)
-    header_no, header = next(lines, (1, ""))
-    if header != IDS_HEADER:
-        raise ParseError(header_no, f"expected ids header '{IDS_HEADER}'")
-    ids = []
-    for line_no, line in lines:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected 2 fields, got {len(parts)}")
-        try:
-            ids.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ParseError(line_no, f"non-integer field: {exc}") from None
-    return ids
+def read_ids_csv(source: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Read an ids file into (machine_id, interval) arrays, one entry per dataset row."""
+    rows = _read_table(source, IDS_HEADER, _IDS_DTYPE)
+    return rows["machine_id"], rows["interval"]

@@ -13,8 +13,10 @@ Input schemas (UTF-8, LF, no quoting):
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -36,8 +38,9 @@ USAGE_HEADER = (
 _USAGE_VALUE_FIELDS = tuple(USAGE_HEADER.split(",")[3:])
 _USAGE_DTYPE = np.dtype(
     [(name, np.int64) for name in USAGE_HEADER.split(",")[:3]]
-    + [(name, np.float64) for name in _USAGE_VALUE_FIELDS]
+    + [("values", np.float64, (len(_USAGE_VALUE_FIELDS),))]
 )
+_EVENTS_DTYPE = np.dtype([(name, np.int64) for name in MACHINE_EVENTS_HEADER.split(",")])
 
 
 @dataclass(frozen=True)
@@ -90,35 +93,81 @@ def _lines(source: Iterable[str], first_line_no: int = 1) -> Iterator[tuple[int,
             yield line_no, line
 
 
+#: A row rule: the mask of the rows that break it, and the message for one of them.
+Rule = tuple[np.ndarray, Callable[[int], str]]
+
+
+def _read_table(
+    source: Iterable[str],
+    header: str,
+    dtype: np.dtype,
+    check: Optional[Callable[[np.ndarray], list[Rule]]] = None,
+) -> np.ndarray:
+    """Read a CSV table with the given header into a structured array of ``dtype``.
+
+    Blank lines are skipped, and an input without a single non-empty line
+    is an empty table. The body is read by one ``np.loadtxt`` call, and
+    ``check(rows)`` gives the rules its rows must keep. A line that is not
+    one row of ``dtype``, or the first row that breaks a rule, raises
+    ParseError with its line number, which is searched for only then.
+    """
+    lines = list(source)
+    numbered = _lines(lines)
+    header_no, first = next(numbered, (0, header))
+    if first != header:
+        raise ParseError(header_no, f"expected header '{header}'")
+    n_rows = sum(1 for _ in numbered)
+    if not n_rows:
+        return np.empty(0, dtype)
+
+    def body() -> Iterator[tuple[int, str]]:
+        return _lines(itertools.islice(lines, header_no, None), header_no + 1)
+
+    try:
+        rows = _loadtxt(itertools.islice(lines, header_no, None), dtype=dtype)
+    except ValueError:
+        rows = None
+    if rows is None or len(rows) != n_rows:
+        for line_no, line in body():
+            try:
+                _loadtxt([line], dtype=dtype)
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc).partition(" at row")[0]) from None
+        # np.loadtxt reads each line on its own, so a body it rejects has a line it rejects alone
+        raise AssertionError("no unreadable line in a rejected table")
+    firsts = [
+        (int(np.argmax(broken)), message)
+        for broken, message in (check(rows) if check else [])
+        if broken.any()
+    ]
+    if firsts:
+        row, message = min(firsts, key=lambda first: first[0])
+        line_no, _ = next(itertools.islice(body(), row, None))
+        raise ParseError(line_no, message(row))
+    return rows
+
+
+_loadtxt = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1)
+
+
 def parse_machine_events(source: Iterable[str]) -> list[MachineEvent]:
     """Parse machine-event rows, returning events sorted by (machine_id, time).
 
-    Update events are kept; downstream pairing ignores them.
+    Update events are kept; downstream pairing ignores them. A malformed
+    row or an unknown event code raises ParseError naming its line.
     """
-    events: list[MachineEvent] = []
-    saw_header = False
-    for line_no, line in _lines(source):
-        if not saw_header:
-            if line != MACHINE_EVENTS_HEADER:
-                raise ParseError(line_no, f"expected header '{MACHINE_EVENTS_HEADER}'")
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(line_no, f"expected 3 fields, got {len(parts)}")
-        try:
-            time_us = int(parts[0])
-            machine_id = int(parts[1])
-            code = int(parts[2])
-        except ValueError as exc:
-            raise ParseError(line_no, f"non-integer field: {exc}") from None
-        try:
-            kind = MachineEventKind(code)
-        except ValueError:
-            raise ParseError(line_no, f"unknown event code {code}") from None
-        events.append(MachineEvent(machine_id, time_us, kind))
-    events.sort(key=lambda e: (e.machine_id, e.time_us, e.kind))
-    return events
+    rows = _read_table(source, MACHINE_EVENTS_HEADER, _EVENTS_DTYPE, _event_rules)
+    rows = rows[np.lexsort((rows["event"], rows["time_us"], rows["machine_id"]))]
+    return [
+        MachineEvent(m, t, MachineEventKind(k))
+        for t, m, k in zip(*(rows[name].tolist() for name in _EVENTS_DTYPE.names))
+    ]
+
+
+def _event_rules(rows: np.ndarray) -> list[Rule]:
+    code = rows["event"]
+    unknown = ~np.isin(code, list(MachineEventKind))
+    return [(unknown, lambda i: f"unknown event code {code[i]}")]
 
 
 def parse_usage_records(source: Iterable[str]) -> tuple[UsageTable, ClampStats]:
@@ -130,27 +179,8 @@ def parse_usage_records(source: Iterable[str]) -> tuple[UsageTable, ClampStats]:
     non-numeric or non-finite value, a negative start or start >= end
     raises ParseError naming its line.
     """
-    lines = list(source)
-    numbered = _lines(lines)
-    # an input without a single non-empty line is an empty table
-    header_no, header = next(numbered, (0, USAGE_HEADER))
-    if header != USAGE_HEADER:
-        raise ParseError(header_no, "unexpected resource_usage header")
-    n_rows = sum(1 for _ in numbered)
-    body = lines[header_no:]
-    try:
-        rows = _load_usage_rows(body) if n_rows else np.empty(0, _USAGE_DTYPE)
-    except ValueError:
-        raise _first_bad_usage_line(body, header_no + 1) from None
-    values = np.stack([rows[name] for name in _USAGE_VALUE_FIELDS], axis=1)
-    if (
-        len(rows) != n_rows
-        or not np.isfinite(values).all()
-        or np.any(rows["start_us"] < 0)
-        or np.any(rows["start_us"] >= rows["end_us"])
-    ):
-        raise _first_bad_usage_line(body, header_no + 1)
-
+    rows = _read_table(source, USAGE_HEADER, _USAGE_DTYPE, _usage_rules)
+    values = rows["values"]
     clamped = (values < 0.0) | (values > 1.0)
     np.clip(values, 0.0, 1.0, out=values)
     mean, peak = values[:, :N_RESOURCES], values[:, N_RESOURCES:]
@@ -160,40 +190,23 @@ def parse_usage_records(source: Iterable[str]) -> tuple[UsageTable, ClampStats]:
     stats = ClampStats(
         values_clamped=int(per_row.sum()), rows_affected=int(np.count_nonzero(per_row))
     )
-    table = UsageTable(
-        machine_id=rows["machine_id"].copy(),
-        start_us=rows["start_us"].copy(),
-        end_us=rows["end_us"].copy(),
-        mean=mean,
-        peak=peak,
-    )
+    table = UsageTable(rows["machine_id"], rows["start_us"], rows["end_us"], mean, peak)
     return table, stats
 
 
-def _load_usage_rows(lines: Iterable[str]) -> np.ndarray:
-    return np.loadtxt(lines, dtype=_USAGE_DTYPE, delimiter=",", comments=None, ndmin=1)
+def _usage_rules(rows: np.ndarray) -> list[Rule]:
+    values, start, end = rows["values"], rows["start_us"], rows["end_us"]
+    finite = np.isfinite(values)
 
+    def non_finite(i: int) -> str:
+        j = int(np.argmin(finite[i]))
+        return f"non-finite {_USAGE_VALUE_FIELDS[j]} {values[i, j]}"
 
-def _first_bad_usage_line(body: list[str], first_line_no: int) -> ParseError:
-    """The ParseError for the first body line that is not one valid usage row."""
-    for line_no, line in _lines(body, first_line_no):
-        parts = line.split(",")
-        if len(parts) != len(_USAGE_DTYPE.names):
-            return ParseError(line_no, f"expected 15 fields, got {len(parts)}")
-        try:
-            (row,) = _load_usage_rows([line])
-        except ValueError as exc:
-            message = str(exc).partition(" at row")[0]
-            return ParseError(line_no, f"non-numeric field: {message}")
-        for name in _USAGE_VALUE_FIELDS:
-            if not np.isfinite(row[name]):
-                return ParseError(line_no, f"non-finite {name} {row[name]!r}")
-        if row["start_us"] < 0:
-            return ParseError(line_no, f"negative start {row['start_us']}")
-        if row["start_us"] >= row["end_us"]:
-            return ParseError(line_no, f"start {row['start_us']} >= end {row['end_us']}")
-    # np.loadtxt reads each line on its own, so a body it rejects has a line it rejects alone
-    raise AssertionError("no bad line in a rejected resource_usage body")
+    return [
+        (~finite.all(axis=1), non_finite),
+        (start < 0, lambda i: f"negative start {start[i]}"),
+        (start >= end, lambda i: f"start {start[i]} >= end {end[i]}"),
+    ]
 
 
 def aggregate_intervals(

@@ -197,22 +197,3 @@ def write_failures_csv(failures: Iterable[FailureEvent], out: TextIO) -> None:
         dur = "" if f.duration_us is None else str(f.duration_us)
         out.write(f"{f.machine_id},{f.remove_us},{add},{dur},{int(f.ftype)}\n")
 
-
-def read_failures_csv(source: Iterable[str]) -> list[FailureEvent]:
-    failures = []
-    for i, raw in enumerate(source):
-        line = raw.strip()
-        if not line or i == 0:
-            if i == 0 and line != FAILURES_HEADER:
-                raise ValueError("unexpected failures header")
-            continue
-        machine_id, remove_us, add_us, _dur, ftype = line.split(",")
-        failures.append(
-            FailureEvent(
-                machine_id=int(machine_id),
-                remove_us=int(remove_us),
-                add_us=int(add_us) if add_us else None,
-                ftype=FailureType(int(ftype)),
-            )
-        )
-    return failures

@@ -13,7 +13,6 @@ import itertools
 import json
 import logging
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -214,7 +213,6 @@ def grid_search_cv(
     rng_seed: int,
     base_ocsvm: Optional[OcsvmParams] = None,
     base_forest: Optional[ForestParams] = None,
-    threads: int = 1,
 ) -> tuple[tuple[float, float, int], list[CvCell]]:
     """Pick (gamma, nu, n_trees) by mean binary F3 over stratified folds.
 
@@ -268,13 +266,7 @@ def grid_search_cv(
             fold_scores.append(metrics_mod.f_beta(p, r))
         return CvCell(gamma=gamma, nu=nu, n_trees=n_trees, fold_f3=fold_scores)
 
-    cells = grid.cells()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            table = list(pool.map(run_cell, cells))
-    else:
-        table = [run_cell(c) for c in cells]
-
+    table = [run_cell(c) for c in grid.cells()]
     best = min(table, key=lambda c: (-c.mean_f3, c.n_trees, -c.nu, c.gamma))
     return (best.gamma, best.nu, best.n_trees), table
 

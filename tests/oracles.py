@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from failcast.features import Instance
-from failcast.trace_model import N_RESOURCES, FailureType
+from failcast.labeling import FAILURES_HEADER
+from failcast.trace_model import N_RESOURCES, FailureEvent, FailureType
 
 
 def ols_last_coefficient(x: np.ndarray, k: int) -> float:
@@ -263,6 +264,27 @@ def build_instance(series, tracks, row: int, tau: int, cfg):
         machine_id=int(series.machine_ids[row]),
         interval=tau,
     )
+
+
+def read_failures_csv(source) -> list[FailureEvent]:
+    """The failures a ``failures.csv`` export lists, split field by field."""
+    failures = []
+    for i, raw in enumerate(source):
+        line = raw.strip()
+        if not line or i == 0:
+            if i == 0 and line != FAILURES_HEADER:
+                raise ValueError("unexpected failures header")
+            continue
+        machine_id, remove_us, add_us, _dur, ftype = line.split(",")
+        failures.append(
+            FailureEvent(
+                machine_id=int(machine_id),
+                remove_us=int(remove_us),
+                add_us=int(add_us) if add_us else None,
+                ftype=FailureType(int(ftype)),
+            )
+        )
+    return failures
 
 
 def auc_pair_counting(scores, labels) -> float:

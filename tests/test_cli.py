@@ -247,6 +247,54 @@ class TestBrokenInputs:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: line {len(lines) + 1}:")
 
+    @pytest.mark.parametrize("bad", ["1_000", "   "], ids=["underscore_int", "blank_spaces"])
+    @pytest.mark.parametrize("stage", ["ingest", "predict", "evaluate"])
+    def test_unreadable_line_exits_2(self, chain, tmp_path, capsys, stage, bad):
+        data = tmp_path / "data"
+        shutil.copytree(chain / "data", data)
+        trace = chain / "trace"
+        path, args = {
+            "ingest": (tmp_path / "machine_events.csv", [
+                "ingest", "--events", str(tmp_path / "machine_events.csv"),
+                "--usage", str(trace / "resource_usage.csv")]),
+            "predict": (data / "test.csv", ["predict", "--model", str(chain / "model"),
+                                            "--data", str(data)]),
+            "evaluate": (tmp_path / "predictions.csv", [
+                "evaluate", "--predictions", str(tmp_path / "predictions.csv"),
+                "--data", str(data)]),
+        }[stage]
+        source = {"ingest": trace / "machine_events.csv", "predict": chain / "data" / "test.csv",
+                  "evaluate": chain / "predictions.csv"}[stage]
+        lines = source.read_text().splitlines()
+        # the first column of each of these tables is an int column
+        lines[2] = bad if bad.isspace() else bad + lines[2][lines[2].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 2
+        named = f"{path}: " if stage == "predict" else ""
+        assert capsys.readouterr().err.startswith(f"error: {named}line 3: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage, name",
+        [("predict", "test_ids.csv"), ("evaluate", "test_ids.csv"),
+         ("evaluate", "predictions.csv")],
+    )
+    def test_empty_ids_or_predictions_file_exits_2(self, chain, tmp_path, capsys, stage, name):
+        data = tmp_path / "data"
+        shutil.copytree(chain / "data", data)
+        preds = tmp_path / "predictions.csv"
+        shutil.copy(chain / "predictions.csv", preds)
+        (tmp_path if name == "predictions.csv" else data).joinpath(name).write_text("")
+        out = tmp_path / "out"
+        args = {
+            "predict": ["predict", "--model", str(chain / "model"), "--data", str(data)],
+            "evaluate": ["evaluate", "--predictions", str(preds), "--data", str(data)],
+        }[stage]
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_ingest_non_finite_usage_exits_2(self, chain, tmp_path, capsys):
         usage = tmp_path / "resource_usage.csv"
         header = (chain / "trace" / "resource_usage.csv").read_text().splitlines()[0]

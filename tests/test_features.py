@@ -353,7 +353,8 @@ def test_ids_csv_round_trip_and_malformed_lines():
     instances = [build_instance(series, tracks, row, 9, FeatureConfig()) for row in (0, 1)]
     buf = io.StringIO()
     write_ids_csv(instances, buf)
-    assert read_ids_csv(buf.getvalue().splitlines()) == [(0, 9), (1, 9)]
+    machine_id, interval = read_ids_csv(buf.getvalue().splitlines())
+    assert machine_id.tolist() == [0, 1] and interval.tolist() == [9, 9]
     for lines, line_no in (
         (["machine,interval"], 1),
         (["machine_id,interval", "1,2,3"], 2),

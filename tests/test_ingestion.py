@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from failcast.cli import PREDICTIONS_HEADER, _read_predictions
 from failcast.errors import FailcastError, ParseError
+from failcast.features import IDS_HEADER, read_dataset_csv, read_ids_csv
 from failcast.ingestion import (
     MACHINE_EVENTS_HEADER,
     USAGE_HEADER,
@@ -124,6 +126,17 @@ class TestParseUsageRecords:
         assert err.value.line_no == 3
         assert USAGE_HEADER.split(",")[column] in str(err.value)
 
+    def test_first_broken_row_is_named_whichever_rule_it_breaks(self):
+        nan_row = _usage_row(0, 100, 7).replace("0.0", "nan", 1)
+        for rows, line_no in (
+            ([nan_row, _usage_row(-1, 100, 7), _usage_row(100, 100, 7)], 2),
+            ([_usage_row(100, 100, 7), _usage_row(-1, 100, 7), nan_row], 2),
+            ([_usage_row(0, 100, 7), _usage_row(-1, 100, 7), nan_row], 3),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_usage_records([USAGE_HEADER, *rows])
+            assert err.value.line_no == line_no
+
     def test_blank_lines_and_no_body(self):
         table, stats = parse_usage_records(["", USAGE_HEADER, ""])
         assert len(table) == 0 and stats.values_clamped == 0
@@ -176,6 +189,66 @@ class TestParseUsageRecords:
         with pytest.raises(ParseError) as err:
             parse_usage_records(lines)
         assert err.value.line_no == line_nos[k]
+
+
+# reader, header, row i as values, int columns, (class column, class count) or None
+TABLES = {
+    "events": (
+        parse_machine_events, MACHINE_EVENTS_HEADER, lambda i: [i * 10, i % 3, i % 3],
+        (0, 1, 2), (2, 3),
+    ),
+    "dataset": (read_dataset_csv, "y,f0,f1", lambda i: [i % 4, 0.25, i / 2], (0,), (0, 4)),
+    "ids": (read_ids_csv, IDS_HEADER, lambda i: [i % 3, i], (0, 1), None),
+    "predictions": (
+        _read_predictions, PREDICTIONS_HEADER, lambda i: [i % 3, i, i % 4, 0.5],
+        (0, 1, 2), (2, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=6), st.data())
+def test_corrupt_line_reports_its_number_in_every_table(table, blanks_before, data):
+    """One corrupted row among valid ones is named by its line number, in every table."""
+    reader, header, row, int_cols, classes = TABLES[table]
+    lines = [header]
+    line_nos = []
+    for i, blanks in enumerate(blanks_before):
+        lines.extend([""] * blanks)
+        lines.append(",".join(str(v) for v in row(i)))
+        line_nos.append(len(lines))
+    reader(lines)  # the uncorrupted table reads
+    n_fields = header.count(",") + 1
+    float_cols = [c for c in range(n_fields) if c not in int_cols]
+    kinds = ["drop", "extra", "word", "float_int", "huge_int", "underscore_int", "whitespace"]
+    kinds += ["class"] * bool(classes) + ["nan", "inf"] * bool(float_cols)
+    kind = data.draw(st.sampled_from(kinds))
+    k = data.draw(st.integers(0, len(line_nos) - 1))
+    fields = lines[line_nos[k] - 1].split(",")
+    int_col = data.draw(st.sampled_from(int_cols))
+    if kind == "drop":
+        fields.pop(data.draw(st.integers(0, n_fields - 1)))
+    elif kind == "extra":
+        fields.append("0.5")
+    elif kind == "word":
+        fields[data.draw(st.integers(0, n_fields - 1))] = "zebra"
+    elif kind == "float_int":
+        fields[int_col] = "1.5"
+    elif kind == "huge_int":
+        fields[int_col] = str(2**63)
+    elif kind == "underscore_int":
+        fields[int_col] = "1_000"
+    elif kind == "whitespace":
+        fields = ["  "]
+    elif kind == "class":
+        col, count = classes
+        fields[col] = str(data.draw(st.sampled_from([-1, count, count + 5])))
+    else:
+        fields[data.draw(st.sampled_from(float_cols))] = kind
+    lines[line_nos[k] - 1] = ",".join(fields)
+    with pytest.raises(ParseError) as err:
+        reader(lines)
+    assert err.value.line_no == line_nos[k]
 
 
 def _table(*recs):

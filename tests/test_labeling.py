@@ -11,7 +11,6 @@ from failcast.labeling import (
     categorize,
     detect_degenerate_machines,
     pair_failures,
-    read_failures_csv,
     write_failures_csv,
 )
 from failcast.trace_model import (
@@ -20,6 +19,7 @@ from failcast.trace_model import (
     MachineEvent,
     MachineEventKind,
 )
+from oracles import read_failures_csv
 
 SEC = 1_000_000
 MIN = 60 * SEC

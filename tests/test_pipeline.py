@@ -259,13 +259,6 @@ class TestGridSearch:
         assert best_a == best_b
         assert [c.fold_f3 for c in table_a] == [c.fold_f3 for c in table_b]
 
-    def test_threads_do_not_change_results(self):
-        instances = make_instances(n_normal=120, n_fail=30)
-        grid = GridSpec(gammas=(1.0, 0.3), nus=(0.1,), tree_counts=(5,), folds=2)
-        _, table_a = pipeline.grid_search_cv(instances, grid, rng_seed=3, threads=1)
-        _, table_b = pipeline.grid_search_cv(instances, grid, rng_seed=3, threads=4)
-        assert [c.fold_f3 for c in table_a] == [c.fold_f3 for c in table_b]
-
     @pytest.mark.parametrize(
         "axes",
         [
