@@ -12,21 +12,13 @@ from .labeling import LabelingConfig, LabelTracks
 from .ocsvm import OcsvmModel, OcsvmParams
 from .pipeline import CascadeModel, GridSpec
 from .synth import SynthConfig
-from .trace_model import (
-    INTERVAL_US,
-    FailureEvent,
-    FailureType,
-    MachineEvent,
-    MachineEventKind,
-    ResourceKind,
-)
+from .trace_model import INTERVAL_US, FailureType, MachineEventKind, ResourceKind
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CascadeModel",
     "DatasetConfig",
-    "FailureEvent",
     "FailureType",
     "FeatureConfig",
     "ForestModel",
@@ -37,7 +29,6 @@ __all__ = [
     "IntervalSeries",
     "LabelTracks",
     "LabelingConfig",
-    "MachineEvent",
     "MachineEventKind",
     "OcsvmModel",
     "OcsvmParams",

@@ -11,7 +11,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     horizon = r.get("horizon_us", 0, int)
     if not horizon:
         max_end = int(table.end_us.max(initial=0))
-        max_event = max((e.time_us + 1 for e in events), default=0)
+        max_event = int(events["time_us"].max(initial=-1)) + 1
         horizon = -(-max(max_end, max_event) // interval_us) * interval_us
     series = ingestion.aggregate_intervals(table, horizon, interval_us)
     store.save_interval_store(
@@ -152,11 +152,12 @@ def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         degenerate_min_failures=r.get("degenerate_min_failures", 100),
         trace_end_us=meta["horizon_us"],
     )
-    pairing = labeling.pair_failures(events, lcfg)
-    excluded = labeling.detect_degenerate_machines(series, pairing.failures, lcfg)
-    kept_failures = [f for f in pairing.failures if f.machine_id not in excluded]
-    tracks = labeling.build_label_tracks(kept_failures, series, lcfg, meta["interval_us"])
+    failures, dropped = labeling.pair_failures(events, lcfg)
+    excluded = labeling.detect_degenerate_machines(series, failures, lcfg)
+    failures = failures[~np.isin(failures["machine_id"], sorted(excluded))]
+    tracks = labeling.build_label_tracks(failures, series, lcfg, meta["interval_us"])
     tracks = tracks.select(~np.isin(tracks.machine_ids, sorted(excluded)))
+    ir, sr, fd = np.bincount(failures["type"], minlength=len(FailureType)).tolist()[1:]
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     store.save_label_store(
@@ -164,21 +165,15 @@ def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         out_dir,
         excluded,
         extra_meta={
-            "failures": len(kept_failures),
-            "dropped_removes": pairing.dropped_removes,
-            "class_counts": {
-                "ir": sum(f.ftype == FailureType.IMMEDIATE_REBOOT for f in kept_failures),
-                "sr": sum(f.ftype == FailureType.SLOW_REBOOT for f in kept_failures),
-                "fd": sum(
-                    f.ftype == FailureType.FORCIBLE_DECOMMISSION for f in kept_failures
-                ),
-            },
+            "failures": len(failures),
+            "dropped_removes": dropped,
+            "class_counts": {"ir": ir, "sr": sr, "fd": fd},
         },
     )
     with open(out_dir / "failures.csv", "w", newline="\n") as f:
-        labeling.write_failures_csv(kept_failures, f)
+        labeling.write_failures_csv(failures, f)
     print(
-        f"labeled {len(kept_failures)} failures over {len(tracks)} machines; "
+        f"labeled {len(failures)} failures over {len(tracks)} machines; "
         f"excluded {len(excluded)} degenerate machine(s)"
     )
     return 0
@@ -242,7 +237,7 @@ def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _read(path: Path, reader):
-    """``reader`` over the lines of ``path``; a ParseError names the file."""
+    """``reader`` over the open text file ``path``; a ParseError names the file."""
     try:
         with open(path) as f:
             return reader(f)
@@ -370,7 +365,7 @@ _PREDICTIONS_DTYPE = np.dtype(
 )
 
 
-def _read_predictions(source: Iterable[str]) -> np.ndarray:
+def _read_predictions(source: TextIO) -> np.ndarray:
     """The rows of a predictions file as a structured array."""
     return ingestion._read_table(
         source, PREDICTIONS_HEADER, _PREDICTIONS_DTYPE, _prediction_rules
@@ -387,8 +382,7 @@ def _prediction_rules(rows: np.ndarray) -> list[ingestion.Rule]:
 
 def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     r = _Resolver(ns, cfg)
-    with open(_require_file(ns.predictions)) as f:
-        rows = _read_predictions(f)
+    rows = _read(_require_file(ns.predictions), _read_predictions)
     row_of = {
         key: i for i, key in enumerate(zip(rows["machine_id"].tolist(), rows["interval"].tolist()))
     }

@@ -331,20 +331,20 @@ def write_dataset_csv(instances: Sequence[Instance], out: TextIO, dim: int) -> N
         out.write(str(int(inst.y)) + "," + ",".join(repr(float(v)) for v in inst.x) + "\n")
 
 
-def read_dataset_csv(source: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+def read_dataset_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
     """Read a dataset file into an (n, dim) feature matrix and (n,) labels.
 
     The header must be ``y,f0,...,f{dim-1}`` with dim >= 1. A row with the
     wrong field count, a non-numeric or non-finite value or an unknown
     class raises ParseError.
     """
-    lines = list(source)
-    header_no, header = next(_lines(lines), (1, ""))
+    header_no, header = next(_lines(source), (1, ""))
     dim = header.count(",")
     if not dim or header != _dataset_header(dim):
         raise ParseError(header_no, "expected dataset header 'y,f0,...'")
     dtype = np.dtype([("y", np.int64), ("x", np.float64, (dim,))])
-    rows = _read_table(lines, header, dtype, _dataset_rules)
+    source.seek(0)
+    rows = _read_table(source, header, dtype, _dataset_rules)
     return np.ascontiguousarray(rows["x"]), rows["y"].copy()
 
 
@@ -363,7 +363,7 @@ def write_ids_csv(instances: Sequence[Instance], out: TextIO) -> None:
         out.write(f"{inst.machine_id},{inst.interval}\n")
 
 
-def read_ids_csv(source: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+def read_ids_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
     """Read an ids file into (machine_id, interval) arrays, one entry per dataset row."""
     rows = _read_table(source, IDS_HEADER, _IDS_DTYPE)
     return rows["machine_id"], rows["interval"]

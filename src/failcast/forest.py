@@ -210,17 +210,8 @@ def bootstrap_indices(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def train(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: ForestParams,
-    bootstrap: bool = True,
-) -> ForestModel:
-    """Grow the ensemble on independent bootstrap resamples of the data.
-
-    ``bootstrap=False`` grows every tree on the full data; with one tree
-    that reduces to a plain call to grow_tree.
-    """
+def train(X: np.ndarray, y: np.ndarray, params: ForestParams) -> ForestModel:
+    """Grow the ensemble on independent bootstrap resamples of the data."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if len(X) == 0:
@@ -228,11 +219,8 @@ def train(
     trees = []
     for k in range(params.n_trees):
         rng = _tree_rng(params.rng_seed, k)
-        if bootstrap:
-            idx = bootstrap_indices(rng, len(y))
-            trees.append(grow_tree(X[idx], y[idx], params, rng))
-        else:
-            trees.append(grow_tree(X, y, params, rng))
+        idx = bootstrap_indices(rng, len(y))
+        trees.append(grow_tree(X[idx], y[idx], params, rng))
     roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
     return _arrays_model(
         params,
@@ -279,11 +267,6 @@ def predict_votes_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
             slots, minlength=len(block) * N_CLASSES
         ).reshape(-1, N_CLASSES)
     return votes
-
-
-def predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Majority-vote class per row; ties break toward the lowest label."""
-    return np.argmax(predict_votes_batch(model, X), axis=1)
 
 
 def split_count_report(model: ForestModel, feature_config) -> list[dict]:

@@ -16,18 +16,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
 from .errors import FailcastError, ParseError
-from .trace_model import (
-    INTERVAL_US,
-    N_RESOURCES,
-    FleetArrays,
-    MachineEvent,
-    MachineEventKind,
-)
+from .trace_model import INTERVAL_US, N_RESOURCES, FleetArrays, MachineEventKind
 
 MACHINE_EVENTS_HEADER = "time_us,machine_id,event"
 USAGE_HEADER = (
@@ -98,21 +92,22 @@ Rule = tuple[np.ndarray, Callable[[int], str]]
 
 
 def _read_table(
-    source: Iterable[str],
+    source: TextIO,
     header: str,
     dtype: np.dtype,
     check: Optional[Callable[[np.ndarray], list[Rule]]] = None,
 ) -> np.ndarray:
     """Read a CSV table with the given header into a structured array of ``dtype``.
 
-    Blank lines are skipped, and an input without a single non-empty line
-    is an empty table. The body is read by one ``np.loadtxt`` call, and
-    ``check(rows)`` gives the rules its rows must keep. A line that is not
-    one row of ``dtype``, or the first row that breaks a rule, raises
-    ParseError with its line number, which is searched for only then.
+    ``source`` is a seekable text file. Blank lines are skipped, and a
+    file without a single non-empty line is an empty table. The body is
+    read from the file by one ``np.loadtxt`` call, and ``check(rows)``
+    gives the rules its rows must keep. A line that is not one row of
+    ``dtype``, or the first row that breaks a rule, raises ParseError with
+    its line number, which is searched for only then, by reading the file
+    again from its start.
     """
-    lines = list(source)
-    numbered = _lines(lines)
+    numbered = _lines(source)
     header_no, first = next(numbered, (0, header))
     if first != header:
         raise ParseError(header_no, f"expected header '{header}'")
@@ -121,10 +116,13 @@ def _read_table(
         return np.empty(0, dtype)
 
     def body() -> Iterator[tuple[int, str]]:
-        return _lines(itertools.islice(lines, header_no, None), header_no + 1)
+        source.seek(0)
+        return itertools.islice(_lines(source), 1, None)
 
+    source.seek(0)
+    next(itertools.islice(source, header_no - 1, None))  # up to and including the header
     try:
-        rows = _loadtxt(itertools.islice(lines, header_no, None), dtype=dtype)
+        rows = _loadtxt(source, dtype=dtype)
     except ValueError:
         rows = None
     if rows is None or len(rows) != n_rows:
@@ -150,27 +148,28 @@ def _read_table(
 _loadtxt = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1)
 
 
-def parse_machine_events(source: Iterable[str]) -> list[MachineEvent]:
-    """Parse machine-event rows, returning events sorted by (machine_id, time).
+def parse_machine_events(source: TextIO) -> np.ndarray:
+    """Parse machine-event rows, sorted by (machine_id, time_us, event).
 
-    Update events are kept; downstream pairing ignores them. A malformed
-    row or an unknown event code raises ParseError naming its line.
+    The result is a structured array with the int64 fields ``time_us``,
+    ``machine_id`` and ``event`` (a MachineEventKind code). Update events
+    are kept; pairing ignores them. A malformed row, an unknown event
+    code or a negative time raises ParseError naming its line.
     """
     rows = _read_table(source, MACHINE_EVENTS_HEADER, _EVENTS_DTYPE, _event_rules)
-    rows = rows[np.lexsort((rows["event"], rows["time_us"], rows["machine_id"]))]
-    return [
-        MachineEvent(m, t, MachineEventKind(k))
-        for t, m, k in zip(*(rows[name].tolist() for name in _EVENTS_DTYPE.names))
-    ]
+    return rows[np.lexsort((rows["event"], rows["time_us"], rows["machine_id"]))]
 
 
 def _event_rules(rows: np.ndarray) -> list[Rule]:
-    code = rows["event"]
+    code, time_us = rows["event"], rows["time_us"]
     unknown = ~np.isin(code, list(MachineEventKind))
-    return [(unknown, lambda i: f"unknown event code {code[i]}")]
+    return [
+        (unknown, lambda i: f"unknown event code {code[i]}"),
+        (time_us < 0, lambda i: f"negative time {time_us[i]}"),
+    ]
 
 
-def parse_usage_records(source: Iterable[str]) -> tuple[UsageTable, ClampStats]:
+def parse_usage_records(source: TextIO) -> tuple[UsageTable, ClampStats]:
     """Parse usage rows into a table, clamping out-of-range values into [0, 1].
 
     Clamps are counted, never silent. After range clamping, a mean still

@@ -9,22 +9,21 @@ trace is a forcible decommission.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .errors import ConfigError
 from .ingestion import IntervalSeries
 from .trace_model import (
+    FAILURE_DTYPE,
     INTERVAL_US,
-    MICROS_PER_MINUTE,
-    FailureEvent,
-    FailureType,
+    IR_MAX_DOWNTIME_US,
     FleetArrays,
-    MachineEvent,
     MachineEventKind,
+    failure_types,
+    interval_runs,
 )
 
 logger = logging.getLogger(__name__)
@@ -34,19 +33,13 @@ FAILURES_HEADER = "machine_id,remove_us,add_us,duration_us,type"
 
 @dataclass(frozen=True)
 class LabelingConfig:
-    ir_max_downtime_us: int = 30 * MICROS_PER_MINUTE
+    ir_max_downtime_us: int = IR_MAX_DOWNTIME_US
     degenerate_min_failures: int = 100
     trace_end_us: int = 0
 
     def __post_init__(self):
         if self.ir_max_downtime_us <= 0:
             raise ConfigError("ir_max_downtime_us must be positive")
-
-
-@dataclass
-class PairingResult:
-    failures: list[FailureEvent]
-    dropped_removes: int
 
 
 @dataclass(frozen=True)
@@ -65,78 +58,45 @@ class LabelTracks(FleetArrays):
     downtime: np.ndarray
 
 
-def categorize(duration_us: Optional[int], cfg: LabelingConfig) -> FailureType:
-    """Map a failure duration to its class; absent duration means never returned."""
-    if duration_us is None:
-        return FailureType.FORCIBLE_DECOMMISSION
-    if duration_us < cfg.ir_max_downtime_us:
-        return FailureType.IMMEDIATE_REBOOT
-    return FailureType.SLOW_REBOOT
-
-
-def pair_failures(
-    events: Sequence[MachineEvent], cfg: LabelingConfig
-) -> PairingResult:
+def pair_failures(events: np.ndarray, cfg: LabelingConfig) -> tuple[np.ndarray, int]:
     """Pair each REMOVE with the next ADD of the same machine.
 
-    A second REMOVE arriving while one is already open is dropped and
-    counted; a REMOVE never followed by an ADD closes as permanent.
-    Events must be sorted by time within each machine, which is how the
-    parser returns them.
+    ``events`` are the rows ``ingestion.parse_machine_events`` returns,
+    sorted by (machine_id, time_us, event). Update events are ignored. A
+    REMOVE opens a failure unless the machine's previous event is a
+    REMOVE too, in which case it is dropped and counted. A failure closes
+    at the machine's next ADD, or never, which makes it a forcible
+    decommission. Returns ``(failures, dropped)``: a FAILURE_DTYPE array in
+    event order, and the number of dropped REMOVEs.
     """
-    failures: list[FailureEvent] = []
-    dropped = 0
-    open_remove: Optional[int] = None
-    current_machine: Optional[int] = None
+    events = events[events["event"] != MachineEventKind.UPDATE]
+    machine, time_us = events["machine_id"], events["time_us"]
+    is_remove = events["event"] == MachineEventKind.REMOVE
+    after_remove = np.zeros(len(events), dtype=bool)
+    after_remove[1:] = is_remove[:-1] & (machine[1:] == machine[:-1])
+    opens = np.flatnonzero(is_remove & ~after_remove)
+    dropped = int(np.count_nonzero(is_remove & after_remove))
+    # the first ADD at or after each position; len(events) where there is none
+    at_add = np.where(is_remove, len(events), np.arange(len(events)))
+    close = np.minimum.accumulate(at_add[::-1])[::-1][opens]
+    back = close < len(events)
+    back[back] = machine[close[back]] == machine[opens[back]]
 
-    def close_open(machine_id: int) -> None:
-        nonlocal open_remove
-        if open_remove is not None:
-            failures.append(
-                FailureEvent(
-                    machine_id=machine_id,
-                    remove_us=open_remove,
-                    add_us=None,
-                    ftype=FailureType.FORCIBLE_DECOMMISSION,
-                )
-            )
-            open_remove = None
-
-    for ev in events:
-        if ev.machine_id != current_machine:
-            if current_machine is not None:
-                close_open(current_machine)
-            current_machine = ev.machine_id
-        if ev.kind == MachineEventKind.UPDATE:
-            continue
-        if ev.kind == MachineEventKind.REMOVE:
-            if open_remove is None:
-                open_remove = ev.time_us
-            else:
-                dropped += 1
-        else:  # ADD
-            if open_remove is not None:
-                duration = ev.time_us - open_remove
-                failures.append(
-                    FailureEvent(
-                        machine_id=ev.machine_id,
-                        remove_us=open_remove,
-                        add_us=ev.time_us,
-                        ftype=categorize(duration, cfg),
-                    )
-                )
-                open_remove = None
-    if current_machine is not None:
-        close_open(current_machine)
+    failures = np.empty(len(opens), FAILURE_DTYPE)
+    failures["machine_id"] = machine[opens]
+    failures["remove_us"] = time_us[opens]
+    failures["add_us"] = -1
+    failures["add_us"][back] = time_us[close[back]]
+    failures["type"] = failure_types(
+        failures["remove_us"], failures["add_us"], cfg.ir_max_downtime_us
+    )
     if dropped:
         logger.warning("dropped %d REMOVE events with no intervening ADD", dropped)
-    return PairingResult(failures=failures, dropped_removes=dropped)
+    return failures, dropped
 
 
 def detect_degenerate_machines(
-    series: IntervalSeries,
-    failures: Iterable[FailureEvent],
-    cfg: LabelingConfig,
+    series: IntervalSeries, failures: np.ndarray, cfg: LabelingConfig
 ) -> set[int]:
     """Machines failing more than the threshold with usage that is all zero.
 
@@ -144,56 +104,49 @@ def detect_degenerate_machines(
     like bookkeeping artifacts rather than real hosts and are excluded
     from every later stage.
     """
-    counts = Counter(f.machine_id for f in failures)
+    ids, counts = np.unique(failures["machine_id"], return_counts=True)
+    frequent = ids[counts > cfg.degenerate_min_failures]
     # 0 <= avg <= peak, and absent intervals are all zero: usage shows in peak
-    used_ids = set(series.machine_ids[series.peak.any(axis=(1, 2))].tolist())
-    return {
-        m
-        for m, count in counts.items()
-        if count > cfg.degenerate_min_failures and m not in used_ids
-    }
+    used = series.machine_ids[series.peak.any(axis=(1, 2))]
+    return set(frequent[~np.isin(frequent, used)].tolist())
 
 
 def build_label_tracks(
-    failures: Iterable[FailureEvent],
+    failures: np.ndarray,
     series: IntervalSeries,
     cfg: LabelingConfig,
     interval_us: int = INTERVAL_US,
 ) -> LabelTracks:
     """Assign the per-interval label and downtime flags for every machine.
 
-    The label lands on the interval containing the remove time. Downtime
+    The label lands on the interval containing the remove time; where one
+    interval holds several removes, the latest one's type wins. Downtime
     flags cover intervals fully inside [remove, add], after the removal
     interval; for permanent failures they extend to the end of the trace.
     Failures of machines without a series are ignored.
     """
-    y = np.zeros(series.present.shape, dtype=np.int8)
-    downtime = np.zeros(series.present.shape, dtype=bool)
-    n = y.shape[1]
-    row_of = {m: i for i, m in enumerate(series.machine_ids.tolist())}
-    for f in sorted(failures, key=lambda f: (f.machine_id, f.remove_us)):
-        i = row_of.get(f.machine_id)
-        t_remove = f.remove_us // interval_us
-        if i is None or t_remove >= n:
-            continue
-        y[i, t_remove] = int(f.ftype)
-        if f.add_us is None:
-            downtime[i, t_remove + 1 :] = True
-        else:
-            # flag bins whose whole span fits inside the downtime window
-            last_full = f.add_us // interval_us - 1
-            lo = t_remove + 1
-            hi = min(last_full, n - 1)
-            if hi >= lo:
-                downtime[i, lo : hi + 1] = True
+    m, n = series.present.shape
+    failures = failures[np.lexsort((failures["remove_us"], failures["machine_id"]))]
+    row = np.searchsorted(series.machine_ids, failures["machine_id"])
+    t_remove = failures["remove_us"] // interval_us
+    keep = np.isin(failures["machine_id"], series.machine_ids) & (t_remove < n)
+    failures, row, t_remove = failures[keep], row[keep], t_remove[keep]
+
+    y = np.zeros((m, n), dtype=np.int8)
+    latest = np.ones(len(row), dtype=bool)
+    latest[:-1] = (row[1:] != row[:-1]) | (t_remove[1:] != t_remove[:-1])
+    y[row[latest], t_remove[latest]] = failures["type"][latest]
+
+    # a failure that comes back is down up to the last interval ending by the add
+    add = failures["add_us"]
+    stop = np.where(add < 0, n, np.minimum(add // interval_us, n))
+    downtime = interval_runs((m, n), row, t_remove + 1, stop)
     return LabelTracks(series.machine_ids, y, downtime)
 
 
-def write_failures_csv(failures: Iterable[FailureEvent], out: TextIO) -> None:
+def write_failures_csv(failures: np.ndarray, out: TextIO) -> None:
     """Write the optional failures export; add/duration are empty for permanent failures."""
     out.write(FAILURES_HEADER + "\n")
-    for f in failures:
-        add = "" if f.add_us is None else str(f.add_us)
-        dur = "" if f.duration_us is None else str(f.duration_us)
-        out.write(f"{f.machine_id},{f.remove_us},{add},{dur},{int(f.ftype)}\n")
-
+    for m, remove, add, ftype in zip(*(failures[name].tolist() for name in FAILURE_DTYPE.names)):
+        back = "," if add < 0 else f"{add},{add - remove}"
+        out.write(f"{m},{remove},{back},{ftype}\n")

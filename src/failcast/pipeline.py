@@ -9,13 +9,15 @@ set, leaked normals included, so it keeps a Normal class.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import logging
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -271,39 +273,63 @@ def grid_search_cv(
     return (best.gamma, best.nu, best.n_trees), table
 
 
+def _bundle_texts(model: CascadeModel) -> dict[str, str]:
+    """The text of each bundle file, by name."""
+    stage1, stage2 = io.StringIO(), io.StringIO()
+    ocsvm_mod.save(model.ocsvm, stage1)
+    forest_mod.save(model.forest, stage2)
+    return {
+        BUNDLE_OCSVM: stage1.getvalue(),
+        BUNDLE_FOREST: stage2.getvalue(),
+        BUNDLE_LAYOUT: model.feature_config.layout_json(),
+        BUNDLE_MANIFEST: json.dumps(model.manifest, indent=1, sort_keys=True),
+    }
+
+
 def save_bundle(model: CascadeModel, out_dir: Path) -> None:
     """Write the model as a directory of versioned text/JSON artifacts."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / BUNDLE_OCSVM, "w") as f:
-        ocsvm_mod.save(model.ocsvm, f)
-    with open(out_dir / BUNDLE_FOREST, "w") as f:
-        forest_mod.save(model.forest, f)
-    (out_dir / BUNDLE_LAYOUT).write_text(model.feature_config.layout_json())
-    (out_dir / BUNDLE_MANIFEST).write_text(
-        json.dumps(model.manifest, indent=1, sort_keys=True)
-    )
+    for name, text in _bundle_texts(model).items():
+        (out_dir / name).write_text(text)
 
 
-def _load_part(path: Path, loader):
-    with open(path) as f:
+def _open_part(bundle: Path, name: str) -> TextIO:
+    """One file of a bundle directory, or of a ``save_archive`` zip, as text."""
+    if bundle.is_dir():
+        return open(bundle / name)
+    try:
+        with zipfile.ZipFile(bundle) as archive:
+            return io.TextIOWrapper(io.BytesIO(archive.read(name)))
+    # zlib.error: a damaged compressed stream
+    except (zipfile.BadZipFile, KeyError, zlib.error):
+        raise ModelFormatError(
+            f"{bundle}: not a bundle directory or a readable zip holding {name}"
+        ) from None
+
+
+def _load_part(bundle: Path, name: str, loader):
+    with _open_part(bundle, name) as f:
         try:
             return loader(f)
         # ValueError: bad JSON, or bytes that are not text
         except (ModelFormatError, ValueError) as exc:
-            raise ModelFormatError(f"{path}: {exc}") from None
+            raise ModelFormatError(f"{bundle / name}: {exc}") from None
 
 
-def load_bundle(bundle_dir: Path) -> CascadeModel:
-    """Read a bundle directory; a malformed file raises ModelFormatError."""
-    bundle_dir = Path(bundle_dir)
-    stage1 = _load_part(bundle_dir / BUNDLE_OCSVM, ocsvm_mod.load)
-    stage2 = _load_part(bundle_dir / BUNDLE_FOREST, forest_mod.load)
-    manifest = _load_part(bundle_dir / BUNDLE_MANIFEST, json.load)
+def load_bundle(bundle: Path) -> CascadeModel:
+    """Read a bundle directory or a ``train --archive`` zip of one.
+
+    A malformed file raises ModelFormatError naming it.
+    """
+    bundle = Path(bundle)
+    stage1 = _load_part(bundle, BUNDLE_OCSVM, ocsvm_mod.load)
+    stage2 = _load_part(bundle, BUNDLE_FOREST, forest_mod.load)
+    manifest = _load_part(bundle, BUNDLE_MANIFEST, json.load)
     try:
         fcfg = FeatureConfig(lags=manifest["feature"]["lags"])
     except (KeyError, TypeError):
-        raise ModelFormatError(f"{bundle_dir / BUNDLE_MANIFEST}: no feature.lags") from None
+        raise ModelFormatError(f"{bundle / BUNDLE_MANIFEST}: no feature.lags") from None
     return CascadeModel(
         ocsvm=stage1, forest=stage2, feature_config=fcfg, manifest=manifest
     )
@@ -311,22 +337,9 @@ def load_bundle(bundle_dir: Path) -> CascadeModel:
 
 def save_archive(model: CascadeModel, archive_path: Path) -> None:
     """Single-file zip of the bundle with fixed metadata, so bytes reproduce."""
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        save_bundle(model, Path(tmp))
-        with zipfile.ZipFile(archive_path, "w", zipfile.ZIP_DEFLATED) as zf:
-            for name in BUNDLE_FILES:
-                info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-                info.compress_type = zipfile.ZIP_DEFLATED
-                info.external_attr = 0o644 << 16
-                zf.writestr(info, (Path(tmp) / name).read_bytes())
-
-
-def load_archive(archive_path: Path) -> CascadeModel:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        with zipfile.ZipFile(archive_path) as zf:
-            zf.extractall(tmp)
-        return load_bundle(Path(tmp))
+    with zipfile.ZipFile(archive_path, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, text in _bundle_texts(model).items():
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_DEFLATED
+            info.external_attr = 0o644 << 16
+            zf.writestr(info, text)

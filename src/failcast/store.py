@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import FailcastError
 from .ingestion import IntervalSeries
 from .labeling import LabelTracks
 from .trace_model import FleetArrays
@@ -28,8 +29,17 @@ def _save(arrays: FleetArrays, out_dir: Path, meta: dict) -> None:
 
 def _load(cls, store_dir: Path):
     store_dir = Path(store_dir)
-    arrays = cls(*(np.load(store_dir / f"{f.name}.npy") for f in dataclasses.fields(cls)))
-    return arrays, json.loads((store_dir / "meta.json").read_text())
+    arrays = cls(*(_read(store_dir / f"{f.name}.npy", np.load) for f in dataclasses.fields(cls)))
+    return arrays, _read(store_dir / "meta.json", lambda path: json.loads(path.read_text()))
+
+
+def _read(path: Path, reader):
+    """``reader(path)``; a file it cannot read raises FailcastError naming the file."""
+    try:
+        return reader(path)
+    # ValueError: a cut or foreign .npy, bad JSON, or bytes that are not text
+    except (ValueError, EOFError) as exc:
+        raise FailcastError(f"{path}: unreadable store file: {exc}") from None
 
 
 def save_interval_store(

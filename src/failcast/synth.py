@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import ConfigError, GenerationError
 from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
-from .trace_model import INTERVAL_US, MICROS_PER_SECOND, N_RESOURCES
+from .trace_model import (
+    FAILURE_DTYPE,
+    INTERVAL_US,
+    MICROS_PER_SECOND,
+    N_RESOURCES,
+    failure_types,
+    interval_runs,
+)
 
 TRUTH_HEADER = "machine_id,interval,y"
 
@@ -77,14 +84,6 @@ class SynthConfig:
         return self.horizon_us // INTERVAL_US
 
 
-@dataclass(frozen=True)
-class _Failure:
-    machine_id: int
-    remove_us: int
-    add_us: int | None  # None = never returns before the horizon
-    label: int
-
-
 @dataclass
 class SynthPaths:
     events: Path
@@ -120,19 +119,16 @@ def _draw_duration(rng: np.random.Generator, cfg: SynthConfig, allow_fd: bool) -
     return int(dur * MICROS_PER_SECOND)
 
 
-def _label_for(duration_us: int | None) -> int:
-    if duration_us is None:
-        return 3
-    return 1 if duration_us < 30 * 60 * MICROS_PER_SECOND else 2
-
-
 def _place_failures(
     rng: np.random.Generator, machine_id: int, k: int, cfg: SynthConfig
-) -> list[_Failure]:
-    """Sequential placement keeping >= 6 clean intervals before every removal."""
+) -> list[tuple[int, int, int]]:
+    """(machine, remove, add) per failure, keeping >= 6 clean intervals before every removal.
+
+    ``add`` is -1 when the machine never returns before the horizon.
+    """
     I = INTERVAL_US
     horizon = cfg.horizon_us
-    failures: list[_Failure] = []
+    failures = []
     cursor = (_LAGS + 1) * I  # leave a full feature window before the first removal
     for i in range(k):
         remaining = horizon - cursor - I
@@ -142,36 +138,27 @@ def _place_failures(
         gap = min(rng.exponential(mean_gap), float(remaining - 1))
         remove = cursor + int(gap)
         duration = _draw_duration(rng, cfg, allow_fd=(i == k - 1))
-        add = None if duration is None else remove + duration
-        if add is not None and add >= horizon:
-            add = None  # never seen returning inside the trace
-        failures.append(
-            _Failure(
-                machine_id=machine_id,
-                remove_us=remove,
-                add_us=add,
-                label=_label_for(None if add is None else add - remove),
-            )
-        )
-        if add is None:
+        add = -1 if duration is None else remove + duration
+        if add >= horizon:
+            add = -1  # never seen returning inside the trace
+        failures.append((machine_id, remove, add))
+        if add < 0:
             break
         resume = -(-add // I) * I  # next full interval boundary
         cursor = resume + (_LAGS + 1) * I
     return failures
 
 
-def _down_mask(failures: list[_Failure], n_intervals: int) -> np.ndarray:
-    """True where the machine is not up for the interval's full span."""
-    I = INTERVAL_US
-    down = np.zeros(n_intervals, dtype=bool)
-    for f in failures:
-        first = f.remove_us // I
-        if f.add_us is None:
-            down[first:] = True
-        else:
-            last = (f.add_us - 1) // I
-            down[first : min(last, n_intervals - 1) + 1] = True
-    return down
+def _down_mask(failures: np.ndarray, n_machines: int, n_intervals: int) -> np.ndarray:
+    """(machines, intervals): True where the machine is not up for the interval's full span."""
+    add = failures["add_us"]
+    stop = np.where(add < 0, n_intervals, np.minimum((add - 1) // INTERVAL_US + 1, n_intervals))
+    return interval_runs(
+        (n_machines, n_intervals),
+        failures["machine_id"],
+        failures["remove_us"] // INTERVAL_US,
+        stop,
+    )
 
 
 def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
@@ -204,17 +191,16 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
 
     # failure schedule, machine by machine in id order
     counts = _power_law_counts(rng, n_regular, cfg)
-    failures: list[_Failure] = []
+    placed = []
     for m in range(n_regular):
         if counts[m]:
-            failures.extend(_place_failures(rng, m, int(counts[m]), cfg))
+            placed.extend(_place_failures(rng, m, int(counts[m]), cfg))
     for m in degenerate_ids:
-        t = (_LAGS + 1) * I
-        for _ in range(cfg.degenerate_failures):
-            failures.append(
-                _Failure(machine_id=m, remove_us=t, add_us=t + 2 * 60 * MICROS_PER_SECOND, label=1)
-            )
-            t += deg_cycle
+        for k in range(cfg.degenerate_failures):
+            t = (_LAGS + 1) * I + k * deg_cycle
+            placed.append((m, t, t + 2 * 60 * MICROS_PER_SECOND))
+    failures = np.array([(*f, 0) for f in placed], dtype=FAILURE_DTYPE)
+    failures["type"] = failure_types(failures["remove_us"], failures["add_us"])
 
     # AR(1) usage for every regular machine across the full horizon
     phi = np.array(cfg.ar_coefficients)
@@ -234,24 +220,19 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
     # pre-failure ramps on the feature window
     amp = cfg.signature_strength * cfg.ramp_amplitude
     if amp > 0.0:
-        for f in failures:
-            if f.machine_id >= n_regular:
-                continue
-            tau = f.remove_us // I
-            for lag in range(1, _LAGS + 1):
-                t = tau - lag
-                bump = amp * (_LAGS + 1 - lag) / _LAGS
-                for r in RAMP_RESOURCES:
-                    avg[f.machine_id, t, r] += bump
-                    peak[f.machine_id, t, r] += bump
+        regular = failures[failures["machine_id"] < n_regular]
+        lags = np.arange(1, _LAGS + 1)
+        rows = regular["machine_id"][:, None]
+        # placement keeps a clean window before every removal, so no cell gets two bumps
+        t = regular["remove_us"][:, None] // I - lags
+        bump = amp * (_LAGS + 1 - lags) / _LAGS
+        for r in RAMP_RESOURCES:
+            avg[rows, t, r] += bump
+            peak[rows, t, r] += bump
 
     np.clip(avg, 0.0, 1.0, out=avg)
     np.clip(peak, 0.0, 1.0, out=peak)
     np.maximum(peak, avg, out=peak)
-
-    by_machine: dict[int, list[_Failure]] = {}
-    for f in failures:
-        by_machine.setdefault(f.machine_id, []).append(f)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -262,21 +243,18 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
     )
 
     _write_events(paths.events, failures, cfg.machines, rng)
-    _write_usage(paths.usage, avg, peak, by_machine, degenerate_ids, T)
+    _write_usage(paths.usage, avg, peak, _down_mask(failures, cfg.machines, T), degenerate_ids, T)
     _write_truth(paths.truth, failures)
     return paths
 
 
 def _write_events(
-    path: Path, failures: list[_Failure], n_machines: int, rng: np.random.Generator
+    path: Path, failures: np.ndarray, n_machines: int, rng: np.random.Generator
 ) -> None:
-    rows: list[tuple[int, int, int]] = []
-    for m in range(n_machines):
-        rows.append((0, m, 0))  # machine joins at trace start
-    for f in failures:
-        rows.append((f.remove_us, f.machine_id, 1))
-        if f.add_us is not None:
-            rows.append((f.add_us, f.machine_id, 0))
+    rows = [(0, m, 0) for m in range(n_machines)]  # machine joins at trace start
+    machine = failures["machine_id"].tolist()
+    rows += [(t, m, 1) for t, m in zip(failures["remove_us"].tolist(), machine)]
+    rows += [(t, m, 0) for t, m in zip(failures["add_us"].tolist(), machine) if t >= 0]
     # sprinkle UPDATE events; parsers must carry them, pairing must ignore them
     for m in range(0, n_machines, 10):
         rows.append((int(rng.integers(1, INTERVAL_US)), m, 2))
@@ -291,7 +269,7 @@ def _write_usage(
     path: Path,
     avg: np.ndarray,
     peak: np.ndarray,
-    by_machine: dict[int, list[_Failure]],
+    down: np.ndarray,
     degenerate_ids: list[int],
     T: int,
 ) -> None:
@@ -301,7 +279,7 @@ def _write_usage(
     with open(path, "w", newline="\n") as f:
         f.write(USAGE_HEADER + "\n")
         for m in range(avg.shape[0]):
-            up = ~_down_mask(by_machine.get(m, []), T)
+            up = ~down[m]
             block = np.column_stack(
                 [
                     starts[up],
@@ -314,7 +292,7 @@ def _write_usage(
             np.savetxt(f, block, fmt=fmt, delimiter=",", newline="\n")
         zeros = np.zeros((1, 2 * N_RESOURCES))
         for m in degenerate_ids:
-            up = ~_down_mask(by_machine.get(m, []), T)
+            up = ~down[m]
             n_up = int(up.sum())
             block = np.column_stack(
                 [
@@ -327,8 +305,14 @@ def _write_usage(
             np.savetxt(f, block, fmt=fmt, delimiter=",", newline="\n")
 
 
-def _write_truth(path: Path, failures: list[_Failure]) -> None:
-    rows = sorted((f.machine_id, f.remove_us // INTERVAL_US, f.label) for f in failures)
+def _write_truth(path: Path, failures: np.ndarray) -> None:
+    rows = sorted(
+        zip(
+            failures["machine_id"].tolist(),
+            (failures["remove_us"] // INTERVAL_US).tolist(),
+            failures["type"].tolist(),
+        )
+    )
     with open(path, "w", newline="\n") as f:
         f.write(TRUTH_HEADER + "\n")
         for machine_id, interval, label in rows:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass
-from typing import Optional
+
+import numpy as np
 
 MICROS_PER_SECOND = 1_000_000
 MICROS_PER_MINUTE = 60 * MICROS_PER_SECOND
@@ -63,39 +63,39 @@ class FailureType(enum.IntEnum):
     FORCIBLE_DECOMMISSION = 3
 
 
-@dataclass(frozen=True)
-class MachineEvent:
-    machine_id: int
-    time_us: int
-    kind: MachineEventKind
+#: A paired failure: a machine's REMOVE time, the time of its next ADD
+#: (-1 when it never came back before the end of the trace) and its
+#: FailureType, which is never NORMAL.
+FAILURE_DTYPE = np.dtype(
+    [("machine_id", np.int64), ("remove_us", np.int64), ("add_us", np.int64), ("type", np.int8)]
+)
+
+#: Downtime below this is an immediate reboot; at or above it, a slow reboot.
+IR_MAX_DOWNTIME_US = 30 * MICROS_PER_MINUTE
 
 
-@dataclass(frozen=True)
-class FailureEvent:
-    """A REMOVE paired with the next ADD of the same machine, categorized by downtime.
+def failure_types(
+    remove_us: np.ndarray, add_us: np.ndarray, ir_max_downtime_us: int = IR_MAX_DOWNTIME_US
+) -> np.ndarray:
+    """The FailureType of each failure as int8.
 
-    ``add_us`` is absent exactly when the machine never returned before the
-    end of the trace, which is also exactly the FORCIBLE_DECOMMISSION case.
+    FD where ``add_us`` is -1, else IR or SR by the downtime add - remove.
     """
+    return np.select(
+        [add_us < 0, add_us - remove_us < ir_max_downtime_us],
+        [FailureType.FORCIBLE_DECOMMISSION, FailureType.IMMEDIATE_REBOOT],
+        FailureType.SLOW_REBOOT,
+    ).astype(np.int8)
 
-    machine_id: int
-    remove_us: int
-    add_us: Optional[int]
-    ftype: FailureType
 
-    def __post_init__(self):
-        if self.ftype == FailureType.NORMAL:
-            raise ValueError("a failure event cannot have type NORMAL")
-        permanent = self.ftype == FailureType.FORCIBLE_DECOMMISSION
-        if permanent and self.add_us is not None:
-            raise ValueError("FORCIBLE_DECOMMISSION must not carry an add time")
-        if not permanent and self.add_us is None:
-            raise ValueError(f"{self.ftype.name} requires an add time")
-        if self.add_us is not None and self.add_us < self.remove_us:
-            raise ValueError("add time precedes remove time")
+def interval_runs(shape: tuple[int, int], row, start, stop) -> np.ndarray:
+    """A (machines, intervals) bool mask, True on intervals [start, stop) of each given row.
 
-    @property
-    def duration_us(self) -> Optional[int]:
-        if self.add_us is None:
-            return None
-        return self.add_us - self.remove_us
+    Runs may overlap, and a run with stop <= start marks nothing. Needs
+    0 <= start <= intervals and stop <= intervals.
+    """
+    edges = np.zeros((shape[0], shape[1] + 1), dtype=np.int32)
+    np.add.at(edges, (row, start), 1)
+    np.add.at(edges, (row, np.maximum(stop, start)), -1)
+    np.cumsum(edges, axis=1, out=edges)
+    return edges[:, :-1] > 0

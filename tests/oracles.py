@@ -4,8 +4,12 @@ Each oracle takes the slow, obvious route: explicit least squares for
 partial autocorrelations, accelerated projected gradient for the
 one-class dual, exhaustive enumeration for tree splits, a row-by-row,
 tree-by-tree walk for forest votes, record-by-record and bin-by-bin
-accumulation for interval aggregation, value-by-value packing of one
-feature window, and literal pair counting for AUC. None of them share code with the package paths they verify.
+accumulation for interval aggregation, an event-by-event walk for
+failure pairing, a failure-by-failure walk for label tracks,
+value-by-value packing of one feature window, and literal pair counting
+for AUC. None of them share code with the package paths they verify.
+``forest_predict_batch``, the majority vote over the package's own
+votes, is not an oracle: it lives here because only tests use it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from failcast.features import Instance
-from failcast.labeling import FAILURES_HEADER
-from failcast.trace_model import N_RESOURCES, FailureEvent, FailureType
+from failcast.forest import predict_votes_batch
+from failcast.labeling import FAILURES_HEADER, LabelTracks
+from failcast.trace_model import FAILURE_DTYPE, N_RESOURCES, FailureType, MachineEventKind
 
 
 def ols_last_coefficient(x: np.ndarray, k: int) -> float:
@@ -266,7 +271,7 @@ def build_instance(series, tracks, row: int, tau: int, cfg):
     )
 
 
-def read_failures_csv(source) -> list[FailureEvent]:
+def read_failures_csv(source) -> np.ndarray:
     """The failures a ``failures.csv`` export lists, split field by field."""
     failures = []
     for i, raw in enumerate(source):
@@ -276,15 +281,75 @@ def read_failures_csv(source) -> list[FailureEvent]:
                 raise ValueError("unexpected failures header")
             continue
         machine_id, remove_us, add_us, _dur, ftype = line.split(",")
-        failures.append(
-            FailureEvent(
-                machine_id=int(machine_id),
-                remove_us=int(remove_us),
-                add_us=int(add_us) if add_us else None,
-                ftype=FailureType(int(ftype)),
-            )
-        )
-    return failures
+        failures.append((int(machine_id), int(remove_us), int(add_us or -1), int(ftype)))
+    return np.array(failures, dtype=FAILURE_DTYPE)
+
+
+def reference_pair_failures(events, cfg) -> tuple[np.ndarray, int]:
+    """Pairing by a walk over the sorted events with one open REMOVE per machine."""
+    failures = []
+    dropped = 0
+    open_remove = None
+    current_machine = None
+
+    def close(machine_id, add_us):
+        duration = None if add_us is None else add_us - open_remove
+        if duration is None:
+            ftype = FailureType.FORCIBLE_DECOMMISSION
+        elif duration < cfg.ir_max_downtime_us:
+            ftype = FailureType.IMMEDIATE_REBOOT
+        else:
+            ftype = FailureType.SLOW_REBOOT
+        failures.append((machine_id, open_remove, -1 if add_us is None else add_us, ftype))
+
+    for time_us, machine_id, kind in events.tolist():
+        if machine_id != current_machine:
+            if open_remove is not None:
+                close(current_machine, None)
+            open_remove = None
+            current_machine = machine_id
+        if kind == MachineEventKind.UPDATE:
+            continue
+        if kind == MachineEventKind.REMOVE:
+            if open_remove is None:
+                open_remove = time_us
+            else:
+                dropped += 1
+        elif open_remove is not None:  # ADD
+            close(machine_id, time_us)
+            open_remove = None
+    if open_remove is not None:
+        close(current_machine, None)
+    return np.array(failures, dtype=FAILURE_DTYPE), dropped
+
+
+def reference_label_tracks(failures, series, interval_us: int) -> LabelTracks:
+    """Label tracks by a walk over the failures, each in (machine, remove) order."""
+    y = np.zeros(series.present.shape, dtype=np.int8)
+    downtime = np.zeros(series.present.shape, dtype=bool)
+    n = y.shape[1]
+    row_of = {m: i for i, m in enumerate(series.machine_ids.tolist())}
+    for machine_id, remove_us, add_us, ftype in sorted(
+        failures.tolist(), key=lambda f: (f[0], f[1])
+    ):
+        i = row_of.get(machine_id)
+        t_remove = remove_us // interval_us
+        if i is None or t_remove >= n:
+            continue
+        y[i, t_remove] = ftype
+        if add_us < 0:
+            downtime[i, t_remove + 1 :] = True
+        else:
+            # flag bins whose whole span fits inside the downtime window
+            for t in range(t_remove + 1, n):
+                if (t + 1) * interval_us <= add_us:
+                    downtime[i, t] = True
+    return LabelTracks(series.machine_ids, y, downtime)
+
+
+def forest_predict_batch(model, X) -> np.ndarray:
+    """Majority-vote forest class per row; ties break toward the lowest label."""
+    return np.argmax(predict_votes_batch(model, X), axis=1)
 
 
 def auc_pair_counting(scores, labels) -> float:

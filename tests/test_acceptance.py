@@ -29,6 +29,7 @@ from oracles import (
     brute_force_best_split,
     dual_objective,
     f_beta_direct,
+    forest_predict_batch,
     ols_last_coefficient,
     qp_reference_objective,
     rbf_matrix,
@@ -140,8 +141,8 @@ def test_criterion_3_forest_correctness():
     X = rng.random((400, 8))
     y = (X[:, 2] > 0.5).astype(int) + 2 * (X[:, 5] > 0.4).astype(int)
     tree_params = ForestParams(n_trees=1, mtry=8, rng_seed=1)
-    single = forest_mod.train(X, y, tree_params, bootstrap=False)
-    zero_error = bool(np.array_equal(forest_mod.predict_batch(single, X), y))
+    single = forest_mod.grow_tree(X, y, tree_params, np.random.default_rng(1))
+    zero_error = bool(np.array_equal(forest_predict_batch(single, X), y))
 
     model = forest_mod.train(X, y, ForestParams(n_trees=17, mtry=3, rng_seed=2))
     votes = forest_mod.predict_votes_batch(model, rng.random((1000, 8)))
@@ -189,9 +190,9 @@ def _run_pipeline(signature: float, tmp: Path):
         table, _ = ingestion.parse_usage_records(f)
     series = ingestion.aggregate_intervals(table, cfg.horizon_us)
     lcfg = LabelingConfig(trace_end_us=cfg.horizon_us)
-    pairing = labeling.pair_failures(events, lcfg)
-    excluded = labeling.detect_degenerate_machines(series, pairing.failures, lcfg)
-    kept_failures = [f for f in pairing.failures if f.machine_id not in excluded]
+    failures, _ = labeling.pair_failures(events, lcfg)
+    excluded = labeling.detect_degenerate_machines(series, failures, lcfg)
+    kept_failures = failures[~np.isin(failures["machine_id"], sorted(excluded))]
     tracks = labeling.build_label_tracks(kept_failures, series, lcfg)
     tracks = tracks.select(~np.isin(tracks.machine_ids, sorted(excluded)))
     train_set, test_set = features.build_dataset(
@@ -320,14 +321,14 @@ def test_criterion_8_real_trace_structural_checks(tmp_path):
         events = ingestion.parse_machine_events(f)
     with open(native / "resource_usage.csv") as f:
         table, _ = ingestion.parse_usage_records(f)
-    horizon = max(int(table.end_us.max()), max(e.time_us + 1 for e in events))
+    horizon = max(int(table.end_us.max()), int(events["time_us"].max()) + 1)
     horizon = -(-horizon // 300_000_000) * 300_000_000
     series = ingestion.aggregate_intervals(table, horizon)
     lcfg = LabelingConfig(trace_end_us=horizon)
-    pairing = labeling.pair_failures(events, lcfg)
-    excluded = labeling.detect_degenerate_machines(series, pairing.failures, lcfg)
-    kept = [f for f in pairing.failures if f.machine_id not in excluded]
-    counts = np.bincount([int(f.ftype) for f in kept], minlength=4)[1:]
+    failures, _ = labeling.pair_failures(events, lcfg)
+    excluded = labeling.detect_degenerate_machines(series, failures, lcfg)
+    kept = failures[~np.isin(failures["machine_id"], sorted(excluded))]
+    counts = np.bincount(kept["type"], minlength=4)[1:]
     expected = np.array([5894, 2783, 94])
     counts_ok = np.all(np.abs(counts - expected) <= 0.01 * expected)
 

@@ -225,6 +225,44 @@ class TestBrokenInputs:
         assert rc == 2
         assert "ocsvm.txt" in capsys.readouterr().err
 
+    def test_predict_reads_the_archive_like_the_directory(self, chain, tmp_path):
+        out = tmp_path / "p.csv"
+        rc = main([
+            "predict", "--model", str(chain / "model" / "bundle.zip"),
+            "--data", str(chain / "data"), "--out", str(out),
+        ])
+        assert rc == 0
+        assert out.read_bytes() == (chain / "predictions.csv").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["not_a_zip", "cut", "flipped_bytes"])
+    def test_predict_on_a_damaged_archive_exits_2(self, chain, tmp_path, capsys, damage):
+        data = bytearray((chain / "model" / "bundle.zip").read_bytes())
+        if damage == "not_a_zip":
+            data = bytearray(b"not a zip\n")
+        elif damage == "cut":
+            del data[len(data) // 2 :]
+        else:
+            # inside the compressed ocsvm.txt that starts the archive
+            data[60:64] = bytes(b ^ 0xFF for b in data[60:64])
+        fake = tmp_path / "bundle.zip"
+        fake.write_bytes(bytes(data))
+        rc = main(["predict", "--model", str(fake), "--stream"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {fake}")
+
+    @pytest.mark.parametrize(
+        "name, cut",
+        [("present.npy", 100), ("avg.npy", 1000), ("machine_ids.npy", 0), ("meta.json", 5)],
+    )
+    def test_damaged_store_exits_2(self, chain, tmp_path, capsys, name, cut):
+        store = tmp_path / "store"
+        shutil.copytree(chain / "store", store)
+        (store / name).write_bytes((store / name).read_bytes()[:cut])
+        rc = main(["pacf-report", "--store", str(store), "--out", str(tmp_path / "h.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {store / name}: ")
+        assert not (tmp_path / "h.csv").exists()
+
     def test_train_with_nu_above_one_exits_2(self, chain, tmp_path, capsys):
         rc = main([
             "train", "--data", str(chain / "data"), "--out", str(tmp_path / "m"),
@@ -245,7 +283,7 @@ class TestBrokenInputs:
             "--out", str(tmp_path / "rep"),
         ])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: line {len(lines) + 1}:")
+        assert capsys.readouterr().err.startswith(f"error: {preds}: line {len(lines) + 1}:")
 
     @pytest.mark.parametrize("bad", ["1_000", "   "], ids=["underscore_int", "blank_spaces"])
     @pytest.mark.parametrize("stage", ["ingest", "predict", "evaluate"])
@@ -271,7 +309,7 @@ class TestBrokenInputs:
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         assert main([*args, "--out", str(out)]) == 2
-        named = f"{path}: " if stage == "predict" else ""
+        named = "" if stage == "ingest" else f"{path}: "
         assert capsys.readouterr().err.startswith(f"error: {named}line 3: ")
         assert not out.exists()
 

@@ -344,7 +344,7 @@ def test_dataset_csv_round_trip(tmp_path):
 )
 def test_malformed_dataset_reports_line(lines, line_no):
     with pytest.raises(ParseError) as err:
-        read_dataset_csv(lines)
+        read_dataset_csv(io.StringIO("\n".join(lines)))
     assert err.value.line_no == line_no
 
 
@@ -353,7 +353,7 @@ def test_ids_csv_round_trip_and_malformed_lines():
     instances = [build_instance(series, tracks, row, 9, FeatureConfig()) for row in (0, 1)]
     buf = io.StringIO()
     write_ids_csv(instances, buf)
-    machine_id, interval = read_ids_csv(buf.getvalue().splitlines())
+    machine_id, interval = read_ids_csv(io.StringIO(buf.getvalue()))
     assert machine_id.tolist() == [0, 1] and interval.tolist() == [9, 9]
     for lines, line_no in (
         (["machine,interval"], 1),
@@ -361,5 +361,5 @@ def test_ids_csv_round_trip_and_malformed_lines():
         (["machine_id,interval", "1,x"], 2),
     ):
         with pytest.raises(ParseError) as err:
-            read_ids_csv(lines)
+            read_ids_csv(io.StringIO("\n".join(lines)))
         assert err.value.line_no == line_no

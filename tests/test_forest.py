@@ -13,7 +13,6 @@ from failcast.forest import (
     bootstrap_indices,
     grow_tree,
     load,
-    predict_batch,
     predict_votes_batch,
     save,
     split_count_report,
@@ -23,7 +22,7 @@ from failcast.forest import (
 from failcast.features import FeatureConfig
 from failcast.trace_model import FailureType
 
-from oracles import brute_force_best_split, gini, reference_votes
+from oracles import brute_force_best_split, forest_predict_batch, gini, reference_votes
 
 
 def saved(model) -> str:
@@ -129,7 +128,7 @@ class TestGrowTree:
         X = rng.random((60, 4))
         y = (X[:, 1] > 0.5).astype(int) + 2 * (X[:, 3] > 0.5).astype(int)
         tree = grow_tree(X, y, ForestParams(mtry=4), _tree_rng(0, 0))
-        assert np.array_equal(predict_batch(tree, X), y)
+        assert np.array_equal(forest_predict_batch(tree, X), y)
 
     def test_fixed_seed_grows_identical_tree(self):
         rng = np.random.default_rng(2)
@@ -161,13 +160,15 @@ class TestGrowTree:
 
 
 class TestTrain:
-    def test_single_tree_without_bootstrap_equals_grow_tree(self):
+    def test_single_tree_equals_grow_tree_on_its_bootstrap_sample(self):
         rng = np.random.default_rng(5)
         X = rng.random((30, 4))
         y = rng.integers(0, 3, 30)
         params = ForestParams(n_trees=1, mtry=2, rng_seed=13)
-        model = train(X, y, params, bootstrap=False)
-        direct = grow_tree(X, y, params, _tree_rng(13, 0))
+        model = train(X, y, params)
+        tree_rng = _tree_rng(13, 0)
+        idx = bootstrap_indices(tree_rng, len(y))
+        direct = grow_tree(X[idx], y[idx], params, tree_rng)
         assert saved(model) == saved(direct)
 
     def test_fixed_seed_is_deterministic(self):
@@ -200,13 +201,14 @@ class TestPredict:
         assert votes.max() == 1
 
     def test_identical_trees_vote_together(self):
-        # every feature is a candidate and there is no bootstrap, so the
-        # per-tree rng cannot make the trees differ
-        rng = np.random.default_rng(1)
-        X = rng.random((30, 4))
-        y = rng.integers(0, 3, 30)
+        # one feature takes one value per class and the others are constant,
+        # so every bootstrap sample that holds both classes grows the same tree
+        X = np.zeros((30, 4))
+        X[:, 1] = np.where(np.arange(30) % 2, 0.9, 0.1)
+        y = (X[:, 1] > 0.5).astype(int)
         params = ForestParams(n_trees=4, mtry=4, rng_seed=5)
-        model = train(X, y, params, bootstrap=False)
+        model = train(X, y, params)
+        assert len(model.feature) == 4 * 3
         votes = predict_votes_batch(model, X[3:4])
         assert votes.max() == 4 and votes.sum() == 4
 
@@ -234,7 +236,7 @@ class TestPredict:
         assert int(np.argmax(np.array([40, 40, 15, 5]))) == 0
         assert int(np.argmax(np.array([10, 50, 30, 10]))) == 1
         model, _ = self._model(B=1)
-        assert predict_batch(model, np.zeros((1, 5)))[0] in set(FailureType)
+        assert forest_predict_batch(model, np.zeros((1, 5)))[0] in set(FailureType)
 
     def test_dimension_mismatch_rejected(self):
         model, _ = self._model()
@@ -290,7 +292,7 @@ class TestSplitCounts:
     def test_single_split_counted_once(self):
         X = np.array([[0.1], [0.9]])
         y = np.array([0, 1])
-        model = train(X, y, ForestParams(n_trees=1, mtry=1), bootstrap=False)
+        model = grow_tree(X, y, ForestParams(mtry=1), _tree_rng(0, 0))
         assert model.feature_split_counts.tolist() == [1]
 
     def test_counts_sum_equals_internal_nodes(self):

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,8 +21,13 @@ from oracles import reference_aggregate
 SEC = 1_000_000
 
 
+def _text(lines):
+    """An open text file holding ``lines``."""
+    return io.StringIO("\n".join(lines))
+
+
 def _events(*rows):
-    return [MACHINE_EVENTS_HEADER] + list(rows)
+    return _text([MACHINE_EVENTS_HEADER, *rows])
 
 
 def _usage_row(start, end, machine, mean_cpu=0.0, max_cpu=0.0, **kw):
@@ -35,13 +42,13 @@ class TestParseMachineEvents:
         events = parse_machine_events(_events("600000000,42,1"))
         assert len(events) == 1
         ev = events[0]
-        assert ev.machine_id == 42
-        assert ev.time_us == 600 * SEC
-        assert ev.kind == MachineEventKind.REMOVE
+        assert ev["machine_id"] == 42
+        assert ev["time_us"] == 600 * SEC
+        assert ev["event"] == MachineEventKind.REMOVE
 
     def test_empty_input_gives_empty_sequence(self):
-        assert parse_machine_events([]) == []
-        assert parse_machine_events(_events()) == []
+        assert len(parse_machine_events(_text([]))) == 0
+        assert len(parse_machine_events(_events())) == 0
 
     def test_unknown_event_code_reports_line(self):
         with pytest.raises(ParseError) as err:
@@ -55,13 +62,13 @@ class TestParseMachineEvents:
 
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):
-            parse_machine_events(["10,1,0"])
+            parse_machine_events(_text(["10,1,0"]))
 
     def test_output_sorted_by_machine_then_time(self):
         events = parse_machine_events(
             _events("50,2,0", "10,2,1", "30,1,0", "5,1,2")
         )
-        assert [(e.machine_id, e.time_us) for e in events] == [
+        assert list(zip(events["machine_id"].tolist(), events["time_us"].tolist())) == [
             (1, 5),
             (1, 30),
             (2, 10),
@@ -70,13 +77,18 @@ class TestParseMachineEvents:
 
     def test_update_events_retained(self):
         events = parse_machine_events(_events("10,1,2"))
-        assert events[0].kind == MachineEventKind.UPDATE
+        assert events[0]["event"] == MachineEventKind.UPDATE
+
+    def test_negative_time_reports_line(self):
+        with pytest.raises(ParseError, match="negative time -10") as err:
+            parse_machine_events(_events("10,1,0", "-10,1,1"))
+        assert err.value.line_no == 3
 
 
 class TestParseUsageRecords:
     def test_direct_field_mapping(self):
         rows = [USAGE_HEADER, _usage_row(0, 100, 7, mean_cpu=0.3, max_cpu=0.5)]
-        table, stats = parse_usage_records(rows)
+        table, stats = parse_usage_records(_text(rows))
         assert len(table) == 1
         assert table.machine_id.tolist() == [7]
         assert table.start_us.tolist() == [0]
@@ -87,7 +99,7 @@ class TestParseUsageRecords:
 
     def test_out_of_range_value_clamped_and_counted(self):
         rows = [USAGE_HEADER, _usage_row(0, 100, 7, mean_cpu=1.2, max_cpu=1.5)]
-        table, stats = parse_usage_records(rows)
+        table, stats = parse_usage_records(_text(rows))
         assert table.mean[0, 0] == 1.0
         assert table.peak[0, 0] == 1.0
         assert stats.values_clamped == 2
@@ -95,24 +107,24 @@ class TestParseUsageRecords:
 
     def test_mean_capped_at_peak_after_clamp(self):
         rows = [USAGE_HEADER, _usage_row(0, 100, 7, mean_cpu=0.8, max_cpu=0.5)]
-        table, stats = parse_usage_records(rows)
+        table, stats = parse_usage_records(_text(rows))
         assert table.mean[0, 0] == 0.5
         assert stats.values_clamped == 1
 
     def test_start_equal_end_rejected(self):
         with pytest.raises(ParseError):
-            parse_usage_records([USAGE_HEADER, _usage_row(100, 100, 7)])
+            parse_usage_records(_text([USAGE_HEADER, _usage_row(100, 100, 7)]))
 
     def test_negative_start_rejected(self):
         # binned naively, a start before 0 would land in another bin's cell
         with pytest.raises(ParseError) as err:
-            parse_usage_records([USAGE_HEADER, _usage_row(-100, 100, 7)])
+            parse_usage_records(_text([USAGE_HEADER, _usage_row(-100, 100, 7)]))
         assert err.value.line_no == 2
 
     def test_non_numeric_field_reports_line(self):
         bad = _usage_row(0, 100, 7).replace("0.0", "zebra", 1)
         with pytest.raises(ParseError) as err:
-            parse_usage_records([USAGE_HEADER, bad])
+            parse_usage_records(_text([USAGE_HEADER, bad]))
         assert err.value.line_no == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -122,7 +134,7 @@ class TestParseUsageRecords:
         fields[column] = value
         rows = [USAGE_HEADER, _usage_row(0, 100, 6), ",".join(fields)]
         with pytest.raises(ParseError) as err:
-            parse_usage_records(rows)
+            parse_usage_records(_text(rows))
         assert err.value.line_no == 3
         assert USAGE_HEADER.split(",")[column] in str(err.value)
 
@@ -134,19 +146,19 @@ class TestParseUsageRecords:
             ([_usage_row(0, 100, 7), _usage_row(-1, 100, 7), nan_row], 3),
         ):
             with pytest.raises(ParseError) as err:
-                parse_usage_records([USAGE_HEADER, *rows])
+                parse_usage_records(_text([USAGE_HEADER, *rows]))
             assert err.value.line_no == line_no
 
     def test_blank_lines_and_no_body(self):
-        table, stats = parse_usage_records(["", USAGE_HEADER, ""])
+        table, stats = parse_usage_records(_text(["", USAGE_HEADER, ""]))
         assert len(table) == 0 and stats.values_clamped == 0
-        assert len(parse_usage_records([])[0]) == 0
+        assert len(parse_usage_records(_text([]))[0]) == 0
         table, _ = parse_usage_records(
-            ["\n", USAGE_HEADER + "\n", "\n", _usage_row(0, 100, 7) + "\r\n", "\n"]
+            io.StringIO("\n" + USAGE_HEADER + "\n\n" + _usage_row(0, 100, 7) + "\r\n\n")
         )
         assert table.machine_id.tolist() == [7]
         with pytest.raises(ParseError) as err:
-            parse_usage_records(["", "start_us,end_us"])
+            parse_usage_records(_text(["", "start_us,end_us"]))
         assert err.value.line_no == 2
 
     @given(
@@ -187,7 +199,7 @@ class TestParseUsageRecords:
             fields[value_col] = kind
         lines[line_nos[k] - 1] = ",".join(fields)
         with pytest.raises(ParseError) as err:
-            parse_usage_records(lines)
+            parse_usage_records(_text(lines))
         assert err.value.line_no == line_nos[k]
 
 
@@ -217,7 +229,7 @@ def test_corrupt_line_reports_its_number_in_every_table(table, blanks_before, da
         lines.extend([""] * blanks)
         lines.append(",".join(str(v) for v in row(i)))
         line_nos.append(len(lines))
-    reader(lines)  # the uncorrupted table reads
+    reader(_text(lines))  # the uncorrupted table reads
     n_fields = header.count(",") + 1
     float_cols = [c for c in range(n_fields) if c not in int_cols]
     kinds = ["drop", "extra", "word", "float_int", "huge_int", "underscore_int", "whitespace"]
@@ -247,7 +259,7 @@ def test_corrupt_line_reports_its_number_in_every_table(table, blanks_before, da
         fields[data.draw(st.sampled_from(float_cols))] = kind
     lines[line_nos[k] - 1] = ",".join(fields)
     with pytest.raises(ParseError) as err:
-        reader(lines)
+        reader(_text(lines))
     assert err.value.line_no == line_nos[k]
 
 
@@ -384,8 +396,8 @@ class TestAggregateIntervals:
             for (m, start, length), vals in rows
         ]
         order = data.draw(st.permutations(range(len(lines))))
-        table, _ = parse_usage_records([USAGE_HEADER] + lines)
-        shuffled, _ = parse_usage_records([USAGE_HEADER] + [lines[i] for i in order])
+        table, _ = parse_usage_records(_text([USAGE_HEADER] + lines))
+        shuffled, _ = parse_usage_records(_text([USAGE_HEADER] + [lines[i] for i in order]))
         horizon = _horizon(table) + data.draw(st.integers(0, 2)) * INTERVAL_US
         got = aggregate_intervals(shuffled, horizon)
         want = reference_aggregate(table, horizon, INTERVAL_US)

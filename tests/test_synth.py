@@ -57,8 +57,8 @@ def test_round_trip_through_ingestion_without_clamps(ingested):
 def test_degenerate_machines_detected_and_excluded(ingested):
     events, _, _, series = ingested
     cfg = LabelingConfig(trace_end_us=SMALL.horizon_us)
-    pairing = labeling.pair_failures(events, cfg)
-    excluded = labeling.detect_degenerate_machines(series, pairing.failures, cfg)
+    failures, _ = labeling.pair_failures(events, cfg)
+    excluded = labeling.detect_degenerate_machines(series, failures, cfg)
     assert len(excluded) == SMALL.degenerate_machines
     assert excluded == {58, 59}  # the last machine ids
 
@@ -66,8 +66,8 @@ def test_degenerate_machines_detected_and_excluded(ingested):
 def test_truth_labels_match_labeling_pipeline(small_trace, ingested):
     events, _, _, series = ingested
     cfg = LabelingConfig(trace_end_us=SMALL.horizon_us)
-    pairing = labeling.pair_failures(events, cfg)
-    tracks = labeling.build_label_tracks(pairing.failures, series, cfg)
+    failures, _ = labeling.pair_failures(events, cfg)
+    tracks = labeling.build_label_tracks(failures, series, cfg)
 
     truth = {}
     for i, line in enumerate(small_trace.truth.read_text().splitlines()):
@@ -126,14 +126,14 @@ def test_pacf_significant_lags_concentrate_in_window(ingested):
 def test_failures_leave_clean_feature_windows(ingested):
     events, _, _, series = ingested
     cfg = LabelingConfig(trace_end_us=SMALL.horizon_us)
-    pairing = labeling.pair_failures(events, cfg)
+    failures, _ = labeling.pair_failures(events, cfg)
     kept = series.select(series.machine_ids < 58)
-    failures = [f for f in pairing.failures if f.machine_id < 58]
+    failures = failures[failures["machine_id"] < 58]
     tracks = labeling.build_label_tracks(failures, kept, cfg)
     built = missing = 0
-    for f in failures:
-        tau = f.remove_us // INTERVAL_US
-        row = int(np.searchsorted(kept.machine_ids, f.machine_id))
+    for m, remove_us in zip(failures["machine_id"].tolist(), failures["remove_us"].tolist()):
+        tau = remove_us // INTERVAL_US
+        row = int(np.searchsorted(kept.machine_ids, m))
         inst = build_instance(kept, tracks, row, tau, features.FeatureConfig())
         if inst is None:
             missing += 1

@@ -1,7 +1,12 @@
-import pytest
+import io
 
+import numpy as np
+from hypothesis import given, strategies as st
+
+from failcast.ingestion import MACHINE_EVENTS_HEADER, parse_machine_events
+from failcast.labeling import LabelingConfig, pair_failures
 from failcast.trace_model import (
-    FailureEvent,
+    MICROS_PER_MINUTE as MIN,
     FailureType,
     MachineEventKind,
     ResourceKind,
@@ -26,44 +31,39 @@ def test_failure_type_round_trips_through_integer_labels():
     assert int(FailureType.FORCIBLE_DECOMMISSION) == 3
 
 
+def _failures(rows):
+    """The paired failures of (machine, minute, event code) rows."""
+    body = "".join(f"{minute * MIN},{m},{code}\n" for m, minute, code in rows)
+    table = parse_machine_events(io.StringIO(MACHINE_EVENTS_HEADER + "\n" + body))
+    return pair_failures(table, LabelingConfig())[0]
+
+
+EVENT_ROWS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 200), st.integers(0, 2)), max_size=50
+)
+
+
 def test_failure_event_duration_is_derived():
-    f = FailureEvent(
-        machine_id=3,
-        remove_us=1_000_000,
-        add_us=61_000_000,
-        ftype=FailureType.IMMEDIATE_REBOOT,
-    )
-    assert f.duration_us == 60_000_000
+    (f,) = _failures([(3, 1, 1), (3, 2, 0)])
+    assert f["add_us"] - f["remove_us"] == 60_000_000
+    assert f["type"] == FailureType.IMMEDIATE_REBOOT
 
 
-def test_failure_event_permanent_iff_no_add_time():
-    f = FailureEvent(
-        machine_id=3,
-        remove_us=10,
-        add_us=None,
-        ftype=FailureType.FORCIBLE_DECOMMISSION,
-    )
-    assert f.duration_us is None
-    with pytest.raises(ValueError):
-        FailureEvent(
-            machine_id=3,
-            remove_us=10,
-            add_us=20,
-            ftype=FailureType.FORCIBLE_DECOMMISSION,
-        )
-    with pytest.raises(ValueError):
-        FailureEvent(
-            machine_id=3, remove_us=10, add_us=None, ftype=FailureType.SLOW_REBOOT
-        )
+@given(EVENT_ROWS)
+def test_failure_event_permanent_iff_no_add_time(rows):
+    failures = _failures(rows)
+    permanent = failures["type"] == FailureType.FORCIBLE_DECOMMISSION
+    assert np.array_equal(permanent, failures["add_us"] == -1)
 
 
-def test_failure_event_rejects_normal_type():
-    with pytest.raises(ValueError):
-        FailureEvent(machine_id=3, remove_us=10, add_us=20, ftype=FailureType.NORMAL)
+@given(EVENT_ROWS)
+def test_failure_event_rejects_normal_type(rows):
+    assert np.all(_failures(rows)["type"] != FailureType.NORMAL)
 
 
-def test_failure_event_rejects_add_before_remove():
-    with pytest.raises(ValueError):
-        FailureEvent(
-            machine_id=3, remove_us=100, add_us=50, ftype=FailureType.IMMEDIATE_REBOOT
-        )
+@given(EVENT_ROWS)
+def test_failure_event_rejects_add_before_remove(rows):
+    failures = _failures(rows)
+    back = failures["add_us"] >= 0
+    assert np.all(failures["add_us"][back] >= failures["remove_us"][back])
+
