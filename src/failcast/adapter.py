@@ -15,20 +15,19 @@ Per machine and 5-minute bin, co-resident task usage is SUMMED (weighted
 by each task record's overlap with the bin) and clamped to 1. Peaks are
 the clamped sum of task maxima, an upper bound on the true machine peak.
 Resources with no max column (disk space, page cache, mai) reuse the
-mean. Empty numeric fields count as zero, as in the published trace.
+mean. Empty usage fields count as zero, as in the published trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
+from typing import TextIO
 
 import numpy as np
 
-from .errors import ParseError
+from . import ingestion
 from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
-from .trace_model import INTERVAL_US, N_RESOURCES
+from .trace_model import INTERVAL_US, N_RESOURCES, MachineEventKind
 
 # (mean column, max column) per native resource index
 _USAGE_COLUMNS = [
@@ -39,7 +38,14 @@ _USAGE_COLUMNS = [
     (9, 9),    # page cache
     (16, 16),  # memory accesses per instruction
 ]
-_MAX_USAGE_COLUMN = max(max(c) for c in _USAGE_COLUMNS)
+_VALUE_COLUMNS = sorted({c for pair in _USAGE_COLUMNS for c in pair})
+_MEAN = [_VALUE_COLUMNS.index(mean) for mean, _ in _USAGE_COLUMNS]
+_PEAK = [_VALUE_COLUMNS.index(peak) for _, peak in _USAGE_COLUMNS]
+_TASK_DTYPE = np.dtype(
+    [("start", np.int64), ("end", np.int64), ("machine_id", np.int64),
+     ("values", np.float64, (len(_VALUE_COLUMNS),))]
+)
+_USAGE_FORMAT = ",".join(["%d"] * 3 + ["%.6f"] * 2 * N_RESOURCES)
 
 
 @dataclass
@@ -51,103 +57,83 @@ class AdaptStats:
     values_clamped: int = 0
 
 
-def _f(field: str) -> float:
-    return float(field) if field else 0.0
+def convert_machine_events(source: TextIO, out: TextIO, stats: AdaptStats) -> None:
+    """Copy (time, machine id, event) rows into a native machine-events table.
+
+    A row with a blank field among the three, or an event code outside
+    0..2, is skipped and counted. A row with fewer than three fields, or
+    a field that is not an integer in a row without blanks, raises
+    ParseError naming its line.
+    """
+    fields = ingestion._read_body(
+        source, 0, str, _integer_rule, usecols=(0, 1, 2)
+    ).reshape(-1, 3)
+    rows = fields[(fields != "").all(axis=1)].astype(np.int64)
+    rows = rows[np.isin(rows[:, 2], list(MachineEventKind))]
+    stats.events_converted += len(rows)
+    stats.events_skipped += len(fields) - len(rows)
+    np.savetxt(out, rows, fmt="%d", delimiter=",", header=MACHINE_EVENTS_HEADER, comments="")
 
 
-def convert_machine_events(source: Iterable[str], out, stats: AdaptStats) -> None:
-    out.write(MACHINE_EVENTS_HEADER + "\n")
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) < 3:
-            raise ParseError(line_no, f"expected >= 3 columns, got {len(parts)}")
-        if not parts[0] or not parts[1] or not parts[2]:
-            stats.events_skipped += 1
-            continue
-        try:
-            time_us, machine_id, code = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ParseError(line_no, f"non-integer field: {exc}") from None
-        if code not in (0, 1, 2):
-            stats.events_skipped += 1
-            continue
-        out.write(f"{time_us},{machine_id},{code}\n")
-        stats.events_converted += 1
+def _integer_rule(fields: np.ndarray) -> list[ingestion.Rule]:
+    """A row whose three fields are all filled in must hold three int64 integers."""
+    full = (fields != "").all(axis=1)
+    try:
+        fields[full].astype(np.int64)
+        bad = np.zeros_like(full)
+    except (ValueError, OverflowError):
+        # field by field, and only on this error path, to find the row
+        bad = full & ~np.vectorize(_is_int64, otypes=[bool])(fields).all(axis=1)
+    return [(bad, lambda i: f"non-integer field in {','.join(fields[i])!r}")]
+
+
+def _is_int64(field: str) -> bool:
+    try:
+        return -(2**63) <= int(field) < 2**63
+    except ValueError:
+        return False
 
 
 def convert_task_usage(
-    source: Iterable[str],
-    out,
+    source: TextIO,
+    out: TextIO,
     stats: AdaptStats,
     interval_us: int = INTERVAL_US,
 ) -> None:
-    """Sum co-resident task usage into native per-machine 5-minute rows."""
-    acc_mean: dict[tuple[int, int], np.ndarray] = {}
-    acc_peak: dict[tuple[int, int], np.ndarray] = {}
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) <= _MAX_USAGE_COLUMN:
-            raise ParseError(
-                line_no, f"expected > {_MAX_USAGE_COLUMN} columns, got {len(parts)}"
-            )
-        try:
-            start = int(parts[0])
-            end = int(parts[1])
-            machine_id = int(parts[4])
-            mean = np.array([_f(parts[c]) for c, _ in _USAGE_COLUMNS])
-            peak = np.array([_f(parts[c]) for _, c in _USAGE_COLUMNS])
-        except ValueError as exc:
-            raise ParseError(line_no, f"non-numeric field: {exc}") from None
-        if start >= end:
-            continue
-        stats.usage_rows_read += 1
-        np.maximum(peak, mean, out=peak)
-        for b in range(start // interval_us, (end - 1) // interval_us + 1):
-            lo = max(start, b * interval_us)
-            hi = min(end, (b + 1) * interval_us)
-            frac = (hi - lo) / interval_us
-            key = (machine_id, b)
-            if key not in acc_mean:
-                acc_mean[key] = np.zeros(N_RESOURCES)
-                acc_peak[key] = np.zeros(N_RESOURCES)
-            acc_mean[key] += frac * mean
-            acc_peak[key] += peak
+    """Sum co-resident task usage into native per-machine 5-minute rows.
 
-    out.write(USAGE_HEADER + "\n")
-    for machine_id, b in sorted(acc_mean):
-        mean = acc_mean[(machine_id, b)]
-        peak = acc_peak[(machine_id, b)]
-        over = int(np.sum(mean > 1.0) + np.sum(peak > 1.0))
-        stats.values_clamped += over
-        mean = np.clip(mean, 0.0, 1.0)
-        peak = np.clip(peak, 0.0, 1.0)
-        np.maximum(peak, mean, out=peak)
-        body = ",".join(f"{v:.6f}" for v in np.concatenate([mean, peak]))
-        out.write(f"{b * interval_us},{(b + 1) * interval_us},{machine_id},{body}\n")
-        stats.usage_bins_written += 1
+    Start, end and machine id are required integers, and a blank usage
+    field reads as 0. Rows with start >= end are dropped. Each bin sums,
+    in file order, the overlap-weighted means and the maxima of the rows
+    touching it; sums above 1 are clamped to 1 and counted.
+    """
+    rows = ingestion._read_body(
+        source, 0, _TASK_DTYPE,
+        usecols=(0, 1, 4, *_VALUE_COLUMNS),
+        converters=dict.fromkeys(_VALUE_COLUMNS, lambda field: float(field) if field else 0.0),
+    )
+    rows = rows[rows["start"] < rows["end"]]
+    stats.usage_rows_read += len(rows)
+    # means then maxima, as in a native row; a task's max is at least its mean
+    values = rows["values"][:, _MEAN + _PEAK]
+    np.maximum(values[:, N_RESOURCES:], values[:, :N_RESOURCES], out=values[:, N_RESOURCES:])
 
+    row, bins, overlap = ingestion._bin_pieces(rows["start"], rows["end"], interval_us)
+    cells, cell = np.unique(
+        np.column_stack([rows["machine_id"][row], bins]), axis=0, return_inverse=True
+    )
+    pieces = values[row]
+    pieces[:, :N_RESOURCES] *= (overlap / interval_us)[:, None]
+    sums = np.zeros((len(cells), pieces.shape[1]))
+    # np.add.at adds in piece order, so each cell sums its rows in file order
+    np.add.at(sums, cell, pieces)
+    stats.values_clamped += int(np.count_nonzero(sums > 1.0))
+    stats.usage_bins_written += len(cells)
+    np.clip(sums, 0.0, 1.0, out=sums)
+    np.maximum(sums[:, N_RESOURCES:], sums[:, :N_RESOURCES], out=sums[:, N_RESOURCES:])
 
-def adapt(
-    machine_events_path: Path,
-    task_usage_path: Path,
-    out_dir: Path,
-    interval_us: int = INTERVAL_US,
-) -> AdaptStats:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stats = AdaptStats()
-    with open(machine_events_path) as src, open(
-        out_dir / "machine_events.csv", "w", newline="\n"
-    ) as dst:
-        convert_machine_events(src, dst, stats)
-    with open(task_usage_path) as src, open(
-        out_dir / "resource_usage.csv", "w", newline="\n"
-    ) as dst:
-        convert_task_usage(src, dst, stats, interval_us)
-    return stats
+    machine_id, b = cells.T
+    bounds = np.column_stack([b * interval_us, (b + 1) * interval_us, machine_id])
+    # as Python ints and floats, which format faster than numpy scalars
+    table = np.hstack([bounds.astype(object), sums.astype(object)])
+    np.savetxt(out, table, fmt=_USAGE_FORMAT, header=USAGE_HEADER, comments="")

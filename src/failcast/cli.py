@@ -34,7 +34,7 @@ def _read_config_file(path: Optional[str]) -> dict[str, str]:
     if not path:
         return {}
     cfg = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read(Path(path), lambda f: f.read()).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -81,6 +81,17 @@ def _require_file(path: str) -> Path:
     return p
 
 
+def _read(path: Path, reader):
+    """``reader`` over the open UTF-8 text file ``path``; its errors name the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return reader(f)
+    except ParseError as exc:
+        raise FailcastError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise FailcastError(f"{path}: not UTF-8 text") from None
+
+
 # ---------------------------------------------------------------- synth
 
 
@@ -107,10 +118,8 @@ def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     r = _Resolver(ns, cfg)
     events_path = _require_file(ns.events)
     usage_path = _require_file(ns.usage)
-    with open(events_path) as f:
-        events = ingestion.parse_machine_events(f)
-    with open(usage_path) as f:
-        table, clamps = ingestion.parse_usage_records(f)
+    events = _read(events_path, ingestion.parse_machine_events)
+    table, clamps = _read(usage_path, ingestion.parse_usage_records)
     interval_us = r.get("interval_us", INTERVAL_US)
     if interval_us < 1:
         raise ConfigError(f"interval_us must be >= 1, got {interval_us}")
@@ -145,8 +154,7 @@ def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     r = _Resolver(ns, cfg)
     series, meta = store.load_interval_store(_require_file(ns.store))
-    with open(_require_file(ns.events)) as f:
-        events = ingestion.parse_machine_events(f)
+    events = _read(_require_file(ns.events), ingestion.parse_machine_events)
     lcfg = labeling.LabelingConfig(
         ir_max_downtime_us=r.get("ir_max_minutes", 30) * 60 * 1_000_000,
         degenerate_min_failures=r.get("degenerate_min_failures", 100),
@@ -234,15 +242,6 @@ def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 # ---------------------------------------------------------------- train
-
-
-def _read(path: Path, reader):
-    """``reader`` over the open text file ``path``; a ParseError names the file."""
-    try:
-        with open(path) as f:
-            return reader(f)
-    except ParseError as exc:
-        raise FailcastError(f"{path}: {exc}") from None
 
 
 def _load_split(data_dir: Path, name: str) -> tuple[np.ndarray, ...]:
@@ -422,11 +421,17 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _cmd_adapt_google(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
-    stats = adapter_mod.adapt(
-        _require_file(ns.machine_events),
-        _require_file(ns.task_usage),
-        Path(ns.out),
-    )
+    tables = [
+        (_require_file(ns.machine_events), "machine_events.csv",
+         adapter_mod.convert_machine_events),
+        (_require_file(ns.task_usage), "resource_usage.csv", adapter_mod.convert_task_usage),
+    ]
+    out_dir = Path(ns.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stats = adapter_mod.AdaptStats()
+    for path, name, convert in tables:
+        with open(out_dir / name, "w", newline="\n") as out:
+            _read(path, lambda f: convert(f, out, stats))
     print(
         f"converted {stats.events_converted} events "
         f"({stats.events_skipped} skipped), "

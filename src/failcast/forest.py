@@ -358,6 +358,8 @@ def load(source: Iterable[str]) -> ForestModel:
                 if not 0 <= feature[-1] < dim:
                     raise ModelFormatError(f"line {no}: split feature out of range")
                 threshold.append(float(parts[2]))
+                if not np.isfinite(threshold[-1]):
+                    raise ModelFormatError(f"line {no}: non-finite split threshold")
                 counts.extend([0] * N_CLASSES)
                 open_splits.append(node)
             elif parts[0] == "L" and len(parts) == 2 + N_CLASSES:

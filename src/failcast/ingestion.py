@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
@@ -99,40 +100,78 @@ def _read_table(
 ) -> np.ndarray:
     """Read a CSV table with the given header into a structured array of ``dtype``.
 
-    ``source`` is a seekable text file. Blank lines are skipped, and a
-    file without a single non-empty line is an empty table. The body is
-    read from the file by one ``np.loadtxt`` call, and ``check(rows)``
-    gives the rules its rows must keep. A line that is not one row of
-    ``dtype``, or the first row that breaks a rule, raises ParseError with
-    its line number, which is searched for only then, by reading the file
-    again from its start.
+    The header must be the first non-empty line of the seekable text file
+    ``source``, and a file without one is an empty table.
     """
-    numbered = _lines(source)
-    header_no, first = next(numbered, (0, header))
+    header_no, first = next(_lines(iter(source.readline, "")), (0, header))
     if first != header:
         raise ParseError(header_no, f"expected header '{header}'")
-    n_rows = sum(1 for _ in numbered)
-    if not n_rows:
-        return np.empty(0, dtype)
+    return _read_body(source, header_no, dtype, check)
+
+
+def _read_body(
+    source: TextIO,
+    line_no: int,
+    dtype: np.dtype,
+    check: Optional[Callable[[np.ndarray], list[Rule]]] = None,
+    *,
+    delimiter: Optional[str] = ",",
+    comments: Optional[str] = None,
+    **settings,
+) -> np.ndarray:
+    """Read the seekable text file ``source`` from after its line ``line_no`` to its end.
+
+    One ``np.loadtxt`` call with the format's ``delimiter``, ``comments``
+    and ``settings`` reads one row of ``dtype`` per line that holds one (a
+    2-D array for an unstructured ``dtype``); a body without one is empty.
+    ``check(rows)`` gives the rules the rows must keep. The first line that
+    is not a row of ``dtype`` or breaks a rule raises ParseError with its
+    line number, which is searched for only then, by reading the body again.
+    """
+    dtype = np.dtype(dtype)
+    loadtxt = functools.partial(
+        np.loadtxt, dtype=dtype, delimiter=delimiter, comments=comments,
+        ndmin=1 if dtype.names else 2, **settings,
+    )
+    start = source.tell()
 
     def body() -> Iterator[tuple[int, str]]:
-        source.seek(0)
-        return itertools.islice(_lines(source), 1, None)
+        source.seek(start)
+        for no, line in _lines(source, line_no + 1):
+            if comments:
+                line = line.partition(comments)[0]
+            # split on whitespace, a line of only spaces holds no row; split on a
+            # delimiter, it is a row of one blank field
+            if line.strip() if delimiter is None else line:
+                yield no, line
 
-    source.seek(0)
-    next(itertools.islice(source, header_no - 1, None))  # up to and including the header
+    n_rows = sum(1 for _ in body())
+    if not n_rows:
+        return np.empty(0, dtype)
+    source.seek(start)
     try:
-        rows = _loadtxt(source, dtype=dtype)
+        with warnings.catch_warnings():
+            # np.loadtxt reads a text dtype in chunks and warns of the blank lines
+            # in them, which every format here allows
+            warnings.simplefilter("ignore", UserWarning)
+            rows = loadtxt(source)
     except ValueError:
         rows = None
+    unreadable = None
     if rows is None or len(rows) != n_rows:
-        for line_no, line in body():
+        for k, (no, line) in enumerate(body()):
             try:
-                _loadtxt([line], dtype=dtype)
+                loadtxt([line])
             except ValueError as exc:
-                raise ParseError(line_no, str(exc).partition(" at row")[0]) from None
-        # np.loadtxt reads each line on its own, so a body it rejects has a line it rejects alone
-        raise AssertionError("no unreadable line in a rejected table")
+                unreadable = ParseError(no, str(exc).partition(" at row")[0])
+                break
+        else:
+            # np.loadtxt reads each line on its own, so a body it rejects has a line it rejects alone
+            raise AssertionError("no unreadable line in a rejected table")
+        if not k:
+            raise unreadable
+        # a row above the unreadable line that breaks a rule comes first
+        rows = loadtxt(line for _, line in itertools.islice(body(), k))
     firsts = [
         (int(np.argmax(broken)), message)
         for broken, message in (check(rows) if check else [])
@@ -140,12 +179,11 @@ def _read_table(
     ]
     if firsts:
         row, message = min(firsts, key=lambda first: first[0])
-        line_no, _ = next(itertools.islice(body(), row, None))
-        raise ParseError(line_no, message(row))
+        no, _ = next(itertools.islice(body(), row, None))
+        raise ParseError(no, message(row))
+    if unreadable:
+        raise unreadable
     return rows
-
-
-_loadtxt = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1)
 
 
 def parse_machine_events(source: TextIO) -> np.ndarray:
@@ -235,22 +273,17 @@ def aggregate_intervals(
     machine_index[order] = np.cumsum(new_machine) - 1
 
     first_bin = table.start_us // interval_us
-    last_bin = (table.end_us - 1) // interval_us
-    is_single = first_bin[order] == last_bin[order]
+    is_single = first_bin[order] == (table.end_us[order] - 1) // interval_us
     single, spanning = order[is_single], order[~is_single]
-    # one piece per (spanning row, bin it touches), in row order then bin order
-    n_pieces = last_bin[spanning] - first_bin[spanning] + 1
-    pieces = np.repeat(spanning, n_pieces)
-    piece_bin = first_bin[pieces] + (
-        np.arange(len(pieces)) - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
+    piece_row, piece_bin, overlap = _bin_pieces(
+        table.start_us[spanning], table.end_us[spanning], interval_us
     )
-    piece_lo = np.maximum(table.start_us[pieces], piece_bin * interval_us)
-    piece_hi = np.minimum(table.end_us[pieces], (piece_bin + 1) * interval_us)
+    pieces = spanning[piece_row]
 
     rows = np.concatenate([single, pieces])
     cell = machine_index[rows] * n_bins + np.concatenate([first_bin[single], piece_bin])
     weight = np.concatenate(
-        [table.end_us[single] - table.start_us[single], piece_hi - piece_lo]
+        [table.end_us[single] - table.start_us[single], overlap]
     ).astype(float)
 
     n_cells = len(machine_ids) * n_bins
@@ -271,6 +304,24 @@ def aggregate_intervals(
     peak = peak.reshape(shape + (N_RESOURCES,))
     present = present.reshape(shape)
     return IntervalSeries(machine_ids, avg, peak, present)
+
+
+def _bin_pieces(
+    start_us: np.ndarray, end_us: np.ndarray, interval_us: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, bin, overlap) of each piece of the spans [start_us, end_us) cut at bin edges.
+
+    Pieces come in span order then bin order; ``overlap`` is in microseconds.
+    """
+    first_bin = start_us // interval_us
+    n_pieces = (end_us - 1) // interval_us - first_bin + 1
+    row = np.repeat(np.arange(len(start_us)), n_pieces)
+    bins = first_bin[row] + (
+        np.arange(len(row)) - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
+    )
+    lo = np.maximum(start_us[row], bins * interval_us)
+    hi = np.minimum(end_us[row], (bins + 1) * interval_us)
+    return row, bins, hi - lo
 
 
 def _row_order(table: UsageTable) -> np.ndarray:

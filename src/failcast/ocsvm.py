@@ -11,12 +11,14 @@ anomaly when g(x) < 0, i.e. outside the learned support of normal data.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleNuError, ModelFormatError
+from .errors import ConvergenceError, InfeasibleNuError, ModelFormatError, ParseError
+from .ingestion import Rule, _read_body
 
 MODEL_FORMAT = "ocsvm-model v1"
 _HEADER_KEYS = ("gamma", "rho", "dim", "support_vectors")
@@ -198,17 +200,20 @@ def save(model: OcsvmModel, out: TextIO) -> None:
         out.write(repr(float(a)) + " " + " ".join(repr(float(v)) for v in sv) + "\n")
 
 
-def load(source: Iterable[str]) -> OcsvmModel:
+def load(source: TextIO) -> OcsvmModel:
     """Read an ``ocsvm-model v1`` file; anything else raises ModelFormatError.
 
-    The header's support-vector count must match the body, and every row
-    must hold an alpha and dim coordinates.
+    ``source`` is a seekable text file. Lines starting with ``#`` are
+    comments. The header's support-vector count must match the body,
+    every row must hold an alpha and dim coordinates, every number must be
+    finite, and gamma must be positive.
     """
-    rows = [(no, ln.split()) for no, ln in enumerate(source, 1) if not ln.startswith("#")]
-    rows = [(no, parts) for no, parts in rows if parts]
-    if not rows or " ".join(rows[0][1]) != MODEL_FORMAT:
+    lines = enumerate(iter(source.readline, ""), 1)
+    rows = ((no, ln.split()) for no, ln in lines if not ln.startswith("#"))
+    head = list(itertools.islice(((no, parts) for no, parts in rows if parts), 5))
+    if not head or " ".join(head[0][1]) != MODEL_FORMAT:
         raise ModelFormatError(f"not an {MODEL_FORMAT!r} file")
-    header = [parts for _, parts in rows[1:5]]
+    header = [parts for _, parts in head[1:]]
     if [(p[0], len(p)) for p in header] != [(k, 2) for k in _HEADER_KEYS]:
         raise ModelFormatError(f"the header needs {', '.join(_HEADER_KEYS)} lines")
     try:
@@ -216,17 +221,22 @@ def load(source: Iterable[str]) -> OcsvmModel:
         dim, n_sv = int(header[2][1]), int(header[3][1])
     except ValueError as exc:
         raise ModelFormatError(f"bad header value ({exc})") from None
-    if len(rows) - 5 != n_sv:
-        raise ModelFormatError(f"header lists {n_sv} support vectors, file has {len(rows) - 5}")
-    no = rows[4][0]
+    if not (np.isfinite(rho) and np.isfinite(gamma) and gamma > 0.0):
+        raise ModelFormatError(f"gamma {gamma!r} and rho {rho!r} must be finite, gamma > 0")
+    if dim < 1 or n_sv < 1:
+        raise ModelFormatError(f"dim {dim} and support_vectors {n_sv} must be positive")
+    dtype = np.dtype([("alpha", np.float64), ("sv", np.float64, (dim,))])
     try:
-        table = np.empty((n_sv, dim + 1))
-        for i, (no, parts) in enumerate(rows[5:]):
-            if len(parts) != dim + 1:
-                raise ModelFormatError(f"line {no}: expected {dim + 1} fields, got {len(parts)}")
-            table[i] = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ModelFormatError(f"line {no}: bad value ({exc})") from None
+        table = _read_body(source, head[-1][0], dtype, _finite_rule, delimiter=None, comments="#")
+    except ParseError as exc:
+        raise ModelFormatError(str(exc)) from None
+    if len(table) != n_sv:
+        raise ModelFormatError(f"header lists {n_sv} support vectors, file has {len(table)}")
     return OcsvmModel(
-        support_vectors=table[:, 1:].copy(), alphas=table[:, 0].copy(), rho=rho, gamma=gamma
+        support_vectors=table["sv"].copy(), alphas=table["alpha"].copy(), rho=rho, gamma=gamma
     )
+
+
+def _finite_rule(table: np.ndarray) -> list[Rule]:
+    finite = np.isfinite(table["alpha"]) & np.isfinite(table["sv"]).all(axis=1)
+    return [(~finite, lambda i: "non-finite value")]

@@ -65,6 +65,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.machines < 1:
             raise ConfigError("need at least one machine")
+        if not np.isfinite(self.horizon_days):
+            raise ConfigError(f"horizon_days must be finite, got {self.horizon_days}")
+        if self.degenerate_machines < 0:
+            raise ConfigError(f"degenerate_machines must be >= 0, got {self.degenerate_machines}")
         if min(self.duration_weights) < 0 or sum(self.duration_weights) <= 0:
             raise ConfigError("duration weights must be non-negative and sum > 0")
         if not 0.0 <= self.signature_strength <= 1.0:

@@ -4,10 +4,10 @@ Each oracle takes the slow, obvious route: explicit least squares for
 partial autocorrelations, accelerated projected gradient for the
 one-class dual, exhaustive enumeration for tree splits, a row-by-row,
 tree-by-tree walk for forest votes, record-by-record and bin-by-bin
-accumulation for interval aggregation, an event-by-event walk for
-failure pairing, a failure-by-failure walk for label tracks,
-value-by-value packing of one feature window, and literal pair counting
-for AUC. None of them share code with the package paths they verify.
+accumulation for interval aggregation and for the clusterdata adapter,
+an event-by-event walk for failure pairing, a failure-by-failure walk
+for label tracks, value-by-value packing of one feature window, and
+literal pair counting for AUC. None of them share code with the package paths they verify.
 ``forest_predict_batch``, the majority vote over the package's own
 votes, is not an oracle: it lives here because only tests use it.
 """
@@ -16,10 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from failcast.errors import ParseError
 from failcast.features import Instance
 from failcast.forest import predict_votes_batch
+from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
-from failcast.trace_model import FAILURE_DTYPE, N_RESOURCES, FailureType, MachineEventKind
+from failcast.trace_model import (
+    FAILURE_DTYPE,
+    INTERVAL_US,
+    N_RESOURCES,
+    FailureType,
+    MachineEventKind,
+)
 
 
 def ols_last_coefficient(x: np.ndarray, k: int) -> float:
@@ -241,6 +249,93 @@ def reference_aggregate(table, horizon_us: int, interval_us: int) -> dict:
         np.minimum(avg, peak, out=avg)
         out[machine_id] = (avg, peak, present)
     return out
+
+
+# (mean column, max column) of each native resource in a clusterdata task_usage row
+_TASK_USAGE_COLUMNS = [(5, 13), (11, 14), (12, 12), (6, 10), (9, 9), (16, 16)]
+_MAX_TASK_USAGE_COLUMN = max(max(c) for c in _TASK_USAGE_COLUMNS)
+
+
+def _blank_as_zero(field: str) -> float:
+    return float(field) if field else 0.0
+
+
+def reference_convert_machine_events(source, out, stats) -> None:
+    """The clusterdata machine-events adapter as a line-by-line loop."""
+    out.write(MACHINE_EVENTS_HEADER + "\n")
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) < 3:
+            raise ParseError(line_no, f"expected >= 3 columns, got {len(parts)}")
+        if not parts[0] or not parts[1] or not parts[2]:
+            stats.events_skipped += 1
+            continue
+        try:
+            time_us, machine_id, code = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ParseError(line_no, f"non-integer field: {exc}") from None
+        if code not in (0, 1, 2):
+            stats.events_skipped += 1
+            continue
+        out.write(f"{time_us},{machine_id},{code}\n")
+        stats.events_converted += 1
+
+
+def reference_convert_task_usage(source, out, stats, interval_us: int = INTERVAL_US) -> None:
+    """The clusterdata task-usage adapter as a line-by-line, bin-by-bin loop.
+
+    Each (machine, bin) cell accumulates its rows in a dict entry, in
+    file order; cells are written sorted by (machine, bin).
+    """
+    acc_mean: dict[tuple[int, int], np.ndarray] = {}
+    acc_peak: dict[tuple[int, int], np.ndarray] = {}
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) <= _MAX_TASK_USAGE_COLUMN:
+            raise ParseError(
+                line_no, f"expected > {_MAX_TASK_USAGE_COLUMN} columns, got {len(parts)}"
+            )
+        try:
+            start = int(parts[0])
+            end = int(parts[1])
+            machine_id = int(parts[4])
+            mean = np.array([_blank_as_zero(parts[c]) for c, _ in _TASK_USAGE_COLUMNS])
+            peak = np.array([_blank_as_zero(parts[c]) for _, c in _TASK_USAGE_COLUMNS])
+        except ValueError as exc:
+            raise ParseError(line_no, f"non-numeric field: {exc}") from None
+        if start >= end:
+            continue
+        stats.usage_rows_read += 1
+        np.maximum(peak, mean, out=peak)
+        for b in range(start // interval_us, (end - 1) // interval_us + 1):
+            lo = max(start, b * interval_us)
+            hi = min(end, (b + 1) * interval_us)
+            frac = (hi - lo) / interval_us
+            key = (machine_id, b)
+            if key not in acc_mean:
+                acc_mean[key] = np.zeros(N_RESOURCES)
+                acc_peak[key] = np.zeros(N_RESOURCES)
+            acc_mean[key] += frac * mean
+            acc_peak[key] += peak
+
+    out.write(USAGE_HEADER + "\n")
+    for machine_id, b in sorted(acc_mean):
+        mean = acc_mean[(machine_id, b)]
+        peak = acc_peak[(machine_id, b)]
+        over = int(np.sum(mean > 1.0) + np.sum(peak > 1.0))
+        stats.values_clamped += over
+        mean = np.clip(mean, 0.0, 1.0)
+        peak = np.clip(peak, 0.0, 1.0)
+        np.maximum(peak, mean, out=peak)
+        body = ",".join(f"{v:.6f}" for v in np.concatenate([mean, peak]))
+        out.write(f"{b * interval_us},{(b + 1) * interval_us},{machine_id},{body}\n")
+        stats.usage_bins_written += 1
 
 
 def build_instance(series, tracks, row: int, tau: int, cfg):

@@ -312,11 +312,14 @@ def test_criterion_8_real_trace_structural_checks(tmp_path):
         )
         pytest.skip("real trace not provided")
 
-    from failcast import adapter
+    from failcast.cli import main
 
     src = Path(trace_dir)
     native = tmp_path / "native"
-    adapter.adapt(src / "machine_events.csv", src / "task_usage.csv", native)
+    assert main([
+        "adapt-google", "--machine-events", str(src / "machine_events.csv"),
+        "--task-usage", str(src / "task_usage.csv"), "--out", str(native),
+    ]) == 0
     with open(native / "machine_events.csv") as f:
         events = ingestion.parse_machine_events(f)
     with open(native / "resource_usage.csv") as f:

@@ -309,8 +309,7 @@ class TestBrokenInputs:
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         assert main([*args, "--out", str(out)]) == 2
-        named = "" if stage == "ingest" else f"{path}: "
-        assert capsys.readouterr().err.startswith(f"error: {named}line 3: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 3: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -342,7 +341,7 @@ class TestBrokenInputs:
             "--usage", str(usage), "--out", str(tmp_path / "s"),
         ])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: line 2:")
+        assert capsys.readouterr().err.startswith(f"error: {usage}: line 2:")
         assert not (tmp_path / "s").exists()
 
 
@@ -415,6 +414,29 @@ class TestBrokenInputs:
         assert main(["label", "--store", str(store), "--events", events, "--out", str(labels)]) == 0
         assert np.load(labels / "machine_ids.npy").shape == (0,)
         assert np.load(labels / "y.npy").shape[0] == 0
+
+
+    @pytest.mark.parametrize("stage", ["ingest", "train", "evaluate", "synth"])
+    def test_non_utf8_input_exits_2(self, chain, tmp_path, capsys, stage):
+        data = tmp_path / "data"
+        shutil.copytree(chain / "data", data)
+        events, preds, cfg = (tmp_path / n for n in ("machine_events.csv", "p.csv", "s.cfg"))
+        path, source, args = {
+            "ingest": (events, chain / "trace" / "machine_events.csv", [
+                "ingest", "--events", str(events),
+                "--usage", str(chain / "trace" / "resource_usage.csv")]),
+            "train": (data / "train.csv", chain / "data" / "train.csv",
+                      ["train", "--data", str(data)]),
+            "evaluate": (preds, chain / "predictions.csv",
+                         ["evaluate", "--predictions", str(preds), "--data", str(data)]),
+            "synth": (cfg, None, ["synth", "--config", str(cfg)]),
+        }[stage]
+        text = source.read_bytes() if source else b"machines=5\ndays=1\n"
+        path.write_bytes(text.replace(b"\n", b"\n\xff", 1))
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+        assert not out.exists()
 
 
 def _break_header(lines):
@@ -602,3 +624,63 @@ class TestAdaptGoogle:
         assert table.mean[0, 3] == pytest.approx(0.4)   # memory summed, in range
         assert table.peak[0, 3] == pytest.approx(0.6)
         assert table.mean[0, 2] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("table", ["machine_events", "task_usage"])
+    def test_unreadable_line_names_the_file(self, tmp_path, capsys, table):
+        me, tu = self._write_google_tables(tmp_path)
+        path = me if table == "machine_events" else tu
+        lines = path.read_text().splitlines() + ["1,2"]
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["adapt-google", "--machine-events", str(me), "--task-usage", str(tu),
+                   "--out", str(tmp_path / "native")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line {len(lines)}: ")
+
+    def test_adapted_trace_runs_through_ingest_label_and_pacf(self, tmp_path):
+        """adapt-google -> ingest -> label -> pacf-report on a small clusterdata trace.
+
+        Two co-resident tasks per machine and bin with a blank usage field
+        each, a task row spanning three bins, machine ids above 2**31, a
+        short REMOVE/ADD outage and an UPDATE event.
+        """
+        rng = np.random.default_rng(0)
+        machines = [5, 2**31 + 7, 2**40 + 3]
+        interval = 300_000_000
+        events = [f"0,{m},0,hash,0.5,0.5" for m in machines] + [
+            f"{20 * interval},5,1,hash,0.5,0.5",
+            f"{22 * interval},5,0,hash,0.5,0.5",
+            f"{30 * interval},{machines[1]},2,hash,0.25,0.5",
+        ]
+        tasks = []
+        for b in range(60):
+            for m in machines:
+                for task in range(2):
+                    cols = [f"{v:.6f}" for v in rng.uniform(0.0, 0.4, 20)]
+                    cols[:5] = [str(b * interval), str((b + 1) * interval), "1", str(task), str(m)]
+                    cols[rng.integers(5, 17)] = ""
+                    if (b, m, task) == (1, 5, 1):
+                        cols[1] = str(4 * interval - 5)  # spans bins 1 to 3
+                    tasks.append(",".join(cols))
+        trace, native = tmp_path / "trace", tmp_path / "native"
+        trace.mkdir()
+        (trace / "machine_events.csv").write_text("\n".join(events) + "\n")
+        (trace / "task_usage.csv").write_text("\n".join(tasks) + "\n")
+        store, labels = tmp_path / "store", tmp_path / "labels"
+        assert main(["adapt-google", "--machine-events", str(trace / "machine_events.csv"),
+                     "--task-usage", str(trace / "task_usage.csv"), "--out", str(native)]) == 0
+        assert main(["ingest", "--events", str(native / "machine_events.csv"),
+                     "--usage", str(native / "resource_usage.csv"), "--out", str(store)]) == 0
+        assert main(["label", "--store", str(store), "--events",
+                     str(native / "machine_events.csv"), "--out", str(labels)]) == 0
+        assert main(["pacf-report", "--store", str(store),
+                     "--out", str(tmp_path / "pacf.csv")]) == 0
+
+        from failcast import store as store_mod
+
+        series, meta = store_mod.load_interval_store(store)
+        tracks, label_meta = store_mod.load_label_store(labels)
+        assert series.machine_ids.tolist() == machines
+        assert series.present.all()
+        assert tracks.machine_ids.tolist() == machines
+        assert label_meta["class_counts"] == {"ir": 1, "sr": 0, "fd": 0}
+        assert len((tmp_path / "pacf.csv").read_text().splitlines()) == 11

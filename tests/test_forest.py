@@ -356,6 +356,8 @@ class TestSerialization:
             (r"\nN \d+ ", "\nN "),  # split line missing a field
             (r"\nN \d+ ", "\nN 99 "),  # split feature out of range
             (r"dim 3\n", "dim three\n"),  # not a number
+            (r"\nN (\d+) \S+", r"\nN \1 nan"),  # non-finite threshold
+            (r"\nN (\d+) \S+", r"\nN \1 -inf"),
         ],
     )
     def test_malformed_listing_rejected(self, pattern, replacement):

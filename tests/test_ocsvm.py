@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -226,21 +227,38 @@ class TestSerialization:
         assert np.array_equal(decision(restored, queries), decision(model, queries))
 
     @pytest.mark.parametrize(
-        "old, new",
+        "pattern, replacement",
         [
             ("support_vectors ", "support_vectors 1"),  # header above the body
             ("\ndim 3\n", "\ndim 4\n"),  # rows one field short
             ("\ndim 3\n", "\ndim 2\n"),  # rows one field long
             ("\nrho ", "\nrho x"),  # not a number
             ("\ngamma ", "\ngama "),  # unknown header key
+            (r"(support_vectors \d+\n\S+ )\S+", r"\1nan"),  # non-finite coordinate
+            (r"(support_vectors \d+\n)\S+", r"\1inf"),  # non-finite alpha
+            (r"\ngamma \S+", "\ngamma inf"),
+            (r"\ngamma \S+", "\ngamma 0.0"),
+            (r"\nrho \S+", "\nrho nan"),
         ],
     )
-    def test_malformed_file_rejected(self, old, new):
+    def test_malformed_file_rejected(self, pattern, replacement):
         rng = np.random.default_rng(9)
         model = train(rng.random((30, 3)), OcsvmParams(nu=0.3, gamma=0.5))
         buf = io.StringIO()
         save(model, buf)
         text = buf.getvalue()
-        assert old in text
+        broken = re.sub(pattern, replacement, text, count=1)
+        assert broken != text
         with pytest.raises(ModelFormatError):
-            load(io.StringIO(text.replace(old, new, 1)))
+            load(io.StringIO(broken))
+
+    def test_bad_body_line_is_named(self):
+        rng = np.random.default_rng(9)
+        model = train(rng.random((30, 3)), OcsvmParams(nu=0.3, gamma=0.5))
+        buf = io.StringIO()
+        save(model, buf)
+        lines = buf.getvalue().splitlines()
+        lines[8] = lines[8].rsplit(" ", 1)[0] + " nan"
+        lines[9] = lines[9].rsplit(" ", 1)[0]
+        with pytest.raises(ModelFormatError, match="^line 9: non-finite"):
+            load(io.StringIO("\n".join(lines) + "\n"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from failcast import features, ingestion, labeling
-from failcast.errors import GenerationError
+from failcast.errors import ConfigError, GenerationError
 from failcast.labeling import LabelingConfig
 from failcast.synth import SynthConfig, _draw_duration, generate
 from failcast.trace_model import INTERVAL_US, FailureType
@@ -160,3 +160,7 @@ def test_degenerate_parameter_validation(tmp_path):
         generate(SynthConfig(machines=2, degenerate_machines=2), tmp_path)
     with pytest.raises(ValueError):
         SynthConfig(signature_strength=1.5)
+    for bad in (dict(degenerate_machines=-1), dict(horizon_days=float("nan")),
+                dict(horizon_days=float("inf"))):
+        with pytest.raises(ConfigError):
+            SynthConfig(**bad)
