@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, TextIO
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import adapter as adapter_mod
 from . import features as features_mod
-from . import forest as forest_mod
 from . import ingestion, labeling, metrics, pipeline, store, synth
 from .errors import ConfigError, FailcastError, ParseError
 from .features import DatasetConfig, FeatureConfig, Instance
@@ -194,19 +194,19 @@ def _cmd_pacf_report(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     r = _Resolver(ns, cfg)
     series, _ = store.load_interval_store(_require_file(ns.store))
     max_lag = r.get("max_lag", 10)
-    results = features_mod.pacf_by_machine(series, max_lag=max_lag)
-    hist = features_mod.significant_lag_histogram(results)
+    table = features_mod.pacf_by_machine(series, max_lag=max_lag)
+    counts = features_mod.significant_lag_counts(table)
     out = Path(ns.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n") as f:
         f.write("lag,significant_pairs\n")
-        for lag in range(1, max_lag + 1):
-            f.write(f"{lag},{hist.get(lag, 0)}\n")
-    total = sum(hist.values())
-    in_window = sum(c for lag, c in hist.items() if lag <= 6)
+        for lag, count in enumerate(counts.tolist(), 1):
+            f.write(f"{lag},{count}\n")
+    total = int(counts.sum())
+    in_window = int(counts[:6].sum())
     share = in_window / total if total else float("nan")
     print(
-        f"pacf over {len(results)} machine-resource pairs; "
+        f"pacf over {len(table)} machine-resource pairs; "
         f"{total} significant lags, {share:.1%} within lags 1..6; wrote {out}"
     )
     return 0
@@ -292,8 +292,8 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     )
     model = pipeline.train(
         train_set,
-        OcsvmParams(nu=best_nu, gamma=best_gamma, tol=base_ocsvm.tol),
-        ForestParams(n_trees=best_trees, rng_seed=seed),
+        replace(base_ocsvm, nu=best_nu, gamma=best_gamma),
+        replace(base_forest, n_trees=best_trees),
         FeatureConfig(lags=r.get("lags", 6)),
     )
     out_dir = Path(ns.out)
@@ -308,10 +308,9 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
             )
     with open(out_dir / "split_counts.csv", "w", newline="\n") as f:
         f.write("index,kind,resource,lag,count\n")
-        for row in forest_mod.split_count_report(model.forest, model.feature_config):
-            f.write(
-                f"{row['index']},{row['kind']},{row['resource']},{row['lag']},{row['count']}\n"
-            )
+        for i, count in enumerate(model.forest.feature_split_counts.tolist()):
+            kind, resource, lag = model.feature_config.describe(i)
+            f.write(f"{i},{kind},{resource},{lag},{count}\n")
     if ns.archive:
         pipeline.save_archive(model, Path(ns.archive))
     print(
@@ -390,8 +389,7 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         at = [row_of[key] for key in zip(machine_id.tolist(), interval.tolist())]
     except KeyError as exc:
         raise FailcastError(f"missing prediction for instance {exc.args[0]}") from None
-    preds, scores = rows["predicted_y"][at].tolist(), rows["score"][at].tolist()
-    actuals = y.tolist()
+    preds, scores = rows["predicted_y"][at], rows["score"][at]
 
     latency = None
     reps = r.get("latency", 0)
@@ -402,13 +400,13 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         latency = metrics.measure_latency(
             lambda x: pipeline.predict_batch(model, x[None, :]), list(X), reps
         )
-    report = metrics.build_report(preds, actuals, scores, latency=latency)
+    report = metrics.build_report(preds, y, scores, latency=latency)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(metrics.render_text(report))
     (out_dir / "report.kv").write_text(metrics.render_kv(report))
     try:
-        points = metrics.roc_curve(scores, actuals)
+        points = metrics.roc_curve(scores, y)
         with open(out_dir / "roc.csv", "w", newline="\n") as f:
             metrics.write_roc_csv(points, f)
     except metrics.UndefinedAucError:
@@ -429,9 +427,17 @@ def _cmd_adapt_google(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = adapter_mod.AdaptStats()
-    for path, name, convert in tables:
-        with open(out_dir / name, "w", newline="\n") as out:
-            _read(path, lambda f: convert(f, out, stats))
+    # each table streams into a temporary file; both appear only once both convert
+    partial = [(out_dir / f".{name}.partial", out_dir / name) for _, name, _ in tables]
+    try:
+        for (path, _, convert), (tmp, _) in zip(tables, partial):
+            with open(tmp, "w", newline="\n") as out:
+                _read(path, lambda f: convert(f, out, stats))
+        for tmp, final in partial:
+            tmp.replace(final)
+    finally:
+        for tmp, _ in partial:
+            tmp.unlink(missing_ok=True)
     print(
         f"converted {stats.events_converted} events "
         f"({stats.events_skipped} skipped), "

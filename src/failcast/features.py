@@ -5,6 +5,11 @@ coefficient of the order-k least-squares autoregression (with intercept)
 fitted to the series. Each order is fitted on its own: its centred
 design matrix of lagged values is built afresh and its k-by-k normal
 equations solved, so lags 1..K cost K passes over the series.
+
+``pacf_by_machine`` returns the fleet's partial autocorrelations as one
+structured array, a row per (machine, resource) pair, and
+``significant_lag_counts`` turns that table into the per-lag histogram
+that ``pacf-report`` writes.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -73,80 +78,56 @@ def pacf(series: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PacfResult:
-    machine_id: int
-    resource: ResourceKind
-    pacf: np.ndarray
-    n_effective: int
-
-    @property
-    def significance_band(self) -> float:
-        return SIGNIFICANCE_Z / np.sqrt(self.n_effective)
-
-    def significant_lags(self) -> list[int]:
-        band = self.significance_band
-        return [k + 1 for k, v in enumerate(self.pacf) if abs(v) > band]
-
-
-def _longest_present_run(present: np.ndarray) -> tuple[int, int]:
-    best_start = best_len = 0
-    start = None
-    for t, p in enumerate(present):
-        if p and start is None:
-            start = t
-        elif not p and start is not None:
-            if t - start > best_len:
-                best_start, best_len = start, t - start
-            start = None
-    if start is not None and len(present) - start > best_len:
-        best_start, best_len = start, len(present) - start
-    return best_start, best_len
+def _longest_present_runs(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M,) start and length of each row's first longest run of True; 0 and 0 for none."""
+    # padded with False, a row's changes alternate between run starts and ends
+    row, edge = np.nonzero(np.diff(present, axis=1, prepend=False, append=False))
+    row, begin, run = row[::2], edge[::2], edge[1::2] - edge[::2]
+    # by row, then longest first; the stable sort keeps equal runs in start order
+    order = np.lexsort((-run, row))
+    best = order[np.unique(row[order], return_index=True)[1]]
+    start = np.zeros(len(present), dtype=np.int64)
+    length = np.zeros(len(present), dtype=np.int64)
+    start[row[best]] = begin[best]
+    length[row[best]] = run[best]
+    return start, length
 
 
 def pacf_by_machine(
     series: IntervalSeries,
     max_lag: int = 10,
     min_length: int = 50,
-) -> list[PacfResult]:
+) -> np.ndarray:
     """Per-machine, per-resource partial autocorrelations of average usage.
 
-    Uses the longest gap-free run of each machine's series so downtime
-    holes cannot fake correlation structure. Machines whose run is too
-    short or constant are skipped.
+    One row per (machine, resource) pair, in machine then resource order,
+    with fields ``machine_id``, ``resource`` (a ``ResourceKind`` code),
+    ``n_effective`` (the number of intervals used) and ``pacf`` (lags
+    1..max_lag). Each machine's series is cut to its first longest
+    gap-free run, so downtime holes cannot fake correlation structure.
+    Machines whose run is too short, and resources constant over it, are
+    skipped.
     """
     if max_lag < 1:
         raise ConfigError("max_lag must be >= 1")
-    results: list[PacfResult] = []
-    for machine_id, avg, present in zip(
-        series.machine_ids.tolist(), series.avg, series.present
-    ):
-        start, length = _longest_present_run(present)
-        if length < max(min_length, max_lag + 2):
-            continue
-        window = avg[start : start + length]
-        for r in range(N_RESOURCES):
-            col = window[:, r]
-            if np.ptp(col) == 0.0:
-                continue
-            results.append(
-                PacfResult(
-                    machine_id=machine_id,
-                    resource=ResourceKind(r),
-                    pacf=pacf(col, max_lag),
-                    n_effective=length,
-                )
-            )
-    return results
+    dtype = np.dtype(
+        [("machine_id", np.int64), ("resource", np.int8), ("n_effective", np.int64),
+         ("pacf", np.float64, (max_lag,))]
+    )
+    start, length = _longest_present_runs(series.present)
+    rows = []
+    for m in np.flatnonzero(length >= max(min_length, max_lag + 2)):
+        window = series.avg[m, start[m] : start[m] + length[m]]
+        for r in np.flatnonzero(np.ptp(window, axis=0) != 0.0):
+            rows.append((series.machine_ids[m], r, length[m], pacf(window[:, r], max_lag)))
+    return np.array(rows, dtype=dtype)
 
 
-def significant_lag_histogram(results: Iterable[PacfResult]) -> dict[int, int]:
-    """Count machine-resource pairs whose pacf exceeds the significance band, per lag."""
-    hist: dict[int, int] = {}
-    for res in results:
-        for lag in res.significant_lags():
-            hist[lag] = hist.get(lag, 0) + 1
-    return hist
+def significant_lag_counts(table: np.ndarray) -> np.ndarray:
+    """(max_lag,) counts of the pairs of a ``pacf_by_machine`` table outside
+    the significance band 1.96/sqrt(n_effective), per lag."""
+    band = SIGNIFICANCE_Z / np.sqrt(table["n_effective"])
+    return np.count_nonzero(np.abs(table["pacf"]) > band[:, None], axis=0)
 
 
 @dataclass(frozen=True)
@@ -167,18 +148,8 @@ class FeatureConfig:
     def dim(self) -> int:
         return 2 * N_RESOURCES * self.lags
 
-    def index(self, kind: str, resource: int, lag: int) -> int:
-        if kind not in (KIND_AVG, KIND_PEAK):
-            raise ValueError(f"kind must be '{KIND_AVG}' or '{KIND_PEAK}'")
-        if not 0 <= resource < N_RESOURCES:
-            raise ValueError(f"resource index {resource} out of range")
-        if not 1 <= lag <= self.lags:
-            raise ValueError(f"lag {lag} out of range 1..{self.lags}")
-        half = 0 if kind == KIND_AVG else 1
-        return half * N_RESOURCES * self.lags + resource * self.lags + (lag - 1)
-
     def describe(self, index: int) -> tuple[str, int, int]:
-        """Inverse of :meth:`index`; returns (kind, resource, lag)."""
+        """(kind, resource, lag) of the flat feature index ``index``."""
         if not 0 <= index < self.dim:
             raise ValueError(f"feature index {index} out of range")
         half, rest = divmod(index, N_RESOURCES * self.lags)

@@ -7,12 +7,12 @@ so growth order and thread scheduling never change the model.
 
 A forest is flat node arrays, after scikit-learn's ``Tree``: node i has
 ``feature[i]`` (-1 at a leaf), ``threshold[i]`` (x[feature] <= threshold
-goes left), child ids ``left[i]`` (always i + 1) and ``right[i]`` (-1 at
-a leaf), and ``counts[i]``, the training class counts at a leaf (zeros at
-a split). Each tree's nodes are in pre-order, the trees one after
-another, and ``roots[k]`` is tree k's root. Pre-order is the order
-grow_tree visits nodes in and the ``forest-model v1`` file lists them,
-so saving and loading are single passes.
+goes left), the right child's id ``right[i]`` (-1 at a leaf; the left
+child is always i + 1), and ``counts[i]``, the training class counts at
+a leaf (zeros at a split). Each tree's nodes are in pre-order, the trees
+one after another, and ``roots[k]`` is tree k's root. Pre-order is the
+order grow_tree visits nodes in and the ``forest-model v1`` file lists
+them, so saving and loading are single passes.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class ForestModel:
     roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     counts: np.ndarray
     leaf_class: np.ndarray = field(init=False, repr=False)
@@ -187,15 +186,12 @@ def grow_tree(
 
 def _arrays_model(params, dim, roots, feature, threshold, right, counts) -> ForestModel:
     """A forest from pre-order node lists; left children follow their parent."""
-    feature = np.array(feature, dtype=np.intp)
-    ids = np.arange(len(feature))
     return ForestModel(
         params=params,
         dim=dim,
         roots=np.array(roots, dtype=np.intp),
-        feature=feature,
+        feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=float),
-        left=np.where(feature >= 0, ids + 1, -1),
         right=np.array(right, dtype=np.intp),
         counts=np.array(counts, dtype=np.int64).reshape(-1, N_CLASSES),
     )
@@ -261,29 +257,12 @@ def predict_votes_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
             inner = f >= 0
             live, at, f = live[inner], at[inner], f[inner]
             goes_left = block[rows[live], f] <= model.threshold[at]
-            node[live] = np.where(goes_left, model.left[at], model.right[at])
+            node[live] = np.where(goes_left, at + 1, model.right[at])
         slots = rows * N_CLASSES + model.leaf_class[node]
         votes[lo : lo + len(block)] = np.bincount(
             slots, minlength=len(block) * N_CLASSES
         ).reshape(-1, N_CLASSES)
     return votes
-
-
-def split_count_report(model: ForestModel, feature_config) -> list[dict]:
-    """Split counts keyed by (kind, resource, lag) via the feature layout."""
-    rows = []
-    for i, count in enumerate(model.feature_split_counts):
-        kind, resource, lag = feature_config.describe(i)
-        rows.append(
-            {
-                "index": i,
-                "kind": kind,
-                "resource": resource,
-                "lag": lag,
-                "count": int(count),
-            }
-        )
-    return rows
 
 
 def save(model: ForestModel, out: TextIO) -> None:

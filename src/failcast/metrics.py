@@ -2,7 +2,11 @@
 
 Headline numbers are binary failure-vs-normal (classes 1..3 pooled as
 positive), with F-beta at beta=3 so recall weighs roughly three times
-more than precision. Per-class and macro figures are diagnostics.
+more than precision; ``binary_f3`` is the one place that pools them, for
+reports and grid search alike. Per-class and macro figures are
+diagnostics. ``roc_curve`` and ``roc_auc`` share one tie-grouped sweep
+over the scores (Fawcett, 2006): the curve is a ``(k+1, 3)`` array of
+``(fpr, tpr, threshold)`` rows.
 """
 
 from __future__ import annotations
@@ -65,63 +69,63 @@ def binary_counts(cm: np.ndarray) -> tuple[int, int, int, int]:
     return tp, fp, fn, tn
 
 
-def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Probability a positive outranks a negative, ties counting half.
+def binary_f3(cm: np.ndarray, beta: float = DEFAULT_BETA) -> float:
+    """F-beta of failure-vs-normal; an undefined precision or recall counts as 0."""
+    precision, recall = _binary_precision_recall(cm)
+    return f_beta(precision or 0.0, recall or 0.0, beta)
 
-    Computed from rank sums: numerator and denominator match brute-force
-    pair counting exactly because half-integer rank sums are exact in
-    floating point.
+
+def _binary_precision_recall(cm: np.ndarray) -> tuple[Optional[float], Optional[float]]:
+    tp, fp, fn, _ = binary_counts(cm)
+    return (tp / (tp + fp) if tp + fp else None, tp / (tp + fn) if tp + fn else None)
+
+
+def _roc_sweep(scores: Sequence[float], labels: Sequence[int]):
+    """One sweep from the highest score down, a step per distinct score.
+
+    Returns the cumulative true- and false-positive counts after each
+    step, the step's score, and the positive and negative totals. Ties
+    form one step: after a stable sort of -score, a step ends at the last
+    index of each run of equal scores.
     """
     s = np.asarray(scores, dtype=float)
-    lab = np.asarray(labels, dtype=np.int64)
-    if s.shape != lab.shape:
+    pos = np.asarray(labels, dtype=np.int64) != 0
+    if s.shape != pos.shape:
         raise ValueError("scores and labels must have equal length")
-    pos = lab != 0
     n_pos = int(pos.sum())
-    n_neg = len(lab) - n_pos
+    n_neg = len(pos) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAucError(
             f"need both classes, got {n_pos} positives / {n_neg} negatives"
         )
-    order = np.argsort(s, kind="stable")
-    sorted_scores = s[order]
-    ranks = np.empty(len(s))
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[i : j + 1] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
-    rank_sum_pos = ranks[pos[order]].sum()
-    favorable = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return favorable / (n_pos * n_neg)
-
-
-def roc_curve(
-    scores: Sequence[float], labels: Sequence[int]
-) -> list[tuple[float, float, float]]:
-    """(fpr, tpr, threshold) sweep at every distinct score, highest first."""
-    s = np.asarray(scores, dtype=float)
-    lab = (np.asarray(labels, dtype=np.int64) != 0).astype(np.int64)
-    n_pos = int(lab.sum())
-    n_neg = len(lab) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedAucError("need both classes for a ROC curve")
     order = np.argsort(-s, kind="stable")
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        thr = s[order[i]]
-        while i < len(s) and s[order[i]] == thr:
-            if lab[order[i]]:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append((fp / n_neg, tp / n_pos, float(thr)))
-    return points
+    ranked = s[order]
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(pos[order])[last]
+    fp = last + 1 - tp
+    return tp, fp, ranked[np.append(0, last[:-1] + 1)], n_pos, n_neg
+
+
+def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """Probability a positive outranks a negative, ties counting half.
+
+    Twice the favourable pairs is an exact integer count, so the result
+    is that count divided by 2 * n_pos * n_neg, rounded once, and matches
+    brute-force pair counting exactly.
+    """
+    tp, fp, _, n_pos, n_neg = _roc_sweep(scores, labels)
+    step_pos, step_neg = np.diff(tp, prepend=0), np.diff(fp, prepend=0)
+    # each positive beats the negatives below its step and ties those in it
+    twice_favourable = int(step_pos @ (2 * (n_neg - fp) + step_neg))
+    return twice_favourable / (2 * n_pos * n_neg)
+
+
+def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> np.ndarray:
+    """(k+1, 3) rows of (fpr, tpr, threshold): (0, 0, inf), then one row
+    per distinct score, highest first."""
+    tp, fp, thresholds, n_pos, n_neg = _roc_sweep(scores, labels)
+    sweep = np.column_stack([fp / n_neg, tp / n_pos, thresholds])
+    return np.vstack([[0.0, 0.0, np.inf], sweep])
 
 
 @dataclass
@@ -181,10 +185,7 @@ def build_report(
         precision.append(p)
         recall.append(r)
 
-    tp, fp, fn, _ = binary_counts(cm)
-    bp = tp / (tp + fp) if tp + fp > 0 else None
-    br = tp / (tp + fn) if tp + fn > 0 else None
-    bf3 = f_beta(bp or 0.0, br or 0.0, beta) if (bp, br) != (None, None) else 0.0
+    bp, br = _binary_precision_recall(cm)
 
     per_class_f3 = []
     for cls in range(1, N_CLASSES):
@@ -208,7 +209,7 @@ def build_report(
         recall=recall,
         binary_precision=bp,
         binary_recall=br,
-        binary_f3=bf3,
+        binary_f3=binary_f3(cm, beta),
         macro_f3_failures=macro,
         auc=auc,
         latency=latency,
@@ -275,7 +276,8 @@ def render_kv(report: MetricsReport) -> str:
     return "".join(f"{k}={kv[k]}\n" for k in sorted(kv))
 
 
-def write_roc_csv(points: Sequence[tuple[float, float, float]], out) -> None:
+def write_roc_csv(points: np.ndarray, out) -> None:
+    """The rows of a ``roc_curve`` array, each value as its shortest repr."""
     out.write("fpr,tpr,threshold\n")
-    for fpr, tpr, thr in points:
+    for fpr, tpr, thr in np.asarray(points, dtype=float).tolist():
         out.write(f"{fpr!r},{tpr!r},{thr!r}\n")

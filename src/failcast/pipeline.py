@@ -15,7 +15,7 @@ import json
 import logging
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -238,19 +238,8 @@ def grid_search_cv(
             try:
                 model = train(
                     insts,
-                    OcsvmParams(
-                        nu=nu,
-                        gamma=gamma,
-                        tol=base_ocsvm.tol,
-                        max_iter=base_ocsvm.max_iter,
-                    ),
-                    ForestParams(
-                        n_trees=n_trees,
-                        mtry=base_forest.mtry,
-                        min_leaf=base_forest.min_leaf,
-                        max_depth=base_forest.max_depth,
-                        rng_seed=base_forest.rng_seed,
-                    ),
+                    replace(base_ocsvm, nu=nu, gamma=gamma),
+                    replace(base_forest, n_trees=n_trees),
                 )
             except (DegenerateTrainingError, InfeasibleNuError) as exc:
                 # unusable cell: the filter ate all failures, or nu*n < 1
@@ -261,11 +250,7 @@ def grid_search_cv(
                 fold_scores.append(0.0)
                 continue
             preds, _ = predict_batch(model, X[test_idx])
-            cm = metrics_mod.confusion(preds, y[test_idx])
-            tp, fp, fn, _tn = metrics_mod.binary_counts(cm)
-            p = tp / (tp + fp) if tp + fp else 0.0
-            r = tp / (tp + fn) if tp + fn else 0.0
-            fold_scores.append(metrics_mod.f_beta(p, r))
+            fold_scores.append(metrics_mod.binary_f3(metrics_mod.confusion(preds, y[test_idx])))
         return CvCell(gamma=gamma, nu=nu, n_trees=n_trees, fold_f3=fold_scores)
 
     table = [run_cell(c) for c in grid.cells()]

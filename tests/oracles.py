@@ -6,10 +6,15 @@ one-class dual, exhaustive enumeration for tree splits, a row-by-row,
 tree-by-tree walk for forest votes, record-by-record and bin-by-bin
 accumulation for interval aggregation and for the clusterdata adapter,
 an event-by-event walk for failure pairing, a failure-by-failure walk
-for label tracks, value-by-value packing of one feature window, and
-literal pair counting for AUC. None of them share code with the package paths they verify.
-``forest_predict_batch``, the majority vote over the package's own
-votes, is not an oracle: it lives here because only tests use it.
+for label tracks, value-by-value packing of one feature window, a
+machine-by-machine loop for the PACF table and its histogram, literal
+pair counting and rank sums for AUC, and a tie-by-tie walk for the ROC
+curve. None of them share code with the package paths they verify;
+the PACF table loop calls the package's own ``pacf``, which the OLS
+oracle checks. ``forest_predict_batch``, the majority vote over the
+package's own votes, and ``feature_index``, the inverse of
+``FeatureConfig.describe``, are not oracles: they live here because
+only tests use them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from failcast.errors import ParseError
-from failcast.features import Instance
+from failcast.features import KIND_AVG, KIND_PEAK, SIGNIFICANCE_Z, Instance, pacf
 from failcast.forest import predict_votes_batch
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
@@ -180,8 +185,8 @@ def brute_force_best_split(X, y, features, min_leaf=1):
 def reference_votes(model, X) -> np.ndarray:
     """(n, 4) votes from walking each row down each tree, one node at a time.
 
-    Follows the flat arrays' child links from every root and takes a
-    leaf's class from its own counts.
+    Follows the flat arrays' child links from every root (a left child
+    is the next node) and takes a leaf's class from its own counts.
     """
     votes = np.zeros((len(X), 4), dtype=np.int64)
     for i, x in enumerate(X):
@@ -189,7 +194,7 @@ def reference_votes(model, X) -> np.ndarray:
             node = int(root)
             while model.feature[node] >= 0:
                 if x[model.feature[node]] <= model.threshold[node]:
-                    node = int(model.left[node])
+                    node += 1
                 else:
                     node = int(model.right[node])
             votes[i, int(np.argmax(model.counts[node]))] += 1
@@ -458,3 +463,100 @@ def auc_pair_counting(scores, labels) -> float:
 
 def f_beta_direct(p: float, r: float, beta: float) -> float:
     return (1 + beta**2) * p * r / (beta**2 * p + r)
+
+
+def feature_index(cfg, kind: str, resource: int, lag: int) -> int:
+    """Flat index of (kind, resource, lag) in ``cfg``'s feature layout."""
+    if kind not in (KIND_AVG, KIND_PEAK):
+        raise ValueError(f"kind must be '{KIND_AVG}' or '{KIND_PEAK}'")
+    if not 0 <= resource < N_RESOURCES:
+        raise ValueError(f"resource index {resource} out of range")
+    if not 1 <= lag <= cfg.lags:
+        raise ValueError(f"lag {lag} out of range 1..{cfg.lags}")
+    half = 0 if kind == KIND_AVG else 1
+    return half * N_RESOURCES * cfg.lags + resource * cfg.lags + (lag - 1)
+
+
+def reference_longest_present_run(present) -> tuple[int, int]:
+    """(start, length) of the first longest run of True, by a walk over the mask."""
+    best_start = best_len = 0
+    start = None
+    for t, p in enumerate(present):
+        if p and start is None:
+            start = t
+        elif not p and start is not None:
+            if t - start > best_len:
+                best_start, best_len = start, t - start
+            start = None
+    if start is not None and len(present) - start > best_len:
+        best_start, best_len = start, len(present) - start
+    return best_start, best_len
+
+
+def reference_pacf_by_machine(series, max_lag: int = 10, min_length: int = 50) -> list:
+    """(machine_id, resource, n_effective, pacf) per pair, machine by machine."""
+    results = []
+    for machine_id, avg, present in zip(series.machine_ids.tolist(), series.avg, series.present):
+        start, length = reference_longest_present_run(present)
+        if length < max(min_length, max_lag + 2):
+            continue
+        window = avg[start : start + length]
+        for r in range(N_RESOURCES):
+            col = window[:, r]
+            if np.ptp(col) == 0.0:
+                continue
+            results.append((machine_id, r, length, pacf(col, max_lag)))
+    return results
+
+
+def reference_significant_lag_histogram(results) -> dict[int, int]:
+    """{lag: pairs} over the lags whose |pacf| exceeds 1.96/sqrt(n_effective)."""
+    hist: dict[int, int] = {}
+    for _, _, n_effective, values in results:
+        band = SIGNIFICANCE_Z / np.sqrt(n_effective)
+        for k, v in enumerate(values):
+            if abs(v) > band:
+                hist[k + 1] = hist.get(k + 1, 0) + 1
+    return hist
+
+
+def reference_roc_curve(scores, labels) -> list[tuple[float, float, float]]:
+    """(fpr, tpr, threshold) points by a walk over the scores, one tie group at a time."""
+    s = np.asarray(scores, dtype=float)
+    lab = (np.asarray(labels, dtype=np.int64) != 0).astype(np.int64)
+    n_pos = int(lab.sum())
+    n_neg = len(lab) - n_pos
+    order = np.argsort(-s, kind="stable")
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    i = 0
+    while i < len(s):
+        thr = s[order[i]]
+        while i < len(s) and s[order[i]] == thr:
+            if lab[order[i]]:
+                tp += 1
+            else:
+                fp += 1
+            i += 1
+        points.append((fp / n_neg, tp / n_pos, float(thr)))
+    return points
+
+
+def reference_roc_auc_rank_sums(scores, labels) -> float:
+    """Mann-Whitney AUC from average ranks, ties found by a walk over the sorted scores."""
+    s = np.asarray(scores, dtype=float)
+    pos = np.asarray(labels, dtype=np.int64) != 0
+    n_pos = int(pos.sum())
+    n_neg = len(pos) - n_pos
+    order = np.argsort(s, kind="stable")
+    sorted_scores = s[order]
+    ranks = np.empty(len(s))
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[i : j + 1] = (i + j) / 2.0 + 1.0  # average 1-based rank
+        i = j + 1
+    favorable = ranks[pos[order]].sum() - n_pos * (n_pos + 1) / 2.0
+    return favorable / (n_pos * n_neg)

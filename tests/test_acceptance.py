@@ -278,6 +278,7 @@ def test_criterion_7_cli_chain_determinism(tmp_path):
         "store/meta.json",
         "labels/y.npy",
         "labels/failures.csv",
+        "pacf_hist.csv",
         "data/train.csv",
         "data/test.csv",
         "data/layout.json",
@@ -335,12 +336,12 @@ def test_criterion_8_real_trace_structural_checks(tmp_path):
     expected = np.array([5894, 2783, 94])
     counts_ok = np.all(np.abs(counts - expected) <= 0.01 * expected)
 
-    results = features.pacf_by_machine(
+    table = features.pacf_by_machine(
         series.select(~np.isin(series.machine_ids, sorted(excluded))), max_lag=10
     )
-    hist = features.significant_lag_histogram(results)
-    total = sum(hist.values())
-    within = sum(c for lag, c in hist.items() if lag <= 6)
+    counts = features.significant_lag_counts(table)
+    total = int(counts.sum())
+    within = int(counts[:6].sum())
     lag_ok = total > 0 and within / total >= 0.8
 
     _report(

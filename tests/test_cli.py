@@ -11,7 +11,7 @@ from failcast.pipeline import BUNDLE_FILES
 
 
 def run_chain(root: Path, seed: int = 11, signature: float = 0.9) -> Path:
-    """synth -> ingest -> label -> featurize -> train -> predict -> evaluate."""
+    """synth -> ingest -> label -> pacf-report -> featurize -> train -> predict -> evaluate."""
     trace = root / "trace"
     store = root / "store"
     labels = root / "labels"
@@ -30,6 +30,7 @@ def run_chain(root: Path, seed: int = 11, signature: float = 0.9) -> Path:
         "label", "--store", str(store),
         "--events", str(trace / "machine_events.csv"), "--out", str(labels),
     ]) == 0
+    assert main(["pacf-report", "--store", str(store), "--out", str(root / "pacf_hist.csv")]) == 0
     assert main([
         "featurize", "--store", str(store), "--labels", str(labels),
         "--out", str(data), "--normal-samples", "1500", "--seed", str(seed),
@@ -70,6 +71,20 @@ class TestFullChain:
         assert (chain / "reports" / "report.txt").exists()
         assert (chain / "reports" / "report.kv").exists()
         assert (chain / "reports" / "roc.csv").exists()
+
+    def test_split_counts_follow_feature_layout(self, chain):
+        from failcast import forest
+
+        text = (chain / "model" / "split_counts.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines()]
+        assert rows[0] == ["index", "kind", "resource", "lag", "count"]
+        assert len(rows) == 1 + 72
+        assert rows[1][:4] == ["0", "avg", "0", "1"]
+        assert rows[72][:4] == ["71", "peak", "5", "6"]
+        with open(chain / "model" / "forest.txt") as f:
+            model = forest.load(f)
+        counts = [int(row[4]) for row in rows[1:]]
+        assert counts == model.feature_split_counts.tolist() and sum(counts) > 0
 
     def test_single_cell_grid_yields_single_cv_row(self, chain):
         rows = (chain / "model" / "cv_table.csv").read_text().splitlines()
@@ -635,6 +650,16 @@ class TestAdaptGoogle:
                    "--out", str(tmp_path / "native")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: line {len(lines)}: ")
+
+    @pytest.mark.parametrize("table", ["machine_events", "task_usage"])
+    def test_rejected_table_leaves_no_output(self, tmp_path, table):
+        me, tu = self._write_google_tables(tmp_path)
+        (me if table == "machine_events" else tu).write_text("1,2\n")
+        out = tmp_path / "native"
+        rc = main(["adapt-google", "--machine-events", str(me), "--task-usage", str(tu),
+                   "--out", str(out)])
+        assert rc == 2
+        assert list(out.iterdir()) == []
 
     def test_adapted_trace_runs_through_ingest_label_and_pacf(self, tmp_path):
         """adapt-google -> ingest -> label -> pacf-report on a small clusterdata trace.

@@ -9,21 +9,29 @@ from failcast.errors import FailcastError, InsufficientDataError, ParseError, Ze
 from failcast.features import (
     DatasetConfig,
     FeatureConfig,
-    PacfResult,
+    _longest_present_runs,
     build_dataset,
     pacf,
+    pacf_by_machine,
     read_dataset_csv,
     read_ids_csv,
-    significant_lag_histogram,
+    significant_lag_counts,
     to_arrays,
     write_dataset_csv,
     write_ids_csv,
 )
 from failcast.ingestion import IntervalSeries
 from failcast.labeling import LabelTracks
-from failcast.trace_model import FailureType, ResourceKind
+from failcast.trace_model import FailureType
 
-from oracles import build_instance, ols_last_coefficient
+from oracles import (
+    build_instance,
+    feature_index,
+    ols_last_coefficient,
+    reference_longest_present_run,
+    reference_pacf_by_machine,
+    reference_significant_lag_histogram,
+)
 
 
 def ar1(n, phi, seed, scale=1.0):
@@ -78,27 +86,71 @@ class TestPacf:
 
 
 class TestSignificantLagHistogram:
-    def _result(self, machine, pacf_values, n_effective):
-        return PacfResult(
-            machine_id=machine,
-            resource=ResourceKind.CPU_USAGE,
-            pacf=np.asarray(pacf_values),
-            n_effective=n_effective,
+    def _table(self, pacf_values, n_effective, max_lag=None):
+        """The two fields of a pacf_by_machine table that the counts read."""
+        max_lag = max_lag or len(pacf_values[0])
+        table = np.zeros(
+            len(pacf_values), dtype=[("n_effective", np.int64), ("pacf", float, (max_lag,))]
         )
+        table["pacf"] = np.reshape(pacf_values, (-1, max_lag))
+        table["n_effective"] = n_effective
+        return table
 
     def test_threshold_forces_membership(self):
-        res = self._result(1, [0.5, 0.01], n_effective=9604)  # band ~0.02
-        assert significant_lag_histogram([res]) == {1: 1}
+        table = self._table([[0.5, 0.01]], n_effective=9604)  # band ~0.02
+        assert significant_lag_counts(table).tolist() == [1, 0]
 
     def test_empty_input(self):
-        assert significant_lag_histogram([]) == {}
+        assert significant_lag_counts(self._table([], 1, max_lag=3)).tolist() == [0, 0, 0]
 
     def test_counts_are_additive(self):
-        results = [
-            self._result(1, [0.0, 0.0, 0.4], 10_000),
-            self._result(2, [0.0, 0.0, 0.3], 10_000),
-        ]
-        assert significant_lag_histogram(results) == {3: 2}
+        table = self._table([[0.0, 0.0, 0.4], [0.0, 0.0, 0.3]], 10_000)
+        assert significant_lag_counts(table).tolist() == [0, 0, 2]
+
+
+def _gappy_fleet(rng, machines, T):
+    """An IntervalSeries with random gaps, equal-length runs and constant resources."""
+    present = rng.random((machines, T)) < rng.uniform(0.6, 1.0, (machines, 1))
+    if machines > 1:
+        present[0] = False
+        present[0, 5:25] = present[0, 30:50] = True  # two longest runs of 20
+        present[-1] = True
+    avg = rng.random((machines, T, 6))
+    avg[:, :, rng.integers(0, 6)] = 0.25
+    avg[rng.random((machines, T)) < 0.1, 1] = 0.0  # ties inside a series
+    ids = np.sort(rng.choice(10_000, machines, replace=False)).astype(np.int64)
+    return IntervalSeries(ids, avg, avg + 0.1, present)
+
+
+class TestPacfTable:
+    def test_longest_runs_match_the_walk(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            M, T = int(rng.integers(1, 6)), int(rng.integers(0, 40))
+            present = rng.random((M, T)) < rng.uniform(0.0, 1.0)
+            start, length = _longest_present_runs(present)
+            walked = [reference_longest_present_run(row) for row in present]
+            assert list(zip(start.tolist(), length.tolist())) == walked
+
+    def test_table_and_counts_match_the_machine_loop(self):
+        rng = np.random.default_rng(22)
+        for _ in range(25):
+            series = _gappy_fleet(rng, int(rng.integers(1, 9)), int(rng.integers(30, 120)))
+            max_lag = int(rng.integers(1, 6))
+            min_length = int(rng.integers(5, 25))
+            table = pacf_by_machine(series, max_lag, min_length)
+            reference = reference_pacf_by_machine(series, max_lag, min_length)
+            assert table.dtype.names == ("machine_id", "resource", "n_effective", "pacf")
+            assert table[["machine_id", "resource", "n_effective"]].tolist() == [
+                r[:3] for r in reference
+            ]
+            assert np.array_equal(
+                table["pacf"], np.reshape([r[3] for r in reference], (-1, max_lag))
+            )
+            hist = reference_significant_lag_histogram(reference)
+            assert significant_lag_counts(table).tolist() == [
+                hist.get(lag, 0) for lag in range(1, max_lag + 1)
+            ]
 
 
 class TestFeatureLayout:
@@ -111,7 +163,7 @@ class TestFeatureLayout:
         for kind in ("avg", "peak"):
             for r in range(6):
                 for lag in range(1, 7):
-                    i = cfg.index(kind, r, lag)
+                    i = feature_index(cfg, kind, r, lag)
                     assert cfg.describe(i) == (kind, r, lag)
                     seen.add(i)
         assert seen == set(range(72))
@@ -119,11 +171,11 @@ class TestFeatureLayout:
     def test_out_of_range_rejected(self):
         cfg = FeatureConfig()
         with pytest.raises(ValueError):
-            cfg.index("avg", 6, 1)
+            feature_index(cfg, "avg", 6, 1)
         with pytest.raises(ValueError):
-            cfg.index("avg", 0, 7)
+            feature_index(cfg, "avg", 0, 7)
         with pytest.raises(ValueError):
-            cfg.index("median", 0, 1)
+            feature_index(cfg, "median", 0, 1)
         with pytest.raises(ValueError):
             cfg.describe(72)
 
@@ -154,8 +206,8 @@ class TestBuildInstance:
         assert inst.x.shape == (72,)
         for lag in range(1, 7):
             for r in range(6):
-                assert inst.x[cfg.index("avg", r, lag)] == series.avg[0, 10 - lag, r]
-                assert inst.x[cfg.index("peak", r, lag)] == series.peak[0, 10 - lag, r]
+                assert inst.x[feature_index(cfg, "avg", r, lag)] == series.avg[0, 10 - lag, r]
+                assert inst.x[feature_index(cfg, "peak", r, lag)] == series.peak[0, 10 - lag, r]
 
     def test_downtime_in_window_blocks_instance(self):
         series, tracks = _fleet()

@@ -15,11 +15,9 @@ from failcast.forest import (
     load,
     predict_votes_batch,
     save,
-    split_count_report,
     train,
     _tree_rng,
 )
-from failcast.features import FeatureConfig
 from failcast.trace_model import FailureType
 
 from oracles import brute_force_best_split, forest_predict_batch, gini, reference_votes
@@ -39,7 +37,7 @@ def internal_nodes(model) -> int:
         node = stack.pop()
         if model.feature[node] >= 0:
             count += 1
-            stack.extend([model.left[node], model.right[node]])
+            stack.extend([node + 1, model.right[node]])
     return count
 
 
@@ -302,17 +300,6 @@ class TestSplitCounts:
         model = train(X, y, ForestParams(n_trees=6, mtry=2, rng_seed=2))
         assert model.feature_split_counts.sum() == internal_nodes(model)
 
-    def test_report_uses_feature_layout(self):
-        rng = np.random.default_rng(10)
-        X = rng.random((50, 72))
-        y = rng.integers(0, 2, 50)
-        model = train(X, y, ForestParams(n_trees=2, rng_seed=0))
-        rows = split_count_report(model, FeatureConfig())
-        assert len(rows) == 72
-        assert rows[0]["kind"] == "avg" and rows[0]["lag"] == 1
-        assert rows[71]["kind"] == "peak" and rows[71]["lag"] == 6
-        assert sum(r["count"] for r in rows) == model.feature_split_counts.sum()
-
 
 class TestSerialization:
     def test_round_trip_preserves_predictions_exactly(self):
@@ -326,7 +313,7 @@ class TestSerialization:
         assert np.array_equal(
             predict_votes_batch(model, queries), predict_votes_batch(restored, queries)
         )
-        for name in ("roots", "feature", "threshold", "left", "right", "counts"):
+        for name in ("roots", "feature", "threshold", "right", "counts"):
             assert np.array_equal(getattr(model, name), getattr(restored, name))
         assert saved(restored) == text
 

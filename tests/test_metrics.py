@@ -9,6 +9,7 @@ from failcast.metrics import (
     LatencyStats,
     UndefinedAucError,
     binary_counts,
+    binary_f3,
     build_report,
     confusion,
     f_beta,
@@ -21,7 +22,12 @@ from failcast.metrics import (
     write_roc_csv,
 )
 
-from oracles import auc_pair_counting, f_beta_direct
+from oracles import (
+    auc_pair_counting,
+    f_beta_direct,
+    reference_roc_auc_rank_sums,
+    reference_roc_curve,
+)
 
 
 class TestConfusion:
@@ -116,6 +122,7 @@ class TestRocAuc:
             if labels.sum() in (0, n):
                 labels[0] = 1 - labels[0]
             assert roc_auc(scores, labels) == auc_pair_counting(scores, labels)
+            assert roc_auc(scores, labels) == reference_roc_auc_rank_sums(scores, labels)
 
     @given(st.integers(0, 2**32 - 1))
     def test_monotone_transform_invariance(self, seed):
@@ -143,8 +150,20 @@ class TestRocAuc:
 class TestRocCurve:
     def test_sweep_ends_at_unit_corner(self):
         points = roc_curve([0.9, 0.1, 0.8, 0.3], [1, 0, 1, 0])
-        assert points[0][:2] == (0.0, 0.0)
-        assert points[-1][:2] == (1.0, 1.0)
+        assert points[0].tolist() == [0.0, 0.0, float("inf")]
+        assert points[-1, :2].tolist() == [1.0, 1.0]
+
+    def test_matches_tie_walk(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(2, 80))
+            scores = np.round(rng.random(n), int(rng.integers(0, 3)))  # many ties
+            labels = rng.integers(0, 4, n)
+            if np.count_nonzero(labels) in (0, n):
+                labels[0] = 0 if labels[0] else 1
+            points = roc_curve(scores, labels)
+            assert points.shape[1] == 3
+            assert np.array_equal(points, reference_roc_curve(scores, labels))
 
     def test_csv_export_shape(self):
         points = roc_curve([0.9, 0.1], [1, 0])
@@ -168,6 +187,13 @@ class TestBinaryPooling:
         assert fp == int(np.sum((bp == 1) & (ba == 0)))
         assert fn == int(np.sum((bp == 0) & (ba == 1)))
         assert tn == int(np.sum((bp == 0) & (ba == 0)))
+        p, r = tp / (tp + fp), tp / (tp + fn)
+        assert binary_f3(cm) == f_beta_direct(p, r, 3.0)
+
+    def test_binary_f3_counts_an_undefined_rate_as_zero(self):
+        assert binary_f3(confusion([0, 0], [0, 0])) == 0.0  # no positives at all
+        assert binary_f3(confusion([0, 0], [0, 1])) == 0.0  # none predicted
+        assert binary_f3(confusion([1, 0], [0, 0])) == 0.0  # none actual
 
 
 class TestLatency:

@@ -115,10 +115,10 @@ def test_fd_mass_present_over_many_draws():
 
 def test_pacf_significant_lags_concentrate_in_window(ingested):
     _, _, _, series = ingested
-    results = features.pacf_by_machine(series.select(series.machine_ids < 58), max_lag=10)
-    hist = features.significant_lag_histogram(results)
-    total = sum(hist.values())
-    within = sum(c for lag, c in hist.items() if lag <= 6)
+    table = features.pacf_by_machine(series.select(series.machine_ids < 58), max_lag=10)
+    counts = features.significant_lag_counts(table)
+    total = int(counts.sum())
+    within = int(counts[:6].sum())
     assert total > 0
     assert within / total >= 0.8
 
