@@ -5,7 +5,7 @@ categorization, lag-window feature construction, a one-class SVM anomaly
 filter feeding a random-forest classifier, and an evaluation harness.
 """
 
-from .features import DatasetConfig, FeatureConfig, Instance, pacf
+from .features import Dataset, DatasetConfig, FeatureConfig, pacf
 from .forest import ForestModel, ForestParams
 from .ingestion import IntervalSeries
 from .labeling import LabelingConfig, LabelTracks
@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CascadeModel",
+    "Dataset",
     "DatasetConfig",
     "FailureType",
     "FeatureConfig",
@@ -25,7 +26,6 @@ __all__ = [
     "ForestParams",
     "GridSpec",
     "INTERVAL_US",
-    "Instance",
     "IntervalSeries",
     "LabelTracks",
     "LabelingConfig",

@@ -20,7 +20,7 @@ from . import adapter as adapter_mod
 from . import features as features_mod
 from . import ingestion, labeling, metrics, pipeline, store, synth
 from .errors import ConfigError, FailcastError, ParseError
-from .features import DatasetConfig, FeatureConfig, Instance
+from .features import Dataset, DatasetConfig, FeatureConfig
 from .forest import ForestParams
 from .ocsvm import OcsvmParams
 from .trace_model import INTERVAL_US, FailureType
@@ -228,11 +228,11 @@ def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     train_set, test_set = features_mod.build_dataset(series, tracks, fcfg, dcfg)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, instances in (("train", train_set), ("test", test_set)):
+    for name, data in (("train", train_set), ("test", test_set)):
         with open(out_dir / f"{name}.csv", "w", newline="\n") as f:
-            features_mod.write_dataset_csv(instances, f, fcfg.dim)
+            features_mod.write_dataset_csv(data, f)
         with open(out_dir / f"{name}_ids.csv", "w", newline="\n") as f:
-            features_mod.write_ids_csv(instances, f)
+            features_mod.write_ids_csv(data, f)
     (out_dir / "layout.json").write_text(fcfg.layout_json())
     print(
         f"dataset: {len(train_set)} train / {len(test_set)} test instances "
@@ -244,17 +244,17 @@ def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 # ---------------------------------------------------------------- train
 
 
-def _load_split(data_dir: Path, name: str) -> tuple[np.ndarray, ...]:
-    """(X, y, machine_id, interval) of one dataset split; ids default to (0, row)."""
+def _load_split(data_dir: Path, name: str) -> Dataset:
+    """One dataset split; without an ids file, row i is interval i of machine 0."""
     path = data_dir / f"{name}.csv"
     X, y = _read(path, features_mod.read_dataset_csv)
     ids_path = data_dir / f"{name}_ids.csv"
     if not ids_path.exists():
-        return X, y, np.zeros(len(y), dtype=np.int64), np.arange(len(y))
+        return Dataset(np.zeros(len(y), dtype=np.int64), np.arange(len(y)), y, X)
     machine_id, interval = _read(ids_path, features_mod.read_ids_csv)
     if len(machine_id) != len(y):
         raise FailcastError(f"{ids_path} has {len(machine_id)} rows but {path} has {len(y)}")
-    return X, y, machine_id, interval
+    return Dataset(machine_id, interval, y, X)
 
 
 def _grid_axis(r: _Resolver, name: str, scalar: str, default, cast) -> tuple:
@@ -271,11 +271,7 @@ def _grid_axis(r: _Resolver, name: str, scalar: str, default, cast) -> tuple:
 def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     r = _Resolver(ns, cfg)
     data_dir = _require_file(ns.data)
-    X, y, machine_id, interval = _load_split(Path(data_dir), "train")
-    train_set = [
-        Instance(FailureType(yi), xi, m, tau)
-        for xi, yi, m, tau in zip(X, y.tolist(), machine_id.tolist(), interval.tolist())
-    ]
+    data = _load_split(Path(data_dir), "train")
     seed = r.get("seed", 0)
 
     gammas = _grid_axis(r, "gammas", "gamma", 1.0 / 72.0, float)
@@ -288,13 +284,13 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     base_forest = ForestParams(rng_seed=seed)
 
     (best_gamma, best_nu, best_trees), table = pipeline.grid_search_cv(
-        train_set, grid, seed, base_ocsvm, base_forest
+        data.x, data.y, grid, seed, base_ocsvm, base_forest
     )
     model = pipeline.train(
-        train_set,
+        data.x,
+        data.y,
         replace(base_ocsvm, nu=best_nu, gamma=best_gamma),
         replace(base_forest, n_trees=best_trees),
-        FeatureConfig(lags=r.get("lags", 6)),
     )
     out_dir = Path(ns.out)
     pipeline.save_bundle(model, out_dir)
@@ -341,14 +337,14 @@ def _cmd_predict(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     if not ns.data or not ns.out:
         raise FailcastError("predict needs --data and --out unless --stream is set")
     data_dir = Path(_require_file(ns.data))
-    X, _, machine_id, interval = _load_split(data_dir, ns.split)
-    preds, scores = pipeline.predict_batch(model, X)
+    data = _load_split(data_dir, ns.split)
+    preds, scores = pipeline.predict_batch(model, data.x)
     out = Path(ns.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n") as f:
         f.write(PREDICTIONS_HEADER + "\n")
         for m, tau, p, s in zip(
-            machine_id.tolist(), interval.tolist(), preds.tolist(), scores.tolist()
+            data.machine_ids.tolist(), data.interval.tolist(), preds.tolist(), scores.tolist()
         ):
             f.write(f"{m},{tau},{p},{s!r}\n")
     print(f"wrote {len(preds)} predictions to {out}")
@@ -384,9 +380,9 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     row_of = {
         key: i for i, key in enumerate(zip(rows["machine_id"].tolist(), rows["interval"].tolist()))
     }
-    X, y, machine_id, interval = _load_split(Path(_require_file(ns.data)), ns.split)
+    data = _load_split(Path(_require_file(ns.data)), ns.split)
     try:
-        at = [row_of[key] for key in zip(machine_id.tolist(), interval.tolist())]
+        at = [row_of[key] for key in zip(data.machine_ids.tolist(), data.interval.tolist())]
     except KeyError as exc:
         raise FailcastError(f"missing prediction for instance {exc.args[0]}") from None
     preds, scores = rows["predicted_y"][at], rows["score"][at]
@@ -398,15 +394,15 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
             raise FailcastError("--latency needs --model to time predictions")
         model = pipeline.load_bundle(_require_file(ns.model))
         latency = metrics.measure_latency(
-            lambda x: pipeline.predict_batch(model, x[None, :]), list(X), reps
+            lambda x: pipeline.predict_batch(model, x[None, :]), data.x, reps
         )
-    report = metrics.build_report(preds, y, scores, latency=latency)
+    report = metrics.build_report(preds, data.y, scores, latency=latency)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(metrics.render_text(report))
     (out_dir / "report.kv").write_text(metrics.render_kv(report))
     try:
-        points = metrics.roc_curve(scores, y)
+        points = metrics.roc_curve(scores, data.y)
         with open(out_dir / "roc.csv", "w", newline="\n") as f:
             metrics.write_roc_csv(points, f)
     except metrics.UndefinedAucError:
@@ -517,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nus", default=None)
     s.add_argument("--trees-grid", dest="trees_grid", default=None)
     s.add_argument("--folds", type=int, default=None)
-    s.add_argument("--lags", type=int, default=None)
     s.add_argument("--tol", type=float, default=None)
     s.add_argument("--archive", default=None, help="also write a single-file bundle")
     s.set_defaults(func=_cmd_train)

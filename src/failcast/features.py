@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ingestion import IntervalSeries, Rule, _lines, _read_table
 from .labeling import LabelTracks
-from .trace_model import N_RESOURCES, FailureType, ResourceKind
+from .trace_model import N_RESOURCES, FailureType, FleetArrays, ResourceKind
 
 logger = logging.getLogger(__name__)
 
@@ -144,6 +144,14 @@ class FeatureConfig:
         if self.lags < 1:
             raise ConfigError("lags must be >= 1")
 
+    @classmethod
+    def of_width(cls, dim: int) -> FeatureConfig:
+        """The layout of ``dim`` features; ConfigError unless dim is a positive multiple of 12."""
+        lags, rest = divmod(dim, 2 * N_RESOURCES)
+        if rest or lags < 1:
+            raise ConfigError(f"{dim} features is not a positive multiple of {2 * N_RESOURCES}")
+        return cls(lags)
+
     @property
     def dim(self) -> int:
         return 2 * N_RESOURCES * self.lags
@@ -172,13 +180,18 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class Instance:
-    """One labeled example: the class at interval tau plus the lag-window features."""
+class Dataset(FleetArrays):
+    """One dataset split, a row per labeled window, in (machine, interval) order.
 
-    y: FailureType
+    Row i is the window of machine ``machine_ids[i]`` that ends just before
+    interval ``interval[i]`` (both (n,) int64): ``y`` is the (n,) int64
+    FailureType code there and ``x`` the (n, dim) float64 features.
+    """
+
+    machine_ids: np.ndarray
+    interval: np.ndarray
+    y: np.ndarray
     x: np.ndarray
-    machine_id: int
-    interval: int
 
 
 @dataclass(frozen=True)
@@ -199,17 +212,18 @@ def build_dataset(
     tracks: LabelTracks,
     cfg: FeatureConfig,
     dcfg: DatasetConfig,
-) -> tuple[list[Instance], list[Instance]]:
-    """Assemble the labeled dataset of the machines in ``tracks`` and split it.
+) -> tuple[Dataset, Dataset]:
+    """Assemble the labeled dataset of the machines in ``tracks`` as (train, test).
 
     ``series`` may hold more machines than ``tracks``; only the tracked
     ones are used. A cell (machine, tau) is buildable when its L
     preceding intervals are all present and not downtime. Every buildable
     failure instance is kept; normal instances are a seeded uniform
     sample of the requested size. The split is stratified per class and
-    fully determined by the seed. Candidates are enumerated in
-    (machine_id, interval) order so parallel callers converge on the same
-    dataset.
+    fully determined by the seed: each non-empty class, in FailureType
+    order, takes one ``rng.permutation`` of its cells in (machine_id,
+    interval) order, and the first round(train_fraction * n) positions go
+    to train.
     """
     if tracks.y.shape[1:] != series.present.shape[1:] or not np.isin(
         tracks.machine_ids, series.machine_ids
@@ -241,51 +255,24 @@ def build_dataset(
     keep.flat[normals[chosen]] = True
 
     rows, taus = np.nonzero(keep)
-    src = series_row[rows]
-    # x is the averages then the peaks, each resource-major with lags 1..L
-    X = np.empty((len(rows), 2, N_RESOURCES, L))
-    for lag in range(1, L + 1):
-        X[:, 0, :, lag - 1] = series.avg[src, taus - lag]
-        X[:, 1, :, lag - 1] = series.peak[src, taus - lag]
-    X = X.reshape(len(rows), cfg.dim)
-    instances = [
-        Instance(FailureType(y), x, m, tau)
-        for y, x, m, tau in zip(
-            tracks.y[rows, taus].tolist(),
-            X,
-            tracks.machine_ids[rows].tolist(),
-            taus.tolist(),
-        )
-    ]
-    return _stratified_split(instances, dcfg.train_fraction, rng)
-
-
-def _stratified_split(
-    instances: list[Instance], train_fraction: float, rng: np.random.Generator
-) -> tuple[list[Instance], list[Instance]]:
-    train: list[Instance] = []
-    test: list[Instance] = []
+    y = tracks.y[rows, taus].astype(np.int64)
+    in_train = np.zeros(len(y), dtype=bool)
     for cls in FailureType:
-        members = [i for i in instances if i.y == cls]
-        if not members:
-            continue
-        order = rng.permutation(len(members))
-        n_train = int(round(train_fraction * len(members)))
-        for pos, idx in enumerate(order):
-            (train if pos < n_train else test).append(members[idx])
-    key = lambda i: (i.machine_id, i.interval)
-    train.sort(key=key)
-    test.sort(key=key)
-    return train, test
-
-
-def to_arrays(instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack instances into an (n, dim) feature matrix and an (n,) label vector."""
-    if not instances:
-        raise ValueError("no instances")
-    X = np.stack([inst.x for inst in instances])
-    y = np.array([int(inst.y) for inst in instances], dtype=np.int64)
-    return X, y
+        members = np.flatnonzero(y == cls)
+        if len(members):
+            order = rng.permutation(len(members))
+            in_train[members[order[: int(round(dcfg.train_fraction * len(members)))]]] = True
+    splits = []
+    # a boolean pick keeps the (machine, interval) order of np.nonzero
+    for pick in (in_train, ~in_train):
+        src, tau = series_row[rows[pick]], taus[pick]
+        # x is the averages then the peaks, each resource-major with lags 1..L
+        X = np.empty((len(src), 2, N_RESOURCES, L))
+        for lag in range(1, L + 1):
+            X[:, 0, :, lag - 1] = series.avg[src, tau - lag]
+            X[:, 1, :, lag - 1] = series.peak[src, tau - lag]
+        splits.append(Dataset(series.machine_ids[src], tau, y[pick], X.reshape(len(src), cfg.dim)))
+    return tuple(splits)
 
 
 IDS_HEADER = "machine_id,interval"
@@ -296,10 +283,11 @@ def _dataset_header(dim: int) -> str:
     return "y," + ",".join(f"f{i}" for i in range(dim))
 
 
-def write_dataset_csv(instances: Sequence[Instance], out: TextIO, dim: int) -> None:
-    out.write(_dataset_header(dim) + "\n")
-    for inst in instances:
-        out.write(str(int(inst.y)) + "," + ",".join(repr(float(v)) for v in inst.x) + "\n")
+def write_dataset_csv(data: Dataset, out: TextIO) -> None:
+    out.write(_dataset_header(data.x.shape[1]) + "\n")
+    # row by row: the Python floats of a whole split take several times its array
+    for y, x in zip(data.y.tolist(), data.x):
+        out.write(f"{y}," + ",".join(map(repr, x.tolist())) + "\n")
 
 
 def read_dataset_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
@@ -328,10 +316,10 @@ def _dataset_rules(rows: np.ndarray) -> list[Rule]:
     ]
 
 
-def write_ids_csv(instances: Sequence[Instance], out: TextIO) -> None:
+def write_ids_csv(data: Dataset, out: TextIO) -> None:
     out.write(IDS_HEADER + "\n")
-    for inst in instances:
-        out.write(f"{inst.machine_id},{inst.interval}\n")
+    for machine_id, interval in zip(data.machine_ids.tolist(), data.interval.tolist()):
+        out.write(f"{machine_id},{interval}\n")
 
 
 def read_ids_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:

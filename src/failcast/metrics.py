@@ -136,17 +136,17 @@ class LatencyStats:
 
 
 def measure_latency(
-    predict: Callable, instances: Sequence, repetitions: int
+    predict: Callable, rows: Sequence, repetitions: int
 ) -> LatencyStats:
-    """Wall-clock per prediction, cycling the instances; one warm-up pass excluded."""
-    if not len(instances):
-        raise ValueError("need at least one instance")
-    for x in instances[: min(len(instances), 50)]:
+    """Wall-clock per prediction, cycling the rows; one warm-up pass excluded."""
+    if not len(rows):
+        raise ValueError("need at least one row")
+    for x in rows[: min(len(rows), 50)]:
         predict(x)
     times = np.empty(repetitions)
-    k = len(instances)
+    k = len(rows)
     for i in range(repetitions):
-        x = instances[i % k]
+        x = rows[i % k]
         t0 = time.perf_counter()
         predict(x)
         times[i] = time.perf_counter() - t0

@@ -17,7 +17,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -31,9 +31,10 @@ from .errors import (
     ModelFormatError,
     StratificationError,
 )
-from .features import FeatureConfig, Instance, to_arrays
+from .features import FeatureConfig
 from .forest import ForestModel, ForestParams
 from .ocsvm import OcsvmModel, OcsvmParams
+from .trace_model import N_RESOURCES
 
 logger = logging.getLogger(__name__)
 
@@ -50,12 +51,16 @@ class CascadeModel:
 
     ocsvm: OcsvmModel
     forest: ForestModel
-    feature_config: FeatureConfig
     manifest: dict
 
     def __post_init__(self):
         if self.ocsvm.support_vectors.shape[1] != self.forest.dim:
             raise ModelFormatError("stage dimensions disagree")
+
+    @property
+    def feature_config(self) -> FeatureConfig:
+        """The feature layout of the stages' width."""
+        return FeatureConfig.of_width(self.forest.dim)
 
 
 @dataclass(frozen=True)
@@ -89,20 +94,21 @@ def _digest(X: np.ndarray, y: np.ndarray) -> str:
 
 
 def train(
-    instances: Sequence[Instance],
+    X: np.ndarray,
+    y: np.ndarray,
     ocsvm_params: OcsvmParams,
     forest_params: ForestParams,
-    feature_config: Optional[FeatureConfig] = None,
 ) -> CascadeModel:
-    """Train the cascade on a labeled instance set.
+    """Train the cascade on (n, dim) features ``X`` and (n,) classes ``y``.
 
-    The one-class stage fits the normals; every training instance is then
+    The one-class stage fits the normals; every training row is then
     filtered through it and the forest learns from whatever it flags.
-    Raises DegenerateTrainingError when no failure instance survives the
-    filter, since stage 2 would have nothing to separate.
+    Raises ConfigError before any fit unless dim is a whole number of
+    12-feature lags, and DegenerateTrainingError when no failure instance
+    survives the filter, since stage 2 would have nothing to separate.
     """
-    feature_config = feature_config or FeatureConfig()
-    X, y = to_arrays(instances)
+    feature_config = FeatureConfig.of_width(X.shape[1])
+    y = np.asarray(y, dtype=np.int64)  # the manifest digest hashes int64 classes
     normals = X[y == 0]
     if len(normals) == 0 or len(normals) == len(y):
         raise ValueError("training data needs both normal and failure instances")
@@ -141,9 +147,7 @@ def train(
             "stage2_includes_leaked_normals": True,
         },
     }
-    return CascadeModel(
-        ocsvm=stage1, forest=stage2, feature_config=feature_config, manifest=manifest
-    )
+    return CascadeModel(ocsvm=stage1, forest=stage2, manifest=manifest)
 
 
 def predict_batch(
@@ -210,7 +214,8 @@ class CvCell:
 
 
 def grid_search_cv(
-    instances: Sequence[Instance],
+    X: np.ndarray,
+    y: np.ndarray,
     grid: GridSpec,
     rng_seed: int,
     base_ocsvm: Optional[OcsvmParams] = None,
@@ -223,7 +228,6 @@ def grid_search_cv(
     """
     base_ocsvm = base_ocsvm or OcsvmParams()
     base_forest = base_forest or ForestParams()
-    X, y = to_arrays(instances)
     rng = np.random.default_rng(rng_seed)
     folds = _stratified_folds(y, grid.folds, rng)
     all_idx = np.arange(len(y))
@@ -234,10 +238,10 @@ def grid_search_cv(
         for f in range(grid.folds):
             test_idx = folds[f]
             train_idx = np.setdiff1d(all_idx, test_idx)
-            insts = [instances[i] for i in train_idx]
             try:
                 model = train(
-                    insts,
+                    X[train_idx],
+                    y[train_idx],
                     replace(base_ocsvm, nu=nu, gamma=gamma),
                     replace(base_forest, n_trees=n_trees),
                 )
@@ -312,12 +316,15 @@ def load_bundle(bundle: Path) -> CascadeModel:
     stage2 = _load_part(bundle, BUNDLE_FOREST, forest_mod.load)
     manifest = _load_part(bundle, BUNDLE_MANIFEST, json.load)
     try:
-        fcfg = FeatureConfig(lags=manifest["feature"]["lags"])
+        lags = manifest["feature"]["lags"]
     except (KeyError, TypeError):
         raise ModelFormatError(f"{bundle / BUNDLE_MANIFEST}: no feature.lags") from None
-    return CascadeModel(
-        ocsvm=stage1, forest=stage2, feature_config=fcfg, manifest=manifest
-    )
+    if lags != stage2.dim / (2 * N_RESOURCES):
+        raise ModelFormatError(
+            f"{bundle / BUNDLE_MANIFEST}: feature.lags {lags!r} does not fit "
+            f"the stages' {stage2.dim} features"
+        )
+    return CascadeModel(ocsvm=stage1, forest=stage2, manifest=manifest)
 
 
 def save_archive(model: CascadeModel, archive_path: Path) -> None:

@@ -2,7 +2,8 @@
 
 Plain .npy files plus a JSON sidecar: deterministic bytes (no archive
 timestamps), loadable with bare numpy. Each array of an interval series
-or a label track set is one ``<field>.npy`` file.
+or a label track set is one ``<field>.npy`` file, loaded read-only and
+memory-mapped.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ def _save(arrays: FleetArrays, out_dir: Path, meta: dict) -> None:
 
 def _load(cls, store_dir: Path):
     store_dir = Path(store_dir)
-    arrays = cls(*(_read(store_dir / f"{f.name}.npy", np.load) for f in dataclasses.fields(cls)))
+    arrays = cls(*(_read(store_dir / f"{f.name}.npy", lambda p: np.load(p, mmap_mode="r"))
+                   for f in dataclasses.fields(cls)))
     return arrays, _read(store_dir / "meta.json", lambda path: json.loads(path.read_text()))
 
 

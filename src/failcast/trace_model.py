@@ -21,17 +21,17 @@ N_RESOURCES = 6
 
 
 class FleetArrays:
-    """A dataclass of arrays whose first axis is the machine.
+    """A dataclass of arrays whose first axis is indexed like ``machine_ids``.
 
     Row i of every field belongs to machine ``machine_ids[i]``, and
-    ``machine_ids`` is sorted. Each field is one file of a store.
+    ``machine_ids`` is sorted. In a store, each field is one file.
     """
 
     def __len__(self) -> int:
         return len(self.machine_ids)
 
     def select(self, keep):
-        """The machines whose entry in the (M,) boolean ``keep`` is True."""
+        """The rows whose entry in the boolean ``keep`` is True."""
         return type(self)(*(getattr(self, f.name)[keep] for f in dataclasses.fields(self)))
 
 

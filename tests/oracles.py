@@ -7,6 +7,7 @@ tree-by-tree walk for forest votes, record-by-record and bin-by-bin
 accumulation for interval aggregation and for the clusterdata adapter,
 an event-by-event walk for failure pairing, a failure-by-failure walk
 for label tracks, value-by-value packing of one feature window, a
+class-by-class list split for the train/test split, a
 machine-by-machine loop for the PACF table and its histogram, literal
 pair counting and rank sums for AUC, and a tie-by-tie walk for the ROC
 curve. None of them share code with the package paths they verify;
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from failcast.errors import ParseError
-from failcast.features import KIND_AVG, KIND_PEAK, SIGNIFICANCE_Z, Instance, pacf
+from failcast.features import KIND_AVG, KIND_PEAK, SIGNIFICANCE_Z, pacf
 from failcast.forest import predict_votes_batch
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
@@ -344,7 +345,7 @@ def reference_convert_task_usage(source, out, stats, interval_us: int = INTERVAL
 
 
 def build_instance(series, tracks, row: int, tau: int, cfg):
-    """The instance whose feature window of machine row ``row`` ends at tau-1.
+    """(y, x) of the window of machine row ``row`` that ends at tau-1.
 
     None when tau has fewer than L preceding intervals or one of them is
     absent or downtime. Values are packed one at a time by the layout:
@@ -363,12 +364,28 @@ def build_instance(series, tracks, row: int, tau: int, cfg):
         for r in range(N_RESOURCES):
             x[r * L + (lag - 1)] = series.avg[row, t, r]
             x[half + r * L + (lag - 1)] = series.peak[row, t, r]
-    return Instance(
-        y=FailureType(int(tracks.y[row, tau])),
-        x=x,
-        machine_id=int(series.machine_ids[row]),
-        interval=tau,
-    )
+    return FailureType(int(tracks.y[row, tau])), x
+
+
+def reference_stratified_split(rows, train_fraction: float, rng):
+    """Split ``rows`` of (y, machine_id, interval, x) per class, list by list.
+
+    Each non-empty class, in FailureType order, filters its members from
+    ``rows`` in order and draws one ``rng.permutation`` of them; the first
+    round(train_fraction * n) positions go to train, the rest to test.
+    Both splits come back sorted by (machine_id, interval).
+    """
+    train, test = [], []
+    for cls in FailureType:
+        members = [row for row in rows if row[0] == cls]
+        if not members:
+            continue
+        order = rng.permutation(len(members))
+        n_train = int(round(train_fraction * len(members)))
+        for pos, idx in enumerate(order):
+            (train if pos < n_train else test).append(members[idx])
+    key = lambda row: (row[1], row[2])
+    return sorted(train, key=key), sorted(test, key=key)
 
 
 def read_failures_csv(source) -> np.ndarray:

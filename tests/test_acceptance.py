@@ -17,7 +17,7 @@ from failcast import features, ingestion, labeling, metrics, pipeline
 from failcast import forest as forest_mod
 from failcast import ocsvm as ocsvm_mod
 from failcast import synth
-from failcast.features import DatasetConfig, FeatureConfig, to_arrays
+from failcast.features import DatasetConfig, FeatureConfig
 from failcast.forest import ForestParams
 from failcast.labeling import LabelingConfig
 from failcast.ocsvm import OcsvmModel, OcsvmParams
@@ -199,11 +199,12 @@ def _run_pipeline(signature: float, tmp: Path):
         series, tracks, FeatureConfig(), DatasetConfig(rng_seed=3)
     )
     model = pipeline.train(
-        train_set,
+        train_set.x,
+        train_set.y,
         OcsvmParams(nu=0.05, gamma=0.125),
         ForestParams(n_trees=100, rng_seed=11),
     )
-    X_test, y_test = to_arrays(test_set)
+    X_test, y_test = test_set.x, test_set.y
     preds, scores = pipeline.predict_batch(model, X_test)
     fail_mask = y_test != 0
     stage1 = ocsvm_mod.classify(model.ocsvm, X_test[fail_mask])
@@ -249,10 +250,8 @@ def test_criterion_6_prediction_latency():
     X = rng.random((4000, 72))
     y = rng.integers(0, 4, 4000)
     stage2 = forest_mod.train(X, y, ForestParams(n_trees=100, rng_seed=1))
-    model = CascadeModel(
-        ocsvm=stage1, forest=stage2, feature_config=FeatureConfig(), manifest={}
-    )
-    queries = list(rng.random((256, 72)))
+    model = CascadeModel(ocsvm=stage1, forest=stage2, manifest={})
+    queries = rng.random((256, 72))
     stats = metrics.measure_latency(
         lambda x: pipeline.predict_batch(model, x[None, :]), queries, repetitions=10_000
     )

@@ -287,6 +287,43 @@ class TestBrokenInputs:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "m").exists()
 
+    def test_train_has_no_lags_flag(self, chain, tmp_path, capsys):
+        rc = main([
+            "train", "--data", str(chain / "data"), "--out", str(tmp_path / "m"),
+            "--trees", "5", "--folds", "3", "--lags", "7",
+        ])
+        assert rc == 2
+        assert "--lags" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("dim, lags", [(24, 2), (71, None)])
+    def test_train_takes_the_layout_from_the_dataset_width(
+        self, chain, tmp_path, capsys, dim, lags
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(chain / "data" / "train_ids.csv", data)
+        rows = (chain / "data" / "train.csv").read_text().splitlines()
+        (data / "train.csv").write_text(
+            "".join(",".join(row.split(",")[: dim + 1]) + "\n" for row in rows)
+        )
+        model = tmp_path / "m"
+        rc = main([
+            "train", "--data", str(data), "--out", str(model),
+            "--gamma", "0.125", "--nu", "0.1", "--trees", "5", "--folds", "3",
+        ])
+        if lags is None:
+            assert rc == 2
+            assert f"{dim} features" in capsys.readouterr().err
+            assert not model.exists()
+            return
+        assert rc == 0
+        manifest = json.loads((model / "manifest.json").read_text())
+        assert manifest["feature"] == {"lags": lags, "dim": dim}
+        layout = json.loads((model / "layout.json").read_text())
+        assert layout["lags"] == lags and len(layout["features"]) == dim
+        assert len((model / "split_counts.csv").read_text().splitlines()) == 1 + dim
+
 
     @pytest.mark.parametrize("bad", ["1,2,3", "1,2,x,0.5"])
     def test_evaluate_on_malformed_predictions_exits_2(self, chain, tmp_path, capsys, bad):

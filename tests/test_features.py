@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from failcast.errors import FailcastError, InsufficientDataError, ParseError, ZeroVarianceError
+from failcast.errors import (
+    ConfigError,
+    FailcastError,
+    InsufficientDataError,
+    ParseError,
+    ZeroVarianceError,
+)
 from failcast.features import (
+    Dataset,
     DatasetConfig,
     FeatureConfig,
     _longest_present_runs,
@@ -16,7 +23,6 @@ from failcast.features import (
     read_dataset_csv,
     read_ids_csv,
     significant_lag_counts,
-    to_arrays,
     write_dataset_csv,
     write_ids_csv,
 )
@@ -31,6 +37,7 @@ from oracles import (
     reference_longest_present_run,
     reference_pacf_by_machine,
     reference_significant_lag_histogram,
+    reference_stratified_split,
 )
 
 
@@ -157,6 +164,13 @@ class TestFeatureLayout:
     def test_default_dimension(self):
         assert FeatureConfig().dim == 72
 
+    def test_layout_of_a_width(self):
+        assert FeatureConfig.of_width(72) == FeatureConfig()
+        assert FeatureConfig.of_width(12).lags == 1
+        for dim in (0, 5, 13, 73):
+            with pytest.raises(ConfigError):
+                FeatureConfig.of_width(dim)
+
     def test_layout_is_a_bijection(self):
         cfg = FeatureConfig()
         seen = set()
@@ -200,14 +214,13 @@ class TestBuildInstance:
         series, tracks = _fleet()
         tracks.y[0, 10] = 1
         cfg = FeatureConfig()
-        inst = build_instance(series, tracks, 0, 10, cfg)
-        assert inst is not None
-        assert inst.y == FailureType.IMMEDIATE_REBOOT
-        assert inst.x.shape == (72,)
+        y, x = build_instance(series, tracks, 0, 10, cfg)
+        assert y == FailureType.IMMEDIATE_REBOOT
+        assert x.shape == (72,)
         for lag in range(1, 7):
             for r in range(6):
-                assert inst.x[feature_index(cfg, "avg", r, lag)] == series.avg[0, 10 - lag, r]
-                assert inst.x[feature_index(cfg, "peak", r, lag)] == series.peak[0, 10 - lag, r]
+                assert x[feature_index(cfg, "avg", r, lag)] == series.avg[0, 10 - lag, r]
+                assert x[feature_index(cfg, "peak", r, lag)] == series.peak[0, 10 - lag, r]
 
     def test_downtime_in_window_blocks_instance(self):
         series, tracks = _fleet()
@@ -229,7 +242,7 @@ class TestBuildInstance:
         series.present[0, 25] = False
         dcfg = DatasetConfig(normal_sample_count=40, train_fraction=0.5)
         train, test = build_dataset(series, tracks, FeatureConfig(), dcfg)
-        built = {inst.interval for inst in train + test}
+        built = set(train.interval.tolist()) | set(test.interval.tolist())
         for tau in range(40):
             assert (tau in built) == (
                 build_instance(series, tracks, 0, tau, FeatureConfig()) is not None
@@ -255,7 +268,7 @@ class TestBuildDataset:
         series, tracks = self._population()
         dcfg = DatasetConfig(normal_sample_count=10, rng_seed=1)
         train, test = build_dataset(series, tracks, FeatureConfig(), dcfg)
-        n_failures = sum(1 for i in train + test if i.y != FailureType.NORMAL)
+        n_failures = np.count_nonzero(train.y) + np.count_nonzero(test.y)
         assert n_failures == 10  # 5 machines x 2 failures, all windows clean
 
     def test_deterministic_given_seed(self):
@@ -263,12 +276,10 @@ class TestBuildDataset:
         dcfg = DatasetConfig(normal_sample_count=40, rng_seed=7)
         a_train, a_test = build_dataset(series, tracks, FeatureConfig(), dcfg)
         b_train, b_test = build_dataset(series, tracks, FeatureConfig(), dcfg)
-        assert [(i.machine_id, i.interval) for i in a_train] == [
-            (i.machine_id, i.interval) for i in b_train
-        ]
-        Xa, ya = to_arrays(a_test)
-        Xb, yb = to_arrays(b_test)
-        assert np.array_equal(Xa, Xb) and np.array_equal(ya, yb)
+        for a, b in ((a_train, b_train), (a_test, b_test)):
+            assert np.array_equal(a.machine_ids, b.machine_ids)
+            assert np.array_equal(a.interval, b.interval)
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_shortfall_uses_all_normals_with_warning(self, caplog):
         series, tracks = self._population(n_machines=1, T=60)
@@ -277,8 +288,8 @@ class TestBuildDataset:
                 series, tracks, FeatureConfig(), DatasetConfig(normal_sample_count=10_000)
             )
         assert "using all" in caplog.text
-        normals = [i for i in train + test if i.y == FailureType.NORMAL]
-        assert 0 < len(normals) < 10_000
+        normals = np.count_nonzero(train.y == 0) + np.count_nonzero(test.y == 0)
+        assert 0 < normals < 10_000
 
     def test_zero_failures_warns_and_yields_normals_only(self, caplog):
         series, tracks = _fleet(T=60)
@@ -287,7 +298,7 @@ class TestBuildDataset:
                 series, tracks, FeatureConfig(), DatasetConfig(normal_sample_count=20)
             )
         assert "no failure instances" in caplog.text
-        assert all(i.y == FailureType.NORMAL for i in train + test)
+        assert not train.y.any() and not test.y.any()
 
     def test_no_instance_draws_from_downtime_or_absent(self):
         series, tracks = self._population(n_machines=3, T=80, seed=5)
@@ -295,10 +306,11 @@ class TestBuildDataset:
         series.present[1, 60] = False
         dcfg = DatasetConfig(normal_sample_count=30, rng_seed=2)
         train, test = build_dataset(series, tracks, FeatureConfig(), dcfg)
-        for inst in train + test:
-            window = slice(inst.interval - 6, inst.interval)
-            assert not tracks.downtime[inst.machine_id, window].any()
-            assert series.present[inst.machine_id, window].all()
+        for data in (train, test):
+            for m, tau in zip(data.machine_ids.tolist(), data.interval.tolist()):
+                window = slice(tau - 6, tau)
+                assert not tracks.downtime[m, window].any()
+                assert series.present[m, window].all()
 
     def test_tracks_must_name_series_machines_and_intervals(self):
         series, tracks = _fleet(machines=2)
@@ -311,7 +323,7 @@ class TestBuildDataset:
 
     @given(st.data())
     def test_every_instance_is_the_oracle_window(self, data):
-        """Every returned instance equals the one-window oracle's.
+        """Every returned row equals the one-window oracle's.
 
         Fleets have gaps, downtime, labels, and machines excluded from
         the label tracks but kept in the series, as the CLI stores them.
@@ -319,19 +331,7 @@ class TestBuildDataset:
         sample asks for more than there are, so is every normal it
         accepts.
         """
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        M, T = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 30))
-        cfg = FeatureConfig(lags=data.draw(st.integers(1, 4)))
-        ids = np.sort(rng.choice(1000, M, replace=False)).astype(np.int64)
-        present = rng.random((M, T)) >= data.draw(st.sampled_from([0.0, 0.05, 0.3]))
-        avg = np.where(present[..., None], rng.random((M, T, 6)), 0.0)
-        peak = np.where(present[..., None], avg + rng.random((M, T, 6)) * 0.1, 0.0)
-        series = IntervalSeries(ids, avg, peak, present)
-        kept = series.select(rng.random(M) >= 0.3)
-        y = rng.choice(4, size=present.shape, p=[0.85, 0.05, 0.05, 0.05])
-        downtime = rng.random(present.shape) < 0.1
-        in_kept = np.isin(ids, kept.machine_ids)
-        tracks = LabelTracks(kept.machine_ids, y[in_kept].astype(np.int8), downtime[in_kept])
+        series, kept, tracks, cfg = _random_fleet(data)
         take_all = data.draw(st.booleans())
         dcfg = DatasetConfig(
             normal_sample_count=10**6 if take_all else data.draw(st.integers(0, 20)),
@@ -343,21 +343,18 @@ class TestBuildDataset:
 
         row_of = {m: i for i, m in enumerate(kept.machine_ids.tolist())}
         got = set()
-        for inst in train + test:
-            want = build_instance(kept, tracks, row_of[inst.machine_id], inst.interval, cfg)
-            assert want is not None
-            assert (inst.y, inst.machine_id, inst.interval) == (
-                want.y, want.machine_id, want.interval
-            )
-            assert inst.x.tobytes() == want.x.tobytes()
-            got.add((inst.machine_id, inst.interval))
+        for split in (train, test):
+            assert split.y.dtype == np.int64 and split.x.shape == (len(split), cfg.dim)
+            for m, tau, y, x in zip(
+                split.machine_ids.tolist(), split.interval.tolist(), split.y.tolist(), split.x
+            ):
+                want = build_instance(kept, tracks, row_of[m], tau, cfg)
+                assert want is not None
+                assert y == want[0]
+                assert x.tobytes() == want[1].tobytes()
+                got.add((m, tau))
         assert len(got) == len(train) + len(test)
-        accepted = {
-            (m, tau): inst.y
-            for row, m in enumerate(kept.machine_ids.tolist())
-            for tau in range(T)
-            if (inst := build_instance(kept, tracks, row, tau, cfg)) is not None
-        }
+        accepted = _accepted_cells(kept, tracks, cfg)
         failures = {cell for cell, cls in accepted.items() if cls != FailureType.NORMAL}
         assert failures <= got
         n_normals = len(accepted) - len(failures)
@@ -365,20 +362,94 @@ class TestBuildDataset:
         if take_all:
             assert got == accepted.keys()
 
+    @given(st.data())
+    def test_split_is_the_per_class_list_split(self, data):
+        """Both splits equal, bit for bit, the class-by-class list split of the
+        rows build_dataset pooled, drawn from the same generator after its
+        normal sample: the same rows, order, classes and features."""
+        series, kept, tracks, cfg = _random_fleet(data)
+        dcfg = DatasetConfig(
+            normal_sample_count=data.draw(st.integers(0, 30)),
+            rng_seed=data.draw(st.integers(0, 2**32 - 1)),
+            train_fraction=data.draw(st.floats(0.01, 0.99)),
+        )
+
+        train, test = build_dataset(series, tracks, cfg, dcfg)
+
+        row_of = {m: i for i, m in enumerate(kept.machine_ids.tolist())}
+        pooled = sorted(
+            (m, tau)
+            for split in (train, test)
+            for m, tau in zip(split.machine_ids.tolist(), split.interval.tolist())
+        )
+        rows = []
+        for m, tau in pooled:
+            y, x = build_instance(kept, tracks, row_of[m], tau, cfg)
+            rows.append((y, m, tau, x))
+        accepted = _accepted_cells(kept, tracks, cfg)
+        n_normals = sum(1 for cls in accepted.values() if cls == FailureType.NORMAL)
+        rng = np.random.default_rng(dcfg.rng_seed)
+        rng.choice(n_normals, size=min(n_normals, dcfg.normal_sample_count), replace=False)
+        for got, want in zip((train, test), reference_stratified_split(
+            rows, dcfg.train_fraction, rng
+        )):
+            assert got.machine_ids.tolist() == [row[1] for row in want]
+            assert got.interval.tolist() == [row[2] for row in want]
+            assert got.y.tolist() == [int(row[0]) for row in want]
+            assert got.x.tobytes() == b"".join(row[3].tobytes() for row in want)
+
+
+def _random_fleet(data):
+    """(series, kept, tracks, cfg): a random fleet with gaps, and labels for
+    the machines ``kept``, a random subset of it."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    M, T = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 30))
+    cfg = FeatureConfig(lags=data.draw(st.integers(1, 4)))
+    ids = np.sort(rng.choice(1000, M, replace=False)).astype(np.int64)
+    present = rng.random((M, T)) >= data.draw(st.sampled_from([0.0, 0.05, 0.3]))
+    avg = np.where(present[..., None], rng.random((M, T, 6)), 0.0)
+    peak = np.where(present[..., None], avg + rng.random((M, T, 6)) * 0.1, 0.0)
+    series = IntervalSeries(ids, avg, peak, present)
+    kept = series.select(rng.random(M) >= 0.3)
+    y = rng.choice(4, size=present.shape, p=[0.85, 0.05, 0.05, 0.05])
+    downtime = rng.random(present.shape) < 0.1
+    in_kept = np.isin(ids, kept.machine_ids)
+    tracks = LabelTracks(kept.machine_ids, y[in_kept].astype(np.int8), downtime[in_kept])
+    return series, kept, tracks, cfg
+
+
+def _accepted_cells(kept, tracks, cfg) -> dict:
+    """{(machine_id, interval): class} of every window the oracle accepts."""
+    return {
+        (m, tau): window[0]
+        for row, m in enumerate(kept.machine_ids.tolist())
+        for tau in range(kept.present.shape[1])
+        if (window := build_instance(kept, tracks, row, tau, cfg)) is not None
+    }
+
+
+def _oracle_dataset(series, tracks, cells, cfg) -> Dataset:
+    """The Dataset of the oracle windows at the (series row, interval) ``cells``."""
+    windows = [build_instance(series, tracks, row, tau, cfg) for row, tau in cells]
+    return Dataset(
+        series.machine_ids[[row for row, _ in cells]],
+        np.array([tau for _, tau in cells], dtype=np.int64),
+        np.array([int(y) for y, _ in windows], dtype=np.int64),
+        np.stack([x for _, x in windows]),
+    )
+
 
 def test_dataset_csv_round_trip(tmp_path):
     series, tracks = _fleet()
     tracks.y[0, 10] = 2
-    cfg = FeatureConfig()
-    instances = [build_instance(series, tracks, 0, tau, cfg) for tau in (8, 10, 12)]
+    data = _oracle_dataset(series, tracks, [(0, 8), (0, 10), (0, 12)], FeatureConfig())
     path = tmp_path / "dataset.csv"
     with open(path, "w") as f:
-        write_dataset_csv(instances, f, cfg.dim)
+        write_dataset_csv(data, f)
     with open(path) as f:
         X, y = read_dataset_csv(f)
     assert y.tolist() == [0, 2, 0]
-    for inst, row in zip(instances, X):
-        assert np.array_equal(inst.x, row)  # repr round-trips exactly
+    assert X.tobytes() == data.x.tobytes()  # repr round-trips exactly
 
 
 @pytest.mark.parametrize(
@@ -402,9 +473,9 @@ def test_malformed_dataset_reports_line(lines, line_no):
 
 def test_ids_csv_round_trip_and_malformed_lines():
     series, tracks = _fleet(machines=2)
-    instances = [build_instance(series, tracks, row, 9, FeatureConfig()) for row in (0, 1)]
+    data = _oracle_dataset(series, tracks, [(0, 9), (1, 9)], FeatureConfig())
     buf = io.StringIO()
-    write_ids_csv(instances, buf)
+    write_ids_csv(data, buf)
     machine_id, interval = read_ids_csv(io.StringIO(buf.getvalue()))
     assert machine_id.tolist() == [0, 1] and interval.tolist() == [9, 9]
     for lines, line_no in (

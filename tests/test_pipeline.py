@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,34 +7,31 @@ from failcast import forest as forest_mod
 from failcast import ocsvm as ocsvm_mod
 from failcast import pipeline
 from failcast.errors import (
+    ConfigError,
     DegenerateTrainingError,
     FailcastError,
     ModelFormatError,
     StratificationError,
 )
-from failcast.features import FeatureConfig, Instance
 from failcast.forest import ForestParams
 from failcast.ocsvm import OcsvmModel, OcsvmParams
 from failcast.pipeline import CascadeModel, GridSpec
 from failcast.trace_model import FailureType
 from oracles import forest_predict_batch
 
-DIM = 12  # FeatureConfig(lags=1)
-FCFG = FeatureConfig(lags=1)
+DIM = 12  # one lag
 
 
-def make_instances(n_normal=300, n_fail=60, seed=0, separation=0.5):
-    """Normals cluster near 0.3, failures near 0.3 + separation."""
+def make_data(n_normal=300, n_fail=60, seed=0, separation=0.5):
+    """(X, y): normals cluster near 0.3, failures near 0.3 + separation."""
     rng = np.random.default_rng(seed)
-    instances = []
+    X = np.empty((n_normal + n_fail, DIM))
     for i in range(n_normal):
-        x = np.clip(rng.normal(0.3, 0.03, DIM), 0, 1)
-        instances.append(Instance(FailureType.NORMAL, x, machine_id=0, interval=i))
+        X[i] = np.clip(rng.normal(0.3, 0.03, DIM), 0, 1)
     for i in range(n_fail):
-        x = np.clip(rng.normal(0.3 + separation, 0.03, DIM), 0, 1)
-        cls = FailureType(1 + i % 3)
-        instances.append(Instance(cls, x, machine_id=1, interval=i))
-    return instances
+        X[n_normal + i] = np.clip(rng.normal(0.3 + separation, 0.03, DIM), 0, 1)
+    y = np.concatenate([np.zeros(n_normal, dtype=np.int64), 1 + np.arange(n_fail) % 3])
+    return X, y
 
 
 def one(model, x):
@@ -41,84 +40,93 @@ def one(model, x):
     return int(preds[0]), float(scores[0])
 
 
-def cascade(instances, nu=0.1, gamma=1.0, trees=20, seed=0):
+def cascade(data, nu=0.1, gamma=1.0, trees=20, seed=0):
+    X, y = data
     return pipeline.train(
-        instances,
+        X,
+        y,
         OcsvmParams(nu=nu, gamma=gamma),
         ForestParams(n_trees=trees, mtry=4, rng_seed=seed),
-        FCFG,
     )
 
 
 class TestTrain:
     def test_forest_trains_only_on_flagged_instances(self):
-        instances = make_instances()
-        model = cascade(instances)
-        n_fail = sum(1 for i in instances if i.y != FailureType.NORMAL)
+        X, y = make_data()
+        model = cascade((X, y))
+        n_fail = np.count_nonzero(y)
         stage2 = model.manifest["data"]["stage2_train"]
         # all failures flagged plus the leaked normal tail
         assert stage2 >= n_fail
-        assert stage2 < len(instances)
+        assert stage2 < len(y)
         counts = model.manifest["data"]["stage2_class_counts"]
         assert sum(counts[1:]) == n_fail
 
     def test_nu_one_routes_everything_to_stage_two(self):
-        instances = make_instances(n_normal=80, n_fail=20)
-        model = cascade(instances, nu=1.0)
+        model = cascade(make_data(n_normal=80, n_fail=20), nu=1.0)
         # exact-boundary points (decision == 0) count as normal, so allow
         # the odd one out; everything else must reach stage 2
-        assert model.manifest["data"]["stage2_train"] >= len(instances) - 2
+        assert model.manifest["data"]["stage2_train"] >= 100 - 2
         counts = model.manifest["data"]["stage2_class_counts"]
         assert sum(counts[1:]) == 20
 
     def test_no_surviving_failures_is_degenerate(self):
         # failures identical to the normal cluster center: stage 1 clears them
         rng = np.random.default_rng(1)
-        instances = [
-            Instance(FailureType.NORMAL, np.clip(rng.normal(0.3, 0.05, DIM), 0, 1), 0, i)
-            for i in range(200)
-        ]
-        center = np.full(DIM, 0.3)
-        instances += [
-            Instance(FailureType.IMMEDIATE_REBOOT, center.copy(), 1, i)
-            for i in range(3)
-        ]
+        normals = np.clip(rng.normal(0.3, 0.05, (200, DIM)), 0, 1)
+        X = np.vstack([normals, np.full((3, DIM), 0.3)])
+        y = np.repeat([FailureType.NORMAL, FailureType.IMMEDIATE_REBOOT], [200, 3])
         with pytest.raises(DegenerateTrainingError):
             pipeline.train(
-                instances,
+                X,
+                y,
                 OcsvmParams(nu=0.05, gamma=0.5),
                 ForestParams(n_trees=5, rng_seed=0),
-                FCFG,
             )
 
     def test_needs_both_classes(self):
         rng = np.random.default_rng(2)
-        only_normals = [
-            Instance(FailureType.NORMAL, rng.random(DIM), 0, i) for i in range(50)
-        ]
         with pytest.raises(ValueError):
-            cascade(only_normals)
+            cascade((rng.random((50, DIM)), np.zeros(50, dtype=np.int64)))
 
     def test_stage_two_batch_is_exactly_the_flagged_set(self):
-        instances = make_instances(n_normal=200, n_fail=40, seed=3)
-        model = cascade(instances, nu=0.15)
-        X = np.stack([i.x for i in instances])
+        X, y = make_data(n_normal=200, n_fail=40, seed=3)
+        model = cascade((X, y), nu=0.15)
         flagged = int(np.sum(ocsvm_mod.classify(model.ocsvm, X) == 1))
         assert model.manifest["data"]["stage2_train"] == flagged
 
     def test_manifest_records_hyperparameters_and_digest(self):
-        instances = make_instances(n_normal=150, n_fail=30)
-        model = cascade(instances, nu=0.2, gamma=0.7, trees=9, seed=5)
+        model = cascade(make_data(n_normal=150, n_fail=30), nu=0.2, gamma=0.7, trees=9, seed=5)
         m = model.manifest
         assert m["ocsvm"]["nu"] == 0.2
         assert m["forest"]["n_trees"] == 9
+        assert m["feature"] == {"lags": 1, "dim": DIM}
         assert len(m["data"]["sha256"]) == 64
+
+    def test_digest_does_not_depend_on_the_label_dtype(self):
+        # label tracks hold int8 classes, dataset files int64
+        X, y = make_data(n_normal=100, n_fail=30)
+        a = cascade((X, y))
+        b = cascade((X, y.astype(np.int8)))
+        assert a.manifest == b.manifest
+
+    @pytest.mark.parametrize("dim", [5, 13, 18])
+    def test_width_not_a_whole_number_of_lags_rejected_before_fitting(
+        self, monkeypatch, dim
+    ):
+        def boom(*args, **kwargs):
+            raise AssertionError("nothing may be fitted")
+
+        monkeypatch.setattr(pipeline.ocsvm_mod, "train", boom)
+        X = np.random.default_rng(0).random((40, dim))
+        y = np.repeat([0, 1], 20)
+        with pytest.raises(ConfigError, match=f"{dim} features"):
+            pipeline.train(X, y, OcsvmParams(), ForestParams())
 
 
 class TestPredict:
     def test_cleared_points_are_normal_without_forest(self, monkeypatch):
-        instances = make_instances()
-        model = cascade(instances)
+        model = cascade(make_data())
         normal_x = np.full((1, DIM), 0.3)
         assert ocsvm_mod.classify(model.ocsvm, normal_x).tolist() == [0]
 
@@ -131,8 +139,7 @@ class TestPredict:
         assert scores[0] < 0.5
 
     def test_flagged_points_take_forest_class(self):
-        instances = make_instances()
-        model = cascade(instances)
+        model = cascade(make_data())
         far = np.full((1, DIM), 0.8)
         assert ocsvm_mod.classify(model.ocsvm, far).tolist() == [1]
         preds, _ = pipeline.predict_batch(model, far)
@@ -140,18 +147,18 @@ class TestPredict:
 
     def test_forest_may_return_normal(self):
         # stage 2 trained on leaked normals only votes Normal for them
-        instances = make_instances()
-        model = cascade(instances, nu=0.3)
-        normals = np.stack([i.x for i in instances if i.y == FailureType.NORMAL])
+        X, y = make_data()
+        model = cascade((X, y), nu=0.3)
+        normals = X[y == FailureType.NORMAL]
         flagged_normals = normals[ocsvm_mod.classify(model.ocsvm, normals) == 1]
         assert len(flagged_normals), "nu=0.3 must leak some normals"
         preds, _ = pipeline.predict_batch(model, flagged_normals)
         assert 0 in set(preds.tolist())
 
     def test_batch_matches_single_calls(self):
-        instances = make_instances(n_normal=100, n_fail=30, seed=4)
-        model = cascade(instances)
-        X = np.stack([i.x for i in instances[::5]])
+        data = make_data(n_normal=100, n_fail=30, seed=4)
+        model = cascade(data)
+        X = data[0][::5]
         preds, scores = pipeline.predict_batch(model, X)
         for x, p, s in zip(X, preds, scores):
             got_p, got_s = one(model, x)
@@ -159,7 +166,7 @@ class TestPredict:
             assert got_s == pytest.approx(s, abs=1e-12)
 
     def test_empty_batch(self):
-        model = cascade(make_instances(n_normal=100, n_fail=30))
+        model = cascade(make_data(n_normal=100, n_fail=30))
         preds, scores = pipeline.predict_batch(model, np.zeros((0, DIM)))
         assert preds.shape == (0,) and scores.shape == (0,)
 
@@ -167,7 +174,7 @@ class TestPredict:
     def test_non_finite_row_rejected(self, bad):
         # a NaN row used to get Normal from one path, 1.0 from another and
         # a NaN score from a third
-        model = cascade(make_instances(n_normal=100, n_fail=30))
+        model = cascade(make_data(n_normal=100, n_fail=30))
         X = np.full((3, DIM), 0.3)
         X[1, 4] = bad
         with pytest.raises(FailcastError, match="row 1"):
@@ -175,7 +182,7 @@ class TestPredict:
 
     @pytest.mark.parametrize("shape", [(DIM,), (1, DIM - 1), (1, DIM + 1), (1, 1, DIM)])
     def test_wrong_shape_rejected(self, shape):
-        model = cascade(make_instances(n_normal=100, n_fail=30))
+        model = cascade(make_data(n_normal=100, n_fail=30))
         with pytest.raises(FailcastError):
             pipeline.predict_batch(model, np.full(shape, 0.3))
 
@@ -189,7 +196,7 @@ class TestScore:
         X = np.random.default_rng(0).random((10, DIM))
         y = np.full(10, forest_class)
         m2 = forest_mod.train(X, y, ForestParams(n_trees=4, rng_seed=0))
-        return CascadeModel(ocsvm=m1, forest=m2, feature_config=FCFG, manifest={})
+        return CascadeModel(ocsvm=m1, forest=m2, manifest={})
 
     def test_boundary_point_scores_quarter(self):
         x = np.full(DIM, 0.1)
@@ -210,8 +217,7 @@ class TestScore:
         assert one(model, x) == (0, 0.5)
 
     def test_score_prediction_consistency(self):
-        instances = make_instances(seed=9)
-        model = cascade(instances)
+        model = cascade(make_data(seed=9))
         rng = np.random.default_rng(10)
         X = rng.random((100, DIM))
         preds, scores = pipeline.predict_batch(model, X)
@@ -224,9 +230,9 @@ class TestScore:
 
 class TestGridSearch:
     def test_single_cell_identity(self):
-        instances = make_instances(n_normal=150, n_fail=30)
+        data = make_data(n_normal=150, n_fail=30)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(10,), folds=3)
-        best, table = pipeline.grid_search_cv(instances, grid, rng_seed=0)
+        best, table = pipeline.grid_search_cv(*data, grid, rng_seed=0)
         assert best == (1.0, 0.1, 10)
         assert len(table) == 1
         assert len(table[0].fold_f3) == 3
@@ -234,9 +240,9 @@ class TestGridSearch:
     def test_dominating_cell_wins(self):
         # nu=1e-6 is infeasible on folds this small, scoring 0 everywhere,
         # so the workable cell dominates on every fold
-        instances = make_instances(n_normal=200, n_fail=40)
+        data = make_data(n_normal=200, n_fail=40)
         grid = GridSpec(gammas=(1.0,), nus=(0.1, 1e-6), tree_counts=(10,), folds=3)
-        best, table = pipeline.grid_search_cv(instances, grid, rng_seed=0)
+        best, table = pipeline.grid_search_cv(*data, grid, rng_seed=0)
         assert best[1] == 0.1
         by_nu = {c.nu: c for c in table}
         assert all(
@@ -245,18 +251,18 @@ class TestGridSearch:
         )
 
     def test_tie_breaks_toward_fewer_trees(self):
-        instances = make_instances(n_normal=150, n_fail=30)
+        data = make_data(n_normal=150, n_fail=30)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(50, 10), folds=3)
-        best, table = pipeline.grid_search_cv(instances, grid, rng_seed=0)
+        best, table = pipeline.grid_search_cv(*data, grid, rng_seed=0)
         scores = {c.n_trees: c.mean_f3 for c in table}
         if scores[10] == scores[50]:
             assert best[2] == 10
 
     def test_deterministic_given_seed(self):
-        instances = make_instances(n_normal=120, n_fail=30)
+        data = make_data(n_normal=120, n_fail=30)
         grid = GridSpec(gammas=(1.0, 0.3), nus=(0.1,), tree_counts=(5,), folds=3)
-        best_a, table_a = pipeline.grid_search_cv(instances, grid, rng_seed=3)
-        best_b, table_b = pipeline.grid_search_cv(instances, grid, rng_seed=3)
+        best_a, table_a = pipeline.grid_search_cv(*data, grid, rng_seed=3)
+        best_b, table_b = pipeline.grid_search_cv(*data, grid, rng_seed=3)
         assert best_a == best_b
         assert [c.fold_f3 for c in table_a] == [c.fold_f3 for c in table_b]
 
@@ -278,16 +284,16 @@ class TestGridSearch:
             GridSpec(**axes)
 
     def test_too_few_failures_for_folds_rejected(self):
-        instances = make_instances(n_normal=100, n_fail=3)
+        data = make_data(n_normal=100, n_fail=3)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(5,), folds=5)
         with pytest.raises(StratificationError):
-            pipeline.grid_search_cv(instances, grid, rng_seed=0)
+            pipeline.grid_search_cv(*data, grid, rng_seed=0)
 
 
 class TestBundles:
     def test_bundle_round_trip_preserves_decisions(self, tmp_path):
-        instances = make_instances(n_normal=150, n_fail=30)
-        model = cascade(instances)
+        data = make_data(n_normal=150, n_fail=30)
+        model = cascade(data)
         pipeline.save_bundle(model, tmp_path / "bundle")
         restored = pipeline.load_bundle(tmp_path / "bundle")
         rng = np.random.default_rng(0)
@@ -298,9 +304,9 @@ class TestBundles:
         assert np.array_equal(a[1], b[1])
 
     def test_retraining_reproduces_bundle_bytes(self, tmp_path):
-        instances = make_instances(n_normal=150, n_fail=30)
-        a = cascade(instances, seed=7)
-        b = cascade(instances, seed=7)
+        data = make_data(n_normal=150, n_fail=30)
+        a = cascade(data, seed=7)
+        b = cascade(data, seed=7)
         pipeline.save_bundle(a, tmp_path / "a")
         pipeline.save_bundle(b, tmp_path / "b")
         for name in pipeline.BUNDLE_FILES:
@@ -309,8 +315,8 @@ class TestBundles:
             ).read_bytes()
 
     def test_archive_round_trip_and_reproducible_bytes(self, tmp_path):
-        instances = make_instances(n_normal=120, n_fail=30)
-        model = cascade(instances)
+        data = make_data(n_normal=120, n_fail=30)
+        model = cascade(data)
         pipeline.save_archive(model, tmp_path / "m1.zip")
         pipeline.save_archive(model, tmp_path / "m2.zip")
         assert (tmp_path / "m1.zip").read_bytes() == (tmp_path / "m2.zip").read_bytes()
@@ -320,7 +326,7 @@ class TestBundles:
 
     @pytest.mark.parametrize("name", [pipeline.BUNDLE_OCSVM, pipeline.BUNDLE_FOREST])
     def test_truncated_bundle_file_rejected(self, tmp_path, name):
-        model = cascade(make_instances(n_normal=120, n_fail=30))
+        model = cascade(make_data(n_normal=120, n_fail=30))
         pipeline.save_bundle(model, tmp_path)
         lines = (tmp_path / name).read_text().splitlines(keepends=True)
         (tmp_path / name).write_text("".join(lines[:-3]))
@@ -331,14 +337,14 @@ class TestBundles:
         "name", [pipeline.BUNDLE_OCSVM, pipeline.BUNDLE_FOREST, pipeline.BUNDLE_MANIFEST]
     )
     def test_binary_bundle_file_rejected(self, tmp_path, name):
-        model = cascade(make_instances(n_normal=120, n_fail=30))
+        model = cascade(make_data(n_normal=120, n_fail=30))
         pipeline.save_bundle(model, tmp_path)
         (tmp_path / name).write_bytes(b"\xff\xfe\x00garbage\n")
         with pytest.raises(ModelFormatError, match=name):
             pipeline.load_bundle(tmp_path)
 
     def test_broken_manifest_rejected(self, tmp_path):
-        model = cascade(make_instances(n_normal=120, n_fail=30))
+        model = cascade(make_data(n_normal=120, n_fail=30))
         pipeline.save_bundle(model, tmp_path)
         manifest = tmp_path / pipeline.BUNDLE_MANIFEST
         manifest.write_text(manifest.read_text()[:-20])
@@ -346,4 +352,14 @@ class TestBundles:
             pipeline.load_bundle(tmp_path)
         manifest.write_text("{}")
         with pytest.raises(ModelFormatError):
+            pipeline.load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("lags", [2, 0, "1", None])
+    def test_manifest_lags_must_fit_the_stage_width(self, tmp_path, lags):
+        pipeline.save_bundle(cascade(make_data(n_normal=120, n_fail=30)), tmp_path)
+        manifest = tmp_path / pipeline.BUNDLE_MANIFEST
+        content = json.loads(manifest.read_text())
+        content["feature"]["lags"] = lags
+        manifest.write_text(json.dumps(content))
+        with pytest.raises(ModelFormatError, match="feature.lags"):
             pipeline.load_bundle(tmp_path)
