@@ -274,7 +274,7 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     data = _load_split(Path(data_dir), "train")
     seed = r.get("seed", 0)
 
-    gammas = _grid_axis(r, "gammas", "gamma", 1.0 / 72.0, float)
+    gammas = _grid_axis(r, "gammas", "gamma", 1.0 / data.x.shape[1], float)
     nus = _grid_axis(r, "nus", "nu", 0.05, float)
     trees = _grid_axis(r, "trees_grid", "trees", 100, int)
     grid = pipeline.GridSpec(

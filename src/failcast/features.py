@@ -2,9 +2,11 @@
 
 The partial autocorrelation at lag k is defined here as the last
 coefficient of the order-k least-squares autoregression (with intercept)
-fitted to the series. Each order is fitted on its own: its centred
-design matrix of lagged values is built afresh and its k-by-k normal
-equations solved, so lags 1..K cost K passes over the series.
+fitted to the series. Each order is fitted on its own, from its centred
+design matrix of lagged values and its k-by-k normal equations. One
+kernel fits a batch of equal-length series at once, one stacked solve
+per order: ``pacf_by_machine`` passes it a machine's varying resources
+together, and ``pacf`` is its batch of one, with the same values.
 
 ``pacf_by_machine`` returns the fleet's partial autocorrelations as one
 structured array, a row per (machine, resource) pair, and
@@ -60,22 +62,42 @@ def pacf(series: np.ndarray, max_lag: int) -> np.ndarray:
         )
     if np.ptp(x) == 0.0:
         raise ZeroVarianceError("series is constant")
+    return _pacf_rows(x[None, :], max_lag)[0]
 
-    out = np.empty(max_lag)
+
+def _pacf_rows(W: np.ndarray, max_lag: int) -> np.ndarray:
+    """(g, max_lag) partial autocorrelations of the g equal-length series in
+    the rows of W, each row exactly as ``pacf`` computes it on its own.
+
+    Each order solves the g normal equations in one stacked call. When one
+    of them is singular, the order is solved member by member, so that
+    member's least-squares fallback leaves its neighbours untouched.
+    """
+    W = np.ascontiguousarray(W, dtype=float)
+    g, n = W.shape
+    out = np.empty((g, max_lag))
     for k in range(1, max_lag + 1):
         # regression rows t = k..n-1; column j holds x[t-j]
-        y = x[k:]
-        design = np.column_stack([x[k - j : n - j] for j in range(1, k + 1)])
-        yc = y - y.mean()
-        dc = design - design.mean(axis=0)
-        gram = dc.T @ dc
-        rhs = dc.T @ yc
+        y = W[:, k:]
+        design = np.stack([W[:, k - j : n - j] for j in range(1, k + 1)], axis=2)
+        yc = y - y.mean(axis=1, keepdims=True)
+        dc = design - design.mean(axis=1, keepdims=True)
+        dct = dc.transpose(0, 2, 1)
+        gram = dct @ dc
+        rhs = dct @ yc[:, :, None]
         try:
             coef = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:
-            coef = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-        out[k - 1] = coef[-1]
+            coef = np.array([_solve_or_lstsq(a, b) for a, b in zip(gram, rhs)])
+        out[:, k - 1] = coef[:, -1, 0]
     return out
+
+
+def _solve_or_lstsq(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
 def _longest_present_runs(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +140,9 @@ def pacf_by_machine(
     rows = []
     for m in np.flatnonzero(length >= max(min_length, max_lag + 2)):
         window = series.avg[m, start[m] : start[m] + length[m]]
-        for r in np.flatnonzero(np.ptp(window, axis=0) != 0.0):
-            rows.append((series.machine_ids[m], r, length[m], pacf(window[:, r], max_lag)))
+        varying = np.flatnonzero(np.ptp(window, axis=0) != 0.0)
+        values = _pacf_rows(window[:, varying].T, max_lag)
+        rows.extend((series.machine_ids[m], r, length[m], v) for r, v in zip(varying, values))
     return np.array(rows, dtype=dtype)
 
 

@@ -88,51 +88,44 @@ def best_split(
     """Best Gini split over the candidates, or None when nothing improves.
 
     Thresholds are midpoints between consecutive distinct sorted values.
-    Ties break toward the lowest feature index, then the lowest threshold,
-    so results are reproducible.
+    All candidates are searched in one pass: a stable sort of each
+    candidate column, one cumulative sum of the class one-hot by sorted
+    position, and one argmax over the (feature, cut) table with invalid
+    cuts masked out. The table is feature-major, so ties break toward the
+    lowest feature index, then the lowest threshold, and results are
+    reproducible.
     """
     n = len(y)
     if n < 2:
         return None
+    feats = np.array(sorted(set(candidate_features)), dtype=np.intp)
     parent_counts = np.bincount(y, minlength=N_CLASSES).astype(float)
     parent_gini = 1.0 - np.sum((parent_counts / n) ** 2)
 
-    best: Optional[Split] = None
-    for f in sorted(set(candidate_features)):
-        order = np.argsort(X[:, f], kind="stable")
-        xv = X[order, f]
-        onehot = np.zeros((n, N_CLASSES))
-        onehot[np.arange(n), y[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
+    # (mtry, n): each candidate's values, and its labels, in sorted order
+    cols = X[:, feats].T
+    order = np.argsort(cols, axis=1, kind="stable")
+    xv = np.take_along_axis(cols, order, axis=1)
+    # a cut after sorted position i leaves rows 0..i, and their classes, on the left
+    onehot = y[order][:, :-1, None] == np.arange(N_CLASSES)
+    left_counts = np.cumsum(onehot, axis=1, dtype=float)
+    right_counts = parent_counts - left_counts
+    n_left = np.arange(1, n, dtype=float)
+    n_right = n - n_left
+    gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=2)
+    gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=2)
+    decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / n
 
-        cut = np.nonzero(xv[:-1] < xv[1:])[0]  # split after position i
-        if len(cut) == 0:
-            continue
-        n_left = (cut + 1).astype(float)
-        n_right = n - n_left
-        keep = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not np.any(keep):
-            continue
-        cut = cut[keep]
-        n_left = n_left[keep]
-        n_right = n_right[keep]
-
-        left_counts = cum[cut]
-        right_counts = parent_counts[None, :] - left_counts
-        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        decrease = parent_gini - weighted
-
-        k = int(np.argmax(decrease))
-        if decrease[k] > 0.0 and (best is None or decrease[k] > best.decrease):
-            i = cut[k]
-            best = Split(
-                feature=f,
-                threshold=float((xv[i] + xv[i + 1]) / 2.0),
-                decrease=float(decrease[k]),
-            )
-    return best
+    valid = (xv[:, :-1] < xv[:, 1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    decrease[~valid] = -np.inf
+    f, i = np.unravel_index(np.argmax(decrease), decrease.shape)
+    if not decrease[f, i] > 0.0:
+        return None
+    return Split(
+        feature=int(feats[f]),
+        threshold=float((xv[f, i] + xv[f, i + 1]) / 2.0),
+        decrease=float(decrease[f, i]),
+    )
 
 
 def grow_tree(

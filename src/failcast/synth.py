@@ -247,7 +247,7 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
     )
 
     _write_events(paths.events, failures, cfg.machines, rng)
-    _write_usage(paths.usage, avg, peak, _down_mask(failures, cfg.machines, T), degenerate_ids, T)
+    _write_usage(paths.usage, avg, peak, _down_mask(failures, cfg.machines, T), T)
     _write_truth(paths.truth, failures)
     return paths
 
@@ -269,44 +269,22 @@ def _write_events(
             f.write(f"{time_us},{machine_id},{code}\n")
 
 
-def _write_usage(
-    path: Path,
-    avg: np.ndarray,
-    peak: np.ndarray,
-    down: np.ndarray,
-    degenerate_ids: list[int],
-    T: int,
-) -> None:
+def _write_usage(path: Path, avg: np.ndarray, peak: np.ndarray, down: np.ndarray, T: int) -> None:
+    """One row per up interval, machine by machine; machines past the
+    regular ones in ``avg`` are the degenerate ones and report all zeros."""
     I = INTERVAL_US
     starts = np.arange(T, dtype=float) * I
-    fmt = ["%d", "%d", "%d"] + ["%.6f"] * (2 * N_RESOURCES)
+    row = ",".join(["%d"] * 3 + ["%.6f"] * (2 * N_RESOURCES)) + "\n"
+    zeros = np.zeros((T, 2 * N_RESOURCES))
     with open(path, "w", newline="\n") as f:
         f.write(USAGE_HEADER + "\n")
-        for m in range(avg.shape[0]):
-            up = ~down[m]
+        for m, up in enumerate(~down):
+            usage = np.hstack([avg[m], peak[m]]) if m < len(avg) else zeros
             block = np.column_stack(
-                [
-                    starts[up],
-                    starts[up] + I,
-                    np.full(int(up.sum()), float(m)),
-                    avg[m, up],
-                    peak[m, up],
-                ]
+                [starts[up], starts[up] + I, np.full(int(up.sum()), float(m)), usage[up]]
             )
-            np.savetxt(f, block, fmt=fmt, delimiter=",", newline="\n")
-        zeros = np.zeros((1, 2 * N_RESOURCES))
-        for m in degenerate_ids:
-            up = ~down[m]
-            n_up = int(up.sum())
-            block = np.column_stack(
-                [
-                    starts[up],
-                    starts[up] + I,
-                    np.full(n_up, float(m)),
-                    np.repeat(zeros, n_up, axis=0),
-                ]
-            )
-            np.savetxt(f, block, fmt=fmt, delimiter=",", newline="\n")
+            # one % over the whole block writes the bytes np.savetxt writes row by row
+            f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_truth(path: Path, failures: np.ndarray) -> None:

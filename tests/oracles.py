@@ -2,14 +2,16 @@
 
 Each oracle takes the slow, obvious route: explicit least squares for
 partial autocorrelations, accelerated projected gradient for the
-one-class dual, exhaustive enumeration for tree splits, a row-by-row,
-tree-by-tree walk for forest votes, record-by-record and bin-by-bin
-accumulation for interval aggregation and for the clusterdata adapter,
-an event-by-event walk for failure pairing, a failure-by-failure walk
-for label tracks, value-by-value packing of one feature window, a
-class-by-class list split for the train/test split, a
-machine-by-machine loop for the PACF table and its histogram, literal
-pair counting and rank sums for AUC, and a tie-by-tie walk for the ROC
+one-class dual, one product over the whole batch for one-class
+decisions, exhaustive enumeration and a feature-by-feature loop for
+tree splits, a row-by-row, tree-by-tree walk for forest votes,
+record-by-record and bin-by-bin accumulation for interval aggregation
+and for the clusterdata adapter, an event-by-event walk for failure
+pairing, a failure-by-failure walk for label tracks, value-by-value
+packing of one feature window, a class-by-class list split for the
+train/test split, a machine-by-machine loop for the PACF table and its
+histogram, ``np.savetxt`` for the synthetic usage table, literal pair
+counting and rank sums for AUC, and a tie-by-tie walk for the ROC
 curve. None of them share code with the package paths they verify;
 the PACF table loop calls the package's own ``pacf``, which the OLS
 oracle checks. ``forest_predict_batch``, the majority vote over the
@@ -181,6 +183,56 @@ def brute_force_best_split(X, y, features, min_leaf=1):
             if decrease > 0.0 and (best is None or decrease > best[2] + 1e-15):
                 best = (f, thr, decrease)
     return best
+
+
+def reference_best_split(X, y, candidate_features, min_leaf=1):
+    """(feature, threshold, decrease) of the best Gini split, or None, one
+    candidate feature at a time.
+
+    Each feature is sorted and scored on its own, with the same Gini
+    arithmetic as the package, and a later feature replaces the best only
+    when it strictly improves it, so ties keep the lowest feature, then
+    the lowest threshold. Results must match the package bit for bit.
+    """
+    n = len(y)
+    if n < 2:
+        return None
+    parent_counts = np.bincount(y, minlength=4).astype(float)
+    parent_gini = 1.0 - np.sum((parent_counts / n) ** 2)
+    best = None
+    for f in sorted(set(candidate_features)):
+        order = np.argsort(X[:, f], kind="stable")
+        xv = X[order, f]
+        onehot = np.zeros((n, 4))
+        onehot[np.arange(n), y[order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        cut = np.nonzero(xv[:-1] < xv[1:])[0]  # split after position i
+        n_left = (cut + 1).astype(float)
+        n_right = n - n_left
+        keep = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not np.any(keep):
+            continue
+        cut, n_left, n_right = cut[keep], n_left[keep], n_right[keep]
+        left_counts = cum[cut]
+        right_counts = parent_counts[None, :] - left_counts
+        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
+        decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / n
+        k = int(np.argmax(decrease))
+        if decrease[k] > 0.0 and (best is None or decrease[k] > best[2]):
+            i = cut[k]
+            best = (f, float((xv[i] + xv[i + 1]) / 2.0), float(decrease[k]))
+    return best
+
+
+def reference_decision(model, X) -> np.ndarray:
+    """One-class decisions of the whole (m, d) batch in one product, unblocked."""
+    sv = model.support_vectors
+    sv_sq = np.einsum("ij,ij->i", sv, sv)
+    x_sq = np.einsum("ij,ij->i", X, X)
+    d2 = x_sq[:, None] + sv_sq[None, :] - 2.0 * (X @ sv.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(-model.gamma * d2) @ model.alphas - model.rho
 
 
 def reference_votes(model, X) -> np.ndarray:
@@ -577,3 +629,31 @@ def reference_roc_auc_rank_sums(scores, labels) -> float:
         i = j + 1
     favorable = ranks[pos[order]].sum() - n_pos * (n_pos + 1) / 2.0
     return favorable / (n_pos * n_neg)
+
+
+def reference_write_usage(path, avg, peak, down, T: int) -> None:
+    """resource_usage.csv through ``np.savetxt``, one block per machine.
+
+    The regular machines' rows come from ``avg`` and ``peak``; the machines
+    of ``down`` past them are the degenerate ones, written as zeros after
+    all regular machines.
+    """
+    starts = np.arange(T, dtype=float) * INTERVAL_US
+    fmt = ["%d", "%d", "%d"] + ["%.6f"] * (2 * N_RESOURCES)
+    with open(path, "w", newline="\n") as f:
+        f.write(USAGE_HEADER + "\n")
+        for m in range(len(avg)):
+            up = ~down[m]
+            block = np.column_stack(
+                [starts[up], starts[up] + INTERVAL_US, np.full(int(up.sum()), float(m)),
+                 avg[m, up], peak[m, up]]
+            )
+            np.savetxt(f, block, fmt=fmt, delimiter=",", newline="\n")
+        for m in range(len(avg), len(down)):
+            up = ~down[m]
+            n_up = int(up.sum())
+            block = np.column_stack(
+                [starts[up], starts[up] + INTERVAL_US, np.full(n_up, float(m)),
+                 np.zeros((n_up, 2 * N_RESOURCES))]
+            )
+            np.savetxt(f, block, fmt=fmt, delimiter=",", newline="\n")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import shutil
@@ -106,6 +107,28 @@ class TestFullChain:
     def test_label_excluded_degenerates(self, chain):
         meta = json.loads((chain / "labels" / "meta.json").read_text())
         assert len(meta["excluded_machines"]) == 2
+
+
+#: SHA-256 of the `chain` fixture's artifacts (seed 11). A speedup keeps
+#: artifact bytes, so a change that moves one of these changes behaviour.
+#: The model files rest on OpenBLAS's rounding, as built for x86-64 numpy.
+GOLDEN_DIGESTS = {
+    "trace/machine_events.csv": "882732d149c2b996bb3a4d7431cad9754ec2f5270dcde51489395a71348dc059",
+    "trace/resource_usage.csv": "aceebeef362f5b03b3024ddf6c8dc19c2c62a6dbce4a3c4e4c54944e0feca1f3",
+    "trace/truth_labels.csv": "ae1b72c77cb870568925539c078739fcc2fcce9ea3d46a84226edaae88279142",
+    "pacf_hist.csv": "91dd28e821de56a973fd8201040d1ae21acf47dc5b15af5246f1708bad34ac4f",
+    "model/forest.txt": "1977cb01c82e81c7102e66264b0baec180314463b6ff3c4b0c484f5c60fbe9c1",
+    "model/ocsvm.txt": "a2929526981354982126996f0cb2d01ac80c0f1f0d381898798645594c64b9c7",
+    "model/cv_table.csv": "ccc03d6bc09164b49ce8b68f863e76f3e1dd24d669ec8bf6280507fda5e97b2c",
+    "predictions.csv": "8aa1d380d21d221b4b86ca25fff11fb0176a0e35e59ae66aa2049cff28f09b8a",
+}
+
+
+def test_chain_artifacts_match_the_golden_digests(chain):
+    digests = {
+        name: hashlib.sha256((chain / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS
+    }
+    assert digests == GOLDEN_DIGESTS
 
 
 class TestDeterminism:
@@ -295,6 +318,22 @@ class TestBrokenInputs:
         assert rc == 2
         assert "--lags" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
+
+    def test_train_defaults_gamma_to_one_over_the_dataset_width(self, chain, tmp_path):
+        data, model = tmp_path / "data", tmp_path / "m"
+        assert main([
+            "featurize", "--store", str(chain / "store"), "--labels", str(chain / "labels"),
+            "--out", str(data), "--normal-samples", "300", "--lags", "2",
+        ]) == 0
+        assert main([
+            "train", "--data", str(data), "--out", str(model),
+            "--nu", "0.1", "--trees", "5", "--folds", "2",
+        ]) == 0
+        manifest = json.loads((model / "manifest.json").read_text())
+        assert manifest["feature"]["dim"] == 24
+        assert manifest["ocsvm"]["gamma"] == 1 / 24
+        rows = (model / "cv_table.csv").read_text().splitlines()
+        assert rows[1].startswith(f"{1 / 24!r},")
 
     @pytest.mark.parametrize("dim, lags", [(24, 2), (71, None)])
     def test_train_takes_the_layout_from_the_dataset_width(

@@ -159,6 +159,28 @@ class TestPacfTable:
                 hist.get(lag, 0) for lag in range(1, max_lag + 1)
             ]
 
+    def test_singular_member_leaves_its_batch_neighbours_alone(self, monkeypatch):
+        """One machine's resources share each order's stacked solve; an
+        alternating series makes its order-2 normal equations singular."""
+        rng = np.random.default_rng(23)
+        T = 80
+        avg = rng.random((1, T, 6))
+        avg[0, :, 1] = np.tile([0.2, 0.7], T // 2)
+        avg[0, :, 4] = 0.5
+        series = IntervalSeries(np.array([3]), avg, avg + 0.1, np.ones((1, T), dtype=bool))
+        lstsq, fallbacks = np.linalg.lstsq, []
+
+        def counted_lstsq(*args, **kwargs):
+            fallbacks.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        table = pacf_by_machine(series, 6, 20)
+        assert fallbacks
+        assert table["resource"].tolist() == [0, 1, 2, 3, 5]
+        for r, values in zip(table["resource"], table["pacf"]):
+            assert np.array_equal(values, pacf(avg[0, :, r], 6))
+
 
 class TestFeatureLayout:
     def test_default_dimension(self):

@@ -20,7 +20,13 @@ from failcast.forest import (
 )
 from failcast.trace_model import FailureType
 
-from oracles import brute_force_best_split, forest_predict_batch, gini, reference_votes
+from oracles import (
+    brute_force_best_split,
+    forest_predict_batch,
+    gini,
+    reference_best_split,
+    reference_votes,
+)
 
 
 def saved(model) -> str:
@@ -110,6 +116,41 @@ class TestBestSplit:
             assert got is None
         else:
             assert got.decrease == pytest.approx(want[2], abs=1e-12)
+
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_property_equals_the_feature_by_feature_loop(self, data):
+        """feature, threshold and decrease are exactly the per-feature loop's."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(0, 40))
+        d = data.draw(st.integers(1, 8))
+        # integer-valued columns tie often; a constant column has no cut at all
+        X = rng.integers(0, data.draw(st.integers(1, 6)), (n, d)).astype(float)
+        if data.draw(st.booleans()):
+            X += rng.random((n, d))
+        X[:, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from([0.0, 1.5]))
+        # a mirrored column ties its twin's best decrease at the mirrored cut
+        twin, mirror = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        X[:, mirror] = -X[:, twin]
+        y = rng.integers(0, data.draw(st.integers(1, 4)), n)
+        # an unsorted subset with repeats, as grow_tree's draws may come
+        feats = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=2 * d))
+        min_leaf = data.draw(st.integers(1, 4))
+        got = best_split(X, y, feats, min_leaf)
+        want = reference_best_split(X, y, feats, min_leaf)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.feature, got.threshold, got.decrease) == want
+
+    def test_fewer_than_two_rows_or_constant_columns_give_none(self):
+        X = np.array([[0.5, 2.0]])
+        assert best_split(X, np.array([1]), [1, 0]) is None
+        assert best_split(X[:0], np.array([], dtype=np.int64), [0]) is None
+        X = np.full((5, 3), 0.25)
+        assert best_split(X, np.array([0, 1, 2, 3, 0]), [2, 0, 1]) is None
 
 
 class TestGrowTree:

@@ -1,5 +1,9 @@
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,36 @@ class TestDecision:
         batch = decision(model, X)
         singles = np.array([decision(model, X[i : i + 1])[0] for i in range(len(X))])
         assert np.allclose(batch, singles, atol=1e-15)
+
+    def test_blocks_are_bit_identical_to_one_product(self):
+        """With one BLAS thread, as the benchmark pins it: several threads
+        split a product's rows by the size of the whole batch, so no blocking
+        can reproduce an unblocked product bit for bit there."""
+        script = """
+import numpy as np
+from failcast.ocsvm import OcsvmModel, decision
+from oracles import reference_decision
+rng = np.random.default_rng(3)
+alphas = rng.random(500)
+model = OcsvmModel(rng.random((500, 72)), alphas / alphas.sum(), 0.4, 0.125)
+for m in (1, 2, 1009, 1010, 2017, 2047, 2049, 4097, 6121):
+    X = rng.random((m, 72))
+    assert np.array_equal(decision(model, X), reference_decision(model, X)), m
+"""
+        paths = [Path(__file__).parents[1] / "src", Path(__file__).parent]
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(map(str, paths)),
+        }
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+
+    def test_empty_batch(self):
+        assert decision(self._toy_model(), np.zeros((0, 2))).shape == (0,)
 
 
 class TestClassify:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from failcast import features, ingestion, labeling
+from failcast import features, ingestion, labeling, synth
 from failcast.errors import ConfigError, GenerationError
 from failcast.labeling import LabelingConfig
 from failcast.synth import SynthConfig, _draw_duration, generate
 from failcast.trace_model import INTERVAL_US, FailureType
 
-from oracles import build_instance
+from oracles import build_instance, reference_write_usage
 
 SMALL = SynthConfig(
     machines=60, horizon_days=2.0, degenerate_machines=2, rng_seed=5
@@ -37,6 +37,22 @@ def test_deterministic_byte_identical_output(tmp_path):
     b = generate(cfg, tmp_path / "b")
     for pa, pb in ((a.events, b.events), (a.usage, b.usage), (a.truth, b.truth)):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_usage_file_is_the_savetxt_writers(tmp_path, monkeypatch):
+    written = {}
+    write = synth._write_usage
+
+    def keep(path, avg, peak, down, T):
+        written.update(avg=avg, peak=peak, down=down, T=T)
+        write(path, avg, peak, down, T)
+
+    monkeypatch.setattr(synth, "_write_usage", keep)
+    paths = generate(SMALL, tmp_path / "trace")
+    assert len(written["down"]) - len(written["avg"]) == SMALL.degenerate_machines
+    assert written["down"][: len(written["avg"])].any()  # regular machines with downtime
+    reference_write_usage(tmp_path / "reference.csv", **written)
+    assert paths.usage.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_different_seed_changes_output(tmp_path):
