@@ -283,7 +283,7 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     base_ocsvm = OcsvmParams(tol=r.get("tol", 1e-4))
     base_forest = ForestParams(rng_seed=seed)
 
-    (best_gamma, best_nu, best_trees), table = pipeline.grid_search_cv(
+    (best_gamma, best_nu, best_trees), f3 = pipeline.grid_search_cv(
         data.x, data.y, grid, seed, base_ocsvm, base_forest
     )
     model = pipeline.train(
@@ -297,11 +297,9 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     with open(out_dir / "cv_table.csv", "w", newline="\n") as f:
         f.write("gamma,nu,trees,mean_f3," + ",".join(
             f"fold{i}_f3" for i in range(grid.folds)) + "\n")
-        for cell in table:
-            folds = ",".join(f"{v:.6f}" for v in cell.fold_f3)
-            f.write(
-                f"{cell.gamma!r},{cell.nu!r},{cell.n_trees},{cell.mean_f3:.6f},{folds}\n"
-            )
+        for (gamma, nu, n_trees), fold_f3 in zip(grid.cells(), f3.reshape(-1, grid.folds)):
+            folds = ",".join(f"{v:.6f}" for v in fold_f3)
+            f.write(f"{gamma!r},{nu!r},{n_trees},{fold_f3.mean():.6f},{folds}\n")
     with open(out_dir / "split_counts.csv", "w", newline="\n") as f:
         f.write("index,kind,resource,lag,count\n")
         for i, count in enumerate(model.forest.feature_split_counts.tolist()):

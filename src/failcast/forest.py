@@ -3,7 +3,9 @@
 Trees are grown on bootstrap resamples with Gini splits over a random
 feature subset per node; prediction is a majority vote over the ensemble.
 Each tree draws from its own rng stream seeded by (rng_seed, tree index),
-so growth order and thread scheduling never change the model.
+so growth order and thread scheduling never change the model, and the
+first B trees of a forest are the forest grown with B trees on the same
+data and seed; grid search scores every tree count on such a prefix.
 
 A forest is flat node arrays, after scikit-learn's ``Tree``: node i has
 ``feature[i]`` (-1 at a leaf), ``threshold[i]`` (x[feature] <= threshold
@@ -220,6 +222,18 @@ def train(X: np.ndarray, y: np.ndarray, params: ForestParams) -> ForestModel:
         np.concatenate([np.where(t.right >= 0, t.right + r, -1) for t, r in zip(trees, roots)]),
         np.concatenate([t.counts for t in trees]),
     )
+
+
+def first_trees(model: ForestModel, n_trees: int) -> ForestModel:
+    """The forest of ``model``'s first ``n_trees`` trees; see the prefix invariant above."""
+    if not 1 <= n_trees <= model.n_trees:
+        raise ValueError(f"n_trees must be in [1, {model.n_trees}], got {n_trees}")
+    if n_trees == model.n_trees:
+        return model
+    end = model.roots[n_trees]
+    nodes = (model.feature, model.threshold, model.right, model.counts)
+    params = replace(model.params, n_trees=n_trees)
+    return _arrays_model(params, model.dim, model.roots[:n_trees], *(a[:end] for a in nodes))
 
 
 # (row, tree) pairs that descend together; bounds the working arrays

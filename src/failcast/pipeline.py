@@ -15,7 +15,7 @@ import json
 import logging
 import zipfile
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, TextIO
 
@@ -125,19 +125,8 @@ def train(
     manifest = {
         "format": "cascade-manifest v1",
         "feature": {"lags": feature_config.lags, "dim": feature_config.dim},
-        "ocsvm": {
-            "nu": ocsvm_params.nu,
-            "gamma": ocsvm_params.gamma,
-            "tol": ocsvm_params.tol,
-            "max_iter": ocsvm_params.max_iter,
-        },
-        "forest": {
-            "n_trees": forest_params.n_trees,
-            "mtry": forest_params.mtry,
-            "min_leaf": forest_params.min_leaf,
-            "max_depth": forest_params.max_depth,
-            "rng_seed": forest_params.rng_seed,
-        },
+        "ocsvm": asdict(ocsvm_params),
+        "forest": asdict(forest_params),
         "data": {
             "n_train": int(len(y)),
             "class_counts": [int(c) for c in np.bincount(y, minlength=4)],
@@ -201,18 +190,6 @@ def _stratified_folds(
     return folds
 
 
-@dataclass
-class CvCell:
-    gamma: float
-    nu: float
-    n_trees: int
-    fold_f3: list[float]
-
-    @property
-    def mean_f3(self) -> float:
-        return float(np.mean(self.fold_f3))
-
-
 def grid_search_cv(
     X: np.ndarray,
     y: np.ndarray,
@@ -220,46 +197,38 @@ def grid_search_cv(
     rng_seed: int,
     base_ocsvm: Optional[OcsvmParams] = None,
     base_forest: Optional[ForestParams] = None,
-) -> tuple[tuple[float, float, int], list[CvCell]]:
+) -> tuple[tuple[float, float, int], np.ndarray]:
     """Pick (gamma, nu, n_trees) by mean binary F3 over stratified folds.
 
-    Ties break toward fewer trees, then larger nu: the cheaper and more
-    conservative model. The fold split depends only on rng_seed.
+    Returns the pick and the F3 of every cell on every fold, a
+    (gammas, nus, tree_counts, folds) array whose flattened leading axes
+    follow ``grid.cells()``. Each (fold, gamma, nu) fits the cascade once,
+    at the largest tree count, and each tree count is scored on the first
+    trees of that forest, which are the forest it would grow on its own.
+    A fit that is unusable scores 0.0 at every tree count. Ties break
+    toward fewer trees, then larger nu, then smaller gamma: the cheaper
+    and more conservative model. The fold split depends only on rng_seed.
     """
     base_ocsvm = base_ocsvm or OcsvmParams()
-    base_forest = base_forest or ForestParams()
-    rng = np.random.default_rng(rng_seed)
-    folds = _stratified_folds(y, grid.folds, rng)
-    all_idx = np.arange(len(y))
-
-    def run_cell(cell: tuple[float, float, int]) -> CvCell:
-        gamma, nu, n_trees = cell
-        fold_scores = []
-        for f in range(grid.folds):
-            test_idx = folds[f]
-            train_idx = np.setdiff1d(all_idx, test_idx)
+    forest_params = replace(base_forest or ForestParams(), n_trees=max(grid.tree_counts))
+    folds = _stratified_folds(y, grid.folds, np.random.default_rng(rng_seed))
+    f3 = np.zeros((len(grid.gammas), len(grid.nus), len(grid.tree_counts), grid.folds))
+    for f, test_idx in enumerate(folds):
+        train_idx = np.setdiff1d(np.arange(len(y)), test_idx)
+        for (i, gamma), (j, nu) in itertools.product(enumerate(grid.gammas), enumerate(grid.nus)):
+            stage1_params = replace(base_ocsvm, nu=nu, gamma=gamma)
             try:
-                model = train(
-                    X[train_idx],
-                    y[train_idx],
-                    replace(base_ocsvm, nu=nu, gamma=gamma),
-                    replace(base_forest, n_trees=n_trees),
-                )
+                model = train(X[train_idx], y[train_idx], stage1_params, forest_params)
             except (DegenerateTrainingError, InfeasibleNuError) as exc:
-                # unusable cell: the filter ate all failures, or nu*n < 1
-                logger.warning(
-                    "grid cell gamma=%g nu=%g B=%d fold %d unusable: %s",
-                    gamma, nu, n_trees, f, exc,
-                )
-                fold_scores.append(0.0)
+                # unusable fit: the filter ate all failures, or nu*n < 1
+                logger.warning("grid gamma=%g nu=%g fold %d unusable: %s", gamma, nu, f, exc)
                 continue
-            preds, _ = predict_batch(model, X[test_idx])
-            fold_scores.append(metrics_mod.binary_f3(metrics_mod.confusion(preds, y[test_idx])))
-        return CvCell(gamma=gamma, nu=nu, n_trees=n_trees, fold_f3=fold_scores)
-
-    table = [run_cell(c) for c in grid.cells()]
-    best = min(table, key=lambda c: (-c.mean_f3, c.n_trees, -c.nu, c.gamma))
-    return (best.gamma, best.nu, best.n_trees), table
+            for k, n_trees in enumerate(grid.tree_counts):
+                prefix = replace(model, forest=forest_mod.first_trees(model.forest, n_trees))
+                preds, _ = predict_batch(prefix, X[test_idx])
+                f3[i, j, k, f] = metrics_mod.binary_f3(metrics_mod.confusion(preds, y[test_idx]))
+    ranks = [(-m, b, -nu, gamma) for (gamma, nu, b), m in zip(grid.cells(), f3.mean(-1).flat)]
+    return grid.cells()[ranks.index(min(ranks))], f3
 
 
 def _bundle_texts(model: CascadeModel) -> dict[str, str]:
@@ -309,22 +278,32 @@ def _load_part(bundle: Path, name: str, loader):
 def load_bundle(bundle: Path) -> CascadeModel:
     """Read a bundle directory or a ``train --archive`` zip of one.
 
-    A malformed file raises ModelFormatError naming it.
+    A malformed file raises ModelFormatError naming it. So does a manifest
+    whose feature.lags, forest parameters or ocsvm.gamma disagree with the
+    stage files, and a layout.json other than the stages' feature layout.
     """
     bundle = Path(bundle)
     stage1 = _load_part(bundle, BUNDLE_OCSVM, ocsvm_mod.load)
     stage2 = _load_part(bundle, BUNDLE_FOREST, forest_mod.load)
     manifest = _load_part(bundle, BUNDLE_MANIFEST, json.load)
-    try:
-        lags = manifest["feature"]["lags"]
-    except (KeyError, TypeError):
-        raise ModelFormatError(f"{bundle / BUNDLE_MANIFEST}: no feature.lags") from None
-    if lags != stage2.dim / (2 * N_RESOURCES):
-        raise ModelFormatError(
-            f"{bundle / BUNDLE_MANIFEST}: feature.lags {lags!r} does not fit "
-            f"the stages' {stage2.dim} features"
-        )
-    return CascadeModel(ocsvm=stage1, forest=stage2, manifest=manifest)
+    # what the manifest must state, as the stage files say it
+    implied = {"feature.lags": stage2.dim / (2 * N_RESOURCES), "ocsvm.gamma": stage1.gamma}
+    implied.update((f"forest.{k}", v) for k, v in asdict(stage2.params).items())
+    for key, value in implied.items():
+        section, entry = key.split(".")
+        try:
+            stated = manifest[section][entry]
+        except (KeyError, TypeError):
+            raise ModelFormatError(f"{bundle / BUNDLE_MANIFEST}: no {key}") from None
+        if stated != value:
+            raise ModelFormatError(
+                f"{bundle / BUNDLE_MANIFEST}: {key} is {stated!r}, the stage files say {value!r}"
+            )
+    model = CascadeModel(ocsvm=stage1, forest=stage2, manifest=manifest)
+    layout = _load_part(bundle, BUNDLE_LAYOUT, lambda f: f.read())
+    if layout != model.feature_config.layout_json():
+        raise ModelFormatError(f"{bundle / BUNDLE_LAYOUT}: not the layout of dim {stage2.dim}")
+    return model
 
 
 def save_archive(model: CascadeModel, archive_path: Path) -> None:

@@ -11,24 +11,31 @@ pairing, a failure-by-failure walk for label tracks, value-by-value
 packing of one feature window, a class-by-class list split for the
 train/test split, a machine-by-machine loop for the PACF table and its
 histogram, ``np.savetxt`` for the synthetic usage table, literal pair
-counting and rank sums for AUC, and a tie-by-tie walk for the ROC
-curve. None of them share code with the package paths they verify;
-the PACF table loop calls the package's own ``pacf``, which the OLS
-oracle checks. ``forest_predict_batch``, the majority vote over the
-package's own votes, and ``feature_index``, the inverse of
-``FeatureConfig.describe``, are not oracles: they live here because
-only tests use them.
+counting and rank sums for AUC, a tie-by-tie walk for the ROC curve,
+and one cascade fit per grid cell and fold for grid search. None of
+them share code with the package paths they verify; the PACF table
+loop calls the package's own ``pacf``, which the OLS oracle checks, and
+the grid search oracle calls the package's own fold split and cascade.
+``forest_predict_batch``, the majority vote over the package's own
+votes, and ``feature_index``, the inverse of ``FeatureConfig.describe``,
+are not oracles: they live here because only tests use them.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from failcast.errors import ParseError
+from failcast.errors import DegenerateTrainingError, InfeasibleNuError, ParseError
 from failcast.features import KIND_AVG, KIND_PEAK, SIGNIFICANCE_Z, pacf
-from failcast.forest import predict_votes_batch
+from failcast.forest import ForestParams, predict_votes_batch
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
+from failcast.metrics import binary_f3, confusion
+from failcast.ocsvm import OcsvmParams
+from failcast.pipeline import _stratified_folds, predict_batch
+from failcast.pipeline import train as cascade_train
 from failcast.trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,
@@ -657,3 +664,40 @@ def reference_write_usage(path, avg, peak, down, T: int) -> None:
                  np.zeros((n_up, 2 * N_RESOURCES))]
             )
             np.savetxt(f, block, fmt=fmt, delimiter=",", newline="\n")
+
+
+def reference_grid_search_cv(X, y, grid, rng_seed, base_ocsvm=None, base_forest=None):
+    """``grid_search_cv`` cell by cell: one cascade fit per (gamma, nu, B, fold).
+
+    Every tree count grows its own forest, so nothing relies on the
+    prefix invariant. The folds come from the package's own split, which
+    both paths share by contract.
+    """
+    base_ocsvm = base_ocsvm or OcsvmParams()
+    base_forest = base_forest or ForestParams()
+    folds = _stratified_folds(y, grid.folds, np.random.default_rng(rng_seed))
+    table = []
+    for gamma, nu, n_trees in grid.cells():
+        fold_f3 = []
+        for test_idx in folds:
+            train_idx = np.setdiff1d(np.arange(len(y)), test_idx)
+            try:
+                model = cascade_train(
+                    X[train_idx],
+                    y[train_idx],
+                    replace(base_ocsvm, nu=nu, gamma=gamma),
+                    replace(base_forest, n_trees=n_trees),
+                )
+            except (DegenerateTrainingError, InfeasibleNuError):
+                fold_f3.append(0.0)
+                continue
+            preds, _ = predict_batch(model, X[test_idx])
+            fold_f3.append(binary_f3(confusion(preds, y[test_idx])))
+        table.append(fold_f3)
+    means = [float(np.mean(f)) for f in table]
+    cells = grid.cells()
+    best = min(
+        range(len(cells)), key=lambda c: (-means[c], cells[c][2], -cells[c][1], cells[c][0])
+    )
+    shape = (len(grid.gammas), len(grid.nus), len(grid.tree_counts), grid.folds)
+    return cells[best], np.array(table).reshape(shape)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,29 @@ def test_chain_artifacts_match_the_golden_digests(chain):
     assert digests == GOLDEN_DIGESTS
 
 
+#: SHA-256 of a 2 x 3 x 3 grid trained on the `chain` fixture's data. The
+#: tree counts are unsorted and nu=0.001 is unusable on every fold, so these
+#: see the grid's cell order, its tie rule and its zero-score rows.
+GRID_DIGESTS = {
+    "cv_table.csv": "111a85c33ee6f4fd211eac77281829db5eb37dd374e0c56d874cf38a9d43a763",
+    "forest.txt": "966385ae738fe0866f373a17f9a930842ef46fb5ad9904b034a7cb1f7e403c7a",
+    "ocsvm.txt": "183fc587ac2f9935ff4ae8309d2c636e69dd7848baa58785ed395f22db716d66",
+}
+
+
+def test_multi_cell_grid_matches_its_digests(chain, tmp_path):
+    model = tmp_path / "model"
+    assert main([
+        "train", "--data", str(chain / "data"), "--out", str(model),
+        "--gammas", "0.125,0.5", "--nus", "0.05,0.1,0.001", "--trees-grid", "50,10,30",
+        "--folds", "3", "--seed", "11",
+    ]) == 0
+    digests = {
+        name: hashlib.sha256((model / name).read_bytes()).hexdigest() for name in GRID_DIGESTS
+    }
+    assert digests == GRID_DIGESTS
+
+
 class TestDeterminism:
     def test_chain_is_byte_identical_across_runs(self, tmp_path):
         a = run_chain(tmp_path / "a", seed=3)
@@ -239,6 +263,15 @@ class TestStreamPredict:
         assert captured.err.startswith("error: line 1:")
 
 
+def _set_manifest(section: str, key: str, value):
+    """An edit of manifest.json's text that sets ``section.key`` to ``value``."""
+    def edit(text: str) -> str:
+        manifest = json.loads(text)
+        manifest[section][key] = value
+        return json.dumps(manifest)
+    return edit
+
+
 class TestBrokenInputs:
     def test_predict_on_truncated_bundle_exits_2(self, chain, tmp_path, capsys):
         model = tmp_path / "model"
@@ -287,6 +320,35 @@ class TestBrokenInputs:
         rc = main(["predict", "--model", str(fake), "--stream"])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {fake}")
+
+    @pytest.mark.parametrize("archive", [False, True])
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("manifest.json", _set_manifest("forest", "n_trees", 999)),
+            ("manifest.json", _set_manifest("ocsvm", "gamma", 0.5)),
+            ("layout.json", lambda text: "garbage"),
+        ],
+        ids=["n_trees", "gamma", "layout"],
+    )
+    def test_predict_on_a_bundle_that_contradicts_itself_exits_2(
+        self, chain, tmp_path, capsys, archive, name, edit
+    ):
+        texts = {n: (chain / "model" / n).read_text() for n in BUNDLE_FILES}
+        texts[name] = edit(texts[name])
+        if archive:
+            bundle = tmp_path / "bundle.zip"
+            with zipfile.ZipFile(bundle, "w") as zf:
+                for n, text in texts.items():
+                    zf.writestr(n, text)
+        else:
+            bundle = tmp_path / "model"
+            bundle.mkdir()
+            for n, text in texts.items():
+                (bundle / n).write_text(text)
+        rc = main(["predict", "--model", str(bundle), "--stream"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {bundle / name}: ")
 
     @pytest.mark.parametrize(
         "name, cut",

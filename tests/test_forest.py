@@ -1,5 +1,6 @@
 import io
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from failcast.forest import (
     ForestParams,
     best_split,
     bootstrap_indices,
+    first_trees,
     grow_tree,
     load,
     predict_votes_batch,
@@ -224,6 +226,40 @@ class TestTrain:
             for k in range(200)
         ]
         assert np.mean(fractions) == pytest.approx(1 - np.exp(-1), abs=0.03)
+
+
+class TestFirstTrees:
+    """A forest's first k trees are the forest grown with k trees.
+
+    Grid search relies on it. Any draw whose order depends on the tree
+    count, such as drawing every bootstrap sample before growing, breaks it.
+    """
+
+    def _data(self):
+        rng = np.random.default_rng(14)
+        return rng.random((60, 5)), rng.integers(0, 4, 60)
+
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    def test_prefix_equals_the_smaller_forest(self, k):
+        X, y = self._data()
+        params = ForestParams(n_trees=20, mtry=2, rng_seed=4)
+        prefix = first_trees(train(X, y, params), k)
+        direct = train(X, y, replace(params, n_trees=k))
+        assert prefix.params == direct.params
+        for name in ("roots", "feature", "threshold", "right", "counts", "leaf_class"):
+            assert np.array_equal(getattr(prefix, name), getattr(direct, name)), name
+        assert saved(prefix) == saved(direct)
+
+    def test_all_trees_is_the_whole_forest(self):
+        X, y = self._data()
+        model = train(X, y, ForestParams(n_trees=5, mtry=2))
+        assert first_trees(model, 5) is model
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_out_of_range_count_rejected(self, k):
+        X, y = self._data()
+        with pytest.raises(ValueError):
+            first_trees(train(X, y, ForestParams(n_trees=5, mtry=2)), k)
 
 
 class TestPredict:

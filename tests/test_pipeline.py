@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from failcast.forest import ForestParams
 from failcast.ocsvm import OcsvmModel, OcsvmParams
 from failcast.pipeline import CascadeModel, GridSpec
 from failcast.trace_model import FailureType
-from oracles import forest_predict_batch
+from oracles import forest_predict_batch, reference_grid_search_cv
 
 DIM = 12  # one lag
 
@@ -232,39 +233,62 @@ class TestGridSearch:
     def test_single_cell_identity(self):
         data = make_data(n_normal=150, n_fail=30)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(10,), folds=3)
-        best, table = pipeline.grid_search_cv(*data, grid, rng_seed=0)
+        best, f3 = pipeline.grid_search_cv(*data, grid, rng_seed=0)
         assert best == (1.0, 0.1, 10)
-        assert len(table) == 1
-        assert len(table[0].fold_f3) == 3
+        assert f3.shape == (1, 1, 1, 3)
 
     def test_dominating_cell_wins(self):
         # nu=1e-6 is infeasible on folds this small, scoring 0 everywhere,
         # so the workable cell dominates on every fold
         data = make_data(n_normal=200, n_fail=40)
         grid = GridSpec(gammas=(1.0,), nus=(0.1, 1e-6), tree_counts=(10,), folds=3)
-        best, table = pipeline.grid_search_cv(*data, grid, rng_seed=0)
+        best, f3 = pipeline.grid_search_cv(*data, grid, rng_seed=0)
         assert best[1] == 0.1
-        by_nu = {c.nu: c for c in table}
-        assert all(
-            a > b
-            for a, b in zip(by_nu[0.1].fold_f3, by_nu[1e-6].fold_f3)
-        )
+        assert np.all(f3[0, 0, 0] > f3[0, 1, 0])
 
     def test_tie_breaks_toward_fewer_trees(self):
         data = make_data(n_normal=150, n_fail=30)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(50, 10), folds=3)
-        best, table = pipeline.grid_search_cv(*data, grid, rng_seed=0)
-        scores = {c.n_trees: c.mean_f3 for c in table}
-        if scores[10] == scores[50]:
-            assert best[2] == 10
+        best, f3 = pipeline.grid_search_cv(*data, grid, rng_seed=0)
+        # well-separated classes: both tree counts score F3 1.0 on every fold
+        assert np.array_equal(f3[0, 0, 0], f3[0, 0, 1])
+        assert best[2] == 10
 
     def test_deterministic_given_seed(self):
         data = make_data(n_normal=120, n_fail=30)
         grid = GridSpec(gammas=(1.0, 0.3), nus=(0.1,), tree_counts=(5,), folds=3)
-        best_a, table_a = pipeline.grid_search_cv(*data, grid, rng_seed=3)
-        best_b, table_b = pipeline.grid_search_cv(*data, grid, rng_seed=3)
+        best_a, f3_a = pipeline.grid_search_cv(*data, grid, rng_seed=3)
+        best_b, f3_b = pipeline.grid_search_cv(*data, grid, rng_seed=3)
         assert best_a == best_b
-        assert [c.fold_f3 for c in table_a] == [c.fold_f3 for c in table_b]
+        assert np.array_equal(f3_a, f3_b)
+
+    @pytest.mark.parametrize(
+        "data_seed, gammas, nus, tree_counts, folds",
+        [
+            (0, (1.0,), (0.1, 1e-6), (7, 3, 7), 3),
+            (1, (1.0, 0.3), (1e-6, 0.2, 0.05), (2, 5), 2),
+            (2, (0.5, 4.0), (0.1,), (4, 1, 6), 3),
+        ],
+    )
+    def test_matches_the_per_cell_oracle(self, data_seed, gammas, nus, tree_counts, folds):
+        # classes this close give F3 values that differ by cell and fold
+        data = make_data(n_normal=120, n_fail=30, seed=data_seed, separation=0.1)
+        grid = GridSpec(gammas=gammas, nus=nus, tree_counts=tree_counts, folds=folds)
+        base_forest = ForestParams(mtry=4)
+        best, f3 = pipeline.grid_search_cv(*data, grid, 5, base_forest=base_forest)
+        ref_best, ref_f3 = reference_grid_search_cv(*data, grid, 5, base_forest=base_forest)
+        assert best == ref_best
+        assert np.array_equal(f3, ref_f3)
+
+    def test_one_warning_per_unusable_fit(self, caplog):
+        data = make_data(n_normal=120, n_fail=30)
+        grid = GridSpec(gammas=(1.0, 0.3), nus=(0.1, 1e-6), tree_counts=(7, 3, 7), folds=3)
+        with caplog.at_level(logging.WARNING, logger="failcast.pipeline"):
+            _, f3 = pipeline.grid_search_cv(*data, grid, rng_seed=0)
+        unusable = [r for r in caplog.records if "unusable" in r.getMessage()]
+        # nu=1e-6 is infeasible for both gammas on all three folds
+        assert len(unusable) == 2 * 3
+        assert np.all(f3[:, 1] == 0.0)
 
     @pytest.mark.parametrize(
         "axes",
@@ -362,4 +386,17 @@ class TestBundles:
         content["feature"]["lags"] = lags
         manifest.write_text(json.dumps(content))
         with pytest.raises(ModelFormatError, match="feature.lags"):
+            pipeline.load_bundle(tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_trees", 21), ("mtry", 3), ("min_leaf", 2), ("max_depth", 8), ("rng_seed", 1)],
+    )
+    def test_manifest_forest_must_match_the_forest_header(self, tmp_path, key, value):
+        pipeline.save_bundle(cascade(make_data(n_normal=120, n_fail=30)), tmp_path)
+        manifest = tmp_path / pipeline.BUNDLE_MANIFEST
+        content = json.loads(manifest.read_text())
+        content["forest"][key] = value
+        manifest.write_text(json.dumps(content))
+        with pytest.raises(ModelFormatError, match=f"{pipeline.BUNDLE_MANIFEST}: forest.{key}"):
             pipeline.load_bundle(tmp_path)
