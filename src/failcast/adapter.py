@@ -26,7 +26,7 @@ from typing import TextIO
 import numpy as np
 
 from . import ingestion
-from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
+from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER, USAGE_ROW_FORMAT
 from .trace_model import INTERVAL_US, N_RESOURCES, MachineEventKind
 
 # (mean column, max column) per native resource index
@@ -45,7 +45,6 @@ _TASK_DTYPE = np.dtype(
     [("start", np.int64), ("end", np.int64), ("machine_id", np.int64),
      ("values", np.float64, (len(_VALUE_COLUMNS),))]
 )
-_USAGE_FORMAT = ",".join(["%d"] * 3 + ["%.6f"] * 2 * N_RESOURCES)
 
 
 @dataclass
@@ -72,7 +71,8 @@ def convert_machine_events(source: TextIO, out: TextIO, stats: AdaptStats) -> No
     rows = rows[np.isin(rows[:, 2], list(MachineEventKind))]
     stats.events_converted += len(rows)
     stats.events_skipped += len(fields) - len(rows)
-    np.savetxt(out, rows, fmt="%d", delimiter=",", header=MACHINE_EVENTS_HEADER, comments="")
+    out.write(MACHINE_EVENTS_HEADER + "\n")
+    ingestion.write_rows(out, "%d,%d,%d\n", rows)
 
 
 def _integer_rule(fields: np.ndarray) -> list[ingestion.Rule]:
@@ -133,7 +133,7 @@ def convert_task_usage(
     np.maximum(sums[:, N_RESOURCES:], sums[:, :N_RESOURCES], out=sums[:, N_RESOURCES:])
 
     machine_id, b = cells.T
-    bounds = np.column_stack([b * interval_us, (b + 1) * interval_us, machine_id])
-    # as Python ints and floats, which format faster than numpy scalars
-    table = np.hstack([bounds.astype(object), sums.astype(object)])
-    np.savetxt(out, table, fmt=_USAGE_FORMAT, header=USAGE_HEADER, comments="")
+    out.write(USAGE_HEADER + "\n")
+    ingestion.write_rows(
+        out, USAGE_ROW_FORMAT, b * interval_us, (b + 1) * interval_us, machine_id, sums
+    )

@@ -23,7 +23,7 @@ from .errors import ConfigError, FailcastError, ParseError
 from .features import Dataset, DatasetConfig, FeatureConfig
 from .forest import ForestParams
 from .ocsvm import OcsvmParams
-from .trace_model import INTERVAL_US, FailureType
+from .trace_model import INTERVAL_US, N_CLASSES
 
 logger = logging.getLogger(__name__)
 
@@ -158,14 +158,13 @@ def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     lcfg = labeling.LabelingConfig(
         ir_max_downtime_us=r.get("ir_max_minutes", 30) * 60 * 1_000_000,
         degenerate_min_failures=r.get("degenerate_min_failures", 100),
-        trace_end_us=meta["horizon_us"],
     )
     failures, dropped = labeling.pair_failures(events, lcfg)
     excluded = labeling.detect_degenerate_machines(series, failures, lcfg)
     failures = failures[~np.isin(failures["machine_id"], sorted(excluded))]
     tracks = labeling.build_label_tracks(failures, series, lcfg, meta["interval_us"])
     tracks = tracks.select(~np.isin(tracks.machine_ids, sorted(excluded)))
-    ir, sr, fd = np.bincount(failures["type"], minlength=len(FailureType)).tolist()[1:]
+    ir, sr, fd = np.bincount(failures["type"], minlength=N_CLASSES).tolist()[1:]
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     store.save_label_store(
@@ -200,8 +199,7 @@ def _cmd_pacf_report(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n") as f:
         f.write("lag,significant_pairs\n")
-        for lag, count in enumerate(counts.tolist(), 1):
-            f.write(f"{lag},{count}\n")
+        ingestion.write_rows(f, "%d,%d\n", np.arange(1, len(counts) + 1), counts)
     total = int(counts.sum())
     in_window = int(counts[:6].sum())
     share = in_window / total if total else float("nan")
@@ -297,14 +295,17 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     with open(out_dir / "cv_table.csv", "w", newline="\n") as f:
         f.write("gamma,nu,trees,mean_f3," + ",".join(
             f"fold{i}_f3" for i in range(grid.folds)) + "\n")
-        for (gamma, nu, n_trees), fold_f3 in zip(grid.cells(), f3.reshape(-1, grid.folds)):
-            folds = ",".join(f"{v:.6f}" for v in fold_f3)
-            f.write(f"{gamma!r},{nu!r},{n_trees},{fold_f3.mean():.6f},{folds}\n")
+        fold_f3 = f3.reshape(-1, grid.folds)
+        ingestion.write_rows(
+            f, "%r,%r,%d," + ",".join(["%.6f"] * (grid.folds + 1)) + "\n",
+            np.array(grid.cells(), dtype=object), fold_f3.mean(axis=1), fold_f3,
+        )
     with open(out_dir / "split_counts.csv", "w", newline="\n") as f:
         f.write("index,kind,resource,lag,count\n")
-        for i, count in enumerate(model.forest.feature_split_counts.tolist()):
-            kind, resource, lag = model.feature_config.describe(i)
-            f.write(f"{i},{kind},{resource},{lag},{count}\n")
+        index = np.arange(model.forest.dim)
+        layout = map(np.array, zip(*map(model.feature_config.describe, index)))
+        counts = model.forest.feature_split_counts
+        ingestion.write_rows(f, "%d,%s,%d,%d,%d\n", index, *layout, counts)
     if ns.archive:
         pipeline.save_archive(model, Path(ns.archive))
     print(
@@ -341,10 +342,7 @@ def _cmd_predict(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n") as f:
         f.write(PREDICTIONS_HEADER + "\n")
-        for m, tau, p, s in zip(
-            data.machine_ids.tolist(), data.interval.tolist(), preds.tolist(), scores.tolist()
-        ):
-            f.write(f"{m},{tau},{p},{s!r}\n")
+        ingestion.write_rows(f, "%d,%d,%d,%r\n", data.machine_ids, data.interval, preds, scores)
     print(f"wrote {len(preds)} predictions to {out}")
     return 0
 
@@ -367,7 +365,7 @@ def _read_predictions(source: TextIO) -> np.ndarray:
 def _prediction_rules(rows: np.ndarray) -> list[ingestion.Rule]:
     y, score = rows["predicted_y"], rows["score"]
     return [
-        ((y < 0) | (y >= len(FailureType)), lambda i: f"unknown class {y[i]}"),
+        ((y < 0) | (y >= N_CLASSES), lambda i: f"unknown class {y[i]}"),
         (~np.isfinite(score), lambda i: f"non-finite score {score[i]}"),
     ]
 

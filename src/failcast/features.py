@@ -30,9 +30,9 @@ from .errors import (
     ParseError,
     ZeroVarianceError,
 )
-from .ingestion import IntervalSeries, Rule, _lines, _read_table
+from .ingestion import IntervalSeries, Rule, _lines, _read_table, write_rows
 from .labeling import LabelTracks
-from .trace_model import N_RESOURCES, FailureType, FleetArrays, ResourceKind
+from .trace_model import N_CLASSES, N_RESOURCES, FailureType, FleetArrays, ResourceKind
 
 logger = logging.getLogger(__name__)
 
@@ -307,10 +307,9 @@ def _dataset_header(dim: int) -> str:
 
 
 def write_dataset_csv(data: Dataset, out: TextIO) -> None:
-    out.write(_dataset_header(data.x.shape[1]) + "\n")
-    # row by row: the Python floats of a whole split take several times its array
-    for y, x in zip(data.y.tolist(), data.x):
-        out.write(f"{y}," + ",".join(map(repr, x.tolist())) + "\n")
+    dim = data.x.shape[1]
+    out.write(_dataset_header(dim) + "\n")
+    write_rows(out, "%d," + ",".join(["%r"] * dim) + "\n", data.y, data.x)
 
 
 def read_dataset_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
@@ -334,15 +333,14 @@ def _dataset_rules(rows: np.ndarray) -> list[Rule]:
     y, x = rows["y"], rows["x"]
     finite = np.isfinite(x)
     return [
-        ((y < 0) | (y >= len(FailureType)), lambda i: f"unknown class {y[i]}"),
+        ((y < 0) | (y >= N_CLASSES), lambda i: f"unknown class {y[i]}"),
         (~finite.all(axis=1), lambda i: f"non-finite f{np.argmin(finite[i])}"),
     ]
 
 
 def write_ids_csv(data: Dataset, out: TextIO) -> None:
     out.write(IDS_HEADER + "\n")
-    for machine_id, interval in zip(data.machine_ids.tolist(), data.interval.tolist()):
-        out.write(f"{machine_id},{interval}\n")
+    write_rows(out, "%d,%d\n", data.machine_ids, data.interval)
 
 
 def read_ids_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:

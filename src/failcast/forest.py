@@ -26,8 +26,8 @@ from typing import Iterable, Optional, TextIO
 import numpy as np
 
 from .errors import ModelFormatError
+from .trace_model import N_CLASSES
 
-N_CLASSES = 4
 MODEL_FORMAT = "forest-model v1"
 
 

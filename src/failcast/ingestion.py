@@ -1,4 +1,4 @@
-"""Trace file parsing and 5-minute interval aggregation.
+"""Trace file parsing, the one CSV table reader and writer, and 5-minute interval aggregation.
 
 Input schemas (UTF-8, LF, no quoting):
 
@@ -31,6 +31,7 @@ USAGE_HEADER = (
     "max_cpu,max_diskio,max_disk,max_mem,max_cache,max_mai"
 )
 _USAGE_VALUE_FIELDS = tuple(USAGE_HEADER.split(",")[3:])
+USAGE_ROW_FORMAT = ",".join(["%d"] * 3 + ["%.6f"] * len(_USAGE_VALUE_FIELDS)) + "\n"
 _USAGE_DTYPE = np.dtype(
     [(name, np.int64) for name in USAGE_HEADER.split(",")[:3]]
     + [("values", np.float64, (len(_USAGE_VALUE_FIELDS),))]
@@ -184,6 +185,24 @@ def _read_body(
     if unreadable:
         raise unreadable
     return rows
+
+
+#: rows per block of ``write_rows``: bounds the Python scalars and text alive at once
+_WRITE_BLOCK_ROWS = 128
+
+
+def write_rows(out: TextIO, row_format: str, *columns: np.ndarray) -> None:
+    """Write one ``row_format`` line per row of the (n,) or (n, k) ``columns``.
+
+    Row i's fields are row i of each column in turn. Each block of rows is
+    turned into Python scalars and formatted by one ``%``, so ``%r`` writes
+    a float as its shortest round-trip repr, ``inf`` included.
+    """
+    n = len(columns[0])
+    for lo in range(0, n, _WRITE_BLOCK_ROWS):
+        hi = min(n, lo + _WRITE_BLOCK_ROWS)
+        block = np.hstack([c[lo:hi].reshape(hi - lo, -1).astype(object) for c in columns])
+        out.write(row_format * (hi - lo) % tuple(block.ravel().tolist()))
 
 
 def parse_machine_events(source: TextIO) -> np.ndarray:

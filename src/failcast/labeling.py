@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import ConfigError
-from .ingestion import IntervalSeries
+from .ingestion import IntervalSeries, write_rows
 from .trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,
@@ -35,7 +35,6 @@ FAILURES_HEADER = "machine_id,remove_us,add_us,duration_us,type"
 class LabelingConfig:
     ir_max_downtime_us: int = IR_MAX_DOWNTIME_US
     degenerate_min_failures: int = 100
-    trace_end_us: int = 0
 
     def __post_init__(self):
         if self.ir_max_downtime_us <= 0:
@@ -147,6 +146,6 @@ def build_label_tracks(
 def write_failures_csv(failures: np.ndarray, out: TextIO) -> None:
     """Write the optional failures export; add/duration are empty for permanent failures."""
     out.write(FAILURES_HEADER + "\n")
-    for m, remove, add, ftype in zip(*(failures[name].tolist() for name in FAILURE_DTYPE.names)):
-        back = "," if add < 0 else f"{add},{add - remove}"
-        out.write(f"{m},{remove},{back},{ftype}\n")
+    remove, add = failures["remove_us"], failures["add_us"]
+    back = [np.where(add < 0, "", v.astype(str)) for v in (add, add - remove)]
+    write_rows(out, "%d,%d,%s,%s,%d\n", failures["machine_id"], remove, *back, failures["type"])

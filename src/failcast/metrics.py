@@ -18,8 +18,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import FailcastError
+from .ingestion import write_rows
+from .trace_model import N_CLASSES
 
-N_CLASSES = 4
 DEFAULT_BETA = 3.0
 
 
@@ -279,5 +280,4 @@ def render_kv(report: MetricsReport) -> str:
 def write_roc_csv(points: np.ndarray, out) -> None:
     """The rows of a ``roc_curve`` array, each value as its shortest repr."""
     out.write("fpr,tpr,threshold\n")
-    for fpr, tpr, thr in np.asarray(points, dtype=float).tolist():
-        out.write(f"{fpr!r},{tpr!r},{thr!r}\n")
+    write_rows(out, "%r,%r,%r\n", np.asarray(points, dtype=float))

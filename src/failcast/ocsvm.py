@@ -18,7 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleNuError, ModelFormatError, ParseError
-from .ingestion import Rule, _read_body
+from .ingestion import Rule, _read_body, write_rows
 
 MODEL_FORMAT = "ocsvm-model v1"
 _HEADER_KEYS = ("gamma", "rho", "dim", "support_vectors")
@@ -209,15 +209,15 @@ def classify(model: OcsvmModel, x: np.ndarray) -> np.ndarray:
 
 def save(model: OcsvmModel, out: TextIO) -> None:
     """Versioned flat text; floats use shortest round-trip form so decisions reload bit-exactly."""
+    dim = model.support_vectors.shape[1]
     out.write(MODEL_FORMAT + "\n")
     out.write("# decision(x) = sum_i alpha[i]*exp(-gamma*||sv[i]-x||^2) - rho\n")
     out.write("# anomaly iff decision(x) < 0\n")
     out.write(f"gamma {model.gamma!r}\n")
     out.write(f"rho {model.rho!r}\n")
-    out.write(f"dim {model.support_vectors.shape[1]}\n")
+    out.write(f"dim {dim}\n")
     out.write(f"support_vectors {model.n_support}\n")
-    for a, sv in zip(model.alphas, model.support_vectors):
-        out.write(repr(float(a)) + " " + " ".join(repr(float(v)) for v in sv) + "\n")
+    write_rows(out, " ".join(["%r"] * (1 + dim)) + "\n", model.alphas, model.support_vectors)
 
 
 def load(source: TextIO) -> OcsvmModel:

@@ -34,7 +34,7 @@ from .errors import (
 from .features import FeatureConfig
 from .forest import ForestModel, ForestParams
 from .ocsvm import OcsvmModel, OcsvmParams
-from .trace_model import N_RESOURCES
+from .trace_model import N_CLASSES, N_RESOURCES
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +43,9 @@ BUNDLE_FOREST = "forest.txt"
 BUNDLE_LAYOUT = "layout.json"
 BUNDLE_MANIFEST = "manifest.json"
 BUNDLE_FILES = (BUNDLE_OCSVM, BUNDLE_FOREST, BUNDLE_LAYOUT, BUNDLE_MANIFEST)
+
+#: how far a bundle's stage-1 alphas may sum from 1; training drifts a few 1e-16
+ALPHA_SUM_TOL = 1e-9
 
 
 @dataclass
@@ -129,10 +132,10 @@ def train(
         "forest": asdict(forest_params),
         "data": {
             "n_train": int(len(y)),
-            "class_counts": [int(c) for c in np.bincount(y, minlength=4)],
+            "class_counts": [int(c) for c in np.bincount(y, minlength=N_CLASSES)],
             "sha256": _digest(X, y),
             "stage2_train": int(len(y2)),
-            "stage2_class_counts": [int(c) for c in np.bincount(y2, minlength=4)],
+            "stage2_class_counts": [int(c) for c in np.bincount(y2, minlength=N_CLASSES)],
             "stage2_includes_leaked_normals": True,
         },
     }
@@ -280,7 +283,10 @@ def load_bundle(bundle: Path) -> CascadeModel:
 
     A malformed file raises ModelFormatError naming it. So does a manifest
     whose feature.lags, forest parameters or ocsvm.gamma disagree with the
-    stage files, and a layout.json other than the stages' feature layout.
+    stage files, a layout.json other than the stages' feature layout, and
+    an ocsvm.txt whose alphas are not all in (0, C], C = 1/(nu*n) for the
+    manifest's ocsvm.nu and data.class_counts[0], or sum to more than
+    ALPHA_SUM_TOL away from 1.
     """
     bundle = Path(bundle)
     stage1 = _load_part(bundle, BUNDLE_OCSVM, ocsvm_mod.load)
@@ -299,6 +305,16 @@ def load_bundle(bundle: Path) -> CascadeModel:
             raise ModelFormatError(
                 f"{bundle / BUNDLE_MANIFEST}: {key} is {stated!r}, the stage files say {value!r}"
             )
+    try:
+        C = 1.0 / (manifest["ocsvm"]["nu"] * manifest["data"]["class_counts"][0])
+    except (KeyError, IndexError, TypeError, ArithmeticError):
+        raise ModelFormatError(f"{bundle / BUNDLE_MANIFEST}: no ocsvm.nu or class_counts") from None
+    low, high, total = (float(f(stage1.alphas)) for f in (np.min, np.max, np.sum))
+    if not (0.0 < low and high <= C and abs(total - 1.0) <= ALPHA_SUM_TOL):
+        raise ModelFormatError(
+            f"{bundle / BUNDLE_OCSVM}: alphas from {low!r} to {high!r} sum to {total!r};"
+            f" they must be in (0, C = {C!r}] and sum to 1 within {ALPHA_SUM_TOL:g}"
+        )
     model = CascadeModel(ocsvm=stage1, forest=stage2, manifest=manifest)
     layout = _load_part(bundle, BUNDLE_LAYOUT, lambda f: f.read())
     if layout != model.feature_config.layout_json():

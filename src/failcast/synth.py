@@ -20,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GenerationError
-from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
+from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER, USAGE_ROW_FORMAT, write_rows
 from .trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,
     MICROS_PER_SECOND,
     N_RESOURCES,
+    MachineEventKind,
     failure_types,
     interval_runs,
 )
@@ -41,25 +42,26 @@ RAMP_RESOURCES = (0, 1, 3)
 
 _LAGS = 6  # ramp length and the clean-window guarantee, in intervals
 
+FAILURE_EXPONENT = 1.8  # of the power-law per-machine failure count
+DURATION_WEIGHTS = (5894.0, 2783.0, 94.0)  # immediate reboot, slow reboot, never back
+IR_MODE_S, SR_MODE_S = 960.0, 7200.0  # duration modes of the two reboot bumps
+RAMP_AMPLITUDE = 0.4  # ramp height at full signature strength
+# per-resource AR(1) usage: coefficient, mean level, noise scale
+AR_COEFFICIENTS = (0.7, 0.6, 0.8, 0.7, 0.65, 0.6)
+BASELINES = (0.35, 0.25, 0.45, 0.40, 0.30, 0.20)
+AR_NOISE = 0.06
+PEAK_OFFSET = 0.06  # scale of the half-normal excess of a peak over its average
+DEGENERATE_FAILURES = 120  # failures of each degenerate machine
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     machines: int = 500
     horizon_days: float = 7.0
-    failure_exponent: float = 1.8
     failing_fraction: float = 0.4
     max_failures: int = 40
-    duration_weights: tuple[float, float, float] = (5894.0, 2783.0, 94.0)
-    ir_mode_s: float = 960.0
-    sr_mode_s: float = 7200.0
     signature_strength: float = 0.9
-    ramp_amplitude: float = 0.4
-    ar_coefficients: tuple[float, ...] = (0.7, 0.6, 0.8, 0.7, 0.65, 0.6)
-    baselines: tuple[float, ...] = (0.35, 0.25, 0.45, 0.40, 0.30, 0.20)
-    ar_noise: float = 0.06
-    peak_offset: float = 0.06
     degenerate_machines: int = 2
-    degenerate_failures: int = 120
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -69,14 +71,8 @@ class SynthConfig:
             raise ConfigError(f"horizon_days must be finite, got {self.horizon_days}")
         if self.degenerate_machines < 0:
             raise ConfigError(f"degenerate_machines must be >= 0, got {self.degenerate_machines}")
-        if min(self.duration_weights) < 0 or sum(self.duration_weights) <= 0:
-            raise ConfigError("duration weights must be non-negative and sum > 0")
         if not 0.0 <= self.signature_strength <= 1.0:
             raise ConfigError("signature_strength must be in [0, 1]")
-        if len(self.ar_coefficients) != N_RESOURCES:
-            raise ConfigError("one AR coefficient per resource")
-        if len(self.baselines) != N_RESOURCES:
-            raise ConfigError("one baseline per resource")
 
     @property
     def horizon_us(self) -> int:
@@ -97,7 +93,7 @@ class SynthPaths:
 
 def _power_law_counts(rng: np.random.Generator, n: int, cfg: SynthConfig) -> np.ndarray:
     ks = np.arange(1, cfg.max_failures + 1, dtype=float)
-    pmf = ks ** (-cfg.failure_exponent)
+    pmf = ks ** (-FAILURE_EXPONENT)
     pmf /= pmf.sum()
     counts = np.zeros(n, dtype=np.int64)
     fails = rng.random(n) < cfg.failing_fraction
@@ -105,9 +101,9 @@ def _power_law_counts(rng: np.random.Generator, n: int, cfg: SynthConfig) -> np.
     return counts
 
 
-def _draw_duration(rng: np.random.Generator, cfg: SynthConfig, allow_fd: bool) -> int | None:
+def _draw_duration(rng: np.random.Generator, allow_fd: bool) -> int | None:
     """Duration in us from the three-bump mixture, or None for never-returns."""
-    w = np.array(cfg.duration_weights, dtype=float)
+    w = np.array(DURATION_WEIGHTS)
     if not allow_fd:
         w = w[:2]
     w = w / w.sum()
@@ -115,10 +111,10 @@ def _draw_duration(rng: np.random.Generator, cfg: SynthConfig, allow_fd: bool) -
     if comp == 2:
         return None
     if comp == 0:
-        dur = rng.lognormal(np.log(cfg.ir_mode_s), 0.25)
+        dur = rng.lognormal(np.log(IR_MODE_S), 0.25)
         dur = min(max(dur, 60.0), 29.0 * 60.0)  # stay strictly under 30 min
     else:
-        dur = rng.lognormal(np.log(cfg.sr_mode_s), 0.35)
+        dur = rng.lognormal(np.log(SR_MODE_S), 0.35)
         dur = min(max(dur, 31.0 * 60.0), 6.0 * 3600.0)  # stay at/above 30 min
     return int(dur * MICROS_PER_SECOND)
 
@@ -141,7 +137,7 @@ def _place_failures(
         mean_gap = max(remaining / (k - i + 1) / 2.0, float(I))
         gap = min(rng.exponential(mean_gap), float(remaining - 1))
         remove = cursor + int(gap)
-        duration = _draw_duration(rng, cfg, allow_fd=(i == k - 1))
+        duration = _draw_duration(rng, allow_fd=(i == k - 1))
         add = -1 if duration is None else remove + duration
         if add >= horizon:
             add = -1  # never seen returning inside the trace
@@ -179,10 +175,10 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
         )
     deg_cycle = 10 * 60 * MICROS_PER_SECOND  # 2 min down + 8 min up
     if cfg.degenerate_machines and (
-        (_LAGS + 1) * I + cfg.degenerate_failures * deg_cycle >= cfg.horizon_us
+        (_LAGS + 1) * I + DEGENERATE_FAILURES * deg_cycle >= cfg.horizon_us
     ):
         raise GenerationError(
-            f"horizon too short for {cfg.degenerate_failures} degenerate failures"
+            f"horizon too short for {DEGENERATE_FAILURES} degenerate failures"
         )
 
     if cfg.degenerate_machines >= cfg.machines:
@@ -200,16 +196,16 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
         if counts[m]:
             placed.extend(_place_failures(rng, m, int(counts[m]), cfg))
     for m in degenerate_ids:
-        for k in range(cfg.degenerate_failures):
+        for k in range(DEGENERATE_FAILURES):
             t = (_LAGS + 1) * I + k * deg_cycle
             placed.append((m, t, t + 2 * 60 * MICROS_PER_SECOND))
     failures = np.array([(*f, 0) for f in placed], dtype=FAILURE_DTYPE)
     failures["type"] = failure_types(failures["remove_us"], failures["add_us"])
 
     # AR(1) usage for every regular machine across the full horizon
-    phi = np.array(cfg.ar_coefficients)
-    base = np.array(cfg.baselines)
-    sigma = cfg.ar_noise
+    phi = np.array(AR_COEFFICIENTS)
+    base = np.array(BASELINES)
+    sigma = AR_NOISE
     stat_sd = sigma / np.sqrt(1.0 - phi**2)
     avg = np.empty((n_regular, T, N_RESOURCES))
     state = base + stat_sd * rng.standard_normal((n_regular, N_RESOURCES))
@@ -219,10 +215,10 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
             (n_regular, N_RESOURCES)
         )
         avg[:, t] = state
-    peak = avg + 0.02 + np.abs(rng.standard_normal(avg.shape)) * cfg.peak_offset
+    peak = avg + 0.02 + np.abs(rng.standard_normal(avg.shape)) * PEAK_OFFSET
 
     # pre-failure ramps on the feature window
-    amp = cfg.signature_strength * cfg.ramp_amplitude
+    amp = cfg.signature_strength * RAMP_AMPLITUDE
     if amp > 0.0:
         regular = failures[failures["machine_id"] < n_regular]
         lags = np.arange(1, _LAGS + 1)
@@ -255,47 +251,43 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
 def _write_events(
     path: Path, failures: np.ndarray, n_machines: int, rng: np.random.Generator
 ) -> None:
-    rows = [(0, m, 0) for m in range(n_machines)]  # machine joins at trace start
-    machine = failures["machine_id"].tolist()
-    rows += [(t, m, 1) for t, m in zip(failures["remove_us"].tolist(), machine)]
-    rows += [(t, m, 0) for t, m in zip(failures["add_us"].tolist(), machine) if t >= 0]
-    # sprinkle UPDATE events; parsers must carry them, pairing must ignore them
-    for m in range(0, n_machines, 10):
-        rows.append((int(rng.integers(1, INTERVAL_US)), m, 2))
-    rows.sort()
+    back = failures["add_us"] >= 0
+    updated = np.arange(0, n_machines, 10)
+    # (time, machine, code): every machine joins at trace start, and UPDATE
+    # events are sprinkled in, which parsers must carry and pairing must ignore
+    groups = [
+        (np.zeros(n_machines, np.int64), np.arange(n_machines), MachineEventKind.ADD),
+        (failures["remove_us"], failures["machine_id"], MachineEventKind.REMOVE),
+        (failures["add_us"][back], failures["machine_id"][back], MachineEventKind.ADD),
+        (rng.integers(1, INTERVAL_US, size=len(updated)), updated, MachineEventKind.UPDATE),
+    ]
+    time_us, machine = (np.concatenate([g[i] for g in groups]) for i in (0, 1))
+    code = np.concatenate([np.full(len(t), c) for t, _, c in groups])
+    order = np.lexsort((code, machine, time_us))
     with open(path, "w", newline="\n") as f:
         f.write(MACHINE_EVENTS_HEADER + "\n")
-        for time_us, machine_id, code in rows:
-            f.write(f"{time_us},{machine_id},{code}\n")
+        write_rows(f, "%d,%d,%d\n", time_us[order], machine[order], code[order])
 
 
 def _write_usage(path: Path, avg: np.ndarray, peak: np.ndarray, down: np.ndarray, T: int) -> None:
     """One row per up interval, machine by machine; machines past the
     regular ones in ``avg`` are the degenerate ones and report all zeros."""
-    I = INTERVAL_US
-    starts = np.arange(T, dtype=float) * I
-    row = ",".join(["%d"] * 3 + ["%.6f"] * (2 * N_RESOURCES)) + "\n"
+    starts = np.arange(T, dtype=np.int64) * INTERVAL_US
     zeros = np.zeros((T, 2 * N_RESOURCES))
     with open(path, "w", newline="\n") as f:
         f.write(USAGE_HEADER + "\n")
+        # machine by machine, so the fleet's rows are never stacked into one table
         for m, up in enumerate(~down):
             usage = np.hstack([avg[m], peak[m]]) if m < len(avg) else zeros
-            block = np.column_stack(
-                [starts[up], starts[up] + I, np.full(int(up.sum()), float(m)), usage[up]]
+            start = starts[up]
+            write_rows(
+                f, USAGE_ROW_FORMAT, start, start + INTERVAL_US, np.full(len(start), m), usage[up]
             )
-            # one % over the whole block writes the bytes np.savetxt writes row by row
-            f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_truth(path: Path, failures: np.ndarray) -> None:
-    rows = sorted(
-        zip(
-            failures["machine_id"].tolist(),
-            (failures["remove_us"] // INTERVAL_US).tolist(),
-            failures["type"].tolist(),
-        )
-    )
+    machine, interval = failures["machine_id"], failures["remove_us"] // INTERVAL_US
+    order = np.lexsort((failures["type"], interval, machine))
     with open(path, "w", newline="\n") as f:
         f.write(TRUTH_HEADER + "\n")
-        for machine_id, interval, label in rows:
-            f.write(f"{machine_id},{interval},{label}\n")
+        write_rows(f, "%d,%d,%d\n", machine[order], interval[order], failures["type"][order])

@@ -63,6 +63,9 @@ class FailureType(enum.IntEnum):
     FORCIBLE_DECOMMISSION = 3
 
 
+N_CLASSES = len(FailureType)
+
+
 #: A paired failure: a machine's REMOVE time, the time of its next ADD
 #: (-1 when it never came back before the end of the trace) and its
 #: FailureType, which is never NORMAL.

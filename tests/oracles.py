@@ -10,12 +10,13 @@ and for the clusterdata adapter, an event-by-event walk for failure
 pairing, a failure-by-failure walk for label tracks, value-by-value
 packing of one feature window, a class-by-class list split for the
 train/test split, a machine-by-machine loop for the PACF table and its
-histogram, ``np.savetxt`` for the synthetic usage table, literal pair
-counting and rank sums for AUC, a tie-by-tie walk for the ROC curve,
-and one cascade fit per grid cell and fold for grid search. None of
-them share code with the package paths they verify; the PACF table
-loop calls the package's own ``pacf``, which the OLS oracle checks, and
-the grid search oracle calls the package's own fold split and cascade.
+histogram, ``np.savetxt`` for the synthetic usage table, one ``%`` per
+row for table writing, literal pair counting and rank sums for AUC, a
+tie-by-tie walk for the ROC curve, and one cascade fit per grid cell and
+fold for grid search. None of them share code with the package paths
+they verify; the PACF table loop calls the package's own ``pacf``, which
+the OLS oracle checks, and the grid search oracle calls the package's
+own fold split and cascade.
 ``forest_predict_batch``, the majority vote over the package's own
 votes, and ``feature_index``, the inverse of ``FeatureConfig.describe``,
 are not oracles: they live here because only tests use them.
@@ -664,6 +665,21 @@ def reference_write_usage(path, avg, peak, down, T: int) -> None:
                  np.zeros((n_up, 2 * N_RESOURCES))]
             )
             np.savetxt(f, block, fmt=fmt, delimiter=",", newline="\n")
+
+
+def reference_write_rows(row_format: str, *columns) -> str:
+    """The text ``ingestion.write_rows`` writes, one ``row_format % row`` per row.
+
+    A row is the Python scalars of row i of each column in turn.
+    """
+    lines = []
+    for i in range(len(columns[0])):
+        row = []
+        for column in columns:
+            value = np.asarray(column)[i].tolist()
+            row.extend(value if isinstance(value, list) else [value])
+        lines.append(row_format % tuple(row))
+    return "".join(lines)
 
 
 def reference_grid_search_cv(X, y, grid, rng_seed, base_ocsvm=None, base_forest=None):

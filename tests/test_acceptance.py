@@ -189,7 +189,7 @@ def _run_pipeline(signature: float, tmp: Path):
     with open(paths.usage) as f:
         table, _ = ingestion.parse_usage_records(f)
     series = ingestion.aggregate_intervals(table, cfg.horizon_us)
-    lcfg = LabelingConfig(trace_end_us=cfg.horizon_us)
+    lcfg = LabelingConfig()
     failures, _ = labeling.pair_failures(events, lcfg)
     excluded = labeling.detect_degenerate_machines(series, failures, lcfg)
     kept_failures = failures[~np.isin(failures["machine_id"], sorted(excluded))]
@@ -327,7 +327,7 @@ def test_criterion_8_real_trace_structural_checks(tmp_path):
     horizon = max(int(table.end_us.max()), int(events["time_us"].max()) + 1)
     horizon = -(-horizon // 300_000_000) * 300_000_000
     series = ingestion.aggregate_intervals(table, horizon)
-    lcfg = LabelingConfig(trace_end_us=horizon)
+    lcfg = LabelingConfig()
     failures, _ = labeling.pair_failures(events, lcfg)
     excluded = labeling.detect_degenerate_machines(series, failures, lcfg)
     kept = failures[~np.isin(failures["machine_id"], sorted(excluded))]

@@ -122,6 +122,15 @@ GOLDEN_DIGESTS = {
     "model/ocsvm.txt": "a2929526981354982126996f0cb2d01ac80c0f1f0d381898798645594c64b9c7",
     "model/cv_table.csv": "ccc03d6bc09164b49ce8b68f863e76f3e1dd24d669ec8bf6280507fda5e97b2c",
     "predictions.csv": "8aa1d380d21d221b4b86ca25fff11fb0176a0e35e59ae66aa2049cff28f09b8a",
+    "data/train.csv": "bf300b8bc297ee586d513871411493002d32c4068def3f8bfa77eeab12f5153b",
+    "data/test.csv": "2bcb608aa149069e8b95793d59cae26d075cbb49db6609f950d1d782d59f0cc0",
+    "data/train_ids.csv": "ae2d92dbb180083f53d5bc687618644d306d7da0df82dd092ebd6fd3a7d72b7d",
+    "data/test_ids.csv": "6d2548a0411bdb6c1f2919110dc65857b054e50fc0cec84e926f33ea3e912908",
+    "labels/failures.csv": "fd29387bbb09ecec9cfa4b9f9ba1b92cb09904c68b09012262a4cb4103397b4d",
+    "model/split_counts.csv": "3c067ad6c83c46c1d226866b73aeebe6ee8d0733a71a93821062c996f8e77807",
+    "reports/roc.csv": "99732cf9e1280ae285745cb8547fa94ebdee438e818927ebe699df3e9b088d58",
+    "reports/report.txt": "f8572df250e5d46b2ad987db1cccb2da9ada0ae25a50df8812166d2c30455cb4",
+    "reports/report.kv": "487c24162a171b0908ba95b853f4d5dc1f8f747cc6249727b6a9b13b3ed2d6fd",
 }
 
 
@@ -272,6 +281,19 @@ def _set_manifest(section: str, key: str, value):
     return edit
 
 
+def _set_alpha(new):
+    """An edit of ocsvm.txt's text that sets its smallest alpha ``a`` to ``new(a)``."""
+    def edit(text: str) -> str:
+        lines = text.splitlines(keepends=True)
+        # support-vector rows are the lines that start with a number, their alpha
+        rows = [i for i, line in enumerate(lines) if line[0].isdigit()]
+        i = min(rows, key=lambda i: float(lines[i].split(" ", 1)[0]))
+        alpha, rest = lines[i].split(" ", 1)
+        lines[i] = f"{new(float(alpha))!r} {rest}"
+        return "".join(lines)
+    return edit
+
+
 class TestBrokenInputs:
     def test_predict_on_truncated_bundle_exits_2(self, chain, tmp_path, capsys):
         model = tmp_path / "model"
@@ -328,8 +350,18 @@ class TestBrokenInputs:
             ("manifest.json", _set_manifest("forest", "n_trees", 999)),
             ("manifest.json", _set_manifest("ocsvm", "gamma", 0.5)),
             ("layout.json", lambda text: "garbage"),
+            ("ocsvm.txt", _set_alpha(lambda a: -1.0)),
+            ("ocsvm.txt", _set_alpha(lambda a: 0.0)),
+            ("ocsvm.txt", _set_alpha(lambda a: 5.0)),
+            ("ocsvm.txt", _set_alpha(lambda a: a / 2)),
+            ("manifest.json", _set_manifest("ocsvm", "nu", "x")),
+            ("manifest.json", _set_manifest("data", "class_counts", [])),
+            ("manifest.json", _set_manifest("data", "class_counts", [10**400, 1, 1, 1])),
         ],
-        ids=["n_trees", "gamma", "layout"],
+        ids=[
+            "n_trees", "gamma", "layout", "alpha_negative", "alpha_zero", "alpha_above_C",
+            "alpha_sum", "nu_not_a_number", "no_normal_count", "normal_count_overflows",
+        ],
     )
     def test_predict_on_a_bundle_that_contradicts_itself_exits_2(
         self, chain, tmp_path, capsys, archive, name, edit

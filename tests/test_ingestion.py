@@ -8,15 +8,17 @@ from failcast.cli import PREDICTIONS_HEADER, _read_predictions
 from failcast.errors import FailcastError, ParseError
 from failcast.features import IDS_HEADER, read_dataset_csv, read_ids_csv
 from failcast.ingestion import (
+    _WRITE_BLOCK_ROWS,
     MACHINE_EVENTS_HEADER,
     USAGE_HEADER,
     UsageTable,
     aggregate_intervals,
     parse_machine_events,
     parse_usage_records,
+    write_rows,
 )
 from failcast.trace_model import INTERVAL_US, MachineEventKind
-from oracles import reference_aggregate
+from oracles import reference_aggregate, reference_write_rows
 
 SEC = 1_000_000
 
@@ -407,3 +409,40 @@ class TestAggregateIntervals:
             assert got.avg[i].tobytes() == avg.tobytes()
             assert got.peak[i].tobytes() == peak.tobytes()
             assert got.present[i].tobytes() == present.tobytes()
+
+
+class TestWriteRows:
+    #: values a float column must write exactly as ``repr`` writes them
+    FLOATS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, float("inf"), -float("inf"), 1e-7, 3e5]
+    INTS = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1]
+
+    @given(
+        st.sampled_from([0, 1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS + 1])
+        | st.integers(0, 5),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_row_by_row_oracle(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        ints = np.where(
+            rng.random(n) < 0.3, rng.choice(self.INTS, n), rng.integers(-(10**12), 10**12, n)
+        ).astype(np.int64)
+        floats = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-300, 300, (n, k))
+        special = rng.random((n, k)) < 0.3
+        floats[special] = rng.choice(self.FLOATS, int(special.sum()))
+        # a string column as the writers build one: blank, or an integer's decimal form
+        text = np.where(rng.random(n) < 0.5, "", ints.astype(str))
+        row_format = "%d," + ",".join(["%r"] * k) + ",%s,%.6f\n"
+        columns = (ints, floats, text, floats[:, 0])
+
+        class Out(io.StringIO):
+            writes = 0
+
+            def write(self, s):
+                self.writes += 1
+                return super().write(s)
+
+        out = Out()
+        write_rows(out, row_format, *columns)
+        assert out.getvalue() == reference_write_rows(row_format, *columns)
+        assert out.writes == -(-n // _WRITE_BLOCK_ROWS)  # one write per block

@@ -22,7 +22,7 @@ from oracles import read_failures_csv, reference_label_tracks, reference_pair_fa
 
 SEC = 1_000_000
 MIN = 60 * SEC
-CFG = LabelingConfig(trace_end_us=100 * INTERVAL_US)
+CFG = LabelingConfig()
 
 ADD = MachineEventKind.ADD
 REMOVE = MachineEventKind.REMOVE

@@ -72,7 +72,7 @@ def test_round_trip_through_ingestion_without_clamps(ingested):
 
 def test_degenerate_machines_detected_and_excluded(ingested):
     events, _, _, series = ingested
-    cfg = LabelingConfig(trace_end_us=SMALL.horizon_us)
+    cfg = LabelingConfig()
     failures, _ = labeling.pair_failures(events, cfg)
     excluded = labeling.detect_degenerate_machines(series, failures, cfg)
     assert len(excluded) == SMALL.degenerate_machines
@@ -81,7 +81,7 @@ def test_degenerate_machines_detected_and_excluded(ingested):
 
 def test_truth_labels_match_labeling_pipeline(small_trace, ingested):
     events, _, _, series = ingested
-    cfg = LabelingConfig(trace_end_us=SMALL.horizon_us)
+    cfg = LabelingConfig()
     failures, _ = labeling.pair_failures(events, cfg)
     tracks = labeling.build_label_tracks(failures, series, cfg)
 
@@ -101,10 +101,9 @@ def test_truth_labels_match_labeling_pipeline(small_trace, ingested):
 
 def test_failure_duration_mixture_has_expected_modes():
     rng = np.random.default_rng(0)
-    cfg = SynthConfig()
     durations = []
     for _ in range(4000):
-        d = _draw_duration(rng, cfg, allow_fd=True)
+        d = _draw_duration(rng, allow_fd=True)
         if d is not None:
             durations.append(d / 60e6)  # minutes
     durations = np.array(durations)
@@ -122,9 +121,8 @@ def test_failure_duration_mixture_has_expected_modes():
 
 def test_fd_mass_present_over_many_draws():
     rng = np.random.default_rng(1)
-    cfg = SynthConfig()
     n_fd = sum(
-        1 for _ in range(4000) if _draw_duration(rng, cfg, allow_fd=True) is None
+        1 for _ in range(4000) if _draw_duration(rng, allow_fd=True) is None
     )
     assert 0 < n_fd < 4000 * 0.05  # rare but real, matching the weights
 
@@ -141,7 +139,7 @@ def test_pacf_significant_lags_concentrate_in_window(ingested):
 
 def test_failures_leave_clean_feature_windows(ingested):
     events, _, _, series = ingested
-    cfg = LabelingConfig(trace_end_us=SMALL.horizon_us)
+    cfg = LabelingConfig()
     failures, _ = labeling.pair_failures(events, cfg)
     kept = series.select(series.machine_ids < 58)
     failures = failures[failures["machine_id"] < 58]
@@ -166,7 +164,7 @@ def test_infeasible_horizon_rejected(tmp_path):
     with pytest.raises(GenerationError):
         # degenerate failure schedule cannot fit in half a day
         generate(
-            SynthConfig(machines=5, horizon_days=0.5, degenerate_failures=120),
+            SynthConfig(machines=5, horizon_days=0.5),
             tmp_path,
         )
 
