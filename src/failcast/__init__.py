@@ -3,37 +3,49 @@
 Stages: trace ingestion into 5-minute intervals, failure pairing and
 categorization, lag-window feature construction, a one-class SVM anomaly
 filter feeding a random-forest classifier, and an evaluation harness.
+
+``import failcast`` loads none of the submodules. Each public name below
+imports its submodule on first use, so a process that runs one stage
+loads only the modules that stage needs.
 """
 
-from .features import Dataset, DatasetConfig, FeatureConfig, pacf
-from .forest import ForestModel, ForestParams
-from .ingestion import IntervalSeries
-from .labeling import LabelingConfig, LabelTracks
-from .ocsvm import OcsvmModel, OcsvmParams
-from .pipeline import CascadeModel, GridSpec
-from .synth import SynthConfig
-from .trace_model import INTERVAL_US, FailureType, MachineEventKind, ResourceKind
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CascadeModel",
-    "Dataset",
-    "DatasetConfig",
-    "FailureType",
-    "FeatureConfig",
-    "ForestModel",
-    "ForestParams",
-    "GridSpec",
-    "INTERVAL_US",
-    "IntervalSeries",
-    "LabelTracks",
-    "LabelingConfig",
-    "MachineEventKind",
-    "OcsvmModel",
-    "OcsvmParams",
-    "ResourceKind",
-    "SynthConfig",
-    "pacf",
-    "__version__",
-]
+#: the submodule that defines each public name
+_SOURCES = {
+    "CascadeModel": "pipeline",
+    "Dataset": "features",
+    "DatasetConfig": "features",
+    "FailureType": "trace_model",
+    "FeatureConfig": "features",
+    "ForestModel": "forest",
+    "ForestParams": "forest",
+    "GridSpec": "pipeline",
+    "INTERVAL_US": "trace_model",
+    "IntervalSeries": "ingestion",
+    "LabelTracks": "labeling",
+    "LabelingConfig": "labeling",
+    "MachineEventKind": "trace_model",
+    "OcsvmModel": "ocsvm",
+    "OcsvmParams": "ocsvm",
+    "ResourceKind": "trace_model",
+    "SynthConfig": "synth",
+    "pacf": "features",
+}
+
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SOURCES})

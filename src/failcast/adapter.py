@@ -26,7 +26,7 @@ from typing import TextIO
 import numpy as np
 
 from . import ingestion
-from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER, USAGE_ROW_FORMAT
+from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from .trace_model import INTERVAL_US, N_RESOURCES, MachineEventKind
 
 # (mean column, max column) per native resource index
@@ -134,6 +134,4 @@ def convert_task_usage(
 
     machine_id, b = cells.T
     out.write(USAGE_HEADER + "\n")
-    ingestion.write_rows(
-        out, USAGE_ROW_FORMAT, b * interval_us, (b + 1) * interval_us, machine_id, sums
-    )
+    ingestion.write_usage_rows(out, b * interval_us, (b + 1) * interval_us, machine_id, sums)

@@ -2,7 +2,9 @@
 
 Every stage reads the previous stage's artifacts from disk and is
 idempotent for a fixed seed: rerunning with identical inputs rewrites
-byte-identical outputs. All randomness flows from --seed.
+byte-identical outputs. All randomness flows from --seed. Each command
+imports the stage modules it runs when it starts, so one stage's process
+never loads the others' modules.
 """
 
 from __future__ import annotations
@@ -10,20 +12,17 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import TYPE_CHECKING, Optional, TextIO
 
 import numpy as np
 
-from . import adapter as adapter_mod
-from . import features as features_mod
-from . import ingestion, labeling, metrics, pipeline, store, synth
 from .errors import ConfigError, FailcastError, ParseError
-from .features import Dataset, DatasetConfig, FeatureConfig
-from .forest import ForestParams
-from .ocsvm import OcsvmParams
 from .trace_model import INTERVAL_US, N_CLASSES
+
+if TYPE_CHECKING:
+    from .features import Dataset
+    from .ingestion import Rule
 
 logger = logging.getLogger(__name__)
 
@@ -96,6 +95,8 @@ def _read(path: Path, reader):
 
 
 def _cmd_synth(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+    from . import synth
+
     r = _Resolver(ns, cfg)
     config = synth.SynthConfig(
         machines=r.get("machines", 500),
@@ -115,6 +116,8 @@ def _cmd_synth(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+    from . import ingestion, store
+
     r = _Resolver(ns, cfg)
     events_path = _require_file(ns.events)
     usage_path = _require_file(ns.usage)
@@ -152,6 +155,8 @@ def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+    from . import ingestion, labeling, store
+
     r = _Resolver(ns, cfg)
     series, meta = store.load_interval_store(_require_file(ns.store))
     events = _read(_require_file(ns.events), ingestion.parse_machine_events)
@@ -190,11 +195,13 @@ def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _cmd_pacf_report(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+    from . import features, ingestion, store
+
     r = _Resolver(ns, cfg)
     series, _ = store.load_interval_store(_require_file(ns.store))
     max_lag = r.get("max_lag", 10)
-    table = features_mod.pacf_by_machine(series, max_lag=max_lag)
-    counts = features_mod.significant_lag_counts(table)
+    table = features.pacf_by_machine(series, max_lag=max_lag)
+    counts = features.significant_lag_counts(table)
     out = Path(ns.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n") as f:
@@ -214,23 +221,25 @@ def _cmd_pacf_report(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+    from . import features, store
+
     r = _Resolver(ns, cfg)
     series, _meta = store.load_interval_store(_require_file(ns.store))
     tracks, label_meta = store.load_label_store(_require_file(ns.labels))
-    fcfg = FeatureConfig(lags=r.get("lags", 6))
-    dcfg = DatasetConfig(
+    fcfg = features.FeatureConfig(lags=r.get("lags", 6))
+    dcfg = features.DatasetConfig(
         normal_sample_count=r.get("normal_samples", 50_000),
         rng_seed=r.get("seed", 0),
         train_fraction=r.get("train_fraction", 0.8),
     )
-    train_set, test_set = features_mod.build_dataset(series, tracks, fcfg, dcfg)
+    train_set, test_set = features.build_dataset(series, tracks, fcfg, dcfg)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, data in (("train", train_set), ("test", test_set)):
         with open(out_dir / f"{name}.csv", "w", newline="\n") as f:
-            features_mod.write_dataset_csv(data, f)
+            features.write_dataset_csv(data, f)
         with open(out_dir / f"{name}_ids.csv", "w", newline="\n") as f:
-            features_mod.write_ids_csv(data, f)
+            features.write_ids_csv(data, f)
     (out_dir / "layout.json").write_text(fcfg.layout_json())
     print(
         f"dataset: {len(train_set)} train / {len(test_set)} test instances "
@@ -244,15 +253,17 @@ def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 def _load_split(data_dir: Path, name: str) -> Dataset:
     """One dataset split; without an ids file, row i is interval i of machine 0."""
+    from . import features
+
     path = data_dir / f"{name}.csv"
-    X, y = _read(path, features_mod.read_dataset_csv)
+    X, y = _read(path, features.read_dataset_csv)
     ids_path = data_dir / f"{name}_ids.csv"
     if not ids_path.exists():
-        return Dataset(np.zeros(len(y), dtype=np.int64), np.arange(len(y)), y, X)
-    machine_id, interval = _read(ids_path, features_mod.read_ids_csv)
+        return features.Dataset(np.zeros(len(y), dtype=np.int64), np.arange(len(y)), y, X)
+    machine_id, interval = _read(ids_path, features.read_ids_csv)
     if len(machine_id) != len(y):
         raise FailcastError(f"{ids_path} has {len(machine_id)} rows but {path} has {len(y)}")
-    return Dataset(machine_id, interval, y, X)
+    return features.Dataset(machine_id, interval, y, X)
 
 
 def _grid_axis(r: _Resolver, name: str, scalar: str, default, cast) -> tuple:
@@ -267,6 +278,12 @@ def _grid_axis(r: _Resolver, name: str, scalar: str, default, cast) -> tuple:
 
 
 def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+    from dataclasses import replace
+
+    from . import ingestion, pipeline
+    from .forest import ForestParams
+    from .ocsvm import OcsvmParams
+
     r = _Resolver(ns, cfg)
     data_dir = _require_file(ns.data)
     data = _load_split(Path(data_dir), "train")
@@ -319,6 +336,8 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _cmd_predict(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+    from . import ingestion, pipeline
+
     model = pipeline.load_bundle(_require_file(ns.model))
     if ns.stream:
         for line_no, line in enumerate(sys.stdin, 1):
@@ -355,39 +374,70 @@ _PREDICTIONS_DTYPE = np.dtype(
 )
 
 
+#: a (machine_id, interval) instance; arrays of them sort by machine, then interval
+_INSTANCE_DTYPE = np.dtype([(name, np.int64) for name in PREDICTIONS_HEADER.split(",")[:2]])
+
+
+def _instances(machine_id: np.ndarray, interval: np.ndarray) -> np.ndarray:
+    instances = np.empty(len(machine_id), _INSTANCE_DTYPE)
+    instances["machine_id"], instances["interval"] = machine_id, interval
+    return instances
+
+
+def _sorted_instances(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of the predictions ``rows`` by instance, and their instances in it."""
+    order = np.lexsort((rows["interval"], rows["machine_id"]))
+    return order, _instances(rows["machine_id"][order], rows["interval"][order])
+
+
 def _read_predictions(source: TextIO) -> np.ndarray:
-    """The rows of a predictions file as a structured array."""
+    """The rows of a predictions file as a structured array, one per instance."""
+    from . import ingestion
+
     return ingestion._read_table(
         source, PREDICTIONS_HEADER, _PREDICTIONS_DTYPE, _prediction_rules
     )
 
 
-def _prediction_rules(rows: np.ndarray) -> list[ingestion.Rule]:
+def _prediction_rules(rows: np.ndarray) -> list[Rule]:
     y, score = rows["predicted_y"], rows["score"]
+    machine_id, interval = rows["machine_id"], rows["interval"]
+    order, instances = _sorted_instances(rows)
+    # the sort is stable, so every row of an instance after its first is a repeat
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:]] = instances[1:] == instances[:-1]
     return [
         ((y < 0) | (y >= N_CLASSES), lambda i: f"unknown class {y[i]}"),
         (~np.isfinite(score), lambda i: f"non-finite score {score[i]}"),
+        (repeat, lambda i: f"duplicate prediction for instance ({machine_id[i]}, {interval[i]})"),
     ]
 
 
 def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+    from . import metrics
+
     r = _Resolver(ns, cfg)
     rows = _read(_require_file(ns.predictions), _read_predictions)
-    row_of = {
-        key: i for i, key in enumerate(zip(rows["machine_id"].tolist(), rows["interval"].tolist()))
-    }
     data = _load_split(Path(_require_file(ns.data)), ns.split)
-    try:
-        at = [row_of[key] for key in zip(data.machine_ids.tolist(), data.interval.tolist())]
-    except KeyError as exc:
-        raise FailcastError(f"missing prediction for instance {exc.args[0]}") from None
-    preds, scores = rows["predicted_y"][at], rows["score"][at]
+    order, have = _sorted_instances(rows)
+    want = _instances(data.machine_ids, data.interval)
+    at = np.searchsorted(have, want)
+    found = at < len(have)
+    found[found] = have[at[found]] == want[found]
+    if not found.all():
+        missing = want[np.argmin(found)]
+        raise FailcastError(
+            f"missing prediction for instance ({missing['machine_id']}, {missing['interval']})"
+        )
+    preds, scores = rows["predicted_y"][order[at]], rows["score"][order[at]]
 
     latency = None
     reps = r.get("latency", 0)
     if reps:
         if not ns.model:
             raise FailcastError("--latency needs --model to time predictions")
+        from . import pipeline
+
         model = pipeline.load_bundle(_require_file(ns.model))
         latency = metrics.measure_latency(
             lambda x: pipeline.predict_batch(model, x[None, :]), data.x, reps
@@ -411,14 +461,15 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _cmd_adapt_google(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+    from . import adapter
+
     tables = [
-        (_require_file(ns.machine_events), "machine_events.csv",
-         adapter_mod.convert_machine_events),
-        (_require_file(ns.task_usage), "resource_usage.csv", adapter_mod.convert_task_usage),
+        (_require_file(ns.machine_events), "machine_events.csv", adapter.convert_machine_events),
+        (_require_file(ns.task_usage), "resource_usage.csv", adapter.convert_task_usage),
     ]
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stats = adapter_mod.AdaptStats()
+    stats = adapter.AdaptStats()
     # each table streams into a temporary file; both appear only once both convert
     partial = [(out_dir / f".{name}.partial", out_dir / name) for _, name, _ in tables]
     try:

@@ -29,6 +29,8 @@ from .errors import ModelFormatError
 from .trace_model import N_CLASSES
 
 MODEL_FORMAT = "forest-model v1"
+#: the largest class count a leaf of a stored forest may hold (int64)
+_MAX_COUNT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -350,6 +352,8 @@ def load(source: Iterable[str]) -> ForestModel:
                 open_splits.append(node)
             elif parts[0] == "L" and len(parts) == 2 + N_CLASSES:
                 leaf = [int(c) for c in parts[2:]]
+                if not all(0 <= c <= _MAX_COUNT for c in leaf):
+                    raise ModelFormatError(f"line {no}: leaf count out of range")
                 if int(parts[1]) != leaf.index(max(leaf)):
                     raise ModelFormatError(f"line {no}: leaf class disagrees with its counts")
                 feature.append(-1)

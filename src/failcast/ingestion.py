@@ -31,7 +31,6 @@ USAGE_HEADER = (
     "max_cpu,max_diskio,max_disk,max_mem,max_cache,max_mai"
 )
 _USAGE_VALUE_FIELDS = tuple(USAGE_HEADER.split(",")[3:])
-USAGE_ROW_FORMAT = ",".join(["%d"] * 3 + ["%.6f"] * len(_USAGE_VALUE_FIELDS)) + "\n"
 _USAGE_DTYPE = np.dtype(
     [(name, np.int64) for name in USAGE_HEADER.split(",")[:3]]
     + [("values", np.float64, (len(_USAGE_VALUE_FIELDS),))]
@@ -203,6 +202,53 @@ def write_rows(out: TextIO, row_format: str, *columns: np.ndarray) -> None:
         hi = min(n, lo + _WRITE_BLOCK_ROWS)
         block = np.hstack([c[lo:hi].reshape(hi - lo, -1).astype(object) for c in columns])
         out.write(row_format * (hi - lo) % tuple(block.ravel().tolist()))
+
+
+#: the three digits of each of 0..999, as characters
+_DIGIT_TRIPLES = np.array([b"%03d" % i for i in range(1000)]).view(np.uint8).reshape(1000, 3)
+#: usage rows whose values are formatted at once by ``write_usage_rows``
+_USAGE_TEXT_ROWS = 1024
+
+
+def _usage_values_text(values: np.ndarray) -> np.ndarray:
+    """Each row of the (n, k) ``values`` as its k ``%.6f`` fields joined by commas.
+
+    A value in [0, 1] is rounded to millionths in float64 and spelled out
+    three digits at a time, which is exact unless it lies within 1e-6
+    millionths of a rounding tie. A row holding any other value, negative
+    zero and NaN included, is formatted by ``%``.
+    """
+    exact = (values >= 0.0) & (values <= 1.0) & ~np.signbit(values)
+    micro = np.where(exact, values, 0.0) * 1e6
+    exact &= np.abs(micro - np.floor(micro) - 0.5) > 1e-6
+    millionths = np.floor(micro + 0.5).astype(np.int32)
+    n, k = values.shape
+    chars = np.empty((n, k, 9), dtype=np.uint8)
+    chars[..., 0] = millionths // 1_000_000 + ord("0")
+    chars[..., 1] = ord(".")
+    chars[..., 2:5] = _DIGIT_TRIPLES[millionths // 1000 % 1000]
+    chars[..., 5:8] = _DIGIT_TRIPLES[millionths % 1000]
+    chars[..., 8] = ord(",")
+    rows = chars.reshape(n, -1)[:, :-1].copy().view(f"S{9 * k - 1}")[:, 0]
+    text = rows.astype(str).astype(object)
+    for i in np.flatnonzero(~exact.all(axis=1)):
+        text[i] = ",".join(["%.6f"] * k) % tuple(values[i].tolist())
+    return text
+
+
+def write_usage_rows(
+    out: TextIO, start_us: np.ndarray, end_us: np.ndarray, machine_id: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """Write a native usage row per row of the columns and the (n, 12) ``values``.
+
+    The row is ``%d,%d,%d`` of the columns, then ``%.6f`` of each value,
+    all comma-separated, byte for byte as ``%`` formats it.
+    """
+    for lo in range(0, len(values), _USAGE_TEXT_ROWS):
+        rows = slice(lo, lo + _USAGE_TEXT_ROWS)
+        write_rows(out, "%d,%d,%d,%s\n", start_us[rows], end_us[rows], machine_id[rows],
+                   _usage_values_text(values[rows]))
 
 
 def parse_machine_events(source: TextIO) -> np.ndarray:

@@ -8,13 +8,9 @@ set, leaked normals included, so it keeps a Normal class.
 
 from __future__ import annotations
 
-import hashlib
-import io
 import itertools
 import json
 import logging
-import zipfile
-import zlib
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, TextIO
@@ -90,6 +86,8 @@ class GridSpec:
 
 
 def _digest(X: np.ndarray, y: np.ndarray) -> str:
+    import hashlib  # loads OpenSSL, which only training needs
+
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(X).tobytes())
     h.update(np.ascontiguousarray(y).tobytes())
@@ -162,13 +160,19 @@ def predict_batch(
     if not np.isfinite(X).all():
         bad = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise FailcastError(f"row {bad} has a non-finite feature")
-    g = ocsvm_mod.decision(model.ocsvm, X)
+    return _cascade(model.forest, X, ocsvm_mod.decision(model.ocsvm, X))
+
+
+def _cascade(
+    forest: ForestModel, X: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``predict_batch`` of the rows ``X`` whose stage-1 margins are ``g``, by ``forest``."""
     flagged = g < 0.0
     preds = np.zeros(len(X), dtype=np.int64)
     scores = np.empty(len(X))
     scores[~flagged] = 0.25 * (1.0 + np.tanh(-g[~flagged] / 2.0))  # 0.5*sigmoid(-g)
     if np.any(flagged):
-        votes = forest_mod.predict_votes_batch(model.forest, X[flagged])
+        votes = forest_mod.predict_votes_batch(forest, X[flagged])
         preds[flagged] = np.argmax(votes, axis=1)
         share = 1.0 - votes[:, 0] / votes.sum(axis=1)
         scores[flagged] = 0.5 + 0.5 * share
@@ -206,8 +210,9 @@ def grid_search_cv(
     Returns the pick and the F3 of every cell on every fold, a
     (gammas, nus, tree_counts, folds) array whose flattened leading axes
     follow ``grid.cells()``. Each (fold, gamma, nu) fits the cascade once,
-    at the largest tree count, and each tree count is scored on the first
-    trees of that forest, which are the forest it would grow on its own.
+    at the largest tree count, and filters the test fold through stage 1
+    once; each tree count is scored on the first trees of that forest,
+    which are the forest it would grow on its own.
     A fit that is unusable scores 0.0 at every tree count. Ties break
     toward fewer trees, then larger nu, then smaller gamma: the cheaper
     and more conservative model. The fold split depends only on rng_seed.
@@ -218,6 +223,7 @@ def grid_search_cv(
     f3 = np.zeros((len(grid.gammas), len(grid.nus), len(grid.tree_counts), grid.folds))
     for f, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(len(y)), test_idx)
+        X_test, y_test = X[test_idx], y[test_idx]
         for (i, gamma), (j, nu) in itertools.product(enumerate(grid.gammas), enumerate(grid.nus)):
             stage1_params = replace(base_ocsvm, nu=nu, gamma=gamma)
             try:
@@ -226,16 +232,18 @@ def grid_search_cv(
                 # unusable fit: the filter ate all failures, or nu*n < 1
                 logger.warning("grid gamma=%g nu=%g fold %d unusable: %s", gamma, nu, f, exc)
                 continue
+            g = ocsvm_mod.decision(model.ocsvm, X_test)
             for k, n_trees in enumerate(grid.tree_counts):
-                prefix = replace(model, forest=forest_mod.first_trees(model.forest, n_trees))
-                preds, _ = predict_batch(prefix, X[test_idx])
-                f3[i, j, k, f] = metrics_mod.binary_f3(metrics_mod.confusion(preds, y[test_idx]))
+                preds, _ = _cascade(forest_mod.first_trees(model.forest, n_trees), X_test, g)
+                f3[i, j, k, f] = metrics_mod.binary_f3(metrics_mod.confusion(preds, y_test))
     ranks = [(-m, b, -nu, gamma) for (gamma, nu, b), m in zip(grid.cells(), f3.mean(-1).flat)]
     return grid.cells()[ranks.index(min(ranks))], f3
 
 
 def _bundle_texts(model: CascadeModel) -> dict[str, str]:
     """The text of each bundle file, by name."""
+    import io
+
     stage1, stage2 = io.StringIO(), io.StringIO()
     ocsvm_mod.save(model.ocsvm, stage1)
     forest_mod.save(model.forest, stage2)
@@ -259,6 +267,10 @@ def _open_part(bundle: Path, name: str) -> TextIO:
     """One file of a bundle directory, or of a ``save_archive`` zip, as text."""
     if bundle.is_dir():
         return open(bundle / name)
+    import io
+    import zipfile
+    import zlib
+
     try:
         with zipfile.ZipFile(bundle) as archive:
             return io.TextIOWrapper(io.BytesIO(archive.read(name)))
@@ -324,6 +336,8 @@ def load_bundle(bundle: Path) -> CascadeModel:
 
 def save_archive(model: CascadeModel, archive_path: Path) -> None:
     """Single-file zip of the bundle with fixed metadata, so bytes reproduce."""
+    import zipfile
+
     with zipfile.ZipFile(archive_path, "w", zipfile.ZIP_DEFLATED) as zf:
         for name, text in _bundle_texts(model).items():
             info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))

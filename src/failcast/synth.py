@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GenerationError
-from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER, USAGE_ROW_FORMAT, write_rows
+from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER, write_rows, write_usage_rows
 from .trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,
@@ -280,9 +280,7 @@ def _write_usage(path: Path, avg: np.ndarray, peak: np.ndarray, down: np.ndarray
         for m, up in enumerate(~down):
             usage = np.hstack([avg[m], peak[m]]) if m < len(avg) else zeros
             start = starts[up]
-            write_rows(
-                f, USAGE_ROW_FORMAT, start, start + INTERVAL_US, np.full(len(start), m), usage[up]
-            )
+            write_usage_rows(f, start, start + INTERVAL_US, np.full(len(start), m), usage[up])
 
 
 def _write_truth(path: Path, failures: np.ndarray) -> None:

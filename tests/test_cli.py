@@ -1,13 +1,23 @@
+import contextlib
 import hashlib
 import io
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
+import tempfile
 import zipfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import failcast
 from failcast.cli import main
 from failcast.pipeline import BUNDLE_FILES
 
@@ -162,6 +172,26 @@ def test_multi_cell_grid_matches_its_digests(chain, tmp_path):
         name: hashlib.sha256((model / name).read_bytes()).hexdigest() for name in GRID_DIGESTS
     }
     assert digests == GRID_DIGESTS
+
+
+def test_grid_filters_each_test_fold_once_per_fit(chain, monkeypatch):
+    """The 2 x 3 x 3 grid of GRID_DIGESTS makes 12 usable fits on 3 folds.
+
+    Each fit calls ``ocsvm.decision`` once while training and once on its
+    test fold, which then serves every tree count: 24 calls, not the 48 of
+    one stage-1 pass per tree count.
+    """
+    from failcast import ForestParams, features, ocsvm, pipeline
+
+    with open(chain / "data" / "train.csv") as f:
+        X, y = features.read_dataset_csv(f)
+    calls = []
+    decision = ocsvm.decision
+    monkeypatch.setattr(ocsvm, "decision", lambda *a: calls.append(a) or decision(*a))
+    grid = pipeline.GridSpec(gammas=(0.125, 0.5), nus=(0.05, 0.1, 0.001),
+                             tree_counts=(50, 10, 30), folds=3)
+    pipeline.grid_search_cv(X, y, grid, 11, base_forest=ForestParams(rng_seed=11))
+    assert len(calls) == 24
 
 
 class TestDeterminism:
@@ -469,6 +499,58 @@ class TestBrokenInputs:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {preds}: line {len(lines) + 1}:")
+
+    @pytest.mark.parametrize("repeat_first", [False, True])
+    def test_evaluate_on_a_repeated_prediction_exits_2(
+        self, chain, tmp_path, capsys, repeat_first
+    ):
+        lines = (chain / "predictions.csv").read_text().splitlines()
+        m, i, y, _ = lines[5].split(",")
+        repeat = f"{m},{i},{(int(y) + 1) % 4},0.5"
+        if repeat_first:
+            # the repeat comes before the real row, which is then the second one
+            lines.insert(1, repeat)
+            line_no = 7
+        else:
+            lines.append(repeat)
+            line_no = len(lines)
+        preds = tmp_path / "p.csv"
+        preds.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "rep"
+        rc = main([
+            "evaluate", "--predictions", str(preds), "--data", str(chain / "data"),
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {preds}: line {line_no}: duplicate prediction for instance ({m}, {i})\n"
+        )
+        assert not out.exists()
+
+    def test_evaluate_on_a_missing_prediction_exits_2(self, chain, tmp_path, capsys):
+        lines = (chain / "predictions.csv").read_text().splitlines()
+        m, i = lines[5].split(",")[:2]
+        del lines[5]
+        preds = tmp_path / "p.csv"
+        preds.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "evaluate", "--predictions", str(preds), "--data", str(chain / "data"),
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: missing prediction for instance ({m}, {i})\n"
+
+    def test_evaluate_joins_predictions_in_any_row_order(self, chain, tmp_path):
+        lines = (chain / "predictions.csv").read_text().splitlines()
+        preds = tmp_path / "p.csv"
+        preds.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        out = tmp_path / "rep"
+        assert main([
+            "evaluate", "--predictions", str(preds), "--data", str(chain / "data"),
+            "--out", str(out),
+        ]) == 0
+        for name in ("report.kv", "roc.csv"):
+            assert (out / name).read_bytes() == (chain / "reports" / name).read_bytes()
 
     @pytest.mark.parametrize("bad", ["1_000", "   "], ids=["underscore_int", "blank_spaces"])
     @pytest.mark.parametrize("stage", ["ingest", "predict", "evaluate"])
@@ -879,3 +961,167 @@ class TestAdaptGoogle:
         assert tracks.machine_ids.tolist() == machines
         assert label_meta["class_counts"] == {"ir": 1, "sr": 0, "fd": 0}
         assert len((tmp_path / "pacf.csv").read_text().splitlines()) == 11
+
+
+#: runs ``failcast.cli.main`` on its arguments, or only imports the module after
+#: ``--import``; then prints the exit code, the failcast modules loaded and
+#: whether hashlib was
+_LOADED_MODULES_PROBE = """
+import json, sys
+if sys.argv[1] == "--import":
+    __import__(sys.argv[2])
+    code = 0
+else:
+    from failcast.cli import main
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("failcast")),
+                  "hashlib" in sys.modules]))
+"""
+
+#: the modules of the model stages and of the trace sources
+LATE_MODULES = {"pipeline", "ocsvm", "forest", "metrics", "synth", "adapter"}
+
+
+def _probe_env() -> dict:
+    """The environment of a fresh process that imports this failcast."""
+    return dict(os.environ, PYTHONPATH=str(Path(failcast.__file__).parents[1]))
+
+
+def _loaded_modules(argv: list[str], stdin: str = "") -> tuple[set[str], bool]:
+    """The failcast modules a fresh process loads to run ``argv``, and if it loads hashlib.
+
+    Submodules are named without the package prefix.
+    """
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES_PROBE, *argv], input=stdin,
+                          capture_output=True, text=True, env=_probe_env(), timeout=120)
+    code, modules, hashlib_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return {m.partition(".")[2] or m for m in modules}, hashlib_loaded
+
+
+class TestStageImports:
+    """Each CLI stage, in a fresh process, loads only the modules it runs."""
+
+    def test_the_synth_module_loads_only_what_it_uses(self):
+        modules, _ = _loaded_modules(["--import", "failcast.synth"])
+        assert modules == {"failcast", "synth", "ingestion", "trace_model", "errors"}
+
+    def test_ingest_and_label_load_no_feature_or_model_module(self, chain, tmp_path):
+        events = str(chain / "trace" / "machine_events.csv")
+        store = tmp_path / "store"
+        for argv in (
+            ["ingest", "--events", events, "--usage", str(chain / "trace" / "resource_usage.csv"),
+             "--out", str(store)],
+            ["label", "--store", str(store), "--events", events, "--out", str(tmp_path / "l")],
+        ):
+            modules, _ = _loaded_modules(argv)
+            assert "ingestion" in modules
+            assert not modules & (LATE_MODULES | {"features"}), argv[0]
+
+    def test_pacf_report_and_featurize_load_no_model_module(self, chain, tmp_path):
+        store = str(chain / "store")
+        for argv in (
+            ["pacf-report", "--store", store, "--out", str(tmp_path / "h.csv")],
+            ["featurize", "--store", store, "--labels", str(chain / "labels"),
+             "--out", str(tmp_path / "data"), "--normal-samples", "100"],
+        ):
+            modules, _ = _loaded_modules(argv)
+            assert "features" in modules
+            assert not modules & LATE_MODULES, argv[0]
+
+    def test_predict_does_not_load_hashlib(self, chain, tmp_path):
+        line = (chain / "data" / "test.csv").read_text().splitlines()[1].split(",", 1)[1]
+        for argv, stdin in (
+            (["predict", "--model", str(chain / "model"), "--data", str(chain / "data"),
+              "--out", str(tmp_path / "p.csv")], ""),
+            (["predict", "--model", str(chain / "model" / "bundle.zip"), "--stream"], line),
+        ):
+            modules, hashlib_loaded = _loaded_modules(argv, stdin)
+            assert "pipeline" in modules and not hashlib_loaded, argv
+
+    def test_every_public_name_resolves_on_first_use(self):
+        script = (
+            "import failcast\n"
+            "from failcast import *\n"
+            "assert all(name in globals() for name in failcast.__all__)\n"
+            "try:\n"
+            "    failcast.no_such_name\n"
+            "except AttributeError:\n"
+            "    print('ok')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_probe_env(), timeout=120)
+        assert proc.stdout == "ok\n", proc.stderr
+
+
+#: what the line-mutation properties put in place of one field of a line
+ODD_TOKENS = ("nan", "inf", "-inf", "1e309", "-1", "0", "", "x", "2.5", "18446744073709551616")
+
+
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """``text`` with a line deleted, repeated or shuffled, a field replaced, or cut short."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["delete", "repeat", "shuffle", "token", "truncate"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    elif kind == "shuffle":
+        j = draw(st.integers(i, min(len(lines), i + 8)))
+        lines[i:j] = draw(st.permutations(lines[i:j]))
+    elif kind == "token":
+        fields = re.split(r"([\s,:]+)", lines[i])
+        fields[draw(st.sampled_from(range(0, len(fields), 2)))] = draw(st.sampled_from(ODD_TOKENS))
+        lines[i] = "".join(fields)
+    else:
+        text = "\n".join(lines)
+        return text[: draw(st.integers(0, len(text)))]
+    return "\n".join(lines) + "\n"
+
+
+def _run(argv: list[str], stdin: str) -> tuple[int, str]:
+    """``main(argv)`` reading ``stdin``; its exit code and standard error."""
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestLineMutations:
+    """A mutated bundle file or stream line exits 0, or 2 with one error naming it."""
+
+    @staticmethod
+    def _stream_lines(chain, n: int = 4) -> list[str]:
+        rows = (chain / "data" / "test.csv").read_text().splitlines()[1 : n + 1]
+        return [row.split(",", 1)[1] for row in rows]
+
+    @settings(max_examples=400, derandomize=True)
+    @given(name=st.sampled_from(BUNDLE_FILES), data=st.data())
+    def test_mutated_bundle_file(self, chain, name, data):
+        texts = {n: (chain / "model" / n).read_text() for n in BUNDLE_FILES}
+        texts[name] = data.draw(_mutated(texts[name]))
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = Path(tmp) / "model"
+            bundle.mkdir()
+            for n, text in texts.items():
+                (bundle / n).write_text(text)
+            stdin = "\n".join(self._stream_lines(chain)) + "\n"
+            code, err = _run(["predict", "--model", str(bundle), "--stream"], stdin)
+        assert code in (0, 2)
+        if code == 2:
+            files = "|".join(map(re.escape, BUNDLE_FILES))
+            assert re.match(rf"error: {re.escape(str(bundle))}/({files}): ", err), err
+            assert "Traceback" not in err
+
+    @settings(max_examples=200, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_stream_lines(self, chain, data):
+        stdin = data.draw(_mutated("\n".join(self._stream_lines(chain))))
+        code, err = _run(["predict", "--model", str(chain / "model"), "--stream"], stdin)
+        assert code in (0, 2)
+        if code == 2:
+            assert re.match(r"error: line \d+: ", err), err
+            assert "Traceback" not in err

@@ -442,3 +442,12 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load(io.StringIO(text))
         assert load(io.StringIO(text.replace("L 2", "L 0"))).leaf_class.tolist() == [0]
+
+    @pytest.mark.parametrize("count", ["-1", str(2**63), str(2**64)])
+    def test_leaf_count_out_of_int64_range_rejected(self, count):
+        text = (
+            "forest-model v1\ntrees 1\ndim 1\n"
+            f"params mtry=1 min_leaf=1 max_depth=none seed=0\ntree 0\nL 0 5 0 {count} 0\n"
+        )
+        with pytest.raises(ModelFormatError, match="line 6: leaf count out of range"):
+            load(io.StringIO(text))

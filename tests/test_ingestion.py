@@ -8,6 +8,7 @@ from failcast.cli import PREDICTIONS_HEADER, _read_predictions
 from failcast.errors import FailcastError, ParseError
 from failcast.features import IDS_HEADER, read_dataset_csv, read_ids_csv
 from failcast.ingestion import (
+    _USAGE_TEXT_ROWS,
     _WRITE_BLOCK_ROWS,
     MACHINE_EVENTS_HEADER,
     USAGE_HEADER,
@@ -16,6 +17,7 @@ from failcast.ingestion import (
     parse_machine_events,
     parse_usage_records,
     write_rows,
+    write_usage_rows,
 )
 from failcast.trace_model import INTERVAL_US, MachineEventKind
 from oracles import reference_aggregate, reference_write_rows
@@ -446,3 +448,40 @@ class TestWriteRows:
         write_rows(out, row_format, *columns)
         assert out.getvalue() == reference_write_rows(row_format, *columns)
         assert out.writes == -(-n // _WRITE_BLOCK_ROWS)  # one write per block
+
+
+class TestWriteUsageRows:
+    ROW_FORMAT = "%d,%d,%d," + ",".join(["%.6f"] * 12) + "\n"
+    #: the values in [0, 1] whose millionths end in an exact half: (2i + 1) / 128
+    TIES = [(2 * i + 1) / 128 for i in range(64)]
+    #: values the numpy spelling leaves to ``%``, and the ends of its range
+    OTHERS = [0.0, 1.0, -0.0, -1e-9, 2.5, 10.0, 1e300, 5e-324, np.nan, np.inf, -np.inf,
+              float(np.nextafter(1.0, 2.0)), 0.9999995, 0.9999994999999999, 4.999999e-7]
+
+    def _check(self, values, seed=0):
+        rng = np.random.default_rng(seed)
+        n = len(values)
+        starts = rng.integers(0, 10**15, n)
+        columns = (starts, starts + INTERVAL_US, rng.integers(0, 2**40, n), values)
+        out = io.StringIO()
+        write_usage_rows(out, *columns)
+        assert out.getvalue() == reference_write_rows(self.ROW_FORMAT, *columns)
+
+    def test_exact_ties_round_half_even_like_percent(self):
+        self._check(np.resize(self.TIES + self.OTHERS, (7, 12)))
+
+    @given(
+        st.sampled_from([0, 1, _USAGE_TEXT_ROWS, _USAGE_TEXT_ROWS + 1]) | st.integers(0, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_row_by_row_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.random((n, 12))
+        # values a few float64 steps from a millionths tie, where rounding in float64 could slip
+        near = rng.random((n, 12)) < 0.3
+        ties = (rng.integers(0, 10**6, (n, 12)) + 0.5) / 1e6
+        ties += rng.integers(-4, 5, (n, 12)) * np.spacing(ties)
+        values[near] = ties[near]
+        special = rng.random((n, 12)) < 0.02
+        values[special] = rng.choice(self.TIES + self.OTHERS, int(special.sum()))
+        self._check(values, seed)
