@@ -33,15 +33,22 @@ def _read_config_file(path: Optional[str]) -> dict[str, str]:
     if not path:
         return {}
     cfg = {}
-    for raw in _read(Path(path), lambda f: f.read()).splitlines():
+    for line_no, raw in enumerate(_read(Path(path), lambda f: f.read()).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise FailcastError(f"config line without '=': {line!r}")
+            raise FailcastError(f"{path}: line {line_no}: config line without '=': {line!r}")
         key, value = line.split("=", 1)
         cfg[key.strip()] = value.strip()
     return cfg
+
+
+def _within_int64(what: str, value):
+    """``value``; ConfigError naming ``what`` if it is an integer outside int64."""
+    if isinstance(value, int) and not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{what}: {value} is outside the int64 range")
+    return value
 
 
 class _Resolver:
@@ -51,20 +58,27 @@ class _Resolver:
         self.ns = ns
         self.cfg = cfg
 
+    def origin(self, name: str) -> str:
+        """Where ``name`` is set: its flag, else the config file and key."""
+        if getattr(self.ns, name, None) is not None:
+            return "--" + name.replace("_", "-")
+        return f"{self.ns.config}: config key {name!r}"
+
     def get(self, name: str, default, cast=None):
         value = getattr(self.ns, name, None)
         if value is not None:
-            return value
+            return _within_int64(self.origin(name), value)
         if name in self.cfg:
             raw = self.cfg[name]
             if cast is None:
                 cast = str if default is None else type(default)
             try:
-                return cast(raw)
+                value = cast(raw)
             except ValueError:
                 raise FailcastError(
-                    f"config key {name!r}: {raw!r} is not a valid {cast.__name__}"
+                    f"{self.origin(name)}: {raw!r} is not a valid {cast.__name__}"
                 ) from None
+            return _within_int64(self.origin(name), value)
         return default
 
 
@@ -128,7 +142,7 @@ def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         raise ConfigError(f"interval_us must be >= 1, got {interval_us}")
     horizon = r.get("horizon_us", 0, int)
     if not horizon:
-        max_end = int(table.end_us.max(initial=0))
+        max_end = int(table["end_us"].max(initial=0))
         max_event = int(events["time_us"].max(initial=-1)) + 1
         horizon = -(-max(max_end, max_event) // interval_us) * interval_us
     series = ingestion.aggregate_intervals(table, horizon, interval_us)
@@ -270,11 +284,12 @@ def _grid_axis(r: _Resolver, name: str, scalar: str, default, cast) -> tuple:
     """The comma list ``name``, else the one value ``scalar``, cast to ``cast``."""
     raw = r.get(name, "", str) or str(r.get(scalar, default))
     try:
-        return tuple(cast(v) for v in raw.split(",") if v)
+        values = tuple(cast(v) for v in raw.split(",") if v)
     except ValueError:
         raise FailcastError(
             f"{name}: {raw!r} is not a comma list of {cast.__name__} values"
         ) from None
+    return tuple(_within_int64(r.origin(name), v) for v in values)
 
 
 def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
@@ -374,12 +389,11 @@ _PREDICTIONS_DTYPE = np.dtype(
 )
 
 
-#: a (machine_id, interval) instance; arrays of them sort by machine, then interval
-_INSTANCE_DTYPE = np.dtype([(name, np.int64) for name in PREDICTIONS_HEADER.split(",")[:2]])
-
-
 def _instances(machine_id: np.ndarray, interval: np.ndarray) -> np.ndarray:
-    instances = np.empty(len(machine_id), _INSTANCE_DTYPE)
+    """The (machine_id, interval) instance keys; arrays of them sort by machine, then interval."""
+    from .features import IDS_DTYPE
+
+    instances = np.empty(len(machine_id), IDS_DTYPE)
     instances["machine_id"], instances["interval"] = machine_id, interval
     return instances
 
@@ -417,7 +431,8 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     from . import metrics
 
     r = _Resolver(ns, cfg)
-    rows = _read(_require_file(ns.predictions), _read_predictions)
+    predictions = _require_file(ns.predictions)
+    rows = _read(predictions, _read_predictions)
     data = _load_split(Path(_require_file(ns.data)), ns.split)
     order, have = _sorted_instances(rows)
     want = _instances(data.machine_ids, data.interval)
@@ -427,12 +442,15 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     if not found.all():
         missing = want[np.argmin(found)]
         raise FailcastError(
-            f"missing prediction for instance ({missing['machine_id']}, {missing['interval']})"
+            f"{predictions}: missing prediction for instance"
+            f" ({missing['machine_id']}, {missing['interval']})"
         )
     preds, scores = rows["predicted_y"][order[at]], rows["score"][order[at]]
 
     latency = None
     reps = r.get("latency", 0)
+    if reps < 0:
+        raise ConfigError(f"latency must be >= 0, got {reps}")
     if reps:
         if not ns.model:
             raise FailcastError("--latency needs --model to time predictions")
@@ -442,7 +460,7 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         latency = metrics.measure_latency(
             lambda x: pipeline.predict_batch(model, x[None, :]), data.x, reps
         )
-    report = metrics.build_report(preds, data.y, scores, latency=latency)
+    report = metrics.build_report(preds, data.y, scores)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(metrics.render_text(report))
@@ -454,6 +472,11 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     except metrics.UndefinedAucError:
         logger.warning("single-class input; skipping ROC export")
     print(metrics.render_text(report))
+    if latency is not None:
+        print(
+            f"latency: mean={latency.mean_ms:.3f} ms p99={latency.p99_ms:.3f} ms"
+            f" over {latency.n_calls} calls"
+        )
     return 0
 
 
@@ -586,8 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--latency",
         type=int,
         default=None,
-        help="also time this many predict calls (needs --model; report stops "
-        "being byte-reproducible)",
+        help="also time this many predict calls and print the figures (needs --model)",
     )
     s.set_defaults(func=_cmd_evaluate)
 
@@ -616,6 +638,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(str(exc))
     except FileNotFoundError as exc:
         return _fail(f"missing file: {exc.filename}")
+    except MemoryError as exc:
+        return _fail(str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
@@ -31,8 +31,10 @@ from .errors import (
     ZeroVarianceError,
 )
 from .ingestion import IntervalSeries, Rule, _lines, _read_table, write_rows
-from .labeling import LabelTracks
 from .trace_model import N_CLASSES, N_RESOURCES, FailureType, FleetArrays, ResourceKind
+
+if TYPE_CHECKING:
+    from .labeling import LabelTracks
 
 logger = logging.getLogger(__name__)
 
@@ -128,10 +130,12 @@ def pacf_by_machine(
     1..max_lag). Each machine's series is cut to its first longest
     gap-free run, so downtime holes cannot fake correlation structure.
     Machines whose run is too short, and resources constant over it, are
-    skipped.
+    skipped. A ``max_lag`` above the series length less 2, which ``pacf``
+    rejects for any one series, raises ConfigError.
     """
-    if max_lag < 1:
-        raise ConfigError("max_lag must be >= 1")
+    n = series.present.shape[1]
+    if not 1 <= max_lag <= n - 2:
+        raise ConfigError(f"max_lag must be in [1, {n - 2}] for {n}-interval series: {max_lag}")
     dtype = np.dtype(
         [("machine_id", np.int64), ("resource", np.int8), ("n_effective", np.int64),
          ("pacf", np.float64, (max_lag,))]
@@ -228,6 +232,8 @@ class DatasetConfig:
             raise ConfigError("train_fraction must be in (0, 1)")
         if self.normal_sample_count < 0:
             raise ConfigError("normal_sample_count must be >= 0")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def build_dataset(
@@ -299,7 +305,8 @@ def build_dataset(
 
 
 IDS_HEADER = "machine_id,interval"
-_IDS_DTYPE = np.dtype([(name, np.int64) for name in IDS_HEADER.split(",")])
+#: the (machine_id, interval) key of a dataset row; arrays of keys sort by machine, then interval
+IDS_DTYPE = np.dtype([(name, np.int64) for name in IDS_HEADER.split(",")])
 
 
 def _dataset_header(dim: int) -> str:
@@ -345,5 +352,5 @@ def write_ids_csv(data: Dataset, out: TextIO) -> None:
 
 def read_ids_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
     """Read an ids file into (machine_id, interval) arrays, one entry per dataset row."""
-    rows = _read_table(source, IDS_HEADER, _IDS_DTYPE)
+    rows = _read_table(source, IDS_HEADER, IDS_DTYPE)
     return rows["machine_id"], rows["interval"]

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ConfigError, ModelFormatError
 from .trace_model import N_CLASSES
 
 MODEL_FORMAT = "forest-model v1"
@@ -43,11 +43,13 @@ class ForestParams:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+            raise ConfigError("n_trees must be >= 1")
         if self.mtry < 1:
-            raise ValueError("mtry must be >= 1")
+            raise ConfigError("mtry must be >= 1")
         if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
+            raise ConfigError("min_leaf must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(eq=False)

@@ -31,30 +31,14 @@ USAGE_HEADER = (
     "max_cpu,max_diskio,max_disk,max_mem,max_cache,max_mai"
 )
 _USAGE_VALUE_FIELDS = tuple(USAGE_HEADER.split(",")[3:])
-_USAGE_DTYPE = np.dtype(
+#: a usage row, one machine's usage over [start_us, end_us): int64 ``start_us``,
+#: ``end_us`` and ``machine_id``, then float64 ``values``, the six per-resource
+#: means and then the six maxima over the row's span
+USAGE_DTYPE = np.dtype(
     [(name, np.int64) for name in USAGE_HEADER.split(",")[:3]]
     + [("values", np.float64, (len(_USAGE_VALUE_FIELDS),))]
 )
 _EVENTS_DTYPE = np.dtype([(name, np.int64) for name in MACHINE_EVENTS_HEADER.split(",")])
-
-
-@dataclass(frozen=True)
-class UsageTable:
-    """Raw usage rows as columns; row i is one machine's usage over [start, end).
-
-    ``machine_id``, ``start_us`` and ``end_us`` are (n,) int64 arrays;
-    ``mean`` and ``peak`` are (n, 6) float64 arrays of per-resource mean
-    and max over the row's time span.
-    """
-
-    machine_id: np.ndarray
-    start_us: np.ndarray
-    end_us: np.ndarray
-    mean: np.ndarray
-    peak: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.machine_id)
 
 
 @dataclass
@@ -272,8 +256,8 @@ def _event_rules(rows: np.ndarray) -> list[Rule]:
     ]
 
 
-def parse_usage_records(source: TextIO) -> tuple[UsageTable, ClampStats]:
-    """Parse usage rows into a table, clamping out-of-range values into [0, 1].
+def parse_usage_records(source: TextIO) -> tuple[np.ndarray, ClampStats]:
+    """Parse usage rows into a ``USAGE_DTYPE`` array, clamping out-of-range values into [0, 1].
 
     Clamps are counted, never silent. After range clamping, a mean still
     above its max is capped at the max (also counted) so the row
@@ -281,7 +265,7 @@ def parse_usage_records(source: TextIO) -> tuple[UsageTable, ClampStats]:
     non-numeric or non-finite value, a negative start or start >= end
     raises ParseError naming its line.
     """
-    rows = _read_table(source, USAGE_HEADER, _USAGE_DTYPE, _usage_rules)
+    rows = _read_table(source, USAGE_HEADER, USAGE_DTYPE, _usage_rules)
     values = rows["values"]
     clamped = (values < 0.0) | (values > 1.0)
     np.clip(values, 0.0, 1.0, out=values)
@@ -292,8 +276,7 @@ def parse_usage_records(source: TextIO) -> tuple[UsageTable, ClampStats]:
     stats = ClampStats(
         values_clamped=int(per_row.sum()), rows_affected=int(np.count_nonzero(per_row))
     )
-    table = UsageTable(rows["machine_id"], rows["start_us"], rows["end_us"], mean, peak)
-    return table, stats
+    return rows, stats
 
 
 def _usage_rules(rows: np.ndarray) -> list[Rule]:
@@ -312,11 +295,11 @@ def _usage_rules(rows: np.ndarray) -> list[Rule]:
 
 
 def aggregate_intervals(
-    table: UsageTable,
+    table: np.ndarray,
     horizon_us: int,
     interval_us: int = INTERVAL_US,
 ) -> IntervalSeries:
-    """Aggregate usage rows into dense interval series for every machine.
+    """Aggregate the ``USAGE_DTYPE`` rows ``table`` into dense interval series for every machine.
 
     Per bin, avg is the overlap-duration-weighted mean of row means and
     peak is the max of row maxima over every bin the row touches. Rows
@@ -324,31 +307,32 @@ def aggregate_intervals(
     single-bin rows before the pieces of rows spanning several bins, so
     the result is bit-identical under any permutation of the rows.
     """
-    max_end = int(table.end_us.max(initial=0))
+    start_us, end_us = table["start_us"], table["end_us"]
+    max_end = int(end_us.max(initial=0))
     if horizon_us < max_end:
         raise FailcastError(f"horizon {horizon_us} < max record end {max_end}")
     n_bins = -(-horizon_us // interval_us)
 
     order = _row_order(table)
-    sorted_ids = table.machine_id[order]
+    sorted_ids = table["machine_id"][order]
     new_machine = np.ones(len(table), dtype=bool)
     new_machine[1:] = sorted_ids[1:] != sorted_ids[:-1]
     machine_ids = sorted_ids[new_machine]
     machine_index = np.empty(len(table), dtype=np.int64)
     machine_index[order] = np.cumsum(new_machine) - 1
 
-    first_bin = table.start_us // interval_us
-    is_single = first_bin[order] == (table.end_us[order] - 1) // interval_us
+    first_bin = start_us // interval_us
+    is_single = first_bin[order] == (end_us[order] - 1) // interval_us
     single, spanning = order[is_single], order[~is_single]
     piece_row, piece_bin, overlap = _bin_pieces(
-        table.start_us[spanning], table.end_us[spanning], interval_us
+        start_us[spanning], end_us[spanning], interval_us
     )
     pieces = spanning[piece_row]
 
     rows = np.concatenate([single, pieces])
     cell = machine_index[rows] * n_bins + np.concatenate([first_bin[single], piece_bin])
     weight = np.concatenate(
-        [table.end_us[single] - table.start_us[single], overlap]
+        [end_us[single] - start_us[single], overlap]
     ).astype(float)
 
     n_cells = len(machine_ids) * n_bins
@@ -356,8 +340,9 @@ def aggregate_intervals(
     avg = np.zeros((n_cells, N_RESOURCES))
     peak = np.zeros((n_cells, N_RESOURCES))
     np.add.at(wsum, cell, weight)
-    np.add.at(avg, cell, weight[:, None] * table.mean[rows])
-    np.maximum.at(peak, cell, table.peak[rows])
+    # each half is gathered on its own, so the two are never alive at once
+    np.add.at(avg, cell, weight[:, None] * table["values"][rows, :N_RESOURCES])
+    np.maximum.at(peak, cell, table["values"][rows, N_RESOURCES:])
 
     present = wsum > 0
     np.divide(avg, wsum[:, None], out=avg, where=present[:, None])
@@ -389,9 +374,9 @@ def _bin_pieces(
     return row, bins, hi - lo
 
 
-def _row_order(table: UsageTable) -> np.ndarray:
-    """Row indices sorted by (machine, start, end, mean, peak)."""
-    keys = (table.machine_id, table.start_us, table.end_us)
+def _row_order(table: np.ndarray) -> np.ndarray:
+    """Row indices of the usage rows ``table`` sorted by (machine, start, end, values)."""
+    keys = (table["machine_id"], table["start_us"], table["end_us"])
     order = np.lexsort(keys[::-1])
     tied = np.ones(len(order), dtype=bool)[1:]
     for key in keys:
@@ -401,7 +386,7 @@ def _row_order(table: UsageTable) -> np.ndarray:
         # only rows tying on the three integer keys need their values compared
         at = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
         sub = order[at]
-        value_keys = np.hstack([table.mean[sub], table.peak[sub]]).T[::-1]
+        value_keys = table["values"][sub].T[::-1]
         order[at] = sub[np.lexsort((*value_keys, *(key[sub] for key in keys[::-1])))]
     return order
 

@@ -168,14 +168,12 @@ class MetricsReport:
     binary_f3: float
     macro_f3_failures: Optional[float]
     auc: Optional[float]
-    latency: Optional[LatencyStats] = None
 
 
 def build_report(
     predictions: Sequence[int],
     actuals: Sequence[int],
     scores: Optional[Sequence[float]] = None,
-    latency: Optional[LatencyStats] = None,
     beta: float = DEFAULT_BETA,
 ) -> MetricsReport:
     cm = confusion(predictions, actuals)
@@ -213,7 +211,6 @@ def build_report(
         binary_f3=binary_f3(cm, beta),
         macro_f3_failures=macro,
         auc=auc,
-        latency=latency,
     )
 
 
@@ -247,12 +244,6 @@ def render_text(report: MetricsReport) -> str:
     lines.append(
         f"  auc={_fmt(report.auc)} (composite two-stage score; local definition)"
     )
-    if report.latency is not None:
-        lines.append("")
-        lines.append(
-            f"latency: mean={report.latency.mean_ms:.3f} ms "
-            f"p99={report.latency.p99_ms:.3f} ms over {report.latency.n_calls} calls"
-        )
     return "\n".join(lines) + "\n"
 
 
@@ -270,10 +261,6 @@ def render_kv(report: MetricsReport) -> str:
     kv["binary.f3"] = f"{report.binary_f3:.6f}"
     kv["binary.macro_f3_failures"] = _fmt(report.macro_f3_failures)
     kv["binary.auc"] = _fmt(report.auc)
-    if report.latency is not None:
-        kv["latency.mean_ms"] = f"{report.latency.mean_ms:.4f}"
-        kv["latency.p99_ms"] = f"{report.latency.p99_ms:.4f}"
-        kv["latency.calls"] = str(report.latency.n_calls)
     return "".join(f"{k}={kv[k]}\n" for k in sorted(kv))
 
 

@@ -18,9 +18,9 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import forest as forest_mod
-from . import metrics as metrics_mod
 from . import ocsvm as ocsvm_mod
 from .errors import (
+    ConfigError,
     DegenerateTrainingError,
     FailcastError,
     InfeasibleNuError,
@@ -30,7 +30,7 @@ from .errors import (
 from .features import FeatureConfig
 from .forest import ForestModel, ForestParams
 from .ocsvm import OcsvmModel, OcsvmParams
-from .trace_model import N_CLASSES, N_RESOURCES
+from .trace_model import N_CLASSES
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +39,7 @@ BUNDLE_FOREST = "forest.txt"
 BUNDLE_LAYOUT = "layout.json"
 BUNDLE_MANIFEST = "manifest.json"
 BUNDLE_FILES = (BUNDLE_OCSVM, BUNDLE_FOREST, BUNDLE_LAYOUT, BUNDLE_MANIFEST)
+_MANIFEST_FORMAT = "cascade-manifest v1"
 
 #: how far a bundle's stage-1 alphas may sum from 1; training drifts a few 1e-16
 ALPHA_SUM_TOL = 1e-9
@@ -124,7 +125,7 @@ def train(
     stage2 = forest_mod.train(X2, y2, forest_params)
 
     manifest = {
-        "format": "cascade-manifest v1",
+        "format": _MANIFEST_FORMAT,
         "feature": {"lags": feature_config.lags, "dim": feature_config.dim},
         "ocsvm": asdict(ocsvm_params),
         "forest": asdict(forest_params),
@@ -217,6 +218,8 @@ def grid_search_cv(
     toward fewer trees, then larger nu, then smaller gamma: the cheaper
     and more conservative model. The fold split depends only on rng_seed.
     """
+    from . import metrics as metrics_mod
+
     base_ocsvm = base_ocsvm or OcsvmParams()
     forest_params = replace(base_forest or ForestParams(), n_trees=max(grid.tree_counts))
     folds = _stratified_folds(y, grid.folds, np.random.default_rng(rng_seed))
@@ -293,24 +296,31 @@ def _load_part(bundle: Path, name: str, loader):
 def load_bundle(bundle: Path) -> CascadeModel:
     """Read a bundle directory or a ``train --archive`` zip of one.
 
-    A malformed file raises ModelFormatError naming it. So does a manifest
-    whose feature.lags, forest parameters or ocsvm.gamma disagree with the
-    stage files, a layout.json other than the stages' feature layout, and
-    an ocsvm.txt whose alphas are not all in (0, C], C = 1/(nu*n) for the
-    manifest's ocsvm.nu and data.class_counts[0], or sum to more than
-    ALPHA_SUM_TOL away from 1.
+    A malformed file raises ModelFormatError naming it. So does a
+    forest.txt whose width is not a whole number of 12-feature lags, a
+    manifest whose format, feature entries, forest parameters or
+    ocsvm.gamma disagree with the stage files, a layout.json other than
+    the stages' feature layout, and an ocsvm.txt whose alphas are not all
+    in (0, C], C = 1/(nu*n) for the manifest's ocsvm.nu and
+    data.class_counts[0], or sum to more than ALPHA_SUM_TOL away from 1.
     """
     bundle = Path(bundle)
     stage1 = _load_part(bundle, BUNDLE_OCSVM, ocsvm_mod.load)
     stage2 = _load_part(bundle, BUNDLE_FOREST, forest_mod.load)
+    try:
+        feature_config = FeatureConfig.of_width(stage2.dim)
+    except ConfigError as exc:
+        raise ModelFormatError(f"{bundle / BUNDLE_FOREST}: {exc}") from None
     manifest = _load_part(bundle, BUNDLE_MANIFEST, json.load)
     # what the manifest must state, as the stage files say it
-    implied = {"feature.lags": stage2.dim / (2 * N_RESOURCES), "ocsvm.gamma": stage1.gamma}
+    implied = {"format": _MANIFEST_FORMAT, "feature.lags": feature_config.lags,
+               "feature.dim": feature_config.dim, "ocsvm.gamma": stage1.gamma}
     implied.update((f"forest.{k}", v) for k, v in asdict(stage2.params).items())
     for key, value in implied.items():
-        section, entry = key.split(".")
         try:
-            stated = manifest[section][entry]
+            stated = manifest
+            for part in key.split("."):
+                stated = stated[part]
         except (KeyError, TypeError):
             raise ModelFormatError(f"{bundle / BUNDLE_MANIFEST}: no {key}") from None
         if stated != value:
@@ -329,7 +339,7 @@ def load_bundle(bundle: Path) -> CascadeModel:
         )
     model = CascadeModel(ocsvm=stage1, forest=stage2, manifest=manifest)
     layout = _load_part(bundle, BUNDLE_LAYOUT, lambda f: f.read())
-    if layout != model.feature_config.layout_json():
+    if layout != feature_config.layout_json():
         raise ModelFormatError(f"{bundle / BUNDLE_LAYOUT}: not the layout of dim {stage2.dim}")
     return model
 

@@ -69,6 +69,15 @@ class SynthConfig:
             raise ConfigError("need at least one machine")
         if not np.isfinite(self.horizon_days):
             raise ConfigError(f"horizon_days must be finite, got {self.horizon_days}")
+        if abs(self.horizon_us) > np.iinfo(np.int64).max:
+            raise ConfigError(f"horizon_days {self.horizon_days} overflows int64 microseconds")
+        # the float64 usage array is (machines, intervals, resources)
+        if self.machines * max(self.n_intervals, 1) * N_RESOURCES > np.iinfo(np.intp).max // 8:
+            raise ConfigError(
+                f"{self.machines} machines over {self.n_intervals} intervals do not fit in memory"
+            )
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.degenerate_machines < 0:
             raise ConfigError(f"degenerate_machines must be >= 0, got {self.degenerate_machines}")
         if not 0.0 <= self.signature_strength <= 1.0:

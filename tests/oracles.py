@@ -271,13 +271,13 @@ def reference_aggregate(table, horizon_us: int, interval_us: int) -> dict:
     """
     records = sorted(
         (
-            int(table.machine_id[i]),
-            int(table.start_us[i]),
-            int(table.end_us[i]),
-            tuple(float(v) for v in table.mean[i]),
-            tuple(float(v) for v in table.peak[i]),
+            int(row["machine_id"]),
+            int(row["start_us"]),
+            int(row["end_us"]),
+            tuple(float(v) for v in row["values"][:6]),
+            tuple(float(v) for v in row["values"][6:]),
         )
-        for i in range(len(table))
+        for row in table
     )
     n_bins = -(-horizon_us // interval_us)
     by_machine: dict[int, list] = {}

@@ -324,7 +324,7 @@ def test_criterion_8_real_trace_structural_checks(tmp_path):
         events = ingestion.parse_machine_events(f)
     with open(native / "resource_usage.csv") as f:
         table, _ = ingestion.parse_usage_records(f)
-    horizon = max(int(table.end_us.max()), int(events["time_us"].max()) + 1)
+    horizon = max(int(table["end_us"].max()), int(events["time_us"].max()) + 1)
     horizon = -(-horizon // 300_000_000) * 300_000_000
     series = ingestion.aggregate_intervals(table, horizon)
     lcfg = LabelingConfig()

@@ -70,6 +70,15 @@ def chain(tmp_path_factory):
     return run_chain(root)
 
 
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    """The trace of 5 machines over 1 day."""
+    trace = tmp_path_factory.mktemp("small") / "trace"
+    argv = ["synth", "--out", str(trace), "--machines", "5", "--days", "1", "--seed", "3"]
+    assert main(argv) == 0
+    return trace
+
+
 class TestFullChain:
     def test_artifacts_exist(self, chain):
         assert (chain / "store" / "avg.npy").exists()
@@ -387,10 +396,13 @@ class TestBrokenInputs:
             ("manifest.json", _set_manifest("ocsvm", "nu", "x")),
             ("manifest.json", _set_manifest("data", "class_counts", [])),
             ("manifest.json", _set_manifest("data", "class_counts", [10**400, 1, 1, 1])),
+            ("manifest.json", lambda text: text.replace("manifest v1", "manifest v2")),
+            ("manifest.json", _set_manifest("feature", "dim", 71)),
         ],
         ids=[
             "n_trees", "gamma", "layout", "alpha_negative", "alpha_zero", "alpha_above_C",
             "alpha_sum", "nu_not_a_number", "no_normal_count", "normal_count_overflows",
+            "format", "feature_dim",
         ],
     )
     def test_predict_on_a_bundle_that_contradicts_itself_exits_2(
@@ -411,6 +423,33 @@ class TestBrokenInputs:
         rc = main(["predict", "--model", str(bundle), "--stream"])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {bundle / name}: ")
+
+    def test_predict_on_stages_of_a_bad_width_names_forest_txt(self, chain, tmp_path, capsys):
+        """Stages 71 features wide, with a manifest that states them (lags 71/12)."""
+        from failcast import forest, ocsvm
+        from failcast.features import read_dataset_csv
+
+        with open(chain / "data" / "train.csv") as f:
+            X, y = read_dataset_csv(f)
+        X = X[:, :71]
+        manifest = json.loads((chain / "model" / "manifest.json").read_text())
+        manifest["forest"]["n_trees"] = 3
+        manifest["feature"] = {"lags": 71 / 12, "dim": 71}
+        normals = X[y == 0][:300]
+        manifest["data"]["class_counts"][0] = len(normals)
+        bundle = tmp_path / "model"
+        bundle.mkdir()
+        with open(bundle / "ocsvm.txt", "w") as f:
+            ocsvm.save(ocsvm.train(normals, ocsvm.OcsvmParams(**manifest["ocsvm"])), f)
+        with open(bundle / "forest.txt", "w") as f:
+            forest.save(forest.train(X, y, forest.ForestParams(**manifest["forest"])), f)
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        shutil.copy(chain / "model" / "layout.json", bundle)
+        rc = main(["predict", "--model", str(bundle), "--stream"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bundle / 'forest.txt'}: 71 features is not a positive multiple of 12\n"
+        )
 
     @pytest.mark.parametrize(
         "name, cut",
@@ -538,7 +577,9 @@ class TestBrokenInputs:
             "--out", str(tmp_path / "rep"),
         ])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: missing prediction for instance ({m}, {i})\n"
+        assert capsys.readouterr().err == (
+            f"error: {preds}: missing prediction for instance ({m}, {i})\n"
+        )
 
     def test_evaluate_joins_predictions_in_any_row_order(self, chain, tmp_path):
         lines = (chain / "predictions.csv").read_text().splitlines()
@@ -837,6 +878,104 @@ class TestConfigFile:
         assert err.startswith("error: ") and "trees" in err and "abc" in err
 
 
+#: (stage, flags, config file text) of numeric settings outside what a stage can hold
+NUMERIC_EXTREMES = [
+    ("synth", ["--days", "1e300"], None),
+    ("synth", [], "machines=5\ndays=18446744073709551616\n"),
+    ("synth", ["--machines", "99999999999999999999"], None),
+    ("synth", ["--machines", "9223372036854775807"], None),
+    ("synth", ["--seed", "-1"], None),
+    ("ingest", ["--interval-us", "99999999999999999999"], None),
+    ("ingest", ["--horizon-us", "99999999999999999999"], None),
+    ("pacf-report", ["--max-lag", "99999999999999999999"], None),
+    ("pacf-report", ["--max-lag", "1000000000000"], None),
+    ("pacf-report", ["--max-lag", "575"], None),
+    ("train", ["--trees-grid", "5,99999999999999999999"], None),
+    ("evaluate", ["--latency", "-5"], None),
+]
+
+
+class TestNumericBounds:
+    """A numeric setting a stage cannot hold exits 2 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "stage, flags, config",
+        NUMERIC_EXTREMES,
+        ids=[
+            "days_1e300", "config_days_2_64", "machines_1e20", "machines_int64_max",
+            "negative_seed", "interval_us_1e20", "horizon_us_1e20", "max_lag_1e20",
+            "max_lag_1e12", "max_lag_above_intervals", "trees_grid_1e20", "negative_latency",
+        ],
+    )
+    def test_extreme_value_exits_2(self, chain, tmp_path, capsys, stage, flags, config):
+        trace, events = chain / "trace", str(chain / "trace" / "machine_events.csv")
+        inputs = {
+            "synth": [],
+            "ingest": ["--events", events, "--usage", str(trace / "resource_usage.csv")],
+            "pacf-report": ["--store", str(chain / "store")],
+            "train": ["--data", str(chain / "data")],
+            "evaluate": ["--predictions", str(chain / "predictions.csv"),
+                         "--data", str(chain / "data"), "--model", str(chain / "model")],
+        }[stage]
+        if config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            inputs += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main([stage, *inputs, "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage, name, value",
+        [("synth", "machines", "-99999999999999999999"),
+         ("train", "trees_grid", "5,99999999999999999999")],
+    )
+    def test_an_integer_setting_names_where_it_came_from(
+        self, chain, tmp_path, capsys, stage, name, value
+    ):
+        inputs = {"synth": [], "train": ["--data", str(chain / "data")]}[stage]
+        out = str(tmp_path / "o")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name}={value}\n")
+        assert main([stage, *inputs, "--out", out, "--config", str(cfg)]) == 2
+        too_big = f"{value.split(',')[-1]} is outside the int64 range\n"
+        assert capsys.readouterr().err == f"error: {cfg}: config key {name!r}: {too_big}"
+        flag = "--" + name.replace("_", "-")
+        assert main([stage, *inputs, "--out", out, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {flag}: {too_big}"
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        from failcast import synth
+
+        def generate(config, out_dir):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(synth, "generate", generate)
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--machines", "1000000000000"]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert not out.exists()
+
+
+class TestEvaluateLatency:
+    def test_latency_is_printed_and_the_report_files_stay_the_same(self, chain, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert main([
+            "evaluate", "--predictions", str(chain / "predictions.csv"),
+            "--data", str(chain / "data"), "--out", str(out),
+            "--latency", "5", "--model", str(chain / "model"),
+        ]) == 0
+        for name in ("report.txt", "report.kv", "roc.csv"):
+            assert (out / name).read_bytes() == (chain / "reports" / name).read_bytes(), name
+        printed = capsys.readouterr().out.splitlines()
+        timing = [line for line in printed if line.startswith("latency")]
+        assert len(timing) == 1 and printed[-1] == timing[0]
+        figures = r"latency: mean=\d+\.\d{3} ms p99=\d+\.\d{3} ms over 5 calls"
+        assert re.fullmatch(figures, timing[0]), timing[0]
+
+
 class TestAdaptGoogle:
     def _write_google_tables(self, tmp_path):
         me = tmp_path / "part-00000-of-00001.csv"
@@ -885,12 +1024,13 @@ class TestAdaptGoogle:
         with open(out / "resource_usage.csv") as f:
             table, stats = ingestion.parse_usage_records(f)
         assert len(table) == 1
-        assert table.machine_id[0] == 5
-        assert table.mean[0, 0] == pytest.approx(1.0)   # 0.25 + 0.90 summed, clamped
-        assert table.peak[0, 0] == pytest.approx(1.0)   # 0.40 + 0.95 summed, clamped
-        assert table.mean[0, 3] == pytest.approx(0.4)   # memory summed, in range
-        assert table.peak[0, 3] == pytest.approx(0.6)
-        assert table.mean[0, 2] == pytest.approx(0.3)
+        assert table["machine_id"][0] == 5
+        mean, peak = table["values"][0, :6], table["values"][0, 6:]
+        assert mean[0] == pytest.approx(1.0)   # 0.25 + 0.90 summed, clamped
+        assert peak[0] == pytest.approx(1.0)   # 0.40 + 0.95 summed, clamped
+        assert mean[3] == pytest.approx(0.4)   # memory summed, in range
+        assert peak[3] == pytest.approx(0.6)
+        assert mean[2] == pytest.approx(0.3)
 
     @pytest.mark.parametrize("table", ["machine_events", "task_usage"])
     def test_unreadable_line_names_the_file(self, tmp_path, capsys, table):
@@ -1030,6 +1170,7 @@ class TestStageImports:
             assert not modules & LATE_MODULES, argv[0]
 
     def test_predict_does_not_load_hashlib(self, chain, tmp_path):
+        """predict loads the cascade's modules and no others, hashlib included."""
         line = (chain / "data" / "test.csv").read_text().splitlines()[1].split(",", 1)[1]
         for argv, stdin in (
             (["predict", "--model", str(chain / "model"), "--data", str(chain / "data"),
@@ -1037,7 +1178,21 @@ class TestStageImports:
             (["predict", "--model", str(chain / "model" / "bundle.zip"), "--stream"], line),
         ):
             modules, hashlib_loaded = _loaded_modules(argv, stdin)
-            assert "pipeline" in modules and not hashlib_loaded, argv
+            assert modules == {
+                "failcast", "cli", "errors", "features", "forest", "ingestion", "ocsvm",
+                "pipeline", "trace_model",
+            }, argv
+            assert not hashlib_loaded, argv
+
+    def test_evaluate_loads_no_labeling(self, chain, tmp_path):
+        argv = ["evaluate", "--predictions", str(chain / "predictions.csv"),
+                "--data", str(chain / "data"), "--out", str(tmp_path / "rep")]
+        modules, _ = _loaded_modules(argv)
+        assert modules == {
+            "failcast", "cli", "errors", "features", "ingestion", "metrics", "trace_model",
+        }
+        modules, _ = _loaded_modules([*argv, "--latency", "2", "--model", str(chain / "model")])
+        assert "labeling" not in modules and "pipeline" in modules
 
     def test_every_public_name_resolves_on_first_use(self):
         script = (
@@ -1059,8 +1214,11 @@ ODD_TOKENS = ("nan", "inf", "-inf", "1e309", "-1", "0", "", "x", "2.5", "1844674
 
 
 @st.composite
-def _mutated(draw, text: str) -> str:
-    """``text`` with a line deleted, repeated or shuffled, a field replaced, or cut short."""
+def _mutated(draw, text: str, separators: str = r"[\s,:]+") -> str:
+    """``text`` with a line deleted, repeated or shuffled, a field replaced, or cut short.
+
+    The fields of a line are what lies between runs of ``separators``.
+    """
     lines = text.splitlines()
     i = draw(st.integers(0, len(lines) - 1))
     kind = draw(st.sampled_from(["delete", "repeat", "shuffle", "token", "truncate"]))
@@ -1072,7 +1230,7 @@ def _mutated(draw, text: str) -> str:
         j = draw(st.integers(i, min(len(lines), i + 8)))
         lines[i:j] = draw(st.permutations(lines[i:j]))
     elif kind == "token":
-        fields = re.split(r"([\s,:]+)", lines[i])
+        fields = re.split(f"({separators})", lines[i])
         fields[draw(st.sampled_from(range(0, len(fields), 2)))] = draw(st.sampled_from(ODD_TOKENS))
         lines[i] = "".join(fields)
     else:
@@ -1091,7 +1249,7 @@ def _run(argv: list[str], stdin: str) -> tuple[int, str]:
 
 
 class TestLineMutations:
-    """A mutated bundle file or stream line exits 0, or 2 with one error naming it."""
+    """A mutated input file or stream line exits 0, or 2 with one error naming it."""
 
     @staticmethod
     def _stream_lines(chain, n: int = 4) -> list[str]:
@@ -1125,3 +1283,77 @@ class TestLineMutations:
         if code == 2:
             assert re.match(r"error: line \d+: ", err), err
             assert "Traceback" not in err
+
+    @staticmethod
+    def _check(code: int, err: str, path: Path) -> None:
+        """Exit 0, or 2 with one error naming ``path``."""
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and str(path) in err, err
+
+    @settings(max_examples=100, derandomize=True)
+    @given(name=st.sampled_from(["machine_events.csv", "resource_usage.csv"]), data=st.data())
+    def test_mutated_trace_file(self, small_trace, name, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            trace = Path(tmp)
+            for n in ("machine_events.csv", "resource_usage.csv"):
+                shutil.copy(small_trace / n, trace)
+            path = trace / name
+            path.write_text(data.draw(_mutated(path.read_text())))
+            code, err = _run([
+                "ingest", "--events", str(trace / "machine_events.csv"),
+                "--usage", str(trace / "resource_usage.csv"), "--out", str(trace / "store"),
+            ], "")
+        self._check(code, err, path)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(name=st.sampled_from(["test.csv", "test_ids.csv"]), data=st.data())
+    def test_mutated_dataset_file(self, chain, name, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            split = Path(tmp)
+            for n in ("test.csv", "test_ids.csv"):
+                shutil.copy(chain / "data" / n, split)
+            path = split / name
+            path.write_text(data.draw(_mutated(path.read_text())))
+            code, err = _run([
+                "predict", "--model", str(chain / "model"), "--data", str(split),
+                "--out", str(split / "p.csv"),
+            ], "")
+        self._check(code, err, path)
+
+    @settings(max_examples=80, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_predictions(self, chain, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "predictions.csv"
+            path.write_text(data.draw(_mutated((chain / "predictions.csv").read_text())))
+            code, err = _run([
+                "evaluate", "--predictions", str(path), "--data", str(chain / "data"),
+                "--out", str(Path(tmp) / "rep"),
+            ], "")
+        self._check(code, err, path)
+
+    #: a config file of the settings ``synth`` reads, for a 5-machine, 1-day trace
+    SYNTH_CONFIG = "machines=5\ndays=1\nsignature=0.9\ndegenerate=2\nseed=3\n"
+
+    @settings(max_examples=30, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_config_file(self, data):
+        """An error that does not name the config file is the one its settings give as flags."""
+        from failcast.cli import _read_config_file
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_text(data.draw(_mutated(self.SYNTH_CONFIG, r"[\s,:=]+")))
+            code, err = _run(["synth", "--config", str(path), "--out", str(Path(tmp) / "a")], "")
+            assert code in (0, 2) and "Traceback" not in err
+            if code == 2:
+                assert err.startswith("error: "), err
+            if code == 2 and str(path) not in err:
+                # the file reads, and synth rejects one of its settings
+                flags = [
+                    f"--{key}={value}" for key, value in _read_config_file(str(path)).items()
+                    if key in ("machines", "days", "signature", "degenerate", "seed")
+                ]
+                assert _run(["synth", *flags, "--out", str(Path(tmp) / "b")], "") == (code, err)

@@ -11,8 +11,8 @@ from failcast.ingestion import (
     _USAGE_TEXT_ROWS,
     _WRITE_BLOCK_ROWS,
     MACHINE_EVENTS_HEADER,
+    USAGE_DTYPE,
     USAGE_HEADER,
-    UsageTable,
     aggregate_intervals,
     parse_machine_events,
     parse_usage_records,
@@ -94,25 +94,26 @@ class TestParseUsageRecords:
         rows = [USAGE_HEADER, _usage_row(0, 100, 7, mean_cpu=0.3, max_cpu=0.5)]
         table, stats = parse_usage_records(_text(rows))
         assert len(table) == 1
-        assert table.machine_id.tolist() == [7]
-        assert table.start_us.tolist() == [0]
-        assert table.end_us.tolist() == [100]
-        assert table.mean[0, 0] == 0.3
-        assert table.peak[0, 0] == 0.5
+        assert table.dtype == USAGE_DTYPE
+        assert table["machine_id"].tolist() == [7]
+        assert table["start_us"].tolist() == [0]
+        assert table["end_us"].tolist() == [100]
+        assert table["values"][0, 0] == 0.3  # mean_cpu
+        assert table["values"][0, 6] == 0.5  # max_cpu
         assert stats.values_clamped == 0
 
     def test_out_of_range_value_clamped_and_counted(self):
         rows = [USAGE_HEADER, _usage_row(0, 100, 7, mean_cpu=1.2, max_cpu=1.5)]
         table, stats = parse_usage_records(_text(rows))
-        assert table.mean[0, 0] == 1.0
-        assert table.peak[0, 0] == 1.0
+        assert table["values"][0, 0] == 1.0
+        assert table["values"][0, 6] == 1.0
         assert stats.values_clamped == 2
         assert stats.rows_affected == 1
 
     def test_mean_capped_at_peak_after_clamp(self):
         rows = [USAGE_HEADER, _usage_row(0, 100, 7, mean_cpu=0.8, max_cpu=0.5)]
         table, stats = parse_usage_records(_text(rows))
-        assert table.mean[0, 0] == 0.5
+        assert table["values"][0, 0] == 0.5
         assert stats.values_clamped == 1
 
     def test_start_equal_end_rejected(self):
@@ -160,7 +161,7 @@ class TestParseUsageRecords:
         table, _ = parse_usage_records(
             io.StringIO("\n" + USAGE_HEADER + "\n\n" + _usage_row(0, 100, 7) + "\r\n\n")
         )
-        assert table.machine_id.tolist() == [7]
+        assert table["machine_id"].tolist() == [7]
         with pytest.raises(ParseError) as err:
             parse_usage_records(_text(["", "start_us,end_us"]))
         assert err.value.line_no == 2
@@ -268,13 +269,10 @@ def test_corrupt_line_reports_its_number_in_every_table(table, blanks_before, da
 
 
 def _table(*recs):
-    """A UsageTable from (machine, start_us, end_us, means, peaks) tuples."""
-    return UsageTable(
-        machine_id=np.array([r[0] for r in recs], dtype=np.int64),
-        start_us=np.array([r[1] for r in recs], dtype=np.int64),
-        end_us=np.array([r[2] for r in recs], dtype=np.int64),
-        mean=np.array([r[3] for r in recs], dtype=float).reshape(-1, 6),
-        peak=np.array([r[4] for r in recs], dtype=float).reshape(-1, 6),
+    """``USAGE_DTYPE`` rows from (machine, start_us, end_us, means, peaks) tuples."""
+    return np.array(
+        [(start, end, machine, (*means, *peaks)) for machine, start, end, means, peaks in recs],
+        dtype=USAGE_DTYPE,
     )
 
 
@@ -291,7 +289,7 @@ def _rec(machine, start_s, end_s, means=None, peaks=None):
 
 
 def _horizon(table):
-    return -(-int(table.end_us.max()) // INTERVAL_US) * INTERVAL_US
+    return -(-int(table["end_us"].max()) // INTERVAL_US) * INTERVAL_US
 
 
 class TestAggregateIntervals:
@@ -360,7 +358,7 @@ class TestAggregateIntervals:
         table = _table(*recs)
         out = aggregate_intervals(table, _horizon(table))
         present_time = int(out.present.sum()) * INTERVAL_US
-        covered = int((table.end_us - table.start_us).sum())
+        covered = int((table["end_us"] - table["start_us"]).sum())
         assert present_time <= covered + len(recs) * INTERVAL_US
 
     def test_empty_table_gives_no_series(self):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from failcast.metrics import (
-    LatencyStats,
     UndefinedAucError,
     binary_counts,
     binary_f3,
@@ -232,8 +231,3 @@ class TestReport:
         report = build_report([0, 0], [0, 1])
         assert report.precision[1] is None
         assert "undefined" in render_text(report)
-
-    def test_latency_block_optional(self):
-        report = build_report([0], [0], latency=LatencyStats(1.0, 2.0, 10))
-        assert "latency" in render_text(report)
-        assert "latency.mean_ms=1.0000" in render_kv(report)
