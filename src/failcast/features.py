@@ -30,7 +30,15 @@ from .errors import (
     ParseError,
     ZeroVarianceError,
 )
-from .ingestion import IntervalSeries, Rule, _lines, _read_table, write_rows
+from .ingestion import (
+    _DIGIT_TRIPLES,
+    _WRITE_BLOCK_ROWS,
+    IntervalSeries,
+    Rule,
+    _lines,
+    _read_table,
+    write_rows,
+)
 from .trace_model import N_CLASSES, N_RESOURCES, FailureType, FleetArrays, ResourceKind
 
 if TYPE_CHECKING:
@@ -314,9 +322,62 @@ def _dataset_header(dim: int) -> str:
 
 
 def write_dataset_csv(data: Dataset, out: TextIO) -> None:
+    """Write the header, then a ``y,f0,...`` row per row of ``data``.
+
+    Each row is ``%d`` of its class and ``%r``, the shortest round-trip
+    repr, of each feature, written a block of rows at a time. A feature v
+    that is an exact millionth in [0.0001, 1), that is m = rint(v * 1e6)
+    with m / 1e6 == v and 100 <= m < 1e6, has "0." and m's six digits
+    without their trailing zeros as its repr, so rows of such features
+    under a one-digit class are spelled from the digit table in numpy.
+    Every other row is formatted by ``%``.
+    """
     dim = data.x.shape[1]
     out.write(_dataset_header(dim) + "\n")
-    write_rows(out, "%d," + ",".join(["%r"] * dim) + "\n", data.y, data.x)
+    row_format = "%d," + ",".join(["%r"] * dim) + "\n"
+    for lo in range(0, len(data.y), _WRITE_BLOCK_ROWS):
+        y, x = data.y[lo : lo + _WRITE_BLOCK_ROWS], data.x[lo : lo + _WRITE_BLOCK_ROWS]
+        with np.errstate(over="ignore"):
+            m = np.rint(x * 1e6)
+        spelled = ((m / 1e6 == x) & (m >= 100) & (m < 1e6)).all(axis=1) & (y >= 0) & (y <= 9)
+        text = _millionth_rows(y[spelled], m[spelled].astype(np.int32))
+        if not spelled.all():
+            rows = text.splitlines(keepends=True)
+            for i in np.flatnonzero(~spelled).tolist():
+                rows.insert(i, row_format % (y[i], *x[i].tolist()))
+            text = "".join(rows)
+        out.write(text)
+
+
+#: 0..999 as four bytes, read as one little-endian word: at i, i's three digits and
+#: a NUL; at 1000 + i, the same with i's trailing zeros as NULs
+_TRIPLE_WORDS = np.zeros((2000, 4), dtype=np.uint8)
+_TRIPLE_WORDS[:, :3] = np.tile(_DIGIT_TRIPLES, (2, 1))
+# a digit stays where it, or a digit after it, is not a zero
+_TRIPLE_WORDS[1000:, :3] *= np.logical_or.accumulate(
+    _DIGIT_TRIPLES[:, ::-1] != ord("0"), axis=1
+)[:, ::-1]
+_TRIPLE_WORDS = _TRIPLE_WORDS.view("<u4")[:, 0]
+
+
+def _millionth_rows(y: np.ndarray, m: np.ndarray) -> str:
+    """Dataset rows of one-digit classes ``y`` and (n, dim) millionths ``m`` in [100, 1e6).
+
+    Each row is spelled as little-endian words padded with NULs, then the
+    NULs are dropped: the class, then per feature ",0.", the leading three
+    digits and the last three, then the newline.
+    """
+    n, dim = m.shape
+    high, low = np.divmod(m, 1000)
+    words = np.empty((n, 2 + 3 * dim), dtype="<u4")
+    words[:, 0] = y + ord("0")
+    fields = words[:, 1:-1].reshape(n, dim, 3)
+    fields[..., 0] = int.from_bytes(b",0.", "little")
+    # the leading digits lose their trailing zeros too when the last three are zeros
+    fields[..., 1] = np.take(_TRIPLE_WORDS, high + 1000 * (low == 0))
+    fields[..., 2] = np.take(_TRIPLE_WORDS, low + 1000)
+    words[:, -1] = ord("\n")
+    return words.tobytes().translate(None, b"\0").decode()
 
 
 def read_dataset_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,8 @@ from .errors import ConfigError, ModelFormatError
 from .trace_model import N_CLASSES
 
 MODEL_FORMAT = "forest-model v1"
+#: the most trees a forest may have; growth time and memory are linear in it
+MAX_TREES = 10_000
 #: the largest class count a leaf of a stored forest may hold (int64)
 _MAX_COUNT = np.iinfo(np.int64).max
 
@@ -42,8 +44,8 @@ class ForestParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ConfigError("n_trees must be >= 1")
+        if not 1 <= self.n_trees <= MAX_TREES:
+            raise ConfigError(f"n_trees must be in [1, {MAX_TREES}], got {self.n_trees}")
         if self.mtry < 1:
             raise ConfigError("mtry must be >= 1")
         if self.min_leaf < 1:
@@ -78,109 +80,123 @@ class ForestModel:
         return np.bincount(self.feature[self.feature >= 0], minlength=self.dim)
 
 
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    decrease: float
-
-
 def best_split(
     X: np.ndarray,
-    y: np.ndarray,
-    candidate_features: Iterable[int],
+    weights: np.ndarray,
+    rows: np.ndarray,
+    features: np.ndarray,
+    counts: np.ndarray,
     min_leaf: int = 1,
-) -> Optional[Split]:
-    """Best Gini split over the candidates, or None when nothing improves.
+) -> Optional[tuple]:
+    """Best Gini split of the node holding ``rows`` of X, or None when nothing improves.
 
-    Thresholds are midpoints between consecutive distinct sorted values.
-    All candidates are searched in one pass: a stable sort of each
-    candidate column, one cumulative sum of the class one-hot by sorted
-    position, and one argmax over the (feature, cut) table with invalid
-    cuts masked out. The table is feature-major, so ties break toward the
-    lowest feature index, then the lowest threshold, and results are
-    reproducible.
+    ``weights`` is (N_CLASSES + 1, n): row i's sample weight in the row of
+    its class and in the last row. ``counts`` is the node's sum of them,
+    and ``features`` are the candidates in ascending order. A cut lies
+    between consecutive distinct values of a feature, at their midpoint
+    (at the lower value where the midpoint rounds onto the upper one or
+    overflows, so that a split always parts the node), and leaves a
+    weight of at least ``min_leaf`` on each side.
+    All candidates are searched in one pass: a sort of each candidate
+    column, one cumulative sum of the weights by sorted position, and one
+    argmax over the (feature, cut) table with the other cuts masked out.
+    The table is feature-major, so ties break toward the lowest feature,
+    then the lowest threshold. The class counts at a cut do not depend on
+    the order of equal values, so a row of weight k scores as k copies.
+    Every sum over the classes runs in class order, so weights and copies
+    give a decrease the same bits.
+
+    Returns (feature, threshold, decrease, rows going left, rows going
+    right, the left rows' sum of ``weights``).
     """
-    n = len(y)
-    if n < 2:
+    if len(rows) < 2:
         return None
-    feats = np.array(sorted(set(candidate_features)), dtype=np.intp)
-    parent_counts = np.bincount(y, minlength=N_CLASSES).astype(float)
-    parent_gini = 1.0 - np.sum((parent_counts / n) ** 2)
+    *classes, size = counts.tolist()
+    parent_gini = 1.0 - sum((c / size) * (c / size) for c in classes)
+    # (mtry, m): each candidate's rows and values in sorted order
+    order = X[rows, features[:, None]].argsort(axis=1)
+    sorted_rows = rows[order]
+    xv = X[sorted_rows, features[:, None]]
+    # (side, class, candidate, cut): the weights left (side 0) and right (side 1)
+    # of a cut after each sorted position; the last class row is their total
+    sides = np.empty((2, N_CLASSES + 1, len(features), len(rows) - 1))
+    np.add.accumulate(weights.take(sorted_rows[:, :-1], axis=1), axis=2, out=sides[0])
+    np.subtract(counts[:, None, None], sides[0], out=sides[1])
+    n_sides = sides[:, -1]
+    share = sides[:, :-1] / n_sides[:, None]
+    share *= share
+    gini = 1.0 - np.add.reduce(share, axis=1)
+    decrease = parent_gini - np.add.reduce(n_sides * gini) / size
 
-    # (mtry, n): each candidate's values, and its labels, in sorted order
-    cols = X[:, feats].T
-    order = np.argsort(cols, axis=1, kind="stable")
-    xv = np.take_along_axis(cols, order, axis=1)
-    # a cut after sorted position i leaves rows 0..i, and their classes, on the left
-    onehot = y[order][:, :-1, None] == np.arange(N_CLASSES)
-    left_counts = np.cumsum(onehot, axis=1, dtype=float)
-    right_counts = parent_counts - left_counts
-    n_left = np.arange(1, n, dtype=float)
-    n_right = n - n_left
-    gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=2)
-    gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=2)
-    decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / n
-
-    valid = (xv[:, :-1] < xv[:, 1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    decrease[~valid] = -np.inf
-    f, i = np.unravel_index(np.argmax(decrease), decrease.shape)
+    valid = xv[:, :-1] < xv[:, 1:]
+    if min_leaf > 1:  # else every cut leaves a whole row on each side
+        valid &= np.minimum(*n_sides) >= min_leaf
+    decrease = np.where(valid, decrease, -np.inf)
+    f, i = divmod(int(decrease.argmax()), decrease.shape[1])
     if not decrease[f, i] > 0.0:
         return None
-    return Split(
-        feature=int(feats[f]),
-        threshold=float((xv[f, i] + xv[f, i + 1]) / 2.0),
-        decrease=float(decrease[f, i]),
-    )
+    lower, upper = xv[f, i], xv[f, i + 1]
+    threshold = (lower + upper) / 2.0
+    if not lower <= threshold < upper:  # rounded onto the upper value, or overflowed
+        threshold = lower
+    return (int(features[f]), float(threshold), float(decrease[f, i]),
+            sorted_rows[f, : i + 1], sorted_rows[f, i + 1 :], sides[0, :, f, i].copy())
 
 
 def grow_tree(
     X: np.ndarray,
     y: np.ndarray,
+    weight: np.ndarray,
     params: ForestParams,
     rng: np.random.Generator,
-) -> ForestModel:
-    """Grow one tree, as a one-tree forest; iterative so deep chains never
-    hit the recursion limit.
+) -> tuple[list, list, list, list]:
+    """Grow one tree on the rows of X, row i counted ``weight[i]`` times.
 
-    Nodes are visited in pre-order, and the feature subset for each node
-    is drawn in that order, so a fixed rng yields a bit-identical tree.
+    Returns the tree's pre-order (feature, threshold, right, counts) node
+    lists, in the layout of the module docstring, with child ids counted
+    from the tree's root. Growth is iterative, so deep chains never hit
+    the recursion limit. Nodes are visited in pre-order and the feature
+    subset of each node is drawn in that order, so a fixed rng yields a
+    bit-identical tree, and weights grow the tree their copies would.
     """
-    if len(y) == 0:
+    if not np.any(weight):
         raise ValueError("cannot grow a tree on an empty batch")
     d = X.shape[1]
     mtry = min(params.mtry, d)
+    weights = np.zeros((N_CLASSES + 1, len(y)))
+    weights[y, np.arange(len(y))] = weight
+    weights[-1] = weight
     feature, threshold, right, counts = [], [], [], []
-    no_counts = np.zeros(N_CLASSES, dtype=np.int64)
-    # (rows, depth, id of the split whose right child this is, or -1)
-    stack = [(np.arange(len(y)), 0, -1)]
+    no_counts = np.zeros(N_CLASSES)
+    # (rows, their weights' sum, depth, id of the split whose right child this is, or -1)
+    stack = [(np.flatnonzero(weight), weights.sum(axis=1), 0, -1)]
     while stack:
-        idx, depth, parent = stack.pop()
-        node = len(feature)
+        rows, node_counts, depth, parent = stack.pop()
         if parent >= 0:
-            right[parent] = node
-        sub_y = y[idx]
-        node_counts = np.bincount(sub_y, minlength=N_CLASSES)
-        pure = np.count_nonzero(node_counts) <= 1
-        depth_stop = params.max_depth is not None and depth >= params.max_depth
-        split = None
-        if not pure and not depth_stop and len(idx) >= 2 * params.min_leaf:
-            feats = rng.choice(d, size=mtry, replace=False)
-            split = best_split(X[idx], sub_y, feats, params.min_leaf)
+            right[parent] = len(feature)
         right.append(-1)
+        split = None
+        if (
+            np.count_nonzero(node_counts[:-1]) > 1
+            and (params.max_depth is None or depth < params.max_depth)
+            and node_counts[-1] >= 2 * params.min_leaf
+        ):
+            feats = rng.choice(d, size=mtry, replace=False)
+            feats.sort()
+            split = best_split(X, weights, rows, feats, node_counts, params.min_leaf)
         if split is None:
             feature.append(-1)
             threshold.append(0.0)
-            counts.append(node_counts)
+            counts.append(node_counts[:-1])
             continue
-        feature.append(split.feature)
-        threshold.append(split.threshold)
+        f, thr, _, left_rows, right_rows, left_counts = split
+        feature.append(f)
+        threshold.append(thr)
         counts.append(no_counts)
-        goes_left = X[idx, split.feature] <= split.threshold
         # push right first so the left child is visited (and draws rng) first
-        stack.append((idx[~goes_left], depth + 1, node))
-        stack.append((idx[goes_left], depth + 1, -1))
-    return _arrays_model(replace(params, n_trees=1), d, [0], feature, threshold, right, counts)
+        stack.append((right_rows, node_counts - left_counts, depth + 1, len(feature) - 1))
+        stack.append((left_rows, left_counts, depth + 1, -1))
+    return feature, threshold, right, counts
 
 
 def _arrays_model(params, dim, roots, feature, threshold, right, counts) -> ForestModel:
@@ -206,26 +222,27 @@ def bootstrap_indices(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def train(X: np.ndarray, y: np.ndarray, params: ForestParams) -> ForestModel:
-    """Grow the ensemble on independent bootstrap resamples of the data."""
+    """Grow the ensemble on independent bootstrap resamples of the data.
+
+    Each tree grows on the distinct rows of its resample, weighted by
+    their number of draws.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if len(X) == 0:
         raise ValueError("training data is empty")
-    trees = []
+    roots, feature, threshold, right, counts = [], [], [], [], []
     for k in range(params.n_trees):
         rng = _tree_rng(params.rng_seed, k)
-        idx = bootstrap_indices(rng, len(y))
-        trees.append(grow_tree(X[idx], y[idx], params, rng))
-    roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
-    return _arrays_model(
-        params,
-        X.shape[1],
-        roots,
-        np.concatenate([t.feature for t in trees]),
-        np.concatenate([t.threshold for t in trees]),
-        np.concatenate([np.where(t.right >= 0, t.right + r, -1) for t, r in zip(trees, roots)]),
-        np.concatenate([t.counts for t in trees]),
-    )
+        weight = np.bincount(bootstrap_indices(rng, len(y)), minlength=len(y))
+        tree = grow_tree(X, y, weight, params, rng)
+        root = len(feature)
+        roots.append(root)
+        feature += tree[0]
+        threshold += tree[1]
+        right += [r + root if r >= 0 else -1 for r in tree[2]]
+        counts += tree[3]
+    return _arrays_model(params, X.shape[1], roots, feature, threshold, right, counts)
 
 
 def first_trees(model: ForestModel, n_trees: int) -> ForestModel:

@@ -17,7 +17,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleNuError, ModelFormatError, ParseError
+from .errors import ConfigError, ConvergenceError, InfeasibleNuError, ModelFormatError, ParseError
 from .ingestion import Rule, _read_body, write_rows
 
 MODEL_FORMAT = "ocsvm-model v1"
@@ -33,9 +33,12 @@ class OcsvmParams:
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
-            raise ValueError("nu must be in (0, 1]")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+            raise ConfigError(f"nu must be in (0, 1], got {self.nu}")
+        # a gamma or tol outside (0, inf) leaves SMO no violation it can get below tol
+        if not 0.0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass
@@ -68,7 +71,7 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
 
     Raises InfeasibleNuError when nu*n < 1 and ConvergenceError when the
     maximal violating pair still exceeds the tolerance after max_iter
-    updates.
+    updates, or at once when its violation is NaN.
     """
     X = np.ascontiguousarray(normals, dtype=float)
     if X.ndim != 2 or len(X) == 0:
@@ -108,6 +111,9 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
         violation = gj[j] - gi[i]
         if violation <= params.tol:
             break
+        if np.isnan(violation):
+            raise ConvergenceError("KKT violation is NaN: a kernel value is not finite",
+                                   kkt_violation=float(violation))
 
         # two one-row blocks, not one two-row block, whose BLAS product may round differently
         row_i = _kernel_block(X, sq, np.array([i]), params.gamma)[0]

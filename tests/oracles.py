@@ -4,7 +4,8 @@ Each oracle takes the slow, obvious route: explicit least squares for
 partial autocorrelations, accelerated projected gradient for the
 one-class dual, one product over the whole batch for one-class
 decisions, exhaustive enumeration and a feature-by-feature loop for
-tree splits, a row-by-row, tree-by-tree walk for forest votes,
+tree splits, node-by-node growth on every bootstrap copy for forest
+training, a row-by-row, tree-by-tree walk for forest votes,
 record-by-record and bin-by-bin accumulation for interval aggregation
 and for the clusterdata adapter, an event-by-event walk for failure
 pairing, a failure-by-failure walk for label tracks, value-by-value
@@ -18,8 +19,10 @@ they verify; the PACF table loop calls the package's own ``pacf``, which
 the OLS oracle checks, and the grid search oracle calls the package's
 own fold split and cascade.
 ``forest_predict_batch``, the majority vote over the package's own
-votes, and ``feature_index``, the inverse of ``FeatureConfig.describe``,
-are not oracles: they live here because only tests use them.
+votes, ``split_of`` and ``one_tree``, the package's split search and tree
+growth on rows counted once each, and ``feature_index``, the inverse of
+``FeatureConfig.describe``, are not oracles: they live here because only
+tests use them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from failcast.errors import DegenerateTrainingError, InfeasibleNuError, ParseError
 from failcast.features import KIND_AVG, KIND_PEAK, SIGNIFICANCE_Z, pacf
-from failcast.forest import ForestParams, predict_votes_batch
+from failcast.forest import ForestParams, _arrays_model, best_split, grow_tree, predict_votes_batch
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
 from failcast.metrics import binary_f3, confusion
@@ -229,8 +232,91 @@ def reference_best_split(X, y, candidate_features, min_leaf=1):
         k = int(np.argmax(decrease))
         if decrease[k] > 0.0 and (best is None or decrease[k] > best[2]):
             i = cut[k]
-            best = (f, float((xv[i] + xv[i + 1]) / 2.0), float(decrease[k]))
+            threshold = (xv[i] + xv[i + 1]) / 2.0
+            if not xv[i] <= threshold < xv[i + 1]:
+                threshold = xv[i]
+            best = (f, float(threshold), float(decrease[k]))
     return best
+
+
+def reference_grow_tree(X, y, params, rng) -> tuple[list, list, list, list]:
+    """One tree's pre-order (feature, threshold, right, counts) node lists.
+
+    Grows on every row of X, copies included, one node at a time: each
+    node counts its classes, draws its candidates and takes the
+    feature-by-feature split, and its rows go left where
+    ``x[feature] <= threshold``.
+    """
+    d = X.shape[1]
+    mtry = min(params.mtry, d)
+    feature, threshold, right, counts = [], [], [], []
+    stack = [(np.arange(len(y)), 0, -1)]
+    while stack:
+        idx, depth, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        node_counts = np.bincount(y[idx], minlength=4)
+        split = None
+        if (
+            np.count_nonzero(node_counts) > 1
+            and (params.max_depth is None or depth < params.max_depth)
+            and len(idx) >= 2 * params.min_leaf
+        ):
+            feats = rng.choice(d, size=mtry, replace=False)
+            split = reference_best_split(X[idx], y[idx], feats, params.min_leaf)
+        right.append(-1)
+        if split is None:
+            feature.append(-1)
+            threshold.append(0.0)
+            counts.append(node_counts)
+            continue
+        feature.append(split[0])
+        threshold.append(split[1])
+        counts.append(np.zeros(4, dtype=np.int64))
+        goes_left = X[idx, split[0]] <= split[1]
+        stack.append((idx[~goes_left], depth + 1, node))
+        stack.append((idx[goes_left], depth + 1, -1))
+    return feature, threshold, right, counts
+
+
+def reference_forest(X, y, params):
+    """The forest of ``params.n_trees`` trees, tree k grown by ``reference_grow_tree``
+    on the n draws with replacement of its own rng, seeded by (seed, k)."""
+    roots, nodes = [], ([], [], [], [])
+    for k in range(params.n_trees):
+        rng = np.random.default_rng([params.rng_seed, k])
+        idx = rng.integers(0, len(y), size=len(y))
+        tree = reference_grow_tree(X[idx], y[idx], params, rng)
+        roots.append(len(nodes[0]))
+        nodes[0].extend(tree[0])
+        nodes[1].extend(tree[1])
+        nodes[2].extend(r + roots[-1] if r >= 0 else -1 for r in tree[2])
+        nodes[3].extend(tree[3])
+    return _arrays_model(params, X.shape[1], roots, *nodes)
+
+
+def _unit_weights(y) -> np.ndarray:
+    """The (classes + 1, n) weights ``forest.best_split`` takes, every row counted once."""
+    weights = np.zeros((5, len(y)))
+    weights[y, np.arange(len(y))] = 1.0
+    weights[-1] = 1.0
+    return weights
+
+
+def split_of(X, y, features, min_leaf=1):
+    """``forest.best_split`` of all rows of X, each counted once, among
+    ``features`` in any order: (feature, threshold, decrease) or None."""
+    weights = _unit_weights(y)
+    rows = np.arange(len(y))
+    split = best_split(X, weights, rows, np.unique(features), weights.sum(axis=1), min_leaf)
+    return None if split is None else split[:3]
+
+
+def one_tree(X, y, params, rng):
+    """The one-tree forest ``forest.grow_tree`` grows on all rows of X, each counted once."""
+    nodes = grow_tree(X, y, np.ones(len(y), dtype=np.int64), params, rng)
+    return _arrays_model(replace(params, n_trees=1), X.shape[1], [0], *nodes)
 
 
 def reference_decision(model, X) -> np.ndarray:

@@ -31,8 +31,10 @@ from oracles import (
     f_beta_direct,
     forest_predict_batch,
     ols_last_coefficient,
+    one_tree,
     qp_reference_objective,
     rbf_matrix,
+    split_of,
 )
 from test_cli import run_chain
 
@@ -131,17 +133,17 @@ def test_criterion_3_forest_correctness():
         d = int(rng.integers(1, 4))
         X = np.round(rng.random((n, d)), 2)
         y = rng.integers(0, 4, n)
-        got = forest_mod.best_split(X, y, range(d))
+        got = split_of(X, y, range(d))
         want = brute_force_best_split(X, y, range(d))
         if want is None:
             splits_ok &= got is None
         else:
-            splits_ok &= got is not None and abs(got.decrease - want[2]) <= 1e-12
+            splits_ok &= got is not None and abs(got[2] - want[2]) <= 1e-12
 
     X = rng.random((400, 8))
     y = (X[:, 2] > 0.5).astype(int) + 2 * (X[:, 5] > 0.4).astype(int)
     tree_params = ForestParams(n_trees=1, mtry=8, rng_seed=1)
-    single = forest_mod.grow_tree(X, y, tree_params, np.random.default_rng(1))
+    single = one_tree(X, y, tree_params, np.random.default_rng(1))
     zero_error = bool(np.array_equal(forest_predict_batch(single, X), y))
 
     model = forest_mod.train(X, y, ForestParams(n_trees=17, mtry=3, rng_seed=2))

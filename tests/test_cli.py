@@ -8,6 +8,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 import zipfile
 from pathlib import Path
 from unittest import mock
@@ -158,6 +160,38 @@ def test_chain_artifacts_match_the_golden_digests(chain):
         name: hashlib.sha256((chain / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS
     }
     assert digests == GOLDEN_DIGESTS
+
+
+def test_weighted_averages_are_written_in_shortest_round_trip_form(small_trace, tmp_path):
+    """Usage rows that straddle the 5-minute bins average to values that are no millionths."""
+    from failcast.features import read_dataset_csv
+
+    from oracles import reference_write_rows
+
+    trace = tmp_path / "trace"
+    shutil.copytree(small_trace, trace)
+    usage = trace / "resource_usage.csv"
+    header, *rows = usage.read_text().splitlines()
+    half_interval = 150_000_000
+    shifted = [
+        f"{int(start) + half_interval},{int(end) + half_interval},{rest}"
+        for start, end, rest in (row.split(",", 2) for row in rows)
+    ]
+    usage.write_text("\n".join([header, *shifted]) + "\n")
+    events = str(trace / "machine_events.csv")
+    store, labels, data = (str(tmp_path / name) for name in ("store", "labels", "data"))
+    assert main(["ingest", "--events", events, "--usage", str(usage), "--out", store]) == 0
+    assert main(["label", "--store", store, "--events", events, "--out", labels]) == 0
+    assert main(["featurize", "--store", store, "--labels", labels, "--out", data,
+                 "--normal-samples", "300", "--seed", "5"]) == 0
+    for split in ("train", "test"):
+        path = tmp_path / "data" / f"{split}.csv"
+        with open(path) as f:
+            X, y = read_dataset_csv(f)
+        assert np.count_nonzero(np.rint(X * 1e6) / 1e6 != X) > X.size // 4
+        header = path.read_text().split("\n", 1)[0] + "\n"
+        row_format = "%d," + ",".join(["%r"] * X.shape[1]) + "\n"
+        assert path.read_text() == header + reference_write_rows(row_format, y, X)
 
 
 #: SHA-256 of a 2 x 3 x 3 grid trained on the `chain` fixture's data. The
@@ -945,6 +979,24 @@ class TestNumericBounds:
         flag = "--" + name.replace("_", "-")
         assert main([stage, *inputs, "--out", out, flag, value]) == 2
         assert capsys.readouterr().err == f"error: {flag}: {too_big}"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "-1"], ["--tol", "nan"], ["--tol", "0"], ["--gamma", "inf"],
+         ["--trees", "1000000000000"], ["--trees-grid", "5,10001"]],
+        ids=["tol_negative", "tol_nan", "tol_zero", "gamma_inf", "trees_1e12", "trees_grid_10001"],
+    )
+    def test_a_fit_that_cannot_finish_exits_2_at_once(self, chain, tmp_path, capsys, flags):
+        """Refused before any fit: no spin to the solver's cap, no endless growth."""
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            t0 = time.perf_counter()
+            assert main(["train", "--data", str(chain / "data"), "--out", str(out), *flags]) == 2
+            assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         from failcast import synth

@@ -38,6 +38,7 @@ from oracles import (
     reference_pacf_by_machine,
     reference_significant_lag_histogram,
     reference_stratified_split,
+    reference_write_rows,
 )
 
 
@@ -472,6 +473,44 @@ def test_dataset_csv_round_trip(tmp_path):
         X, y = read_dataset_csv(f)
     assert y.tolist() == [0, 2, 0]
     assert X.tobytes() == data.x.tobytes()  # repr round-trips exactly
+
+
+class TestWriteDatasetCsv:
+    #: features the digit table must leave to ``%r``, or must spell as ``%r`` does:
+    #: 0.0001 is positional, 9.9e-05 scientific; the rest lie outside [0.0001, 1)
+    SPECIALS = [0.0001, 9.9e-05, 1e-06, 0.0, -0.0, 1.0, 5e-324, 1.5, 2.0, 123.456, -0.25,
+                -1e-07, np.inf, -np.inf, np.nan]
+
+    @given(
+        st.sampled_from([0, 1, 127, 128, 129]),
+        st.integers(1, 6),
+        st.sampled_from([0.0, 0.002, 0.3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_row_by_row_oracle(self, n, dim, odd_share, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 10**6, (n, dim)) / 1e6  # exact millionths, 0.0 among them
+        # a share of values one ulp off their millionth, either way, or special
+        odd = rng.random((n, dim)) < odd_share
+        kind = rng.integers(0, 3, (n, dim))
+        x = np.where(odd & (kind == 1), np.nextafter(x, np.inf), x)
+        x = np.where(odd & (kind == 2), np.nextafter(x, -np.inf), x)
+        special = odd & (kind == 0)
+        x[special] = rng.choice(self.SPECIALS, int(special.sum()))
+        y = rng.integers(0, 4, n)
+        out = io.StringIO()
+        write_dataset_csv(Dataset(np.zeros(n, dtype=np.int64), np.arange(n), y, x), out)
+        header = "y," + ",".join(f"f{i}" for i in range(dim)) + "\n"
+        row_format = "%d," + ",".join(["%r"] * dim) + "\n"
+        assert out.getvalue() == header + reference_write_rows(row_format, y, x)
+
+    def test_every_special_value_in_every_column(self):
+        x = np.array(self.SPECIALS)[np.add.outer(np.arange(15), np.arange(15)) % 15]
+        y = np.arange(15) % 4
+        out = io.StringIO()
+        write_dataset_csv(Dataset(np.zeros(15, dtype=np.int64), np.arange(15), y, x), out)
+        row_format = "%d," + ",".join(["%r"] * 15) + "\n"
+        assert out.getvalue().split("\n", 1)[1] == reference_write_rows(row_format, y, x)
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from failcast import forest as forest_mod
-from failcast.errors import ModelFormatError
+from failcast.errors import ConfigError, ModelFormatError
 from failcast.forest import (
+    MAX_TREES,
     ForestParams,
-    best_split,
     bootstrap_indices,
     first_trees,
     grow_tree,
@@ -26,8 +26,11 @@ from oracles import (
     brute_force_best_split,
     forest_predict_batch,
     gini,
+    one_tree,
     reference_best_split,
+    reference_forest,
     reference_votes,
+    split_of,
 )
 
 
@@ -68,21 +71,21 @@ class TestBestSplit:
     def test_separable_one_dimensional(self):
         X = np.array([[0.1], [0.2], [0.8], [0.9]])
         y = np.array([0, 0, 1, 1])
-        split = best_split(X, y, [0])
-        assert split.feature == 0
-        assert split.threshold == pytest.approx(0.5)
-        assert split.decrease == pytest.approx(0.5)
+        feature, threshold, decrease = split_of(X, y, [0])
+        assert feature == 0
+        assert threshold == pytest.approx(0.5)
+        assert decrease == pytest.approx(0.5)
 
     def test_identical_features_mixed_labels(self):
         X = np.ones((6, 2))
         y = np.array([0, 1, 2, 0, 1, 2])
-        assert best_split(X, y, [0, 1]) is None
+        assert split_of(X, y, [0, 1]) is None
 
     def test_min_leaf_restricts_candidates(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([1, 0, 0, 0])
-        split = best_split(X, y, [0], min_leaf=2)
-        assert split is None or split.threshold == pytest.approx(1.5)
+        split = split_of(X, y, [0], min_leaf=2)
+        assert split is None or split[1] == pytest.approx(1.5)
 
     def test_matches_brute_force_on_random_micro_instances(self):
         rng = np.random.default_rng(77)
@@ -91,16 +94,16 @@ class TestBestSplit:
             d = int(rng.integers(1, 4))
             X = np.round(rng.random((n, d)), 2)
             y = rng.integers(0, 4, n)
-            got = best_split(X, y, range(d))
+            got = split_of(X, y, range(d))
             want = brute_force_best_split(X, y, range(d))
             if want is None:
                 assert got is None
             else:
                 assert got is not None
                 # the chosen split must achieve the oracle's best decrease
-                assert got.decrease == pytest.approx(want[2], abs=1e-12)
+                assert got[2] == pytest.approx(want[2], abs=1e-12)
                 check = brute_force_best_split(
-                    X[:, [got.feature]], y, [0]
+                    X[:, [got[0]]], y, [0]
                 )
                 assert check is not None
 
@@ -112,12 +115,12 @@ class TestBestSplit:
         d = int(rng.integers(1, 4))
         X = np.round(rng.random((n, d)), 1)
         y = rng.integers(0, 4, n)
-        got = best_split(X, y, range(d))
+        got = split_of(X, y, range(d))
         want = brute_force_best_split(X, y, range(d))
         if want is None:
             assert got is None
         else:
-            assert got.decrease == pytest.approx(want[2], abs=1e-12)
+            assert got[2] == pytest.approx(want[2], abs=1e-12)
 
 
     @given(st.data())
@@ -137,29 +140,24 @@ class TestBestSplit:
         twin, mirror = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
         X[:, mirror] = -X[:, twin]
         y = rng.integers(0, data.draw(st.integers(1, 4)), n)
-        # an unsorted subset with repeats, as grow_tree's draws may come
+        # an unsorted subset with repeats; split_of passes it sorted and distinct
         feats = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=2 * d))
         min_leaf = data.draw(st.integers(1, 4))
-        got = best_split(X, y, feats, min_leaf)
-        want = reference_best_split(X, y, feats, min_leaf)
-        if want is None:
-            assert got is None
-        else:
-            assert (got.feature, got.threshold, got.decrease) == want
+        assert split_of(X, y, feats, min_leaf) == reference_best_split(X, y, feats, min_leaf)
 
     def test_fewer_than_two_rows_or_constant_columns_give_none(self):
         X = np.array([[0.5, 2.0]])
-        assert best_split(X, np.array([1]), [1, 0]) is None
-        assert best_split(X[:0], np.array([], dtype=np.int64), [0]) is None
+        assert split_of(X, np.array([1]), [1, 0]) is None
+        assert split_of(X[:0], np.array([], dtype=np.int64), [0]) is None
         X = np.full((5, 3), 0.25)
-        assert best_split(X, np.array([0, 1, 2, 3, 0]), [2, 0, 1]) is None
+        assert split_of(X, np.array([0, 1, 2, 3, 0]), [2, 0, 1]) is None
 
 
 class TestGrowTree:
     def test_pure_batch_is_single_leaf(self):
         X = np.random.default_rng(0).random((10, 3))
         y = np.full(10, 2)
-        tree = grow_tree(X, y, ForestParams(mtry=3), _tree_rng(0, 0))
+        tree = one_tree(X, y, ForestParams(mtry=3), _tree_rng(0, 0))
         assert tree.feature.tolist() == [-1]
         assert tree.counts.tolist() == [[0, 0, 10, 0]]
         assert tree.leaf_class.tolist() == [2]
@@ -168,7 +166,7 @@ class TestGrowTree:
         rng = np.random.default_rng(1)
         X = rng.random((60, 4))
         y = (X[:, 1] > 0.5).astype(int) + 2 * (X[:, 3] > 0.5).astype(int)
-        tree = grow_tree(X, y, ForestParams(mtry=4), _tree_rng(0, 0))
+        tree = one_tree(X, y, ForestParams(mtry=4), _tree_rng(0, 0))
         assert np.array_equal(forest_predict_batch(tree, X), y)
 
     def test_fixed_seed_grows_identical_tree(self):
@@ -176,15 +174,15 @@ class TestGrowTree:
         X = rng.random((40, 5))
         y = rng.integers(0, 3, 40)
         params = ForestParams(mtry=2)
-        a = grow_tree(X, y, params, _tree_rng(9, 0))
-        b = grow_tree(X, y, params, _tree_rng(9, 0))
+        a = one_tree(X, y, params, _tree_rng(9, 0))
+        b = one_tree(X, y, params, _tree_rng(9, 0))
         assert saved(a) == saved(b)
 
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(3)
         X = rng.random((100, 3))
         y = rng.integers(0, 4, 100)
-        tree = grow_tree(X, y, ForestParams(max_depth=1, mtry=3), _tree_rng(0, 0))
+        tree = one_tree(X, y, ForestParams(max_depth=1, mtry=3), _tree_rng(0, 0))
         # a lone leaf, or a root split whose two children are leaves
         assert len(tree.feature) in (1, 3)
         assert np.all(tree.feature[1:] == -1)
@@ -193,11 +191,63 @@ class TestGrowTree:
         rng = np.random.default_rng(4)
         X = rng.random((50, 3))
         y = rng.integers(0, 2, 50)
-        tree = grow_tree(X, y, ForestParams(min_leaf=5, mtry=3), _tree_rng(0, 0))
+        tree = one_tree(X, y, ForestParams(min_leaf=5, mtry=3), _tree_rng(0, 0))
         leaves = tree.feature < 0
         assert leaves.sum() > 1
         assert np.all(tree.counts[leaves].sum(axis=1) >= 5)
         assert np.all(tree.counts[~leaves] == 0)
+
+    def test_no_weight_rejected(self):
+        with pytest.raises(ValueError):
+            grow_tree(np.ones((3, 2)), np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
+                      ForestParams(), _tree_rng(0, 0))
+
+
+class TestTrainMatchesTheCopyByCopyOracle:
+    """``train`` grows on distinct rows with bootstrap counts as weights; the
+    oracle grows on every copy. The saved forests must be the same bytes."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_saved_forest_equals_the_oracles(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(2, 80))
+        d = data.draw(st.integers(1, 6))
+        # rows copied from a small pool, on a few values each: copies and ties abound
+        pool = rng.integers(0, data.draw(st.integers(1, 5)), (n, d)).astype(float)
+        if data.draw(st.booleans()):
+            pool += rng.random((n, d)).round(1)
+        X = pool[rng.integers(0, data.draw(st.integers(1, n)), n)]
+        # a mirrored column ties its twin's best decrease at the mirrored cut
+        twin, mirror = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        X[:, mirror] = -X[:, twin]
+        y = rng.integers(0, data.draw(st.integers(1, 4)), n)
+        params = ForestParams(
+            n_trees=data.draw(st.integers(1, 4)),
+            mtry=data.draw(st.integers(1, d)),
+            min_leaf=data.draw(st.integers(1, 4)),
+            max_depth=data.draw(st.none() | st.integers(1, 3)),
+            rng_seed=seed,
+        )
+        assert saved(train(X, y, params)) == saved(reference_forest(X, y, params))
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(np.nextafter(1.0, 0.0), 1.0), (1.6e308, 1.7e308), (-1.7e308, -1.6e308)],
+        ids=["adjacent", "overflow_up", "overflow_down"],
+    )
+    def test_a_midpoint_outside_the_cut_falls_back_to_the_lower_value(self, lower, upper):
+        # (a + b) / 2 rounds onto b, or overflows: x <= threshold must still part the node
+        with np.errstate(over="ignore"):
+            assert not lower <= (lower + upper) / 2.0 < upper
+            X = np.array([[lower], [upper]] * 4)
+            y = np.array([0, 1] * 4)
+            params = ForestParams(n_trees=5, mtry=1)
+            model = train(X, y, params)
+            assert saved(model) == saved(reference_forest(X, y, params))
+        assert model.threshold[model.feature >= 0].tolist() == [lower] * 5
+        assert np.array_equal(forest_predict_batch(model, X), y)
 
 
 class TestTrain:
@@ -209,7 +259,8 @@ class TestTrain:
         model = train(X, y, params)
         tree_rng = _tree_rng(13, 0)
         idx = bootstrap_indices(tree_rng, len(y))
-        direct = grow_tree(X[idx], y[idx], params, tree_rng)
+        # every copy grown as its own row: the tree its bootstrap counts grow
+        direct = one_tree(X[idx], y[idx], params, tree_rng)
         assert saved(model) == saved(direct)
 
     def test_fixed_seed_is_deterministic(self):
@@ -218,6 +269,12 @@ class TestTrain:
         y = rng.integers(0, 4, 80)
         params = ForestParams(n_trees=5, rng_seed=3, mtry=3)
         assert saved(train(X, y, params)) == saved(train(X, y, params))
+
+    def test_tree_count_is_bounded(self):
+        assert ForestParams(n_trees=MAX_TREES).n_trees == MAX_TREES
+        for n_trees in (0, MAX_TREES + 1, 10**12):
+            with pytest.raises(ConfigError):
+                ForestParams(n_trees=n_trees)
 
     def test_bootstrap_unique_fraction_matches_simulation(self):
         n = 1000
@@ -367,7 +424,7 @@ class TestSplitCounts:
     def test_single_split_counted_once(self):
         X = np.array([[0.1], [0.9]])
         y = np.array([0, 1])
-        model = grow_tree(X, y, ForestParams(mtry=1), _tree_rng(0, 0))
+        model = one_tree(X, y, ForestParams(mtry=1), _tree_rng(0, 0))
         assert model.feature_split_counts.tolist() == [1]
 
     def test_counts_sum_equals_internal_nodes(self):

@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from failcast.errors import ConvergenceError, InfeasibleNuError, ModelFormatError
+from failcast.errors import ConfigError, ConvergenceError, InfeasibleNuError, ModelFormatError
 from failcast.ocsvm import (
     OcsvmModel,
     OcsvmParams,
@@ -136,6 +138,27 @@ class TestTrain:
             OcsvmParams(nu=1.2)
         with pytest.raises(ValueError):
             OcsvmParams(gamma=-1.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"tol": -1.0}, {"tol": 0.0}, {"tol": np.nan}, {"tol": np.inf},
+         {"gamma": np.inf}, {"gamma": np.nan}],
+        ids=["tol_negative", "tol_zero", "tol_nan", "tol_inf", "gamma_inf", "gamma_nan"],
+    )
+    def test_a_tolerance_or_gamma_solving_cannot_meet_is_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            OcsvmParams(**bad)
+
+    def test_nan_violation_stops_at_once(self):
+        X = np.random.default_rng(0).random((200, 3))
+        X[0, 0] = np.inf  # every kernel row through row 0 is NaN
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ConvergenceError) as err:
+                train(X, OcsvmParams(nu=0.5, gamma=0.5))
+        assert np.isnan(err.value.kkt_violation)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestDecision:
