@@ -181,11 +181,15 @@ def write_rows(out: TextIO, row_format: str, *columns: np.ndarray) -> None:
     turned into Python scalars and formatted by one ``%``, so ``%r`` writes
     a float as its shortest round-trip repr, ``inf`` included.
     """
+    for lo in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+        out.write(_format_rows(row_format, *(c[lo : lo + _WRITE_BLOCK_ROWS] for c in columns)))
+
+
+def _format_rows(row_format: str, *columns: np.ndarray) -> str:
+    """One ``row_format`` line per row of the (n,) or (n, k) ``columns``, by one ``%``."""
     n = len(columns[0])
-    for lo in range(0, n, _WRITE_BLOCK_ROWS):
-        hi = min(n, lo + _WRITE_BLOCK_ROWS)
-        block = np.hstack([c[lo:hi].reshape(hi - lo, -1).astype(object) for c in columns])
-        out.write(row_format * (hi - lo) % tuple(block.ravel().tolist()))
+    block = np.hstack([c.reshape(n, -1).astype(object) for c in columns])
+    return row_format * n % tuple(block.ravel().tolist())
 
 
 #: the three digits of each of 0..999, as characters

@@ -77,8 +77,8 @@ class GridSpec:
             raise FailcastError("folds must be >= 2")
         if not all(0.0 < nu <= 1.0 for nu in self.nus):
             raise FailcastError(f"every nu must be in (0, 1], got {self.nus}")
-        if not all(gamma > 0.0 for gamma in self.gammas):
-            raise FailcastError(f"every gamma must be positive, got {self.gammas}")
+        if not all(0.0 < gamma < np.inf for gamma in self.gammas):
+            raise FailcastError(f"every gamma must be positive and finite, got {self.gammas}")
         if not all(b >= 1 for b in self.tree_counts):
             raise FailcastError(f"every tree count must be >= 1, got {self.tree_counts}")
 

@@ -983,8 +983,9 @@ class TestNumericBounds:
     @pytest.mark.parametrize(
         "flags",
         [["--tol", "-1"], ["--tol", "nan"], ["--tol", "0"], ["--gamma", "inf"],
-         ["--trees", "1000000000000"], ["--trees-grid", "5,10001"]],
-        ids=["tol_negative", "tol_nan", "tol_zero", "gamma_inf", "trees_1e12", "trees_grid_10001"],
+         ["--gammas", "0.125,inf"], ["--trees", "1000000000000"], ["--trees-grid", "5,10001"]],
+        ids=["tol_negative", "tol_nan", "tol_zero", "gamma_inf", "gammas_with_inf", "trees_1e12",
+             "trees_grid_10001"],
     )
     def test_a_fit_that_cannot_finish_exits_2_at_once(self, chain, tmp_path, capsys, flags):
         """Refused before any fit: no spin to the solver's cap, no endless growth."""

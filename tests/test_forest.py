@@ -275,6 +275,11 @@ class TestTrain:
         for n_trees in (0, MAX_TREES + 1, 10**12):
             with pytest.raises(ConfigError):
                 ForestParams(n_trees=n_trees)
+        # a saved forest is held to the same bound when it is loaded
+        text = saved(train(np.eye(3), np.arange(3), ForestParams(n_trees=1, mtry=1)))
+        assert text.startswith(f"{forest_mod.MODEL_FORMAT}\ntrees 1\n")
+        with pytest.raises(ModelFormatError, match="bad header value"):
+            load(io.StringIO(text.replace("trees 1\n", f"trees {MAX_TREES + 1}\n", 1)))
 
     def test_bootstrap_unique_fraction_matches_simulation(self):
         n = 1000

@@ -297,6 +297,8 @@ class TestGridSearch:
             dict(nus=(0.0,)),
             dict(gammas=(-1.0,)),
             dict(gammas=(0.0, 1.0)),
+            dict(gammas=(0.125, float("inf"))),
+            dict(gammas=(float("nan"),)),
             dict(tree_counts=(0,)),
             dict(folds=1),
             dict(nus=()),
