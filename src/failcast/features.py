@@ -340,20 +340,23 @@ def write_dataset_csv(data: Dataset, out: TextIO) -> None:
     row_format = "%d," + ",".join(["%r"] * dim) + "\n"
     for lo in range(0, len(data.y), _WRITE_BLOCK_ROWS):
         y, x = data.y[lo : lo + _WRITE_BLOCK_ROWS], data.x[lo : lo + _WRITE_BLOCK_ROWS]
-        with np.errstate(over="ignore"):
-            m = np.rint(x * 1e6)
-        spelled = ((m / 1e6 == x) & (m >= 100) & (m < 1e6)).all(axis=1) & (y >= 0) & (y <= 9)
+        # with m / 1e6 == v, 100 <= m < 1e6 is 0.0001 <= v < 1, so a row's least and
+        # greatest features test the range, and no row outside it is scaled
+        spelled = (x.min(axis=1) >= 1e-4) & (x.max(axis=1) < 1.0) & (y >= 0) & (y <= 9)
+        candidates = x[spelled]
+        m = np.rint(candidates * 1e6)
+        exact = (m / 1e6 == candidates).all(axis=1)
+        spelled[spelled] = exact
         if not spelled.any():
             out.write(_format_rows(row_format, y, x))
             continue
-        text = _millionth_rows(y[spelled], m[spelled].astype(np.int32))
+        text = _millionth_rows(y[spelled], m[exact].astype(np.int32))
         if not spelled.all():
-            # the other rows are formatted by one %, then every row is put in its place
-            rows = np.empty(len(y), dtype=object)
-            rows[spelled] = text.splitlines(keepends=True)
-            rest = _format_rows(row_format, y[~spelled], x[~spelled])
-            rows[~spelled] = rest.splitlines(keepends=True)
-            text = "".join(rows.tolist())
+            # the other rows are formatted by one %, then the rows are merged in block order
+            spelled_rows = iter(text.split("\n"))
+            other_rows = iter(_format_rows(row_format, y[~spelled], x[~spelled]).split("\n"))
+            rows = [next(spelled_rows) if s else next(other_rows) for s in spelled.tolist()]
+            text = "\n".join([*rows, ""])
         out.write(text)
 
 
