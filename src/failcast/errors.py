@@ -30,7 +30,7 @@ class InfeasibleNuError(FailcastError):
 
 
 class ConvergenceError(FailcastError):
-    """Solver hit its iteration cap; carries the final KKT violation."""
+    """No convergence: iteration cap, stall or NaN violation; carries the final KKT violation."""
 
     def __init__(self, message: str, kkt_violation: float):
         super().__init__(message)

@@ -31,13 +31,14 @@ from .errors import (
     ZeroVarianceError,
 )
 from .ingestion import (
-    _DIGIT_TRIPLES,
+    _LEAD,
     _WRITE_BLOCK_ROWS,
     IntervalSeries,
     Rule,
-    _format_rows,
     _lines,
+    _merged_rows,
     _read_table,
+    _spelled_rows,
     write_rows,
 )
 from .trace_model import N_CLASSES, N_RESOURCES, FailureType, FleetArrays, ResourceKind
@@ -327,13 +328,11 @@ def write_dataset_csv(data: Dataset, out: TextIO) -> None:
 
     Each row is ``%d`` of its class and ``%r``, the shortest round-trip
     repr, of each feature, written a block of rows at a time. A feature v
-    that is an exact millionth in [0.0001, 1), that is m = rint(v * 1e6)
-    with m / 1e6 == v and 100 <= m < 1e6, has "0." and m's six digits
-    without their trailing zeros as its repr, so rows of such features
-    under a one-digit class are spelled from the digit table in numpy.
-    The other rows of a block are formatted by one ``%``, as ``write_rows``
-    formats them, so a block none of whose rows is spelled costs only the
-    test.
+    that is an exact millionth in [0.0001, 1), m = rint(v * 1e6) with
+    m / 1e6 == v and 100 <= m < 1e6, has "0." and m's six digits without
+    their trailing zeros as its repr, so rows of such features under a
+    one-digit class are spelled from the digit table; the other rows of
+    a block are formatted by one ``%``, as ``write_rows`` formats them.
     """
     dim = data.x.shape[1]
     out.write(_dataset_header(dim) + "\n")
@@ -347,50 +346,10 @@ def write_dataset_csv(data: Dataset, out: TextIO) -> None:
         m = np.rint(candidates * 1e6)
         exact = (m / 1e6 == candidates).all(axis=1)
         spelled[spelled] = exact
-        if not spelled.any():
-            out.write(_format_rows(row_format, y, x))
-            continue
-        text = _millionth_rows(y[spelled], m[exact].astype(np.int32))
+        text = _spelled_rows(y[spelled] + ord("0"), _LEAD, m[exact].astype(np.int32), trim=True)
         if not spelled.all():
-            # the other rows are formatted by one %, then the rows are merged in block order
-            spelled_rows = iter(text.split("\n"))
-            other_rows = iter(_format_rows(row_format, y[~spelled], x[~spelled]).split("\n"))
-            rows = [next(spelled_rows) if s else next(other_rows) for s in spelled.tolist()]
-            text = "\n".join([*rows, ""])
+            text = "\n".join(_merged_rows(spelled, text, row_format, y, x).tolist()) + "\n"
         out.write(text)
-
-
-#: 0..999 as four bytes, read as one little-endian word: at i, i's three digits and
-#: a NUL; at 1000 + i, the same with i's trailing zeros as NULs. Words, not the
-#: (1000, 3) characters: a 128 x 72 block spelled from those, its trailing zeros
-#: masked per call, took 1.2 to 4.8 times as long, by how the mask was made
-_TRIPLE_WORDS = np.zeros((2000, 4), dtype=np.uint8)
-_TRIPLE_WORDS[:, :3] = np.tile(_DIGIT_TRIPLES, (2, 1))
-# a digit stays where it, or a digit after it, is not a zero
-_TRIPLE_WORDS[1000:, :3] *= np.logical_or.accumulate(
-    _DIGIT_TRIPLES[:, ::-1] != ord("0"), axis=1
-)[:, ::-1]
-_TRIPLE_WORDS = _TRIPLE_WORDS.view("<u4")[:, 0]
-
-
-def _millionth_rows(y: np.ndarray, m: np.ndarray) -> str:
-    """Dataset rows of one-digit classes ``y`` and (n, dim) millionths ``m`` in [100, 1e6).
-
-    Each row is spelled as little-endian words padded with NULs, then the
-    NULs are dropped: the class, then per feature ",0.", the leading three
-    digits and the last three, then the newline.
-    """
-    n, dim = m.shape
-    high, low = np.divmod(m, 1000)
-    words = np.empty((n, 2 + 3 * dim), dtype="<u4")
-    words[:, 0] = y + ord("0")
-    fields = words[:, 1:-1].reshape(n, dim, 3)
-    fields[..., 0] = int.from_bytes(b",0.", "little")
-    # the leading digits lose their trailing zeros too when the last three are zeros
-    fields[..., 1] = np.take(_TRIPLE_WORDS, high + 1000 * (low == 0))
-    fields[..., 2] = np.take(_TRIPLE_WORDS, low + 1000)
-    words[:, -1] = ord("\n")
-    return words.tobytes().translate(None, b"\0").decode()
 
 
 def read_dataset_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:

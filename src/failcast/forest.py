@@ -26,6 +26,7 @@ from typing import Iterable, Optional, TextIO
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError
+from .ingestion import _TEXT_BLOCK_ROWS, _format_rows, _merged_rows
 from .trace_model import N_CLASSES
 
 MODEL_FORMAT = "forest-model v1"
@@ -296,25 +297,21 @@ def predict_votes_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
 def save(model: ForestModel, out: TextIO) -> None:
     """Pre-order node listing per tree; thresholds keep full precision."""
     p = model.params
-    out.write(MODEL_FORMAT + "\n")
-    out.write(f"trees {model.n_trees}\n")
-    out.write(f"dim {model.dim}\n")
     depth = "none" if p.max_depth is None else str(p.max_depth)
     out.write(
+        f"{MODEL_FORMAT}\ntrees {model.n_trees}\ndim {model.dim}\n"
         f"params mtry={p.mtry} min_leaf={p.min_leaf} max_depth={depth} seed={p.rng_seed}\n"
     )
-    feature = model.feature.tolist()
-    threshold = model.threshold.tolist()
-    klass = model.leaf_class.tolist()
-    counts = model.counts.tolist()
-    bounds = model.roots.tolist() + [len(feature)]
-    for k in range(model.n_trees):
-        out.write(f"tree {k}\n")
-        for i in range(bounds[k], bounds[k + 1]):
-            if feature[i] < 0:
-                out.write(f"L {klass[i]} {' '.join(map(str, counts[i]))}\n")
-            else:
-                out.write(f"N {feature[i]} {threshold[i]!r}\n")
+    # each tree's listing opens with its "tree k" line
+    heads = np.full(len(model.feature), "", dtype=object)
+    heads[model.roots] = [f"tree {k}\n" for k in range(model.n_trees)]
+    leaf_format = "L %d" + " %d" * N_CLASSES + "\n"
+    for lo in range(0, len(model.feature), _TEXT_BLOCK_ROWS):
+        nodes = slice(lo, lo + _TEXT_BLOCK_ROWS)
+        split = model.feature[nodes] >= 0
+        text = _format_rows("N %d %r\n", model.feature[nodes][split], model.threshold[nodes][split])
+        lines = _merged_rows(split, text, leaf_format, model.leaf_class[nodes], model.counts[nodes])
+        out.write("\n".join((heads[nodes] + lines).tolist()) + "\n")
 
 
 def load(source: Iterable[str]) -> ForestModel:

@@ -187,41 +187,51 @@ def write_rows(out: TextIO, row_format: str, *columns: np.ndarray) -> None:
 
 def _format_rows(row_format: str, *columns: np.ndarray) -> str:
     """One ``row_format`` line per row of the (n,) or (n, k) ``columns``, by one ``%``."""
-    n = len(columns[0])
-    block = np.hstack([c.reshape(n, -1).astype(object) for c in columns])
-    return row_format * n % tuple(block.ravel().tolist())
+    block = np.hstack([(c[:, None] if c.ndim == 1 else c).astype(object) for c in columns])
+    return row_format * len(block) % tuple(block.ravel().tolist())
 
 
-#: the three digits of each of 0..999, as characters
-_DIGIT_TRIPLES = np.array([b"%03d" % i for i in range(1000)]).view(np.uint8).reshape(1000, 3)
-#: usage rows whose values are formatted at once by ``write_usage_rows``
-_USAGE_TEXT_ROWS = 1024
+#: rows per block of the writers that spell rows in numpy: usage rows and forest nodes
+_TEXT_BLOCK_ROWS = 1024
+#: 0..999 as little-endian words of four bytes: at i, i's three digits and a NUL; at
+#: 1000 + i, the same with i's trailing zeros as NULs
+_TRIPLE_WORDS = np.frombuffer(
+    b"".join(b"%03d\0" % i for i in range(1000))
+    + b"".join((b"%03d" % i).rstrip(b"0").ljust(4, b"\0") for i in range(1000)),
+    dtype="<u4",
+)
+#: the word ``,0.`` that leads a spelled field; adding d << 8 makes it ``,d.``
+_LEAD = int.from_bytes(b",0.", "little")
 
 
-def _usage_values_text(values: np.ndarray) -> np.ndarray:
-    """Each row of the (n, k) ``values`` as its k ``%.6f`` fields joined by commas.
+def _spelled_rows(first, lead, m: np.ndarray, trim: bool) -> str:
+    """A line per row of the (n, k) millionths ``m`` in [0, 1e6), spelled from the digit table.
 
-    A value in [0, 1] is rounded to millionths in float64 and spelled out
-    three digits at a time, which is exact unless it lies within 1e-6
-    millionths of a rounding tie. A row holding any other value, negative
-    zero and NaN included, is formatted by ``%``.
+    Row i is the word ``first[i]``, then per field the word ``lead`` and
+    m's six digits (without their trailing zeros if ``trim``), then a
+    newline. The words' NULs are dropped, so a ``first`` of 0 writes nothing.
     """
-    exact = (values >= 0.0) & (values <= 1.0) & ~np.signbit(values)
-    micro = np.where(exact, values, 0.0) * 1e6
-    exact &= np.abs(micro - np.floor(micro) - 0.5) > 1e-6
-    millionths = np.floor(micro + 0.5).astype(np.int32)
-    n, k = values.shape
-    chars = np.empty((n, k, 9), dtype=np.uint8)
-    chars[..., 0] = millionths // 1_000_000 + ord("0")
-    chars[..., 1] = ord(".")
-    chars[..., 2:5] = _DIGIT_TRIPLES[millionths // 1000 % 1000]
-    chars[..., 5:8] = _DIGIT_TRIPLES[millionths % 1000]
-    chars[..., 8] = ord(",")
-    rows = chars.reshape(n, -1)[:, :-1].copy().view(f"S{9 * k - 1}")[:, 0]
-    text = rows.astype(str).astype(object)
-    for i in np.flatnonzero(~exact.all(axis=1)):
-        text[i] = ",".join(["%.6f"] * k) % tuple(values[i].tolist())
-    return text
+    high, low = np.divmod(m, 1000)
+    if trim:
+        # the leading digits lose their trailing zeros too when the last three are zeros
+        high, low = high + 1000 * (low == 0), low + 1000
+    words = np.empty((len(m), 2 + 3 * m.shape[1]), dtype="<u4")
+    words[:, 0], words[:, -1] = first, ord("\n")
+    fields = words[:, 1:-1].reshape(*m.shape, 3)
+    fields[..., 0] = lead
+    fields[..., 1] = np.take(_TRIPLE_WORDS, high)
+    fields[..., 2] = np.take(_TRIPLE_WORDS, low)
+    return words.tobytes().translate(None, b"\0").decode()
+
+
+def _merged_rows(spelled: np.ndarray, text: str, row_format: str, *columns) -> np.ndarray:
+    """A block's lines in row order, without their newlines, as an object array: the
+    ``spelled`` rows' from ``text``, the others' from ``columns`` by one ``%`` of
+    ``row_format``, which ends in a newline."""
+    lines = np.empty(len(spelled), dtype=object)
+    lines[spelled] = text.split("\n")[:-1]
+    lines[~spelled] = _format_rows(row_format, *(c[~spelled] for c in columns)).split("\n")[:-1]
+    return lines
 
 
 def write_usage_rows(
@@ -231,12 +241,23 @@ def write_usage_rows(
     """Write a native usage row per row of the columns and the (n, 12) ``values``.
 
     The row is ``%d,%d,%d`` of the columns, then ``%.6f`` of each value,
-    all comma-separated, byte for byte as ``%`` formats it.
+    all comma-separated, byte for byte as ``%`` formats it. A row of
+    values in [0, 1], none within 1e-6 millionths of a rounding tie, is
+    rounded to millionths in float64 and spelled from the digit table;
+    any other row, negative zero and NaN included, is formatted by ``%``.
     """
-    for lo in range(0, len(values), _USAGE_TEXT_ROWS):
-        rows = slice(lo, lo + _USAGE_TEXT_ROWS)
-        write_rows(out, "%d,%d,%d,%s\n", start_us[rows], end_us[rows], machine_id[rows],
-                   _usage_values_text(values[rows]))
+    for lo in range(0, len(values), _TEXT_BLOCK_ROWS):
+        rows = slice(lo, lo + _TEXT_BLOCK_ROWS)
+        v = values[rows]
+        exact = (v >= 0.0) & (v <= 1.0) & ~np.signbit(v)
+        micro = np.where(exact, v, 0.0) * 1e6
+        exact &= np.abs(micro - np.floor(micro) - 0.5) > 1e-6
+        spelled = exact.all(axis=1)
+        whole, m = np.divmod(np.floor(micro[spelled] + 0.5).astype(np.int32), 1_000_000)
+        text = _spelled_rows(0, _LEAD + (whole << 8), m, trim=False)
+        lines = _merged_rows(spelled, text, ",%.6f" * v.shape[1] + "\n", v)
+        keys = start_us[rows], end_us[rows], machine_id[rows]
+        out.write(_format_rows("%d,%d,%d%s\n", *keys, lines))
 
 
 def parse_machine_events(source: TextIO) -> np.ndarray:

@@ -59,9 +59,9 @@ class OcsvmModel:
         return len(self.alphas)
 
 
-def _kernel_block(X: np.ndarray, sq: np.ndarray, idx: np.ndarray, gamma: float) -> np.ndarray:
-    """Kernel rows K[idx, :] against the whole training set."""
-    d2 = sq[idx][:, None] + sq[None, :] - 2.0 * (X[idx] @ X.T)
+def _rbf(A, a_sq, B, b_sq, gamma: float) -> np.ndarray:
+    """exp(-gamma * ||a - b||^2) for each row a of A and b of B, given their squared norms."""
+    d2 = a_sq[:, None] + b_sq[None, :] - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
     return np.exp(-gamma * d2)
 
@@ -95,7 +95,7 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
     nonzero = np.nonzero(alpha)[0]
     for lo in range(0, len(nonzero), 512):
         idx = nonzero[lo : lo + 512]
-        grad += alpha[idx] @ _kernel_block(X, sq, idx, params.gamma)
+        grad += alpha[idx] @ _rbf(X[idx], sq[idx], X, sq, params.gamma)
 
     at_lb = alpha <= 0.0
     at_ub = alpha >= C
@@ -116,8 +116,8 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
                                    kkt_violation=float(violation))
 
         # two one-row blocks, not one two-row block, whose BLAS product may round differently
-        row_i = _kernel_block(X, sq, np.array([i]), params.gamma)[0]
-        row_j = _kernel_block(X, sq, np.array([j]), params.gamma)[0]
+        row_i = _rbf(X[i : i + 1], sq[i : i + 1], X, sq, params.gamma)[0]
+        row_j = _rbf(X[j : j + 1], sq[j : j + 1], X, sq, params.gamma)[0]
         eta = 2.0 - 2.0 * row_i[j]
         limit = min(C - alpha[i], alpha[j])
         if eta > 1e-12:
@@ -202,9 +202,7 @@ def decision(model: OcsvmModel, x: np.ndarray) -> np.ndarray:
     for lo, hi in zip(edges[:-1], edges[1:]):
         block = X[lo:hi]
         x_sq = np.einsum("ij,ij->i", block, block)
-        d2 = x_sq[:, None] + sv_sq[None, :] - 2.0 * (block @ sv.T)
-        np.maximum(d2, 0.0, out=d2)
-        out[lo:hi] = np.exp(-model.gamma * d2) @ model.alphas - model.rho
+        out[lo:hi] = _rbf(block, x_sq, sv, sv_sq, model.gamma) @ model.alphas - model.rho
     return out
 
 

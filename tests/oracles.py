@@ -5,11 +5,12 @@ partial autocorrelations, accelerated projected gradient for the
 one-class dual, one product over the whole batch for one-class
 decisions, exhaustive enumeration and a feature-by-feature loop for
 tree splits, node-by-node growth on every bootstrap copy for forest
-training, a row-by-row, tree-by-tree walk for forest votes,
-record-by-record and bin-by-bin accumulation for interval aggregation
-and for the clusterdata adapter, an event-by-event walk for failure
-pairing, a failure-by-failure walk for label tracks, value-by-value
-packing of one feature window, a class-by-class list split for the
+training, an f-string per node for forest files, a row-by-row,
+tree-by-tree walk for forest votes, record-by-record and bin-by-bin
+accumulation for interval aggregation and for the clusterdata
+adapter, an event-by-event walk for failure pairing, a
+failure-by-failure walk for label tracks, value-by-value packing of
+one feature window, a class-by-class list split for the
 train/test split, a machine-by-machine loop for the PACF table and its
 histogram, ``np.savetxt`` for the synthetic usage table, one ``%`` per
 row for table writing, literal pair counting and rank sums for AUC, a
@@ -33,6 +34,7 @@ import numpy as np
 
 from failcast.errors import DegenerateTrainingError, InfeasibleNuError, ParseError
 from failcast.features import KIND_AVG, KIND_PEAK, SIGNIFICANCE_Z, pacf
+from failcast.forest import MODEL_FORMAT as FOREST_FORMAT
 from failcast.forest import ForestParams, _arrays_model, best_split, grow_tree, predict_votes_batch
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
@@ -294,6 +296,31 @@ def reference_forest(X, y, params):
         nodes[2].extend(r + roots[-1] if r >= 0 else -1 for r in tree[2])
         nodes[3].extend(tree[3])
     return _arrays_model(params, X.shape[1], roots, *nodes)
+
+
+def reference_forest_save(model) -> str:
+    """The ``forest-model v1`` text ``forest.save`` writes, one f-string per node."""
+    p = model.params
+    depth = "none" if p.max_depth is None else str(p.max_depth)
+    lines = [
+        f"{FOREST_FORMAT}\n",
+        f"trees {model.n_trees}\n",
+        f"dim {model.dim}\n",
+        f"params mtry={p.mtry} min_leaf={p.min_leaf} max_depth={depth} seed={p.rng_seed}\n",
+    ]
+    feature = model.feature.tolist()
+    threshold = model.threshold.tolist()
+    klass = model.leaf_class.tolist()
+    counts = model.counts.tolist()
+    bounds = model.roots.tolist() + [len(feature)]
+    for k in range(model.n_trees):
+        lines.append(f"tree {k}\n")
+        for i in range(bounds[k], bounds[k + 1]):
+            if feature[i] < 0:
+                lines.append(f"L {klass[i]} {' '.join(map(str, counts[i]))}\n")
+            else:
+                lines.append(f"N {feature[i]} {threshold[i]!r}\n")
+    return "".join(lines)
 
 
 def _unit_weights(y) -> np.ndarray:

@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from failcast.errors import (
     ConfigError,
@@ -487,6 +487,7 @@ class TestWriteDatasetCsv:
         st.sampled_from([0.0, 0.002, 0.3]),
         st.integers(0, 2**32 - 1),
     )
+    @example(0, 3, 0.0, 0)  # a dataset without rows is its header
     def test_matches_the_row_by_row_oracle(self, n, dim, odd_share, seed):
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 10**6, (n, dim)) / 1e6  # exact millionths, 0.0 among them

@@ -1,6 +1,7 @@
 import io
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     one_tree,
     reference_best_split,
     reference_forest,
+    reference_forest_save,
     reference_votes,
     split_of,
 )
@@ -455,6 +457,36 @@ class TestSerialization:
         for name in ("roots", "feature", "threshold", "right", "counts"):
             assert np.array_equal(getattr(model, name), getattr(restored, name))
         assert saved(restored) == text
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_save_writes_the_node_by_node_listing(self, data):
+        """``save`` formats its nodes a block at a time; the oracle writes one f-string
+        per node. Small blocks put block edges before, at and after tree roots."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        n, d = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 4))
+        # thresholds from 1e-6 to 1e5 in size, repr's scientific form among them
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 6, (n, d))
+        # a single class, like max_depth 0, grows trees that are one leaf each
+        y = rng.integers(0, data.draw(st.integers(1, 4)), n)
+        params = ForestParams(
+            n_trees=data.draw(st.integers(1, 4)),
+            mtry=data.draw(st.integers(1, d)),
+            max_depth=data.draw(st.sampled_from([None, 0, 1, 3])),
+            rng_seed=seed,
+        )
+        model = train(X, y, params)
+        block = data.draw(st.sampled_from([1, 2, 3, 7, forest_mod._TEXT_BLOCK_ROWS]))
+        with mock.patch.object(forest_mod, "_TEXT_BLOCK_ROWS", block):
+            assert saved(model) == reference_forest_save(model)
+
+    def test_a_forest_of_single_leaves_saves_without_split_lines(self):
+        rng = np.random.default_rng(3)
+        X = rng.random((30, 2))
+        model = train(X, rng.integers(0, 4, 30), ForestParams(n_trees=3, max_depth=0))
+        assert (model.feature < 0).all()
+        assert saved(model) == reference_forest_save(model)
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ModelFormatError):

@@ -8,11 +8,12 @@ from failcast.cli import PREDICTIONS_HEADER, _read_predictions
 from failcast.errors import FailcastError, ParseError
 from failcast.features import IDS_HEADER, read_dataset_csv, read_ids_csv
 from failcast.ingestion import (
-    _USAGE_TEXT_ROWS,
+    _TEXT_BLOCK_ROWS,
     _WRITE_BLOCK_ROWS,
     MACHINE_EVENTS_HEADER,
     USAGE_DTYPE,
     USAGE_HEADER,
+    _format_rows,
     aggregate_intervals,
     parse_machine_events,
     parse_usage_records,
@@ -447,6 +448,10 @@ class TestWriteRows:
         assert out.getvalue() == reference_write_rows(row_format, *columns)
         assert out.writes == -(-n // _WRITE_BLOCK_ROWS)  # one write per block
 
+    def test_no_rows_format_as_no_text(self):
+        assert _format_rows("%d,%r,%s\n", np.empty(0, np.int64), np.empty((0, 3)),
+                            np.empty(0, object)) == ""
+
 
 class TestWriteUsageRows:
     ROW_FORMAT = "%d,%d,%d," + ",".join(["%.6f"] * 12) + "\n"
@@ -469,7 +474,7 @@ class TestWriteUsageRows:
         self._check(np.resize(self.TIES + self.OTHERS, (7, 12)))
 
     @given(
-        st.sampled_from([0, 1, _USAGE_TEXT_ROWS, _USAGE_TEXT_ROWS + 1]) | st.integers(0, 5),
+        st.sampled_from([0, 1, _TEXT_BLOCK_ROWS, _TEXT_BLOCK_ROWS + 1]) | st.integers(0, 5),
         st.integers(0, 2**32 - 1),
     )
     def test_matches_the_row_by_row_oracle(self, n, seed):
