@@ -87,22 +87,20 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _require_file(path: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise FailcastError(f"input not found: {p}")
-    return p
-
-
 def _read(path: Path, reader):
     """``reader`` over the open UTF-8 text file ``path``; its errors name the file."""
+    with open(path, encoding="utf-8") as f:
+        return _parse(f, reader)
+
+
+def _parse(source: TextIO, reader):
+    """``reader(source)``; its parse and decoding errors name the file ``source``."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return reader(f)
+        return reader(source)
     except ParseError as exc:
-        raise FailcastError(f"{path}: {exc}") from None
+        raise FailcastError(f"{source.name}: {exc}") from None
     except UnicodeDecodeError:
-        raise FailcastError(f"{path}: not UTF-8 text") from None
+        raise FailcastError(f"{source.name}: not UTF-8 text") from None
 
 
 # ---------------------------------------------------------------- synth
@@ -133,10 +131,8 @@ def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     from . import ingestion, store
 
     r = _Resolver(ns, cfg)
-    events_path = _require_file(ns.events)
-    usage_path = _require_file(ns.usage)
-    events = _read(events_path, ingestion.parse_machine_events)
-    table, clamps = _read(usage_path, ingestion.parse_usage_records)
+    events = _read(Path(ns.events), ingestion.parse_machine_events)
+    table, clamps = _read(Path(ns.usage), ingestion.parse_usage_records)
     interval_us = r.get("interval_us", INTERVAL_US)
     if interval_us < 1:
         raise ConfigError(f"interval_us must be >= 1, got {interval_us}")
@@ -172,8 +168,8 @@ def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     from . import ingestion, labeling, store
 
     r = _Resolver(ns, cfg)
-    series, meta = store.load_interval_store(_require_file(ns.store))
-    events = _read(_require_file(ns.events), ingestion.parse_machine_events)
+    series, meta = store.load_interval_store(Path(ns.store))
+    events = _read(Path(ns.events), ingestion.parse_machine_events)
     lcfg = labeling.LabelingConfig(
         ir_max_downtime_us=r.get("ir_max_minutes", 30) * 60 * 1_000_000,
         degenerate_min_failures=r.get("degenerate_min_failures", 100),
@@ -212,7 +208,7 @@ def _cmd_pacf_report(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     from . import features, ingestion, store
 
     r = _Resolver(ns, cfg)
-    series, _ = store.load_interval_store(_require_file(ns.store))
+    series, _ = store.load_interval_store(Path(ns.store))
     max_lag = r.get("max_lag", 10)
     table = features.pacf_by_machine(series, max_lag=max_lag)
     counts = features.significant_lag_counts(table)
@@ -238,8 +234,8 @@ def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     from . import features, store
 
     r = _Resolver(ns, cfg)
-    series, _meta = store.load_interval_store(_require_file(ns.store))
-    tracks, label_meta = store.load_label_store(_require_file(ns.labels))
+    series, _meta = store.load_interval_store(Path(ns.store))
+    tracks, label_meta = store.load_label_store(Path(ns.labels))
     fcfg = features.FeatureConfig(lags=r.get("lags", 6))
     dcfg = features.DatasetConfig(
         normal_sample_count=r.get("normal_samples", 50_000),
@@ -266,14 +262,11 @@ def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _load_split(data_dir: Path, name: str) -> Dataset:
-    """One dataset split; without an ids file, row i is interval i of machine 0."""
+    """One dataset split: ``<name>.csv`` and its ``<name>_ids.csv`` sidecar."""
     from . import features
 
-    path = data_dir / f"{name}.csv"
+    path, ids_path = data_dir / f"{name}.csv", data_dir / f"{name}_ids.csv"
     X, y = _read(path, features.read_dataset_csv)
-    ids_path = data_dir / f"{name}_ids.csv"
-    if not ids_path.exists():
-        return features.Dataset(np.zeros(len(y), dtype=np.int64), np.arange(len(y)), y, X)
     machine_id, interval = _read(ids_path, features.read_ids_csv)
     if len(machine_id) != len(y):
         raise FailcastError(f"{ids_path} has {len(machine_id)} rows but {path} has {len(y)}")
@@ -300,8 +293,7 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     from .ocsvm import OcsvmParams
 
     r = _Resolver(ns, cfg)
-    data_dir = _require_file(ns.data)
-    data = _load_split(Path(data_dir), "train")
+    data = _load_split(Path(ns.data), "train")
     seed = r.get("seed", 0)
 
     gammas = _grid_axis(r, "gammas", "gamma", 1.0 / data.x.shape[1], float)
@@ -353,24 +345,24 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 def _cmd_predict(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     from . import ingestion, pipeline
 
-    model = pipeline.load_bundle(_require_file(ns.model))
+    model = pipeline.load_bundle(Path(ns.model))
     if ns.stream:
         for line_no, line in enumerate(sys.stdin, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                x = np.array([[float(v) for v in line.split(",")]])
+                # read as a dataset row's features are read
+                x = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
                 preds, scores = pipeline.predict_batch(model, x)
             except (ValueError, FailcastError) as exc:
-                raise ParseError(line_no, str(exc)) from None
+                raise ParseError(line_no, str(exc).partition(" at row")[0]) from None
             sys.stdout.write(f"{int(preds[0])},{float(scores[0])!r}\n")
             sys.stdout.flush()
         return 0
     if not ns.data or not ns.out:
         raise FailcastError("predict needs --data and --out unless --stream is set")
-    data_dir = Path(_require_file(ns.data))
-    data = _load_split(data_dir, ns.split)
+    data = _load_split(Path(ns.data), ns.split)
     preds, scores = pipeline.predict_batch(model, data.x)
     out = Path(ns.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -431,9 +423,9 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     from . import metrics
 
     r = _Resolver(ns, cfg)
-    predictions = _require_file(ns.predictions)
+    predictions = Path(ns.predictions)
     rows = _read(predictions, _read_predictions)
-    data = _load_split(Path(_require_file(ns.data)), ns.split)
+    data = _load_split(Path(ns.data), ns.split)
     order, have = _sorted_instances(rows)
     want = _instances(data.machine_ids, data.interval)
     at = np.searchsorted(have, want)
@@ -456,7 +448,7 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
             raise FailcastError("--latency needs --model to time predictions")
         from . import pipeline
 
-        model = pipeline.load_bundle(_require_file(ns.model))
+        model = pipeline.load_bundle(Path(ns.model))
         latency = metrics.measure_latency(
             lambda x: pipeline.predict_batch(model, x[None, :]), data.x, reps
         )
@@ -486,24 +478,25 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 def _cmd_adapt_google(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     from . import adapter
 
-    tables = [
-        (_require_file(ns.machine_events), "machine_events.csv", adapter.convert_machine_events),
-        (_require_file(ns.task_usage), "resource_usage.csv", adapter.convert_task_usage),
-    ]
     out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stats = adapter.AdaptStats()
-    # each table streams into a temporary file; both appear only once both convert
-    partial = [(out_dir / f".{name}.partial", out_dir / name) for _, name, _ in tables]
-    try:
-        for (path, _, convert), (tmp, _) in zip(tables, partial):
-            with open(tmp, "w", newline="\n") as out:
-                _read(path, lambda f: convert(f, out, stats))
-        for tmp, final in partial:
-            tmp.replace(final)
-    finally:
-        for tmp, _ in partial:
-            tmp.unlink(missing_ok=True)
+    # both inputs are open before --out is made; each table streams into a
+    # temporary file, and both appear only once both convert
+    with (open(Path(ns.machine_events), encoding="utf-8") as events,
+          open(Path(ns.task_usage), encoding="utf-8") as usage):
+        tables = [(events, "machine_events.csv", adapter.convert_machine_events),
+                  (usage, "resource_usage.csv", adapter.convert_task_usage)]
+        partial = [(out_dir / f".{name}.partial", out_dir / name) for _, name, _ in tables]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            for (source, _, convert), (tmp, _) in zip(tables, partial):
+                with open(tmp, "w", newline="\n") as out:
+                    _parse(source, lambda f: convert(f, out, stats))
+            for tmp, final in partial:
+                tmp.replace(final)
+        finally:
+            for tmp, _ in partial:
+                tmp.unlink(missing_ok=True)
     print(
         f"converted {stats.events_converted} events "
         f"({stats.events_skipped} skipped), "
@@ -518,8 +511,8 @@ def _cmd_adapt_google(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master rng seed")
-    common.add_argument("--config", default=None, help="key=value fallback file")
+    common.add_argument("--seed", type=int, help="master rng seed")
+    common.add_argument("--config", help="key=value fallback file")
 
     p = argparse.ArgumentParser(
         prog="failcast",
@@ -529,73 +522,64 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", parents=[common], help="generate a synthetic trace")
     s.add_argument("--out", required=True)
-    s.add_argument("--machines", type=int, default=None)
-    s.add_argument("--days", type=float, default=None)
-    s.add_argument("--signature", type=float, default=None)
-    s.add_argument("--degenerate", type=int, default=None)
+    s.add_argument("--machines", type=int)
+    s.add_argument("--days", type=float)
+    s.add_argument("--signature", type=float)
+    s.add_argument("--degenerate", type=int)
     s.set_defaults(func=_cmd_synth)
 
     s = sub.add_parser("ingest", parents=[common], help="parse and bin a trace")
     s.add_argument("--events", required=True)
     s.add_argument("--usage", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--interval-us", dest="interval_us", type=int, default=None)
-    s.add_argument("--horizon-us", dest="horizon_us", type=int, default=None)
+    s.add_argument("--interval-us", type=int)
+    s.add_argument("--horizon-us", type=int)
     s.set_defaults(func=_cmd_ingest)
 
     s = sub.add_parser("label", parents=[common], help="pair and categorize failures")
     s.add_argument("--store", required=True)
     s.add_argument("--events", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--ir-max-minutes", dest="ir_max_minutes", type=int, default=None)
-    s.add_argument(
-        "--degenerate-min-failures",
-        dest="degenerate_min_failures",
-        type=int,
-        default=None,
-    )
+    s.add_argument("--ir-max-minutes", type=int)
+    s.add_argument("--degenerate-min-failures", type=int)
     s.set_defaults(func=_cmd_label)
 
     s = sub.add_parser("pacf-report", parents=[common], help="significant-lag histogram")
     s.add_argument("--store", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--max-lag", dest="max_lag", type=int, default=None)
+    s.add_argument("--max-lag", type=int)
     s.set_defaults(func=_cmd_pacf_report)
 
     s = sub.add_parser("featurize", parents=[common], help="build the labeled dataset")
     s.add_argument("--store", required=True)
     s.add_argument("--labels", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--lags", type=int, default=None)
-    s.add_argument("--normal-samples", dest="normal_samples", type=int, default=None)
-    s.add_argument(
-        "--train-fraction", dest="train_fraction", type=float, default=None
-    )
+    s.add_argument("--lags", type=int)
+    s.add_argument("--normal-samples", type=int)
+    s.add_argument("--train-fraction", type=float)
     s.set_defaults(func=_cmd_featurize)
 
     s = sub.add_parser("train", parents=[common], help="grid-search CV, then train")
     s.add_argument("--data", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--gamma", type=float, default=None)
-    s.add_argument("--nu", type=float, default=None)
-    s.add_argument("--trees", type=int, default=None)
-    s.add_argument("--gammas", default=None, help="comma list enabling a grid axis")
-    s.add_argument("--nus", default=None)
-    s.add_argument("--trees-grid", dest="trees_grid", default=None)
-    s.add_argument("--folds", type=int, default=None)
-    s.add_argument("--tol", type=float, default=None)
-    s.add_argument("--archive", default=None, help="also write a single-file bundle")
+    s.add_argument("--gamma", type=float)
+    s.add_argument("--nu", type=float)
+    s.add_argument("--trees", type=int)
+    s.add_argument("--gammas", help="comma list enabling a grid axis")
+    s.add_argument("--nus")
+    s.add_argument("--trees-grid")
+    s.add_argument("--folds", type=int)
+    s.add_argument("--tol", type=float)
+    s.add_argument("--archive", help="also write a single-file bundle")
     s.set_defaults(func=_cmd_train)
 
     s = sub.add_parser("predict", parents=[common], help="classify instances")
     s.add_argument("--model", required=True)
-    s.add_argument("--data", default=None)
+    s.add_argument("--data")
     s.add_argument("--split", default="test", choices=("train", "test"))
-    s.add_argument("--out", default=None)
+    s.add_argument("--out")
     s.add_argument(
-        "--stream",
-        action="store_true",
-        help="read f0..f71 lines from stdin, write y,score lines",
+        "--stream", action="store_true", help="read f0..f71 lines from stdin, write y,score lines"
     )
     s.set_defaults(func=_cmd_predict)
 
@@ -604,20 +588,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--data", required=True)
     s.add_argument("--split", default="test", choices=("train", "test"))
     s.add_argument("--out", required=True)
-    s.add_argument("--model", default=None)
+    s.add_argument("--model")
     s.add_argument(
         "--latency",
         type=int,
-        default=None,
         help="also time this many predict calls and print the figures (needs --model)",
     )
     s.set_defaults(func=_cmd_evaluate)
 
-    s = sub.add_parser(
-        "adapt-google", parents=[common], help="convert clusterdata-2011 tables"
-    )
-    s.add_argument("--machine-events", dest="machine_events", required=True)
-    s.add_argument("--task-usage", dest="task_usage", required=True)
+    s = sub.add_parser("adapt-google", parents=[common], help="convert clusterdata-2011 tables")
+    s.add_argument("--machine-events", required=True)
+    s.add_argument("--task-usage", required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_adapt_google)
 
@@ -625,6 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one stage; a FailcastError, OSError or MemoryError ends it in ``error: ...``, exit 2."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
@@ -636,8 +618,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return ns.func(ns, cfg)
     except FailcastError as exc:
         return _fail(str(exc))
-    except FileNotFoundError as exc:
-        return _fail(f"missing file: {exc.filename}")
+    except OSError as exc:
+        return _fail(str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}")
     except MemoryError as exc:
         return _fail(str(exc) or "out of memory")
 

@@ -2,7 +2,7 @@
 
 Headline numbers are binary failure-vs-normal (classes 1..3 pooled as
 positive), with F-beta at beta=3 so recall weighs roughly three times
-more than precision; ``binary_f3`` is the one place that pools them, for
+more than precision; ``pooled`` is the one place that pools them, for
 reports and grid search alike. Per-class and macro figures are
 diagnostics. ``roc_curve`` and ``roc_auc`` share one tie-grouped sweep
 over the scores (Fawcett, 2006): the curve is a ``(k+1, 3)`` array of
@@ -61,24 +61,15 @@ def f_beta(precision: float, recall: float, beta: float = DEFAULT_BETA) -> float
     return (1.0 + b2) * precision * recall / (b2 * precision + recall)
 
 
-def binary_counts(cm: np.ndarray) -> tuple[int, int, int, int]:
-    """(tp, fp, fn, tn) after pooling classes 1..3 as positive."""
-    tp = int(cm[1:, 1:].sum())
-    fp = int(cm[1:, 0].sum())
-    fn = int(cm[0, 1:].sum())
-    tn = int(cm[0, 0])
-    return tp, fp, fn, tn
+def pooled(cm: np.ndarray) -> np.ndarray:
+    """The 2x2 failure-vs-normal matrix of ``cm``: classes 1..3 pooled as class 1."""
+    return np.add.reduceat(np.add.reduceat(cm, [0, 1], axis=0), [0, 1], axis=1)
 
 
 def binary_f3(cm: np.ndarray, beta: float = DEFAULT_BETA) -> float:
     """F-beta of failure-vs-normal; an undefined precision or recall counts as 0."""
-    precision, recall = _binary_precision_recall(cm)
+    precision, recall = precision_recall(pooled(cm), 1)
     return f_beta(precision or 0.0, recall or 0.0, beta)
-
-
-def _binary_precision_recall(cm: np.ndarray) -> tuple[Optional[float], Optional[float]]:
-    tp, fp, fn, _ = binary_counts(cm)
-    return (tp / (tp + fp) if tp + fp else None, tp / (tp + fn) if tp + fn else None)
 
 
 def _roc_sweep(scores: Sequence[float], labels: Sequence[int]):
@@ -177,22 +168,14 @@ def build_report(
     beta: float = DEFAULT_BETA,
 ) -> MetricsReport:
     cm = confusion(predictions, actuals)
-    precision = []
-    recall = []
-    for cls in range(N_CLASSES):
-        p, r = precision_recall(cm, cls)
-        precision.append(p)
-        recall.append(r)
+    precision, recall = map(list, zip(*(precision_recall(cm, c) for c in range(N_CLASSES))))
+    bp, br = precision_recall(pooled(cm), 1)
 
-    bp, br = _binary_precision_recall(cm)
-
-    per_class_f3 = []
-    for cls in range(1, N_CLASSES):
-        if cm[:, cls].sum() == 0:
-            continue  # class absent from the data
-        p = precision[cls] if precision[cls] is not None else 0.0
-        r = recall[cls] if recall[cls] is not None else 0.0
-        per_class_f3.append(f_beta(p, r, beta))
+    # the failure classes present in the data; an undefined rate counts as 0
+    per_class_f3 = [
+        f_beta(precision[c] or 0.0, recall[c] or 0.0, beta)
+        for c in range(1, N_CLASSES) if cm[:, c].any()
+    ]
     macro = float(np.mean(per_class_f3)) if per_class_f3 else None
 
     auc = None

@@ -334,7 +334,12 @@ class TestStreamPredict:
         assert len(captured.out.splitlines()) == 1  # the good line was answered
         assert captured.err.startswith("error: line 2:")
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "abc"])
+    # a field is read as a dataset field is: no "_", non-ASCII digit or "#" comment
+    @pytest.mark.parametrize(
+        "bad", ["nan", "inf", "abc", "1_0", "١", "１", "0.5#x"],
+        ids=["nan", "inf", "abc", "underscore", "arabic_indic_digit", "fullwidth_digit",
+             "comment"],
+    )
     def test_bad_value_line_exits_2(self, chain, monkeypatch, capsys, bad):
         test_csv = (chain / "data" / "test.csv").read_text().splitlines()
         fields = test_csv[1].split(",")[1:]
@@ -838,6 +843,94 @@ class TestBrokenDataset:
         else:
             assert f"line {line_no}:" in err
         assert not out.exists()
+
+
+#: per stage: its arguments without --out, every input relative to the directory it
+#: runs in; the input file the cases make missing or a directory; and what its --out
+#: is, a "dir" or a "file" it writes, or None without one
+BOUNDARY_STAGES = {
+    "synth": (["synth", "--config", "synth.cfg", "--days", "1"], "synth.cfg", "dir"),
+    "ingest": (["ingest", "--events", "trace/machine_events.csv",
+                "--usage", "trace/resource_usage.csv"], "trace/resource_usage.csv", "dir"),
+    "label": (["label", "--store", "store", "--events", "trace/machine_events.csv"],
+              "trace/machine_events.csv", "dir"),
+    "pacf-report": (["pacf-report", "--store", "store"], "store/avg.npy", "file"),
+    "featurize": (["featurize", "--store", "store", "--labels", "labels"], "labels/y.npy", "dir"),
+    "train": (["train", "--data", "data", "--trees", "5", "--folds", "2"], "data/train.csv",
+              "dir"),
+    "predict": (["predict", "--model", "model", "--data", "data"], "model/forest.txt", "file"),
+    "predict-stream": (["predict", "--model", "model", "--stream"], "model/ocsvm.txt", None),
+    "evaluate": (["evaluate", "--predictions", "predictions.csv", "--data", "data"],
+                 "predictions.csv", "dir"),
+    "adapt-google": (["adapt-google", "--machine-events", "google/machine_events.csv",
+                      "--task-usage", "google/task_usage.csv"], "google/task_usage.csv", "dir"),
+}
+
+#: the split each dataset stage reads
+BOUNDARY_SPLITS = {"train": "train", "predict": "test", "evaluate": "test"}
+
+
+class TestPathBoundary:
+    """A path a stage cannot use ends in one ``error: <path>: ...`` line and exit 2.
+
+    Each stage runs on good inputs but one: an input file that is missing
+    (``missing``) or a directory (``directory``), an ``--out`` of the other
+    kind than the stage writes (``out``: an existing file where it makes a
+    directory, an existing directory where it writes a file), or a dataset
+    split without its ids sidecar (``no-ids``). The stage creates nothing
+    and leaves an existing ``--out`` as it was.
+    """
+
+    @staticmethod
+    def _inputs(chain: Path, work: Path, args: list[str]) -> None:
+        """Copies of the chain artifacts ``args`` name, plus a config and clusterdata tables."""
+        (work / "synth.cfg").write_text("machines=5\n")
+        (work / "google").mkdir()
+        (work / "google" / "machine_events.csv").write_text("0,5,0,abc,0.5,0.5\n")
+        (work / "google" / "task_usage.csv").write_text("0,300000000,1,0,5" + ",0.1" * 15 + "\n")
+        for name in {arg.split("/")[0] for arg in args}:
+            if name in ("trace", "store", "labels", "data", "model"):
+                shutil.copytree(chain / name, work / name)
+            elif name == "predictions.csv":
+                shutil.copy(chain / name, work / name)
+
+    @pytest.mark.parametrize(
+        "stage, case",
+        [(stage, case) for stage, (_, _, out) in BOUNDARY_STAGES.items()
+         for case in ("missing", "directory", "out") if out or case != "out"]
+        + [(stage, "no-ids") for stage in BOUNDARY_SPLITS],
+    )
+    def test_unusable_path_exits_2(self, chain, tmp_path, monkeypatch, capsys, stage, case):
+        args, victim, out_kind = BOUNDARY_STAGES[stage]
+        work = tmp_path / "work"
+        work.mkdir()
+        self._inputs(chain, work, args)
+        monkeypatch.chdir(work)
+        # a stream stage that got past its model would answer this line
+        row = (chain / "data" / "test.csv").read_text().splitlines()[1]
+        monkeypatch.setattr("sys.stdin", io.StringIO(row.partition(",")[2] + "\n"))
+        if case == "no-ids":
+            victim = f"data/{BOUNDARY_SPLITS[stage]}_ids.csv"
+        if case != "out":
+            Path(victim).unlink()
+        if case == "directory":
+            Path(victim).mkdir()
+        out = work / ("out/result.csv" if out_kind == "file" else "out")
+        if out_kind:
+            args = [*args, "--out", str(out)]
+        if case == "out" and out_kind == "dir":
+            out.write_text("kept\n")
+        elif case == "out":
+            out.mkdir(parents=True)
+        named = str(out) if case == "out" else victim
+        before = sorted(work.rglob("*"))
+
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
+        assert sorted(work.rglob("*")) == before
+        if case == "out" and out_kind == "dir":
+            assert out.read_text() == "kept\n"
 
 
 class TestEvaluatePerfectPredictions:

@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from failcast.metrics import (
     UndefinedAucError,
-    binary_counts,
     binary_f3,
     build_report,
     confusion,
     f_beta,
     measure_latency,
+    pooled,
     precision_recall,
     render_kv,
     render_text,
@@ -179,7 +179,7 @@ class TestBinaryPooling:
         preds = rng.integers(0, 4, 500)
         actuals = rng.integers(0, 4, 500)
         cm = confusion(preds, actuals)
-        tp, fp, fn, tn = binary_counts(cm)
+        (tn, fn), (fp, tp) = pooled(cm)
         bp = (preds != 0).astype(int)
         ba = (actuals != 0).astype(int)
         assert tp == int(np.sum((bp == 1) & (ba == 1)))
