@@ -24,8 +24,8 @@ _SOURCES = {
     "ForestParams": "forest",
     "GridSpec": "pipeline",
     "INTERVAL_US": "trace_model",
-    "IntervalSeries": "ingestion",
-    "LabelTracks": "labeling",
+    "IntervalSeries": "trace_model",
+    "LabelTracks": "trace_model",
     "LabelingConfig": "labeling",
     "MachineEventKind": "trace_model",
     "OcsvmModel": "ocsvm",

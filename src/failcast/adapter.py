@@ -25,7 +25,7 @@ from typing import TextIO
 
 import numpy as np
 
-from . import ingestion
+from . import ingestion, tables
 from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from .trace_model import INTERVAL_US, N_RESOURCES, MachineEventKind
 
@@ -64,7 +64,7 @@ def convert_machine_events(source: TextIO, out: TextIO, stats: AdaptStats) -> No
     a field that is not an integer in a row without blanks, raises
     ParseError naming its line.
     """
-    fields = ingestion._read_body(
+    fields = tables.read_body(
         source, 0, str, _integer_rule, usecols=(0, 1, 2)
     ).reshape(-1, 3)
     rows = fields[(fields != "").all(axis=1)].astype(np.int64)
@@ -72,10 +72,10 @@ def convert_machine_events(source: TextIO, out: TextIO, stats: AdaptStats) -> No
     stats.events_converted += len(rows)
     stats.events_skipped += len(fields) - len(rows)
     out.write(MACHINE_EVENTS_HEADER + "\n")
-    ingestion.write_rows(out, "%d,%d,%d\n", rows)
+    tables.write_rows(out, "%d,%d,%d\n", rows)
 
 
-def _integer_rule(fields: np.ndarray) -> list[ingestion.Rule]:
+def _integer_rule(fields: np.ndarray) -> list[tables.Rule]:
     """A row whose three fields are all filled in must hold three int64 integers."""
     full = (fields != "").all(axis=1)
     try:
@@ -107,7 +107,7 @@ def convert_task_usage(
     in file order, the overlap-weighted means and the maxima of the rows
     touching it; sums above 1 are clamped to 1 and counted.
     """
-    rows = ingestion._read_body(
+    rows = tables.read_body(
         source, 0, _TASK_DTYPE,
         usecols=(0, 1, 4, *_VALUE_COLUMNS),
         converters=dict.fromkeys(_VALUE_COLUMNS, lambda field: float(field) if field else 0.0),
@@ -118,7 +118,7 @@ def convert_task_usage(
     values = rows["values"][:, _MEAN + _PEAK]
     np.maximum(values[:, N_RESOURCES:], values[:, :N_RESOURCES], out=values[:, N_RESOURCES:])
 
-    row, bins, overlap = ingestion._bin_pieces(rows["start"], rows["end"], interval_us)
+    row, bins, overlap = ingestion.bin_pieces(rows["start"], rows["end"], interval_us)
     cells, cell = np.unique(
         np.column_stack([rows["machine_id"][row], bins]), axis=0, return_inverse=True
     )

@@ -10,7 +10,9 @@ never loads the others' modules.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, TextIO
@@ -22,7 +24,7 @@ from .trace_model import INTERVAL_US, N_CLASSES
 
 if TYPE_CHECKING:
     from .features import Dataset
-    from .ingestion import Rule
+    from .tables import Rule
 
 logger = logging.getLogger(__name__)
 
@@ -30,17 +32,23 @@ PREDICTIONS_HEADER = "machine_id,interval,predicted_y,score"
 
 
 def _read_config_file(path: Optional[str]) -> dict[str, str]:
+    """The ``key=value`` lines of ``path``; each key must name a flag of some stage."""
     if not path:
         return {}
     cfg = {}
+    # a key may name any stage's flag, so that one file can serve a whole chain
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    settings = {a.dest for stage in sub.choices.values() for a in stage._actions}
     for line_no, raw in enumerate(_read(Path(path), lambda f: f.read()).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise FailcastError(f"{path}: line {line_no}: config line without '=': {line!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in settings:
+            raise FailcastError(f"{path}: line {line_no}: unknown setting {key!r}")
+        cfg[key] = value
     return cfg
 
 
@@ -205,7 +213,7 @@ def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _cmd_pacf_report(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
-    from . import features, ingestion, store
+    from . import features, store, tables
 
     r = _Resolver(ns, cfg)
     series, _ = store.load_interval_store(Path(ns.store))
@@ -216,7 +224,7 @@ def _cmd_pacf_report(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n") as f:
         f.write("lag,significant_pairs\n")
-        ingestion.write_rows(f, "%d,%d\n", np.arange(1, len(counts) + 1), counts)
+        tables.write_rows(f, "%d,%d\n", np.arange(1, len(counts) + 1), counts)
     total = int(counts.sum())
     in_window = int(counts[:6].sum())
     share = in_window / total if total else float("nan")
@@ -288,7 +296,7 @@ def _grid_axis(r: _Resolver, name: str, scalar: str, default, cast) -> tuple:
 def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     from dataclasses import replace
 
-    from . import ingestion, pipeline
+    from . import pipeline, tables
     from .forest import ForestParams
     from .ocsvm import OcsvmParams
 
@@ -320,7 +328,7 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         f.write("gamma,nu,trees,mean_f3," + ",".join(
             f"fold{i}_f3" for i in range(grid.folds)) + "\n")
         fold_f3 = f3.reshape(-1, grid.folds)
-        ingestion.write_rows(
+        tables.write_rows(
             f, "%r,%r,%d," + ",".join(["%.6f"] * (grid.folds + 1)) + "\n",
             np.array(grid.cells(), dtype=object), fold_f3.mean(axis=1), fold_f3,
         )
@@ -329,7 +337,7 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
         index = np.arange(model.forest.dim)
         layout = map(np.array, zip(*map(model.feature_config.describe, index)))
         counts = model.forest.feature_split_counts
-        ingestion.write_rows(f, "%d,%s,%d,%d,%d\n", index, *layout, counts)
+        tables.write_rows(f, "%d,%s,%d,%d,%d\n", index, *layout, counts)
     if ns.archive:
         pipeline.save_archive(model, Path(ns.archive))
     print(
@@ -343,7 +351,7 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 
 
 def _cmd_predict(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
-    from . import ingestion, pipeline
+    from . import pipeline, tables
 
     model = pipeline.load_bundle(Path(ns.model))
     if ns.stream:
@@ -368,7 +376,7 @@ def _cmd_predict(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n") as f:
         f.write(PREDICTIONS_HEADER + "\n")
-        ingestion.write_rows(f, "%d,%d,%d,%r\n", data.machine_ids, data.interval, preds, scores)
+        tables.write_rows(f, "%d,%d,%d,%r\n", data.machine_ids, data.interval, preds, scores)
     print(f"wrote {len(preds)} predictions to {out}")
     return 0
 
@@ -398,11 +406,9 @@ def _sorted_instances(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _read_predictions(source: TextIO) -> np.ndarray:
     """The rows of a predictions file as a structured array, one per instance."""
-    from . import ingestion
+    from . import tables
 
-    return ingestion._read_table(
-        source, PREDICTIONS_HEADER, _PREDICTIONS_DTYPE, _prediction_rules
-    )
+    return tables.read_table(source, PREDICTIONS_HEADER, _PREDICTIONS_DTYPE, _prediction_rules)
 
 
 def _prediction_rules(rows: np.ndarray) -> list[Rule]:
@@ -526,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--days", type=float)
     s.add_argument("--signature", type=float)
     s.add_argument("--degenerate", type=int)
-    s.set_defaults(func=_cmd_synth)
+    s.set_defaults(func=_cmd_synth, out_is_dir=True)
 
     s = sub.add_parser("ingest", parents=[common], help="parse and bin a trace")
     s.add_argument("--events", required=True)
@@ -534,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--interval-us", type=int)
     s.add_argument("--horizon-us", type=int)
-    s.set_defaults(func=_cmd_ingest)
+    s.set_defaults(func=_cmd_ingest, out_is_dir=True)
 
     s = sub.add_parser("label", parents=[common], help="pair and categorize failures")
     s.add_argument("--store", required=True)
@@ -542,13 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--ir-max-minutes", type=int)
     s.add_argument("--degenerate-min-failures", type=int)
-    s.set_defaults(func=_cmd_label)
+    s.set_defaults(func=_cmd_label, out_is_dir=True)
 
     s = sub.add_parser("pacf-report", parents=[common], help="significant-lag histogram")
     s.add_argument("--store", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--max-lag", type=int)
-    s.set_defaults(func=_cmd_pacf_report)
+    s.set_defaults(func=_cmd_pacf_report, out_is_dir=False)
 
     s = sub.add_parser("featurize", parents=[common], help="build the labeled dataset")
     s.add_argument("--store", required=True)
@@ -557,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lags", type=int)
     s.add_argument("--normal-samples", type=int)
     s.add_argument("--train-fraction", type=float)
-    s.set_defaults(func=_cmd_featurize)
+    s.set_defaults(func=_cmd_featurize, out_is_dir=True)
 
     s = sub.add_parser("train", parents=[common], help="grid-search CV, then train")
     s.add_argument("--data", required=True)
@@ -571,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--folds", type=int)
     s.add_argument("--tol", type=float)
     s.add_argument("--archive", help="also write a single-file bundle")
-    s.set_defaults(func=_cmd_train)
+    s.set_defaults(func=_cmd_train, out_is_dir=True)
 
     s = sub.add_parser("predict", parents=[common], help="classify instances")
     s.add_argument("--model", required=True)
@@ -581,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--stream", action="store_true", help="read f0..f71 lines from stdin, write y,score lines"
     )
-    s.set_defaults(func=_cmd_predict)
+    s.set_defaults(func=_cmd_predict, out_is_dir=False)
 
     s = sub.add_parser("evaluate", parents=[common], help="metrics report + ROC csv")
     s.add_argument("--predictions", required=True)
@@ -594,15 +600,26 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="also time this many predict calls and print the figures (needs --model)",
     )
-    s.set_defaults(func=_cmd_evaluate)
+    s.set_defaults(func=_cmd_evaluate, out_is_dir=True)
 
     s = sub.add_parser("adapt-google", parents=[common], help="convert clusterdata-2011 tables")
     s.add_argument("--machine-events", required=True)
     s.add_argument("--task-usage", required=True)
     s.add_argument("--out", required=True)
-    s.set_defaults(func=_cmd_adapt_google)
+    s.set_defaults(func=_cmd_adapt_google, out_is_dir=True)
 
     return p
+
+
+def _check_out(ns: argparse.Namespace) -> None:
+    """Stop before the work at an ``--out`` the stage would fail on once done: a file
+    where it makes a directory, or a directory where it writes a file."""
+    if not ns.out or getattr(ns, "stream", False):
+        return
+    out = Path(ns.out)
+    if out.exists() and out.is_dir() != ns.out_is_dir:
+        code = errno.EEXIST if ns.out_is_dir else errno.EISDIR
+        raise OSError(code, os.strerror(code), str(out))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -615,6 +632,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _read_config_file(ns.config)
+        _check_out(ns)
         return ns.func(ns, cfg)
     except FailcastError as exc:
         return _fail(str(exc))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -30,21 +30,13 @@ from .errors import (
     ParseError,
     ZeroVarianceError,
 )
-from .ingestion import (
-    _LEAD,
-    _WRITE_BLOCK_ROWS,
-    IntervalSeries,
-    Rule,
-    _lines,
-    _merged_rows,
-    _read_table,
-    _spelled_rows,
+from .tables import (
+    LEAD, WRITE_BLOCK_ROWS, Rule, merged_rows, nonblank_lines, read_body, read_table, spelled_rows,
     write_rows,
 )
-from .trace_model import N_CLASSES, N_RESOURCES, FailureType, FleetArrays, ResourceKind
-
-if TYPE_CHECKING:
-    from .labeling import LabelTracks
+from .trace_model import (
+    N_CLASSES, N_RESOURCES, FailureType, FleetArrays, IntervalSeries, LabelTracks, ResourceKind,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -337,8 +329,8 @@ def write_dataset_csv(data: Dataset, out: TextIO) -> None:
     dim = data.x.shape[1]
     out.write(_dataset_header(dim) + "\n")
     row_format = "%d," + ",".join(["%r"] * dim) + "\n"
-    for lo in range(0, len(data.y), _WRITE_BLOCK_ROWS):
-        y, x = data.y[lo : lo + _WRITE_BLOCK_ROWS], data.x[lo : lo + _WRITE_BLOCK_ROWS]
+    for lo in range(0, len(data.y), WRITE_BLOCK_ROWS):
+        y, x = data.y[lo : lo + WRITE_BLOCK_ROWS], data.x[lo : lo + WRITE_BLOCK_ROWS]
         # with m / 1e6 == v, 100 <= m < 1e6 is 0.0001 <= v < 1, so a row's least and
         # greatest features test the range, and no row outside it is scaled
         spelled = (x.min(axis=1) >= 1e-4) & (x.max(axis=1) < 1.0) & (y >= 0) & (y <= 9)
@@ -346,9 +338,9 @@ def write_dataset_csv(data: Dataset, out: TextIO) -> None:
         m = np.rint(candidates * 1e6)
         exact = (m / 1e6 == candidates).all(axis=1)
         spelled[spelled] = exact
-        text = _spelled_rows(y[spelled] + ord("0"), _LEAD, m[exact].astype(np.int32), trim=True)
+        text = spelled_rows(y[spelled] + ord("0"), LEAD, m[exact].astype(np.int32), trim=True)
         if not spelled.all():
-            text = "\n".join(_merged_rows(spelled, text, row_format, y, x).tolist()) + "\n"
+            text = "\n".join(merged_rows(spelled, text, row_format, y, x).tolist()) + "\n"
         out.write(text)
 
 
@@ -359,13 +351,12 @@ def read_dataset_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
     wrong field count, a non-numeric or non-finite value or an unknown
     class raises ParseError.
     """
-    header_no, header = next(_lines(source), (1, ""))
+    header_no, header = next(nonblank_lines(iter(source.readline, "")), (1, ""))
     dim = header.count(",")
     if not dim or header != _dataset_header(dim):
         raise ParseError(header_no, "expected dataset header 'y,f0,...'")
     dtype = np.dtype([("y", np.int64), ("x", np.float64, (dim,))])
-    source.seek(0)
-    rows = _read_table(source, header, dtype, _dataset_rules)
+    rows = read_body(source, header_no, dtype, _dataset_rules)
     return np.ascontiguousarray(rows["x"]), rows["y"].copy()
 
 
@@ -385,5 +376,5 @@ def write_ids_csv(data: Dataset, out: TextIO) -> None:
 
 def read_ids_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
     """Read an ids file into (machine_id, interval) arrays, one entry per dataset row."""
-    rows = _read_table(source, IDS_HEADER, IDS_DTYPE)
+    rows = read_table(source, IDS_HEADER, IDS_DTYPE)
     return rows["machine_id"], rows["interval"]

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, TextIO
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError
-from .ingestion import _TEXT_BLOCK_ROWS, _format_rows, _merged_rows
+from .tables import TEXT_BLOCK_ROWS, format_rows, merged_rows
 from .trace_model import N_CLASSES
 
 MODEL_FORMAT = "forest-model v1"
@@ -306,11 +306,11 @@ def save(model: ForestModel, out: TextIO) -> None:
     heads = np.full(len(model.feature), "", dtype=object)
     heads[model.roots] = [f"tree {k}\n" for k in range(model.n_trees)]
     leaf_format = "L %d" + " %d" * N_CLASSES + "\n"
-    for lo in range(0, len(model.feature), _TEXT_BLOCK_ROWS):
-        nodes = slice(lo, lo + _TEXT_BLOCK_ROWS)
+    for lo in range(0, len(model.feature), TEXT_BLOCK_ROWS):
+        nodes = slice(lo, lo + TEXT_BLOCK_ROWS)
         split = model.feature[nodes] >= 0
-        text = _format_rows("N %d %r\n", model.feature[nodes][split], model.threshold[nodes][split])
-        lines = _merged_rows(split, text, leaf_format, model.leaf_class[nodes], model.counts[nodes])
+        text = format_rows("N %d %r\n", model.feature[nodes][split], model.threshold[nodes][split])
+        lines = merged_rows(split, text, leaf_format, model.leaf_class[nodes], model.counts[nodes])
         out.write("\n".join((heads[nodes] + lines).tolist()) + "\n")
 
 

@@ -15,12 +15,13 @@ from typing import TextIO
 import numpy as np
 
 from .errors import ConfigError
-from .ingestion import IntervalSeries, write_rows
+from .tables import write_rows
 from .trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,
     IR_MAX_DOWNTIME_US,
-    FleetArrays,
+    IntervalSeries,
+    LabelTracks,
     MachineEventKind,
     failure_types,
     interval_runs,
@@ -39,22 +40,6 @@ class LabelingConfig:
     def __post_init__(self):
         if self.ir_max_downtime_us <= 0:
             raise ConfigError("ir_max_downtime_us must be positive")
-
-
-@dataclass(frozen=True)
-class LabelTracks(FleetArrays):
-    """Per-interval class labels and downtime flags for every machine.
-
-    Row i of ``y`` and ``downtime`` ((M, T) int8 and bool) belongs to
-    machine ``machine_ids[i]``. ``y[i, t]`` is non-normal only at the
-    interval containing a REMOVE. ``downtime[i, t]`` marks intervals
-    lying entirely inside a failure's remove-to-add window, strictly
-    after the removal interval.
-    """
-
-    machine_ids: np.ndarray
-    y: np.ndarray
-    downtime: np.ndarray
 
 
 def pair_failures(events: np.ndarray, cfg: LabelingConfig) -> tuple[np.ndarray, int]:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import FailcastError
-from .ingestion import write_rows
+from .tables import write_rows
 from .trace_model import N_CLASSES
 
 DEFAULT_BETA = 3.0

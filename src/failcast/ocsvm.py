@@ -18,7 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, InfeasibleNuError, ModelFormatError, ParseError
-from .ingestion import Rule, _read_body, write_rows
+from .tables import Rule, read_body, write_rows
 
 MODEL_FORMAT = "ocsvm-model v1"
 _HEADER_KEYS = ("gamma", "rho", "dim", "support_vectors")
@@ -251,7 +251,7 @@ def load(source: TextIO) -> OcsvmModel:
         raise ModelFormatError(f"dim {dim} and support_vectors {n_sv} must be positive")
     dtype = np.dtype([("alpha", np.float64), ("sv", np.float64, (dim,))])
     try:
-        table = _read_body(source, head[-1][0], dtype, _finite_rule, delimiter=None, comments="#")
+        table = read_body(source, head[-1][0], dtype, _finite_rule, delimiter=None, comments="#")
     except ParseError as exc:
         raise ModelFormatError(str(exc)) from None
     if len(table) != n_sv:

@@ -75,12 +75,10 @@ class GridSpec:
             raise FailcastError("every grid axis must be non-empty")
         if self.folds < 2:
             raise FailcastError("folds must be >= 2")
-        if not all(0.0 < nu <= 1.0 for nu in self.nus):
-            raise FailcastError(f"every nu must be in (0, 1], got {self.nus}")
-        if not all(0.0 < gamma < np.inf for gamma in self.gammas):
-            raise FailcastError(f"every gamma must be positive and finite, got {self.gammas}")
-        if not all(b >= 1 for b in self.tree_counts):
-            raise FailcastError(f"every tree count must be >= 1, got {self.tree_counts}")
+        for gamma, nu, n_trees in self.cells():
+            # each raises ConfigError on a value its model rejects
+            OcsvmParams(nu=nu, gamma=gamma)
+            ForestParams(n_trees=n_trees)
 
     def cells(self) -> list[tuple[float, float, int]]:
         return list(itertools.product(self.gammas, self.nus, self.tree_counts))

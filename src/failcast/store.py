@@ -15,9 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FailcastError
-from .ingestion import IntervalSeries
-from .labeling import LabelTracks
-from .trace_model import FleetArrays
+from .trace_model import FleetArrays, IntervalSeries, LabelTracks
 
 
 def _save(arrays: FleetArrays, out_dir: Path, meta: dict) -> None:

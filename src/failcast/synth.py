@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GenerationError
-from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER, write_rows, write_usage_rows
+from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER, write_usage_rows
+from .tables import write_rows
 from .trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,

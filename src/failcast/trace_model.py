@@ -35,6 +35,38 @@ class FleetArrays:
         return type(self)(*(getattr(self, f.name)[keep] for f in dataclasses.fields(self)))
 
 
+@dataclasses.dataclass(frozen=True)
+class IntervalSeries(FleetArrays):
+    """Dense per-interval usage for every machine over the whole trace horizon.
+
+    ``machine_ids`` is a sorted (M,) int64 array, and row i of every other
+    array belongs to machine ``machine_ids[i]``: ``avg`` and ``peak`` are
+    (M, T, 6) arrays, and ``present[i, t]`` is False for intervals with no
+    contributing row, which then carry all zeros.
+    """
+
+    machine_ids: np.ndarray
+    avg: np.ndarray
+    peak: np.ndarray
+    present: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class LabelTracks(FleetArrays):
+    """Per-interval class labels and downtime flags for every machine.
+
+    Row i of ``y`` and ``downtime`` ((M, T) int8 and bool) belongs to
+    machine ``machine_ids[i]``. ``y[i, t]`` is non-normal only at the
+    interval containing a REMOVE. ``downtime[i, t]`` marks intervals
+    lying entirely inside a failure's remove-to-add window, strictly
+    after the removal interval.
+    """
+
+    machine_ids: np.ndarray
+    y: np.ndarray
+    downtime: np.ndarray
+
+
 class ResourceKind(enum.IntEnum):
     """The six tracked resource measurements; values are the feature-layout indices."""
 

@@ -781,7 +781,7 @@ def reference_write_usage(path, avg, peak, down, T: int) -> None:
 
 
 def reference_write_rows(row_format: str, *columns) -> str:
-    """The text ``ingestion.write_rows`` writes, one ``row_format % row`` per row.
+    """The text ``tables.write_rows`` writes, one ``row_format % row`` per row.
 
     A row is the Python scalars of row i of each column in turn.
     """

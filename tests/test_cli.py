@@ -933,6 +933,38 @@ class TestPathBoundary:
             assert out.read_text() == "kept\n"
 
 
+class TestOutCheckedFirst:
+    """An ``--out`` of the wrong kind stops a stage before its work, with the error the
+    work would have ended in: an existing file where the stage makes a directory, or an
+    existing directory where it writes a file."""
+
+    @pytest.mark.parametrize("stage, args, work", [
+        ("featurize", ["--store", "store", "--labels", "labels"], "features.build_dataset"),
+        ("train", ["--data", "data", "--trees", "5", "--folds", "2"], "pipeline.grid_search_cv"),
+        ("pacf-report", ["--store", "store"], "features.pacf_by_machine"),
+        ("predict", ["--model", "model", "--data", "data"], "pipeline.predict_batch"),
+    ])
+    def test_wrong_kind_of_out_stops_before_the_work(
+        self, chain, tmp_path, monkeypatch, capsys, stage, args, work
+    ):
+        def work_done(*_args, **_kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(f"failcast.{work}", work_done)
+        out = tmp_path / "out"
+        if BOUNDARY_STAGES[stage][2] == "dir":
+            out.write_text("kept\n")
+            reason = "File exists"
+        else:
+            out.mkdir()
+            reason = "Is a directory"
+        monkeypatch.chdir(chain)
+        assert main([stage, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {out}: {reason}\n")
+        assert sorted(tmp_path.rglob("*")) == [out]
+        assert out.is_dir() or out.read_text() == "kept\n"
+
+
 class TestEvaluatePerfectPredictions:
     def test_ideal_value_reported(self, tmp_path, chain):
         # predictions copied from ground truth labels
@@ -992,6 +1024,20 @@ class TestConfigFile:
         rc = main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert rc != 0
 
+
+    def test_unknown_setting_exits_2_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("days=1\n# machines, misspelt\nmachine=10\n")
+        out = tmp_path / "t"
+        assert main(["synth", "--out", str(out), "--days", "1", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}: line 3: unknown setting 'machine'\n")
+        assert not out.exists()
+
+    def test_another_stages_setting_is_accepted(self, tmp_path):
+        """One file can serve a whole chain: synth ignores featurize's lags."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("machines=5\ndays=1\nlags=6\n")
+        assert main(["synth", "--out", str(tmp_path / "t"), "--config", str(cfg)]) == 0
 
     def test_bad_config_value_exits_2(self, chain, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -1264,8 +1310,14 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("failcast"
                   "hashlib" in sys.modules]))
 """
 
-#: the modules of the model stages and of the trace sources
-LATE_MODULES = {"pipeline", "ocsvm", "forest", "metrics", "synth", "adapter"}
+#: the failcast modules every stage loads, besides its own
+STAGE_MODULES = {"failcast", "cli", "tables", "trace_model", "errors"}
+#: what ingest loads; label adds labeling, adapt-google swaps store for adapter
+TRACE_STAGE_MODULES = STAGE_MODULES | {"store", "ingestion"}
+#: what evaluate loads without metrics, and pacf-report and featurize without store
+DATASET_STAGE_MODULES = STAGE_MODULES | {"features"}
+#: what predict loads, batch and --stream; train adds metrics
+MODEL_STAGE_MODULES = DATASET_STAGE_MODULES | {"pipeline", "ocsvm", "forest"}
 
 
 def _probe_env() -> dict:
@@ -1290,19 +1342,19 @@ class TestStageImports:
 
     def test_the_synth_module_loads_only_what_it_uses(self):
         modules, _ = _loaded_modules(["--import", "failcast.synth"])
-        assert modules == {"failcast", "synth", "ingestion", "trace_model", "errors"}
+        assert modules == {"failcast", "synth", "ingestion", "tables", "trace_model", "errors"}
 
     def test_ingest_and_label_load_no_feature_or_model_module(self, chain, tmp_path):
         events = str(chain / "trace" / "machine_events.csv")
         store = tmp_path / "store"
-        for argv in (
-            ["ingest", "--events", events, "--usage", str(chain / "trace" / "resource_usage.csv"),
-             "--out", str(store)],
-            ["label", "--store", str(store), "--events", events, "--out", str(tmp_path / "l")],
+        for argv, own in (
+            (["ingest", "--events", events, "--usage", str(chain / "trace" / "resource_usage.csv"),
+              "--out", str(store)], set()),
+            (["label", "--store", str(store), "--events", events, "--out", str(tmp_path / "l")],
+             {"labeling"}),
         ):
             modules, _ = _loaded_modules(argv)
-            assert "ingestion" in modules
-            assert not modules & (LATE_MODULES | {"features"}), argv[0]
+            assert modules == TRACE_STAGE_MODULES | own, argv[0]
 
     def test_pacf_report_and_featurize_load_no_model_module(self, chain, tmp_path):
         store = str(chain / "store")
@@ -1312,8 +1364,7 @@ class TestStageImports:
              "--out", str(tmp_path / "data"), "--normal-samples", "100"],
         ):
             modules, _ = _loaded_modules(argv)
-            assert "features" in modules
-            assert not modules & LATE_MODULES, argv[0]
+            assert modules == DATASET_STAGE_MODULES | {"store"}, argv[0]
 
     def test_predict_does_not_load_hashlib(self, chain, tmp_path):
         """predict loads the cascade's modules and no others, hashlib included."""
@@ -1324,21 +1375,28 @@ class TestStageImports:
             (["predict", "--model", str(chain / "model" / "bundle.zip"), "--stream"], line),
         ):
             modules, hashlib_loaded = _loaded_modules(argv, stdin)
-            assert modules == {
-                "failcast", "cli", "errors", "features", "forest", "ingestion", "ocsvm",
-                "pipeline", "trace_model",
-            }, argv
+            assert modules == MODEL_STAGE_MODULES, argv
             assert not hashlib_loaded, argv
+
+    def test_train_loads_the_predict_modules_and_metrics(self, chain, tmp_path):
+        argv = ["train", "--data", str(chain / "data"), "--out", str(tmp_path / "model"),
+                "--gamma", "0.125", "--nu", "0.1", "--trees", "5", "--folds", "2"]
+        modules, _ = _loaded_modules(argv)
+        assert modules == MODEL_STAGE_MODULES | {"metrics"}
+
+    def test_adapt_google_loads_the_adapter_and_the_trace_parser(self, tmp_path):
+        me, tu = TestAdaptGoogle()._write_google_tables(tmp_path)
+        modules, _ = _loaded_modules(["adapt-google", "--machine-events", str(me),
+                                      "--task-usage", str(tu), "--out", str(tmp_path / "n")])
+        assert modules == TRACE_STAGE_MODULES - {"store"} | {"adapter"}
 
     def test_evaluate_loads_no_labeling(self, chain, tmp_path):
         argv = ["evaluate", "--predictions", str(chain / "predictions.csv"),
                 "--data", str(chain / "data"), "--out", str(tmp_path / "rep")]
         modules, _ = _loaded_modules(argv)
-        assert modules == {
-            "failcast", "cli", "errors", "features", "ingestion", "metrics", "trace_model",
-        }
+        assert modules == DATASET_STAGE_MODULES | {"metrics"}
         modules, _ = _loaded_modules([*argv, "--latency", "2", "--model", str(chain / "model")])
-        assert "labeling" not in modules and "pipeline" in modules
+        assert modules == MODEL_STAGE_MODULES | {"metrics"}
 
     def test_every_public_name_resolves_on_first_use(self):
         script = (

@@ -477,8 +477,8 @@ class TestSerialization:
             rng_seed=seed,
         )
         model = train(X, y, params)
-        block = data.draw(st.sampled_from([1, 2, 3, 7, forest_mod._TEXT_BLOCK_ROWS]))
-        with mock.patch.object(forest_mod, "_TEXT_BLOCK_ROWS", block):
+        block = data.draw(st.sampled_from([1, 2, 3, 7, forest_mod.TEXT_BLOCK_ROWS]))
+        with mock.patch.object(forest_mod, "TEXT_BLOCK_ROWS", block):
             assert saved(model) == reference_forest_save(model)
 
     def test_a_forest_of_single_leaves_saves_without_split_lines(self):

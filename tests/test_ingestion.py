@@ -8,18 +8,15 @@ from failcast.cli import PREDICTIONS_HEADER, _read_predictions
 from failcast.errors import FailcastError, ParseError
 from failcast.features import IDS_HEADER, read_dataset_csv, read_ids_csv
 from failcast.ingestion import (
-    _TEXT_BLOCK_ROWS,
-    _WRITE_BLOCK_ROWS,
     MACHINE_EVENTS_HEADER,
     USAGE_DTYPE,
     USAGE_HEADER,
-    _format_rows,
     aggregate_intervals,
     parse_machine_events,
     parse_usage_records,
-    write_rows,
     write_usage_rows,
 )
+from failcast.tables import TEXT_BLOCK_ROWS, WRITE_BLOCK_ROWS, format_rows, write_rows
 from failcast.trace_model import INTERVAL_US, MachineEventKind
 from oracles import reference_aggregate, reference_write_rows
 
@@ -418,7 +415,7 @@ class TestWriteRows:
     INTS = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1]
 
     @given(
-        st.sampled_from([0, 1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS + 1])
+        st.sampled_from([0, 1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1])
         | st.integers(0, 5),
         st.integers(1, 3),
         st.integers(0, 2**32 - 1),
@@ -446,10 +443,10 @@ class TestWriteRows:
         out = Out()
         write_rows(out, row_format, *columns)
         assert out.getvalue() == reference_write_rows(row_format, *columns)
-        assert out.writes == -(-n // _WRITE_BLOCK_ROWS)  # one write per block
+        assert out.writes == -(-n // WRITE_BLOCK_ROWS)  # one write per block
 
     def test_no_rows_format_as_no_text(self):
-        assert _format_rows("%d,%r,%s\n", np.empty(0, np.int64), np.empty((0, 3)),
+        assert format_rows("%d,%r,%s\n", np.empty(0, np.int64), np.empty((0, 3)),
                             np.empty(0, object)) == ""
 
 
@@ -474,7 +471,7 @@ class TestWriteUsageRows:
         self._check(np.resize(self.TIES + self.OTHERS, (7, 12)))
 
     @given(
-        st.sampled_from([0, 1, _TEXT_BLOCK_ROWS, _TEXT_BLOCK_ROWS + 1]) | st.integers(0, 5),
+        st.sampled_from([0, 1, TEXT_BLOCK_ROWS, TEXT_BLOCK_ROWS + 1]) | st.integers(0, 5),
         st.integers(0, 2**32 - 1),
     )
     def test_matches_the_row_by_row_oracle(self, n, seed):

@@ -309,6 +309,12 @@ class TestGridSearch:
         with pytest.raises(FailcastError):
             GridSpec(**axes)
 
+    def test_grid_keeps_the_models_bounds(self):
+        """A grid value is checked by the parameters it becomes, the tree bound included."""
+        GridSpec(tree_counts=(forest_mod.MAX_TREES,))
+        with pytest.raises(ConfigError, match="n_trees"):
+            GridSpec(tree_counts=(50, forest_mod.MAX_TREES + 1))
+
     def test_too_few_failures_for_folds_rejected(self):
         data = make_data(n_normal=100, n_fail=3)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(5,), folds=5)
