@@ -10,12 +10,13 @@ never loads the others' modules.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import logging
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 import numpy as np
 
@@ -36,9 +37,8 @@ def _read_config_file(path: Optional[str]) -> dict[str, str]:
     if not path:
         return {}
     cfg = {}
-    # a key may name any stage's flag, so that one file can serve a whole chain
-    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    settings = {a.dest for stage in sub.choices.values() for a in stage._actions}
+    # a key may name any stage's flag, --help too, so that one file can serve a chain
+    settings = {"help", *(flag.dest for stage in STAGES.values() for flag in stage.flags)}
     for line_no, raw in enumerate(_read(Path(path), lambda f: f.read()).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -59,35 +59,101 @@ def _within_int64(what: str, value):
     return value
 
 
-class _Resolver:
-    """CLI flag > config-file entry > built-in default."""
+@dataclasses.dataclass(frozen=True)
+class Flag:
+    """``--<dest>`` of a stage: an input, an output or a setting; ``cast`` reads its value.
 
-    def __init__(self, ns: argparse.Namespace, cfg: dict[str, str]):
-        self.ns = ns
-        self.cfg = cfg
+    An output names what the stage makes there, a ``"file"`` or a ``"dir"``.
+    A setting gives the config field ``field`` of its stage its value times
+    ``scale``, or the tuple of a comma list if ``many``. A setting that no
+    flag or config key gives is left out, so its default is the field's own.
+    """
 
-    def origin(self, name: str) -> str:
-        """Where ``name`` is set: its flag, else the config file and key."""
-        if getattr(self.ns, name, None) is not None:
-            return "--" + name.replace("_", "-")
-        return f"{self.ns.config}: config key {name!r}"
+    dest: str
+    options: dict  # further keywords of ``add_argument``
+    cast: Optional[type] = None
+    output: Optional[str] = None
+    field: Optional[str] = None
+    many: bool = False
+    scale: int = 1
 
-    def get(self, name: str, default, cast=None):
-        value = getattr(self.ns, name, None)
-        if value is not None:
-            return _within_int64(self.origin(name), value)
-        if name in self.cfg:
-            raw = self.cfg[name]
-            if cast is None:
-                cast = str if default is None else type(default)
+    def value(self, ns: argparse.Namespace, cfg: dict[str, str]):
+        """This setting from its flag, else from the config file; None if neither gives it."""
+        raw, origin = getattr(ns, self.dest), "--" + self.dest.replace("_", "-")
+        if raw is None and self.dest in cfg:
+            raw, origin = cfg[self.dest], f"{ns.config}: config key {self.dest!r}"
+        if self.many:
+            if not raw:
+                return None
             try:
-                value = cast(raw)
+                values = tuple(self.cast(v) for v in raw.split(",") if v)
             except ValueError:
                 raise FailcastError(
-                    f"{self.origin(name)}: {raw!r} is not a valid {cast.__name__}"
+                    f"{self.dest}: {raw!r} is not a comma list of {self.cast.__name__} values"
                 ) from None
-            return _within_int64(self.origin(name), value)
-        return default
+            return tuple(_within_int64(origin, v) for v in values)
+        if isinstance(raw, str):
+            try:
+                raw = self.cast(raw)
+            except ValueError:
+                raise FailcastError(
+                    f"{origin}: {raw!r} is not a valid {self.cast.__name__}"
+                ) from None
+        return None if raw is None else _within_int64(origin, raw) * self.scale
+
+
+def _flag(dest: str, cast=None, output=None, required: bool = True, **options) -> Flag:
+    """An input, or an ``output``; either is required unless ``required`` is False."""
+    return Flag(dest, {"required": required, **options}, cast, output)
+
+
+def _setting(dest: str, cast: type, field=None, many=False, scale=1, **options) -> Flag:
+    """The setting ``--<dest>`` of the config field ``field``, by default ``dest``."""
+    return Flag(dest, options, cast, field=field or dest, many=many, scale=scale)
+
+
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """One CLI stage: its flags after ``--seed`` and ``--config``, and the work they feed.
+
+    ``work(ns, given)`` gets the parsed flags and the config field of each
+    setting that a flag or the config file gave, with its value. A
+    ``seeded`` stage's ``--seed`` is the setting ``rng_seed``.
+    """
+
+    help: str
+    work: Callable[[argparse.Namespace, dict], int]
+    own: tuple[Flag, ...]
+    seeded: bool = False
+
+    @property
+    def flags(self) -> tuple[Flag, ...]:
+        seed = Flag("seed", {"help": "master rng seed"}, int,
+                    field="rng_seed" if self.seeded else None)
+        return (seed, Flag("config", {"help": "key=value fallback file"}), *self.own)
+
+    def given(self, ns: argparse.Namespace, cfg: dict[str, str]) -> dict:
+        values = {flag.field: flag.value(ns, cfg) for flag in self.flags if flag.field}
+        return {field: value for field, value in values.items() if value is not None}
+
+    def check_outputs(self, ns: argparse.Namespace) -> None:
+        """Stop before the work at an output the stage would fail on once done: a file
+        where it makes a directory, or a directory where it writes a file."""
+        if getattr(ns, "stream", False):  # a stream answers on stdout
+            return
+        for flag in self.flags:
+            if not (flag.output and getattr(ns, flag.dest)):
+                continue
+            path = Path(getattr(ns, flag.dest))
+            if path.exists() and path.is_dir() != (flag.output == "dir"):
+                code = errno.EEXIST if flag.output == "dir" else errno.EISDIR
+                raise OSError(code, os.strerror(code), str(path))
+
+
+def _fields(cls, given: dict) -> dict:
+    """The entries of ``given`` that name a field of the dataclass ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {key: value for key, value in given.items() if key in names}
 
 
 def _fail(message: str) -> int:
@@ -114,18 +180,10 @@ def _parse(source: TextIO, reader):
 # ---------------------------------------------------------------- synth
 
 
-def _cmd_synth(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+def _cmd_synth(ns: argparse.Namespace, given: dict) -> int:
     from . import synth
 
-    r = _Resolver(ns, cfg)
-    config = synth.SynthConfig(
-        machines=r.get("machines", 500),
-        horizon_days=r.get("days", 7.0),
-        signature_strength=r.get("signature", 0.9),
-        degenerate_machines=r.get("degenerate", 2),
-        rng_seed=r.get("seed", 0),
-    )
-    paths = synth.generate(config, Path(ns.out))
+    paths = synth.generate(synth.SynthConfig(**given), Path(ns.out))
     print(f"wrote {paths.events}")
     print(f"wrote {paths.usage}")
     print(f"wrote {paths.truth}")
@@ -135,16 +193,15 @@ def _cmd_synth(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 # ---------------------------------------------------------------- ingest
 
 
-def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+def _cmd_ingest(ns: argparse.Namespace, given: dict) -> int:
     from . import ingestion, store
 
-    r = _Resolver(ns, cfg)
     events = _read(Path(ns.events), ingestion.parse_machine_events)
     table, clamps = _read(Path(ns.usage), ingestion.parse_usage_records)
-    interval_us = r.get("interval_us", INTERVAL_US)
+    interval_us = given.get("interval_us", INTERVAL_US)
     if interval_us < 1:
         raise ConfigError(f"interval_us must be >= 1, got {interval_us}")
-    horizon = r.get("horizon_us", 0, int)
+    horizon = given.get("horizon_us")
     if not horizon:
         max_end = int(table["end_us"].max(initial=0))
         max_event = int(events["time_us"].max(initial=-1)) + 1
@@ -172,16 +229,12 @@ def _cmd_ingest(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 # ---------------------------------------------------------------- label
 
 
-def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+def _cmd_label(ns: argparse.Namespace, given: dict) -> int:
     from . import ingestion, labeling, store
 
-    r = _Resolver(ns, cfg)
     series, meta = store.load_interval_store(Path(ns.store))
     events = _read(Path(ns.events), ingestion.parse_machine_events)
-    lcfg = labeling.LabelingConfig(
-        ir_max_downtime_us=r.get("ir_max_minutes", 30) * 60 * 1_000_000,
-        degenerate_min_failures=r.get("degenerate_min_failures", 100),
-    )
+    lcfg = labeling.LabelingConfig(**given)
     failures, dropped = labeling.pair_failures(events, lcfg)
     excluded = labeling.detect_degenerate_machines(series, failures, lcfg)
     failures = failures[~np.isin(failures["machine_id"], sorted(excluded))]
@@ -212,13 +265,11 @@ def _cmd_label(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 # ---------------------------------------------------------------- pacf-report
 
 
-def _cmd_pacf_report(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+def _cmd_pacf_report(ns: argparse.Namespace, given: dict) -> int:
     from . import features, store, tables
 
-    r = _Resolver(ns, cfg)
     series, _ = store.load_interval_store(Path(ns.store))
-    max_lag = r.get("max_lag", 10)
-    table = features.pacf_by_machine(series, max_lag=max_lag)
+    table = features.pacf_by_machine(series, **given)
     counts = features.significant_lag_counts(table)
     out = Path(ns.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -238,18 +289,13 @@ def _cmd_pacf_report(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 # ---------------------------------------------------------------- featurize
 
 
-def _cmd_featurize(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+def _cmd_featurize(ns: argparse.Namespace, given: dict) -> int:
     from . import features, store
 
-    r = _Resolver(ns, cfg)
     series, _meta = store.load_interval_store(Path(ns.store))
     tracks, label_meta = store.load_label_store(Path(ns.labels))
-    fcfg = features.FeatureConfig(lags=r.get("lags", 6))
-    dcfg = features.DatasetConfig(
-        normal_sample_count=r.get("normal_samples", 50_000),
-        rng_seed=r.get("seed", 0),
-        train_fraction=r.get("train_fraction", 0.8),
-    )
+    fcfg = features.FeatureConfig(**_fields(features.FeatureConfig, given))
+    dcfg = features.DatasetConfig(**_fields(features.DatasetConfig, given))
     train_set, test_set = features.build_dataset(series, tracks, fcfg, dcfg)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -281,46 +327,28 @@ def _load_split(data_dir: Path, name: str) -> Dataset:
     return features.Dataset(machine_id, interval, y, X)
 
 
-def _grid_axis(r: _Resolver, name: str, scalar: str, default, cast) -> tuple:
-    """The comma list ``name``, else the one value ``scalar``, cast to ``cast``."""
-    raw = r.get(name, "", str) or str(r.get(scalar, default))
-    try:
-        values = tuple(cast(v) for v in raw.split(",") if v)
-    except ValueError:
-        raise FailcastError(
-            f"{name}: {raw!r} is not a comma list of {cast.__name__} values"
-        ) from None
-    return tuple(_within_int64(r.origin(name), v) for v in values)
-
-
-def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
-    from dataclasses import replace
-
+def _cmd_train(ns: argparse.Namespace, given: dict) -> int:
     from . import pipeline, tables
     from .forest import ForestParams
     from .ocsvm import OcsvmParams
 
-    r = _Resolver(ns, cfg)
     data = _load_split(Path(ns.data), "train")
-    seed = r.get("seed", 0)
-
-    gammas = _grid_axis(r, "gammas", "gamma", 1.0 / data.x.shape[1], float)
-    nus = _grid_axis(r, "nus", "nu", 0.05, float)
-    trees = _grid_axis(r, "trees_grid", "trees", 100, int)
-    grid = pipeline.GridSpec(
-        gammas=gammas, nus=nus, tree_counts=trees, folds=r.get("folds", 5)
-    )
-    base_ocsvm = OcsvmParams(tol=r.get("tol", 1e-4))
-    base_forest = ForestParams(rng_seed=seed)
+    base_ocsvm = OcsvmParams(**{"gamma": 1.0 / data.x.shape[1], **_fields(OcsvmParams, given)})
+    base_forest = ForestParams(**_fields(ForestParams, given))
+    # a grid axis no comma list gives is the one value of its scalar setting
+    grid = pipeline.GridSpec(**{
+        "gammas": (base_ocsvm.gamma,), "nus": (base_ocsvm.nu,),
+        "tree_counts": (base_forest.n_trees,), **_fields(pipeline.GridSpec, given),
+    })
 
     (best_gamma, best_nu, best_trees), f3 = pipeline.grid_search_cv(
-        data.x, data.y, grid, seed, base_ocsvm, base_forest
+        data.x, data.y, grid, base_forest.rng_seed, base_ocsvm, base_forest
     )
     model = pipeline.train(
         data.x,
         data.y,
-        replace(base_ocsvm, nu=best_nu, gamma=best_gamma),
-        replace(base_forest, n_trees=best_trees),
+        dataclasses.replace(base_ocsvm, nu=best_nu, gamma=best_gamma),
+        dataclasses.replace(base_forest, n_trees=best_trees),
     )
     out_dir = Path(ns.out)
     pipeline.save_bundle(model, out_dir)
@@ -350,7 +378,7 @@ def _cmd_train(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 # ---------------------------------------------------------------- predict
 
 
-def _cmd_predict(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+def _cmd_predict(ns: argparse.Namespace, given: dict) -> int:
     from . import pipeline, tables
 
     model = pipeline.load_bundle(Path(ns.model))
@@ -425,10 +453,9 @@ def _prediction_rules(rows: np.ndarray) -> list[Rule]:
     ]
 
 
-def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+def _cmd_evaluate(ns: argparse.Namespace, given: dict) -> int:
     from . import metrics
 
-    r = _Resolver(ns, cfg)
     predictions = Path(ns.predictions)
     rows = _read(predictions, _read_predictions)
     data = _load_split(Path(ns.data), ns.split)
@@ -446,7 +473,7 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
     preds, scores = rows["predicted_y"][order[at]], rows["score"][order[at]]
 
     latency = None
-    reps = r.get("latency", 0)
+    reps = given.get("latency", 0)
     if reps < 0:
         raise ConfigError(f"latency must be >= 0, got {reps}")
     if reps:
@@ -481,23 +508,25 @@ def _cmd_evaluate(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 # ---------------------------------------------------------------- adapt-google
 
 
-def _cmd_adapt_google(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
+def _cmd_adapt_google(ns: argparse.Namespace, given: dict) -> int:
     from . import adapter
 
     out_dir = Path(ns.out)
     stats = adapter.AdaptStats()
-    # both inputs are open before --out is made; each table streams into a
-    # temporary file, and both appear only once both convert
+    # each table streams into a temporary file in --out, or beside it if it does
+    # not exist yet; --out is made and both tables appear only once both convert
+    beside = next(path for path in (out_dir, *out_dir.parents) if path.is_dir())
     with (open(Path(ns.machine_events), encoding="utf-8") as events,
           open(Path(ns.task_usage), encoding="utf-8") as usage):
         tables = [(events, "machine_events.csv", adapter.convert_machine_events),
                   (usage, "resource_usage.csv", adapter.convert_task_usage)]
-        partial = [(out_dir / f".{name}.partial", out_dir / name) for _, name, _ in tables]
-        out_dir.mkdir(parents=True, exist_ok=True)
+        partial = [(beside / f".{out_dir.name}.{name}.partial", out_dir / name)
+                   for _, name, _ in tables]
         try:
             for (source, _, convert), (tmp, _) in zip(tables, partial):
                 with open(tmp, "w", newline="\n") as out:
                     _parse(source, lambda f: convert(f, out, stats))
+            out_dir.mkdir(parents=True, exist_ok=True)
             for tmp, final in partial:
                 tmp.replace(final)
         finally:
@@ -515,111 +544,74 @@ def _cmd_adapt_google(ns: argparse.Namespace, cfg: dict[str, str]) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, help="master rng seed")
-    common.add_argument("--config", help="key=value fallback file")
+#: every stage, in chain order; no declaration imports a stage module
+STAGES = {
+    "synth": Stage("generate a synthetic trace", _cmd_synth, (
+        _flag("out", output="dir"), _setting("machines", int),
+        _setting("days", float, "horizon_days"),
+        _setting("signature", float, "signature_strength"),
+        _setting("degenerate", int, "degenerate_machines"),
+    ), seeded=True),
+    "ingest": Stage("parse and bin a trace", _cmd_ingest, (
+        _flag("events"), _flag("usage"), _flag("out", output="dir"),
+        _setting("interval_us", int), _setting("horizon_us", int),
+    )),
+    "label": Stage("pair and categorize failures", _cmd_label, (
+        _flag("store"), _flag("events"), _flag("out", output="dir"),
+        _setting("ir_max_minutes", int, "ir_max_downtime_us", scale=60 * 1_000_000),
+        _setting("degenerate_min_failures", int),
+    )),
+    "pacf-report": Stage("significant-lag histogram", _cmd_pacf_report, (
+        _flag("store"), _flag("out", output="file"), _setting("max_lag", int),
+    )),
+    "featurize": Stage("build the labeled dataset", _cmd_featurize, (
+        _flag("store"), _flag("labels"), _flag("out", output="dir"), _setting("lags", int),
+        _setting("normal_samples", int, "normal_sample_count"),
+        _setting("train_fraction", float),
+    ), seeded=True),
+    "train": Stage("grid-search CV, then train", _cmd_train, (
+        _flag("data"), _flag("out", output="dir"),
+        _setting("gamma", float), _setting("nu", float), _setting("trees", int, "n_trees"),
+        _setting("gammas", float, many=True, help="comma list enabling a grid axis"),
+        _setting("nus", float, many=True),
+        _setting("trees_grid", int, "tree_counts", many=True),
+        _setting("folds", int), _setting("tol", float),
+        _flag("archive", output="file", required=False, help="also write a single-file bundle"),
+    ), seeded=True),
+    "predict": Stage("classify instances", _cmd_predict, (
+        _flag("model"), _flag("data", required=False),
+        _flag("split", required=False, default="test", choices=("train", "test")),
+        _flag("out", output="file", required=False),
+        _flag("stream", required=False, action="store_true",
+              help="read f0..f71 lines from stdin, write y,score lines"),
+    )),
+    "evaluate": Stage("metrics report + ROC csv", _cmd_evaluate, (
+        _flag("predictions"), _flag("data"),
+        _flag("split", required=False, default="test", choices=("train", "test")),
+        _flag("out", output="dir"), _flag("model", required=False),
+        _setting("latency", int,
+                 help="also time this many predict calls and print the figures (needs --model)"),
+    )),
+    "adapt-google": Stage("convert clusterdata-2011 tables", _cmd_adapt_google, (
+        _flag("machine_events"), _flag("task_usage"), _flag("out", output="dir"),
+    )),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="failcast",
         description="Machine-failure forecasting pipeline over cluster traces.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("synth", parents=[common], help="generate a synthetic trace")
-    s.add_argument("--out", required=True)
-    s.add_argument("--machines", type=int)
-    s.add_argument("--days", type=float)
-    s.add_argument("--signature", type=float)
-    s.add_argument("--degenerate", type=int)
-    s.set_defaults(func=_cmd_synth, out_is_dir=True)
-
-    s = sub.add_parser("ingest", parents=[common], help="parse and bin a trace")
-    s.add_argument("--events", required=True)
-    s.add_argument("--usage", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--interval-us", type=int)
-    s.add_argument("--horizon-us", type=int)
-    s.set_defaults(func=_cmd_ingest, out_is_dir=True)
-
-    s = sub.add_parser("label", parents=[common], help="pair and categorize failures")
-    s.add_argument("--store", required=True)
-    s.add_argument("--events", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--ir-max-minutes", type=int)
-    s.add_argument("--degenerate-min-failures", type=int)
-    s.set_defaults(func=_cmd_label, out_is_dir=True)
-
-    s = sub.add_parser("pacf-report", parents=[common], help="significant-lag histogram")
-    s.add_argument("--store", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--max-lag", type=int)
-    s.set_defaults(func=_cmd_pacf_report, out_is_dir=False)
-
-    s = sub.add_parser("featurize", parents=[common], help="build the labeled dataset")
-    s.add_argument("--store", required=True)
-    s.add_argument("--labels", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--lags", type=int)
-    s.add_argument("--normal-samples", type=int)
-    s.add_argument("--train-fraction", type=float)
-    s.set_defaults(func=_cmd_featurize, out_is_dir=True)
-
-    s = sub.add_parser("train", parents=[common], help="grid-search CV, then train")
-    s.add_argument("--data", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--gamma", type=float)
-    s.add_argument("--nu", type=float)
-    s.add_argument("--trees", type=int)
-    s.add_argument("--gammas", help="comma list enabling a grid axis")
-    s.add_argument("--nus")
-    s.add_argument("--trees-grid")
-    s.add_argument("--folds", type=int)
-    s.add_argument("--tol", type=float)
-    s.add_argument("--archive", help="also write a single-file bundle")
-    s.set_defaults(func=_cmd_train, out_is_dir=True)
-
-    s = sub.add_parser("predict", parents=[common], help="classify instances")
-    s.add_argument("--model", required=True)
-    s.add_argument("--data")
-    s.add_argument("--split", default="test", choices=("train", "test"))
-    s.add_argument("--out")
-    s.add_argument(
-        "--stream", action="store_true", help="read f0..f71 lines from stdin, write y,score lines"
-    )
-    s.set_defaults(func=_cmd_predict, out_is_dir=False)
-
-    s = sub.add_parser("evaluate", parents=[common], help="metrics report + ROC csv")
-    s.add_argument("--predictions", required=True)
-    s.add_argument("--data", required=True)
-    s.add_argument("--split", default="test", choices=("train", "test"))
-    s.add_argument("--out", required=True)
-    s.add_argument("--model")
-    s.add_argument(
-        "--latency",
-        type=int,
-        help="also time this many predict calls and print the figures (needs --model)",
-    )
-    s.set_defaults(func=_cmd_evaluate, out_is_dir=True)
-
-    s = sub.add_parser("adapt-google", parents=[common], help="convert clusterdata-2011 tables")
-    s.add_argument("--machine-events", required=True)
-    s.add_argument("--task-usage", required=True)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=_cmd_adapt_google, out_is_dir=True)
-
+    for name, stage in STAGES.items():
+        s = sub.add_parser(name, help=stage.help)
+        for flag in stage.flags:
+            # a comma list stays text, to be read as a setting
+            kind = {} if flag.cast is None or flag.many else {"type": flag.cast}
+            s.add_argument("--" + flag.dest.replace("_", "-"), **kind, **flag.options)
+        s.set_defaults(func=stage.work)
     return p
-
-
-def _check_out(ns: argparse.Namespace) -> None:
-    """Stop before the work at an ``--out`` the stage would fail on once done: a file
-    where it makes a directory, or a directory where it writes a file."""
-    if not ns.out or getattr(ns, "stream", False):
-        return
-    out = Path(ns.out)
-    if out.exists() and out.is_dir() != ns.out_is_dir:
-        code = errno.EEXIST if ns.out_is_dir else errno.EISDIR
-        raise OSError(code, os.strerror(code), str(out))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -630,10 +622,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    stage = STAGES[ns.command]
     try:
-        cfg = _read_config_file(ns.config)
-        _check_out(ns)
-        return ns.func(ns, cfg)
+        given = stage.given(ns, _read_config_file(ns.config))
+        stage.check_outputs(ns)
+        return ns.func(ns, given)
     except FailcastError as exc:
         return _fail(str(exc))
     except OSError as exc:

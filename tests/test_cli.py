@@ -1,5 +1,8 @@
 import contextlib
+import dataclasses
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import failcast
+from failcast import features
 from failcast.cli import main
 from failcast.pipeline import BUNDLE_FILES
 
@@ -964,6 +968,78 @@ class TestOutCheckedFirst:
         assert sorted(tmp_path.rglob("*")) == [out]
         assert out.is_dir() or out.read_text() == "kept\n"
 
+    def test_an_archive_that_is_a_directory_stops_train_before_the_fit(
+        self, chain, tmp_path, monkeypatch, capsys
+    ):
+        def fit(*_args, **_kwargs):
+            raise AssertionError("pipeline.grid_search_cv ran")
+
+        monkeypatch.setattr("failcast.pipeline.grid_search_cv", fit)
+        out, archive = tmp_path / "out", tmp_path / "archive"
+        archive.mkdir()
+        monkeypatch.chdir(chain)
+        assert main(["train", "--data", "data", "--trees", "5", "--folds", "2",
+                     "--out", str(out), "--archive", str(archive)]) == 2
+        assert capsys.readouterr() == ("", f"error: {archive}: Is a directory\n")
+        assert sorted(tmp_path.rglob("*")) == [archive]
+
+
+class _Recorded(Exception):
+    """Raised by a stage's work function once it has recorded its arguments."""
+
+
+def _train_defaults(got: dict) -> dict:
+    from failcast.forest import ForestParams
+    from failcast.ocsvm import OcsvmParams
+    from failcast.pipeline import GridSpec
+
+    gamma = 1 / got["X"].shape[1]
+    grid = dataclasses.replace(GridSpec(), gammas=(gamma,), nus=(OcsvmParams().nu,),
+                               tree_counts=(ForestParams().n_trees,))
+    return {"grid": grid, "rng_seed": ForestParams().rng_seed, "base_forest": ForestParams(),
+            "base_ocsvm": dataclasses.replace(OcsvmParams(), gamma=gamma)}
+
+
+#: stage -> (its required inputs in the chain, the work function it calls, what the
+#: work function is called with, as a function of all its arguments)
+DEFAULT_RUNS = {
+    "synth": ([], "synth.generate", lambda got: {"cfg": failcast.SynthConfig()}),
+    "label": (["--store", "store", "--events", "trace/machine_events.csv"],
+              "labeling.pair_failures", lambda got: {"cfg": failcast.LabelingConfig()}),
+    "pacf-report": (["--store", "store"], "features.pacf_by_machine", lambda got: {
+        "max_lag": inspect.signature(features.pacf_by_machine).parameters["max_lag"].default
+    }),
+    "featurize": (["--store", "store", "--labels", "labels"], "features.build_dataset",
+                  lambda got: {"cfg": failcast.FeatureConfig(), "dcfg": failcast.DatasetConfig()}),
+    "train": (["--data", "data"], "pipeline.grid_search_cv", _train_defaults),
+}
+
+
+class TestDefaults:
+    """A stage run with only its required flags gets each default from the one place that
+    states it: a config class's field, a function's signature, or train's gamma of 1/dim."""
+
+    @pytest.mark.parametrize("stage", DEFAULT_RUNS)
+    def test_a_run_without_settings_gets_the_defaults(self, chain, tmp_path, monkeypatch, stage):
+        inputs, work, expected = DEFAULT_RUNS[stage]
+        module, name = work.split(".")
+        signature = inspect.signature(getattr(importlib.import_module(f"failcast.{module}"), name))
+        calls = []
+
+        def record(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            raise _Recorded
+
+        with monkeypatch.context() as patch, pytest.raises(_Recorded):
+            patch.setattr(f"failcast.{work}", record)
+            patch.chdir(chain)
+            main([stage, *inputs, "--out", str(tmp_path / "out")])
+        (got,) = calls
+        want = expected(got)
+        assert {key: got[key] for key in want} == want
+
 
 class TestEvaluatePerfectPredictions:
     def test_ideal_value_reported(self, tmp_path, chain):
@@ -1138,6 +1214,16 @@ class TestNumericBounds:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    def test_a_huge_gamma_fits_without_a_warning(self, chain, tmp_path):
+        """Every off-diagonal kernel value is exp(-inf) = 0, its exact limit, with no
+        overflow warning on the way."""
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["train", "--data", str(chain / "data"), "--out", str(out),
+                         "--gamma", "1e308", "--trees", "5", "--folds", "2"]) == 0
+        assert all((out / name).is_file() for name in BUNDLE_FILES)
+
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         from failcast import synth
 
@@ -1243,7 +1329,7 @@ class TestAdaptGoogle:
         rc = main(["adapt-google", "--machine-events", str(me), "--task-usage", str(tu),
                    "--out", str(out)])
         assert rc == 2
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_adapted_trace_runs_through_ingest_label_and_pacf(self, tmp_path):
         """adapt-google -> ingest -> label -> pacf-report on a small clusterdata trace.

@@ -60,3 +60,36 @@ def test_no_module_uses_another_modules_underscore_names():
         if (names := foreign_private_names(path.read_text(), path.stem))
     }
     assert found == {}
+
+
+def others_private_attributes(source: str, own: str) -> list[str]:
+    """``line: expression`` of each underscore attribute that the module ``own`` with this
+    ``source`` reads of anything but ``self``, ``cls`` or the module itself."""
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and _private(node.attr)
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls", own))
+    ]
+
+
+def test_the_check_finds_private_attributes_of_other_objects():
+    source = (
+        "import argparse\n"
+        "class Stage:\n"
+        "    def flags(self, parser):\n"
+        "        return self._own, cls._all, cli._seed, parser.__doc__, parser._actions\n"
+        "(sub,) = (a for a in build()._actions if isinstance(a, argparse._SubParsersAction))\n"
+    )
+    assert sorted(others_private_attributes(source, "cli")) == [
+        "4: parser._actions", "5: argparse._SubParsersAction", "5: build()._actions",
+    ]
+
+
+def test_no_module_reads_private_attributes_of_other_objects():
+    found = {
+        path.name: reads
+        for path in sorted(SOURCE.glob("*.py"))
+        if (reads := others_private_attributes(path.read_text(), path.stem))
+    }
+    assert found == {}
