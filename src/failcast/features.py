@@ -35,7 +35,7 @@ from .tables import (
     write_rows,
 )
 from .trace_model import (
-    N_CLASSES, N_RESOURCES, FailureType, FleetArrays, IntervalSeries, LabelTracks, ResourceKind,
+    N_CLASSES, N_RESOURCES, FleetArrays, IntervalSeries, LabelTracks, ResourceKind,
 )
 
 logger = logging.getLogger(__name__)
@@ -238,6 +238,17 @@ class DatasetConfig:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
+def class_ranks(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(n,) place of each row within its class after one ``rng.permutation`` per class
+    present, in class order: the train/test split and the CV folds both read it."""
+    rank = np.empty(len(y), dtype=np.int64)
+    # the classes present; np.unique would import numpy.ma, 14 ms of start-up
+    for cls in np.flatnonzero(np.bincount(y)):
+        members = np.flatnonzero(y == cls)
+        rank[members[rng.permutation(len(members))]] = np.arange(len(members))
+    return rank
+
+
 def build_dataset(
     series: IntervalSeries,
     tracks: LabelTracks,
@@ -251,18 +262,20 @@ def build_dataset(
     preceding intervals are all present and not downtime. Every buildable
     failure instance is kept; normal instances are a seeded uniform
     sample of the requested size. The split is stratified per class and
-    fully determined by the seed: each non-empty class, in FailureType
-    order, takes one ``rng.permutation`` of its cells in (machine_id,
-    interval) order, and the first round(train_fraction * n) positions go
-    to train.
+    fully determined by the seed: a cell goes to train when its ``class_ranks``
+    rank is below round(train_fraction * n) for its class's n cells. A
+    window needs L intervals before its labeled one, so an L of the series
+    length or more raises ConfigError.
     """
     if tracks.y.shape[1:] != series.present.shape[1:] or not np.isin(
         tracks.machine_ids, series.machine_ids
     ).all():
         raise FailcastError("label tracks name machines or intervals the series lacks")
+    L, T = cfg.lags, series.present.shape[1]
+    if L > T - 1:
+        raise ConfigError(f"lags must be in [1, {T - 1}] for {T}-interval series: {L}")
     series_row = np.searchsorted(series.machine_ids, tracks.machine_ids)
     rng = np.random.default_rng(dcfg.rng_seed)
-    L = cfg.lags
     good = series.present[series_row] & ~tracks.downtime
     csum = np.zeros((good.shape[0], good.shape[1] + 1), dtype=np.int32)
     np.cumsum(good, axis=1, out=csum[:, 1:])
@@ -287,12 +300,7 @@ def build_dataset(
 
     rows, taus = np.nonzero(keep)
     y = tracks.y[rows, taus].astype(np.int64)
-    in_train = np.zeros(len(y), dtype=bool)
-    for cls in FailureType:
-        members = np.flatnonzero(y == cls)
-        if len(members):
-            order = rng.permutation(len(members))
-            in_train[members[order[: int(round(dcfg.train_fraction * len(members)))]]] = True
+    in_train = class_ranks(y, rng) < np.rint(dcfg.train_fraction * np.bincount(y))[y]
     splits = []
     # a boolean pick keeps the (machine, interval) order of np.nonzero
     for pick in (in_train, ~in_train):

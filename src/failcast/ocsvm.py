@@ -100,15 +100,10 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
         idx = nonzero[lo : lo + 512]
         grad += alpha[idx] @ _rbf(X[idx], sq[idx], X, sq, params.gamma)
 
-    at_lb = alpha <= 0.0
-    at_ub = alpha >= C
-
     violation = np.inf
     for _ in range(params.max_iter):
-        up = ~at_ub
-        down = ~at_lb
-        gi = np.where(up, grad, np.inf)
-        gj = np.where(down, grad, -np.inf)
+        gi = np.where(alpha < C, grad, np.inf)
+        gj = np.where(alpha > 0.0, grad, -np.inf)
         i = int(np.argmin(gi))
         j = int(np.argmax(gj))
         violation = gj[j] - gi[i]
@@ -132,17 +127,13 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
 
         new_i = alpha[i] + delta
         new_j = alpha[j] - delta
-        # snap to the box so bound masks stay exact
+        # snap to the box, so a coordinate at a bound holds exactly 0 or C
         if new_i >= C:
             new_i = C
         if new_j <= 0.0:
             new_j = 0.0
         delta = new_i - alpha[i]
         alpha[i], alpha[j] = new_i, new_j
-        at_ub[i] = new_i >= C
-        at_lb[i] = False
-        at_lb[j] = new_j <= 0.0
-        at_ub[j] = False
         grad += delta * (row_i - row_j)
     else:
         raise ConvergenceError(

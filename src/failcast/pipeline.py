@@ -27,7 +27,7 @@ from .errors import (
     ModelFormatError,
     StratificationError,
 )
-from .features import FeatureConfig
+from .features import FeatureConfig, class_ranks
 from .forest import ForestModel, ForestParams
 from .ocsvm import OcsvmModel, OcsvmParams
 from .trace_model import N_CLASSES
@@ -182,12 +182,7 @@ def _stratified_folds(
     y: np.ndarray, k: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Round-robin per-class fold assignment; every fold must see a failure."""
-    fold_of = np.empty(len(y), dtype=np.int64)
-    # the classes present; np.unique would import numpy.ma, 14 ms of start-up
-    for cls in np.flatnonzero(np.bincount(y)):
-        idx = np.nonzero(y == cls)[0]
-        idx = idx[rng.permutation(len(idx))]
-        fold_of[idx] = np.arange(len(idx)) % k
+    fold_of = class_ranks(y, rng) % k
     folds = [np.nonzero(fold_of == f)[0] for f in range(k)]
     for f, members in enumerate(folds):
         if not np.any(y[members] != 0):

@@ -14,11 +14,13 @@ one feature window, a class-by-class list split for the
 train/test split, a machine-by-machine loop for the PACF table and its
 histogram, ``np.savetxt`` for the synthetic usage table, one ``%`` per
 row for table writing, literal pair counting and rank sums for AUC, a
-tie-by-tie walk for the ROC curve, and one cascade fit per grid cell and
-fold for grid search. None of them share code with the package paths
-they verify; the PACF table loop calls the package's own ``pacf``, which
-the OLS oracle checks, and the grid search oracle calls the package's
-own fold split and cascade.
+tie-by-tie walk for the ROC curve, one cascade fit per grid cell and
+fold for grid search, bound masks kept beside alpha for the SMO loop,
+and a class-by-class round robin for the CV folds. None of them share
+code with the package paths they verify; the PACF table loop calls the
+package's own ``pacf``, which the OLS oracle checks, the grid search
+oracle calls the package's own fold split and cascade, and the masked
+SMO loop calls the package's own kernel and rho estimate.
 ``forest_predict_batch``, the majority vote over the package's own
 votes, ``split_of`` and ``one_tree``, the package's split search and tree
 growth on rows counted once each, and ``feature_index``, the inverse of
@@ -32,14 +34,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from failcast.errors import DegenerateTrainingError, InfeasibleNuError, ParseError
+from failcast.errors import (
+    ConvergenceError, DegenerateTrainingError, InfeasibleNuError, ParseError,
+)
 from failcast.features import KIND_AVG, KIND_PEAK, SIGNIFICANCE_Z, pacf
 from failcast.forest import MODEL_FORMAT as FOREST_FORMAT
 from failcast.forest import ForestParams, _arrays_model, best_split, grow_tree, predict_votes_batch
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
 from failcast.metrics import binary_f3, confusion
-from failcast.ocsvm import OcsvmParams
+from failcast.ocsvm import OcsvmModel, OcsvmParams, _estimate_rho, _rbf
 from failcast.pipeline import _stratified_folds, predict_batch
 from failcast.pipeline import train as cascade_train
 from failcast.trace_model import (
@@ -105,6 +109,62 @@ def qp_reference_objective(K: np.ndarray, cap: float, max_iter: int = 200_000) -
             stall = 0
         prev_obj = obj
     return 0.5 * float(a @ K @ a)
+
+
+def reference_masked_smo(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
+    """``ocsvm.train``'s SMO loop with ``at_lb``/``at_ub`` bound masks kept beside
+    alpha and updated at every step, rather than read from alpha."""
+    X = np.ascontiguousarray(normals, dtype=float)
+    n = len(X)
+    if params.nu * n < 1.0:
+        raise InfeasibleNuError(f"nu*n < 1 with n={n}")
+    C = 1.0 / (params.nu * n)
+    alpha = np.zeros(n)
+    k = int(params.nu * n)
+    alpha[:k] = C
+    if k < n:
+        alpha[k] = 1.0 - k * C
+    sq = np.einsum("ij,ij->i", X, X)
+    grad = np.zeros(n)
+    nonzero = np.nonzero(alpha)[0]
+    for lo in range(0, len(nonzero), 512):
+        idx = nonzero[lo : lo + 512]
+        grad += alpha[idx] @ _rbf(X[idx], sq[idx], X, sq, params.gamma)
+    at_lb = alpha <= 0.0
+    at_ub = alpha >= C
+    violation = np.inf
+    for _ in range(params.max_iter):
+        gi = np.where(~at_ub, grad, np.inf)
+        gj = np.where(~at_lb, grad, -np.inf)
+        i, j = int(np.argmin(gi)), int(np.argmax(gj))
+        violation = gj[j] - gi[i]
+        if violation <= params.tol:
+            break
+        if np.isnan(violation):
+            raise ConvergenceError("KKT violation is NaN", kkt_violation=float(violation))
+        row_i = _rbf(X[i : i + 1], sq[i : i + 1], X, sq, params.gamma)[0]
+        row_j = _rbf(X[j : j + 1], sq[j : j + 1], X, sq, params.gamma)[0]
+        eta = 2.0 - 2.0 * row_i[j]
+        limit = min(C - alpha[i], alpha[j])
+        delta = min((grad[j] - grad[i]) / eta, limit) if eta > 1e-12 else limit
+        if delta <= 0.0:
+            break
+        new_i, new_j = alpha[i] + delta, alpha[j] - delta
+        if new_i >= C:
+            new_i = C
+        if new_j <= 0.0:
+            new_j = 0.0
+        delta = new_i - alpha[i]
+        alpha[i], alpha[j] = new_i, new_j
+        at_ub[i] = new_i >= C
+        at_lb[i] = False
+        at_lb[j] = new_j <= 0.0
+        at_ub[j] = False
+        grad += delta * (row_i - row_j)
+    if violation > params.tol:
+        raise ConvergenceError("no convergence", kkt_violation=float(violation))
+    sv = alpha > 0.0
+    return OcsvmModel(X[sv].copy(), alpha[sv].copy(), _estimate_rho(grad, alpha, C), params.gamma)
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
@@ -538,6 +598,18 @@ def build_instance(series, tracks, row: int, tau: int, cfg):
             x[r * L + (lag - 1)] = series.avg[row, t, r]
             x[half + r * L + (lag - 1)] = series.peak[row, t, r]
     return FailureType(int(tracks.y[row, tau])), x
+
+
+def reference_fold_of(y: np.ndarray, k: int, rng) -> np.ndarray:
+    """(n,) CV fold of each row: each class present, in class order, deals its
+    rows out round robin in the order of one ``rng.permutation`` of them."""
+    fold_of = np.empty(len(y), dtype=np.int64)
+    for cls in FailureType:
+        idx = np.nonzero(y == cls)[0]
+        if len(idx):
+            idx = idx[rng.permutation(len(idx))]
+            fold_of[idx] = np.arange(len(idx)) % k
+    return fold_of
 
 
 def reference_stratified_split(rows, train_fraction: float, rng):

@@ -1139,6 +1139,7 @@ NUMERIC_EXTREMES = [
     ("pacf-report", ["--max-lag", "99999999999999999999"], None),
     ("pacf-report", ["--max-lag", "1000000000000"], None),
     ("pacf-report", ["--max-lag", "575"], None),
+    ("featurize", ["--lags", "576"], None),
     ("train", ["--trees-grid", "5,99999999999999999999"], None),
     ("evaluate", ["--latency", "-5"], None),
 ]
@@ -1153,7 +1154,8 @@ class TestNumericBounds:
         ids=[
             "days_1e300", "config_days_2_64", "machines_1e20", "machines_int64_max",
             "negative_seed", "interval_us_1e20", "horizon_us_1e20", "max_lag_1e20",
-            "max_lag_1e12", "max_lag_above_intervals", "trees_grid_1e20", "negative_latency",
+            "max_lag_1e12", "max_lag_above_intervals", "lags_above_intervals", "trees_grid_1e20",
+            "negative_latency",
         ],
     )
     def test_extreme_value_exits_2(self, chain, tmp_path, capsys, stage, flags, config):
@@ -1162,6 +1164,7 @@ class TestNumericBounds:
             "synth": [],
             "ingest": ["--events", events, "--usage", str(trace / "resource_usage.csv")],
             "pacf-report": ["--store", str(chain / "store")],
+            "featurize": ["--store", str(chain / "store"), "--labels", str(chain / "labels")],
             "train": ["--data", str(chain / "data")],
             "evaluate": ["--predictions", str(chain / "predictions.csv"),
                          "--data", str(chain / "data"), "--model", str(chain / "model")],

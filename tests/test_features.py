@@ -335,6 +335,16 @@ class TestBuildDataset:
                 assert not tracks.downtime[m, window].any()
                 assert series.present[m, window].all()
 
+    @pytest.mark.parametrize("T", [0, 1, 6, 7])
+    def test_lags_need_an_interval_before_the_labeled_one(self, T):
+        """A T-interval series holds a window of L lags only for L <= T - 1."""
+        series, tracks = _fleet(T=T)
+        for lags in range(1, T):
+            build_dataset(series, tracks, FeatureConfig(lags), DatasetConfig(normal_sample_count=1))
+        for lags in (max(T, 1), T + 1, 10**12):
+            with pytest.raises(ConfigError, match=rf"^lags must be in \[1, {T - 1}\] for {T}-"):
+                build_dataset(series, tracks, FeatureConfig(lags), DatasetConfig())
+
     def test_tracks_must_name_series_machines_and_intervals(self):
         series, tracks = _fleet(machines=2)
         for s, t in (
@@ -426,8 +436,8 @@ def _random_fleet(data):
     """(series, kept, tracks, cfg): a random fleet with gaps, and labels for
     the machines ``kept``, a random subset of it."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    M, T = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 30))
     cfg = FeatureConfig(lags=data.draw(st.integers(1, 4)))
+    M, T = data.draw(st.integers(1, 5)), data.draw(st.integers(cfg.lags + 1, 30))
     ids = np.sort(rng.choice(1000, M, replace=False)).astype(np.int64)
     present = rng.random((M, T)) >= data.draw(st.sampled_from([0.0, 0.05, 0.3]))
     avg = np.where(present[..., None], rng.random((M, T, 6)), 0.0)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from failcast.errors import ConfigError, ConvergenceError, InfeasibleNuError, ModelFormatError
 from failcast.ocsvm import (
@@ -25,6 +27,7 @@ from oracles import (
     dual_objective,
     kkt_max_violation,
     qp_reference_objective,
+    reference_masked_smo,
     rbf_kernel,
     rbf_matrix,
     training_alphas,
@@ -159,6 +162,53 @@ class TestTrain:
                 train(X, OcsvmParams(nu=0.5, gamma=0.5))
         assert np.isnan(err.value.kkt_violation)
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestBoundsReadFromAlpha:
+    """SMO reads each bound from alpha, and gives the same bits as the loop that keeps
+    bound masks beside alpha and updates them at every step."""
+
+    @staticmethod
+    def _outcome(fit, X, params):
+        """The fit's (support vectors, alphas, rho) bytes, or the type of error it raised."""
+        try:
+            model = fit(X, params)
+        except (InfeasibleNuError, ConvergenceError) as exc:
+            return type(exc)
+        return (model.support_vectors.tobytes(), model.alphas.tobytes(),
+                np.float64(model.rho).tobytes())
+
+    @settings(max_examples=150, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_masked_loop(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n, d = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 4))
+        X = rng.normal(size=(n, d))
+        copies = data.draw(st.integers(0, n - 1))
+        X[rng.integers(0, n, copies)] = X[rng.integers(0, n, copies)]
+        nu = data.draw(st.one_of(
+            st.just(1.0),
+            st.integers(1, n).map(lambda m: m / n),
+            st.floats(1.0 / n, 1.0),
+        ))
+        params = OcsvmParams(
+            nu=nu,
+            gamma=data.draw(st.sampled_from([0.05, 0.5, 4.0])),
+            tol=data.draw(st.sampled_from([1e-3, 1e-4, 1e-8, 1e-12])),
+        )
+        want = self._outcome(reference_masked_smo, X, params)
+        assert self._outcome(train, X, params) == want
+
+    @pytest.mark.parametrize("n, nu", [(20, 0.25), (8, 0.5), (30, 1.0), (7, 1.0)])
+    def test_integer_nu_n_and_every_alpha_at_its_bound(self, n, nu):
+        """nu*n whole: the last initial alpha is 0; nu = 1: every alpha stays at C."""
+        assert nu * n == int(nu * n)
+        X = np.random.default_rng(n).normal(size=(n, 3))
+        X[1] = X[0]
+        params = OcsvmParams(nu=nu, gamma=0.5)
+        assert self._outcome(train, X, params) == self._outcome(reference_masked_smo, X, params)
+        if nu == 1.0:
+            assert np.all(train(X, params).alphas == 1.0 / n)
 
 
 class TestDecision:

@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from failcast import forest as forest_mod
 from failcast import ocsvm as ocsvm_mod
@@ -14,11 +16,12 @@ from failcast.errors import (
     ModelFormatError,
     StratificationError,
 )
+from failcast.features import class_ranks
 from failcast.forest import ForestParams
 from failcast.ocsvm import OcsvmModel, OcsvmParams
 from failcast.pipeline import CascadeModel, GridSpec
-from failcast.trace_model import FailureType
-from oracles import forest_predict_batch, reference_grid_search_cv
+from failcast.trace_model import N_CLASSES, FailureType
+from oracles import forest_predict_batch, reference_fold_of, reference_grid_search_cv
 
 DIM = 12  # one lag
 
@@ -320,6 +323,29 @@ class TestGridSearch:
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(5,), folds=5)
         with pytest.raises(StratificationError):
             pipeline.grid_search_cv(*data, grid, rng_seed=0)
+
+
+class TestStratifiedFolds:
+    @settings(max_examples=300, derandomize=True)
+    @given(data=st.data())
+    def test_folds_are_the_class_by_class_round_robin(self, data):
+        """Folds deal each class's ``class_ranks`` out round robin, as the per-class loop
+        did, over labels with absent classes; a fold without both kinds is refused."""
+        present = sorted(data.draw(st.sets(st.integers(0, N_CLASSES - 1), min_size=1)))
+        y = np.array(data.draw(st.lists(st.sampled_from(present), max_size=60)), dtype=np.int64)
+        k, seed = data.draw(st.integers(2, 5)), data.draw(st.integers(0, 2**63 - 1))
+        ranks = class_ranks(y, np.random.default_rng(seed))
+        for cls in set(y.tolist()):
+            assert sorted(ranks[y == cls].tolist()) == list(range(np.count_nonzero(y == cls)))
+        fold_of = reference_fold_of(y, k, np.random.default_rng(seed))
+        assert np.array_equal(ranks % k, fold_of)
+        want = [np.flatnonzero(fold_of == f).tolist() for f in range(k)]
+        if all(0 < np.count_nonzero(y[w]) < len(w) for w in want):
+            got = pipeline._stratified_folds(y, k, np.random.default_rng(seed))
+            assert [f.tolist() for f in got] == want
+        else:
+            with pytest.raises(StratificationError):
+                pipeline._stratified_folds(y, k, np.random.default_rng(seed))
 
 
 class TestBundles:

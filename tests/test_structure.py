@@ -13,11 +13,10 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def foreign_private_names(source: str, own: str) -> list[str]:
-    """``module._name``, once each, for every underscore name of another failcast module
-    that the module ``own`` with this ``source`` imports by name or reads as an attribute."""
-    nodes = list(ast.walk(ast.parse(source)))
-    found, aliases = [], {}
+def failcast_imports(nodes: list[ast.AST]) -> tuple[dict, dict]:
+    """What the ``from`` imports among ``nodes`` bind of failcast: {alias: module} for
+    ``from . import ingestion``, and {alias: (module, name)} for a name of a module."""
+    aliases, names = {}, {}
     for node in nodes:
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -28,10 +27,20 @@ def foreign_private_names(source: str, own: str) -> list[str]:
         else:
             continue
         for alias in node.names:
-            if not package and alias.name in MODULES:  # from . import ingestion
+            if not package and alias.name in MODULES:
                 aliases[alias.asname or alias.name] = alias.name
-            elif package in MODULES and package != own and _private(alias.name):
-                found.append(f"{package}.{alias.name}")
+            elif package in MODULES:
+                names[alias.asname or alias.name] = (package, alias.name)
+    return aliases, names
+
+
+def foreign_private_names(source: str, own: str) -> list[str]:
+    """``module._name``, once each, for every underscore name of another failcast module
+    that the module ``own`` with this ``source`` imports by name or reads as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    aliases, names = failcast_imports(nodes)
+    found = [f"{module}.{name}" for module, name in names.values()
+             if module != own and _private(name)]
     for node in nodes:
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and aliases.get(node.value.id, own) != own and _private(node.attr)):
@@ -93,3 +102,59 @@ def test_no_module_reads_private_attributes_of_other_objects():
         if (reads := others_private_attributes(path.read_text(), path.stem))
     }
     assert found == {}
+
+
+def statement_reads(source: str, own: str) -> list[tuple[ast.stmt, set[tuple[str, str]]]]:
+    """Each top-level statement of the module ``own`` with this ``source``, with the
+    (module, name) pairs it reads: a bare name is ``own``'s unless it was imported by name
+    from a failcast module, and ``alias.name`` is of the module imported as ``alias``."""
+    tree = ast.parse(source)
+    modules, names = failcast_imports(list(ast.walk(tree)))
+    reads = []
+    for stmt in tree.body:
+        read = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                read.add(names.get(node.id, (own, node.id)))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                read.add((modules[node.value.id], node.attr))
+        reads.append((stmt, read))
+    return reads
+
+
+def unneeded_definitions(sources: dict[str, str], exported) -> list[str]:
+    """``module.name`` of each module-level function and class in ``sources`` (module
+    name to source) that no statement but its own definition reads, unless the name is
+    ``exported`` or a dunder such as a module's ``__getattr__``."""
+    reads = {module: statement_reads(source, module) for module, source in sources.items()}
+    found = []
+    for module, statements in reads.items():
+        for stmt, _ in statements:
+            if (not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    or stmt.name in exported or stmt.name.startswith("__")):
+                continue
+            if not any((module, stmt.name) in read for pairs in reads.values()
+                       for other, read in pairs if other is not stmt):
+                found.append(f"{module}.{stmt.name}")
+    return found
+
+
+def test_the_check_finds_definitions_nothing_reads():
+    sources = {
+        "tables": "def used():\n    return 1\ndef own_caller():\n    return own_caller()\n"
+                  "class Exported:\n    pass\ndef __getattr__(name):\n    pass\n",
+        "cli": "from . import tables as t\nfrom .features import helper as h\n"
+               "def main():\n    return t.used(), h(), used()\n",
+        "features": "def helper():\n    pass\ndef used():\n    pass\n",
+    }
+    assert unneeded_definitions(sources, exported={"Exported"}) == [
+        "tables.own_caller", "cli.main", "features.used",
+    ]
+
+
+def test_src_holds_no_code_that_nothing_in_it_needs():
+    """Every module-level function and class is read by other code in ``src/failcast``
+    or is public through ``failcast.__all__``."""
+    sources = {path.stem: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    assert unneeded_definitions(sources, exported=set(failcast.__all__)) == []
