@@ -94,12 +94,7 @@ def _is_int64(field: str) -> bool:
         return False
 
 
-def convert_task_usage(
-    source: TextIO,
-    out: TextIO,
-    stats: AdaptStats,
-    interval_us: int = INTERVAL_US,
-) -> None:
+def convert_task_usage(source: TextIO, out: TextIO, stats: AdaptStats) -> None:
     """Sum co-resident task usage into native per-machine 5-minute rows.
 
     Start, end and machine id are required integers, and a blank usage
@@ -118,12 +113,12 @@ def convert_task_usage(
     values = rows["values"][:, _MEAN + _PEAK]
     np.maximum(values[:, N_RESOURCES:], values[:, :N_RESOURCES], out=values[:, N_RESOURCES:])
 
-    row, bins, overlap = ingestion.bin_pieces(rows["start"], rows["end"], interval_us)
+    row, bins, overlap = ingestion.bin_pieces(rows["start"], rows["end"])
     cells, cell = np.unique(
         np.column_stack([rows["machine_id"][row], bins]), axis=0, return_inverse=True
     )
     pieces = values[row]
-    pieces[:, :N_RESOURCES] *= (overlap / interval_us)[:, None]
+    pieces[:, :N_RESOURCES] *= (overlap / INTERVAL_US)[:, None]
     sums = np.zeros((len(cells), pieces.shape[1]))
     # np.add.at adds in piece order, so each cell sums its rows in file order
     np.add.at(sums, cell, pieces)
@@ -134,4 +129,4 @@ def convert_task_usage(
 
     machine_id, b = cells.T
     out.write(USAGE_HEADER + "\n")
-    ingestion.write_usage_rows(out, b * interval_us, (b + 1) * interval_us, machine_id, sums)
+    ingestion.write_usage_rows(out, b * INTERVAL_US, (b + 1) * INTERVAL_US, machine_id, sums)

@@ -2,9 +2,10 @@
 
 Every stage reads the previous stage's artifacts from disk and is
 idempotent for a fixed seed: rerunning with identical inputs rewrites
-byte-identical outputs. All randomness flows from --seed. Each command
-imports the stage modules it runs when it starts, so one stage's process
-never loads the others' modules.
+byte-identical outputs. All randomness flows from the --seed of synth,
+featurize and train, the stages that draw. Each command imports the
+stage modules it runs when it starts, so one stage's process never loads
+the others' modules.
 """
 
 from __future__ import annotations
@@ -114,23 +115,19 @@ def _setting(dest: str, cast: type, field=None, many=False, scale=1, **options) 
 
 @dataclasses.dataclass(frozen=True)
 class Stage:
-    """One CLI stage: its flags after ``--seed`` and ``--config``, and the work they feed.
+    """One CLI stage: its flags after ``--config``, and the work they feed.
 
     ``work(ns, given)`` gets the parsed flags and the config field of each
-    setting that a flag or the config file gave, with its value. A
-    ``seeded`` stage's ``--seed`` is the setting ``rng_seed``.
+    setting that a flag or the config file gave, with its value.
     """
 
     help: str
     work: Callable[[argparse.Namespace, dict], int]
     own: tuple[Flag, ...]
-    seeded: bool = False
 
     @property
     def flags(self) -> tuple[Flag, ...]:
-        seed = Flag("seed", {"help": "master rng seed"}, int,
-                    field="rng_seed" if self.seeded else None)
-        return (seed, Flag("config", {"help": "key=value fallback file"}), *self.own)
+        return (Flag("config", {"help": "key=value fallback file"}), *self.own)
 
     def given(self, ns: argparse.Namespace, cfg: dict[str, str]) -> dict:
         values = {flag.field: flag.value(ns, cfg) for flag in self.flags if flag.field}
@@ -198,19 +195,13 @@ def _cmd_ingest(ns: argparse.Namespace, given: dict) -> int:
 
     events = _read(Path(ns.events), ingestion.parse_machine_events)
     table, clamps = _read(Path(ns.usage), ingestion.parse_usage_records)
-    interval_us = given.get("interval_us", INTERVAL_US)
-    if interval_us < 1:
-        raise ConfigError(f"interval_us must be >= 1, got {interval_us}")
-    horizon = given.get("horizon_us")
-    if not horizon:
-        max_end = int(table["end_us"].max(initial=0))
-        max_event = int(events["time_us"].max(initial=-1)) + 1
-        horizon = -(-max(max_end, max_event) // interval_us) * interval_us
-    series = ingestion.aggregate_intervals(table, horizon, interval_us)
+    max_end = int(table["end_us"].max(initial=0))
+    max_event = int(events["time_us"].max(initial=-1)) + 1
+    horizon = -(-max(max_end, max_event) // INTERVAL_US) * INTERVAL_US
+    series = ingestion.aggregate_intervals(table, horizon)
     store.save_interval_store(
         series,
         Path(ns.out),
-        interval_us,
         horizon,
         extra_meta={
             "events": len(events),
@@ -236,7 +227,7 @@ def _cmd_label(ns: argparse.Namespace, given: dict) -> int:
     events = _read(Path(ns.events), ingestion.parse_machine_events)
     lcfg = labeling.LabelingConfig(**given)
     failures, dropped = labeling.pair_failures(events, lcfg)
-    excluded = labeling.detect_degenerate_machines(series, failures, lcfg)
+    excluded = labeling.detect_degenerate_machines(series, failures)
     failures = failures[~np.isin(failures["machine_id"], sorted(excluded))]
     tracks = labeling.build_label_tracks(failures, series, lcfg, meta["interval_us"])
     tracks = tracks.select(~np.isin(tracks.machine_ids, sorted(excluded)))
@@ -398,7 +389,7 @@ def _cmd_predict(ns: argparse.Namespace, given: dict) -> int:
         return 0
     if not ns.data or not ns.out:
         raise FailcastError("predict needs --data and --out unless --stream is set")
-    data = _load_split(Path(ns.data), ns.split)
+    data = _load_split(Path(ns.data), "test")
     preds, scores = pipeline.predict_batch(model, data.x)
     out = Path(ns.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -458,7 +449,7 @@ def _cmd_evaluate(ns: argparse.Namespace, given: dict) -> int:
 
     predictions = Path(ns.predictions)
     rows = _read(predictions, _read_predictions)
-    data = _load_split(Path(ns.data), ns.split)
+    data = _load_split(Path(ns.data), "test")
     order, have = _sorted_instances(rows)
     want = _instances(data.machine_ids, data.interval)
     at = np.searchsorted(have, want)
@@ -547,29 +538,30 @@ def _cmd_adapt_google(ns: argparse.Namespace, given: dict) -> int:
 #: every stage, in chain order; no declaration imports a stage module
 STAGES = {
     "synth": Stage("generate a synthetic trace", _cmd_synth, (
+        _setting("seed", int, "rng_seed", help="master rng seed"),
         _flag("out", output="dir"), _setting("machines", int),
         _setting("days", float, "horizon_days"),
         _setting("signature", float, "signature_strength"),
         _setting("degenerate", int, "degenerate_machines"),
-    ), seeded=True),
+    )),
     "ingest": Stage("parse and bin a trace", _cmd_ingest, (
         _flag("events"), _flag("usage"), _flag("out", output="dir"),
-        _setting("interval_us", int), _setting("horizon_us", int),
     )),
     "label": Stage("pair and categorize failures", _cmd_label, (
         _flag("store"), _flag("events"), _flag("out", output="dir"),
         _setting("ir_max_minutes", int, "ir_max_downtime_us", scale=60 * 1_000_000),
-        _setting("degenerate_min_failures", int),
     )),
     "pacf-report": Stage("significant-lag histogram", _cmd_pacf_report, (
         _flag("store"), _flag("out", output="file"), _setting("max_lag", int),
     )),
     "featurize": Stage("build the labeled dataset", _cmd_featurize, (
+        _setting("seed", int, "rng_seed", help="master rng seed"),
         _flag("store"), _flag("labels"), _flag("out", output="dir"), _setting("lags", int),
         _setting("normal_samples", int, "normal_sample_count"),
         _setting("train_fraction", float),
-    ), seeded=True),
+    )),
     "train": Stage("grid-search CV, then train", _cmd_train, (
+        _setting("seed", int, "rng_seed", help="master rng seed"),
         _flag("data"), _flag("out", output="dir"),
         _setting("gamma", float), _setting("nu", float), _setting("trees", int, "n_trees"),
         _setting("gammas", float, many=True, help="comma list enabling a grid axis"),
@@ -577,17 +569,15 @@ STAGES = {
         _setting("trees_grid", int, "tree_counts", many=True),
         _setting("folds", int), _setting("tol", float),
         _flag("archive", output="file", required=False, help="also write a single-file bundle"),
-    ), seeded=True),
+    )),
     "predict": Stage("classify instances", _cmd_predict, (
         _flag("model"), _flag("data", required=False),
-        _flag("split", required=False, default="test", choices=("train", "test")),
         _flag("out", output="file", required=False),
         _flag("stream", required=False, action="store_true",
               help="read f0..f71 lines from stdin, write y,score lines"),
     )),
     "evaluate": Stage("metrics report + ROC csv", _cmd_evaluate, (
         _flag("predictions"), _flag("data"),
-        _flag("split", required=False, default="test", choices=("train", "test")),
         _flag("out", output="dir"), _flag("model", required=False),
         _setting("latency", int,
                  help="also time this many predict calls and print the figures (needs --model)"),

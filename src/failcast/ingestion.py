@@ -132,12 +132,8 @@ def _usage_rules(rows: np.ndarray) -> list[Rule]:
     ]
 
 
-def aggregate_intervals(
-    table: np.ndarray,
-    horizon_us: int,
-    interval_us: int = INTERVAL_US,
-) -> IntervalSeries:
-    """Aggregate the ``USAGE_DTYPE`` rows ``table`` into dense interval series for every machine.
+def aggregate_intervals(table: np.ndarray, horizon_us: int) -> IntervalSeries:
+    """Aggregate the ``USAGE_DTYPE`` rows ``table`` into dense 5-minute series for every machine.
 
     Per bin, avg is the overlap-duration-weighted mean of row means and
     peak is the max of row maxima over every bin the row touches. Rows
@@ -149,7 +145,7 @@ def aggregate_intervals(
     max_end = int(end_us.max(initial=0))
     if horizon_us < max_end:
         raise FailcastError(f"horizon {horizon_us} < max record end {max_end}")
-    n_bins = -(-horizon_us // interval_us)
+    n_bins = -(-horizon_us // INTERVAL_US)
 
     order = _row_order(table)
     sorted_ids = table["machine_id"][order]
@@ -159,12 +155,10 @@ def aggregate_intervals(
     machine_index = np.empty(len(table), dtype=np.int64)
     machine_index[order] = np.cumsum(new_machine) - 1
 
-    first_bin = start_us // interval_us
-    is_single = first_bin[order] == (end_us[order] - 1) // interval_us
+    first_bin = start_us // INTERVAL_US
+    is_single = first_bin[order] == (end_us[order] - 1) // INTERVAL_US
     single, spanning = order[is_single], order[~is_single]
-    piece_row, piece_bin, overlap = bin_pieces(
-        start_us[spanning], end_us[spanning], interval_us
-    )
+    piece_row, piece_bin, overlap = bin_pieces(start_us[spanning], end_us[spanning])
     pieces = spanning[piece_row]
 
     rows = np.concatenate([single, pieces])
@@ -195,20 +189,20 @@ def aggregate_intervals(
 
 
 def bin_pieces(
-    start_us: np.ndarray, end_us: np.ndarray, interval_us: int
+    start_us: np.ndarray, end_us: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, bin, overlap) of each piece of the spans [start_us, end_us) cut at bin edges.
+    """(row, bin, overlap) of each piece of the spans [start_us, end_us) cut at 5-minute bin edges.
 
     Pieces come in span order then bin order; ``overlap`` is in microseconds.
     """
-    first_bin = start_us // interval_us
-    n_pieces = (end_us - 1) // interval_us - first_bin + 1
+    first_bin = start_us // INTERVAL_US
+    n_pieces = (end_us - 1) // INTERVAL_US - first_bin + 1
     row = np.repeat(np.arange(len(start_us)), n_pieces)
     bins = first_bin[row] + (
         np.arange(len(row)) - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
     )
-    lo = np.maximum(start_us[row], bins * interval_us)
-    hi = np.minimum(end_us[row], (bins + 1) * interval_us)
+    lo = np.maximum(start_us[row], bins * INTERVAL_US)
+    hi = np.minimum(end_us[row], (bins + 1) * INTERVAL_US)
     return row, bins, hi - lo
 
 

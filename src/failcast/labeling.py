@@ -30,12 +30,15 @@ from .trace_model import (
 logger = logging.getLogger(__name__)
 
 FAILURES_HEADER = "machine_id,remove_us,add_us,duration_us,type"
+#: a machine with all-zero usage that fails more often than this is taken for a
+#: bookkeeping artifact, not a host: kept, it would add that many failure windows
+#: of all-zero features, which no usage pattern precedes
+DEGENERATE_MIN_FAILURES = 100
 
 
 @dataclass(frozen=True)
 class LabelingConfig:
     ir_max_downtime_us: int = IR_MAX_DOWNTIME_US
-    degenerate_min_failures: int = 100
 
     def __post_init__(self):
         if self.ir_max_downtime_us <= 0:
@@ -79,17 +82,15 @@ def pair_failures(events: np.ndarray, cfg: LabelingConfig) -> tuple[np.ndarray, 
     return failures, dropped
 
 
-def detect_degenerate_machines(
-    series: IntervalSeries, failures: np.ndarray, cfg: LabelingConfig
-) -> set[int]:
-    """Machines failing more than the threshold with usage that is all zero.
+def detect_degenerate_machines(series: IntervalSeries, failures: np.ndarray) -> set[int]:
+    """Machines failing more than DEGENERATE_MIN_FAILURES times with usage that is all zero.
 
     A machine with no usage series at all counts as all-zero. These look
     like bookkeeping artifacts rather than real hosts and are excluded
     from every later stage.
     """
     ids, counts = np.unique(failures["machine_id"], return_counts=True)
-    frequent = ids[counts > cfg.degenerate_min_failures]
+    frequent = ids[counts > DEGENERATE_MIN_FAILURES]
     # 0 <= avg <= peak, and absent intervals are all zero: usage shows in peak
     used = series.machine_ids[series.peak.any(axis=(1, 2))]
     return set(frequent[~np.isin(frequent, used)].tolist())

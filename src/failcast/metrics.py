@@ -66,10 +66,10 @@ def pooled(cm: np.ndarray) -> np.ndarray:
     return np.add.reduceat(np.add.reduceat(cm, [0, 1], axis=0), [0, 1], axis=1)
 
 
-def binary_f3(cm: np.ndarray, beta: float = DEFAULT_BETA) -> float:
-    """F-beta of failure-vs-normal; an undefined precision or recall counts as 0."""
+def binary_f3(cm: np.ndarray) -> float:
+    """F3 of failure-vs-normal; an undefined precision or recall counts as 0."""
     precision, recall = precision_recall(pooled(cm), 1)
-    return f_beta(precision or 0.0, recall or 0.0, beta)
+    return f_beta(precision or 0.0, recall or 0.0)
 
 
 def _roc_sweep(scores: Sequence[float], labels: Sequence[int]):
@@ -165,7 +165,6 @@ def build_report(
     predictions: Sequence[int],
     actuals: Sequence[int],
     scores: Optional[Sequence[float]] = None,
-    beta: float = DEFAULT_BETA,
 ) -> MetricsReport:
     cm = confusion(predictions, actuals)
     precision, recall = map(list, zip(*(precision_recall(cm, c) for c in range(N_CLASSES))))
@@ -173,7 +172,7 @@ def build_report(
 
     # the failure classes present in the data; an undefined rate counts as 0
     per_class_f3 = [
-        f_beta(precision[c] or 0.0, recall[c] or 0.0, beta)
+        f_beta(precision[c] or 0.0, recall[c] or 0.0)
         for c in range(1, N_CLASSES) if cm[:, c].any()
     ]
     macro = float(np.mean(per_class_f3)) if per_class_f3 else None
@@ -191,7 +190,7 @@ def build_report(
         recall=recall,
         binary_precision=bp,
         binary_recall=br,
-        binary_f3=binary_f3(cm, beta),
+        binary_f3=binary_f3(cm),
         macro_f3_failures=macro,
         auc=auc,
     )

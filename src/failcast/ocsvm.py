@@ -200,11 +200,6 @@ def decision(model: OcsvmModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def classify(model: OcsvmModel, x: np.ndarray) -> np.ndarray:
-    """1 per row that is an anomaly (decision < 0), else 0. Boundary counts as normal."""
-    return (decision(model, x) < 0.0).astype(np.int64)
-
-
 def save(model: OcsvmModel, out: TextIO) -> None:
     """Versioned flat text; floats use shortest round-trip form so decisions reload bit-exactly."""
     dim = model.support_vectors.shape[1]

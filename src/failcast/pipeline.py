@@ -114,7 +114,7 @@ def train(
         raise ValueError("training data needs both normal and failure instances")
 
     stage1 = ocsvm_mod.train(normals, ocsvm_params)
-    flagged = ocsvm_mod.classify(stage1, X) == 1
+    flagged = ocsvm_mod.decision(stage1, X) < 0.0
     if not np.any(flagged & (y != 0)):
         raise DegenerateTrainingError(
             "stage-1 filter removed every failure instance"

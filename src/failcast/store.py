@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FailcastError
-from .trace_model import FleetArrays, IntervalSeries, LabelTracks
+from .trace_model import INTERVAL_US, FleetArrays, IntervalSeries, LabelTracks
 
 
 def _save(arrays: FleetArrays, out_dir: Path, meta: dict) -> None:
@@ -45,12 +45,11 @@ def _read(path: Path, reader):
 def save_interval_store(
     series: IntervalSeries,
     out_dir: Path,
-    interval_us: int,
     horizon_us: int,
     extra_meta: dict | None = None,
 ) -> None:
     meta = {
-        "interval_us": interval_us,
+        "interval_us": INTERVAL_US,
         "horizon_us": horizon_us,
         "n_machines": len(series),
         "n_intervals": series.present.shape[1],

@@ -83,6 +83,10 @@ class SynthConfig:
             raise ConfigError(f"degenerate_machines must be >= 0, got {self.degenerate_machines}")
         if not 0.0 <= self.signature_strength <= 1.0:
             raise ConfigError("signature_strength must be in [0, 1]")
+        if not 0.0 <= self.failing_fraction <= 1.0:
+            raise ConfigError(f"failing_fraction must be in [0, 1], got {self.failing_fraction}")
+        if self.max_failures < 1:
+            raise ConfigError(f"max_failures must be >= 1, got {self.max_failures}")
 
     @property
     def horizon_us(self) -> int:

@@ -21,6 +21,7 @@ code with the package paths they verify; the PACF table loop calls the
 package's own ``pacf``, which the OLS oracle checks, the grid search
 oracle calls the package's own fold split and cascade, and the masked
 SMO loop calls the package's own kernel and rho estimate.
+``classify``, the anomaly flag of the package's own decisions,
 ``forest_predict_batch``, the majority vote over the package's own
 votes, ``split_of`` and ``one_tree``, the package's split search and tree
 growth on rows counted once each, and ``feature_index``, the inverse of
@@ -43,7 +44,7 @@ from failcast.forest import ForestParams, _arrays_model, best_split, grow_tree, 
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
 from failcast.metrics import binary_f3, confusion
-from failcast.ocsvm import OcsvmModel, OcsvmParams, _estimate_rho, _rbf
+from failcast.ocsvm import OcsvmModel, OcsvmParams, _estimate_rho, _rbf, decision
 from failcast.pipeline import _stratified_folds, predict_batch
 from failcast.pipeline import train as cascade_train
 from failcast.trace_model import (
@@ -414,6 +415,11 @@ def reference_decision(model, X) -> np.ndarray:
     d2 = x_sq[:, None] + sv_sq[None, :] - 2.0 * (X @ sv.T)
     np.maximum(d2, 0.0, out=d2)
     return np.exp(-model.gamma * d2) @ model.alphas - model.rho
+
+
+def classify(model, x) -> np.ndarray:
+    """1 per row that is an anomaly (decision < 0), else 0. Boundary counts as normal."""
+    return (decision(model, x) < 0.0).astype(np.int64)
 
 
 def reference_votes(model, X) -> np.ndarray:

@@ -27,6 +27,7 @@ from failcast.synth import SynthConfig
 from oracles import (
     auc_pair_counting,
     brute_force_best_split,
+    classify,
     dual_objective,
     f_beta_direct,
     forest_predict_batch,
@@ -193,7 +194,7 @@ def _run_pipeline(signature: float, tmp: Path):
     series = ingestion.aggregate_intervals(table, cfg.horizon_us)
     lcfg = LabelingConfig()
     failures, _ = labeling.pair_failures(events, lcfg)
-    excluded = labeling.detect_degenerate_machines(series, failures, lcfg)
+    excluded = labeling.detect_degenerate_machines(series, failures)
     kept_failures = failures[~np.isin(failures["machine_id"], sorted(excluded))]
     tracks = labeling.build_label_tracks(kept_failures, series, lcfg)
     tracks = tracks.select(~np.isin(tracks.machine_ids, sorted(excluded)))
@@ -209,7 +210,7 @@ def _run_pipeline(signature: float, tmp: Path):
     X_test, y_test = test_set.x, test_set.y
     preds, scores = pipeline.predict_batch(model, X_test)
     fail_mask = y_test != 0
-    stage1 = ocsvm_mod.classify(model.ocsvm, X_test[fail_mask])
+    stage1 = classify(model.ocsvm, X_test[fail_mask])
     stage1_recall = float(np.mean(stage1 == 1))
     report = metrics.build_report(preds, y_test, scores)
     return report, stage1_recall, int(fail_mask.sum())
@@ -331,7 +332,7 @@ def test_criterion_8_real_trace_structural_checks(tmp_path):
     series = ingestion.aggregate_intervals(table, horizon)
     lcfg = LabelingConfig()
     failures, _ = labeling.pair_failures(events, lcfg)
-    excluded = labeling.detect_degenerate_machines(series, failures, lcfg)
+    excluded = labeling.detect_degenerate_machines(series, failures)
     kept = failures[~np.isin(failures["machine_id"], sorted(excluded))]
     counts = np.bincount(kept["type"], minlength=4)[1:]
     expected = np.array([5894, 2783, 94])

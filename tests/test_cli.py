@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import failcast
 from failcast import features
-from failcast.cli import main
+from failcast.cli import STAGES, main
 from failcast.pipeline import BUNDLE_FILES
 
 
@@ -525,6 +525,27 @@ class TestBrokenInputs:
         assert "--lags" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("stage, flag, value", [
+        *((stage, "--seed", "1") for stage in
+          ("ingest", "label", "pacf-report", "predict", "evaluate", "adapt-google")),
+        ("ingest", "--interval-us", "300000000"), ("ingest", "--horizon-us", "600000000"),
+        ("predict", "--split", "train"), ("evaluate", "--split", "train"),
+        ("label", "--degenerate-min-failures", "100"),
+    ])
+    def test_a_setting_the_stage_does_not_have_exits_2(self, tmp_path, capsys, stage, flag, value):
+        """As a flag, and as a config key unless another stage has it, before any output."""
+        required = [arg for f in STAGES[stage].flags if f.options.get("required")
+                    for arg in ("--" + f.dest.replace("_", "-"), str(tmp_path / f.dest))]
+        assert main([stage, *required, flag, value]) == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        key = flag[2:].replace("-", "_")
+        if key != "seed":  # synth, featurize and train read it
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            assert main([stage, *required, "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: {cfg}: line 1: unknown setting {key!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] in ([], ["run.cfg"])
+
     def test_train_defaults_gamma_to_one_over_the_dataset_width(self, chain, tmp_path):
         data, model = tmp_path / "data", tmp_path / "m"
         assert main([
@@ -719,7 +740,6 @@ class TestBrokenInputs:
         "stage, flags",
         [
             ("synth", ["--machines", "0"]),
-            ("ingest", ["--interval-us", "0"]),
             ("label", ["--ir-max-minutes", "0"]),
             ("pacf-report", ["--max-lag", "0"]),
             ("featurize", ["--train-fraction", "1.5"]),
@@ -733,7 +753,6 @@ class TestBrokenInputs:
         store = str(chain / "store")
         inputs = {
             "synth": [],
-            "ingest": ["--events", events, "--usage", str(chain / "trace" / "resource_usage.csv")],
             "label": ["--store", store, "--events", events],
             "pacf-report": ["--store", store],
             "featurize": ["--store", store, "--labels", str(chain / "labels")],
@@ -742,16 +761,6 @@ class TestBrokenInputs:
         assert main([stage, *inputs, "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
-
-    def test_ingest_horizon_below_data_exits_2(self, chain, tmp_path, capsys):
-        rc = main([
-            "ingest", "--events", str(chain / "trace" / "machine_events.csv"),
-            "--usage", str(chain / "trace" / "resource_usage.csv"),
-            "--out", str(tmp_path / "s"), "--horizon-us", "1000",
-        ])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: horizon 1000 ")
-        assert not (tmp_path / "s").exists()
 
     def test_ingest_usage_without_rows_gives_empty_store(self, chain, tmp_path):
         events = str(chain / "trace" / "machine_events.csv")
@@ -1134,8 +1143,6 @@ NUMERIC_EXTREMES = [
     ("synth", ["--machines", "99999999999999999999"], None),
     ("synth", ["--machines", "9223372036854775807"], None),
     ("synth", ["--seed", "-1"], None),
-    ("ingest", ["--interval-us", "99999999999999999999"], None),
-    ("ingest", ["--horizon-us", "99999999999999999999"], None),
     ("pacf-report", ["--max-lag", "99999999999999999999"], None),
     ("pacf-report", ["--max-lag", "1000000000000"], None),
     ("pacf-report", ["--max-lag", "575"], None),
@@ -1153,16 +1160,14 @@ class TestNumericBounds:
         NUMERIC_EXTREMES,
         ids=[
             "days_1e300", "config_days_2_64", "machines_1e20", "machines_int64_max",
-            "negative_seed", "interval_us_1e20", "horizon_us_1e20", "max_lag_1e20",
+            "negative_seed", "max_lag_1e20",
             "max_lag_1e12", "max_lag_above_intervals", "lags_above_intervals", "trees_grid_1e20",
             "negative_latency",
         ],
     )
     def test_extreme_value_exits_2(self, chain, tmp_path, capsys, stage, flags, config):
-        trace, events = chain / "trace", str(chain / "trace" / "machine_events.csv")
         inputs = {
             "synth": [],
-            "ingest": ["--events", events, "--usage", str(trace / "resource_usage.csv")],
             "pacf-report": ["--store", str(chain / "store")],
             "featurize": ["--store", str(chain / "store"), "--labels", str(chain / "labels")],
             "train": ["--data", str(chain / "data")],
@@ -1393,7 +1398,7 @@ if sys.argv[1] == "--import":
     __import__(sys.argv[2])
     code = 0
 else:
-    from failcast.cli import main
+    from failcast.cli import STAGES, main
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("failcast")),
                   "hashlib" in sys.modules]))

@@ -16,7 +16,6 @@ from failcast.errors import ConfigError, ConvergenceError, InfeasibleNuError, Mo
 from failcast.ocsvm import (
     OcsvmModel,
     OcsvmParams,
-    classify,
     decision,
     load,
     save,
@@ -24,6 +23,7 @@ from failcast.ocsvm import (
 )
 
 from oracles import (
+    classify,
     dual_objective,
     kkt_max_violation,
     qp_reference_objective,

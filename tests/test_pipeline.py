@@ -21,7 +21,9 @@ from failcast.forest import ForestParams
 from failcast.ocsvm import OcsvmModel, OcsvmParams
 from failcast.pipeline import CascadeModel, GridSpec
 from failcast.trace_model import N_CLASSES, FailureType
-from oracles import forest_predict_batch, reference_fold_of, reference_grid_search_cv
+from oracles import (
+    classify, forest_predict_batch, reference_fold_of, reference_grid_search_cv,
+)
 
 DIM = 12  # one lag
 
@@ -96,7 +98,7 @@ class TestTrain:
     def test_stage_two_batch_is_exactly_the_flagged_set(self):
         X, y = make_data(n_normal=200, n_fail=40, seed=3)
         model = cascade((X, y), nu=0.15)
-        flagged = int(np.sum(ocsvm_mod.classify(model.ocsvm, X) == 1))
+        flagged = int(np.sum(classify(model.ocsvm, X) == 1))
         assert model.manifest["data"]["stage2_train"] == flagged
 
     def test_manifest_records_hyperparameters_and_digest(self):
@@ -132,7 +134,7 @@ class TestPredict:
     def test_cleared_points_are_normal_without_forest(self, monkeypatch):
         model = cascade(make_data())
         normal_x = np.full((1, DIM), 0.3)
-        assert ocsvm_mod.classify(model.ocsvm, normal_x).tolist() == [0]
+        assert classify(model.ocsvm, normal_x).tolist() == [0]
 
         def boom(*args, **kwargs):
             raise AssertionError("forest must not run for cleared points")
@@ -145,7 +147,7 @@ class TestPredict:
     def test_flagged_points_take_forest_class(self):
         model = cascade(make_data())
         far = np.full((1, DIM), 0.8)
-        assert ocsvm_mod.classify(model.ocsvm, far).tolist() == [1]
+        assert classify(model.ocsvm, far).tolist() == [1]
         preds, _ = pipeline.predict_batch(model, far)
         assert preds.tolist() == forest_predict_batch(model.forest, far).tolist()
 
@@ -154,7 +156,7 @@ class TestPredict:
         X, y = make_data()
         model = cascade((X, y), nu=0.3)
         normals = X[y == FailureType.NORMAL]
-        flagged_normals = normals[ocsvm_mod.classify(model.ocsvm, normals) == 1]
+        flagged_normals = normals[classify(model.ocsvm, normals) == 1]
         assert len(flagged_normals), "nu=0.3 must leak some normals"
         preds, _ = pipeline.predict_batch(model, flagged_normals)
         assert 0 in set(preds.tolist())
@@ -225,7 +227,7 @@ class TestScore:
         rng = np.random.default_rng(10)
         X = rng.random((100, DIM))
         preds, scores = pipeline.predict_batch(model, X)
-        cleared = ocsvm_mod.classify(model.ocsvm, X) == 0
+        cleared = classify(model.ocsvm, X) == 0
         assert np.all(preds[cleared] == FailureType.NORMAL)
         assert np.all(scores[cleared] < 0.5)
         assert np.all(scores[~cleared] >= 0.5)

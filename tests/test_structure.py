@@ -1,9 +1,12 @@
 """The boundaries between failcast's modules, read from their source."""
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import failcast
+from failcast import cli
 
 SOURCE = Path(failcast.__file__).parent
 MODULES = {path.stem for path in SOURCE.glob("*.py")}
@@ -158,3 +161,37 @@ def test_src_holds_no_code_that_nothing_in_it_needs():
     or is public through ``failcast.__all__``."""
     sources = {path.stem: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
     assert unneeded_definitions(sources, exported=set(failcast.__all__)) == []
+
+
+def unread_flags(stages: dict) -> list[str]:
+    """``stage --flag`` of each flag of ``stages`` (name to ``cli.Stage``) that its stage
+    does not read. A flag is read if it is ``--config``, if it gives a config field and
+    the stage's work function reads ``given``, or if that function reads ``ns.<dest>``."""
+    found = []
+    for name, stage in stages.items():
+        work = ast.parse(textwrap.dedent(inspect.getsource(stage.work))).body[0]
+        ns, given = (arg.arg for arg in work.args.args)
+        read = {node.attr for node in ast.walk(work) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == ns}
+        reads_given = any(isinstance(node, ast.Name) and node.id == given
+                          for node in ast.walk(work))
+        found += [f"{name} --{flag.dest}" for flag in stage.flags
+                  if flag.dest != "config" and flag.dest not in read
+                  and not (flag.field and reads_given)]
+    return found
+
+
+def test_the_check_finds_flags_nothing_reads():
+    def reads_a_and_given(ns, given):
+        return ns.a, given
+
+    def reads_a(args, settings):
+        return args.a
+
+    flags = (cli.Flag("a", {}), cli.Flag("b", {}), cli.Flag("c", {}, int, field="c"))
+    stages = {"x": cli.Stage("", reads_a_and_given, flags), "y": cli.Stage("", reads_a, flags)}
+    assert unread_flags(stages) == ["x --b", "y --b", "y --c"]
+
+
+def test_every_declared_flag_is_read():
+    assert unread_flags(cli.STAGES) == []

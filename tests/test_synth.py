@@ -74,7 +74,7 @@ def test_degenerate_machines_detected_and_excluded(ingested):
     events, _, _, series = ingested
     cfg = LabelingConfig()
     failures, _ = labeling.pair_failures(events, cfg)
-    excluded = labeling.detect_degenerate_machines(series, failures, cfg)
+    excluded = labeling.detect_degenerate_machines(series, failures)
     assert len(excluded) == SMALL.degenerate_machines
     assert excluded == {58, 59}  # the last machine ids
 
@@ -175,6 +175,10 @@ def test_degenerate_parameter_validation(tmp_path):
     with pytest.raises(ValueError):
         SynthConfig(signature_strength=1.5)
     for bad in (dict(degenerate_machines=-1), dict(horizon_days=float("nan")),
-                dict(horizon_days=float("inf"))):
+                dict(horizon_days=float("inf")), dict(max_failures=0),
+                dict(failing_fraction=1.5), dict(failing_fraction=-0.5)):
         with pytest.raises(ConfigError):
             SynthConfig(**bad)
+    # the failure draw's extremes stay valid: every machine failing, and once at most
+    SynthConfig(failing_fraction=1.0, max_failures=1)
+    SynthConfig(failing_fraction=0.0)
