@@ -49,6 +49,8 @@ def _read_config_file(path: Optional[str]) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in settings:
             raise FailcastError(f"{path}: line {line_no}: unknown setting {key!r}")
+        if key in cfg:
+            raise FailcastError(f"{path}: line {line_no}: setting {key!r} given again")
         cfg[key] = value
     return cfg
 
@@ -199,17 +201,12 @@ def _cmd_ingest(ns: argparse.Namespace, given: dict) -> int:
     max_event = int(events["time_us"].max(initial=-1)) + 1
     horizon = -(-max(max_end, max_event) // INTERVAL_US) * INTERVAL_US
     series = ingestion.aggregate_intervals(table, horizon)
-    store.save_interval_store(
-        series,
-        Path(ns.out),
-        horizon,
-        extra_meta={
-            "events": len(events),
-            "usage_records": len(table),
-            "values_clamped": clamps.values_clamped,
-            "rows_with_clamps": clamps.rows_affected,
-        },
-    )
+    store.save_interval_store(series, Path(ns.out), extra_meta={
+        "events": len(events),
+        "usage_records": len(table),
+        "values_clamped": clamps.values_clamped,
+        "rows_with_clamps": clamps.rows_affected,
+    })
     print(
         f"ingested {len(table)} usage records for {len(series)} machines "
         f"({clamps.values_clamped} values clamped); store at {ns.out}"
@@ -223,27 +220,22 @@ def _cmd_ingest(ns: argparse.Namespace, given: dict) -> int:
 def _cmd_label(ns: argparse.Namespace, given: dict) -> int:
     from . import ingestion, labeling, store
 
-    series, meta = store.load_interval_store(Path(ns.store))
+    series, _ = store.load_interval_store(Path(ns.store))
     events = _read(Path(ns.events), ingestion.parse_machine_events)
     lcfg = labeling.LabelingConfig(**given)
     failures, dropped = labeling.pair_failures(events, lcfg)
     excluded = labeling.detect_degenerate_machines(series, failures)
-    failures = failures[~np.isin(failures["machine_id"], sorted(excluded))]
-    tracks = labeling.build_label_tracks(failures, series, lcfg, meta["interval_us"])
-    tracks = tracks.select(~np.isin(tracks.machine_ids, sorted(excluded)))
+    failures = failures[~np.isin(failures["machine_id"], excluded)]
+    tracks = labeling.build_label_tracks(failures, series, lcfg)
+    tracks = tracks.select(~np.isin(tracks.machine_ids, excluded))
     ir, sr, fd = np.bincount(failures["type"], minlength=N_CLASSES).tolist()[1:]
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    store.save_label_store(
-        tracks,
-        out_dir,
-        excluded,
-        extra_meta={
-            "failures": len(failures),
-            "dropped_removes": dropped,
-            "class_counts": {"ir": ir, "sr": sr, "fd": fd},
-        },
-    )
+    store.save_label_store(tracks, out_dir, excluded, extra_meta={
+        "failures": len(failures),
+        "dropped_removes": dropped,
+        "class_counts": {"ir": ir, "sr": sr, "fd": fd},
+    })
     with open(out_dir / "failures.csv", "w", newline="\n") as f:
         labeling.write_failures_csv(failures, f)
     print(
@@ -333,7 +325,7 @@ def _cmd_train(ns: argparse.Namespace, given: dict) -> int:
     })
 
     (best_gamma, best_nu, best_trees), f3 = pipeline.grid_search_cv(
-        data.x, data.y, grid, base_forest.rng_seed, base_ocsvm, base_forest
+        data.x, data.y, grid, base_ocsvm, base_forest
     )
     model = pipeline.train(
         data.x,

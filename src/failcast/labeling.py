@@ -82,8 +82,9 @@ def pair_failures(events: np.ndarray, cfg: LabelingConfig) -> tuple[np.ndarray, 
     return failures, dropped
 
 
-def detect_degenerate_machines(series: IntervalSeries, failures: np.ndarray) -> set[int]:
-    """Machines failing more than DEGENERATE_MIN_FAILURES times with usage that is all zero.
+def detect_degenerate_machines(series: IntervalSeries, failures: np.ndarray) -> np.ndarray:
+    """The sorted int64 ids of machines failing more than DEGENERATE_MIN_FAILURES
+    times with usage that is all zero.
 
     A machine with no usage series at all counts as all-zero. These look
     like bookkeeping artifacts rather than real hosts and are excluded
@@ -93,14 +94,11 @@ def detect_degenerate_machines(series: IntervalSeries, failures: np.ndarray) -> 
     frequent = ids[counts > DEGENERATE_MIN_FAILURES]
     # 0 <= avg <= peak, and absent intervals are all zero: usage shows in peak
     used = series.machine_ids[series.peak.any(axis=(1, 2))]
-    return set(frequent[~np.isin(frequent, used)].tolist())
+    return frequent[~np.isin(frequent, used)]
 
 
 def build_label_tracks(
-    failures: np.ndarray,
-    series: IntervalSeries,
-    cfg: LabelingConfig,
-    interval_us: int = INTERVAL_US,
+    failures: np.ndarray, series: IntervalSeries, cfg: LabelingConfig
 ) -> LabelTracks:
     """Assign the per-interval label and downtime flags for every machine.
 
@@ -113,7 +111,7 @@ def build_label_tracks(
     m, n = series.present.shape
     failures = failures[np.lexsort((failures["remove_us"], failures["machine_id"]))]
     row = np.searchsorted(series.machine_ids, failures["machine_id"])
-    t_remove = failures["remove_us"] // interval_us
+    t_remove = failures["remove_us"] // INTERVAL_US
     keep = np.isin(failures["machine_id"], series.machine_ids) & (t_remove < n)
     failures, row, t_remove = failures[keep], row[keep], t_remove[keep]
 
@@ -124,7 +122,7 @@ def build_label_tracks(
 
     # a failure that comes back is down up to the last interval ending by the add
     add = failures["add_us"]
-    stop = np.where(add < 0, n, np.minimum(add // interval_us, n))
+    stop = np.where(add < 0, n, np.minimum(add // INTERVAL_US, n))
     downtime = interval_runs((m, n), row, t_remove + 1, stop)
     return LabelTracks(series.machine_ids, y, downtime)
 

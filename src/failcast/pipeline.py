@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -193,12 +193,7 @@ def _stratified_folds(
 
 
 def grid_search_cv(
-    X: np.ndarray,
-    y: np.ndarray,
-    grid: GridSpec,
-    rng_seed: int,
-    base_ocsvm: Optional[OcsvmParams] = None,
-    base_forest: Optional[ForestParams] = None,
+    X: np.ndarray, y: np.ndarray, grid: GridSpec, base_ocsvm: OcsvmParams, base_forest: ForestParams
 ) -> tuple[tuple[float, float, int], np.ndarray]:
     """Pick (gamma, nu, n_trees) by mean binary F3 over stratified folds.
 
@@ -210,13 +205,13 @@ def grid_search_cv(
     which are the forest it would grow on its own.
     A fit that is unusable scores 0.0 at every tree count. Ties break
     toward fewer trees, then larger nu, then smaller gamma: the cheaper
-    and more conservative model. The fold split depends only on rng_seed.
+    and more conservative model. The fold split depends only on
+    ``base_forest.rng_seed``.
     """
     from . import metrics as metrics_mod
 
-    base_ocsvm = base_ocsvm or OcsvmParams()
-    forest_params = replace(base_forest or ForestParams(), n_trees=max(grid.tree_counts))
-    folds = _stratified_folds(y, grid.folds, np.random.default_rng(rng_seed))
+    forest_params = replace(base_forest, n_trees=max(grid.tree_counts))
+    folds = _stratified_folds(y, grid.folds, np.random.default_rng(base_forest.rng_seed))
     f3 = np.zeros((len(grid.gammas), len(grid.nus), len(grid.tree_counts), grid.folds))
     for f, test_idx in enumerate(folds):
         train_idx = np.delete(np.arange(len(y)), test_idx)  # not np.setdiff1d: numpy.ma

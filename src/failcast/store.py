@@ -27,10 +27,20 @@ def _save(arrays: FleetArrays, out_dir: Path, meta: dict) -> None:
 
 
 def _load(cls, store_dir: Path):
+    """A store's arrays and meta; FailcastError names a file that does not fit, where
+    ``machine_ids.npy`` is (M,) and every other field (M, T, ...) with one T."""
     store_dir = Path(store_dir)
-    arrays = cls(*(_read(store_dir / f"{f.name}.npy", lambda p: np.load(p, mmap_mode="r"))
-                   for f in dataclasses.fields(cls)))
-    return arrays, _read(store_dir / "meta.json", lambda path: json.loads(path.read_text()))
+    names = [f.name for f in dataclasses.fields(cls)]
+    arrays = [_read(store_dir / f"{name}.npy", lambda p: np.lib.format.open_memmap(p, mode="r"))
+              for name in names]
+    ids, first = (array.shape for array in arrays[:2])
+    for name, array in zip(names[1:], arrays[1:]):
+        shape = array.shape
+        if shape[:1] != ids or len(shape) < 2 or shape[1] != first[1]:
+            raise FailcastError(f"{store_dir / name}.npy: shape {shape}, where machine_ids.npy"
+                                f" is {ids} and {names[1]}.npy {first}")
+    meta = _read(store_dir / "meta.json", lambda path: json.loads(path.read_text()))
+    return cls(*arrays), meta
 
 
 def _read(path: Path, reader):
@@ -42,33 +52,32 @@ def _read(path: Path, reader):
         raise FailcastError(f"{path}: unreadable store file: {exc}") from None
 
 
-def save_interval_store(
-    series: IntervalSeries,
-    out_dir: Path,
-    horizon_us: int,
-    extra_meta: dict | None = None,
-) -> None:
+def save_interval_store(series: IntervalSeries, out_dir: Path, extra_meta: dict) -> None:
     meta = {
         "interval_us": INTERVAL_US,
-        "horizon_us": horizon_us,
+        "horizon_us": series.present.shape[1] * INTERVAL_US,
         "n_machines": len(series),
         "n_intervals": series.present.shape[1],
     }
-    _save(series, out_dir, {**meta, **(extra_meta or {})})
+    _save(series, out_dir, {**meta, **extra_meta})
 
 
 def load_interval_store(store_dir: Path) -> tuple[IntervalSeries, dict]:
-    return _load(IntervalSeries, store_dir)
+    """The series and meta of an interval store binned at INTERVAL_US; any other is refused."""
+    series, meta = _load(IntervalSeries, store_dir)
+    interval = meta.get("interval_us") if isinstance(meta, dict) else None
+    if interval != INTERVAL_US:
+        raise FailcastError(
+            f"{Path(store_dir) / 'meta.json'}: interval_us is {interval}, not {INTERVAL_US}"
+        )
+    return series, meta
 
 
 def save_label_store(
-    tracks: LabelTracks,
-    out_dir: Path,
-    excluded: set[int],
-    extra_meta: dict | None = None,
+    tracks: LabelTracks, out_dir: Path, excluded: np.ndarray, extra_meta: dict
 ) -> None:
-    meta = {"excluded_machines": sorted(int(m) for m in excluded)}
-    _save(tracks, out_dir, {**meta, **(extra_meta or {})})
+    """``excluded`` are the sorted ids of the machines the tracks leave out."""
+    _save(tracks, out_dir, {"excluded_machines": excluded.tolist(), **extra_meta})
 
 
 def load_label_store(store_dir: Path) -> tuple[LabelTracks, dict]:

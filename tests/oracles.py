@@ -40,7 +40,7 @@ from failcast.errors import (
 )
 from failcast.features import KIND_AVG, KIND_PEAK, SIGNIFICANCE_Z, pacf
 from failcast.forest import MODEL_FORMAT as FOREST_FORMAT
-from failcast.forest import ForestParams, _arrays_model, best_split, grow_tree, predict_votes_batch
+from failcast.forest import _arrays_model, best_split, grow_tree, predict_votes_batch
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
 from failcast.metrics import binary_f3, confusion
@@ -873,16 +873,14 @@ def reference_write_rows(row_format: str, *columns) -> str:
     return "".join(lines)
 
 
-def reference_grid_search_cv(X, y, grid, rng_seed, base_ocsvm=None, base_forest=None):
+def reference_grid_search_cv(X, y, grid, base_ocsvm, base_forest):
     """``grid_search_cv`` cell by cell: one cascade fit per (gamma, nu, B, fold).
 
     Every tree count grows its own forest, so nothing relies on the
     prefix invariant. The folds come from the package's own split, which
     both paths share by contract.
     """
-    base_ocsvm = base_ocsvm or OcsvmParams()
-    base_forest = base_forest or ForestParams()
-    folds = _stratified_folds(y, grid.folds, np.random.default_rng(rng_seed))
+    folds = _stratified_folds(y, grid.folds, np.random.default_rng(base_forest.rng_seed))
     table = []
     for gamma, nu, n_trees in grid.cells():
         fold_f3 = []

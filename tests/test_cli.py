@@ -156,6 +156,15 @@ GOLDEN_DIGESTS = {
     "reports/roc.csv": "99732cf9e1280ae285745cb8547fa94ebdee438e818927ebe699df3e9b088d58",
     "reports/report.txt": "f8572df250e5d46b2ad987db1cccb2da9ada0ae25a50df8812166d2c30455cb4",
     "reports/report.kv": "487c24162a171b0908ba95b853f4d5dc1f8f747cc6249727b6a9b13b3ed2d6fd",
+    "store/avg.npy": "2196bacfea1358980c771d24647fdb3a48664dd61bc05d7c27884d7232866999",
+    "store/machine_ids.npy": "7d2bbdee3bfe4aa21f28fa8d572d9bbd6cc5e6e9ad28fe2441f5a5596cdd0043",
+    "store/meta.json": "a0e851db7471aa1268bc8d8489175554a6c731f2ae0a2d7c0e4a9bf8e2b242cd",
+    "store/peak.npy": "0a0fd5355696ddd5565f98a8498ffb6406de54f0ed8393085d724619ca21823c",
+    "store/present.npy": "a85fd97a9977e62cd84c4b88c9b654adc634e2bdf881233975eca6beb3e73c77",
+    "labels/downtime.npy": "3e0808e987d76393dd326662980f2df7744bcacdafd634776d96aa6321537d12",
+    "labels/machine_ids.npy": "cf65a29f08e45e6a9cd535761ef26749abb5d9056ab86cbd263f31172093b277",
+    "labels/meta.json": "e717f4b20e04fdb7bcbd790f3290326b58f99f84da508030b05355b8d8bcf3f2",
+    "labels/y.npy": "9b70e74c2ea47ea6c4e14ae96bf76936a3736a54b85ca804681e090418c25cca",
 }
 
 
@@ -198,6 +207,36 @@ def test_weighted_averages_are_written_in_shortest_round_trip_form(small_trace, 
         assert path.read_text() == header + reference_write_rows(row_format, y, X)
 
 
+#: how far a row's score alone may lie from its score in a batch: a batch of one
+#: goes down another BLAS path, which rounds g(x) differently (README, "Notes on
+#: conventions"); only a margin within that rounding of 0 could change the class
+ONE_ROW_SCORE_BOUND = 1e-15
+ONE_ROW_MARGIN_ROUNDING = 1e-12
+
+
+@pytest.fixture(scope="module")
+def test_split_batch(chain):
+    """The `chain` model, its test rows and their batch predictions, scores and margins."""
+    from failcast import ocsvm, pipeline
+
+    model = pipeline.load_bundle(chain / "model")
+    with open(chain / "data" / "test.csv") as f:
+        X, _ = features.read_dataset_csv(f)
+    return model, X, *pipeline.predict_batch(model, X), ocsvm.decision(model.ocsvm, X)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(data=st.data())
+def test_a_row_alone_keeps_its_batch_class_and_score(test_split_batch, data):
+    from failcast import pipeline
+
+    model, X, preds, scores, g = test_split_batch
+    i = data.draw(st.integers(0, len(X) - 1), label="row")
+    pred, score = pipeline.predict_batch(model, X[i : i + 1])
+    assert pred[0] == preds[i] or abs(g[i]) <= ONE_ROW_MARGIN_ROUNDING
+    assert abs(score[0] - scores[i]) <= ONE_ROW_SCORE_BOUND
+
+
 #: SHA-256 of a 2 x 3 x 3 grid trained on the `chain` fixture's data. The
 #: tree counts are unsorted and nu=0.001 is unusable on every fold, so these
 #: see the grid's cell order, its tie rule and its zero-score rows.
@@ -228,7 +267,7 @@ def test_grid_filters_each_test_fold_once_per_fit(chain, monkeypatch):
     test fold, which then serves every tree count: 24 calls, not the 48 of
     one stage-1 pass per tree count.
     """
-    from failcast import ForestParams, features, ocsvm, pipeline
+    from failcast import ForestParams, OcsvmParams, features, ocsvm, pipeline
 
     with open(chain / "data" / "train.csv") as f:
         X, y = features.read_dataset_csv(f)
@@ -237,7 +276,7 @@ def test_grid_filters_each_test_fold_once_per_fit(chain, monkeypatch):
     monkeypatch.setattr(ocsvm, "decision", lambda *a: calls.append(a) or decision(*a))
     grid = pipeline.GridSpec(gammas=(0.125, 0.5), nus=(0.05, 0.1, 0.001),
                              tree_counts=(50, 10, 30), folds=3)
-    pipeline.grid_search_cv(X, y, grid, 11, base_forest=ForestParams(rng_seed=11))
+    pipeline.grid_search_cv(X, y, grid, OcsvmParams(), ForestParams(rng_seed=11))
     assert len(calls) == 24
 
 
@@ -506,6 +545,64 @@ class TestBrokenInputs:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {store / name}: ")
         assert not (tmp_path / "h.csv").exists()
+
+    def test_an_archive_in_place_of_a_store_array_exits_2(self, chain, tmp_path, capsys):
+        store = tmp_path / "store"
+        shutil.copytree(chain / "store", store)
+        with open(store / "avg.npy", "wb") as f:
+            np.savez(f, avg=np.load(chain / "store" / "avg.npy"))
+        rc = main(["pacf-report", "--store", str(store), "--out", str(tmp_path / "h.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {store / 'avg.npy'}: ")
+        assert not (tmp_path / "h.csv").exists()
+
+    @pytest.mark.parametrize("store, name, axis", [
+        *(("store", name, 0) for name in ("machine_ids", "avg", "peak", "present")),
+        *(("store", name, 1) for name in ("avg", "peak", "present")),
+        *(("labels", name, 0) for name in ("machine_ids", "y", "downtime")),
+        *(("labels", name, 1) for name in ("y", "downtime")),
+    ])
+    def test_a_store_whose_arrays_disagree_exits_2(
+        self, chain, tmp_path, capsys, store, name, axis
+    ):
+        """One machine (axis 0) or one interval (axis 1) fewer in one file of a store."""
+        copy = tmp_path / store
+        shutil.copytree(chain / store, copy)
+        path = copy / f"{name}.npy"
+        np.save(path, np.delete(np.load(path), -1, axis=axis))
+        events, out = str(chain / "trace" / "machine_events.csv"), str(tmp_path / "out")
+        runs = {
+            "store": [["label", "--store", str(copy), "--events", events, "--out", out],
+                      ["pacf-report", "--store", str(copy), "--out", out]],
+            "labels": [["featurize", "--store", str(chain / "store"), "--labels", str(copy),
+                        "--out", out]],
+        }[store]
+        for argv in runs:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {copy}{os.sep}") and f"{name}.npy" in err, argv[0]
+            assert err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("meta", [
+        {"interval_us": 60_000_000}, {}, [],
+    ], ids=["one_minute", "no_interval", "not_an_object"])
+    def test_a_store_of_another_interval_exits_2(self, chain, tmp_path, capsys, meta):
+        """A store binned at another interval, as the ingest of old releases could write."""
+        store = tmp_path / "store"
+        shutil.copytree(chain / "store", store)
+        if meta:
+            meta = {**json.loads((store / "meta.json").read_text()), **meta}
+        (store / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "labels"
+        rc = main(["label", "--store", str(store), "--events",
+                   str(chain / "trace" / "machine_events.csv"), "--out", str(out)])
+        assert rc == 2
+        interval = meta.get("interval_us") if meta else None
+        assert capsys.readouterr().err == (
+            f"error: {store / 'meta.json'}: interval_us is {interval}, not 300000000\n"
+        )
+        assert not out.exists()
 
     def test_train_with_nu_above_one_exits_2(self, chain, tmp_path, capsys):
         rc = main([
@@ -1005,7 +1102,7 @@ def _train_defaults(got: dict) -> dict:
     gamma = 1 / got["X"].shape[1]
     grid = dataclasses.replace(GridSpec(), gammas=(gamma,), nus=(OcsvmParams().nu,),
                                tree_counts=(ForestParams().n_trees,))
-    return {"grid": grid, "rng_seed": ForestParams().rng_seed, "base_forest": ForestParams(),
+    return {"grid": grid, "base_forest": ForestParams(),
             "base_ocsvm": dataclasses.replace(OcsvmParams(), gamma=gamma)}
 
 
@@ -1116,6 +1213,14 @@ class TestConfigFile:
         out = tmp_path / "t"
         assert main(["synth", "--out", str(out), "--days", "1", "--config", str(cfg)]) == 2
         assert capsys.readouterr() == ("", f"error: {cfg}: line 3: unknown setting 'machine'\n")
+        assert not out.exists()
+
+    def test_a_repeated_key_exits_2_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("machines=5\ndays=1\nmachines=7\n")
+        out = tmp_path / "t"
+        assert main(["synth", "--out", str(out), "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}: line 3: setting 'machines' given again\n")
         assert not out.exists()
 
     def test_another_stages_setting_is_accepted(self, tmp_path):

@@ -185,21 +185,21 @@ class TestDetectDegenerate:
     def test_all_zero_high_failure_machine_excluded(self):
         series = _zero_series(9, 400)
         flagged = detect_degenerate_machines(series, _failures(9, 165))
-        assert flagged == {9}
+        assert flagged.dtype == np.int64 and flagged.tolist() == [9]
 
     def test_nonzero_usage_retains_machine(self):
         avg = np.zeros((400, 6))
         avg[3, 0] = 0.2
         series = _series(9, avg)
-        assert detect_degenerate_machines(series, _failures(9, 165)) == set()
+        assert detect_degenerate_machines(series, _failures(9, 165)).tolist() == []
 
     def test_low_failure_count_retains_machine(self):
         series = _zero_series(9)
-        assert detect_degenerate_machines(series, _failures(9, 2)) == set()
+        assert detect_degenerate_machines(series, _failures(9, 2)).tolist() == []
 
     def test_exactly_threshold_not_excluded(self):
         series = _zero_series(9, 300)
-        assert detect_degenerate_machines(series, _failures(9, 100)) == set()
+        assert detect_degenerate_machines(series, _failures(9, 100)).tolist() == []
 
 
 class TestBuildLabelTracks:
@@ -249,7 +249,7 @@ def test_rows_follow_machine_ids_in_a_fleet():
         np.array([3, 9], dtype=np.int64), avg, avg, np.ones((2, 40), dtype=bool)
     )
     failures = np.concatenate([_failures(5, 101), _failures(9, 1)])
-    assert detect_degenerate_machines(series, failures) == {5}
+    assert detect_degenerate_machines(series, failures).tolist() == [5]
     tracks = build_label_tracks(failures, series, CFG)
     assert tracks.machine_ids.tolist() == [3, 9]
     assert not tracks.y[0].any() and not tracks.downtime.any()

@@ -238,7 +238,7 @@ class TestGridSearch:
     def test_single_cell_identity(self):
         data = make_data(n_normal=150, n_fail=30)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(10,), folds=3)
-        best, f3 = pipeline.grid_search_cv(*data, grid, rng_seed=0)
+        best, f3 = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
         assert best == (1.0, 0.1, 10)
         assert f3.shape == (1, 1, 1, 3)
 
@@ -247,14 +247,14 @@ class TestGridSearch:
         # so the workable cell dominates on every fold
         data = make_data(n_normal=200, n_fail=40)
         grid = GridSpec(gammas=(1.0,), nus=(0.1, 1e-6), tree_counts=(10,), folds=3)
-        best, f3 = pipeline.grid_search_cv(*data, grid, rng_seed=0)
+        best, f3 = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
         assert best[1] == 0.1
         assert np.all(f3[0, 0, 0] > f3[0, 1, 0])
 
     def test_tie_breaks_toward_fewer_trees(self):
         data = make_data(n_normal=150, n_fail=30)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(50, 10), folds=3)
-        best, f3 = pipeline.grid_search_cv(*data, grid, rng_seed=0)
+        best, f3 = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
         # well-separated classes: both tree counts score F3 1.0 on every fold
         assert np.array_equal(f3[0, 0, 0], f3[0, 0, 1])
         assert best[2] == 10
@@ -262,8 +262,8 @@ class TestGridSearch:
     def test_deterministic_given_seed(self):
         data = make_data(n_normal=120, n_fail=30)
         grid = GridSpec(gammas=(1.0, 0.3), nus=(0.1,), tree_counts=(5,), folds=3)
-        best_a, f3_a = pipeline.grid_search_cv(*data, grid, rng_seed=3)
-        best_b, f3_b = pipeline.grid_search_cv(*data, grid, rng_seed=3)
+        best_a, f3_a = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=3))
+        best_b, f3_b = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=3))
         assert best_a == best_b
         assert np.array_equal(f3_a, f3_b)
 
@@ -279,9 +279,9 @@ class TestGridSearch:
         # classes this close give F3 values that differ by cell and fold
         data = make_data(n_normal=120, n_fail=30, seed=data_seed, separation=0.1)
         grid = GridSpec(gammas=gammas, nus=nus, tree_counts=tree_counts, folds=folds)
-        base_forest = ForestParams(mtry=4)
-        best, f3 = pipeline.grid_search_cv(*data, grid, 5, base_forest=base_forest)
-        ref_best, ref_f3 = reference_grid_search_cv(*data, grid, 5, base_forest=base_forest)
+        bases = OcsvmParams(), ForestParams(mtry=4, rng_seed=5)
+        best, f3 = pipeline.grid_search_cv(*data, grid, *bases)
+        ref_best, ref_f3 = reference_grid_search_cv(*data, grid, *bases)
         assert best == ref_best
         assert np.array_equal(f3, ref_f3)
 
@@ -289,7 +289,7 @@ class TestGridSearch:
         data = make_data(n_normal=120, n_fail=30)
         grid = GridSpec(gammas=(1.0, 0.3), nus=(0.1, 1e-6), tree_counts=(7, 3, 7), folds=3)
         with caplog.at_level(logging.WARNING, logger="failcast.pipeline"):
-            _, f3 = pipeline.grid_search_cv(*data, grid, rng_seed=0)
+            _, f3 = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
         unusable = [r for r in caplog.records if "unusable" in r.getMessage()]
         # nu=1e-6 is infeasible for both gammas on all three folds
         assert len(unusable) == 2 * 3
@@ -324,7 +324,7 @@ class TestGridSearch:
         data = make_data(n_normal=100, n_fail=3)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(5,), folds=5)
         with pytest.raises(StratificationError):
-            pipeline.grid_search_cv(*data, grid, rng_seed=0)
+            pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
 
 
 class TestStratifiedFolds:
