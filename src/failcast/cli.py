@@ -67,9 +67,9 @@ class Flag:
     """``--<dest>`` of a stage: an input, an output or a setting; ``cast`` reads its value.
 
     An output names what the stage makes there, a ``"file"`` or a ``"dir"``.
-    A setting gives the config field ``field`` of its stage its value times
-    ``scale``, or the tuple of a comma list if ``many``. A setting that no
-    flag or config key gives is left out, so its default is the field's own.
+    A setting gives the config field ``field`` of its stage its value, or the
+    tuple of a comma list if ``many``. A setting that no flag or config key
+    gives is left out, so its default is the field's own.
     """
 
     dest: str
@@ -78,7 +78,6 @@ class Flag:
     output: Optional[str] = None
     field: Optional[str] = None
     many: bool = False
-    scale: int = 1
 
     def value(self, ns: argparse.Namespace, cfg: dict[str, str]):
         """This setting from its flag, else from the config file; None if neither gives it."""
@@ -102,17 +101,17 @@ class Flag:
                 raise FailcastError(
                     f"{origin}: {raw!r} is not a valid {self.cast.__name__}"
                 ) from None
-        return None if raw is None else _within_int64(origin, raw) * self.scale
+        return None if raw is None else _within_int64(origin, raw)
 
 
-def _flag(dest: str, cast=None, output=None, required: bool = True, **options) -> Flag:
+def _flag(dest: str, output=None, required: bool = True, **options) -> Flag:
     """An input, or an ``output``; either is required unless ``required`` is False."""
-    return Flag(dest, {"required": required, **options}, cast, output)
+    return Flag(dest, {"required": required, **options}, output=output)
 
 
-def _setting(dest: str, cast: type, field=None, many=False, scale=1, **options) -> Flag:
+def _setting(dest: str, cast: type, field=None, many=False, **options) -> Flag:
     """The setting ``--<dest>`` of the config field ``field``, by default ``dest``."""
-    return Flag(dest, options, cast, field=field or dest, many=many, scale=scale)
+    return Flag(dest, options, cast, field=field or dest, many=many)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -222,11 +221,10 @@ def _cmd_label(ns: argparse.Namespace, given: dict) -> int:
 
     series, _ = store.load_interval_store(Path(ns.store))
     events = _read(Path(ns.events), ingestion.parse_machine_events)
-    lcfg = labeling.LabelingConfig(**given)
-    failures, dropped = labeling.pair_failures(events, lcfg)
+    failures, dropped = labeling.pair_failures(events, labeling.LabelingConfig(**given))
     excluded = labeling.detect_degenerate_machines(series, failures)
     failures = failures[~np.isin(failures["machine_id"], excluded)]
-    tracks = labeling.build_label_tracks(failures, series, lcfg)
+    tracks = labeling.build_label_tracks(failures, series)
     tracks = tracks.select(~np.isin(tracks.machine_ids, excluded))
     ir, sr, fd = np.bincount(failures["type"], minlength=N_CLASSES).tolist()[1:]
     out_dir = Path(ns.out)
@@ -541,7 +539,7 @@ STAGES = {
     )),
     "label": Stage("pair and categorize failures", _cmd_label, (
         _flag("store"), _flag("events"), _flag("out", output="dir"),
-        _setting("ir_max_minutes", int, "ir_max_downtime_us", scale=60 * 1_000_000),
+        _setting("ir_max_minutes", int),
     )),
     "pacf-report": Stage("significant-lag histogram", _cmd_pacf_report, (
         _flag("store"), _flag("out", output="file"), _setting("max_lag", int),

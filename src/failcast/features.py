@@ -42,6 +42,9 @@ logger = logging.getLogger(__name__)
 
 #: 95% significance threshold scale for sample partial autocorrelations.
 SIGNIFICANCE_Z = 1.96
+#: the shortest gap-free run, in intervals (about four hours), that ``pacf_by_machine``
+#: fits: Box and Jenkins's rule of at least 50 observations for estimating correlations
+MIN_PACF_RUN = 50
 
 KIND_AVG = "avg"
 KIND_PEAK = "peak"
@@ -119,11 +122,7 @@ def _longest_present_runs(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return start, length
 
 
-def pacf_by_machine(
-    series: IntervalSeries,
-    max_lag: int = 10,
-    min_length: int = 50,
-) -> np.ndarray:
+def pacf_by_machine(series: IntervalSeries, max_lag: int = 10) -> np.ndarray:
     """Per-machine, per-resource partial autocorrelations of average usage.
 
     One row per (machine, resource) pair, in machine then resource order,
@@ -131,9 +130,10 @@ def pacf_by_machine(
     ``n_effective`` (the number of intervals used) and ``pacf`` (lags
     1..max_lag). Each machine's series is cut to its first longest
     gap-free run, so downtime holes cannot fake correlation structure.
-    Machines whose run is too short, and resources constant over it, are
-    skipped. A ``max_lag`` above the series length less 2, which ``pacf``
-    rejects for any one series, raises ConfigError.
+    Machines whose run is shorter than MIN_PACF_RUN or max_lag + 2
+    intervals, and resources constant over it, are skipped. A ``max_lag``
+    above the series length less 2, which ``pacf`` rejects for any one
+    series, raises ConfigError.
     """
     n = series.present.shape[1]
     if not 1 <= max_lag <= n - 2:
@@ -144,7 +144,7 @@ def pacf_by_machine(
     )
     start, length = _longest_present_runs(series.present)
     rows = []
-    for m in np.flatnonzero(length >= max(min_length, max_lag + 2)):
+    for m in np.flatnonzero(length >= max(MIN_PACF_RUN, max_lag + 2)):
         window = series.avg[m, start[m] : start[m] + length[m]]
         varying = np.flatnonzero(np.ptp(window, axis=0) != 0.0)
         values = _pacf_rows(window[:, varying].T, max_lag)

@@ -20,6 +20,7 @@ from .trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,
     IR_MAX_DOWNTIME_US,
+    MICROS_PER_MINUTE,
     IntervalSeries,
     LabelTracks,
     MachineEventKind,
@@ -38,11 +39,11 @@ DEGENERATE_MIN_FAILURES = 100
 
 @dataclass(frozen=True)
 class LabelingConfig:
-    ir_max_downtime_us: int = IR_MAX_DOWNTIME_US
+    ir_max_minutes: int = IR_MAX_DOWNTIME_US // MICROS_PER_MINUTE
 
     def __post_init__(self):
-        if self.ir_max_downtime_us <= 0:
-            raise ConfigError("ir_max_downtime_us must be positive")
+        if self.ir_max_minutes <= 0:
+            raise ConfigError("ir_max_minutes must be positive")
 
 
 def pair_failures(events: np.ndarray, cfg: LabelingConfig) -> tuple[np.ndarray, int]:
@@ -75,7 +76,7 @@ def pair_failures(events: np.ndarray, cfg: LabelingConfig) -> tuple[np.ndarray, 
     failures["add_us"] = -1
     failures["add_us"][back] = time_us[close[back]]
     failures["type"] = failure_types(
-        failures["remove_us"], failures["add_us"], cfg.ir_max_downtime_us
+        failures["remove_us"], failures["add_us"], cfg.ir_max_minutes * MICROS_PER_MINUTE
     )
     if dropped:
         logger.warning("dropped %d REMOVE events with no intervening ADD", dropped)
@@ -97,9 +98,7 @@ def detect_degenerate_machines(series: IntervalSeries, failures: np.ndarray) -> 
     return frequent[~np.isin(frequent, used)]
 
 
-def build_label_tracks(
-    failures: np.ndarray, series: IntervalSeries, cfg: LabelingConfig
-) -> LabelTracks:
+def build_label_tracks(failures: np.ndarray, series: IntervalSeries) -> LabelTracks:
     """Assign the per-interval label and downtime flags for every machine.
 
     The label lands on the interval containing the remove time; where one

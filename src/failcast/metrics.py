@@ -21,7 +21,7 @@ from .errors import FailcastError
 from .tables import write_rows
 from .trace_model import N_CLASSES
 
-DEFAULT_BETA = 3.0
+BETA = 3.0
 
 
 class UndefinedAucError(FailcastError):
@@ -51,13 +51,11 @@ def precision_recall(
     return precision, recall
 
 
-def f_beta(precision: float, recall: float, beta: float = DEFAULT_BETA) -> float:
-    """(1 + b^2) * P * R / (b^2 * P + R); zero when both inputs are zero."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+def f_beta(precision: float, recall: float) -> float:
+    """(1 + b^2) * P * R / (b^2 * P + R) at b = BETA; zero when both inputs are zero."""
     if precision == 0.0 and recall == 0.0:
         return 0.0
-    b2 = beta * beta
+    b2 = BETA * BETA
     return (1.0 + b2) * precision * recall / (b2 * precision + recall)
 
 
@@ -164,7 +162,7 @@ class MetricsReport:
 def build_report(
     predictions: Sequence[int],
     actuals: Sequence[int],
-    scores: Optional[Sequence[float]] = None,
+    scores: Sequence[float],
 ) -> MetricsReport:
     cm = confusion(predictions, actuals)
     precision, recall = map(list, zip(*(precision_recall(cm, c) for c in range(N_CLASSES))))
@@ -177,12 +175,10 @@ def build_report(
     ]
     macro = float(np.mean(per_class_f3)) if per_class_f3 else None
 
-    auc = None
-    if scores is not None:
-        try:
-            auc = roc_auc(scores, actuals)
-        except UndefinedAucError:
-            auc = None
+    try:
+        auc = roc_auc(scores, actuals)
+    except UndefinedAucError:
+        auc = None
 
     return MetricsReport(
         confusion_matrix=cm,

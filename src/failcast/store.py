@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FailcastError
-from .trace_model import INTERVAL_US, FleetArrays, IntervalSeries, LabelTracks
+from .trace_model import INTERVAL_US, N_RESOURCES, FleetArrays, IntervalSeries, LabelTracks
 
 
 def _save(arrays: FleetArrays, out_dir: Path, meta: dict) -> None:
@@ -26,19 +26,35 @@ def _save(arrays: FleetArrays, out_dir: Path, meta: dict) -> None:
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
 
 
+#: the dtype and shape of each field of a store, over M machines and T intervals
+LAYOUTS = {
+    "machine_ids": (np.int64, ("M",)),
+    "avg": (np.float64, ("M", "T", N_RESOURCES)),
+    "peak": (np.float64, ("M", "T", N_RESOURCES)),
+    "present": (np.bool_, ("M", "T")),
+    "y": (np.int8, ("M", "T")),
+    "downtime": (np.bool_, ("M", "T")),
+}
+
+
 def _load(cls, store_dir: Path):
-    """A store's arrays and meta; FailcastError names a file that does not fit, where
-    ``machine_ids.npy`` is (M,) and every other field (M, T, ...) with one T."""
+    """A store's arrays and meta; FailcastError names a file that does not fit its
+    LAYOUTS entry, where M and T are read from the first file that has them."""
     store_dir = Path(store_dir)
-    names = [f.name for f in dataclasses.fields(cls)]
-    arrays = [_read(store_dir / f"{name}.npy", lambda p: np.lib.format.open_memmap(p, mode="r"))
-              for name in names]
-    ids, first = (array.shape for array in arrays[:2])
-    for name, array in zip(names[1:], arrays[1:]):
-        shape = array.shape
-        if shape[:1] != ids or len(shape) < 2 or shape[1] != first[1]:
-            raise FailcastError(f"{store_dir / name}.npy: shape {shape}, where machine_ids.npy"
-                                f" is {ids} and {names[1]}.npy {first}")
+    arrays, sizes = [], {}  # M and T: each size, and the file it was read from
+    for field in dataclasses.fields(cls):
+        path = store_dir / f"{field.name}.npy"
+        array = _read(path, lambda p: np.lib.format.open_memmap(p, mode="r"))
+        dtype, dims = LAYOUTS[field.name]
+        if array.ndim == len(dims):
+            for dim, n in zip(dims, array.shape):
+                if isinstance(dim, str):
+                    sizes.setdefault(dim, (n, path.name))
+        if array.dtype != dtype or array.shape != tuple(sizes.get(d, (d,))[0] for d in dims):
+            read = "".join(f", {d} = {n} from {name}" for d, (n, name) in sizes.items())
+            raise FailcastError(f"{path}: {array.dtype} {array.shape}, not"
+                                f" {np.dtype(dtype)} ({', '.join(map(str, dims))}){read}")
+        arrays.append(array)
     meta = _read(store_dir / "meta.json", lambda path: json.loads(path.read_text()))
     return cls(*arrays), meta
 

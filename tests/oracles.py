@@ -38,7 +38,7 @@ import numpy as np
 from failcast.errors import (
     ConvergenceError, DegenerateTrainingError, InfeasibleNuError, ParseError,
 )
-from failcast.features import KIND_AVG, KIND_PEAK, SIGNIFICANCE_Z, pacf
+from failcast.features import KIND_AVG, KIND_PEAK, MIN_PACF_RUN, SIGNIFICANCE_Z, pacf
 from failcast.forest import MODEL_FORMAT as FOREST_FORMAT
 from failcast.forest import _arrays_model, best_split, grow_tree, predict_votes_batch
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
@@ -50,6 +50,7 @@ from failcast.pipeline import train as cascade_train
 from failcast.trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,
+    MICROS_PER_MINUTE,
     N_RESOURCES,
     FailureType,
     MachineEventKind,
@@ -664,7 +665,7 @@ def reference_pair_failures(events, cfg) -> tuple[np.ndarray, int]:
         duration = None if add_us is None else add_us - open_remove
         if duration is None:
             ftype = FailureType.FORCIBLE_DECOMMISSION
-        elif duration < cfg.ir_max_downtime_us:
+        elif duration < cfg.ir_max_minutes * MICROS_PER_MINUTE:
             ftype = FailureType.IMMEDIATE_REBOOT
         else:
             ftype = FailureType.SLOW_REBOOT
@@ -761,12 +762,12 @@ def reference_longest_present_run(present) -> tuple[int, int]:
     return best_start, best_len
 
 
-def reference_pacf_by_machine(series, max_lag: int = 10, min_length: int = 50) -> list:
+def reference_pacf_by_machine(series, max_lag: int = 10) -> list:
     """(machine_id, resource, n_effective, pacf) per pair, machine by machine."""
     results = []
     for machine_id, avg, present in zip(series.machine_ids.tolist(), series.avg, series.present):
         start, length = reference_longest_present_run(present)
-        if length < max(min_length, max_lag + 2):
+        if length < max(MIN_PACF_RUN, max_lag + 2):
             continue
         window = avg[start : start + length]
         for r in range(N_RESOURCES):

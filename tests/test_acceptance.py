@@ -163,7 +163,7 @@ def test_criterion_3_forest_correctness():
 def test_criterion_4_metric_arithmetic():
     """F-beta reference pair to 1e-4; AUC equals brute-force pair counting exactly."""
     expected = f_beta_direct(0.729, 0.795, 3.0)
-    got = metrics.f_beta(0.729, 0.795, 3.0)
+    got = metrics.f_beta(0.729, 0.795)
     f_ok = abs(got - 0.7879) <= 1e-4 and abs(got - expected) < 1e-12
 
     rng = np.random.default_rng(404)
@@ -192,11 +192,10 @@ def _run_pipeline(signature: float, tmp: Path):
     with open(paths.usage) as f:
         table, _ = ingestion.parse_usage_records(f)
     series = ingestion.aggregate_intervals(table, cfg.horizon_us)
-    lcfg = LabelingConfig()
-    failures, _ = labeling.pair_failures(events, lcfg)
+    failures, _ = labeling.pair_failures(events, LabelingConfig())
     excluded = labeling.detect_degenerate_machines(series, failures)
     kept_failures = failures[~np.isin(failures["machine_id"], excluded)]
-    tracks = labeling.build_label_tracks(kept_failures, series, lcfg)
+    tracks = labeling.build_label_tracks(kept_failures, series)
     tracks = tracks.select(~np.isin(tracks.machine_ids, excluded))
     train_set, test_set = features.build_dataset(
         series, tracks, FeatureConfig(), DatasetConfig(rng_seed=3)

@@ -556,20 +556,29 @@ class TestBrokenInputs:
         assert capsys.readouterr().err.startswith(f"error: {store / 'avg.npy'}: ")
         assert not (tmp_path / "h.csv").exists()
 
-    @pytest.mark.parametrize("store, name, axis", [
+    @pytest.mark.parametrize("store, name, change", [
         *(("store", name, 0) for name in ("machine_ids", "avg", "peak", "present")),
         *(("store", name, 1) for name in ("avg", "peak", "present")),
+        *(("store", name, 2) for name in ("avg", "peak")),
+        *(("store", name, "float64") for name in ("machine_ids", "present")),
+        ("store", "avg", "float32"),
         *(("labels", name, 0) for name in ("machine_ids", "y", "downtime")),
         *(("labels", name, 1) for name in ("y", "downtime")),
+        *(("labels", name, "float64") for name in ("machine_ids", "y", "downtime")),
     ])
     def test_a_store_whose_arrays_disagree_exits_2(
-        self, chain, tmp_path, capsys, store, name, axis
+        self, chain, tmp_path, capsys, store, name, change
     ):
-        """One machine (axis 0) or one interval (axis 1) fewer in one file of a store."""
+        """One machine (axis 0), interval (axis 1) or resource (axis 2) fewer in one file
+        of a store, or its values plus 0.5 saved as another dtype."""
         copy = tmp_path / store
         shutil.copytree(chain / store, copy)
         path = copy / f"{name}.npy"
-        np.save(path, np.delete(np.load(path), -1, axis=axis))
+        array = np.load(path)
+        if isinstance(change, int):
+            np.save(path, np.delete(array, -1, axis=change))
+        else:
+            np.save(path, array.astype(change) + 0.5)
         events, out = str(chain / "trace" / "machine_events.csv"), str(tmp_path / "out")
         runs = {
             "store": [["label", "--store", str(copy), "--events", events, "--out", out],

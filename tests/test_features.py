@@ -15,6 +15,7 @@ from failcast.errors import (
 from failcast.features import (
     Dataset,
     DatasetConfig,
+    MIN_PACF_RUN,
     FeatureConfig,
     _longest_present_runs,
     build_dataset,
@@ -142,12 +143,13 @@ class TestPacfTable:
 
     def test_table_and_counts_match_the_machine_loop(self):
         rng = np.random.default_rng(22)
+        runs = []
         for _ in range(25):
-            series = _gappy_fleet(rng, int(rng.integers(1, 9)), int(rng.integers(30, 120)))
+            series = _gappy_fleet(rng, int(rng.integers(1, 9)), int(rng.integers(30, 160)))
+            runs.extend(_longest_present_runs(series.present)[1])
             max_lag = int(rng.integers(1, 6))
-            min_length = int(rng.integers(5, 25))
-            table = pacf_by_machine(series, max_lag, min_length)
-            reference = reference_pacf_by_machine(series, max_lag, min_length)
+            table = pacf_by_machine(series, max_lag)
+            reference = reference_pacf_by_machine(series, max_lag)
             assert table.dtype.names == ("machine_id", "resource", "n_effective", "pacf")
             assert table[["machine_id", "resource", "n_effective"]].tolist() == [
                 r[:3] for r in reference
@@ -159,6 +161,8 @@ class TestPacfTable:
             assert significant_lag_counts(table).tolist() == [
                 hist.get(lag, 0) for lag in range(1, max_lag + 1)
             ]
+        # machines on both sides of the shortest run the table keeps
+        assert min(runs) < MIN_PACF_RUN <= max(runs)
 
     def test_singular_member_leaves_its_batch_neighbours_alone(self, monkeypatch):
         """One machine's resources share each order's stacked solve; an
@@ -176,7 +180,7 @@ class TestPacfTable:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        table = pacf_by_machine(series, 6, 20)
+        table = pacf_by_machine(series, 6)
         assert fallbacks
         assert table["resource"].tolist() == [0, 1, 2, 3, 5]
         for r, values in zip(table["resource"], table["pacf"]):

@@ -46,7 +46,7 @@ def pair(*rows):
 def categorize(duration_us, cfg):
     """The shared rule's class for one failure; None means never returned."""
     add = np.array([-1 if duration_us is None else duration_us])
-    return FailureType(int(failure_types(np.zeros(1, np.int64), add, cfg.ir_max_downtime_us)[0]))
+    return FailureType(int(failure_types(np.zeros(1, np.int64), add, cfg.ir_max_minutes * MIN)[0]))
 
 
 #: random event tables: a few machines, repeated times, every event code
@@ -207,20 +207,20 @@ class TestBuildLabelTracks:
         # remove 16 min in (interval 3), add 10 min later (26 min, interval 5)
         failures, _ = pair(ev(1, 16 * MIN, REMOVE), ev(1, 26 * MIN, ADD))
         series = _zero_series(1, 10)
-        tracks = build_label_tracks(failures, series, CFG)
+        tracks = build_label_tracks(failures, series)
         assert tracks.y[0, 3] == int(FailureType.IMMEDIATE_REBOOT)
         assert tracks.downtime[0].tolist() == [False] * 4 + [True] + [False] * 5
 
     def test_no_failures_all_normal(self):
         series = _zero_series(1, 10)
-        tracks = build_label_tracks(np.empty(0, FAILURE_DTYPE), series, CFG)
+        tracks = build_label_tracks(np.empty(0, FAILURE_DTYPE), series)
         assert not tracks.y.any()
         assert not tracks.downtime.any()
 
     def test_permanent_failure_flags_rest_of_trace(self):
         failures, _ = pair(ev(1, 10 * INTERVAL_US + 7, REMOVE))
         series = _zero_series(1, 20)
-        tracks = build_label_tracks(failures, series, CFG)
+        tracks = build_label_tracks(failures, series)
         assert tracks.y[0, 10] == int(FailureType.FORCIBLE_DECOMMISSION)
         assert tracks.downtime[0, :11].sum() == 0
         assert tracks.downtime[0, 11:].all()
@@ -229,13 +229,13 @@ class TestBuildLabelTracks:
         # add at 26 min: interval 5 spans 25..30 min, not fully inside downtime
         failures, _ = pair(ev(1, 16 * MIN, REMOVE), ev(1, 26 * MIN, ADD))
         series = _zero_series(1, 10)
-        tracks = build_label_tracks(failures, series, CFG)
+        tracks = build_label_tracks(failures, series)
         assert not tracks.downtime[0, 5]
 
     def test_no_interval_is_both_normal_and_labeled(self):
         failures, _ = pair(ev(1, 16 * MIN, REMOVE), ev(1, 120 * MIN, ADD))
         series = _zero_series(1, 40)
-        tracks = build_label_tracks(failures, series, CFG)
+        tracks = build_label_tracks(failures, series)
         labeled = np.nonzero(tracks.y[0])[0]
         assert len(labeled) == 1
         assert not tracks.downtime[0, labeled[0]]
@@ -250,7 +250,7 @@ def test_rows_follow_machine_ids_in_a_fleet():
     )
     failures = np.concatenate([_failures(5, 101), _failures(9, 1)])
     assert detect_degenerate_machines(series, failures).tolist() == [5]
-    tracks = build_label_tracks(failures, series, CFG)
+    tracks = build_label_tracks(failures, series)
     assert tracks.machine_ids.tolist() == [3, 9]
     assert not tracks.y[0].any() and not tracks.downtime.any()
     assert np.nonzero(tracks.y[1])[0].tolist() == [7]
@@ -304,7 +304,7 @@ def test_label_tracks_match_failure_walk_oracle(rows):
     series = IntervalSeries(
         np.array([1, 3], dtype=np.int64), avg, avg, np.ones((2, 12), dtype=bool)
     )
-    tracks = build_label_tracks(failures, series, CFG)
+    tracks = build_label_tracks(failures, series)
     want = reference_label_tracks(failures, series, INTERVAL_US)
     assert np.array_equal(tracks.machine_ids, want.machine_ids)
     assert np.array_equal(tracks.y, want.y)

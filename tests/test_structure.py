@@ -195,3 +195,45 @@ def test_the_check_finds_flags_nothing_reads():
 
 def test_every_declared_flag_is_read():
     assert unread_flags(cli.STAGES) == []
+
+
+def unread_parameters(source: str, own: str) -> list[str]:
+    """``module.function(parameter)`` of each parameter of a ``def`` in the module ``own``
+    with this ``source`` that its function's body does not read. A lambda is left out:
+    its parameters are those of the callback it stands for."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name)}
+        found += [f"{own}.{node.name}({param.arg})" for param in params
+                  if param and param.arg not in read]
+    return found
+
+
+def test_the_check_finds_parameters_nothing_reads():
+    source = (
+        "class Config:\n"
+        "    def scaled(self, by, *rest, unit=1, **extra):\n"
+        "        return lambda spare: self.value * by\n"
+        "def outer(a, b):\n"
+        "    def inner(c):\n"
+        "        return a\n"
+        "    return inner\n"
+    )
+    assert sorted(unread_parameters(source, "cli")) == [
+        "cli.inner(c)", "cli.outer(b)", "cli.scaled(extra)", "cli.scaled(rest)",
+        "cli.scaled(unit)",
+    ]
+
+
+def test_every_parameter_is_read():
+    """Each stage's work function takes ``(ns, given)``, whether or not it has settings."""
+    interface = {f"cli.{stage.work.__name__}({param})"
+                 for stage in cli.STAGES.values() for param in ("ns", "given")}
+    found = [unread for path in sorted(SOURCE.glob("*.py"))
+             for unread in unread_parameters(path.read_text(), path.stem)]
+    assert [unread for unread in found if unread not in interface] == []

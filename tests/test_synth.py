@@ -81,9 +81,8 @@ def test_degenerate_machines_detected_and_excluded(ingested):
 
 def test_truth_labels_match_labeling_pipeline(small_trace, ingested):
     events, _, _, series = ingested
-    cfg = LabelingConfig()
-    failures, _ = labeling.pair_failures(events, cfg)
-    tracks = labeling.build_label_tracks(failures, series, cfg)
+    failures, _ = labeling.pair_failures(events, LabelingConfig())
+    tracks = labeling.build_label_tracks(failures, series)
 
     truth = {}
     for i, line in enumerate(small_trace.truth.read_text().splitlines()):
@@ -139,11 +138,10 @@ def test_pacf_significant_lags_concentrate_in_window(ingested):
 
 def test_failures_leave_clean_feature_windows(ingested):
     events, _, _, series = ingested
-    cfg = LabelingConfig()
-    failures, _ = labeling.pair_failures(events, cfg)
+    failures, _ = labeling.pair_failures(events, LabelingConfig())
     kept = series.select(series.machine_ids < 58)
     failures = failures[failures["machine_id"] < 58]
-    tracks = labeling.build_label_tracks(failures, kept, cfg)
+    tracks = labeling.build_label_tracks(failures, kept)
     built = missing = 0
     for m, remove_us in zip(failures["machine_id"].tolist(), failures["remove_us"].tolist()):
         tau = remove_us // INTERVAL_US
