@@ -79,9 +79,13 @@ class Flag:
     field: Optional[str] = None
     many: bool = False
 
+    @property
+    def option(self) -> str:
+        return "--" + self.dest.replace("_", "-")
+
     def value(self, ns: argparse.Namespace, cfg: dict[str, str]):
         """This setting from its flag, else from the config file; None if neither gives it."""
-        raw, origin = getattr(ns, self.dest), "--" + self.dest.replace("_", "-")
+        raw, origin = getattr(ns, self.dest), self.option
         if raw is None and self.dest in cfg:
             raw, origin = cfg[self.dest], f"{ns.config}: config key {self.dest!r}"
         if self.many:
@@ -137,8 +141,6 @@ class Stage:
     def check_outputs(self, ns: argparse.Namespace) -> None:
         """Stop before the work at an output the stage would fail on once done: a file
         where it makes a directory, or a directory where it writes a file."""
-        if getattr(ns, "stream", False):  # a stream answers on stdout
-            return
         for flag in self.flags:
             if not (flag.output and getattr(ns, flag.dest)):
                 continue
@@ -313,10 +315,17 @@ def _cmd_train(ns: argparse.Namespace, given: dict) -> int:
     from .forest import ForestParams
     from .ocsvm import OcsvmParams
 
+    # a grid axis is its comma list, or else the one value of its scalar setting
+    option = {flag.field: flag.option for flag in STAGES["train"].own if flag.field}
+    for one, many in (("gamma", "gammas"), ("nu", "nus"), ("n_trees", "tree_counts")):
+        if one in given and many in given:
+            raise ConfigError(
+                f"{option[one]} and {option[many]} both set one grid axis, by flag or config key;"
+                " give one of them"
+            )
     data = _load_split(Path(ns.data), "train")
     base_ocsvm = OcsvmParams(**{"gamma": 1.0 / data.x.shape[1], **_fields(OcsvmParams, given)})
     base_forest = ForestParams(**_fields(ForestParams, given))
-    # a grid axis no comma list gives is the one value of its scalar setting
     grid = pipeline.GridSpec(**{
         "gammas": (base_ocsvm.gamma,), "nus": (base_ocsvm.nu,),
         "tree_counts": (base_forest.n_trees,), **_fields(pipeline.GridSpec, given),
@@ -362,6 +371,8 @@ def _cmd_train(ns: argparse.Namespace, given: dict) -> int:
 def _cmd_predict(ns: argparse.Namespace, given: dict) -> int:
     from . import pipeline, tables
 
+    if ns.stream and (ns.data or ns.out):
+        raise FailcastError("predict --stream reads stdin and writes stdout: no --data or --out")
     model = pipeline.load_bundle(Path(ns.model))
     if ns.stream:
         for line_no, line in enumerate(sys.stdin, 1):
@@ -589,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in stage.flags:
             # a comma list stays text, to be read as a setting
             kind = {} if flag.cast is None or flag.many else {"type": flag.cast}
-            s.add_argument("--" + flag.dest.replace("_", "-"), **kind, **flag.options)
+            s.add_argument(flag.option, **kind, **flag.options)
         s.set_defaults(func=stage.work)
     return p
 

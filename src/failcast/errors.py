@@ -17,14 +17,6 @@ class ParseError(FailcastError):
         self.line_no = line_no
 
 
-class ZeroVarianceError(FailcastError):
-    """Series is constant, so autocorrelation structure is undefined."""
-
-
-class InsufficientDataError(FailcastError):
-    """Series too short for the requested number of lags."""
-
-
 class InfeasibleNuError(FailcastError):
     """nu * n < 1, so the one-class dual has no feasible point."""
 
@@ -41,13 +33,5 @@ class DegenerateTrainingError(FailcastError):
     """Stage-1 filtering left no failure instances to train stage 2 on."""
 
 
-class StratificationError(FailcastError):
-    """Requested fold count cannot give every fold a failure instance."""
-
-
 class ModelFormatError(FailcastError):
     """A saved model file is malformed, truncated or of an unknown format."""
-
-
-class GenerationError(FailcastError):
-    """Synthetic trace configuration is infeasible."""

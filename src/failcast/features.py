@@ -23,13 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    FailcastError,
-    InsufficientDataError,
-    ParseError,
-    ZeroVarianceError,
-)
+from .errors import ConfigError, FailcastError, ParseError
 from .tables import (
     LEAD, WRITE_BLOCK_ROWS, Rule, merged_rows, nonblank_lines, read_body, read_table, spelled_rows,
     write_rows,
@@ -64,11 +58,11 @@ def pacf(series: np.ndarray, max_lag: int) -> np.ndarray:
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     if n <= max_lag + 1:
-        raise InsufficientDataError(
+        raise ConfigError(
             f"series length {n} supports at most {n - 2} lags, requested {max_lag}"
         )
     if np.ptp(x) == 0.0:
-        raise ZeroVarianceError("series is constant")
+        raise FailcastError("series is constant")
     return _pacf_rows(x[None, :], max_lag)[0]
 
 

@@ -34,14 +34,18 @@ MODEL_FORMAT = "forest-model v1"
 MAX_TREES = 10_000
 #: the largest class count a leaf of a stored forest may hold (int64)
 _MAX_COUNT = np.iinfo(np.int64).max
+#: the growth limits of the params line: those of ForestParams, whose trees grow unpruned
+_LIMITS = "min_leaf=1 max_depth=none"
 
 
 @dataclass(frozen=True)
 class ForestParams:
     n_trees: int = 100
     mtry: int = 9
-    min_leaf: int = 1
-    max_depth: Optional[int] = None
+    # trees grow unpruned (Breiman, 2001), so these two are fixed; they stay
+    # fields so that the manifest and the forest.txt header state them
+    min_leaf: int = field(default=1, init=False)
+    max_depth: Optional[int] = field(default=None, init=False)
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -49,8 +53,6 @@ class ForestParams:
             raise ConfigError(f"n_trees must be in [1, {MAX_TREES}], got {self.n_trees}")
         if self.mtry < 1:
             raise ConfigError("mtry must be >= 1")
-        if self.min_leaf < 1:
-            raise ConfigError("min_leaf must be >= 1")
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -87,7 +89,6 @@ def best_split(
     rows: np.ndarray,
     features: np.ndarray,
     counts: np.ndarray,
-    min_leaf: int = 1,
 ) -> Optional[tuple]:
     """Best Gini split of the node holding ``rows`` of X, or None when nothing improves.
 
@@ -96,8 +97,7 @@ def best_split(
     and ``features`` are the candidates in ascending order. A cut lies
     between consecutive distinct values of a feature, at their midpoint
     (at the lower value where the midpoint rounds onto the upper one or
-    overflows, so that a split always parts the node), and leaves a
-    weight of at least ``min_leaf`` on each side.
+    overflows, so that a split always parts the node).
     All candidates are searched in one pass: a sort of each candidate
     column, one cumulative sum of the weights by sorted position, and one
     argmax over the (feature, cut) table with the other cuts masked out.
@@ -129,10 +129,7 @@ def best_split(
     gini = 1.0 - np.add.reduce(share, axis=1)
     decrease = parent_gini - np.add.reduce(n_sides * gini) / size
 
-    valid = xv[:, :-1] < xv[:, 1:]
-    if min_leaf > 1:  # else every cut leaves a whole row on each side
-        valid &= np.minimum(*n_sides) >= min_leaf
-    decrease = np.where(valid, decrease, -np.inf)
+    decrease = np.where(xv[:, :-1] < xv[:, 1:], decrease, -np.inf)
     f, i = divmod(int(decrease.argmax()), decrease.shape[1])
     if not decrease[f, i] > 0.0:
         return None
@@ -169,22 +166,18 @@ def grow_tree(
     weights[-1] = weight
     feature, threshold, right, counts = [], [], [], []
     no_counts = np.zeros(N_CLASSES)
-    # (rows, their weights' sum, depth, id of the split whose right child this is, or -1)
-    stack = [(np.flatnonzero(weight), weights.sum(axis=1), 0, -1)]
+    # (rows, their weights' sum, id of the split whose right child this is, or -1)
+    stack = [(np.flatnonzero(weight), weights.sum(axis=1), -1)]
     while stack:
-        rows, node_counts, depth, parent = stack.pop()
+        rows, node_counts, parent = stack.pop()
         if parent >= 0:
             right[parent] = len(feature)
         right.append(-1)
         split = None
-        if (
-            np.count_nonzero(node_counts[:-1]) > 1
-            and (params.max_depth is None or depth < params.max_depth)
-            and node_counts[-1] >= 2 * params.min_leaf
-        ):
+        if np.count_nonzero(node_counts[:-1]) > 1:  # else the node is pure
             feats = rng.choice(d, size=mtry, replace=False)
             feats.sort()
-            split = best_split(X, weights, rows, feats, node_counts, params.min_leaf)
+            split = best_split(X, weights, rows, feats, node_counts)
         if split is None:
             feature.append(-1)
             threshold.append(0.0)
@@ -195,8 +188,8 @@ def grow_tree(
         threshold.append(thr)
         counts.append(no_counts)
         # push right first so the left child is visited (and draws rng) first
-        stack.append((right_rows, node_counts - left_counts, depth + 1, len(feature) - 1))
-        stack.append((left_rows, left_counts, depth + 1, -1))
+        stack.append((right_rows, node_counts - left_counts, len(feature) - 1))
+        stack.append((left_rows, left_counts, -1))
     return feature, threshold, right, counts
 
 
@@ -297,10 +290,9 @@ def predict_votes_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
 def save(model: ForestModel, out: TextIO) -> None:
     """Pre-order node listing per tree; thresholds keep full precision."""
     p = model.params
-    depth = "none" if p.max_depth is None else str(p.max_depth)
     out.write(
         f"{MODEL_FORMAT}\ntrees {model.n_trees}\ndim {model.dim}\n"
-        f"params mtry={p.mtry} min_leaf={p.min_leaf} max_depth={depth} seed={p.rng_seed}\n"
+        f"params mtry={p.mtry} {_LIMITS} seed={p.rng_seed}\n"
     )
     # each tree's listing opens with its "tree k" line
     heads = np.full(len(model.feature), "", dtype=object)
@@ -332,15 +324,12 @@ def load(source: Iterable[str]) -> ForestModel:
     try:
         n_trees, dim = int(header[0][1]), int(header[1][1])
         kv = dict(part.split("=", 1) for part in header[2][1:])
-        params = ForestParams(
-            n_trees=n_trees,
-            mtry=int(kv["mtry"]),
-            min_leaf=int(kv["min_leaf"]),
-            max_depth=None if kv["max_depth"] == "none" else int(kv["max_depth"]),
-            rng_seed=int(kv["seed"]),
-        )
+        params = ForestParams(n_trees=n_trees, mtry=int(kv["mtry"]), rng_seed=int(kv["seed"]))
+        limits = f"min_leaf={kv['min_leaf']} max_depth={kv['max_depth']}"
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad header value ({exc})") from None
+    if limits != _LIMITS:
+        raise ModelFormatError(f"{limits}: trees here grow unpruned, with {_LIMITS}")
 
     roots, feature, threshold, right, counts = [], [], [], [], []
     open_splits = None  # between trees; else the splits still owed a right child

@@ -22,6 +22,8 @@ from .tables import Rule, read_body, write_rows
 
 MODEL_FORMAT = "ocsvm-model v1"
 _HEADER_KEYS = ("gamma", "rho", "dim", "support_vectors")
+#: the most SMO updates a fit may take before it raises ConvergenceError
+MAX_ITER = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ class OcsvmParams:
     nu: float = 0.05
     gamma: float = 1.0 / 72.0
     tol: float = 1e-4
-    max_iter: int = 1_000_000
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
@@ -73,7 +74,7 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
     """Fit the one-class boundary to normal-labeled feature vectors.
 
     Raises InfeasibleNuError when nu*n < 1 and ConvergenceError when the
-    maximal violating pair still exceeds the tolerance after max_iter
+    maximal violating pair still exceeds the tolerance after MAX_ITER
     updates, or at once when its violation is NaN.
     """
     X = np.ascontiguousarray(normals, dtype=float)
@@ -101,7 +102,7 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
         grad += alpha[idx] @ _rbf(X[idx], sq[idx], X, sq, params.gamma)
 
     violation = np.inf
-    for _ in range(params.max_iter):
+    for _ in range(MAX_ITER):
         gi = np.where(alpha < C, grad, np.inf)
         gj = np.where(alpha > 0.0, grad, -np.inf)
         i = int(np.argmin(gi))
@@ -137,7 +138,7 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
         grad += delta * (row_i - row_j)
     else:
         raise ConvergenceError(
-            f"no convergence after {params.max_iter} iterations "
+            f"no convergence after {MAX_ITER} iterations "
             f"(KKT violation {violation:.3e} > tol {params.tol:.3e})",
             kkt_violation=float(violation),
         )

@@ -25,7 +25,6 @@ from .errors import (
     FailcastError,
     InfeasibleNuError,
     ModelFormatError,
-    StratificationError,
 )
 from .features import FeatureConfig, class_ranks
 from .forest import ForestModel, ForestParams
@@ -125,7 +124,7 @@ def train(
     manifest = {
         "format": _MANIFEST_FORMAT,
         "feature": {"lags": feature_config.lags, "dim": feature_config.dim},
-        "ocsvm": asdict(ocsvm_params),
+        "ocsvm": {**asdict(ocsvm_params), "max_iter": ocsvm_mod.MAX_ITER},
         "forest": asdict(forest_params),
         "data": {
             "n_train": int(len(y)),
@@ -186,9 +185,9 @@ def _stratified_folds(
     folds = [np.nonzero(fold_of == f)[0] for f in range(k)]
     for f, members in enumerate(folds):
         if not np.any(y[members] != 0):
-            raise StratificationError(f"fold {f} contains no failure instances")
+            raise FailcastError(f"fold {f} contains no failure instances")
         if not np.any(y[members] == 0):
-            raise StratificationError(f"fold {f} contains no normal instances")
+            raise FailcastError(f"fold {f} contains no normal instances")
     return folds
 
 

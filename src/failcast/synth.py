@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError
+from .errors import ConfigError
 from .ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER, write_usage_rows
 from .tables import write_rows
 from .trace_model import (
@@ -178,25 +178,25 @@ def _down_mask(failures: np.ndarray, n_machines: int, n_intervals: int) -> np.nd
 def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
     """Write machine_events.csv, resource_usage.csv, and truth_labels.csv.
 
-    Byte-identical for identical config and seed. Raises GenerationError
+    Byte-identical for identical config and seed. Raises ConfigError
     when the horizon cannot host the requested failure structure.
     """
     T = cfg.n_intervals
     I = INTERVAL_US
     if T < _LAGS + 3:
-        raise GenerationError(
+        raise ConfigError(
             f"horizon of {T} intervals cannot host any failure with a feature window"
         )
     deg_cycle = 10 * 60 * MICROS_PER_SECOND  # 2 min down + 8 min up
     if cfg.degenerate_machines and (
         (_LAGS + 1) * I + DEGENERATE_FAILURES * deg_cycle >= cfg.horizon_us
     ):
-        raise GenerationError(
+        raise ConfigError(
             f"horizon too short for {DEGENERATE_FAILURES} degenerate failures"
         )
 
     if cfg.degenerate_machines >= cfg.machines:
-        raise GenerationError("degenerate machines must be fewer than total machines")
+        raise ConfigError("degenerate machines must be fewer than total machines")
 
     rng = np.random.default_rng(cfg.rng_seed)
     # the last machine ids are the degenerate ones; the total stays `machines`

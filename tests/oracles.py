@@ -44,7 +44,7 @@ from failcast.forest import _arrays_model, best_split, grow_tree, predict_votes_
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
 from failcast.metrics import binary_f3, confusion
-from failcast.ocsvm import OcsvmModel, OcsvmParams, _estimate_rho, _rbf, decision
+from failcast.ocsvm import MAX_ITER, OcsvmModel, OcsvmParams, _estimate_rho, _rbf, decision
 from failcast.pipeline import _stratified_folds, predict_batch
 from failcast.pipeline import train as cascade_train
 from failcast.trace_model import (
@@ -135,7 +135,7 @@ def reference_masked_smo(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel
     at_lb = alpha <= 0.0
     at_ub = alpha >= C
     violation = np.inf
-    for _ in range(params.max_iter):
+    for _ in range(MAX_ITER):
         gi = np.where(~at_ub, grad, np.inf)
         gj = np.where(~at_lb, grad, -np.inf)
         i, j = int(np.argmin(gi)), int(np.argmax(gj))
@@ -393,12 +393,12 @@ def _unit_weights(y) -> np.ndarray:
     return weights
 
 
-def split_of(X, y, features, min_leaf=1):
+def split_of(X, y, features):
     """``forest.best_split`` of all rows of X, each counted once, among
     ``features`` in any order: (feature, threshold, decrease) or None."""
     weights = _unit_weights(y)
     rows = np.arange(len(y))
-    split = best_split(X, weights, rows, np.unique(features), weights.sum(axis=1), min_leaf)
+    split = best_split(X, weights, rows, np.unique(features), weights.sum(axis=1))
     return None if split is None else split[:3]
 
 

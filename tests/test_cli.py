@@ -352,6 +352,24 @@ class TestStreamPredict:
             assert 0.0 < float(score) <= 1.0
 
 
+    @pytest.mark.parametrize(
+        "extra", [["--data", "x"], ["--out", "y"], ["--data", "x", "--out", "y"]],
+        ids=["data", "out", "both"],
+    )
+    def test_stream_with_data_or_out_exits_2_before_reading_stdin(
+        self, chain, tmp_path, monkeypatch, capsys, extra
+    ):
+        stdin = mock.Mock(spec=io.StringIO)
+        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.chdir(tmp_path)
+        t0 = time.perf_counter()
+        assert main(["predict", "--model", str(chain / "model"), "--stream", *extra]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr() == (
+            "", "error: predict --stream reads stdin and writes stdout: no --data or --out\n"
+        )
+        assert not stdin.method_calls and not list(tmp_path.iterdir())
+
     def _stream(self, chain, monkeypatch, text):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         return main(["predict", "--model", str(chain / "model"), "--stream"])
@@ -521,10 +539,15 @@ class TestBrokenInputs:
         manifest["data"]["class_counts"][0] = len(normals)
         bundle = tmp_path / "model"
         bundle.mkdir()
+
+        def settings(cls, section):  # the manifest entries that are settable fields of cls
+            fields = [f.name for f in dataclasses.fields(cls) if f.init]
+            return cls(**{name: manifest[section][name] for name in fields})
+
         with open(bundle / "ocsvm.txt", "w") as f:
-            ocsvm.save(ocsvm.train(normals, ocsvm.OcsvmParams(**manifest["ocsvm"])), f)
+            ocsvm.save(ocsvm.train(normals, settings(ocsvm.OcsvmParams, "ocsvm")), f)
         with open(bundle / "forest.txt", "w") as f:
-            forest.save(forest.train(X, y, forest.ForestParams(**manifest["forest"])), f)
+            forest.save(forest.train(X, y, settings(forest.ForestParams, "forest")), f)
         (bundle / "manifest.json").write_text(json.dumps(manifest))
         shutil.copy(chain / "model" / "layout.json", bundle)
         rc = main(["predict", "--model", str(bundle), "--stream"])
@@ -532,6 +555,24 @@ class TestBrokenInputs:
         assert capsys.readouterr().err == (
             f"error: {bundle / 'forest.txt'}: 71 features is not a positive multiple of 12\n"
         )
+
+    @pytest.mark.parametrize("limits", ["min_leaf=2 max_depth=none", "min_leaf=1 max_depth=3"])
+    def test_predict_on_a_forest_grown_with_limits_exits_2(
+        self, chain, tmp_path, capsys, monkeypatch, limits
+    ):
+        """Trees grow unpruned, so a forest.txt that states other limits does not load."""
+        bundle = tmp_path / "model"
+        shutil.copytree(chain / "model", bundle)
+        forest = bundle / "forest.txt"
+        text = forest.read_text()
+        assert " min_leaf=1 max_depth=none " in text
+        forest.write_text(text.replace("min_leaf=1 max_depth=none", limits, 1))
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        t0 = time.perf_counter()
+        rc = main(["predict", "--model", str(bundle), "--stream"])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {forest}: {limits}: ")
 
     @pytest.mark.parametrize(
         "name, cut",
@@ -1334,6 +1375,35 @@ class TestNumericBounds:
             assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize(
+        "one, many",
+        [(("gamma", "0.5"), ("gammas", "0.125")), (("nu", "0.3"), ("nus", "0.05")),
+         (("trees", "7"), ("trees_grid", "5"))],
+        ids=["gamma", "nu", "trees"],
+    )
+    def test_a_scalar_and_a_list_of_one_axis_exit_2_before_any_fit(
+        self, chain, tmp_path, capsys, source, one, many
+    ):
+        out = tmp_path / "out"
+        settings = []
+        if source == "flags":
+            for name, value in (one, many):
+                settings += ["--" + name.replace("_", "-"), value]
+        else:  # the scalar from the config file, the list from its flag
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{one[0]}={one[1]}\n")
+            settings += ["--config", str(cfg), "--" + many[0].replace("_", "-"), many[1]]
+        t0 = time.perf_counter()
+        assert main(["train", "--data", str(chain / "data"), "--out", str(out), *settings]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        options = [f"--{name.replace('_', '-')}" for name, _ in (one, many)]
+        assert capsys.readouterr().err == (
+            f"error: {options[0]} and {options[1]} both set one grid axis, by flag or config"
+            " key; give one of them\n"
+        )
         assert not out.exists()
 
     def test_a_huge_gamma_fits_without_a_warning(self, chain, tmp_path):

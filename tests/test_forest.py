@@ -1,3 +1,4 @@
+import inspect
 import io
 import re
 from dataclasses import replace
@@ -42,6 +43,14 @@ def saved(model) -> str:
     return buf.getvalue()
 
 
+def leaf_of(model, x) -> int:
+    """The leaf of the first tree that the row x descends to."""
+    node = model.roots[0]
+    while model.feature[node] >= 0:
+        node = node + 1 if x[model.feature[node]] <= model.threshold[node] else model.right[node]
+    return node
+
+
 def internal_nodes(model) -> int:
     """Splits reachable from the roots, counted by walking the child links."""
     count = 0
@@ -82,12 +91,6 @@ class TestBestSplit:
         X = np.ones((6, 2))
         y = np.array([0, 1, 2, 0, 1, 2])
         assert split_of(X, y, [0, 1]) is None
-
-    def test_min_leaf_restricts_candidates(self):
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        y = np.array([1, 0, 0, 0])
-        split = split_of(X, y, [0], min_leaf=2)
-        assert split is None or split[1] == pytest.approx(1.5)
 
     def test_matches_brute_force_on_random_micro_instances(self):
         rng = np.random.default_rng(77)
@@ -144,8 +147,7 @@ class TestBestSplit:
         y = rng.integers(0, data.draw(st.integers(1, 4)), n)
         # an unsorted subset with repeats; split_of passes it sorted and distinct
         feats = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=2 * d))
-        min_leaf = data.draw(st.integers(1, 4))
-        assert split_of(X, y, feats, min_leaf) == reference_best_split(X, y, feats, min_leaf)
+        assert split_of(X, y, feats) == reference_best_split(X, y, feats)
 
     def test_fewer_than_two_rows_or_constant_columns_give_none(self):
         X = np.array([[0.5, 2.0]])
@@ -180,24 +182,28 @@ class TestGrowTree:
         b = one_tree(X, y, params, _tree_rng(9, 0))
         assert saved(a) == saved(b)
 
-    def test_max_depth_limits_tree(self):
-        rng = np.random.default_rng(3)
-        X = rng.random((100, 3))
-        y = rng.integers(0, 4, 100)
-        tree = one_tree(X, y, ForestParams(max_depth=1, mtry=3), _tree_rng(0, 0))
-        # a lone leaf, or a root split whose two children are leaves
-        assert len(tree.feature) in (1, 3)
-        assert np.all(tree.feature[1:] == -1)
-
-    def test_min_leaf_respected(self):
+    def test_a_tree_grows_until_no_cut_helps(self):
         rng = np.random.default_rng(4)
-        X = rng.random((50, 3))
-        y = rng.integers(0, 2, 50)
-        tree = one_tree(X, y, ForestParams(min_leaf=5, mtry=3), _tree_rng(0, 0))
-        leaves = tree.feature < 0
-        assert leaves.sum() > 1
-        assert np.all(tree.counts[leaves].sum(axis=1) >= 5)
-        assert np.all(tree.counts[~leaves] == 0)
+        # three values per feature: some leaves hold identical rows of mixed classes
+        X = rng.integers(0, 3, (80, 3)).astype(float)
+        y = rng.integers(0, 4, 80)
+        tree = one_tree(X, y, ForestParams(mtry=3), _tree_rng(0, 0))
+        leaves = np.array([leaf_of(tree, x) for x in X])
+        assert len(np.unique(leaves)) > 1
+        for leaf in np.unique(leaves):
+            rows = leaves == leaf
+            assert tree.counts[leaf].tolist() == np.bincount(y[rows], minlength=4).tolist()
+            assert split_of(X[rows], y[rows], range(3)) is None
+
+    def test_growth_limits_are_fixed(self):
+        params = ForestParams()
+        assert (params.min_leaf, params.max_depth) == (1, None)
+        for limit in ({"min_leaf": 2}, {"max_depth": 3}):
+            with pytest.raises(TypeError):
+                ForestParams(**limit)
+            with pytest.raises(ValueError):
+                replace(params, **limit)
+        assert "min_leaf" not in inspect.signature(forest_mod.best_split).parameters
 
     def test_no_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -228,8 +234,6 @@ class TestTrainMatchesTheCopyByCopyOracle:
         params = ForestParams(
             n_trees=data.draw(st.integers(1, 4)),
             mtry=data.draw(st.integers(1, d)),
-            min_leaf=data.draw(st.integers(1, 4)),
-            max_depth=data.draw(st.none() | st.integers(1, 3)),
             rng_seed=seed,
         )
         assert saved(train(X, y, params)) == saved(reference_forest(X, y, params))
@@ -392,16 +396,9 @@ class TestPredict:
         monkeypatch.setattr(forest_mod, "_BLOCK_PAIRS", 20)
         assert np.array_equal(predict_votes_batch(model, Q), whole)
 
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        min_leaf=st.integers(1, 4),
-        max_depth=st.one_of(st.none(), st.integers(0, 5)),
-        n_queries=st.sampled_from([0, 1, 37]),
-    )
+    @given(seed=st.integers(0, 2**32 - 1), n_queries=st.sampled_from([0, 1, 37]))
     @settings(max_examples=40, deadline=None)
-    def test_property_batch_equals_reference_walk(
-        self, seed, min_leaf, max_depth, n_queries
-    ):
+    def test_property_batch_equals_reference_walk(self, seed, n_queries):
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
         # few distinct values, so duplicates and ties are common
@@ -410,8 +407,6 @@ class TestPredict:
         params = ForestParams(
             n_trees=int(rng.integers(1, 6)),
             mtry=int(rng.integers(1, d + 1)),
-            min_leaf=min_leaf,
-            max_depth=max_depth,
             rng_seed=seed % 1000,
         )
         model = train(X, y, params)
@@ -468,12 +463,11 @@ class TestSerialization:
         n, d = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 4))
         # thresholds from 1e-6 to 1e5 in size, repr's scientific form among them
         X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 6, (n, d))
-        # a single class, like max_depth 0, grows trees that are one leaf each
+        # a single class grows trees that are one leaf each
         y = rng.integers(0, data.draw(st.integers(1, 4)), n)
         params = ForestParams(
             n_trees=data.draw(st.integers(1, 4)),
             mtry=data.draw(st.integers(1, d)),
-            max_depth=data.draw(st.sampled_from([None, 0, 1, 3])),
             rng_seed=seed,
         )
         model = train(X, y, params)
@@ -484,7 +478,7 @@ class TestSerialization:
     def test_a_forest_of_single_leaves_saves_without_split_lines(self):
         rng = np.random.default_rng(3)
         X = rng.random((30, 2))
-        model = train(X, rng.integers(0, 4, 30), ForestParams(n_trees=3, max_depth=0))
+        model = train(X, np.full(30, 2), ForestParams(n_trees=3))
         assert (model.feature < 0).all()
         assert saved(model) == reference_forest_save(model)
 
@@ -536,6 +530,16 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load(io.StringIO(text))
         assert load(io.StringIO(text.replace("L 2", "L 0"))).leaf_class.tolist() == [0]
+
+    @pytest.mark.parametrize("limits", ["min_leaf=2 max_depth=none", "min_leaf=1 max_depth=3"])
+    def test_growth_limits_other_than_unpruned_rejected(self, limits):
+        """This program grows no other trees, so it reads no other limits."""
+        text = "forest-model v1\ntrees 1\ndim 1\nparams mtry=1 {} seed=0\ntree 0\nL 0 5 0 1 0\n"
+        assert load(io.StringIO(text.format("min_leaf=1 max_depth=none"))).n_trees == 1
+        # the params line is read by key, in any order
+        assert load(io.StringIO(text.format("max_depth=none min_leaf=1"))).n_trees == 1
+        with pytest.raises(ModelFormatError, match=f"^{limits}: trees here grow unpruned"):
+            load(io.StringIO(text.format(limits)))
 
     @pytest.mark.parametrize("count", ["-1", str(2**63), str(2**64)])
     def test_leaf_count_out_of_int64_range_rejected(self, count):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from failcast import ocsvm as ocsvm_mod
 from failcast.errors import ConfigError, ConvergenceError, InfeasibleNuError, ModelFormatError
 from failcast.ocsvm import (
     OcsvmModel,
@@ -123,11 +124,12 @@ class TestTrain:
         with pytest.raises(InfeasibleNuError):
             train(X, OcsvmParams(nu=0.1, gamma=1.0))
 
-    def test_iteration_cap_raises_with_violation(self):
+    def test_iteration_cap_raises_with_violation(self, monkeypatch):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((120, 5))
-        with pytest.raises(ConvergenceError) as err:
-            train(X, OcsvmParams(nu=0.5, gamma=0.5, tol=1e-12, max_iter=3))
+        monkeypatch.setattr(ocsvm_mod, "MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="no convergence after 3 iterations") as err:
+            train(X, OcsvmParams(nu=0.5, gamma=0.5, tol=1e-12))
         assert err.value.kkt_violation > 1e-12
 
     def test_empty_training_set_rejected(self):
@@ -141,6 +143,8 @@ class TestTrain:
             OcsvmParams(nu=1.2)
         with pytest.raises(ValueError):
             OcsvmParams(gamma=-1.0)
+        with pytest.raises(TypeError):  # the iteration cap is the constant MAX_ITER
+            OcsvmParams(max_iter=5)
 
     @pytest.mark.parametrize(
         "bad",

@@ -14,7 +14,6 @@ from failcast.errors import (
     DegenerateTrainingError,
     FailcastError,
     ModelFormatError,
-    StratificationError,
 )
 from failcast.features import class_ranks
 from failcast.forest import ForestParams
@@ -323,7 +322,7 @@ class TestGridSearch:
     def test_too_few_failures_for_folds_rejected(self):
         data = make_data(n_normal=100, n_fail=3)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(5,), folds=5)
-        with pytest.raises(StratificationError):
+        with pytest.raises(FailcastError, match="contains no failure instances"):
             pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
 
 
@@ -346,7 +345,7 @@ class TestStratifiedFolds:
             got = pipeline._stratified_folds(y, k, np.random.default_rng(seed))
             assert [f.tolist() for f in got] == want
         else:
-            with pytest.raises(StratificationError):
+            with pytest.raises(FailcastError, match=r"^fold \d+ contains no"):
                 pipeline._stratified_folds(y, k, np.random.default_rng(seed))
 
 

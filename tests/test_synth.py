@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from failcast import features, ingestion, labeling, synth
-from failcast.errors import ConfigError, GenerationError
+from failcast.errors import ConfigError
 from failcast.labeling import LabelingConfig
 from failcast.synth import SynthConfig, _draw_duration, generate
 from failcast.trace_model import INTERVAL_US, FailureType
@@ -157,9 +157,9 @@ def test_failures_leave_clean_feature_windows(ingested):
 
 
 def test_infeasible_horizon_rejected(tmp_path):
-    with pytest.raises(GenerationError):
+    with pytest.raises(ConfigError, match="cannot host any failure"):
         generate(SynthConfig(machines=5, horizon_days=0.01), tmp_path)
-    with pytest.raises(GenerationError):
+    with pytest.raises(ConfigError, match="horizon too short"):
         # degenerate failure schedule cannot fit in half a day
         generate(
             SynthConfig(machines=5, horizon_days=0.5),
@@ -168,7 +168,7 @@ def test_infeasible_horizon_rejected(tmp_path):
 
 
 def test_degenerate_parameter_validation(tmp_path):
-    with pytest.raises(GenerationError):
+    with pytest.raises(ConfigError, match="degenerate machines must be fewer"):
         generate(SynthConfig(machines=2, degenerate_machines=2), tmp_path)
     with pytest.raises(ValueError):
         SynthConfig(signature_strength=1.5)
