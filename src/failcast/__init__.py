@@ -26,7 +26,6 @@ _SOURCES = {
     "INTERVAL_US": "trace_model",
     "IntervalSeries": "trace_model",
     "LabelTracks": "trace_model",
-    "LabelingConfig": "labeling",
     "MachineEventKind": "trace_model",
     "OcsvmModel": "ocsvm",
     "OcsvmParams": "ocsvm",

@@ -221,9 +221,9 @@ def _cmd_ingest(ns: argparse.Namespace, given: dict) -> int:
 def _cmd_label(ns: argparse.Namespace, given: dict) -> int:
     from . import ingestion, labeling, store
 
-    series, _ = store.load_interval_store(Path(ns.store))
+    series = store.load_interval_store(Path(ns.store))
     events = _read(Path(ns.events), ingestion.parse_machine_events)
-    failures, dropped = labeling.pair_failures(events, labeling.LabelingConfig(**given))
+    failures, dropped = labeling.pair_failures(events)
     excluded = labeling.detect_degenerate_machines(series, failures)
     failures = failures[~np.isin(failures["machine_id"], excluded)]
     tracks = labeling.build_label_tracks(failures, series)
@@ -251,8 +251,8 @@ def _cmd_label(ns: argparse.Namespace, given: dict) -> int:
 def _cmd_pacf_report(ns: argparse.Namespace, given: dict) -> int:
     from . import features, store, tables
 
-    series, _ = store.load_interval_store(Path(ns.store))
-    table = features.pacf_by_machine(series, **given)
+    series = store.load_interval_store(Path(ns.store))
+    table = features.pacf_by_machine(series)
     counts = features.significant_lag_counts(table)
     out = Path(ns.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -275,8 +275,8 @@ def _cmd_pacf_report(ns: argparse.Namespace, given: dict) -> int:
 def _cmd_featurize(ns: argparse.Namespace, given: dict) -> int:
     from . import features, store
 
-    series, _meta = store.load_interval_store(Path(ns.store))
-    tracks, label_meta = store.load_label_store(Path(ns.labels))
+    series = store.load_interval_store(Path(ns.store))
+    tracks = store.load_label_store(Path(ns.labels))
     fcfg = features.FeatureConfig(**_fields(features.FeatureConfig, given))
     dcfg = features.DatasetConfig(**_fields(features.DatasetConfig, given))
     train_set, test_set = features.build_dataset(series, tracks, fcfg, dcfg)
@@ -448,6 +448,13 @@ def _prediction_rules(rows: np.ndarray) -> list[Rule]:
 def _cmd_evaluate(ns: argparse.Namespace, given: dict) -> int:
     from . import metrics
 
+    reps = given.get("latency", 0)
+    # the timings are one float64 array, of at most intp-max bytes
+    max_reps = np.iinfo(np.intp).max // 8
+    if not 0 <= reps <= max_reps:
+        raise ConfigError(f"--latency must be in [0, {max_reps}], got {reps}")
+    if reps and not ns.model:
+        raise FailcastError("--latency needs --model to time predictions")
     predictions = Path(ns.predictions)
     rows = _read(predictions, _read_predictions)
     data = _load_split(Path(ns.data), "test")
@@ -462,15 +469,19 @@ def _cmd_evaluate(ns: argparse.Namespace, given: dict) -> int:
             f"{predictions}: missing prediction for instance"
             f" ({missing['machine_id']}, {missing['interval']})"
         )
-    preds, scores = rows["predicted_y"][order[at]], rows["score"][order[at]]
+    taken = order[at]  # the row of each instance of the split
+    outside = np.ones(len(rows), dtype=bool)
+    outside[taken] = False
+    if outside.any():
+        extra = rows[np.argmax(outside)]
+        raise FailcastError(
+            f"{predictions}: prediction for instance"
+            f" ({extra['machine_id']}, {extra['interval']}) not in the test split"
+        )
+    preds, scores = rows["predicted_y"][taken], rows["score"][taken]
 
     latency = None
-    reps = given.get("latency", 0)
-    if reps < 0:
-        raise ConfigError(f"latency must be >= 0, got {reps}")
     if reps:
-        if not ns.model:
-            raise FailcastError("--latency needs --model to time predictions")
         from . import pipeline
 
         model = pipeline.load_bundle(Path(ns.model))
@@ -550,10 +561,9 @@ STAGES = {
     )),
     "label": Stage("pair and categorize failures", _cmd_label, (
         _flag("store"), _flag("events"), _flag("out", output="dir"),
-        _setting("ir_max_minutes", int),
     )),
     "pacf-report": Stage("significant-lag histogram", _cmd_pacf_report, (
-        _flag("store"), _flag("out", output="file"), _setting("max_lag", int),
+        _flag("store"), _flag("out", output="file"),
     )),
     "featurize": Stage("build the labeled dataset", _cmd_featurize, (
         _setting("seed", int, "rng_seed", help="master rng seed"),
@@ -568,7 +578,7 @@ STAGES = {
         _setting("gammas", float, many=True, help="comma list enabling a grid axis"),
         _setting("nus", float, many=True),
         _setting("trees_grid", int, "tree_counts", many=True),
-        _setting("folds", int), _setting("tol", float),
+        _setting("folds", int),
         _flag("archive", output="file", required=False, help="also write a single-file bundle"),
     )),
     "predict": Stage("classify instances", _cmd_predict, (

@@ -36,8 +36,12 @@ logger = logging.getLogger(__name__)
 
 #: 95% significance threshold scale for sample partial autocorrelations.
 SIGNIFICANCE_Z = 1.96
+#: the lags 1..PACF_MAX_LAG that ``pacf_by_machine`` fits, the range of the histogram
+#: that the 6-lag window is read off
+PACF_MAX_LAG = 10
 #: the shortest gap-free run, in intervals (about four hours), that ``pacf_by_machine``
-#: fits: Box and Jenkins's rule of at least 50 observations for estimating correlations
+#: fits: Box and Jenkins's rule of at least 50 observations for estimating correlations.
+#: ``pacf`` needs PACF_MAX_LAG + 2, which this exceeds.
 MIN_PACF_RUN = 50
 
 KIND_AVG = "avg"
@@ -116,38 +120,33 @@ def _longest_present_runs(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return start, length
 
 
-def pacf_by_machine(series: IntervalSeries, max_lag: int = 10) -> np.ndarray:
+def pacf_by_machine(series: IntervalSeries) -> np.ndarray:
     """Per-machine, per-resource partial autocorrelations of average usage.
 
     One row per (machine, resource) pair, in machine then resource order,
     with fields ``machine_id``, ``resource`` (a ``ResourceKind`` code),
     ``n_effective`` (the number of intervals used) and ``pacf`` (lags
-    1..max_lag). Each machine's series is cut to its first longest
+    1..PACF_MAX_LAG). Each machine's series is cut to its first longest
     gap-free run, so downtime holes cannot fake correlation structure.
-    Machines whose run is shorter than MIN_PACF_RUN or max_lag + 2
-    intervals, and resources constant over it, are skipped. A ``max_lag``
-    above the series length less 2, which ``pacf`` rejects for any one
-    series, raises ConfigError.
+    Machines whose run is shorter than MIN_PACF_RUN intervals, and
+    resources constant over it, are skipped.
     """
-    n = series.present.shape[1]
-    if not 1 <= max_lag <= n - 2:
-        raise ConfigError(f"max_lag must be in [1, {n - 2}] for {n}-interval series: {max_lag}")
     dtype = np.dtype(
         [("machine_id", np.int64), ("resource", np.int8), ("n_effective", np.int64),
-         ("pacf", np.float64, (max_lag,))]
+         ("pacf", np.float64, (PACF_MAX_LAG,))]
     )
     start, length = _longest_present_runs(series.present)
     rows = []
-    for m in np.flatnonzero(length >= max(MIN_PACF_RUN, max_lag + 2)):
+    for m in np.flatnonzero(length >= MIN_PACF_RUN):
         window = series.avg[m, start[m] : start[m] + length[m]]
         varying = np.flatnonzero(np.ptp(window, axis=0) != 0.0)
-        values = _pacf_rows(window[:, varying].T, max_lag)
+        values = _pacf_rows(window[:, varying].T, PACF_MAX_LAG)
         rows.extend((series.machine_ids[m], r, length[m], v) for r, v in zip(varying, values))
     return np.array(rows, dtype=dtype)
 
 
 def significant_lag_counts(table: np.ndarray) -> np.ndarray:
-    """(max_lag,) counts of the pairs of a ``pacf_by_machine`` table outside
+    """(lags,) counts of the pairs of a ``pacf_by_machine`` table outside
     the significance band 1.96/sqrt(n_effective), per lag."""
     band = SIGNIFICANCE_Z / np.sqrt(table["n_effective"])
     return np.count_nonzero(np.abs(table["pacf"]) > band[:, None], axis=0)

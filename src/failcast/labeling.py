@@ -9,18 +9,14 @@ trace is a forcible decommission.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
 
-from .errors import ConfigError
 from .tables import write_rows
 from .trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,
-    IR_MAX_DOWNTIME_US,
-    MICROS_PER_MINUTE,
     IntervalSeries,
     LabelTracks,
     MachineEventKind,
@@ -37,16 +33,7 @@ FAILURES_HEADER = "machine_id,remove_us,add_us,duration_us,type"
 DEGENERATE_MIN_FAILURES = 100
 
 
-@dataclass(frozen=True)
-class LabelingConfig:
-    ir_max_minutes: int = IR_MAX_DOWNTIME_US // MICROS_PER_MINUTE
-
-    def __post_init__(self):
-        if self.ir_max_minutes <= 0:
-            raise ConfigError("ir_max_minutes must be positive")
-
-
-def pair_failures(events: np.ndarray, cfg: LabelingConfig) -> tuple[np.ndarray, int]:
+def pair_failures(events: np.ndarray) -> tuple[np.ndarray, int]:
     """Pair each REMOVE with the next ADD of the same machine.
 
     ``events`` are the rows ``ingestion.parse_machine_events`` returns,
@@ -75,9 +62,7 @@ def pair_failures(events: np.ndarray, cfg: LabelingConfig) -> tuple[np.ndarray, 
     failures["remove_us"] = time_us[opens]
     failures["add_us"] = -1
     failures["add_us"][back] = time_us[close[back]]
-    failures["type"] = failure_types(
-        failures["remove_us"], failures["add_us"], cfg.ir_max_minutes * MICROS_PER_MINUTE
-    )
+    failures["type"] = failure_types(failures["remove_us"], failures["add_us"])
     if dropped:
         logger.warning("dropped %d REMOVE events with no intervening ADD", dropped)
     return failures, dropped

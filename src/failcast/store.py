@@ -38,8 +38,8 @@ LAYOUTS = {
 
 
 def _load(cls, store_dir: Path):
-    """A store's arrays and meta; FailcastError names a file that does not fit its
-    LAYOUTS entry, where M and T are read from the first file that has them."""
+    """A store's arrays; FailcastError names a file that does not fit its LAYOUTS
+    entry, where M and T are read from the first file that has them."""
     store_dir = Path(store_dir)
     arrays, sizes = [], {}  # M and T: each size, and the file it was read from
     for field in dataclasses.fields(cls):
@@ -55,8 +55,7 @@ def _load(cls, store_dir: Path):
             raise FailcastError(f"{path}: {array.dtype} {array.shape}, not"
                                 f" {np.dtype(dtype)} ({', '.join(map(str, dims))}){read}")
         arrays.append(array)
-    meta = _read(store_dir / "meta.json", lambda path: json.loads(path.read_text()))
-    return cls(*arrays), meta
+    return cls(*arrays)
 
 
 def _read(path: Path, reader):
@@ -78,15 +77,15 @@ def save_interval_store(series: IntervalSeries, out_dir: Path, extra_meta: dict)
     _save(series, out_dir, {**meta, **extra_meta})
 
 
-def load_interval_store(store_dir: Path) -> tuple[IntervalSeries, dict]:
-    """The series and meta of an interval store binned at INTERVAL_US; any other is refused."""
-    series, meta = _load(IntervalSeries, store_dir)
+def load_interval_store(store_dir: Path) -> IntervalSeries:
+    """The series of an interval store binned at INTERVAL_US; any other is refused."""
+    series = _load(IntervalSeries, store_dir)
+    path = Path(store_dir) / "meta.json"
+    meta = _read(path, lambda p: json.loads(p.read_text()))
     interval = meta.get("interval_us") if isinstance(meta, dict) else None
     if interval != INTERVAL_US:
-        raise FailcastError(
-            f"{Path(store_dir) / 'meta.json'}: interval_us is {interval}, not {INTERVAL_US}"
-        )
-    return series, meta
+        raise FailcastError(f"{path}: interval_us is {interval}, not {INTERVAL_US}")
+    return series
 
 
 def save_label_store(
@@ -96,5 +95,5 @@ def save_label_store(
     _save(tracks, out_dir, {"excluded_machines": excluded.tolist(), **extra_meta})
 
 
-def load_label_store(store_dir: Path) -> tuple[LabelTracks, dict]:
+def load_label_store(store_dir: Path) -> LabelTracks:
     return _load(LabelTracks, store_dir)

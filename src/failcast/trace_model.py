@@ -109,15 +109,13 @@ FAILURE_DTYPE = np.dtype(
 IR_MAX_DOWNTIME_US = 30 * MICROS_PER_MINUTE
 
 
-def failure_types(
-    remove_us: np.ndarray, add_us: np.ndarray, ir_max_downtime_us: int = IR_MAX_DOWNTIME_US
-) -> np.ndarray:
+def failure_types(remove_us: np.ndarray, add_us: np.ndarray) -> np.ndarray:
     """The FailureType of each failure as int8.
 
     FD where ``add_us`` is -1, else IR or SR by the downtime add - remove.
     """
     return np.select(
-        [add_us < 0, add_us - remove_us < ir_max_downtime_us],
+        [add_us < 0, add_us - remove_us < IR_MAX_DOWNTIME_US],
         [FailureType.FORCIBLE_DECOMMISSION, FailureType.IMMEDIATE_REBOOT],
         FailureType.SLOW_REBOOT,
     ).astype(np.int8)

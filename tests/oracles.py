@@ -25,8 +25,8 @@ SMO loop calls the package's own kernel and rho estimate.
 ``forest_predict_batch``, the majority vote over the package's own
 votes, ``split_of`` and ``one_tree``, the package's split search and tree
 growth on rows counted once each, and ``feature_index``, the inverse of
-``FeatureConfig.describe``, are not oracles: they live here because only
-tests use them.
+``FeatureConfig.describe``, and ``BUNDLE_FILES``, the files of a bundle
+directory, are not oracles: they live here because only tests use them.
 """
 
 from __future__ import annotations
@@ -38,14 +38,18 @@ import numpy as np
 from failcast.errors import (
     ConvergenceError, DegenerateTrainingError, InfeasibleNuError, ParseError,
 )
-from failcast.features import KIND_AVG, KIND_PEAK, MIN_PACF_RUN, SIGNIFICANCE_Z, pacf
+from failcast.features import (
+    KIND_AVG, KIND_PEAK, MIN_PACF_RUN, PACF_MAX_LAG, SIGNIFICANCE_Z, pacf,
+)
 from failcast.forest import MODEL_FORMAT as FOREST_FORMAT
 from failcast.forest import _arrays_model, best_split, grow_tree, predict_votes_batch
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
 from failcast.metrics import binary_f3, confusion
 from failcast.ocsvm import MAX_ITER, OcsvmModel, OcsvmParams, _estimate_rho, _rbf, decision
-from failcast.pipeline import _stratified_folds, predict_batch
+from failcast.pipeline import (
+    BUNDLE_FOREST, BUNDLE_LAYOUT, BUNDLE_MANIFEST, BUNDLE_OCSVM, _stratified_folds, predict_batch,
+)
 from failcast.pipeline import train as cascade_train
 from failcast.trace_model import (
     FAILURE_DTYPE,
@@ -55,6 +59,9 @@ from failcast.trace_model import (
     FailureType,
     MachineEventKind,
 )
+
+#: the files ``pipeline.save_bundle`` writes into a bundle directory
+BUNDLE_FILES = (BUNDLE_OCSVM, BUNDLE_FOREST, BUNDLE_LAYOUT, BUNDLE_MANIFEST)
 
 
 def ols_last_coefficient(x: np.ndarray, k: int) -> float:
@@ -654,7 +661,7 @@ def read_failures_csv(source) -> np.ndarray:
     return np.array(failures, dtype=FAILURE_DTYPE)
 
 
-def reference_pair_failures(events, cfg) -> tuple[np.ndarray, int]:
+def reference_pair_failures(events) -> tuple[np.ndarray, int]:
     """Pairing by a walk over the sorted events with one open REMOVE per machine."""
     failures = []
     dropped = 0
@@ -665,7 +672,7 @@ def reference_pair_failures(events, cfg) -> tuple[np.ndarray, int]:
         duration = None if add_us is None else add_us - open_remove
         if duration is None:
             ftype = FailureType.FORCIBLE_DECOMMISSION
-        elif duration < cfg.ir_max_minutes * MICROS_PER_MINUTE:
+        elif duration < 30 * MICROS_PER_MINUTE:  # the paper's IR/SR boundary
             ftype = FailureType.IMMEDIATE_REBOOT
         else:
             ftype = FailureType.SLOW_REBOOT
@@ -762,19 +769,19 @@ def reference_longest_present_run(present) -> tuple[int, int]:
     return best_start, best_len
 
 
-def reference_pacf_by_machine(series, max_lag: int = 10) -> list:
+def reference_pacf_by_machine(series) -> list:
     """(machine_id, resource, n_effective, pacf) per pair, machine by machine."""
     results = []
     for machine_id, avg, present in zip(series.machine_ids.tolist(), series.avg, series.present):
         start, length = reference_longest_present_run(present)
-        if length < max(MIN_PACF_RUN, max_lag + 2):
+        if length < MIN_PACF_RUN:
             continue
         window = avg[start : start + length]
         for r in range(N_RESOURCES):
             col = window[:, r]
             if np.ptp(col) == 0.0:
                 continue
-            results.append((machine_id, r, length, pacf(col, max_lag)))
+            results.append((machine_id, r, length, pacf(col, PACF_MAX_LAG)))
     return results
 
 

@@ -19,12 +19,12 @@ from failcast import ocsvm as ocsvm_mod
 from failcast import synth
 from failcast.features import DatasetConfig, FeatureConfig
 from failcast.forest import ForestParams
-from failcast.labeling import LabelingConfig
 from failcast.ocsvm import OcsvmModel, OcsvmParams
 from failcast.pipeline import CascadeModel
 from failcast.synth import SynthConfig
 
 from oracles import (
+    BUNDLE_FILES,
     auc_pair_counting,
     brute_force_best_split,
     classify,
@@ -192,7 +192,7 @@ def _run_pipeline(signature: float, tmp: Path):
     with open(paths.usage) as f:
         table, _ = ingestion.parse_usage_records(f)
     series = ingestion.aggregate_intervals(table, cfg.horizon_us)
-    failures, _ = labeling.pair_failures(events, LabelingConfig())
+    failures, _ = labeling.pair_failures(events)
     excluded = labeling.detect_degenerate_machines(series, failures)
     kept_failures = failures[~np.isin(failures["machine_id"], excluded)]
     tracks = labeling.build_label_tracks(kept_failures, series)
@@ -290,7 +290,7 @@ def test_criterion_7_cli_chain_determinism(tmp_path):
         "reports/report.txt",
         "reports/report.kv",
         "reports/roc.csv",
-    ] + [f"model/{name}" for name in pipeline.BUNDLE_FILES]
+    ] + [f"model/{name}" for name in BUNDLE_FILES]
     mismatched = [
         rel
         for rel in artifacts
@@ -329,17 +329,14 @@ def test_criterion_8_real_trace_structural_checks(tmp_path):
     horizon = max(int(table["end_us"].max()), int(events["time_us"].max()) + 1)
     horizon = -(-horizon // 300_000_000) * 300_000_000
     series = ingestion.aggregate_intervals(table, horizon)
-    lcfg = LabelingConfig()
-    failures, _ = labeling.pair_failures(events, lcfg)
+    failures, _ = labeling.pair_failures(events)
     excluded = labeling.detect_degenerate_machines(series, failures)
     kept = failures[~np.isin(failures["machine_id"], excluded)]
     counts = np.bincount(kept["type"], minlength=4)[1:]
     expected = np.array([5894, 2783, 94])
     counts_ok = np.all(np.abs(counts - expected) <= 0.01 * expected)
 
-    table = features.pacf_by_machine(
-        series.select(~np.isin(series.machine_ids, excluded)), max_lag=10
-    )
+    table = features.pacf_by_machine(series.select(~np.isin(series.machine_ids, excluded)))
     counts = features.significant_lag_counts(table)
     total = int(counts.sum())
     within = int(counts[:6].sum())

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import failcast
 from failcast import features
 from failcast.cli import STAGES, main
-from failcast.pipeline import BUNDLE_FILES
+from oracles import BUNDLE_FILES
 
 
 def run_chain(root: Path, seed: int = 11, signature: float = 0.9) -> Path:
@@ -677,7 +677,8 @@ class TestBrokenInputs:
           ("ingest", "label", "pacf-report", "predict", "evaluate", "adapt-google")),
         ("ingest", "--interval-us", "300000000"), ("ingest", "--horizon-us", "600000000"),
         ("predict", "--split", "train"), ("evaluate", "--split", "train"),
-        ("label", "--degenerate-min-failures", "100"),
+        ("label", "--degenerate-min-failures", "100"), ("label", "--ir-max-minutes", "30"),
+        ("pacf-report", "--max-lag", "10"), ("train", "--tol", "0.0001"),
     ])
     def test_a_setting_the_stage_does_not_have_exits_2(self, tmp_path, capsys, stage, flag, value):
         """As a flag, and as a config key unless another stage has it, before any output."""
@@ -792,6 +793,20 @@ class TestBrokenInputs:
             f"error: {preds}: missing prediction for instance ({m}, {i})\n"
         )
 
+    def test_evaluate_on_a_prediction_outside_the_split_exits_2(self, chain, tmp_path, capsys):
+        preds = tmp_path / "p.csv"
+        preds.write_text((chain / "predictions.csv").read_text() + "999,5,0,0.1\n")
+        out = tmp_path / "rep"
+        rc = main([
+            "evaluate", "--predictions", str(preds), "--data", str(chain / "data"),
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {preds}: prediction for instance (999, 5) not in the test split\n"
+        )
+        assert not out.exists()
+
     def test_evaluate_joins_predictions_in_any_row_order(self, chain, tmp_path):
         lines = (chain / "predictions.csv").read_text().splitlines()
         preds = tmp_path / "p.csv"
@@ -887,8 +902,6 @@ class TestBrokenInputs:
         "stage, flags",
         [
             ("synth", ["--machines", "0"]),
-            ("label", ["--ir-max-minutes", "0"]),
-            ("pacf-report", ["--max-lag", "0"]),
             ("featurize", ["--train-fraction", "1.5"]),
             ("featurize", ["--lags", "0"]),
             ("featurize", ["--normal-samples", "-1"]),
@@ -896,13 +909,9 @@ class TestBrokenInputs:
         ids=lambda v: "_".join(v) if isinstance(v, list) else v,
     )
     def test_out_of_range_value_exits_2(self, chain, tmp_path, capsys, stage, flags):
-        events = str(chain / "trace" / "machine_events.csv")
-        store = str(chain / "store")
         inputs = {
             "synth": [],
-            "label": ["--store", store, "--events", events],
-            "pacf-report": ["--store", store],
-            "featurize": ["--store", store, "--labels", str(chain / "labels")],
+            "featurize": ["--store", str(chain / "store"), "--labels", str(chain / "labels")],
         }[stage]
         out = tmp_path / "out"
         assert main([stage, *inputs, "--out", str(out), *flags]) == 2
@@ -1160,11 +1169,6 @@ def _train_defaults(got: dict) -> dict:
 #: work function is called with, as a function of all its arguments)
 DEFAULT_RUNS = {
     "synth": ([], "synth.generate", lambda got: {"cfg": failcast.SynthConfig()}),
-    "label": (["--store", "store", "--events", "trace/machine_events.csv"],
-              "labeling.pair_failures", lambda got: {"cfg": failcast.LabelingConfig()}),
-    "pacf-report": (["--store", "store"], "features.pacf_by_machine", lambda got: {
-        "max_lag": inspect.signature(features.pacf_by_machine).parameters["max_lag"].default
-    }),
     "featurize": (["--store", "store", "--labels", "labels"], "features.build_dataset",
                   lambda got: {"cfg": failcast.FeatureConfig(), "dcfg": failcast.DatasetConfig()}),
     "train": (["--data", "data"], "pipeline.grid_search_cv", _train_defaults),
@@ -1230,6 +1234,17 @@ class TestPacfReport:
         lines = out.read_text().splitlines()
         assert lines[0] == "lag,significant_pairs"
         assert len(lines) == 11
+
+    @pytest.mark.parametrize("intervals", [0, 5, 30])
+    def test_a_store_too_short_to_fit_counts_nothing(self, chain, tmp_path, intervals):
+        """No machine has a gap-free run of MIN_PACF_RUN intervals, so every lag counts 0."""
+        store = tmp_path / "store"
+        shutil.copytree(chain / "store", store)
+        for name in ("avg", "peak", "present"):
+            np.save(store / f"{name}.npy", np.load(store / f"{name}.npy")[:, :intervals])
+        out = tmp_path / "hist.csv"
+        assert main(["pacf-report", "--store", str(store), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [f"{lag},0" for lag in range(1, 11)]
 
 
 class TestConfigFile:
@@ -1298,12 +1313,11 @@ NUMERIC_EXTREMES = [
     ("synth", ["--machines", "99999999999999999999"], None),
     ("synth", ["--machines", "9223372036854775807"], None),
     ("synth", ["--seed", "-1"], None),
-    ("pacf-report", ["--max-lag", "99999999999999999999"], None),
-    ("pacf-report", ["--max-lag", "1000000000000"], None),
-    ("pacf-report", ["--max-lag", "575"], None),
     ("featurize", ["--lags", "576"], None),
     ("train", ["--trees-grid", "5,99999999999999999999"], None),
     ("evaluate", ["--latency", "-5"], None),
+    ("evaluate", ["--latency", "4611686018427387904"], None),
+    ("evaluate", ["--latency", "9223372036854775807"], None),
 ]
 
 
@@ -1315,15 +1329,13 @@ class TestNumericBounds:
         NUMERIC_EXTREMES,
         ids=[
             "days_1e300", "config_days_2_64", "machines_1e20", "machines_int64_max",
-            "negative_seed", "max_lag_1e20",
-            "max_lag_1e12", "max_lag_above_intervals", "lags_above_intervals", "trees_grid_1e20",
-            "negative_latency",
+            "negative_seed", "lags_above_intervals", "trees_grid_1e20",
+            "negative_latency", "latency_2_62", "latency_int64_max",
         ],
     )
     def test_extreme_value_exits_2(self, chain, tmp_path, capsys, stage, flags, config):
         inputs = {
             "synth": [],
-            "pacf-report": ["--store", str(chain / "store")],
             "featurize": ["--store", str(chain / "store"), "--labels", str(chain / "labels")],
             "train": ["--data", str(chain / "data")],
             "evaluate": ["--predictions", str(chain / "predictions.csv"),
@@ -1360,10 +1372,9 @@ class TestNumericBounds:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--tol", "-1"], ["--tol", "nan"], ["--tol", "0"], ["--gamma", "inf"],
-         ["--gammas", "0.125,inf"], ["--trees", "1000000000000"], ["--trees-grid", "5,10001"]],
-        ids=["tol_negative", "tol_nan", "tol_zero", "gamma_inf", "gammas_with_inf", "trees_1e12",
-             "trees_grid_10001"],
+        [["--gamma", "inf"], ["--gammas", "0.125,inf"], ["--trees", "1000000000000"],
+         ["--trees-grid", "5,10001"], ["--folds", "4611686018427387904"]],
+        ids=["gamma_inf", "gammas_with_inf", "trees_1e12", "trees_grid_10001", "folds_2_62"],
     )
     def test_a_fit_that_cannot_finish_exits_2_at_once(self, chain, tmp_path, capsys, flags):
         """Refused before any fit: no spin to the solver's cap, no endless growth."""
@@ -1564,11 +1575,12 @@ class TestAdaptGoogle:
 
         from failcast import store as store_mod
 
-        series, meta = store_mod.load_interval_store(store)
-        tracks, label_meta = store_mod.load_label_store(labels)
+        series = store_mod.load_interval_store(store)
+        tracks = store_mod.load_label_store(labels)
         assert series.machine_ids.tolist() == machines
         assert series.present.all()
         assert tracks.machine_ids.tolist() == machines
+        label_meta = json.loads((labels / "meta.json").read_text())
         assert label_meta["class_counts"] == {"ir": 1, "sr": 0, "fd": 0}
         assert len((tmp_path / "pacf.csv").read_text().splitlines()) == 11
 

@@ -14,6 +14,7 @@ from failcast.features import (
     Dataset,
     DatasetConfig,
     MIN_PACF_RUN,
+    PACF_MAX_LAG,
     FeatureConfig,
     _longest_present_runs,
     build_dataset,
@@ -130,6 +131,10 @@ def _gappy_fleet(rng, machines, T):
 
 
 class TestPacfTable:
+    def test_every_kept_run_fits_every_lag(self):
+        """``pacf`` needs PACF_MAX_LAG + 2 points, and the table fits runs of MIN_PACF_RUN."""
+        assert MIN_PACF_RUN >= PACF_MAX_LAG + 2
+
     def test_longest_runs_match_the_walk(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
@@ -145,19 +150,18 @@ class TestPacfTable:
         for _ in range(25):
             series = _gappy_fleet(rng, int(rng.integers(1, 9)), int(rng.integers(30, 160)))
             runs.extend(_longest_present_runs(series.present)[1])
-            max_lag = int(rng.integers(1, 6))
-            table = pacf_by_machine(series, max_lag)
-            reference = reference_pacf_by_machine(series, max_lag)
+            table = pacf_by_machine(series)
+            reference = reference_pacf_by_machine(series)
             assert table.dtype.names == ("machine_id", "resource", "n_effective", "pacf")
             assert table[["machine_id", "resource", "n_effective"]].tolist() == [
                 r[:3] for r in reference
             ]
             assert np.array_equal(
-                table["pacf"], np.reshape([r[3] for r in reference], (-1, max_lag))
+                table["pacf"], np.reshape([r[3] for r in reference], (-1, PACF_MAX_LAG))
             )
             hist = reference_significant_lag_histogram(reference)
             assert significant_lag_counts(table).tolist() == [
-                hist.get(lag, 0) for lag in range(1, max_lag + 1)
+                hist.get(lag, 0) for lag in range(1, PACF_MAX_LAG + 1)
             ]
         # machines on both sides of the shortest run the table keeps
         assert min(runs) < MIN_PACF_RUN <= max(runs)
@@ -178,11 +182,11 @@ class TestPacfTable:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        table = pacf_by_machine(series, 6)
+        table = pacf_by_machine(series)
         assert fallbacks
         assert table["resource"].tolist() == [0, 1, 2, 3, 5]
         for r, values in zip(table["resource"], table["pacf"]):
-            assert np.array_equal(values, pacf(avg[0, :, r], 6))
+            assert np.array_equal(values, pacf(avg[0, :, r], PACF_MAX_LAG))
 
 
 class TestFeatureLayout:

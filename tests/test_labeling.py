@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from failcast.ingestion import MACHINE_EVENTS_HEADER, IntervalSeries, parse_machine_events
 from failcast.labeling import (
-    LabelingConfig,
     build_label_tracks,
     detect_degenerate_machines,
     pair_failures,
@@ -22,7 +21,6 @@ from oracles import read_failures_csv, reference_label_tracks, reference_pair_fa
 
 SEC = 1_000_000
 MIN = 60 * SEC
-CFG = LabelingConfig()
 
 ADD = MachineEventKind.ADD
 REMOVE = MachineEventKind.REMOVE
@@ -40,13 +38,13 @@ def events(*rows):
 
 
 def pair(*rows):
-    return pair_failures(events(*rows), CFG)
+    return pair_failures(events(*rows))
 
 
-def categorize(duration_us, cfg):
+def categorize(duration_us):
     """The shared rule's class for one failure; None means never returned."""
     add = np.array([-1 if duration_us is None else duration_us])
-    return FailureType(int(failure_types(np.zeros(1, np.int64), add, cfg.ir_max_minutes * MIN)[0]))
+    return FailureType(int(failure_types(np.zeros(1, np.int64), add)[0]))
 
 
 #: random event tables: a few machines, repeated times, every event code
@@ -62,22 +60,22 @@ EVENT_ROWS = st.lists(
 
 class TestCategorize:
     def test_sixteen_minutes_is_immediate_reboot(self):
-        assert categorize(16 * MIN, CFG) == FailureType.IMMEDIATE_REBOOT
+        assert categorize(16 * MIN) == FailureType.IMMEDIATE_REBOOT
 
     def test_two_hours_is_slow_reboot(self):
-        assert categorize(120 * MIN, CFG) == FailureType.SLOW_REBOOT
+        assert categorize(120 * MIN) == FailureType.SLOW_REBOOT
 
     def test_never_back_is_forcible_decommission(self):
-        assert categorize(None, CFG) == FailureType.FORCIBLE_DECOMMISSION
+        assert categorize(None) == FailureType.FORCIBLE_DECOMMISSION
 
     def test_exactly_thirty_minutes_is_slow_reboot(self):
-        assert categorize(30 * MIN, CFG) == FailureType.SLOW_REBOOT
-        assert categorize(30 * MIN - 1, CFG) == FailureType.IMMEDIATE_REBOOT
+        assert categorize(30 * MIN) == FailureType.SLOW_REBOOT
+        assert categorize(30 * MIN - 1) == FailureType.IMMEDIATE_REBOOT
 
     @given(st.one_of(st.none(), st.integers(min_value=0, max_value=10**12)))
     def test_total_and_deterministic(self, duration):
-        first = categorize(duration, CFG)
-        assert first == categorize(duration, CFG)
+        first = categorize(duration)
+        assert first == categorize(duration)
         assert first in (
             FailureType.IMMEDIATE_REBOOT,
             FailureType.SLOW_REBOOT,
@@ -141,7 +139,7 @@ class TestPairFailures:
     def test_count_identity(self, raw):
         # events per machine, times strictly increasing in list order
         table = events(*(ev(m, i * SEC, kind) for i, (m, kind) in enumerate(raw)))
-        failures, dropped = pair_failures(table, CFG)
+        failures, dropped = pair_failures(table)
         removes = int(np.count_nonzero(table["event"] == REMOVE))
         assert len(failures) + dropped == removes
         assert np.all(failures["type"] != FailureType.NORMAL)
@@ -150,8 +148,8 @@ class TestPairFailures:
     def test_matches_event_walk_oracle(self, rows, random):
         random.shuffle(rows)
         table = events(*rows)
-        failures, dropped = pair_failures(table, CFG)
-        want, want_dropped = reference_pair_failures(table, CFG)
+        failures, dropped = pair_failures(table)
+        want, want_dropped = reference_pair_failures(table)
         assert dropped == want_dropped
         assert failures.dtype == FAILURE_DTYPE
         assert failures.tolist() == want.tolist()

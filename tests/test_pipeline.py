@@ -21,7 +21,7 @@ from failcast.ocsvm import OcsvmModel, OcsvmParams
 from failcast.pipeline import CascadeModel, GridSpec
 from failcast.trace_model import N_CLASSES, FailureType
 from oracles import (
-    classify, forest_predict_batch, reference_fold_of, reference_grid_search_cv,
+    BUNDLE_FILES, classify, forest_predict_batch, reference_fold_of, reference_grid_search_cv,
 )
 
 DIM = 12  # one lag
@@ -368,7 +368,7 @@ class TestBundles:
         b = cascade(data, seed=7)
         pipeline.save_bundle(a, tmp_path / "a")
         pipeline.save_bundle(b, tmp_path / "b")
-        for name in pipeline.BUNDLE_FILES:
+        for name in BUNDLE_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()

@@ -126,39 +126,55 @@ def statement_reads(source: str, own: str) -> list[tuple[ast.stmt, set[tuple[str
     return reads
 
 
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or class's, or each name
+    an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+
+
 def unneeded_definitions(sources: dict[str, str], exported) -> list[str]:
-    """``module.name`` of each module-level function and class in ``sources`` (module
-    name to source) that no statement but its own definition reads, unless the name is
-    ``exported`` or a dunder such as a module's ``__getattr__``."""
+    """``module.name`` of each module-level function, class and assigned name in
+    ``sources`` (module name to source) that no statement but its own definition reads,
+    unless the name is ``exported`` or a dunder such as a module's ``__getattr__``."""
     reads = {module: statement_reads(source, module) for module, source in sources.items()}
     found = []
     for module, statements in reads.items():
         for stmt, _ in statements:
-            if (not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    or stmt.name in exported or stmt.name.startswith("__")):
-                continue
-            if not any((module, stmt.name) in read for pairs in reads.values()
-                       for other, read in pairs if other is not stmt):
-                found.append(f"{module}.{stmt.name}")
+            for name in defined_names(stmt):
+                if name in exported or name.startswith("__"):
+                    continue
+                if not any((module, name) in read for pairs in reads.values()
+                           for other, read in pairs if other is not stmt):
+                    found.append(f"{module}.{name}")
     return found
 
 
 def test_the_check_finds_definitions_nothing_reads():
     sources = {
         "tables": "def used():\n    return 1\ndef own_caller():\n    return own_caller()\n"
-                  "class Exported:\n    pass\ndef __getattr__(name):\n    pass\n",
+                  "class Exported:\n    pass\ndef __getattr__(name):\n    pass\n"
+                  "READ, (PAIR, UNREAD) = 1, (2, 3)\nTYPED: int = READ\n__all__ = []\n",
         "cli": "from . import tables as t\nfrom .features import helper as h\n"
-               "def main():\n    return t.used(), h(), used()\n",
+               "def main():\n    return t.used(), h(), used(), t.PAIR\n",
         "features": "def helper():\n    pass\ndef used():\n    pass\n",
     }
     assert unneeded_definitions(sources, exported={"Exported"}) == [
-        "tables.own_caller", "cli.main", "features.used",
+        "tables.own_caller", "tables.UNREAD", "tables.TYPED", "cli.main", "features.used",
     ]
 
 
 def test_src_holds_no_code_that_nothing_in_it_needs():
-    """Every module-level function and class is read by other code in ``src/failcast``
-    or is public through ``failcast.__all__``."""
+    """Every module-level function, class and assigned name is read by other code in
+    ``src/failcast`` or is public through ``failcast.__all__``."""
     sources = {path.stem: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
     assert unneeded_definitions(sources, exported=set(failcast.__all__)) == []
 

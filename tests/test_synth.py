@@ -3,7 +3,6 @@ import pytest
 
 from failcast import features, ingestion, labeling, synth
 from failcast.errors import ConfigError
-from failcast.labeling import LabelingConfig
 from failcast.synth import SynthConfig, _draw_duration, generate
 from failcast.trace_model import INTERVAL_US, FailureType
 
@@ -72,8 +71,7 @@ def test_round_trip_through_ingestion_without_clamps(ingested):
 
 def test_degenerate_machines_detected_and_excluded(ingested):
     events, _, _, series = ingested
-    cfg = LabelingConfig()
-    failures, _ = labeling.pair_failures(events, cfg)
+    failures, _ = labeling.pair_failures(events)
     excluded = labeling.detect_degenerate_machines(series, failures)
     assert len(excluded) == SMALL.degenerate_machines
     assert excluded.tolist() == [58, 59]  # the last machine ids
@@ -81,7 +79,7 @@ def test_degenerate_machines_detected_and_excluded(ingested):
 
 def test_truth_labels_match_labeling_pipeline(small_trace, ingested):
     events, _, _, series = ingested
-    failures, _ = labeling.pair_failures(events, LabelingConfig())
+    failures, _ = labeling.pair_failures(events)
     tracks = labeling.build_label_tracks(failures, series)
 
     truth = {}
@@ -128,7 +126,7 @@ def test_fd_mass_present_over_many_draws():
 
 def test_pacf_significant_lags_concentrate_in_window(ingested):
     _, _, _, series = ingested
-    table = features.pacf_by_machine(series.select(series.machine_ids < 58), max_lag=10)
+    table = features.pacf_by_machine(series.select(series.machine_ids < 58))
     counts = features.significant_lag_counts(table)
     total = int(counts.sum())
     within = int(counts[:6].sum())
@@ -138,7 +136,7 @@ def test_pacf_significant_lags_concentrate_in_window(ingested):
 
 def test_failures_leave_clean_feature_windows(ingested):
     events, _, _, series = ingested
-    failures, _ = labeling.pair_failures(events, LabelingConfig())
+    failures, _ = labeling.pair_failures(events)
     kept = series.select(series.machine_ids < 58)
     failures = failures[failures["machine_id"] < 58]
     tracks = labeling.build_label_tracks(failures, kept)

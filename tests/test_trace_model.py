@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from failcast.ingestion import MACHINE_EVENTS_HEADER, parse_machine_events
-from failcast.labeling import LabelingConfig, pair_failures
+from failcast.labeling import pair_failures
 from failcast.trace_model import (
     MICROS_PER_MINUTE as MIN,
     FailureType,
@@ -35,7 +35,7 @@ def _failures(rows):
     """The paired failures of (machine, minute, event code) rows."""
     body = "".join(f"{minute * MIN},{m},{code}\n" for m, minute, code in rows)
     table = parse_machine_events(io.StringIO(MACHINE_EVENTS_HEADER + "\n" + body))
-    return pair_failures(table, LabelingConfig())[0]
+    return pair_failures(table)[0]
 
 
 EVENT_ROWS = st.lists(
