@@ -19,7 +19,6 @@ _SOURCES = {
     "Dataset": "features",
     "DatasetConfig": "features",
     "FailureType": "trace_model",
-    "FeatureConfig": "features",
     "ForestModel": "forest",
     "ForestParams": "forest",
     "GridSpec": "pipeline",

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Optional, TextIO
 import numpy as np
 
 from .errors import ConfigError, FailcastError, ParseError
-from .trace_model import INTERVAL_US, N_CLASSES
+from .trace_model import INTERVAL_US, LAGS, N_CLASSES, N_FEATURES
 
 if TYPE_CHECKING:
     from .features import Dataset
@@ -89,10 +89,13 @@ class Flag:
         if raw is None and self.dest in cfg:
             raw, origin = cfg[self.dest], f"{ns.config}: config key {self.dest!r}"
         if self.many:
-            if not raw:
+            if raw is None:
                 return None
+            items = raw.split(",")
+            if not all(items):
+                raise ConfigError(f"{origin}: {raw!r} has an empty item")
             try:
-                values = tuple(self.cast(v) for v in raw.split(",") if v)
+                values = tuple(map(self.cast, items))
             except ValueError:
                 raise FailcastError(
                     f"{self.dest}: {raw!r} is not a comma list of {self.cast.__name__} values"
@@ -260,11 +263,10 @@ def _cmd_pacf_report(ns: argparse.Namespace, given: dict) -> int:
         f.write("lag,significant_pairs\n")
         tables.write_rows(f, "%d,%d\n", np.arange(1, len(counts) + 1), counts)
     total = int(counts.sum())
-    in_window = int(counts[:6].sum())
-    share = in_window / total if total else float("nan")
+    share = f", {counts[:LAGS].sum() / total:.1%} within lags 1..{LAGS}" if total else ""
     print(
         f"pacf over {len(table)} machine-resource pairs; "
-        f"{total} significant lags, {share:.1%} within lags 1..6; wrote {out}"
+        f"{total} significant lags{share}; wrote {out}"
     )
     return 0
 
@@ -277,9 +279,8 @@ def _cmd_featurize(ns: argparse.Namespace, given: dict) -> int:
 
     series = store.load_interval_store(Path(ns.store))
     tracks = store.load_label_store(Path(ns.labels))
-    fcfg = features.FeatureConfig(**_fields(features.FeatureConfig, given))
-    dcfg = features.DatasetConfig(**_fields(features.DatasetConfig, given))
-    train_set, test_set = features.build_dataset(series, tracks, fcfg, dcfg)
+    dcfg = features.DatasetConfig(**given)
+    train_set, test_set = features.build_dataset(series, tracks, dcfg)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, data in (("train", train_set), ("test", test_set)):
@@ -287,10 +288,10 @@ def _cmd_featurize(ns: argparse.Namespace, given: dict) -> int:
             features.write_dataset_csv(data, f)
         with open(out_dir / f"{name}_ids.csv", "w", newline="\n") as f:
             features.write_ids_csv(data, f)
-    (out_dir / "layout.json").write_text(fcfg.layout_json())
+    (out_dir / "layout.json").write_text(features.layout_json())
     print(
         f"dataset: {len(train_set)} train / {len(test_set)} test instances "
-        f"({fcfg.dim} features); wrote {out_dir}"
+        f"({N_FEATURES} features); wrote {out_dir}"
     )
     return 0
 
@@ -311,7 +312,7 @@ def _load_split(data_dir: Path, name: str) -> Dataset:
 
 
 def _cmd_train(ns: argparse.Namespace, given: dict) -> int:
-    from . import pipeline, tables
+    from . import features, pipeline, tables
     from .forest import ForestParams
     from .ocsvm import OcsvmParams
 
@@ -324,7 +325,7 @@ def _cmd_train(ns: argparse.Namespace, given: dict) -> int:
                 " give one of them"
             )
     data = _load_split(Path(ns.data), "train")
-    base_ocsvm = OcsvmParams(**{"gamma": 1.0 / data.x.shape[1], **_fields(OcsvmParams, given)})
+    base_ocsvm = OcsvmParams(**_fields(OcsvmParams, given))
     base_forest = ForestParams(**_fields(ForestParams, given))
     grid = pipeline.GridSpec(**{
         "gammas": (base_ocsvm.gamma,), "nus": (base_ocsvm.nu,),
@@ -353,7 +354,7 @@ def _cmd_train(ns: argparse.Namespace, given: dict) -> int:
     with open(out_dir / "split_counts.csv", "w", newline="\n") as f:
         f.write("index,kind,resource,lag,count\n")
         index = np.arange(model.forest.dim)
-        layout = map(np.array, zip(*map(model.feature_config.describe, index)))
+        layout = map(np.array, zip(*map(features.describe, index)))
         counts = model.forest.feature_split_counts
         tables.write_rows(f, "%d,%s,%d,%d,%d\n", index, *layout, counts)
     if ns.archive:
@@ -418,12 +419,6 @@ def _instances(machine_id: np.ndarray, interval: np.ndarray) -> np.ndarray:
     return instances
 
 
-def _sorted_instances(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable sort order of the predictions ``rows`` by instance, and their instances in it."""
-    order = np.lexsort((rows["interval"], rows["machine_id"]))
-    return order, _instances(rows["machine_id"][order], rows["interval"][order])
-
-
 def _read_predictions(source: TextIO) -> np.ndarray:
     """The rows of a predictions file as a structured array, one per instance."""
     from . import tables
@@ -432,12 +427,11 @@ def _read_predictions(source: TextIO) -> np.ndarray:
 
 
 def _prediction_rules(rows: np.ndarray) -> list[Rule]:
+    from .features import repeats
+
     y, score = rows["predicted_y"], rows["score"]
     machine_id, interval = rows["machine_id"], rows["interval"]
-    order, instances = _sorted_instances(rows)
-    # the sort is stable, so every row of an instance after its first is a repeat
-    repeat = np.zeros(len(rows), dtype=bool)
-    repeat[order[1:]] = instances[1:] == instances[:-1]
+    repeat = repeats(machine_id, interval)
     return [
         ((y < 0) | (y >= N_CLASSES), lambda i: f"unknown class {y[i]}"),
         (~np.isfinite(score), lambda i: f"non-finite score {score[i]}"),
@@ -458,7 +452,8 @@ def _cmd_evaluate(ns: argparse.Namespace, given: dict) -> int:
     predictions = Path(ns.predictions)
     rows = _read(predictions, _read_predictions)
     data = _load_split(Path(ns.data), "test")
-    order, have = _sorted_instances(rows)
+    order = np.lexsort((rows["interval"], rows["machine_id"]))
+    have = _instances(rows["machine_id"][order], rows["interval"][order])
     want = _instances(data.machine_ids, data.interval)
     at = np.searchsorted(have, want)
     found = at < len(have)
@@ -554,7 +549,6 @@ STAGES = {
         _flag("out", output="dir"), _setting("machines", int),
         _setting("days", float, "horizon_days"),
         _setting("signature", float, "signature_strength"),
-        _setting("degenerate", int, "degenerate_machines"),
     )),
     "ingest": Stage("parse and bin a trace", _cmd_ingest, (
         _flag("events"), _flag("usage"), _flag("out", output="dir"),
@@ -567,7 +561,7 @@ STAGES = {
     )),
     "featurize": Stage("build the labeled dataset", _cmd_featurize, (
         _setting("seed", int, "rng_seed", help="master rng seed"),
-        _flag("store"), _flag("labels"), _flag("out", output="dir"), _setting("lags", int),
+        _flag("store"), _flag("labels"), _flag("out", output="dir"),
         _setting("normal_samples", int, "normal_sample_count"),
         _setting("train_fraction", float),
     )),
@@ -585,7 +579,7 @@ STAGES = {
         _flag("model"), _flag("data", required=False),
         _flag("out", output="file", required=False),
         _flag("stream", required=False, action="store_true",
-              help="read f0..f71 lines from stdin, write y,score lines"),
+              help=f"read f0..f{N_FEATURES - 1} lines from stdin, write y,score lines"),
     )),
     "evaluate": Stage("metrics report + ROC csv", _cmd_evaluate, (
         _flag("predictions"), _flag("data"),

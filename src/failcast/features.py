@@ -29,7 +29,8 @@ from .tables import (
     write_rows,
 )
 from .trace_model import (
-    N_CLASSES, N_RESOURCES, FleetArrays, IntervalSeries, LabelTracks, ResourceKind,
+    LAGS, N_CLASSES, N_FEATURES, N_RESOURCES, FleetArrays, IntervalSeries, LabelTracks,
+    ResourceKind,
 )
 
 logger = logging.getLogger(__name__)
@@ -37,7 +38,7 @@ logger = logging.getLogger(__name__)
 #: 95% significance threshold scale for sample partial autocorrelations.
 SIGNIFICANCE_Z = 1.96
 #: the lags 1..PACF_MAX_LAG that ``pacf_by_machine`` fits, the range of the histogram
-#: that the 6-lag window is read off
+#: that the LAGS-interval window is read off
 PACF_MAX_LAG = 10
 #: the shortest gap-free run, in intervals (about four hours), that ``pacf_by_machine``
 #: fits: Box and Jenkins's rule of at least 50 observations for estimating correlations.
@@ -152,53 +153,33 @@ def significant_lag_counts(table: np.ndarray) -> np.ndarray:
     return np.count_nonzero(np.abs(table["pacf"]) > band[:, None], axis=0)
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Feature layout: (avg|peak, resource, lag) -> flat index.
+def describe(index: int) -> tuple[str, int, int]:
+    """(kind, resource, lag) of the flat feature index ``index``.
 
     Averages occupy the first half, peaks the second; within a half the
-    order is resource-major, then lag 1..L (most recent interval first).
+    order is resource-major, then lag 1..LAGS (most recent interval first).
     """
+    if not 0 <= index < N_FEATURES:
+        raise ValueError(f"feature index {index} out of range")
+    half, rest = divmod(index, N_RESOURCES * LAGS)
+    resource, lag0 = divmod(rest, LAGS)
+    return (KIND_AVG if half == 0 else KIND_PEAK, resource, lag0 + 1)
 
-    lags: int = 6
 
-    def __post_init__(self):
-        if self.lags < 1:
-            raise ConfigError("lags must be >= 1")
-
-    @classmethod
-    def of_width(cls, dim: int) -> FeatureConfig:
-        """The layout of ``dim`` features; ConfigError unless dim is a positive multiple of 12."""
-        lags, rest = divmod(dim, 2 * N_RESOURCES)
-        if rest or lags < 1:
-            raise ConfigError(f"{dim} features is not a positive multiple of {2 * N_RESOURCES}")
-        return cls(lags)
-
-    @property
-    def dim(self) -> int:
-        return 2 * N_RESOURCES * self.lags
-
-    def describe(self, index: int) -> tuple[str, int, int]:
-        """(kind, resource, lag) of the flat feature index ``index``."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"feature index {index} out of range")
-        half, rest = divmod(index, N_RESOURCES * self.lags)
-        resource, lag0 = divmod(rest, self.lags)
-        return (KIND_AVG if half == 0 else KIND_PEAK, resource, lag0 + 1)
-
-    def layout_json(self) -> str:
-        entries = []
-        for i in range(self.dim):
-            kind, resource, lag = self.describe(i)
-            entries.append(
-                {
-                    "index": i,
-                    "kind": kind,
-                    "resource": ResourceKind(resource).name,
-                    "lag": lag,
-                }
-            )
-        return json.dumps({"lags": self.lags, "features": entries}, indent=1)
+def layout_json() -> str:
+    """The ``layout.json`` of a dataset and of a bundle: every index with its description."""
+    entries = []
+    for i in range(N_FEATURES):
+        kind, resource, lag = describe(i)
+        entries.append(
+            {
+                "index": i,
+                "kind": kind,
+                "resource": ResourceKind(resource).name,
+                "lag": lag,
+            }
+        )
+    return json.dumps({"lags": LAGS, "features": entries}, indent=1)
 
 
 @dataclass(frozen=True)
@@ -207,7 +188,7 @@ class Dataset(FleetArrays):
 
     Row i is the window of machine ``machine_ids[i]`` that ends just before
     interval ``interval[i]`` (both (n,) int64): ``y`` is the (n,) int64
-    FailureType code there and ``x`` the (n, dim) float64 features.
+    FailureType code there and ``x`` the (n, N_FEATURES) float64 features.
     """
 
     machine_ids: np.ndarray
@@ -245,28 +226,29 @@ def class_ranks(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def build_dataset(
     series: IntervalSeries,
     tracks: LabelTracks,
-    cfg: FeatureConfig,
     dcfg: DatasetConfig,
 ) -> tuple[Dataset, Dataset]:
     """Assemble the labeled dataset of the machines in ``tracks`` as (train, test).
 
     ``series`` may hold more machines than ``tracks``; only the tracked
-    ones are used. A cell (machine, tau) is buildable when its L
+    ones are used. A cell (machine, tau) is buildable when its LAGS
     preceding intervals are all present and not downtime. Every buildable
     failure instance is kept; normal instances are a seeded uniform
     sample of the requested size. The split is stratified per class and
     fully determined by the seed: a cell goes to train when its ``class_ranks``
     rank is below round(train_fraction * n) for its class's n cells. A
-    window needs L intervals before its labeled one, so an L of the series
-    length or more raises ConfigError.
+    window needs LAGS intervals before its labeled one, so a series of
+    LAGS intervals or fewer raises ConfigError.
     """
     if tracks.y.shape[1:] != series.present.shape[1:] or not np.isin(
         tracks.machine_ids, series.machine_ids
     ).all():
         raise FailcastError("label tracks name machines or intervals the series lacks")
-    L, T = cfg.lags, series.present.shape[1]
-    if L > T - 1:
-        raise ConfigError(f"lags must be in [1, {T - 1}] for {T}-interval series: {L}")
+    L, T = LAGS, series.present.shape[1]
+    if T <= L:
+        raise ConfigError(
+            f"a {T}-interval series holds no {L}-interval window before a labeled interval"
+        )
     series_row = np.searchsorted(series.machine_ids, tracks.machine_ids)
     rng = np.random.default_rng(dcfg.rng_seed)
     good = series.present[series_row] & ~tracks.downtime
@@ -303,7 +285,9 @@ def build_dataset(
         for lag in range(1, L + 1):
             X[:, 0, :, lag - 1] = series.avg[src, tau - lag]
             X[:, 1, :, lag - 1] = series.peak[src, tau - lag]
-        splits.append(Dataset(series.machine_ids[src], tau, y[pick], X.reshape(len(src), cfg.dim)))
+        splits.append(
+            Dataset(series.machine_ids[src], tau, y[pick], X.reshape(len(src), N_FEATURES))
+        )
     return tuple(splits)
 
 
@@ -376,6 +360,25 @@ def write_ids_csv(data: Dataset, out: TextIO) -> None:
 
 
 def read_ids_csv(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
-    """Read an ids file into (machine_id, interval) arrays, one entry per dataset row."""
-    rows = read_table(source, IDS_HEADER, IDS_DTYPE)
+    """Read an ids file into (machine_id, interval) arrays, one entry per dataset row.
+
+    A row whose instance an earlier row has raises ParseError.
+    """
+    rows = read_table(source, IDS_HEADER, IDS_DTYPE, _ids_rules)
     return rows["machine_id"], rows["interval"]
+
+
+def _ids_rules(rows: np.ndarray) -> list[Rule]:
+    machine_id, interval = rows["machine_id"], rows["interval"]
+    return [(repeats(machine_id, interval),
+             lambda i: f"duplicate instance ({machine_id[i]}, {interval[i]})")]
+
+
+def repeats(machine_id: np.ndarray, interval: np.ndarray) -> np.ndarray:
+    """(n,) True at each entry whose (machine_id, interval) instance an earlier entry has."""
+    order = np.lexsort((interval, machine_id))
+    m, t = machine_id[order], interval[order]
+    # the sort is stable, so every entry of an instance after its first is a repeat
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:]] = (m[1:] == m[:-1]) & (t[1:] == t[:-1])
+    return repeat

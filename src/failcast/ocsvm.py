@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, InfeasibleNuError, ModelFormatError, ParseError
 from .tables import Rule, read_body, write_rows
+from .trace_model import N_FEATURES
 
 MODEL_FORMAT = "ocsvm-model v1"
 _HEADER_KEYS = ("gamma", "rho", "dim", "support_vectors")
@@ -29,7 +30,7 @@ MAX_ITER = 1_000_000
 @dataclass(frozen=True)
 class OcsvmParams:
     nu: float = 0.05
-    gamma: float = 1.0 / 72.0
+    gamma: float = 1.0 / N_FEATURES
     tol: float = 1e-4
 
     def __post_init__(self):

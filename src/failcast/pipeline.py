@@ -26,10 +26,10 @@ from .errors import (
     InfeasibleNuError,
     ModelFormatError,
 )
-from .features import FeatureConfig, class_ranks
+from .features import class_ranks, layout_json
 from .forest import ForestModel, ForestParams
 from .ocsvm import OcsvmModel, OcsvmParams
-from .trace_model import N_CLASSES
+from .trace_model import LAGS, N_CLASSES, N_FEATURES
 
 logger = logging.getLogger(__name__)
 
@@ -54,11 +54,6 @@ class CascadeModel:
     def __post_init__(self):
         if self.ocsvm.support_vectors.shape[1] != self.forest.dim:
             raise ModelFormatError("stage dimensions disagree")
-
-    @property
-    def feature_config(self) -> FeatureConfig:
-        """The feature layout of the stages' width."""
-        return FeatureConfig.of_width(self.forest.dim)
 
 
 @dataclass(frozen=True)
@@ -91,6 +86,10 @@ def _digest(X: np.ndarray, y: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def _width_mismatch(dim: int) -> str:
+    return f"{dim} features is not the {N_FEATURES} of the {LAGS}-lag window"
+
+
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -101,11 +100,13 @@ def train(
 
     The one-class stage fits the normals; every training row is then
     filtered through it and the forest learns from whatever it flags.
-    Raises ConfigError before any fit unless dim is a whole number of
-    12-feature lags, and DegenerateTrainingError when no failure instance
-    survives the filter, since stage 2 would have nothing to separate.
+    Raises ConfigError before any fit unless dim is N_FEATURES, the
+    width of the LAGS-interval window, and DegenerateTrainingError when no
+    failure instance survives the filter, since stage 2 would have
+    nothing to separate.
     """
-    feature_config = FeatureConfig.of_width(X.shape[1])
+    if X.shape[1] != N_FEATURES:
+        raise ConfigError(_width_mismatch(X.shape[1]))
     y = np.asarray(y, dtype=np.int64)  # the manifest digest hashes int64 classes
     normals = X[y == 0]
     if len(normals) == 0 or len(normals) == len(y):
@@ -122,7 +123,7 @@ def train(
 
     manifest = {
         "format": _MANIFEST_FORMAT,
-        "feature": {"lags": feature_config.lags, "dim": feature_config.dim},
+        "feature": {"lags": LAGS, "dim": N_FEATURES},
         "ocsvm": {**asdict(ocsvm_params), "max_iter": ocsvm_mod.MAX_ITER},
         "forest": asdict(forest_params),
         "data": {
@@ -240,7 +241,7 @@ def _bundle_texts(model: CascadeModel) -> dict[str, str]:
     return {
         BUNDLE_OCSVM: stage1.getvalue(),
         BUNDLE_FOREST: stage2.getvalue(),
-        BUNDLE_LAYOUT: model.feature_config.layout_json(),
+        BUNDLE_LAYOUT: layout_json(),
         BUNDLE_MANIFEST: json.dumps(model.manifest, indent=1, sort_keys=True),
     }
 
@@ -284,24 +285,22 @@ def load_bundle(bundle: Path) -> CascadeModel:
     """Read a bundle directory or a ``train --archive`` zip of one.
 
     A malformed file raises ModelFormatError naming it. So does a
-    forest.txt whose width is not a whole number of 12-feature lags, a
+    forest.txt whose width is not N_FEATURES, a
     manifest whose format, feature entries, forest parameters or
     ocsvm.gamma disagree with the stage files, a layout.json other than
-    the stages' feature layout, and an ocsvm.txt whose alphas are not all
+    the feature layout, and an ocsvm.txt whose alphas are not all
     in (0, C], C = 1/(nu*n) for the manifest's ocsvm.nu and
     data.class_counts[0], or sum to more than ALPHA_SUM_TOL away from 1.
     """
     bundle = Path(bundle)
     stage1 = _load_part(bundle, BUNDLE_OCSVM, ocsvm_mod.load)
     stage2 = _load_part(bundle, BUNDLE_FOREST, forest_mod.load)
-    try:
-        feature_config = FeatureConfig.of_width(stage2.dim)
-    except ConfigError as exc:
-        raise ModelFormatError(f"{bundle / BUNDLE_FOREST}: {exc}") from None
+    if stage2.dim != N_FEATURES:
+        raise ModelFormatError(f"{bundle / BUNDLE_FOREST}: {_width_mismatch(stage2.dim)}")
     manifest = _load_part(bundle, BUNDLE_MANIFEST, json.load)
     # what the manifest must state, as the stage files say it
-    implied = {"format": _MANIFEST_FORMAT, "feature.lags": feature_config.lags,
-               "feature.dim": feature_config.dim, "ocsvm.gamma": stage1.gamma}
+    implied = {"format": _MANIFEST_FORMAT, "feature.lags": LAGS, "feature.dim": N_FEATURES,
+               "ocsvm.gamma": stage1.gamma}
     implied.update((f"forest.{k}", v) for k, v in asdict(stage2.params).items())
     for key, value in implied.items():
         try:
@@ -326,8 +325,8 @@ def load_bundle(bundle: Path) -> CascadeModel:
         )
     model = CascadeModel(ocsvm=stage1, forest=stage2, manifest=manifest)
     layout = _load_part(bundle, BUNDLE_LAYOUT, lambda f: f.read())
-    if layout != feature_config.layout_json():
-        raise ModelFormatError(f"{bundle / BUNDLE_LAYOUT}: not the layout of dim {stage2.dim}")
+    if layout != layout_json():
+        raise ModelFormatError(f"{bundle / BUNDLE_LAYOUT}: not the layout of dim {N_FEATURES}")
     return model
 
 

@@ -25,6 +25,7 @@ from .tables import write_rows
 from .trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,
+    LAGS,
     MICROS_PER_SECOND,
     N_RESOURCES,
     MachineEventKind,
@@ -41,8 +42,6 @@ TRUTH_FILE = "truth_labels.csv"
 #: resources carrying the pre-failure ramp (cpu, disk i/o, memory)
 RAMP_RESOURCES = (0, 1, 3)
 
-_LAGS = 6  # ramp length and the clean-window guarantee, in intervals
-
 FAILURE_EXPONENT = 1.8  # of the power-law per-machine failure count
 DURATION_WEIGHTS = (5894.0, 2783.0, 94.0)  # immediate reboot, slow reboot, never back
 IR_MODE_S, SR_MODE_S = 960.0, 7200.0  # duration modes of the two reboot bumps
@@ -52,6 +51,7 @@ AR_COEFFICIENTS = (0.7, 0.6, 0.8, 0.7, 0.65, 0.6)
 BASELINES = (0.35, 0.25, 0.45, 0.40, 0.30, 0.20)
 AR_NOISE = 0.06
 PEAK_OFFSET = 0.06  # scale of the half-normal excess of a peak over its average
+DEGENERATE_MACHINES = 2  # the all-zero machines, the last ids of the fleet
 DEGENERATE_FAILURES = 120  # failures of each degenerate machine
 
 
@@ -62,7 +62,6 @@ class SynthConfig:
     failing_fraction: float = 0.4
     max_failures: int = 40
     signature_strength: float = 0.9
-    degenerate_machines: int = 2
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -79,8 +78,6 @@ class SynthConfig:
             )
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.degenerate_machines < 0:
-            raise ConfigError(f"degenerate_machines must be >= 0, got {self.degenerate_machines}")
         if not 0.0 <= self.signature_strength <= 1.0:
             raise ConfigError("signature_strength must be in [0, 1]")
         if not 0.0 <= self.failing_fraction <= 1.0:
@@ -136,14 +133,14 @@ def _draw_duration(rng: np.random.Generator, allow_fd: bool) -> int | None:
 def _place_failures(
     rng: np.random.Generator, machine_id: int, k: int, cfg: SynthConfig
 ) -> list[tuple[int, int, int]]:
-    """(machine, remove, add) per failure, keeping >= 6 clean intervals before every removal.
+    """(machine, remove, add) per failure, keeping a clean feature window before every removal.
 
     ``add`` is -1 when the machine never returns before the horizon.
     """
     I = INTERVAL_US
     horizon = cfg.horizon_us
     failures = []
-    cursor = (_LAGS + 1) * I  # leave a full feature window before the first removal
+    cursor = (LAGS + 1) * I  # leave a full feature window before the first removal
     for i in range(k):
         remaining = horizon - cursor - I
         if remaining <= 0:
@@ -159,7 +156,7 @@ def _place_failures(
         if add < 0:
             break
         resume = -(-add // I) * I  # next full interval boundary
-        cursor = resume + (_LAGS + 1) * I
+        cursor = resume + (LAGS + 1) * I
     return failures
 
 
@@ -183,24 +180,22 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
     """
     T = cfg.n_intervals
     I = INTERVAL_US
-    if T < _LAGS + 3:
+    if T < LAGS + 3:
         raise ConfigError(
             f"horizon of {T} intervals cannot host any failure with a feature window"
         )
     deg_cycle = 10 * 60 * MICROS_PER_SECOND  # 2 min down + 8 min up
-    if cfg.degenerate_machines and (
-        (_LAGS + 1) * I + DEGENERATE_FAILURES * deg_cycle >= cfg.horizon_us
-    ):
+    if (LAGS + 1) * I + DEGENERATE_FAILURES * deg_cycle >= cfg.horizon_us:
         raise ConfigError(
             f"horizon too short for {DEGENERATE_FAILURES} degenerate failures"
         )
 
-    if cfg.degenerate_machines >= cfg.machines:
+    if DEGENERATE_MACHINES >= cfg.machines:
         raise ConfigError("degenerate machines must be fewer than total machines")
 
     rng = np.random.default_rng(cfg.rng_seed)
     # the last machine ids are the degenerate ones; the total stays `machines`
-    n_regular = cfg.machines - cfg.degenerate_machines
+    n_regular = cfg.machines - DEGENERATE_MACHINES
     degenerate_ids = list(range(n_regular, cfg.machines))
 
     # failure schedule, machine by machine in id order
@@ -211,7 +206,7 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
             placed.extend(_place_failures(rng, m, int(counts[m]), cfg))
     for m in degenerate_ids:
         for k in range(DEGENERATE_FAILURES):
-            t = (_LAGS + 1) * I + k * deg_cycle
+            t = (LAGS + 1) * I + k * deg_cycle
             placed.append((m, t, t + 2 * 60 * MICROS_PER_SECOND))
     failures = np.array([(*f, 0) for f in placed], dtype=FAILURE_DTYPE)
     failures["type"] = failure_types(failures["remove_us"], failures["add_us"])
@@ -235,11 +230,11 @@ def generate(cfg: SynthConfig, out_dir: Path) -> SynthPaths:
     amp = cfg.signature_strength * RAMP_AMPLITUDE
     if amp > 0.0:
         regular = failures[failures["machine_id"] < n_regular]
-        lags = np.arange(1, _LAGS + 1)
+        lags = np.arange(1, LAGS + 1)
         rows = regular["machine_id"][:, None]
         # placement keeps a clean window before every removal, so no cell gets two bumps
         t = regular["remove_us"][:, None] // I - lags
-        bump = amp * (_LAGS + 1 - lags) / _LAGS
+        bump = amp * (LAGS + 1 - lags) / LAGS
         for r in RAMP_RESOURCES:
             avg[rows, t, r] += bump
             peak[rows, t, r] += bump

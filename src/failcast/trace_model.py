@@ -19,6 +19,12 @@ INTERVAL_US = 5 * MICROS_PER_MINUTE
 
 N_RESOURCES = 6
 
+#: the feature window: an instance's features are the LAGS intervals before it, the
+#: 30 minutes that the paper's significant-lag histogram supports
+LAGS = 6
+#: the width of an instance: the average and the peak of each resource at each lag
+N_FEATURES = 2 * N_RESOURCES * LAGS
+
 
 class FleetArrays:
     """A dataclass of arrays whose first axis is indexed like ``machine_ids``.

@@ -25,7 +25,7 @@ SMO loop calls the package's own kernel and rho estimate.
 ``forest_predict_batch``, the majority vote over the package's own
 votes, ``split_of`` and ``one_tree``, the package's split search and tree
 growth on rows counted once each, and ``feature_index``, the inverse of
-``FeatureConfig.describe``, and ``BUNDLE_FILES``, the files of a bundle
+``features.describe``, and ``BUNDLE_FILES``, the files of a bundle
 directory, are not oracles: they live here because only tests use them.
 """
 
@@ -54,7 +54,9 @@ from failcast.pipeline import train as cascade_train
 from failcast.trace_model import (
     FAILURE_DTYPE,
     INTERVAL_US,
+    LAGS,
     MICROS_PER_MINUTE,
+    N_FEATURES,
     N_RESOURCES,
     FailureType,
     MachineEventKind,
@@ -591,20 +593,20 @@ def reference_convert_task_usage(source, out, stats, interval_us: int = INTERVAL
         stats.usage_bins_written += 1
 
 
-def build_instance(series, tracks, row: int, tau: int, cfg):
+def build_instance(series, tracks, row: int, tau: int):
     """(y, x) of the window of machine row ``row`` that ends at tau-1.
 
-    None when tau has fewer than L preceding intervals or one of them is
+    None when tau has fewer than LAGS preceding intervals or one of them is
     absent or downtime. Values are packed one at a time by the layout:
-    averages then peaks, each resource-major with lags 1..L.
+    averages then peaks, each resource-major with lags 1..LAGS.
     """
-    L = cfg.lags
+    L = LAGS
     if tau < L or tau >= series.present.shape[1]:
         return None
     window = slice(tau - L, tau)
     if not series.present[row, window].all() or tracks.downtime[row, window].any():
         return None
-    x = np.empty(cfg.dim)
+    x = np.empty(N_FEATURES)
     half = N_RESOURCES * L
     for lag in range(1, L + 1):
         t = tau - lag
@@ -741,16 +743,16 @@ def f_beta_direct(p: float, r: float, beta: float) -> float:
     return (1 + beta**2) * p * r / (beta**2 * p + r)
 
 
-def feature_index(cfg, kind: str, resource: int, lag: int) -> int:
-    """Flat index of (kind, resource, lag) in ``cfg``'s feature layout."""
+def feature_index(kind: str, resource: int, lag: int) -> int:
+    """Flat index of (kind, resource, lag) in the feature layout."""
     if kind not in (KIND_AVG, KIND_PEAK):
         raise ValueError(f"kind must be '{KIND_AVG}' or '{KIND_PEAK}'")
     if not 0 <= resource < N_RESOURCES:
         raise ValueError(f"resource index {resource} out of range")
-    if not 1 <= lag <= cfg.lags:
-        raise ValueError(f"lag {lag} out of range 1..{cfg.lags}")
+    if not 1 <= lag <= LAGS:
+        raise ValueError(f"lag {lag} out of range 1..{LAGS}")
     half = 0 if kind == KIND_AVG else 1
-    return half * N_RESOURCES * cfg.lags + resource * cfg.lags + (lag - 1)
+    return half * N_RESOURCES * LAGS + resource * LAGS + (lag - 1)
 
 
 def reference_longest_present_run(present) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from failcast import features, ingestion, labeling, metrics, pipeline
 from failcast import forest as forest_mod
 from failcast import ocsvm as ocsvm_mod
 from failcast import synth
-from failcast.features import DatasetConfig, FeatureConfig
+from failcast.features import DatasetConfig
 from failcast.forest import ForestParams
 from failcast.ocsvm import OcsvmModel, OcsvmParams
 from failcast.pipeline import CascadeModel
@@ -198,7 +198,7 @@ def _run_pipeline(signature: float, tmp: Path):
     tracks = labeling.build_label_tracks(kept_failures, series)
     tracks = tracks.select(~np.isin(tracks.machine_ids, excluded))
     train_set, test_set = features.build_dataset(
-        series, tracks, FeatureConfig(), DatasetConfig(rng_seed=3)
+        series, tracks, DatasetConfig(rng_seed=3)
     )
     model = pipeline.train(
         train_set.x,

@@ -525,36 +525,37 @@ class TestBrokenInputs:
         assert capsys.readouterr().err.startswith(f"error: {bundle / name}: ")
 
     def test_predict_on_stages_of_a_bad_width_names_forest_txt(self, chain, tmp_path, capsys):
-        """Stages 71 features wide, with a manifest that states them (lags 71/12)."""
+        """Stages 24 (2 lags) or 71 features wide, with a manifest that states them."""
         from failcast import forest, ocsvm
         from failcast.features import read_dataset_csv
 
         with open(chain / "data" / "train.csv") as f:
             X, y = read_dataset_csv(f)
-        X = X[:, :71]
-        manifest = json.loads((chain / "model" / "manifest.json").read_text())
-        manifest["forest"]["n_trees"] = 3
-        manifest["feature"] = {"lags": 71 / 12, "dim": 71}
-        normals = X[y == 0][:300]
-        manifest["data"]["class_counts"][0] = len(normals)
-        bundle = tmp_path / "model"
-        bundle.mkdir()
+        for dim in (24, 71):
+            manifest = json.loads((chain / "model" / "manifest.json").read_text())
+            manifest["forest"]["n_trees"] = 3
+            manifest["feature"] = {"lags": dim / 12, "dim": dim}
+            normals = X[y == 0][:300, :dim]
+            manifest["data"]["class_counts"][0] = len(normals)
+            bundle = tmp_path / f"model{dim}"
+            bundle.mkdir()
 
-        def settings(cls, section):  # the manifest entries that are settable fields of cls
-            fields = [f.name for f in dataclasses.fields(cls) if f.init]
-            return cls(**{name: manifest[section][name] for name in fields})
+            def settings(cls, section):  # the manifest entries that are settable fields of cls
+                fields = [f.name for f in dataclasses.fields(cls) if f.init]
+                return cls(**{name: manifest[section][name] for name in fields})
 
-        with open(bundle / "ocsvm.txt", "w") as f:
-            ocsvm.save(ocsvm.train(normals, settings(ocsvm.OcsvmParams, "ocsvm")), f)
-        with open(bundle / "forest.txt", "w") as f:
-            forest.save(forest.train(X, y, settings(forest.ForestParams, "forest")), f)
-        (bundle / "manifest.json").write_text(json.dumps(manifest))
-        shutil.copy(chain / "model" / "layout.json", bundle)
-        rc = main(["predict", "--model", str(bundle), "--stream"])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: {bundle / 'forest.txt'}: 71 features is not a positive multiple of 12\n"
-        )
+            with open(bundle / "ocsvm.txt", "w") as f:
+                ocsvm.save(ocsvm.train(normals, settings(ocsvm.OcsvmParams, "ocsvm")), f)
+            with open(bundle / "forest.txt", "w") as f:
+                forest.save(forest.train(X[:, :dim], y, settings(forest.ForestParams, "forest")), f)
+            (bundle / "manifest.json").write_text(json.dumps(manifest))
+            shutil.copy(chain / "model" / "layout.json", bundle)
+            rc = main(["predict", "--model", str(bundle), "--stream"])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"error: {bundle / 'forest.txt'}: {dim} features"
+                " is not the 72 of the 6-lag window\n"
+            )
 
     @pytest.mark.parametrize("limits", ["min_leaf=2 max_depth=none", "min_leaf=1 max_depth=3"])
     def test_predict_on_a_forest_grown_with_limits_exits_2(
@@ -634,6 +635,25 @@ class TestBrokenInputs:
             assert err.count("\n") == 1
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("intervals", [0, 6])
+    def test_featurize_on_a_store_too_short_for_a_window_exits_2(
+        self, chain, tmp_path, capsys, intervals
+    ):
+        """No interval of a store of 6 intervals or fewer has 6 intervals before it."""
+        for store, names in (("store", ("avg", "peak", "present")), ("labels", ("y", "downtime"))):
+            shutil.copytree(chain / store, tmp_path / store)
+            for name in names:
+                path = tmp_path / store / f"{name}.npy"
+                np.save(path, np.load(path)[:, :intervals])
+        out = tmp_path / "data"
+        assert main(["featurize", "--store", str(tmp_path / "store"),
+                     "--labels", str(tmp_path / "labels"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: a {intervals}-interval series holds no 6-interval window"
+            " before a labeled interval\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("meta", [
         {"interval_us": 60_000_000}, {}, [],
     ], ids=["one_minute", "no_interval", "not_an_object"])
@@ -679,6 +699,7 @@ class TestBrokenInputs:
         ("predict", "--split", "train"), ("evaluate", "--split", "train"),
         ("label", "--degenerate-min-failures", "100"), ("label", "--ir-max-minutes", "30"),
         ("pacf-report", "--max-lag", "10"), ("train", "--tol", "0.0001"),
+        ("featurize", "--lags", "6"), ("synth", "--degenerate", "2"),
     ])
     def test_a_setting_the_stage_does_not_have_exits_2(self, tmp_path, capsys, stage, flag, value):
         """As a flag, and as a config key unless another stage has it, before any output."""
@@ -695,25 +716,20 @@ class TestBrokenInputs:
         assert [p.name for p in tmp_path.iterdir()] in ([], ["run.cfg"])
 
     def test_train_defaults_gamma_to_one_over_the_dataset_width(self, chain, tmp_path):
-        data, model = tmp_path / "data", tmp_path / "m"
+        model = tmp_path / "m"
         assert main([
-            "featurize", "--store", str(chain / "store"), "--labels", str(chain / "labels"),
-            "--out", str(data), "--normal-samples", "300", "--lags", "2",
-        ]) == 0
-        assert main([
-            "train", "--data", str(data), "--out", str(model),
+            "train", "--data", str(chain / "data"), "--out", str(model),
             "--nu", "0.1", "--trees", "5", "--folds", "2",
         ]) == 0
         manifest = json.loads((model / "manifest.json").read_text())
-        assert manifest["feature"]["dim"] == 24
-        assert manifest["ocsvm"]["gamma"] == 1 / 24
+        assert manifest["feature"] == {"lags": 6, "dim": 72}
+        assert manifest["ocsvm"]["gamma"] == 1 / 72
         rows = (model / "cv_table.csv").read_text().splitlines()
-        assert rows[1].startswith(f"{1 / 24!r},")
+        assert rows[1].startswith(f"{1 / 72!r},")
 
-    @pytest.mark.parametrize("dim, lags", [(24, 2), (71, None)])
-    def test_train_takes_the_layout_from_the_dataset_width(
-        self, chain, tmp_path, capsys, dim, lags
-    ):
+    @pytest.mark.parametrize("dim", [12, 24, 71])
+    def test_train_refuses_a_dataset_of_another_width(self, chain, tmp_path, capsys, dim):
+        """Whole numbers of 12-feature lags too: only the 6-lag window trains."""
         data = tmp_path / "data"
         data.mkdir()
         shutil.copy(chain / "data" / "train_ids.csv", data)
@@ -726,17 +742,11 @@ class TestBrokenInputs:
             "train", "--data", str(data), "--out", str(model),
             "--gamma", "0.125", "--nu", "0.1", "--trees", "5", "--folds", "3",
         ])
-        if lags is None:
-            assert rc == 2
-            assert f"{dim} features" in capsys.readouterr().err
-            assert not model.exists()
-            return
-        assert rc == 0
-        manifest = json.loads((model / "manifest.json").read_text())
-        assert manifest["feature"] == {"lags": lags, "dim": dim}
-        layout = json.loads((model / "layout.json").read_text())
-        assert layout["lags"] == lags and len(layout["features"]) == dim
-        assert len((model / "split_counts.csv").read_text().splitlines()) == 1 + dim
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {dim} features is not the 72 of the 6-lag window\n"
+        )
+        assert not model.exists()
 
 
     @pytest.mark.parametrize("bad", ["1,2,3", "1,2,x,0.5"])
@@ -903,7 +913,6 @@ class TestBrokenInputs:
         [
             ("synth", ["--machines", "0"]),
             ("featurize", ["--train-fraction", "1.5"]),
-            ("featurize", ["--lags", "0"]),
             ("featurize", ["--normal-samples", "-1"]),
         ],
         ids=lambda v: "_".join(v) if isinstance(v, list) else v,
@@ -973,6 +982,10 @@ def _keep_49_rows(lines):
     del lines[50:]
 
 
+def _repeat_first_row(lines):
+    lines[2] = lines[1]
+
+
 class TestBrokenDataset:
     """train, predict and evaluate reject a malformed dataset split with exit 2."""
 
@@ -984,6 +997,7 @@ class TestBrokenDataset:
             ("", _short_row, 4),
             ("", _word_value, 3),
             ("_ids", _keep_49_rows, None),
+            ("_ids", _repeat_first_row, 3),
         ],
     )
     def test_malformed_split_exits_2(
@@ -1158,11 +1172,9 @@ def _train_defaults(got: dict) -> dict:
     from failcast.ocsvm import OcsvmParams
     from failcast.pipeline import GridSpec
 
-    gamma = 1 / got["X"].shape[1]
-    grid = dataclasses.replace(GridSpec(), gammas=(gamma,), nus=(OcsvmParams().nu,),
-                               tree_counts=(ForestParams().n_trees,))
-    return {"grid": grid, "base_forest": ForestParams(),
-            "base_ocsvm": dataclasses.replace(OcsvmParams(), gamma=gamma)}
+    grid = dataclasses.replace(GridSpec(), gammas=(OcsvmParams().gamma,),
+                               nus=(OcsvmParams().nu,), tree_counts=(ForestParams().n_trees,))
+    return {"grid": grid, "base_forest": ForestParams(), "base_ocsvm": OcsvmParams()}
 
 
 #: stage -> (its required inputs in the chain, the work function it calls, what the
@@ -1170,14 +1182,14 @@ def _train_defaults(got: dict) -> dict:
 DEFAULT_RUNS = {
     "synth": ([], "synth.generate", lambda got: {"cfg": failcast.SynthConfig()}),
     "featurize": (["--store", "store", "--labels", "labels"], "features.build_dataset",
-                  lambda got: {"cfg": failcast.FeatureConfig(), "dcfg": failcast.DatasetConfig()}),
+                  lambda got: {"dcfg": failcast.DatasetConfig()}),
     "train": (["--data", "data"], "pipeline.grid_search_cv", _train_defaults),
 }
 
 
 class TestDefaults:
     """A stage run with only its required flags gets each default from the one place that
-    states it: a config class's field, a function's signature, or train's gamma of 1/dim."""
+    states it: a config class's field or a function's signature."""
 
     @pytest.mark.parametrize("stage", DEFAULT_RUNS)
     def test_a_run_without_settings_gets_the_defaults(self, chain, tmp_path, monkeypatch, stage):
@@ -1227,17 +1239,19 @@ class TestEvaluatePerfectPredictions:
 
 
 class TestPacfReport:
-    def test_histogram_written(self, chain, tmp_path):
+    def test_histogram_written(self, chain, tmp_path, capsys):
         out = tmp_path / "hist.csv"
         rc = main(["pacf-report", "--store", str(chain / "store"), "--out", str(out)])
         assert rc == 0
+        assert "% within lags 1..6; wrote" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert lines[0] == "lag,significant_pairs"
         assert len(lines) == 11
 
     @pytest.mark.parametrize("intervals", [0, 5, 30])
-    def test_a_store_too_short_to_fit_counts_nothing(self, chain, tmp_path, intervals):
-        """No machine has a gap-free run of MIN_PACF_RUN intervals, so every lag counts 0."""
+    def test_a_store_too_short_to_fit_counts_nothing(self, chain, tmp_path, capsys, intervals):
+        """No machine has a gap-free run of MIN_PACF_RUN intervals, so every lag counts 0,
+        and a total of 0 has no share within the window."""
         store = tmp_path / "store"
         shutil.copytree(chain / "store", store)
         for name in ("avg", "peak", "present"):
@@ -1245,6 +1259,9 @@ class TestPacfReport:
         out = tmp_path / "hist.csv"
         assert main(["pacf-report", "--store", str(store), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1:] == [f"{lag},0" for lag in range(1, 11)]
+        assert capsys.readouterr().out == (
+            f"pacf over 0 machine-resource pairs; 0 significant lags; wrote {out}\n"
+        )
 
 
 class TestConfigFile:
@@ -1289,9 +1306,9 @@ class TestConfigFile:
         assert not out.exists()
 
     def test_another_stages_setting_is_accepted(self, tmp_path):
-        """One file can serve a whole chain: synth ignores featurize's lags."""
+        """One file can serve a whole chain: synth ignores featurize's normal samples."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("machines=5\ndays=1\nlags=6\n")
+        cfg.write_text("machines=5\ndays=1\nnormal_samples=300\n")
         assert main(["synth", "--out", str(tmp_path / "t"), "--config", str(cfg)]) == 0
 
     def test_bad_config_value_exits_2(self, chain, tmp_path, capsys):
@@ -1313,7 +1330,6 @@ NUMERIC_EXTREMES = [
     ("synth", ["--machines", "99999999999999999999"], None),
     ("synth", ["--machines", "9223372036854775807"], None),
     ("synth", ["--seed", "-1"], None),
-    ("featurize", ["--lags", "576"], None),
     ("train", ["--trees-grid", "5,99999999999999999999"], None),
     ("evaluate", ["--latency", "-5"], None),
     ("evaluate", ["--latency", "4611686018427387904"], None),
@@ -1329,14 +1345,13 @@ class TestNumericBounds:
         NUMERIC_EXTREMES,
         ids=[
             "days_1e300", "config_days_2_64", "machines_1e20", "machines_int64_max",
-            "negative_seed", "lags_above_intervals", "trees_grid_1e20",
+            "negative_seed", "trees_grid_1e20",
             "negative_latency", "latency_2_62", "latency_int64_max",
         ],
     )
     def test_extreme_value_exits_2(self, chain, tmp_path, capsys, stage, flags, config):
         inputs = {
             "synth": [],
-            "featurize": ["--store", str(chain / "store"), "--labels", str(chain / "labels")],
             "train": ["--data", str(chain / "data")],
             "evaluate": ["--predictions", str(chain / "predictions.csv"),
                          "--data", str(chain / "data"), "--model", str(chain / "model")],
@@ -1415,6 +1430,21 @@ class TestNumericBounds:
             f"error: {options[0]} and {options[1]} both set one grid axis, by flag or config"
             " key; give one of them\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["0.1,,0.2", "", ",0.1", "0.1,"])
+    def test_an_empty_item_in_a_comma_list_exits_2(self, chain, tmp_path, capsys, source, value):
+        """An empty list too: the flag or key is given, so it is not left to its default."""
+        out = tmp_path / "out"
+        if source == "flag":
+            setting, origin = ["--gammas", value], "--gammas"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"gammas={value}\n")
+            setting, origin = ["--config", str(cfg)], f"{cfg}: config key 'gammas'"
+        assert main(["train", "--data", str(chain / "data"), "--out", str(out), *setting]) == 2
+        assert capsys.readouterr().err == f"error: {origin}: {value!r} has an empty item\n"
         assert not out.exists()
 
     def test_a_huge_gamma_fits_without_a_warning(self, chain, tmp_path):
@@ -1829,7 +1859,7 @@ class TestLineMutations:
         self._check(code, err, path)
 
     #: a config file of the settings ``synth`` reads, for a 5-machine, 1-day trace
-    SYNTH_CONFIG = "machines=5\ndays=1\nsignature=0.9\ndegenerate=2\nseed=3\n"
+    SYNTH_CONFIG = "machines=5\ndays=1\nsignature=0.9\nseed=3\n"
 
     @settings(max_examples=30, derandomize=True)
     @given(data=st.data())
@@ -1848,6 +1878,6 @@ class TestLineMutations:
                 # the file reads, and synth rejects one of its settings
                 flags = [
                     f"--{key}={value}" for key, value in _read_config_file(str(path)).items()
-                    if key in ("machines", "days", "signature", "degenerate", "seed")
+                    if key in ("machines", "days", "signature", "seed")
                 ]
                 assert _run(["synth", *flags, "--out", str(Path(tmp) / "b")], "") == (code, err)

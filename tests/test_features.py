@@ -1,4 +1,5 @@
 import io
+import json
 import logging
 
 import numpy as np
@@ -15,9 +16,10 @@ from failcast.features import (
     DatasetConfig,
     MIN_PACF_RUN,
     PACF_MAX_LAG,
-    FeatureConfig,
     _longest_present_runs,
     build_dataset,
+    describe,
+    layout_json,
     pacf,
     pacf_by_machine,
     read_dataset_csv,
@@ -28,7 +30,7 @@ from failcast.features import (
 )
 from failcast.ingestion import IntervalSeries
 from failcast.labeling import LabelTracks
-from failcast.trace_model import FailureType
+from failcast.trace_model import LAGS, N_FEATURES, FailureType, ResourceKind
 
 from oracles import (
     build_instance,
@@ -191,36 +193,38 @@ class TestPacfTable:
 
 class TestFeatureLayout:
     def test_default_dimension(self):
-        assert FeatureConfig().dim == 72
+        """The paper's 30-minute window: 6 five-minute lags of 12 figures."""
+        assert (LAGS, N_FEATURES) == (6, 72)
 
     def test_layout_of_a_width(self):
-        assert FeatureConfig.of_width(72) == FeatureConfig()
-        assert FeatureConfig.of_width(12).lags == 1
-        for dim in (0, 5, 13, 73):
-            with pytest.raises(ConfigError):
-                FeatureConfig.of_width(dim)
+        """``layout.json`` describes each of the N_FEATURES indices, in order."""
+        layout = json.loads(layout_json())
+        assert layout["lags"] == LAGS
+        assert [entry["index"] for entry in layout["features"]] == list(range(N_FEATURES))
+        assert [(e["kind"], e["resource"], e["lag"]) for e in layout["features"]] == [
+            (kind, ResourceKind(r).name, lag) for kind, r, lag in map(describe, range(N_FEATURES))
+        ]
 
     def test_layout_is_a_bijection(self):
-        cfg = FeatureConfig()
         seen = set()
         for kind in ("avg", "peak"):
             for r in range(6):
                 for lag in range(1, 7):
-                    i = feature_index(cfg, kind, r, lag)
-                    assert cfg.describe(i) == (kind, r, lag)
+                    i = feature_index(kind, r, lag)
+                    assert describe(i) == (kind, r, lag)
                     seen.add(i)
         assert seen == set(range(72))
 
     def test_out_of_range_rejected(self):
-        cfg = FeatureConfig()
         with pytest.raises(ValueError):
-            feature_index(cfg, "avg", 6, 1)
+            feature_index("avg", 6, 1)
         with pytest.raises(ValueError):
-            feature_index(cfg, "avg", 0, 7)
+            feature_index("avg", 0, 7)
         with pytest.raises(ValueError):
-            feature_index(cfg, "median", 0, 1)
-        with pytest.raises(ValueError):
-            cfg.describe(72)
+            feature_index("median", 0, 1)
+        for index in (-1, 72):
+            with pytest.raises(ValueError):
+                describe(index)
 
 
 def _fleet(T=30, machines=1, seed=0):
@@ -242,39 +246,38 @@ class TestBuildInstance:
     def test_full_window_packs_by_layout(self):
         series, tracks = _fleet()
         tracks.y[0, 10] = 1
-        cfg = FeatureConfig()
-        y, x = build_instance(series, tracks, 0, 10, cfg)
+        y, x = build_instance(series, tracks, 0, 10)
         assert y == FailureType.IMMEDIATE_REBOOT
         assert x.shape == (72,)
         for lag in range(1, 7):
             for r in range(6):
-                assert x[feature_index(cfg, "avg", r, lag)] == series.avg[0, 10 - lag, r]
-                assert x[feature_index(cfg, "peak", r, lag)] == series.peak[0, 10 - lag, r]
+                assert x[feature_index("avg", r, lag)] == series.avg[0, 10 - lag, r]
+                assert x[feature_index("peak", r, lag)] == series.peak[0, 10 - lag, r]
 
     def test_downtime_in_window_blocks_instance(self):
         series, tracks = _fleet()
         tracks.downtime[0, 7] = True
-        assert build_instance(series, tracks, 0, 10, FeatureConfig()) is None
+        assert build_instance(series, tracks, 0, 10) is None
 
     def test_absent_interval_blocks_instance(self):
         series, tracks = _fleet()
         series.present[0, 9] = False
-        assert build_instance(series, tracks, 0, 10, FeatureConfig()) is None
+        assert build_instance(series, tracks, 0, 10) is None
 
     def test_window_underflow_returns_none(self):
         series, tracks = _fleet()
-        assert build_instance(series, tracks, 0, 5, FeatureConfig()) is None
+        assert build_instance(series, tracks, 0, 5) is None
 
     def test_buildable_mask_matches_instance_construction(self):
         series, tracks = _fleet(T=40, seed=3)
         tracks.downtime[0, 12] = True
         series.present[0, 25] = False
         dcfg = DatasetConfig(normal_sample_count=40, train_fraction=0.5)
-        train, test = build_dataset(series, tracks, FeatureConfig(), dcfg)
+        train, test = build_dataset(series, tracks, dcfg)
         built = set(train.interval.tolist()) | set(test.interval.tolist())
         for tau in range(40):
             assert (tau in built) == (
-                build_instance(series, tracks, 0, tau, FeatureConfig()) is not None
+                build_instance(series, tracks, 0, tau) is not None
             )
 
 
@@ -288,7 +291,7 @@ class TestBuildDataset:
     def test_stratified_split_counts(self):
         series, tracks = self._population()
         dcfg = DatasetConfig(normal_sample_count=50, rng_seed=1, train_fraction=0.8)
-        train, test = build_dataset(series, tracks, FeatureConfig(), dcfg)
+        train, test = build_dataset(series, tracks, dcfg)
         assert len(train) + len(test) == 60
         assert len(train) == 48
         assert len(test) == 12
@@ -296,15 +299,15 @@ class TestBuildDataset:
     def test_every_buildable_failure_included(self):
         series, tracks = self._population()
         dcfg = DatasetConfig(normal_sample_count=10, rng_seed=1)
-        train, test = build_dataset(series, tracks, FeatureConfig(), dcfg)
+        train, test = build_dataset(series, tracks, dcfg)
         n_failures = np.count_nonzero(train.y) + np.count_nonzero(test.y)
         assert n_failures == 10  # 5 machines x 2 failures, all windows clean
 
     def test_deterministic_given_seed(self):
         series, tracks = self._population()
         dcfg = DatasetConfig(normal_sample_count=40, rng_seed=7)
-        a_train, a_test = build_dataset(series, tracks, FeatureConfig(), dcfg)
-        b_train, b_test = build_dataset(series, tracks, FeatureConfig(), dcfg)
+        a_train, a_test = build_dataset(series, tracks, dcfg)
+        b_train, b_test = build_dataset(series, tracks, dcfg)
         for a, b in ((a_train, b_train), (a_test, b_test)):
             assert np.array_equal(a.machine_ids, b.machine_ids)
             assert np.array_equal(a.interval, b.interval)
@@ -314,7 +317,7 @@ class TestBuildDataset:
         series, tracks = self._population(n_machines=1, T=60)
         with caplog.at_level(logging.WARNING):
             train, test = build_dataset(
-                series, tracks, FeatureConfig(), DatasetConfig(normal_sample_count=10_000)
+                series, tracks, DatasetConfig(normal_sample_count=10_000)
             )
         assert "using all" in caplog.text
         normals = np.count_nonzero(train.y == 0) + np.count_nonzero(test.y == 0)
@@ -324,7 +327,7 @@ class TestBuildDataset:
         series, tracks = _fleet(T=60)
         with caplog.at_level(logging.WARNING):
             train, test = build_dataset(
-                series, tracks, FeatureConfig(), DatasetConfig(normal_sample_count=20)
+                series, tracks, DatasetConfig(normal_sample_count=20)
             )
         assert "no failure instances" in caplog.text
         assert not train.y.any() and not test.y.any()
@@ -334,7 +337,7 @@ class TestBuildDataset:
         tracks.downtime[:, 40:46] = True
         series.present[1, 60] = False
         dcfg = DatasetConfig(normal_sample_count=30, rng_seed=2)
-        train, test = build_dataset(series, tracks, FeatureConfig(), dcfg)
+        train, test = build_dataset(series, tracks, dcfg)
         for data in (train, test):
             for m, tau in zip(data.machine_ids.tolist(), data.interval.tolist()):
                 window = slice(tau - 6, tau)
@@ -343,13 +346,15 @@ class TestBuildDataset:
 
     @pytest.mark.parametrize("T", [0, 1, 6, 7])
     def test_lags_need_an_interval_before_the_labeled_one(self, T):
-        """A T-interval series holds a window of L lags only for L <= T - 1."""
+        """A T-interval series holds a window of LAGS lags only for LAGS <= T - 1."""
         series, tracks = _fleet(T=T)
-        for lags in range(1, T):
-            build_dataset(series, tracks, FeatureConfig(lags), DatasetConfig(normal_sample_count=1))
-        for lags in (max(T, 1), T + 1, 10**12):
-            with pytest.raises(ConfigError, match=rf"^lags must be in \[1, {T - 1}\] for {T}-"):
-                build_dataset(series, tracks, FeatureConfig(lags), DatasetConfig())
+        if T > LAGS:
+            build_dataset(series, tracks, DatasetConfig(normal_sample_count=1))
+            return
+        with pytest.raises(
+            ConfigError, match=f"^a {T}-interval series holds no {LAGS}-interval window before"
+        ):
+            build_dataset(series, tracks, DatasetConfig())
 
     def test_tracks_must_name_series_machines_and_intervals(self):
         series, tracks = _fleet(machines=2)
@@ -358,7 +363,7 @@ class TestBuildDataset:
             (series, LabelTracks(tracks.machine_ids, tracks.y[:, 1:], tracks.downtime[:, 1:])),
         ):
             with pytest.raises(FailcastError):
-                build_dataset(s, t, FeatureConfig(), DatasetConfig())
+                build_dataset(s, t, DatasetConfig())
 
     @given(st.data())
     def test_every_instance_is_the_oracle_window(self, data):
@@ -370,7 +375,7 @@ class TestBuildDataset:
         sample asks for more than there are, so is every normal it
         accepts.
         """
-        series, kept, tracks, cfg = _random_fleet(data)
+        series, kept, tracks = _random_fleet(data)
         take_all = data.draw(st.booleans())
         dcfg = DatasetConfig(
             normal_sample_count=10**6 if take_all else data.draw(st.integers(0, 20)),
@@ -378,22 +383,22 @@ class TestBuildDataset:
             train_fraction=0.5,
         )
 
-        train, test = build_dataset(series, tracks, cfg, dcfg)
+        train, test = build_dataset(series, tracks, dcfg)
 
         row_of = {m: i for i, m in enumerate(kept.machine_ids.tolist())}
         got = set()
         for split in (train, test):
-            assert split.y.dtype == np.int64 and split.x.shape == (len(split), cfg.dim)
+            assert split.y.dtype == np.int64 and split.x.shape == (len(split), N_FEATURES)
             for m, tau, y, x in zip(
                 split.machine_ids.tolist(), split.interval.tolist(), split.y.tolist(), split.x
             ):
-                want = build_instance(kept, tracks, row_of[m], tau, cfg)
+                want = build_instance(kept, tracks, row_of[m], tau)
                 assert want is not None
                 assert y == want[0]
                 assert x.tobytes() == want[1].tobytes()
                 got.add((m, tau))
         assert len(got) == len(train) + len(test)
-        accepted = _accepted_cells(kept, tracks, cfg)
+        accepted = _accepted_cells(kept, tracks)
         failures = {cell for cell, cls in accepted.items() if cls != FailureType.NORMAL}
         assert failures <= got
         n_normals = len(accepted) - len(failures)
@@ -406,14 +411,14 @@ class TestBuildDataset:
         """Both splits equal, bit for bit, the class-by-class list split of the
         rows build_dataset pooled, drawn from the same generator after its
         normal sample: the same rows, order, classes and features."""
-        series, kept, tracks, cfg = _random_fleet(data)
+        series, kept, tracks = _random_fleet(data)
         dcfg = DatasetConfig(
             normal_sample_count=data.draw(st.integers(0, 30)),
             rng_seed=data.draw(st.integers(0, 2**32 - 1)),
             train_fraction=data.draw(st.floats(0.01, 0.99)),
         )
 
-        train, test = build_dataset(series, tracks, cfg, dcfg)
+        train, test = build_dataset(series, tracks, dcfg)
 
         row_of = {m: i for i, m in enumerate(kept.machine_ids.tolist())}
         pooled = sorted(
@@ -423,9 +428,9 @@ class TestBuildDataset:
         )
         rows = []
         for m, tau in pooled:
-            y, x = build_instance(kept, tracks, row_of[m], tau, cfg)
+            y, x = build_instance(kept, tracks, row_of[m], tau)
             rows.append((y, m, tau, x))
-        accepted = _accepted_cells(kept, tracks, cfg)
+        accepted = _accepted_cells(kept, tracks)
         n_normals = sum(1 for cls in accepted.values() if cls == FailureType.NORMAL)
         rng = np.random.default_rng(dcfg.rng_seed)
         rng.choice(n_normals, size=min(n_normals, dcfg.normal_sample_count), replace=False)
@@ -439,11 +444,10 @@ class TestBuildDataset:
 
 
 def _random_fleet(data):
-    """(series, kept, tracks, cfg): a random fleet with gaps, and labels for
+    """(series, kept, tracks): a random fleet with gaps, and labels for
     the machines ``kept``, a random subset of it."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    cfg = FeatureConfig(lags=data.draw(st.integers(1, 4)))
-    M, T = data.draw(st.integers(1, 5)), data.draw(st.integers(cfg.lags + 1, 30))
+    M, T = data.draw(st.integers(1, 5)), data.draw(st.integers(LAGS + 1, 30))
     ids = np.sort(rng.choice(1000, M, replace=False)).astype(np.int64)
     present = rng.random((M, T)) >= data.draw(st.sampled_from([0.0, 0.05, 0.3]))
     avg = np.where(present[..., None], rng.random((M, T, 6)), 0.0)
@@ -454,22 +458,22 @@ def _random_fleet(data):
     downtime = rng.random(present.shape) < 0.1
     in_kept = np.isin(ids, kept.machine_ids)
     tracks = LabelTracks(kept.machine_ids, y[in_kept].astype(np.int8), downtime[in_kept])
-    return series, kept, tracks, cfg
+    return series, kept, tracks
 
 
-def _accepted_cells(kept, tracks, cfg) -> dict:
+def _accepted_cells(kept, tracks) -> dict:
     """{(machine_id, interval): class} of every window the oracle accepts."""
     return {
         (m, tau): window[0]
         for row, m in enumerate(kept.machine_ids.tolist())
         for tau in range(kept.present.shape[1])
-        if (window := build_instance(kept, tracks, row, tau, cfg)) is not None
+        if (window := build_instance(kept, tracks, row, tau)) is not None
     }
 
 
-def _oracle_dataset(series, tracks, cells, cfg) -> Dataset:
+def _oracle_dataset(series, tracks, cells) -> Dataset:
     """The Dataset of the oracle windows at the (series row, interval) ``cells``."""
-    windows = [build_instance(series, tracks, row, tau, cfg) for row, tau in cells]
+    windows = [build_instance(series, tracks, row, tau) for row, tau in cells]
     return Dataset(
         series.machine_ids[[row for row, _ in cells]],
         np.array([tau for _, tau in cells], dtype=np.int64),
@@ -481,7 +485,7 @@ def _oracle_dataset(series, tracks, cells, cfg) -> Dataset:
 def test_dataset_csv_round_trip(tmp_path):
     series, tracks = _fleet()
     tracks.y[0, 10] = 2
-    data = _oracle_dataset(series, tracks, [(0, 8), (0, 10), (0, 12)], FeatureConfig())
+    data = _oracle_dataset(series, tracks, [(0, 8), (0, 10), (0, 12)])
     path = tmp_path / "dataset.csv"
     with open(path, "w") as f:
         write_dataset_csv(data, f)
@@ -551,7 +555,7 @@ def test_malformed_dataset_reports_line(lines, line_no):
 
 def test_ids_csv_round_trip_and_malformed_lines():
     series, tracks = _fleet(machines=2)
-    data = _oracle_dataset(series, tracks, [(0, 9), (1, 9)], FeatureConfig())
+    data = _oracle_dataset(series, tracks, [(0, 9), (1, 9)])
     buf = io.StringIO()
     write_ids_csv(data, buf)
     machine_id, interval = read_ids_csv(io.StringIO(buf.getvalue()))
@@ -564,3 +568,14 @@ def test_ids_csv_round_trip_and_malformed_lines():
         with pytest.raises(ParseError) as err:
             read_ids_csv(io.StringIO("\n".join(lines)))
         assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "rows, line_no", [(["1,2", "1,2"], 3), (["1,2", "0,5", "3,1", "0,6", "1,2", "0,5"], 6)]
+)
+def test_an_ids_file_that_repeats_an_instance_names_the_first_repeat(rows, line_no):
+    """The first row, in file order, whose instance an earlier row has."""
+    with pytest.raises(ParseError) as err:
+        read_ids_csv(io.StringIO("\n".join(["machine_id,interval", *rows])))
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: duplicate instance (1, 2)"

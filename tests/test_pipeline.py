@@ -19,12 +19,12 @@ from failcast.features import class_ranks
 from failcast.forest import ForestParams
 from failcast.ocsvm import OcsvmModel, OcsvmParams
 from failcast.pipeline import CascadeModel, GridSpec
-from failcast.trace_model import N_CLASSES, FailureType
+from failcast.trace_model import LAGS, N_CLASSES, N_FEATURES, FailureType
 from oracles import (
     BUNDLE_FILES, classify, forest_predict_batch, reference_fold_of, reference_grid_search_cv,
 )
 
-DIM = 12  # one lag
+DIM = N_FEATURES
 
 
 def make_data(n_normal=300, n_fail=60, seed=0, separation=0.5):
@@ -105,7 +105,7 @@ class TestTrain:
         m = model.manifest
         assert m["ocsvm"]["nu"] == 0.2
         assert m["forest"]["n_trees"] == 9
-        assert m["feature"] == {"lags": 1, "dim": DIM}
+        assert m["feature"] == {"lags": LAGS, "dim": DIM}
         assert len(m["data"]["sha256"]) == 64
 
     def test_digest_does_not_depend_on_the_label_dtype(self):
@@ -119,13 +119,23 @@ class TestTrain:
     def test_width_not_a_whole_number_of_lags_rejected_before_fitting(
         self, monkeypatch, dim
     ):
+        self._refused_before_fitting(monkeypatch, dim)
+
+    @pytest.mark.parametrize("dim", [12, 24, 71, 73, 144])
+    def test_any_other_width_is_rejected_before_fitting(self, monkeypatch, dim):
+        """Whole numbers of 12-feature lags too: only the LAGS-lag window trains."""
+        self._refused_before_fitting(monkeypatch, dim)
+
+    @staticmethod
+    def _refused_before_fitting(monkeypatch, dim):
         def boom(*args, **kwargs):
             raise AssertionError("nothing may be fitted")
 
         monkeypatch.setattr(pipeline.ocsvm_mod, "train", boom)
         X = np.random.default_rng(0).random((40, dim))
         y = np.repeat([0, 1], 20)
-        with pytest.raises(ConfigError, match=f"{dim} features"):
+        window = f"^{dim} features is not the 72 of the 6-lag window$"
+        with pytest.raises(ConfigError, match=window):
             pipeline.train(X, y, OcsvmParams(), ForestParams())
 
 
@@ -204,7 +214,7 @@ class TestScore:
         return CascadeModel(ocsvm=m1, forest=m2, manifest={})
 
     def test_boundary_point_scores_quarter(self):
-        x = np.full(DIM, 0.1)
+        x = np.full(DIM, 0.125)  # its squares sum exactly, so rho is the kernel value itself
         sv = np.zeros((1, DIM))
         rho = float(np.exp(-1.0 * np.sum((sv[0] - x) ** 2)))
         model = self._toy(rho=rho, forest_class=1)
@@ -422,6 +432,19 @@ class TestBundles:
         manifest.write_text(json.dumps(content))
         with pytest.raises(ModelFormatError, match="feature.lags"):
             pipeline.load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("dim", [12, 71])
+    def test_a_forest_of_another_width_is_refused_naming_it(self, tmp_path, dim):
+        X, y = make_data(n_normal=120, n_fail=30)
+        pipeline.save_bundle(cascade((X, y)), tmp_path)
+        narrow = forest_mod.train(X[:, :dim], y, ForestParams(n_trees=3))
+        with open(tmp_path / pipeline.BUNDLE_FOREST, "w") as f:
+            forest_mod.save(narrow, f)
+        with pytest.raises(ModelFormatError) as err:
+            pipeline.load_bundle(tmp_path)
+        assert str(err.value) == (
+            f"{tmp_path / pipeline.BUNDLE_FOREST}: {dim} features is not the 72 of the 6-lag window"
+        )
 
     @pytest.mark.parametrize(
         "key, value",

@@ -3,14 +3,12 @@ import pytest
 
 from failcast import features, ingestion, labeling, synth
 from failcast.errors import ConfigError
-from failcast.synth import SynthConfig, _draw_duration, generate
-from failcast.trace_model import INTERVAL_US, FailureType
+from failcast.synth import DEGENERATE_MACHINES, SynthConfig, _draw_duration, generate
+from failcast.trace_model import INTERVAL_US, LAGS, FailureType
 
 from oracles import build_instance, reference_write_usage
 
-SMALL = SynthConfig(
-    machines=60, horizon_days=2.0, degenerate_machines=2, rng_seed=5
-)
+SMALL = SynthConfig(machines=60, horizon_days=2.0, rng_seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +46,7 @@ def test_usage_file_is_the_savetxt_writers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(synth, "_write_usage", keep)
     paths = generate(SMALL, tmp_path / "trace")
-    assert len(written["down"]) - len(written["avg"]) == SMALL.degenerate_machines
+    assert len(written["down"]) - len(written["avg"]) == DEGENERATE_MACHINES
     assert written["down"][: len(written["avg"])].any()  # regular machines with downtime
     reference_write_usage(tmp_path / "reference.csv", **written)
     assert paths.usage.read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -73,7 +71,7 @@ def test_degenerate_machines_detected_and_excluded(ingested):
     events, _, _, series = ingested
     failures, _ = labeling.pair_failures(events)
     excluded = labeling.detect_degenerate_machines(series, failures)
-    assert len(excluded) == SMALL.degenerate_machines
+    assert len(excluded) == DEGENERATE_MACHINES
     assert excluded.tolist() == [58, 59]  # the last machine ids
 
 
@@ -129,7 +127,7 @@ def test_pacf_significant_lags_concentrate_in_window(ingested):
     table = features.pacf_by_machine(series.select(series.machine_ids < 58))
     counts = features.significant_lag_counts(table)
     total = int(counts.sum())
-    within = int(counts[:6].sum())
+    within = int(counts[:LAGS].sum())
     assert total > 0
     assert within / total >= 0.8
 
@@ -144,7 +142,7 @@ def test_failures_leave_clean_feature_windows(ingested):
     for m, remove_us in zip(failures["machine_id"].tolist(), failures["remove_us"].tolist()):
         tau = remove_us // INTERVAL_US
         row = int(np.searchsorted(kept.machine_ids, m))
-        window = build_instance(kept, tracks, row, tau, features.FeatureConfig())
+        window = build_instance(kept, tracks, row, tau)
         if window is None:
             missing += 1
         else:
@@ -167,10 +165,10 @@ def test_infeasible_horizon_rejected(tmp_path):
 
 def test_degenerate_parameter_validation(tmp_path):
     with pytest.raises(ConfigError, match="degenerate machines must be fewer"):
-        generate(SynthConfig(machines=2, degenerate_machines=2), tmp_path)
+        generate(SynthConfig(machines=DEGENERATE_MACHINES), tmp_path)
     with pytest.raises(ValueError):
         SynthConfig(signature_strength=1.5)
-    for bad in (dict(degenerate_machines=-1), dict(horizon_days=float("nan")),
+    for bad in (dict(horizon_days=float("nan")),
                 dict(horizon_days=float("inf")), dict(max_failures=0),
                 dict(failing_fraction=1.5), dict(failing_fraction=-0.5)):
         with pytest.raises(ConfigError):
