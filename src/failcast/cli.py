@@ -34,12 +34,12 @@ PREDICTIONS_HEADER = "machine_id,interval,predicted_y,score"
 
 
 def _read_config_file(path: Optional[str]) -> dict[str, str]:
-    """The ``key=value`` lines of ``path``; each key must name a flag of some stage."""
+    """The ``key=value`` lines of ``path``; each key must name a setting of some stage."""
     if not path:
         return {}
     cfg = {}
-    # a key may name any stage's flag, --help too, so that one file can serve a chain
-    settings = {"help", *(flag.dest for stage in STAGES.values() for flag in stage.flags)}
+    # a key may name any stage's setting, so that one file can serve a chain
+    settings = {flag.dest for stage in STAGES.values() for flag in stage.flags if flag.field}
     for line_no, raw in enumerate(_read(Path(path), lambda f: f.read()).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -53,13 +53,6 @@ def _read_config_file(path: Optional[str]) -> dict[str, str]:
             raise FailcastError(f"{path}: line {line_no}: setting {key!r} given again")
         cfg[key] = value
     return cfg
-
-
-def _within_int64(what: str, value):
-    """``value``; ConfigError naming ``what`` if it is an integer outside int64."""
-    if isinstance(value, int) and not -(2**63) <= value < 2**63:
-        raise ConfigError(f"{what}: {value} is outside the int64 range")
-    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,31 +77,30 @@ class Flag:
         return "--" + self.dest.replace("_", "-")
 
     def value(self, ns: argparse.Namespace, cfg: dict[str, str]):
-        """This setting from its flag, else from the config file; None if neither gives it."""
+        """This setting from its flag, else from the config file; None if neither gives it.
+
+        A scalar is read as a comma list of one item. Each item must be non-empty and
+        cast, and an integer must lie within int64; a ConfigError names the origin.
+        """
         raw, origin = getattr(ns, self.dest), self.option
         if raw is None and self.dest in cfg:
             raw, origin = cfg[self.dest], f"{ns.config}: config key {self.dest!r}"
-        if self.many:
-            if raw is None:
-                return None
-            items = raw.split(",")
-            if not all(items):
-                raise ConfigError(f"{origin}: {raw!r} has an empty item")
+        if raw is None:
+            return None
+        items = raw.split(",") if self.many else [raw]
+        if not all(items):
+            raise ConfigError(f"{origin}: {raw!r} has an empty item")
+        values = []
+        for item in items:
             try:
-                values = tuple(map(self.cast, items))
+                value = self.cast(item)
             except ValueError:
-                raise FailcastError(
-                    f"{self.dest}: {raw!r} is not a comma list of {self.cast.__name__} values"
-                ) from None
-            return tuple(_within_int64(origin, v) for v in values)
-        if isinstance(raw, str):
-            try:
-                raw = self.cast(raw)
-            except ValueError:
-                raise FailcastError(
-                    f"{origin}: {raw!r} is not a valid {self.cast.__name__}"
-                ) from None
-        return None if raw is None else _within_int64(origin, raw)
+                kind = self.cast.__name__
+                raise ConfigError(f"{origin}: {item!r} is not a valid {kind}") from None
+            if isinstance(value, int) and not -(2**63) <= value < 2**63:
+                raise ConfigError(f"{origin}: {value} is outside the int64 range")
+            values.append(value)
+        return tuple(values) if self.many else values[0]
 
 
 def _flag(dest: str, output=None, required: bool = True, **options) -> Flag:
@@ -602,9 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, stage in STAGES.items():
         s = sub.add_parser(name, help=stage.help)
         for flag in stage.flags:
-            # a comma list stays text, to be read as a setting
-            kind = {} if flag.cast is None or flag.many else {"type": flag.cast}
-            s.add_argument(flag.option, **kind, **flag.options)
+            # a setting stays text, to be read by Flag.value
+            s.add_argument(flag.option, **flag.options)
         s.set_defaults(func=stage.work)
     return p
 

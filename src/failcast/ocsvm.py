@@ -63,12 +63,19 @@ class OcsvmModel:
 
 def _rbf(A, a_sq, B, b_sq, gamma: float) -> np.ndarray:
     """exp(-gamma * ||a - b||^2) for each row a of A and b of B, given their squared norms."""
-    d2 = a_sq[:, None] + b_sq[None, :] - 2.0 * (A @ B.T)
+    # in place, so that at most two (len(A), len(B)) arrays live at once; each step
+    # rounds as a_sq + b_sq - 2.0 * (A @ B.T) does
+    P = A @ B.T
+    P *= 2.0
+    d2 = np.add(a_sq[:, None], b_sq[None, :])
+    d2 -= P
+    del P
     np.maximum(d2, 0.0, out=d2)
     # d2 >= 0 and gamma is finite, so the product can only overflow to -inf, whose
     # exp, 0, is the exact limit
     with np.errstate(over="ignore"):
-        return np.exp(-gamma * d2)
+        d2 *= -gamma
+    return np.exp(d2, out=d2)
 
 
 def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:

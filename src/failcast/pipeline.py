@@ -202,16 +202,18 @@ def grid_search_cv(
     at the largest tree count, and filters the test fold through stage 1
     once; each tree count is scored on the first trees of that forest,
     which are the forest it would grow on its own.
-    A fit that is unusable scores 0.0 at every tree count. Ties break
-    toward fewer trees, then larger nu, then smaller gamma: the cheaper
-    and more conservative model. The fold split depends only on
-    ``base_forest.rng_seed``.
+    A fit that is unusable scores 0.0 at every tree count and is logged
+    once the search is done. If no fit is usable, the first one's error is
+    raised, naming its cell and fold. Ties break toward fewer trees, then
+    larger nu, then smaller gamma: the cheaper and more conservative
+    model. The fold split depends only on ``base_forest.rng_seed``.
     """
     from . import metrics as metrics_mod
 
     forest_params = replace(base_forest, n_trees=max(grid.tree_counts))
     folds = _stratified_folds(y, grid.folds, np.random.default_rng(base_forest.rng_seed))
     f3 = np.zeros((len(grid.gammas), len(grid.nus), len(grid.tree_counts), grid.folds))
+    unusable = []
     for f, test_idx in enumerate(folds):
         train_idx = np.delete(np.arange(len(y)), test_idx)  # not np.setdiff1d: numpy.ma
         X_test, y_test = X[test_idx], y[test_idx]
@@ -221,12 +223,17 @@ def grid_search_cv(
                 model = train(X[train_idx], y[train_idx], stage1_params, forest_params)
             except (DegenerateTrainingError, InfeasibleNuError) as exc:
                 # unusable fit: the filter ate all failures, or nu*n < 1
-                logger.warning("grid gamma=%g nu=%g fold %d unusable: %s", gamma, nu, f, exc)
+                unusable.append((f"gamma={gamma:g} nu={nu:g} fold {f}", exc))
                 continue
             g = ocsvm_mod.decision(model.ocsvm, X_test)
             for k, n_trees in enumerate(grid.tree_counts):
                 preds, _ = _cascade(forest_mod.first_trees(model.forest, n_trees), X_test, g)
                 f3[i, j, k, f] = metrics_mod.binary_f3(metrics_mod.confusion(preds, y_test))
+    if len(unusable) == grid.folds * len(grid.gammas) * len(grid.nus):
+        where, exc = unusable[0]
+        raise type(exc)(f"no grid fit is usable; the first, {where}: {exc}")
+    for where, exc in unusable:
+        logger.warning("grid %s unusable: %s", where, exc)
     ranks = [(-m, b, -nu, gamma) for (gamma, nu, b), m in zip(grid.cells(), f3.mean(-1).flat)]
     return grid.cells()[ranks.index(min(ranks))], f3
 

@@ -69,7 +69,9 @@ class SynthConfig:
             raise ConfigError("need at least one machine")
         if not np.isfinite(self.horizon_days):
             raise ConfigError(f"horizon_days must be finite, got {self.horizon_days}")
-        if abs(self.horizon_us) > np.iinfo(np.int64).max:
+        # in float first: a horizon whose seconds pass float64's range has no int
+        too_far = np.iinfo(np.int64).max
+        if abs(self.horizon_days) * 86_400 > too_far or abs(self.horizon_us) > too_far:
             raise ConfigError(f"horizon_days {self.horizon_days} overflows int64 microseconds")
         # the float64 usage array is (machines, intervals, resources)
         if self.machines * max(self.n_intervals, 1) * N_RESOURCES > np.iinfo(np.intp).max // 8:

@@ -188,11 +188,17 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
     return float(np.exp(-gamma * np.dot(d, d)))
 
 
+def reference_rbf(A, a_sq, B, b_sq, gamma: float) -> np.ndarray:
+    """``ocsvm._rbf`` as one expression, each temporary its own array."""
+    d2 = a_sq[:, None] + b_sq[None, :] - 2.0 * (A @ B.T)
+    np.maximum(d2, 0.0, out=d2)
+    with np.errstate(over="ignore"):
+        return np.exp(-gamma * d2)
+
+
 def rbf_matrix(X: np.ndarray, gamma: float) -> np.ndarray:
     sq = np.einsum("ij,ij->i", X, X)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-gamma * d2)
+    return reference_rbf(X, sq, X, sq, gamma)
 
 
 def training_alphas(model, X: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import io
 import json
+import logging
 import os
 import re
 import shutil
@@ -896,16 +897,19 @@ class TestBrokenInputs:
     def test_train_non_numeric_grid_list_exits_2(
         self, chain, tmp_path, capsys, where, key, value
     ):
+        """The error names the flag, or the config file and key, and the last item."""
         args = ["train", "--data", str(chain / "data"), "--out", str(tmp_path / "m")]
         if where == "flag":
-            args += ["--" + key.replace("_", "-"), value]
+            origin = "--" + key.replace("_", "-")
+            args += [origin, value]
         else:
             cfg = tmp_path / "bad.cfg"
             cfg.write_text(f"{key}={value}\n")
             args += ["--config", str(cfg)]
+            origin = f"{cfg}: config key {key!r}"
         assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err and value in err
+        item, cast = value.split(",")[-1], "int" if key == "trees_grid" else "float"
+        assert capsys.readouterr().err == f"error: {origin}: {item!r} is not a valid {cast}\n"
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize(
@@ -1305,6 +1309,20 @@ class TestConfigFile:
         assert capsys.readouterr() == ("", f"error: {cfg}: line 3: setting 'machines' given again\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["archive", "out", "model", "help", "gama"])
+    def test_a_key_that_is_not_a_setting_exits_2_before_any_output(
+        self, chain, tmp_path, capsys, key
+    ):
+        """An input, an output or --help is a flag but no setting: its key is refused, not
+        accepted and ignored; so is a misspelt setting."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"trees=5\nfolds=2\n{key}={tmp_path / 'x.zip'}\n")
+        out = tmp_path / "m"
+        assert main(["train", "--data", str(chain / "data"), "--out", str(out),
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}: line 3: unknown setting {key!r}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_another_stages_setting_is_accepted(self, tmp_path):
         """One file can serve a whole chain: synth ignores featurize's normal samples."""
         cfg = tmp_path / "run.cfg"
@@ -1468,6 +1486,66 @@ class TestNumericBounds:
         assert main(["synth", "--out", str(out), "--machines", "1000000000000"]) == 2
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
         assert not out.exists()
+
+
+#: stage -> its inputs in the `chain` fixture, and the small settings it runs at; a
+#: setting under test drops those of its own grid axis, the names it starts with
+#: (`trees` for `trees_grid`)
+SETTING_RUNS = {
+    "synth": ([], {"machines": "5", "days": "1"}),
+    "featurize": (["--store", "store", "--labels", "labels"], {"normal_samples": "300"}),
+    "train": (["--data", "data"], {"trees": "5", "folds": "2"}),
+    "evaluate": (["--predictions", "predictions.csv", "--data", "data", "--model", "model"], {}),
+}
+
+#: what each setting is given besides a value that does not cast
+SETTING_EXTREMES = ("0", "-1", "inf", "-inf", "nan", "1e308", "5e-324")
+NOT_CASTABLE, EMPTY_ITEM, BEYOND_INT64 = "x", "1,,1", str(2**63)
+
+
+def _setting_cases():
+    """(stage, setting, value) for every setting of every stage in ``STAGES``."""
+    for stage, spec in STAGES.items():
+        for flag in spec.own:
+            if flag.field:
+                values = [NOT_CASTABLE, *SETTING_EXTREMES]
+                values += [EMPTY_ITEM] * flag.many + [BEYOND_INT64] * (flag.cast is int)
+                for value in values:
+                    yield pytest.param(stage, flag, value, id=f"{stage}-{flag.dest}={value}")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("stage, flag, value", _setting_cases())
+def test_every_setting_exits_0_or_2_with_one_error_line(
+    chain, tmp_path, monkeypatch, caplog, stage, flag, value, source
+):
+    """Exit 0, or exit 2 within 1 s with one `error: ...` line and no output; never a warning.
+    A value that fails the setting's own read (cast, empty item, int64) names its origin."""
+    inputs, small = SETTING_RUNS[stage]
+    small = [f"--{key.replace('_', '-')}={v}" for key, v in small.items()
+             if not flag.dest.startswith(key)]
+    if source == "flag":  # joined by `=`: argparse takes a lone `-inf` for an option
+        setting, origin = [f"{flag.option}={value}"], flag.option
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag.dest}={value}\n")
+        setting, origin = ["--config", str(cfg)], f"{cfg}: config key {flag.dest!r}"
+    out = tmp_path / "out"
+    monkeypatch.chdir(chain)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t0 = time.perf_counter()
+        code, err = _run([stage, *inputs, "--out", str(out), *small, *setting], "")
+        seconds = time.perf_counter() - t0
+    assert not caught and not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    if code == 0:
+        return
+    assert code == 2 and seconds < 1.0
+    assert re.fullmatch(r"error: [^\n]*\n", err), err
+    unreadable = (NOT_CASTABLE, EMPTY_ITEM, BEYOND_INT64)
+    if value in unreadable or flag.cast is int and value not in ("0", "-1"):
+        assert err.startswith(f"error: {origin}: "), err
+    assert not out.exists()
 
 
 class TestEvaluateLatency:

@@ -29,6 +29,7 @@ from oracles import (
     kkt_max_violation,
     qp_reference_objective,
     reference_masked_smo,
+    reference_rbf,
     rbf_kernel,
     rbf_matrix,
     training_alphas,
@@ -54,6 +55,19 @@ class TestRbfKernel:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rbf_kernel(np.zeros(3), np.zeros(4), gamma=1.0)
+
+    @pytest.mark.parametrize("gamma", [0.125, 1 / 72, 1e308])
+    def test_the_in_place_block_is_bit_equal_to_the_one_expression(self, gamma):
+        """Rows repeated across the blocks too, whose distances round near zero."""
+        rng = np.random.default_rng(29)
+        A = rng.random((128, 72))
+        B = np.vstack([A[:32], rng.random((1500, 72))])
+        a_sq, b_sq = np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ocsvm_mod._rbf(A, a_sq, B, b_sq, gamma)
+        want = reference_rbf(A, a_sq, B, b_sq, gamma)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestTrain:

@@ -13,6 +13,7 @@ from failcast.errors import (
     ConfigError,
     DegenerateTrainingError,
     FailcastError,
+    InfeasibleNuError,
     ModelFormatError,
 )
 from failcast.features import class_ranks
@@ -303,6 +304,15 @@ class TestGridSearch:
         # nu=1e-6 is infeasible for both gammas on all three folds
         assert len(unusable) == 2 * 3
         assert np.all(f3[:, 1] == 0.0)
+
+    def test_a_grid_without_a_usable_fit_raises_the_first_error(self, caplog):
+        data = make_data(n_normal=120, n_fail=30)
+        grid = GridSpec(gammas=(1.0, 0.3), nus=(1e-6,), tree_counts=(3,), folds=3)
+        with caplog.at_level(logging.WARNING, logger="failcast.pipeline"):
+            with pytest.raises(InfeasibleNuError, match=r"^no grid fit is usable; the first, "
+                               r"gamma=1 nu=1e-06 fold 0: nu\*n"):
+                pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
+        assert not caplog.records
 
     @pytest.mark.parametrize(
         "axes",
