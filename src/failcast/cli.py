@@ -145,12 +145,6 @@ class Stage:
                 raise OSError(code, os.strerror(code), str(path))
 
 
-def _fields(cls, given: dict) -> dict:
-    """The entries of ``given`` that name a field of the dataclass ``cls``."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return {key: value for key, value in given.items() if key in names}
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -310,29 +304,17 @@ def _cmd_train(ns: argparse.Namespace, given: dict) -> int:
 
     # a grid axis is its comma list, or else the one value of its scalar setting
     option = {flag.field: flag.option for flag in STAGES["train"].own if flag.field}
-    for one, many in (("gamma", "gammas"), ("nu", "nus"), ("n_trees", "tree_counts")):
+    axes = {"gammas": OcsvmParams.gamma, "nus": OcsvmParams.nu, "tree_counts": ForestParams.n_trees}
+    for one, many in zip(("gamma", "nu", "n_trees"), axes):
         if one in given and many in given:
-            raise ConfigError(
-                f"{option[one]} and {option[many]} both set one grid axis, by flag or config key;"
-                " give one of them"
-            )
+            raise ConfigError(f"{option[one]} and {option[many]} both set one grid axis,"
+                              " by flag or config key; give one of them")
+        axes[many] = given.get(many, (given.get(one, axes[many]),))
     data = _load_split(Path(ns.data), "train")
-    base_ocsvm = OcsvmParams(**_fields(OcsvmParams, given))
-    base_forest = ForestParams(**_fields(ForestParams, given))
-    grid = pipeline.GridSpec(**{
-        "gammas": (base_ocsvm.gamma,), "nus": (base_ocsvm.nu,),
-        "tree_counts": (base_forest.n_trees,), **_fields(pipeline.GridSpec, given),
-    })
-
-    (best_gamma, best_nu, best_trees), f3 = pipeline.grid_search_cv(
-        data.x, data.y, grid, base_ocsvm, base_forest
-    )
-    model = pipeline.train(
-        data.x,
-        data.y,
-        dataclasses.replace(base_ocsvm, nu=best_nu, gamma=best_gamma),
-        dataclasses.replace(base_forest, n_trees=best_trees),
-    )
+    grid = pipeline.GridSpec(**axes, folds=given.get("folds", pipeline.GridSpec.folds))
+    seed = given.get("rng_seed", ForestParams.rng_seed)
+    (gamma, nu, n_trees), f3 = pipeline.grid_search_cv(data.x, data.y, grid, seed)
+    model = pipeline.train(data.x, data.y, OcsvmParams(nu, gamma), ForestParams(n_trees, seed))
     out_dir = Path(ns.out)
     pipeline.save_bundle(model, out_dir)
     with open(out_dir / "cv_table.csv", "w", newline="\n") as f:
@@ -351,10 +333,7 @@ def _cmd_train(ns: argparse.Namespace, given: dict) -> int:
         tables.write_rows(f, "%d,%s,%d,%d,%d\n", index, *layout, counts)
     if ns.archive:
         pipeline.save_archive(model, Path(ns.archive))
-    print(
-        f"best cell: gamma={best_gamma:g} nu={best_nu:g} trees={best_trees}; "
-        f"bundle at {out_dir}"
-    )
+    print(f"best cell: gamma={gamma:g} nu={nu:g} trees={n_trees}; bundle at {out_dir}")
     return 0
 
 
@@ -600,12 +579,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """``argv`` with each value-taking flag of its stage joined by ``=`` to the next word if
+    that is no flag of the stage: argparse takes a lone ``-inf`` for an option."""
+    flags = STAGES[argv[0]].flags if argv and argv[0] in STAGES else ()
+    takes_value = {flag.option: "action" not in flag.options for flag in flags}
+    args = argv[:1]
+    for word in argv[1:]:
+        if takes_value.get(args[-1]) and word.split("=")[0] not in takes_value:
+            args[-1] += f"={word}"
+        else:
+            args.append(word)
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one stage; a FailcastError, OSError or MemoryError ends it in ``error: ...``, exit 2."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     stage = STAGES[ns.command]

@@ -34,27 +34,32 @@ MODEL_FORMAT = "forest-model v1"
 MAX_TREES = 10_000
 #: the largest class count a leaf of a stored forest may hold (int64)
 _MAX_COUNT = np.iinfo(np.int64).max
-#: the growth limits of the params line: those of ForestParams, whose trees grow unpruned
-_LIMITS = "min_leaf=1 max_depth=none"
+#: the rules of growth the method fixes: the candidate features drawn per node, about
+#: the square root of the 72 features, and trees grown unpruned (Breiman, 2001); the
+#: params line of a forest file and the manifest state them
+FIXED = {"mtry": 9, "min_leaf": 1, "max_depth": None}
 
 
 @dataclass(frozen=True)
 class ForestParams:
     n_trees: int = 100
-    mtry: int = 9
-    # trees grow unpruned (Breiman, 2001), so these two are fixed; they stay
-    # fields so that the manifest and the forest.txt header state them
-    min_leaf: int = field(default=1, init=False)
-    max_depth: Optional[int] = field(default=None, init=False)
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.n_trees <= MAX_TREES:
             raise ConfigError(f"n_trees must be in [1, {MAX_TREES}], got {self.n_trees}")
-        if self.mtry < 1:
-            raise ConfigError("mtry must be >= 1")
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+
+    # bench/tracer.py keys each forest by its rules of growth
+    mtry = property(lambda self: FIXED["mtry"])
+    min_leaf = property(lambda self: FIXED["min_leaf"])
+    max_depth = property(lambda self: FIXED["max_depth"])
+
+
+def _fixed_line() -> str:
+    """FIXED as the params line states it: ``mtry=9 min_leaf=1 max_depth=none``."""
+    return " ".join(f"{key}={'none' if value is None else value}" for key, value in FIXED.items())
 
 
 @dataclass(eq=False)
@@ -145,7 +150,6 @@ def grow_tree(
     X: np.ndarray,
     y: np.ndarray,
     weight: np.ndarray,
-    params: ForestParams,
     rng: np.random.Generator,
 ) -> tuple[list, list, list, list]:
     """Grow one tree on the rows of X, row i counted ``weight[i]`` times.
@@ -160,7 +164,7 @@ def grow_tree(
     if not np.any(weight):
         raise ValueError("cannot grow a tree on an empty batch")
     d = X.shape[1]
-    mtry = min(params.mtry, d)
+    mtry = min(FIXED["mtry"], d)
     weights = np.zeros((N_CLASSES + 1, len(y)))
     weights[y, np.arange(len(y))] = weight
     weights[-1] = weight
@@ -229,7 +233,7 @@ def train(X: np.ndarray, y: np.ndarray, params: ForestParams) -> ForestModel:
     for k in range(params.n_trees):
         rng = _tree_rng(params.rng_seed, k)
         weight = np.bincount(bootstrap_indices(rng, len(y)), minlength=len(y))
-        tree = grow_tree(X, y, weight, params, rng)
+        tree = grow_tree(X, y, weight, rng)
         root = len(feature)
         roots.append(root)
         feature += tree[0]
@@ -289,10 +293,9 @@ def predict_votes_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
 
 def save(model: ForestModel, out: TextIO) -> None:
     """Pre-order node listing per tree; thresholds keep full precision."""
-    p = model.params
     out.write(
         f"{MODEL_FORMAT}\ntrees {model.n_trees}\ndim {model.dim}\n"
-        f"params mtry={p.mtry} {_LIMITS} seed={p.rng_seed}\n"
+        f"params {_fixed_line()} seed={model.params.rng_seed}\n"
     )
     # each tree's listing opens with its "tree k" line
     heads = np.full(len(model.feature), "", dtype=object)
@@ -324,12 +327,12 @@ def load(source: Iterable[str]) -> ForestModel:
     try:
         n_trees, dim = int(header[0][1]), int(header[1][1])
         kv = dict(part.split("=", 1) for part in header[2][1:])
-        params = ForestParams(n_trees=n_trees, mtry=int(kv["mtry"]), rng_seed=int(kv["seed"]))
-        limits = f"min_leaf={kv['min_leaf']} max_depth={kv['max_depth']}"
+        params = ForestParams(n_trees=n_trees, rng_seed=int(kv["seed"]))
+        rules = " ".join(f"{key}={kv[key]}" for key in FIXED)
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad header value ({exc})") from None
-    if limits != _LIMITS:
-        raise ModelFormatError(f"{limits}: trees here grow unpruned, with {_LIMITS}")
+    if rules != _fixed_line():
+        raise ModelFormatError(f"{rules}: trees here grow unpruned, with {_fixed_line()}")
 
     roots, feature, threshold, right, counts = [], [], [], [], []
     open_splits = None  # between trees; else the splits still owed a right child

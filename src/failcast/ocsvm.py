@@ -23,6 +23,8 @@ from .trace_model import N_FEATURES
 
 MODEL_FORMAT = "ocsvm-model v1"
 _HEADER_KEYS = ("gamma", "rho", "dim", "support_vectors")
+#: the KKT violation of the maximal violating pair at which SMO stops
+TOL = 1e-4
 #: the most SMO updates a fit may take before it raises ConvergenceError
 MAX_ITER = 1_000_000
 
@@ -31,16 +33,16 @@ MAX_ITER = 1_000_000
 class OcsvmParams:
     nu: float = 0.05
     gamma: float = 1.0 / N_FEATURES
-    tol: float = 1e-4
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
             raise ConfigError(f"nu must be in (0, 1], got {self.nu}")
-        # a gamma or tol outside (0, inf) leaves SMO no violation it can get below tol
+        # a gamma outside (0, inf) leaves SMO no violation it can get below TOL
         if not 0.0 < self.gamma < np.inf:
             raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
-        if not 0.0 < self.tol < np.inf:
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+
+    # bench/tracer.py keys each fit by its tolerance
+    tol = property(lambda self: TOL)
 
 
 @dataclass
@@ -82,7 +84,7 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
     """Fit the one-class boundary to normal-labeled feature vectors.
 
     Raises InfeasibleNuError when nu*n < 1 and ConvergenceError when the
-    maximal violating pair still exceeds the tolerance after MAX_ITER
+    maximal violating pair still exceeds TOL after MAX_ITER
     updates, or at once when its violation is NaN.
     """
     X = np.ascontiguousarray(normals, dtype=float)
@@ -116,7 +118,7 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
         i = int(np.argmin(gi))
         j = int(np.argmax(gj))
         violation = gj[j] - gi[i]
-        if violation <= params.tol:
+        if violation <= TOL:
             break
         if np.isnan(violation):
             raise ConvergenceError("KKT violation is NaN: a kernel value is not finite",
@@ -147,12 +149,12 @@ def train(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel:
     else:
         raise ConvergenceError(
             f"no convergence after {MAX_ITER} iterations "
-            f"(KKT violation {violation:.3e} > tol {params.tol:.3e})",
+            f"(KKT violation {violation:.3e} > tol {TOL:.3e})",
             kkt_violation=float(violation),
         )
-    if violation > params.tol:
+    if violation > TOL:
         raise ConvergenceError(
-            f"solver stalled (KKT violation {violation:.3e} > tol {params.tol:.3e})",
+            f"solver stalled (KKT violation {violation:.3e} > tol {TOL:.3e})",
             kkt_violation=float(violation),
         )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -124,8 +124,8 @@ def train(
     manifest = {
         "format": _MANIFEST_FORMAT,
         "feature": {"lags": LAGS, "dim": N_FEATURES},
-        "ocsvm": {**asdict(ocsvm_params), "max_iter": ocsvm_mod.MAX_ITER},
-        "forest": asdict(forest_params),
+        "ocsvm": {**asdict(ocsvm_params), "tol": ocsvm_mod.TOL, "max_iter": ocsvm_mod.MAX_ITER},
+        "forest": {**asdict(forest_params), **forest_mod.FIXED},
         "data": {
             "n_train": int(len(y)),
             "class_counts": [int(c) for c in np.bincount(y, minlength=N_CLASSES)],
@@ -192,7 +192,7 @@ def _stratified_folds(
 
 
 def grid_search_cv(
-    X: np.ndarray, y: np.ndarray, grid: GridSpec, base_ocsvm: OcsvmParams, base_forest: ForestParams
+    X: np.ndarray, y: np.ndarray, grid: GridSpec, rng_seed: int
 ) -> tuple[tuple[float, float, int], np.ndarray]:
     """Pick (gamma, nu, n_trees) by mean binary F3 over stratified folds.
 
@@ -206,21 +206,21 @@ def grid_search_cv(
     once the search is done. If no fit is usable, the first one's error is
     raised, naming its cell and fold. Ties break toward fewer trees, then
     larger nu, then smaller gamma: the cheaper and more conservative
-    model. The fold split depends only on ``base_forest.rng_seed``.
+    model. The fold split depends only on ``rng_seed``, which also seeds
+    every forest.
     """
     from . import metrics as metrics_mod
 
-    forest_params = replace(base_forest, n_trees=max(grid.tree_counts))
-    folds = _stratified_folds(y, grid.folds, np.random.default_rng(base_forest.rng_seed))
+    forest_params = ForestParams(n_trees=max(grid.tree_counts), rng_seed=rng_seed)
+    folds = _stratified_folds(y, grid.folds, np.random.default_rng(rng_seed))
     f3 = np.zeros((len(grid.gammas), len(grid.nus), len(grid.tree_counts), grid.folds))
     unusable = []
     for f, test_idx in enumerate(folds):
         train_idx = np.delete(np.arange(len(y)), test_idx)  # not np.setdiff1d: numpy.ma
         X_test, y_test = X[test_idx], y[test_idx]
         for (i, gamma), (j, nu) in itertools.product(enumerate(grid.gammas), enumerate(grid.nus)):
-            stage1_params = replace(base_ocsvm, nu=nu, gamma=gamma)
             try:
-                model = train(X[train_idx], y[train_idx], stage1_params, forest_params)
+                model = train(X[train_idx], y[train_idx], OcsvmParams(nu, gamma), forest_params)
             except (DegenerateTrainingError, InfeasibleNuError) as exc:
                 # unusable fit: the filter ate all failures, or nu*n < 1
                 unusable.append((f"gamma={gamma:g} nu={nu:g} fold {f}", exc))
@@ -308,7 +308,8 @@ def load_bundle(bundle: Path) -> CascadeModel:
     # what the manifest must state, as the stage files say it
     implied = {"format": _MANIFEST_FORMAT, "feature.lags": LAGS, "feature.dim": N_FEATURES,
                "ocsvm.gamma": stage1.gamma}
-    implied.update((f"forest.{k}", v) for k, v in asdict(stage2.params).items())
+    rules = {**asdict(stage2.params), **forest_mod.FIXED}
+    implied.update((f"forest.{k}", v) for k, v in rules.items())
     for key, value in implied.items():
         try:
             stated = manifest

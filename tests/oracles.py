@@ -35,6 +35,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from failcast import forest as forest_mod
+from failcast import ocsvm as ocsvm_mod
 from failcast.errors import (
     ConvergenceError, DegenerateTrainingError, InfeasibleNuError, ParseError,
 )
@@ -42,7 +44,9 @@ from failcast.features import (
     KIND_AVG, KIND_PEAK, MIN_PACF_RUN, PACF_MAX_LAG, SIGNIFICANCE_Z, pacf,
 )
 from failcast.forest import MODEL_FORMAT as FOREST_FORMAT
-from failcast.forest import _arrays_model, best_split, grow_tree, predict_votes_batch
+from failcast.forest import (
+    ForestParams, _arrays_model, best_split, grow_tree, predict_votes_batch,
+)
 from failcast.ingestion import MACHINE_EVENTS_HEADER, USAGE_HEADER
 from failcast.labeling import FAILURES_HEADER, LabelTracks
 from failcast.metrics import binary_f3, confusion
@@ -149,7 +153,7 @@ def reference_masked_smo(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel
         gj = np.where(~at_lb, grad, -np.inf)
         i, j = int(np.argmin(gi)), int(np.argmax(gj))
         violation = gj[j] - gi[i]
-        if violation <= params.tol:
+        if violation <= ocsvm_mod.TOL:
             break
         if np.isnan(violation):
             raise ConvergenceError("KKT violation is NaN", kkt_violation=float(violation))
@@ -172,7 +176,7 @@ def reference_masked_smo(normals: np.ndarray, params: OcsvmParams) -> OcsvmModel
         at_lb[j] = new_j <= 0.0
         at_ub[j] = False
         grad += delta * (row_i - row_j)
-    if violation > params.tol:
+    if violation > ocsvm_mod.TOL:
         raise ConvergenceError("no convergence", kkt_violation=float(violation))
     sv = alpha > 0.0
     return OcsvmModel(X[sv].copy(), alpha[sv].copy(), _estimate_rho(grad, alpha, C), params.gamma)
@@ -318,7 +322,7 @@ def reference_best_split(X, y, candidate_features, min_leaf=1):
     return best
 
 
-def reference_grow_tree(X, y, params, rng) -> tuple[list, list, list, list]:
+def reference_grow_tree(X, y, rng) -> tuple[list, list, list, list]:
     """One tree's pre-order (feature, threshold, right, counts) node lists.
 
     Grows on every row of X, copies included, one node at a time: each
@@ -327,7 +331,8 @@ def reference_grow_tree(X, y, params, rng) -> tuple[list, list, list, list]:
     ``x[feature] <= threshold``.
     """
     d = X.shape[1]
-    mtry = min(params.mtry, d)
+    rules = forest_mod.FIXED
+    mtry = min(rules["mtry"], d)
     feature, threshold, right, counts = [], [], [], []
     stack = [(np.arange(len(y)), 0, -1)]
     while stack:
@@ -339,11 +344,11 @@ def reference_grow_tree(X, y, params, rng) -> tuple[list, list, list, list]:
         split = None
         if (
             np.count_nonzero(node_counts) > 1
-            and (params.max_depth is None or depth < params.max_depth)
-            and len(idx) >= 2 * params.min_leaf
+            and (rules["max_depth"] is None or depth < rules["max_depth"])
+            and len(idx) >= 2 * rules["min_leaf"]
         ):
             feats = rng.choice(d, size=mtry, replace=False)
-            split = reference_best_split(X[idx], y[idx], feats, params.min_leaf)
+            split = reference_best_split(X[idx], y[idx], feats, rules["min_leaf"])
         right.append(-1)
         if split is None:
             feature.append(-1)
@@ -366,7 +371,7 @@ def reference_forest(X, y, params):
     for k in range(params.n_trees):
         rng = np.random.default_rng([params.rng_seed, k])
         idx = rng.integers(0, len(y), size=len(y))
-        tree = reference_grow_tree(X[idx], y[idx], params, rng)
+        tree = reference_grow_tree(X[idx], y[idx], rng)
         roots.append(len(nodes[0]))
         nodes[0].extend(tree[0])
         nodes[1].extend(tree[1])
@@ -377,13 +382,14 @@ def reference_forest(X, y, params):
 
 def reference_forest_save(model) -> str:
     """The ``forest-model v1`` text ``forest.save`` writes, one f-string per node."""
-    p = model.params
-    depth = "none" if p.max_depth is None else str(p.max_depth)
+    rules = forest_mod.FIXED
+    depth = "none" if rules["max_depth"] is None else str(rules["max_depth"])
     lines = [
         f"{FOREST_FORMAT}\n",
         f"trees {model.n_trees}\n",
         f"dim {model.dim}\n",
-        f"params mtry={p.mtry} min_leaf={p.min_leaf} max_depth={depth} seed={p.rng_seed}\n",
+        f"params mtry={rules['mtry']} min_leaf={rules['min_leaf']} max_depth={depth}"
+        f" seed={model.params.rng_seed}\n",
     ]
     feature = model.feature.tolist()
     threshold = model.threshold.tolist()
@@ -419,7 +425,7 @@ def split_of(X, y, features):
 
 def one_tree(X, y, params, rng):
     """The one-tree forest ``forest.grow_tree`` grows on all rows of X, each counted once."""
-    nodes = grow_tree(X, y, np.ones(len(y), dtype=np.int64), params, rng)
+    nodes = grow_tree(X, y, np.ones(len(y), dtype=np.int64), rng)
     return _arrays_model(replace(params, n_trees=1), X.shape[1], [0], *nodes)
 
 
@@ -889,14 +895,14 @@ def reference_write_rows(row_format: str, *columns) -> str:
     return "".join(lines)
 
 
-def reference_grid_search_cv(X, y, grid, base_ocsvm, base_forest):
+def reference_grid_search_cv(X, y, grid, rng_seed):
     """``grid_search_cv`` cell by cell: one cascade fit per (gamma, nu, B, fold).
 
     Every tree count grows its own forest, so nothing relies on the
     prefix invariant. The folds come from the package's own split, which
     both paths share by contract.
     """
-    folds = _stratified_folds(y, grid.folds, np.random.default_rng(base_forest.rng_seed))
+    folds = _stratified_folds(y, grid.folds, np.random.default_rng(rng_seed))
     table = []
     for gamma, nu, n_trees in grid.cells():
         fold_f3 = []
@@ -906,8 +912,8 @@ def reference_grid_search_cv(X, y, grid, base_ocsvm, base_forest):
                 model = cascade_train(
                     X[train_idx],
                     y[train_idx],
-                    replace(base_ocsvm, nu=nu, gamma=gamma),
-                    replace(base_forest, n_trees=n_trees),
+                    OcsvmParams(nu=nu, gamma=gamma),
+                    ForestParams(n_trees=n_trees, rng_seed=rng_seed),
                 )
             except (DegenerateTrainingError, InfeasibleNuError):
                 fold_f3.append(0.0)

@@ -9,6 +9,7 @@ and task_usage.csv in the public clusterdata-2011 layout.
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,7 +90,8 @@ def test_criterion_2_ocsvm_oracle_and_nu_property():
         if nu * n < 1.0:
             nu = 1.5 / n
         gamma = float(rng.uniform(0.1, 2.0))
-        model = ocsvm_mod.train(X, OcsvmParams(nu=nu, gamma=gamma, tol=1e-7))
+        with mock.patch.object(ocsvm_mod, "TOL", 1e-7):
+            model = ocsvm_mod.train(X, OcsvmParams(nu=nu, gamma=gamma))
         K = rbf_matrix(X, gamma)
         cap = 1.0 / (nu * n)
         alpha = np.zeros(n)
@@ -143,11 +145,12 @@ def test_criterion_3_forest_correctness():
 
     X = rng.random((400, 8))
     y = (X[:, 2] > 0.5).astype(int) + 2 * (X[:, 5] > 0.4).astype(int)
-    tree_params = ForestParams(n_trees=1, mtry=8, rng_seed=1)
+    tree_params = ForestParams(n_trees=1, rng_seed=1)  # each node draws all 8 features
     single = one_tree(X, y, tree_params, np.random.default_rng(1))
     zero_error = bool(np.array_equal(forest_predict_batch(single, X), y))
 
-    model = forest_mod.train(X, y, ForestParams(n_trees=17, mtry=3, rng_seed=2))
+    with mock.patch.dict(forest_mod.FIXED, mtry=3):
+        model = forest_mod.train(X, y, ForestParams(n_trees=17, rng_seed=2))
     votes = forest_mod.predict_votes_batch(model, rng.random((1000, 8)))
     votes_ok = bool(np.all(votes.sum(axis=1) == 17))
 

@@ -268,7 +268,7 @@ def test_grid_filters_each_test_fold_once_per_fit(chain, monkeypatch):
     test fold, which then serves every tree count: 24 calls, not the 48 of
     one stage-1 pass per tree count.
     """
-    from failcast import ForestParams, OcsvmParams, features, ocsvm, pipeline
+    from failcast import features, ocsvm, pipeline
 
     with open(chain / "data" / "train.csv") as f:
         X, y = features.read_dataset_csv(f)
@@ -277,7 +277,7 @@ def test_grid_filters_each_test_fold_once_per_fit(chain, monkeypatch):
     monkeypatch.setattr(ocsvm, "decision", lambda *a: calls.append(a) or decision(*a))
     grid = pipeline.GridSpec(gammas=(0.125, 0.5), nus=(0.05, 0.1, 0.001),
                              tree_counts=(50, 10, 30), folds=3)
-    pipeline.grid_search_cv(X, y, grid, OcsvmParams(), ForestParams(rng_seed=11))
+    pipeline.grid_search_cv(X, y, grid, 11)
     assert len(calls) == 24
 
 
@@ -541,8 +541,8 @@ class TestBrokenInputs:
             bundle = tmp_path / f"model{dim}"
             bundle.mkdir()
 
-            def settings(cls, section):  # the manifest entries that are settable fields of cls
-                fields = [f.name for f in dataclasses.fields(cls) if f.init]
+            def settings(cls, section):  # the manifest entries that are fields of cls
+                fields = [f.name for f in dataclasses.fields(cls)]
                 return cls(**{name: manifest[section][name] for name in fields})
 
             with open(bundle / "ocsvm.txt", "w") as f:
@@ -558,23 +558,27 @@ class TestBrokenInputs:
                 " is not the 72 of the 6-lag window\n"
             )
 
-    @pytest.mark.parametrize("limits", ["min_leaf=2 max_depth=none", "min_leaf=1 max_depth=3"])
-    def test_predict_on_a_forest_grown_with_limits_exits_2(
-        self, chain, tmp_path, capsys, monkeypatch, limits
+    @pytest.mark.parametrize("rules", [
+        "mtry=5 min_leaf=1 max_depth=none", "mtry=9 min_leaf=2 max_depth=none",
+        "mtry=9 min_leaf=1 max_depth=3",
+    ])
+    def test_predict_on_a_forest_grown_with_other_rules_exits_2(
+        self, chain, tmp_path, capsys, monkeypatch, rules
     ):
-        """Trees grow unpruned, so a forest.txt that states other limits does not load."""
+        """Trees grow by the fixed rules, so a forest.txt that states others does not load."""
         bundle = tmp_path / "model"
         shutil.copytree(chain / "model", bundle)
         forest = bundle / "forest.txt"
         text = forest.read_text()
-        assert " min_leaf=1 max_depth=none " in text
-        forest.write_text(text.replace("min_leaf=1 max_depth=none", limits, 1))
+        assert " mtry=9 min_leaf=1 max_depth=none " in text
+        forest.write_text(text.replace("mtry=9 min_leaf=1 max_depth=none", rules, 1))
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         t0 = time.perf_counter()
         rc = main(["predict", "--model", str(bundle), "--stream"])
         assert time.perf_counter() - t0 < 1.0
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {forest}: {limits}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {forest}: {rules}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "name, cut",
@@ -1178,7 +1182,7 @@ def _train_defaults(got: dict) -> dict:
 
     grid = dataclasses.replace(GridSpec(), gammas=(OcsvmParams().gamma,),
                                nus=(OcsvmParams().nu,), tree_counts=(ForestParams().n_trees,))
-    return {"grid": grid, "base_forest": ForestParams(), "base_ocsvm": OcsvmParams()}
+    return {"grid": grid, "rng_seed": ForestParams().rng_seed}
 
 
 #: stage -> (its required inputs in the chain, the work function it calls, what the
@@ -1504,18 +1508,20 @@ NOT_CASTABLE, EMPTY_ITEM, BEYOND_INT64 = "x", "1,,1", str(2**63)
 
 
 def _setting_cases():
-    """(stage, setting, value) for every setting of every stage in ``STAGES``."""
+    """(stage, setting, value, source) for every setting of every stage in ``STAGES``: each
+    value as ``--flag=value`` and as a config key, and a negative one also as ``--flag value``."""
     for stage, spec in STAGES.items():
         for flag in spec.own:
             if flag.field:
                 values = [NOT_CASTABLE, *SETTING_EXTREMES]
                 values += [EMPTY_ITEM] * flag.many + [BEYOND_INT64] * (flag.cast is int)
                 for value in values:
-                    yield pytest.param(stage, flag, value, id=f"{stage}-{flag.dest}={value}")
+                    for source in ("flag", "config", "spaced")[:2 + value.startswith("-")]:
+                        yield pytest.param(stage, flag, value, source,
+                                           id=f"{stage}-{flag.dest}={value}-{source}")
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("stage, flag, value", _setting_cases())
+@pytest.mark.parametrize("stage, flag, value, source", _setting_cases())
 def test_every_setting_exits_0_or_2_with_one_error_line(
     chain, tmp_path, monkeypatch, caplog, stage, flag, value, source
 ):
@@ -1524,8 +1530,10 @@ def test_every_setting_exits_0_or_2_with_one_error_line(
     inputs, small = SETTING_RUNS[stage]
     small = [f"--{key.replace('_', '-')}={v}" for key, v in small.items()
              if not flag.dest.startswith(key)]
-    if source == "flag":  # joined by `=`: argparse takes a lone `-inf` for an option
+    if source == "flag":
         setting, origin = [f"{flag.option}={value}"], flag.option
+    elif source == "spaced":
+        setting, origin = [flag.option, value], flag.option
     else:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{flag.dest}={value}\n")
@@ -1546,6 +1554,19 @@ def test_every_setting_exits_0_or_2_with_one_error_line(
     if value in unreadable or flag.cast is int and value not in ("0", "-1"):
         assert err.startswith(f"error: {origin}: "), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-inf", "-1e5"])
+def test_a_value_that_reads_as_an_option_gives_the_error_of_the_joined_form(
+    chain, tmp_path, monkeypatch, value
+):
+    """argparse takes a lone ``-inf`` or ``-1e5`` for an option; the stage reads it as a value."""
+    monkeypatch.chdir(chain)
+    args = ["train", "--data", "data", "--out", str(tmp_path / "out")]
+    code, err = _run([*args, "--gamma", value], "")
+    assert (code, err) == _run([*args, f"--gamma={value}"], "")
+    assert code == 2 and re.fullmatch(r"error: [^\n]*\n", err), err
+    assert not (tmp_path / "out").exists()
 
 
 class TestEvaluateLatency:

@@ -1,7 +1,7 @@
 import inspect
 import io
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -161,7 +161,7 @@ class TestGrowTree:
     def test_pure_batch_is_single_leaf(self):
         X = np.random.default_rng(0).random((10, 3))
         y = np.full(10, 2)
-        tree = one_tree(X, y, ForestParams(mtry=3), _tree_rng(0, 0))
+        tree = one_tree(X, y, ForestParams(), _tree_rng(0, 0))
         assert tree.feature.tolist() == [-1]
         assert tree.counts.tolist() == [[0, 0, 10, 0]]
         assert tree.leaf_class.tolist() == [2]
@@ -170,14 +170,15 @@ class TestGrowTree:
         rng = np.random.default_rng(1)
         X = rng.random((60, 4))
         y = (X[:, 1] > 0.5).astype(int) + 2 * (X[:, 3] > 0.5).astype(int)
-        tree = one_tree(X, y, ForestParams(mtry=4), _tree_rng(0, 0))
+        tree = one_tree(X, y, ForestParams(), _tree_rng(0, 0))  # each node draws all 4 features
         assert np.array_equal(forest_predict_batch(tree, X), y)
 
-    def test_fixed_seed_grows_identical_tree(self):
+    def test_fixed_seed_grows_identical_tree(self, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 2)
         rng = np.random.default_rng(2)
         X = rng.random((40, 5))
         y = rng.integers(0, 3, 40)
-        params = ForestParams(mtry=2)
+        params = ForestParams()
         a = one_tree(X, y, params, _tree_rng(9, 0))
         b = one_tree(X, y, params, _tree_rng(9, 0))
         assert saved(a) == saved(b)
@@ -187,7 +188,7 @@ class TestGrowTree:
         # three values per feature: some leaves hold identical rows of mixed classes
         X = rng.integers(0, 3, (80, 3)).astype(float)
         y = rng.integers(0, 4, 80)
-        tree = one_tree(X, y, ForestParams(mtry=3), _tree_rng(0, 0))
+        tree = one_tree(X, y, ForestParams(), _tree_rng(0, 0))
         leaves = np.array([leaf_of(tree, x) for x in X])
         assert len(np.unique(leaves)) > 1
         for leaf in np.unique(leaves):
@@ -195,20 +196,20 @@ class TestGrowTree:
             assert tree.counts[leaf].tolist() == np.bincount(y[rows], minlength=4).tolist()
             assert split_of(X[rows], y[rows], range(3)) is None
 
-    def test_growth_limits_are_fixed(self):
-        params = ForestParams()
-        assert (params.min_leaf, params.max_depth) == (1, None)
-        for limit in ({"min_leaf": 2}, {"max_depth": 3}):
+    def test_growth_rules_are_fixed(self):
+        assert forest_mod.FIXED == {"mtry": 9, "min_leaf": 1, "max_depth": None}
+        assert [f.name for f in fields(ForestParams)] == ["n_trees", "rng_seed"]
+        for rule in ({"mtry": 3}, {"min_leaf": 2}, {"max_depth": 3}):
             with pytest.raises(TypeError):
-                ForestParams(**limit)
-            with pytest.raises(ValueError):
-                replace(params, **limit)
+                ForestParams(**rule)
+            with pytest.raises(TypeError):
+                replace(ForestParams(), **rule)
         assert "min_leaf" not in inspect.signature(forest_mod.best_split).parameters
 
     def test_no_weight_rejected(self):
         with pytest.raises(ValueError):
             grow_tree(np.ones((3, 2)), np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
-                      ForestParams(), _tree_rng(0, 0))
+                      _tree_rng(0, 0))
 
 
 class TestTrainMatchesTheCopyByCopyOracle:
@@ -231,12 +232,9 @@ class TestTrainMatchesTheCopyByCopyOracle:
         twin, mirror = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
         X[:, mirror] = -X[:, twin]
         y = rng.integers(0, data.draw(st.integers(1, 4)), n)
-        params = ForestParams(
-            n_trees=data.draw(st.integers(1, 4)),
-            mtry=data.draw(st.integers(1, d)),
-            rng_seed=seed,
-        )
-        assert saved(train(X, y, params)) == saved(reference_forest(X, y, params))
+        params = ForestParams(n_trees=data.draw(st.integers(1, 4)), rng_seed=seed)
+        with mock.patch.dict(forest_mod.FIXED, mtry=data.draw(st.integers(1, d))):
+            assert saved(train(X, y, params)) == saved(reference_forest(X, y, params))
 
     @pytest.mark.parametrize(
         "lower, upper",
@@ -249,7 +247,7 @@ class TestTrainMatchesTheCopyByCopyOracle:
             assert not lower <= (lower + upper) / 2.0 < upper
             X = np.array([[lower], [upper]] * 4)
             y = np.array([0, 1] * 4)
-            params = ForestParams(n_trees=5, mtry=1)
+            params = ForestParams(n_trees=5)
             model = train(X, y, params)
             assert saved(model) == saved(reference_forest(X, y, params))
         assert model.threshold[model.feature >= 0].tolist() == [lower] * 5
@@ -257,11 +255,12 @@ class TestTrainMatchesTheCopyByCopyOracle:
 
 
 class TestTrain:
-    def test_single_tree_equals_grow_tree_on_its_bootstrap_sample(self):
+    def test_single_tree_equals_grow_tree_on_its_bootstrap_sample(self, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 2)
         rng = np.random.default_rng(5)
         X = rng.random((30, 4))
         y = rng.integers(0, 3, 30)
-        params = ForestParams(n_trees=1, mtry=2, rng_seed=13)
+        params = ForestParams(n_trees=1, rng_seed=13)
         model = train(X, y, params)
         tree_rng = _tree_rng(13, 0)
         idx = bootstrap_indices(tree_rng, len(y))
@@ -269,20 +268,22 @@ class TestTrain:
         direct = one_tree(X[idx], y[idx], params, tree_rng)
         assert saved(model) == saved(direct)
 
-    def test_fixed_seed_is_deterministic(self):
+    def test_fixed_seed_is_deterministic(self, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 3)
         rng = np.random.default_rng(6)
         X = rng.random((80, 6))
         y = rng.integers(0, 4, 80)
-        params = ForestParams(n_trees=5, rng_seed=3, mtry=3)
+        params = ForestParams(n_trees=5, rng_seed=3)
         assert saved(train(X, y, params)) == saved(train(X, y, params))
 
-    def test_tree_count_is_bounded(self):
+    def test_tree_count_is_bounded(self, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 1)
         assert ForestParams(n_trees=MAX_TREES).n_trees == MAX_TREES
         for n_trees in (0, MAX_TREES + 1, 10**12):
             with pytest.raises(ConfigError):
                 ForestParams(n_trees=n_trees)
         # a saved forest is held to the same bound when it is loaded
-        text = saved(train(np.eye(3), np.arange(3), ForestParams(n_trees=1, mtry=1)))
+        text = saved(train(np.eye(3), np.arange(3), ForestParams(n_trees=1)))
         assert text.startswith(f"{forest_mod.MODEL_FORMAT}\ntrees 1\n")
         with pytest.raises(ModelFormatError, match="bad header value"):
             load(io.StringIO(text.replace("trees 1\n", f"trees {MAX_TREES + 1}\n", 1)))
@@ -308,9 +309,10 @@ class TestFirstTrees:
         return rng.random((60, 5)), rng.integers(0, 4, 60)
 
     @pytest.mark.parametrize("k", [1, 7, 20])
-    def test_prefix_equals_the_smaller_forest(self, k):
+    def test_prefix_equals_the_smaller_forest(self, k, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 2)
         X, y = self._data()
-        params = ForestParams(n_trees=20, mtry=2, rng_seed=4)
+        params = ForestParams(n_trees=20, rng_seed=4)
         prefix = first_trees(train(X, y, params), k)
         direct = train(X, y, replace(params, n_trees=k))
         assert prefix.params == direct.params
@@ -318,16 +320,18 @@ class TestFirstTrees:
             assert np.array_equal(getattr(prefix, name), getattr(direct, name)), name
         assert saved(prefix) == saved(direct)
 
-    def test_all_trees_is_the_whole_forest(self):
+    def test_all_trees_is_the_whole_forest(self, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 2)
         X, y = self._data()
-        model = train(X, y, ForestParams(n_trees=5, mtry=2))
+        model = train(X, y, ForestParams(n_trees=5))
         assert first_trees(model, 5) is model
 
     @pytest.mark.parametrize("k", [0, 6])
-    def test_out_of_range_count_rejected(self, k):
+    def test_out_of_range_count_rejected(self, k, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 2)
         X, y = self._data()
         with pytest.raises(ValueError):
-            first_trees(train(X, y, ForestParams(n_trees=5, mtry=2)), k)
+            first_trees(train(X, y, ForestParams(n_trees=5)), k)
 
 
 class TestPredict:
@@ -335,7 +339,8 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         X = rng.random((60, 5))
         y = rng.integers(0, 4, 60)
-        return train(X, y, ForestParams(n_trees=B, mtry=3, rng_seed=seed)), X
+        with mock.patch.dict(forest_mod.FIXED, mtry=3):
+            return train(X, y, ForestParams(n_trees=B, rng_seed=seed)), X
 
     def test_single_tree_votes_one_hot(self):
         model, X = self._model(B=1)
@@ -349,7 +354,7 @@ class TestPredict:
         X = np.zeros((30, 4))
         X[:, 1] = np.where(np.arange(30) % 2, 0.9, 0.1)
         y = (X[:, 1] > 0.5).astype(int)
-        params = ForestParams(n_trees=4, mtry=4, rng_seed=5)
+        params = ForestParams(n_trees=4, rng_seed=5)  # each node draws all 4 features
         model = train(X, y, params)
         assert len(model.feature) == 4 * 3
         votes = predict_votes_batch(model, X[3:4])
@@ -404,12 +409,9 @@ class TestPredict:
         # few distinct values, so duplicates and ties are common
         X = rng.integers(0, 4, (n, d)) / 4.0
         y = rng.integers(0, 4, n)
-        params = ForestParams(
-            n_trees=int(rng.integers(1, 6)),
-            mtry=int(rng.integers(1, d + 1)),
-            rng_seed=seed % 1000,
-        )
-        model = train(X, y, params)
+        params = ForestParams(n_trees=int(rng.integers(1, 6)), rng_seed=seed % 1000)
+        with mock.patch.dict(forest_mod.FIXED, mtry=int(rng.integers(1, d + 1))):
+            model = train(X, y, params)
         Q = np.concatenate([X, rng.integers(-1, 6, (n, d)) / 4.0])[:n_queries]
         votes = predict_votes_batch(model, Q)
         assert votes.shape == (len(Q), 4)
@@ -420,29 +422,31 @@ class TestSplitCounts:
     def test_pure_forest_has_no_splits(self):
         X = np.random.default_rng(0).random((20, 3))
         y = np.zeros(20, dtype=int)
-        model = train(X, y, ForestParams(n_trees=4, mtry=3))
+        model = train(X, y, ForestParams(n_trees=4))
         assert model.feature_split_counts.sum() == 0
 
     def test_single_split_counted_once(self):
         X = np.array([[0.1], [0.9]])
         y = np.array([0, 1])
-        model = one_tree(X, y, ForestParams(mtry=1), _tree_rng(0, 0))
+        model = one_tree(X, y, ForestParams(), _tree_rng(0, 0))
         assert model.feature_split_counts.tolist() == [1]
 
-    def test_counts_sum_equals_internal_nodes(self):
+    def test_counts_sum_equals_internal_nodes(self, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 2)
         rng = np.random.default_rng(9)
         X = rng.random((70, 4))
         y = rng.integers(0, 4, 70)
-        model = train(X, y, ForestParams(n_trees=6, mtry=2, rng_seed=2))
+        model = train(X, y, ForestParams(n_trees=6, rng_seed=2))
         assert model.feature_split_counts.sum() == internal_nodes(model)
 
 
 class TestSerialization:
-    def test_round_trip_preserves_predictions_exactly(self):
+    def test_round_trip_preserves_predictions_exactly(self, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 3)
         rng = np.random.default_rng(11)
         X = rng.random((90, 6))
         y = rng.integers(0, 4, 90)
-        model = train(X, y, ForestParams(n_trees=8, mtry=3, rng_seed=4))
+        model = train(X, y, ForestParams(n_trees=8, rng_seed=4))
         text = saved(model)
         restored = load(io.StringIO(text))
         queries = rng.random((100, 6))
@@ -465,15 +469,12 @@ class TestSerialization:
         X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 6, (n, d))
         # a single class grows trees that are one leaf each
         y = rng.integers(0, data.draw(st.integers(1, 4)), n)
-        params = ForestParams(
-            n_trees=data.draw(st.integers(1, 4)),
-            mtry=data.draw(st.integers(1, d)),
-            rng_seed=seed,
-        )
-        model = train(X, y, params)
-        block = data.draw(st.sampled_from([1, 2, 3, 7, forest_mod.TEXT_BLOCK_ROWS]))
-        with mock.patch.object(forest_mod, "TEXT_BLOCK_ROWS", block):
-            assert saved(model) == reference_forest_save(model)
+        params = ForestParams(n_trees=data.draw(st.integers(1, 4)), rng_seed=seed)
+        with mock.patch.dict(forest_mod.FIXED, mtry=data.draw(st.integers(1, d))):
+            model = train(X, y, params)
+            block = data.draw(st.sampled_from([1, 2, 3, 7, forest_mod.TEXT_BLOCK_ROWS]))
+            with mock.patch.object(forest_mod, "TEXT_BLOCK_ROWS", block):
+                assert saved(model) == reference_forest_save(model)
 
     def test_a_forest_of_single_leaves_saves_without_split_lines(self):
         rng = np.random.default_rng(3)
@@ -488,10 +489,11 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load(io.StringIO(""))
 
-    def test_every_truncation_raises(self):
+    def test_every_truncation_raises(self, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 2)
         rng = np.random.default_rng(14)
         X = rng.random((40, 3))
-        model = train(X, rng.integers(0, 4, 40), ForestParams(n_trees=3, mtry=2))
+        model = train(X, rng.integers(0, 4, 40), ForestParams(n_trees=3))
         lines = saved(model).splitlines(keepends=True)
         for k in range(len(lines)):
             with pytest.raises(ModelFormatError):
@@ -512,10 +514,11 @@ class TestSerialization:
             (r"\nN (\d+) \S+", r"\nN \1 -inf"),
         ],
     )
-    def test_malformed_listing_rejected(self, pattern, replacement):
+    def test_malformed_listing_rejected(self, pattern, replacement, monkeypatch):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 2)
         rng = np.random.default_rng(14)
         X = rng.random((40, 3))
-        model = train(X, rng.integers(0, 4, 40), ForestParams(n_trees=3, mtry=2))
+        model = train(X, rng.integers(0, 4, 40), ForestParams(n_trees=3))
         text = saved(model)
         broken = re.sub(pattern, replacement, text, count=1)
         assert broken != text
@@ -525,27 +528,30 @@ class TestSerialization:
     def test_leaf_class_must_match_counts(self):
         text = (
             "forest-model v1\ntrees 1\ndim 1\n"
-            "params mtry=1 min_leaf=1 max_depth=none seed=0\ntree 0\nL 2 5 0 1 0\n"
+            "params mtry=9 min_leaf=1 max_depth=none seed=0\ntree 0\nL 2 5 0 1 0\n"
         )
         with pytest.raises(ModelFormatError):
             load(io.StringIO(text))
         assert load(io.StringIO(text.replace("L 2", "L 0"))).leaf_class.tolist() == [0]
 
-    @pytest.mark.parametrize("limits", ["min_leaf=2 max_depth=none", "min_leaf=1 max_depth=3"])
-    def test_growth_limits_other_than_unpruned_rejected(self, limits):
-        """This program grows no other trees, so it reads no other limits."""
-        text = "forest-model v1\ntrees 1\ndim 1\nparams mtry=1 {} seed=0\ntree 0\nL 0 5 0 1 0\n"
-        assert load(io.StringIO(text.format("min_leaf=1 max_depth=none"))).n_trees == 1
+    @pytest.mark.parametrize("rules", [
+        "mtry=5 min_leaf=1 max_depth=none", "mtry=9 min_leaf=2 max_depth=none",
+        "mtry=9 min_leaf=1 max_depth=3",
+    ])
+    def test_growth_rules_other_than_fixed_rejected(self, rules):
+        """This program grows no other trees, so it reads no other rules."""
+        text = "forest-model v1\ntrees 1\ndim 1\nparams {} seed=0\ntree 0\nL 0 5 0 1 0\n"
+        assert load(io.StringIO(text.format("mtry=9 min_leaf=1 max_depth=none"))).n_trees == 1
         # the params line is read by key, in any order
-        assert load(io.StringIO(text.format("max_depth=none min_leaf=1"))).n_trees == 1
-        with pytest.raises(ModelFormatError, match=f"^{limits}: trees here grow unpruned"):
-            load(io.StringIO(text.format(limits)))
+        assert load(io.StringIO(text.format("max_depth=none mtry=9 min_leaf=1"))).n_trees == 1
+        with pytest.raises(ModelFormatError, match=f"^{rules}: trees here grow unpruned"):
+            load(io.StringIO(text.format(rules)))
 
     @pytest.mark.parametrize("count", ["-1", str(2**63), str(2**64)])
     def test_leaf_count_out_of_int64_range_rejected(self, count):
         text = (
             "forest-model v1\ntrees 1\ndim 1\n"
-            f"params mtry=1 min_leaf=1 max_depth=none seed=0\ntree 0\nL 0 5 0 {count} 0\n"
+            f"params mtry=9 min_leaf=1 max_depth=none seed=0\ntree 0\nL 0 5 0 {count} 0\n"
         )
         with pytest.raises(ModelFormatError, match="line 6: leaf count out of range"):
             load(io.StringIO(text))

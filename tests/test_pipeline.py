@@ -1,5 +1,6 @@
 import json
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,12 +49,13 @@ def one(model, x):
 
 def cascade(data, nu=0.1, gamma=1.0, trees=20, seed=0):
     X, y = data
-    return pipeline.train(
-        X,
-        y,
-        OcsvmParams(nu=nu, gamma=gamma),
-        ForestParams(n_trees=trees, mtry=4, rng_seed=seed),
-    )
+    with mock.patch.dict(forest_mod.FIXED, mtry=4):
+        return pipeline.train(
+            X,
+            y,
+            OcsvmParams(nu=nu, gamma=gamma),
+            ForestParams(n_trees=trees, rng_seed=seed),
+        )
 
 
 class TestTrain:
@@ -248,7 +250,7 @@ class TestGridSearch:
     def test_single_cell_identity(self):
         data = make_data(n_normal=150, n_fail=30)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(10,), folds=3)
-        best, f3 = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
+        best, f3 = pipeline.grid_search_cv(*data, grid, 0)
         assert best == (1.0, 0.1, 10)
         assert f3.shape == (1, 1, 1, 3)
 
@@ -257,14 +259,14 @@ class TestGridSearch:
         # so the workable cell dominates on every fold
         data = make_data(n_normal=200, n_fail=40)
         grid = GridSpec(gammas=(1.0,), nus=(0.1, 1e-6), tree_counts=(10,), folds=3)
-        best, f3 = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
+        best, f3 = pipeline.grid_search_cv(*data, grid, 0)
         assert best[1] == 0.1
         assert np.all(f3[0, 0, 0] > f3[0, 1, 0])
 
     def test_tie_breaks_toward_fewer_trees(self):
         data = make_data(n_normal=150, n_fail=30)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(50, 10), folds=3)
-        best, f3 = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
+        best, f3 = pipeline.grid_search_cv(*data, grid, 0)
         # well-separated classes: both tree counts score F3 1.0 on every fold
         assert np.array_equal(f3[0, 0, 0], f3[0, 0, 1])
         assert best[2] == 10
@@ -272,8 +274,8 @@ class TestGridSearch:
     def test_deterministic_given_seed(self):
         data = make_data(n_normal=120, n_fail=30)
         grid = GridSpec(gammas=(1.0, 0.3), nus=(0.1,), tree_counts=(5,), folds=3)
-        best_a, f3_a = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=3))
-        best_b, f3_b = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=3))
+        best_a, f3_a = pipeline.grid_search_cv(*data, grid, 3)
+        best_b, f3_b = pipeline.grid_search_cv(*data, grid, 3)
         assert best_a == best_b
         assert np.array_equal(f3_a, f3_b)
 
@@ -285,13 +287,15 @@ class TestGridSearch:
             (2, (0.5, 4.0), (0.1,), (4, 1, 6), 3),
         ],
     )
-    def test_matches_the_per_cell_oracle(self, data_seed, gammas, nus, tree_counts, folds):
+    def test_matches_the_per_cell_oracle(
+        self, monkeypatch, data_seed, gammas, nus, tree_counts, folds
+    ):
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 4)
         # classes this close give F3 values that differ by cell and fold
         data = make_data(n_normal=120, n_fail=30, seed=data_seed, separation=0.1)
         grid = GridSpec(gammas=gammas, nus=nus, tree_counts=tree_counts, folds=folds)
-        bases = OcsvmParams(), ForestParams(mtry=4, rng_seed=5)
-        best, f3 = pipeline.grid_search_cv(*data, grid, *bases)
-        ref_best, ref_f3 = reference_grid_search_cv(*data, grid, *bases)
+        best, f3 = pipeline.grid_search_cv(*data, grid, 5)
+        ref_best, ref_f3 = reference_grid_search_cv(*data, grid, 5)
         assert best == ref_best
         assert np.array_equal(f3, ref_f3)
 
@@ -299,7 +303,7 @@ class TestGridSearch:
         data = make_data(n_normal=120, n_fail=30)
         grid = GridSpec(gammas=(1.0, 0.3), nus=(0.1, 1e-6), tree_counts=(7, 3, 7), folds=3)
         with caplog.at_level(logging.WARNING, logger="failcast.pipeline"):
-            _, f3 = pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
+            _, f3 = pipeline.grid_search_cv(*data, grid, 0)
         unusable = [r for r in caplog.records if "unusable" in r.getMessage()]
         # nu=1e-6 is infeasible for both gammas on all three folds
         assert len(unusable) == 2 * 3
@@ -311,7 +315,7 @@ class TestGridSearch:
         with caplog.at_level(logging.WARNING, logger="failcast.pipeline"):
             with pytest.raises(InfeasibleNuError, match=r"^no grid fit is usable; the first, "
                                r"gamma=1 nu=1e-06 fold 0: nu\*n"):
-                pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
+                pipeline.grid_search_cv(*data, grid, 0)
         assert not caplog.records
 
     @pytest.mark.parametrize(
@@ -343,7 +347,7 @@ class TestGridSearch:
         data = make_data(n_normal=100, n_fail=3)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(5,), folds=5)
         with pytest.raises(FailcastError, match="contains no failure instances"):
-            pipeline.grid_search_cv(*data, grid, OcsvmParams(), ForestParams(rng_seed=0))
+            pipeline.grid_search_cv(*data, grid, 0)
 
 
 class TestStratifiedFolds:
@@ -370,6 +374,11 @@ class TestStratifiedFolds:
 
 
 class TestBundles:
+    @pytest.fixture(autouse=True)
+    def _mtry(self, monkeypatch):
+        """A bundle of ``cascade`` states the mtry of its forest, so it loads with it."""
+        monkeypatch.setitem(forest_mod.FIXED, "mtry", 4)
+
     def test_bundle_round_trip_preserves_decisions(self, tmp_path):
         data = make_data(n_normal=150, n_fail=30)
         model = cascade(data)

@@ -1,6 +1,7 @@
 """The boundaries between failcast's modules, read from their source."""
 
 import ast
+import dataclasses
 import inspect
 import textwrap
 from pathlib import Path
@@ -253,3 +254,38 @@ def test_every_parameter_is_read():
     found = [unread for path in sorted(SOURCE.glob("*.py"))
              for unread in unread_parameters(path.read_text(), path.stem)]
     assert [unread for unread in found if unread not in interface] == []
+
+
+def unset_fields(configs: dict, stages: dict) -> list[str]:
+    """``Class.field`` of each field of a config class of ``configs`` (class to the name of
+    the stage that builds it) that no setting of that stage of ``stages`` gives."""
+    found = []
+    for cls, stage in configs.items():
+        given = {flag.field for flag in stages[stage].flags if flag.field}
+        found += [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                  if f.name not in given]
+    return found
+
+
+def test_the_check_finds_fields_no_setting_gives():
+    @dataclasses.dataclass
+    class Config:
+        a: int = 0
+        b: int = 0
+
+    stages = {"x": cli.Stage("", lambda ns, given: 0, (cli.Flag("c", {}, int, field="a"),))}
+    assert unset_fields({Config: "x"}, stages) == ["Config.b"]
+
+
+def test_every_config_field_is_a_setting():
+    """A run sets what it can by flag or config key, so no field is settable only from
+    Python. The synthetic trace's failing share and failure cap are the exception: the
+    benchmark's trace generator sets them."""
+    from failcast import features, forest, ocsvm, pipeline, synth
+
+    configs = {ocsvm.OcsvmParams: "train", forest.ForestParams: "train",
+               pipeline.GridSpec: "train", features.DatasetConfig: "featurize",
+               synth.SynthConfig: "synth"}
+    assert unset_fields(configs, cli.STAGES) == [
+        "SynthConfig.failing_fraction", "SynthConfig.max_failures",
+    ]
