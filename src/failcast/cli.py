@@ -1,4 +1,5 @@
-"""Command-line surface: synth -> ingest -> label -> featurize -> train -> predict -> evaluate.
+"""Command-line surface: synth -> ingest -> label -> pacf-report -> featurize -> train ->
+predict -> evaluate, and adapt-google, which converts clusterdata-2011 tables into a trace.
 
 Every stage reads the previous stage's artifacts from disk and is
 idempotent for a fixed seed: rerunning with identical inputs rewrites
@@ -413,13 +414,6 @@ def _prediction_rules(rows: np.ndarray) -> list[Rule]:
 def _cmd_evaluate(ns: argparse.Namespace, given: dict) -> int:
     from . import metrics
 
-    reps = given.get("latency", 0)
-    # the timings are one float64 array, of at most intp-max bytes
-    max_reps = np.iinfo(np.intp).max // 8
-    if not 0 <= reps <= max_reps:
-        raise ConfigError(f"--latency must be in [0, {max_reps}], got {reps}")
-    if reps and not ns.model:
-        raise FailcastError("--latency needs --model to time predictions")
     predictions = Path(ns.predictions)
     rows = _read(predictions, _read_predictions)
     data = _load_split(Path(ns.data), "test")
@@ -445,15 +439,6 @@ def _cmd_evaluate(ns: argparse.Namespace, given: dict) -> int:
             f" ({extra['machine_id']}, {extra['interval']}) not in the test split"
         )
     preds, scores = rows["predicted_y"][taken], rows["score"][taken]
-
-    latency = None
-    if reps:
-        from . import pipeline
-
-        model = pipeline.load_bundle(Path(ns.model))
-        latency = metrics.measure_latency(
-            lambda x: pipeline.predict_batch(model, x[None, :]), data.x, reps
-        )
     report = metrics.build_report(preds, data.y, scores)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -466,11 +451,6 @@ def _cmd_evaluate(ns: argparse.Namespace, given: dict) -> int:
     except metrics.UndefinedAucError:
         logger.warning("single-class input; skipping ROC export")
     print(metrics.render_text(report))
-    if latency is not None:
-        print(
-            f"latency: mean={latency.mean_ms:.3f} ms p99={latency.p99_ms:.3f} ms"
-            f" over {latency.n_calls} calls"
-        )
     return 0
 
 
@@ -553,10 +533,7 @@ STAGES = {
               help=f"read f0..f{N_FEATURES - 1} lines from stdin, write y,score lines"),
     )),
     "evaluate": Stage("metrics report + ROC csv", _cmd_evaluate, (
-        _flag("predictions"), _flag("data"),
-        _flag("out", output="dir"), _flag("model", required=False),
-        _setting("latency", int,
-                 help="also time this many predict calls and print the figures (needs --model)"),
+        _flag("predictions"), _flag("data"), _flag("out", output="dir"),
     )),
     "adapt-google": Stage("convert clusterdata-2011 tables", _cmd_adapt_google, (
         _flag("machine_events"), _flag("task_usage"), _flag("out", output="dir"),
@@ -564,14 +541,23 @@ STAGES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so that ``main`` ends them in one line."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    # one spelling per flag, the one _joined knows
+    p = _Parser(
         prog="failcast",
         description="Machine-failure forecasting pipeline over cluster traces.",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name, stage in STAGES.items():
-        s = sub.add_parser(name, help=stage.help)
+        s = sub.add_parser(name, help=stage.help, allow_abbrev=False)
         for flag in stage.flags:
             # a setting stays text, to be read by Flag.value
             s.add_argument(flag.option, **flag.options)
@@ -594,18 +580,17 @@ def _joined(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one stage; a FailcastError, OSError or MemoryError ends it in ``error: ...``, exit 2."""
+    """Run one stage; an argument error, FailcastError, OSError or MemoryError ends it in
+    ``error: ...``, exit 2."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        ns = parser.parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    stage = STAGES[ns.command]
-    try:
+        ns = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
+        stage = STAGES[ns.command]
         given = stage.given(ns, _read_config_file(ns.config))
         stage.check_outputs(ns)
         return ns.func(ns, given)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except FailcastError as exc:
         return _fail(str(exc))
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""Evaluation metrics: confusion matrix, precision/recall, F-beta, ROC/AUC, latency.
+"""Evaluation metrics: confusion matrix, precision/recall, F-beta, ROC/AUC.
 
 Headline numbers are binary failure-vs-normal (classes 1..3 pooled as
 positive), with F-beta at beta=3 so recall weighs roughly three times
@@ -11,9 +11,8 @@ over the scores (Fawcett, 2006): the curve is a ``(k+1, 3)`` array of
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -116,35 +115,6 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> np.ndarray:
     tp, fp, thresholds, n_pos, n_neg = _roc_sweep(scores, labels)
     sweep = np.column_stack([fp / n_neg, tp / n_pos, thresholds])
     return np.vstack([[0.0, 0.0, np.inf], sweep])
-
-
-@dataclass
-class LatencyStats:
-    mean_ms: float
-    p99_ms: float
-    n_calls: int
-
-
-def measure_latency(
-    predict: Callable, rows: Sequence, repetitions: int
-) -> LatencyStats:
-    """Wall-clock per prediction, cycling the rows; one warm-up pass excluded."""
-    if not len(rows):
-        raise ValueError("need at least one row")
-    for x in rows[: min(len(rows), 50)]:
-        predict(x)
-    times = np.empty(repetitions)
-    k = len(rows)
-    for i in range(repetitions):
-        x = rows[i % k]
-        t0 = time.perf_counter()
-        predict(x)
-        times[i] = time.perf_counter() - t0
-    return LatencyStats(
-        mean_ms=float(times.mean() * 1e3),
-        p99_ms=float(np.percentile(times, 99) * 1e3),
-        n_calls=repetitions,
-    )
 
 
 @dataclass

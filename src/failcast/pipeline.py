@@ -58,9 +58,9 @@ class CascadeModel:
 
 @dataclass(frozen=True)
 class GridSpec:
-    gammas: tuple[float, ...] = (2.0**-7, 2.0**-5, 2.0**-3, 2.0**-1, 2.0)
-    nus: tuple[float, ...] = (0.01, 0.05, 0.1, 0.2)
-    tree_counts: tuple[int, ...] = (50, 100, 200)
+    gammas: tuple[float, ...]
+    nus: tuple[float, ...]
+    tree_counts: tuple[int, ...]
     folds: int = 5
 
     def __post_init__(self):

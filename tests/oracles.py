@@ -24,14 +24,17 @@ SMO loop calls the package's own kernel and rho estimate.
 ``classify``, the anomaly flag of the package's own decisions,
 ``forest_predict_batch``, the majority vote over the package's own
 votes, ``split_of`` and ``one_tree``, the package's split search and tree
-growth on rows counted once each, and ``feature_index``, the inverse of
-``features.describe``, and ``BUNDLE_FILES``, the files of a bundle
-directory, are not oracles: they live here because only tests use them.
+growth on rows counted once each, ``feature_index``, the inverse of
+``features.describe``, ``BUNDLE_FILES``, the files of a bundle
+directory, and ``measure_latency``, the single-row timer of acceptance
+criterion 6, are not oracles: they live here because only tests use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import time
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -928,3 +931,32 @@ def reference_grid_search_cv(X, y, grid, rng_seed):
     )
     shape = (len(grid.gammas), len(grid.nus), len(grid.tree_counts), grid.folds)
     return cells[best], np.array(table).reshape(shape)
+
+
+@dataclass
+class LatencyStats:
+    mean_ms: float
+    p99_ms: float
+    n_calls: int
+
+
+def measure_latency(
+    predict: Callable, rows: Sequence, repetitions: int
+) -> LatencyStats:
+    """Wall-clock per prediction, cycling the rows; one warm-up pass excluded."""
+    if not len(rows):
+        raise ValueError("need at least one row")
+    for x in rows[: min(len(rows), 50)]:
+        predict(x)
+    times = np.empty(repetitions)
+    k = len(rows)
+    for i in range(repetitions):
+        x = rows[i % k]
+        t0 = time.perf_counter()
+        predict(x)
+        times[i] = time.perf_counter() - t0
+    return LatencyStats(
+        mean_ms=float(times.mean() * 1e3),
+        p99_ms=float(np.percentile(times, 99) * 1e3),
+        n_calls=repetitions,
+    )

@@ -32,6 +32,7 @@ from oracles import (
     dual_objective,
     f_beta_direct,
     forest_predict_batch,
+    measure_latency,
     ols_last_coefficient,
     one_tree,
     qp_reference_objective,
@@ -257,7 +258,7 @@ def test_criterion_6_prediction_latency():
     stage2 = forest_mod.train(X, y, ForestParams(n_trees=100, rng_seed=1))
     model = CascadeModel(ocsvm=stage1, forest=stage2, manifest={})
     queries = rng.random((256, 72))
-    stats = metrics.measure_latency(
+    stats = measure_latency(
         lambda x: pipeline.predict_batch(model, x[None, :]), queries, repetitions=10_000
     )
     _report(

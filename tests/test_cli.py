@@ -697,11 +697,24 @@ class TestBrokenInputs:
         assert "--lags" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    def test_evaluate_takes_no_model_to_time(self, chain, tmp_path, capsys):
+        """evaluate only scores predictions: it has no latency timer and loads no bundle."""
+        model = str(chain / "model")
+        assert main([
+            "evaluate", "--predictions", str(chain / "predictions.csv"),
+            "--data", str(chain / "data"), "--out", str(tmp_path / "rep"),
+            "--latency", "5", "--model", model,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: failcast: unrecognized arguments: --latency 5 --model {model}\n"
+        assert not (tmp_path / "rep").exists()
+
     @pytest.mark.parametrize("stage, flag, value", [
         *((stage, "--seed", "1") for stage in
           ("ingest", "label", "pacf-report", "predict", "evaluate", "adapt-google")),
         ("ingest", "--interval-us", "300000000"), ("ingest", "--horizon-us", "600000000"),
         ("predict", "--split", "train"), ("evaluate", "--split", "train"),
+        ("evaluate", "--latency", "5"),
         ("label", "--degenerate-min-failures", "100"), ("label", "--ir-max-minutes", "30"),
         ("pacf-report", "--max-lag", "10"), ("train", "--tol", "0.0001"),
         ("featurize", "--lags", "6"), ("synth", "--degenerate", "2"),
@@ -711,7 +724,8 @@ class TestBrokenInputs:
         required = [arg for f in STAGES[stage].flags if f.options.get("required")
                     for arg in ("--" + f.dest.replace("_", "-"), str(tmp_path / f.dest))]
         assert main([stage, *required, flag, value]) == 2
-        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        err = capsys.readouterr().err
+        assert err == f"error: failcast: unrecognized arguments: {flag} {value}\n"
         key = flag[2:].replace("-", "_")
         if key != "seed":  # synth, featurize and train read it
             cfg = tmp_path / "run.cfg"
@@ -1180,8 +1194,8 @@ def _train_defaults(got: dict) -> dict:
     from failcast.ocsvm import OcsvmParams
     from failcast.pipeline import GridSpec
 
-    grid = dataclasses.replace(GridSpec(), gammas=(OcsvmParams().gamma,),
-                               nus=(OcsvmParams().nu,), tree_counts=(ForestParams().n_trees,))
+    grid = GridSpec(gammas=(OcsvmParams().gamma,), nus=(OcsvmParams().nu,),
+                    tree_counts=(ForestParams().n_trees,))
     return {"grid": grid, "rng_seed": ForestParams().rng_seed}
 
 
@@ -1353,9 +1367,6 @@ NUMERIC_EXTREMES = [
     ("synth", ["--machines", "9223372036854775807"], None),
     ("synth", ["--seed", "-1"], None),
     ("train", ["--trees-grid", "5,99999999999999999999"], None),
-    ("evaluate", ["--latency", "-5"], None),
-    ("evaluate", ["--latency", "4611686018427387904"], None),
-    ("evaluate", ["--latency", "9223372036854775807"], None),
 ]
 
 
@@ -1368,16 +1379,10 @@ class TestNumericBounds:
         ids=[
             "days_1e300", "config_days_2_64", "machines_1e20", "machines_int64_max",
             "negative_seed", "trees_grid_1e20",
-            "negative_latency", "latency_2_62", "latency_int64_max",
         ],
     )
     def test_extreme_value_exits_2(self, chain, tmp_path, capsys, stage, flags, config):
-        inputs = {
-            "synth": [],
-            "train": ["--data", str(chain / "data")],
-            "evaluate": ["--predictions", str(chain / "predictions.csv"),
-                         "--data", str(chain / "data"), "--model", str(chain / "model")],
-        }[stage]
+        inputs = {"synth": [], "train": ["--data", str(chain / "data")]}[stage]
         if config:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(config)
@@ -1499,7 +1504,6 @@ SETTING_RUNS = {
     "synth": ([], {"machines": "5", "days": "1"}),
     "featurize": (["--store", "store", "--labels", "labels"], {"normal_samples": "300"}),
     "train": (["--data", "data"], {"trees": "5", "folds": "2"}),
-    "evaluate": (["--predictions", "predictions.csv", "--data", "data", "--model", "model"], {}),
 }
 
 #: what each setting is given besides a value that does not cast
@@ -1556,6 +1560,42 @@ def test_every_setting_exits_0_or_2_with_one_error_line(
     assert not out.exists()
 
 
+def _argument_error_cases():
+    """(argv, the start of its one error line) for every stage in ``STAGES``: its required
+    flags with an abbreviated ``--out``, or with an unknown flag, or without the first
+    required flag; then no stage and an unknown stage."""
+    for stage, spec in STAGES.items():
+        required = [f.option for f in spec.flags if f.options.get("required")]
+        args = [stage, *(arg for option in required for arg in (option, option[2:]))]
+        yield pytest.param(
+            [*args, "--ou", "out"], "failcast: unrecognized arguments: --ou out",
+            id=f"{stage}-abbreviated")
+        yield pytest.param(
+            [*args, "--bogus", "1"], "failcast: unrecognized arguments: --bogus 1",
+            id=f"{stage}-unknown")
+        yield pytest.param(
+            [stage, *args[3:]],
+            f"failcast {stage}: the following arguments are required: {required[0]}",
+            id=f"{stage}-missing")
+    yield pytest.param([], "failcast: the following arguments are required: command",
+                       id="no-stage")
+    yield pytest.param(["nope"], "failcast: argument command: invalid choice: 'nope'",
+                       id="unknown-stage")
+
+
+@pytest.mark.parametrize("argv, message", _argument_error_cases())
+def test_every_argument_error_exits_2_with_one_error_line(tmp_path, monkeypatch, argv, message):
+    """An abbreviated, unknown or missing flag, or a missing or unknown stage, exits 2
+    within 1 s with one `error: ...` line, and the stage makes nothing."""
+    monkeypatch.chdir(tmp_path)
+    t0 = time.perf_counter()
+    code, err = _run(argv, "")
+    seconds = time.perf_counter() - t0
+    assert code == 2 and seconds < 1.0
+    assert re.fullmatch(r"error: [^\n]*\n", err) and err.startswith(f"error: {message}"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["-inf", "-1e5"])
 def test_a_value_that_reads_as_an_option_gives_the_error_of_the_joined_form(
     chain, tmp_path, monkeypatch, value
@@ -1567,23 +1607,6 @@ def test_a_value_that_reads_as_an_option_gives_the_error_of_the_joined_form(
     assert (code, err) == _run([*args, f"--gamma={value}"], "")
     assert code == 2 and re.fullmatch(r"error: [^\n]*\n", err), err
     assert not (tmp_path / "out").exists()
-
-
-class TestEvaluateLatency:
-    def test_latency_is_printed_and_the_report_files_stay_the_same(self, chain, tmp_path, capsys):
-        out = tmp_path / "rep"
-        assert main([
-            "evaluate", "--predictions", str(chain / "predictions.csv"),
-            "--data", str(chain / "data"), "--out", str(out),
-            "--latency", "5", "--model", str(chain / "model"),
-        ]) == 0
-        for name in ("report.txt", "report.kv", "roc.csv"):
-            assert (out / name).read_bytes() == (chain / "reports" / name).read_bytes(), name
-        printed = capsys.readouterr().out.splitlines()
-        timing = [line for line in printed if line.startswith("latency")]
-        assert len(timing) == 1 and printed[-1] == timing[0]
-        figures = r"latency: mean=\d+\.\d{3} ms p99=\d+\.\d{3} ms over 5 calls"
-        assert re.fullmatch(figures, timing[0]), timing[0]
 
 
 class TestAdaptGoogle:
@@ -1814,8 +1837,6 @@ class TestStageImports:
                 "--data", str(chain / "data"), "--out", str(tmp_path / "rep")]
         modules, _ = _loaded_modules(argv)
         assert modules == DATASET_STAGE_MODULES | {"metrics"}
-        modules, _ = _loaded_modules([*argv, "--latency", "2", "--model", str(chain / "model")])
-        assert modules == MODEL_STAGE_MODULES | {"metrics"}
 
     def test_every_public_name_resolves_on_first_use(self):
         script = (

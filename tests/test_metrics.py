@@ -11,7 +11,6 @@ from failcast.metrics import (
     build_report,
     confusion,
     f_beta,
-    measure_latency,
     pooled,
     precision_recall,
     render_kv,
@@ -24,6 +23,7 @@ from failcast.metrics import (
 from oracles import (
     auc_pair_counting,
     f_beta_direct,
+    measure_latency,
     reference_roc_auc_rank_sums,
     reference_roc_curve,
 )

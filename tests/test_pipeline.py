@@ -247,6 +247,10 @@ class TestScore:
 
 
 class TestGridSearch:
+    #: the 60-cell grid the README writes out, which an axis under test replaces
+    README_GRID = dict(gammas=(2.0**-7, 2.0**-5, 2.0**-3, 2.0**-1, 2.0),
+                       nus=(0.01, 0.05, 0.1, 0.2), tree_counts=(50, 100, 200))
+
     def test_single_cell_identity(self):
         data = make_data(n_normal=150, n_fail=30)
         grid = GridSpec(gammas=(1.0,), nus=(0.1,), tree_counts=(10,), folds=3)
@@ -335,13 +339,13 @@ class TestGridSearch:
     def test_invalid_grid_rejected(self, axes):
         # an impossible value is a usage error, not a cell that scores 0.0
         with pytest.raises(FailcastError):
-            GridSpec(**axes)
+            GridSpec(**{**self.README_GRID, **axes})
 
     def test_grid_keeps_the_models_bounds(self):
         """A grid value is checked by the parameters it becomes, the tree bound included."""
-        GridSpec(tree_counts=(forest_mod.MAX_TREES,))
+        GridSpec(**{**self.README_GRID, "tree_counts": (forest_mod.MAX_TREES,)})
         with pytest.raises(ConfigError, match="n_trees"):
-            GridSpec(tree_counts=(50, forest_mod.MAX_TREES + 1))
+            GridSpec(**{**self.README_GRID, "tree_counts": (50, forest_mod.MAX_TREES + 1)})
 
     def test_too_few_failures_for_folds_rejected(self):
         data = make_data(n_normal=100, n_fail=3)
